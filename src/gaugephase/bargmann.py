@@ -79,16 +79,14 @@ class BargmannFactor:
     value: complex
 
 
-def _as_vector_list(vectors, *, tol: Tolerances) -> list[UnitVector]:
-    out = [
-        v if isinstance(v, UnitVector) else UnitVector(v, tol=tol.tol_norm)
-        for v in vectors
-    ]
-    if len(out) < 2:
-        raise ValueError("need at least two vectors")
+def _as_vector_list(vectors, *, tol: Tolerances, least: int = 2,
+                    what: str = "vectors") -> list[UnitVector]:
+    out = [v if isinstance(v, UnitVector) else UnitVector(v, tol=tol.tol_norm) for v in vectors]
+    if len(out) < least:
+        raise ValueError(f"{what}: need at least {least}, got {len(out)}")
     dims = {v.dim for v in out}
     if len(dims) != 1:
-        raise DimensionMismatchError(f"vectors of mixed dimensions: {sorted(dims)}")
+        raise DimensionMismatchError(f"{what} of mixed dimensions: {sorted(dims)}")
     return out
 
 
@@ -121,12 +119,7 @@ def bargmann_invariant(vectors, *,
 def _family(arg, name: str, *, tol: Tolerances) -> list[UnitVector]:
     if isinstance(arg, UnitaryMatrix):
         return [arg.column(k) for k in range(1, arg.n + 1)]
-    vs = [v if isinstance(v, UnitVector) else UnitVector(v, tol=tol.tol_norm) for v in arg]
-    if not vs:
-        raise ValueError(f"family '{name}' is empty")
-    dims = {v.dim for v in vs}
-    if len(dims) != 1:
-        raise DimensionMismatchError(f"family '{name}' has mixed dimensions: {sorted(dims)}")
+    vs = _as_vector_list(arg, tol=tol, least=1, what=f"family '{name}'")
     gram = np.array([[inner_product(a, b) for b in vs] for a in vs])
     dev = float(np.abs(gram - np.eye(len(vs))).max())
     if dev > tol.tol_unitary:

@@ -8,9 +8,9 @@ shortest-round-trip floats) to stdout or --output:
     gaugephase offdiag evolution.json --no-triples
     gaugephase verify --suite gauge --n 4 --trials 50 --seed 7
 
-Exit codes: 0 success, 1 verification failure, 2 unreadable/malformed
-input, 3 input not unitary at tolerance, 4 non-generic input (canonical
-factorization undefined).
+Exit codes: 0 success, 1 verification failure, 2 unreadable, malformed or
+otherwise invalid input (e.g. an under-resolved evolution), 3 input not
+unitary at tolerance, 4 non-generic input (factorization undefined).
 """
 
 from __future__ import annotations
@@ -52,16 +52,12 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
     )
 
 
-def _phase_fields(value: float | Undefined, name: str) -> dict[str, Any]:
+def _fields(value: float | complex | Undefined, name: str) -> dict[str, Any]:
     if isinstance(value, Undefined):
         return {name: None, f"{name}_reason": value.reason}
+    if isinstance(value, complex):
+        return {name: [float(value.real), float(value.imag)]}
     return {name: float(value)}
-
-
-def _complex_or_null(value, name: str) -> dict[str, Any]:
-    if isinstance(value, Undefined):
-        return {name: None, f"{name}_reason": value.reason}
-    return {name: [float(value.real), float(value.imag)]}
 
 
 def _emit(doc: dict, args: argparse.Namespace) -> None:
@@ -109,9 +105,9 @@ def cmd_phases(args: argparse.Namespace) -> int:
     levels = []
     for j, rep in enumerate(reports, start=1):
         entry: dict[str, Any] = {"level": j}
-        entry.update(_phase_fields(rep.total, "total"))
+        entry.update(_fields(rep.total, "total"))
         entry["dynamical"] = rep.dynamical
-        entry.update(_phase_fields(rep.geometric, "geometric"))
+        entry.update(_fields(rep.geometric, "geometric"))
         entry["endpoint_overlap_modulus"] = rep.endpoint_overlap_modulus
         levels.append(entry)
     doc = {
@@ -143,7 +139,7 @@ def cmd_offdiag(args: argparse.Namespace) -> int:
         rows = []
         for levels in sorted(mapping):
             row: dict[str, Any] = {"levels": list(levels)}
-            row.update(_complex_or_null(mapping[levels], "value"))
+            row.update(_fields(mapping[levels], "value"))
             rows.append(row)
         return rows
 
@@ -240,15 +236,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except io.FileFormatError as err:
+    except ValueError as err:  # FileFormatError and the package's input errors
         print(f"error: {err}", file=sys.stderr)
+        if isinstance(err, NotUnitaryError):
+            return EXIT_NOT_UNITARY
+        if isinstance(err, NonGenericMatrixError):
+            return EXIT_NON_GENERIC
         return EXIT_PARSE
-    except NotUnitaryError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NOT_UNITARY
-    except NonGenericMatrixError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NON_GENERIC
 
 
 if __name__ == "__main__":

@@ -43,7 +43,10 @@ def _load_json(path: str) -> Any:
 
 
 def _pairs_to_complex(pairs, count: int, what: str) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=np.float64)
+    try:
+        arr = np.asarray(pairs, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise FileFormatError(f"{what}: malformed pairs: {err}") from err
     if arr.ndim != 2 or arr.shape != (count, 2):
         raise FileFormatError(
             f"{what}: expected {count} [re, im] pairs, got shape {getattr(arr, 'shape', None)}"
@@ -65,13 +68,7 @@ def load_matrix(path: str) -> np.ndarray:
     n = doc["n"]
     if not isinstance(n, int) or n < 1:
         raise FileFormatError(f"{path!r}: 'n' must be a positive integer, got {n!r}")
-    try:
-        flat = _pairs_to_complex(doc["entries"], n * n, f"{path!r} entries")
-    except FileFormatError:
-        raise
-    except (TypeError, ValueError) as err:
-        raise FileFormatError(f"{path!r}: malformed entries: {err}") from err
-    return flat.reshape(n, n)
+    return _pairs_to_complex(doc["entries"], n * n, f"{path!r} entries").reshape(n, n)
 
 
 def save_matrix(path: str, matrix: np.ndarray) -> None:
@@ -103,12 +100,7 @@ def load_evolution(path: str) -> tuple[np.ndarray, np.ndarray]:
         )
     frames = np.empty((grid.size, n, n), dtype=np.complex128)
     for i, entry in enumerate(raw):
-        try:
-            frames[i] = _pairs_to_complex(entry, n * n, f"{path!r} frame {i}").reshape(n, n)
-        except FileFormatError:
-            raise
-        except (TypeError, ValueError) as err:
-            raise FileFormatError(f"{path!r}: malformed frame {i}: {err}") from err
+        frames[i] = _pairs_to_complex(entry, n * n, f"{path!r} frame {i}").reshape(n, n)
     return grid, frames
 
 

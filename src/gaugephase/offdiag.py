@@ -23,7 +23,9 @@ Every defined gamma also decomposes through frame data alone:
 
 with B the interleaved cyclic invariant of the endpoint frames; the
 identity is exact at finite grid resolution because both sides are built
-from the same overlaps.  It fails only on the exceptional stratum where
+from the same overlaps: the sigma products and the diagonal phases read
+one level table of the evolution (see ``curves``), and B is built from
+its endpoint frames.  It fails only on the exceptional stratum where
 an ingredient (a diagonal geometric phase, or the invariant itself) is
 undefined — which is precisely the regime the direct sigma products are
 for, and the verification report flags it rather than papering over it.
@@ -47,7 +49,7 @@ from .core import (
     circular_distance,
     principal_arg,
 )
-from .curves import FrameEvolution, dynamical_phase, geometric_phase
+from .curves import FrameEvolution, _check_level, _column_norm_gate
 
 __all__ = [
     "VANISHING_OVERLAP",
@@ -66,22 +68,22 @@ UNDEFINED_DIAGONAL = "undefined_diagonal_phase"
 VANISHING_INVARIANT = "vanishing_invariant"
 
 
-def _check_level(evolution: FrameEvolution, j: int) -> None:
-    if not 1 <= j <= evolution.dim:
-        raise IndexError(f"level {j} outside 1..{evolution.dim}")
-
-
-def _column_dynamical(evolution: FrameEvolution, j: int, quadrature: str,
-                      tol: Tolerances) -> float:
-    return dynamical_phase(evolution.column_curve(j, tol=tol), quadrature=quadrature)
+def _level_list(levels: Sequence[int]) -> list[int]:
+    """At least two distinct levels; ranges are checked as levels are read."""
+    levels = [int(j) for j in levels]
+    if len(levels) < 2:
+        raise ValueError(f"need at least two levels, got {levels}")
+    if len(set(levels)) != len(levels):
+        raise ValueError(f"duplicate level in {levels}")
+    return levels
 
 
 def dynamical_factor(evolution: FrameEvolution, j: int, *,
                      quadrature: str = "pancharatnam",
                      tol: Tolerances = DEFAULT_TOLERANCES) -> complex:
     """The removable dynamical content of level j: exp(-i phi_dyn[C_j])."""
-    _check_level(evolution, j)
-    return complex(np.exp(-1j * _column_dynamical(evolution, j, quadrature, tol)))
+    evolution._table.check(j, tol)
+    return complex(np.exp(-1j * evolution._table.dynamical_phase(j, quadrature)))
 
 
 def sigma(evolution: FrameEvolution, j: int, k: int, *,
@@ -92,17 +94,16 @@ def sigma(evolution: FrameEvolution, j: int, k: int, *,
     Undefined when the cross overlap (psi_j(s_1), psi_k(s_2)) vanishes.
     Not gauge invariant on its own — only closed cyclic products are.
     """
-    _check_level(evolution, j)
-    _check_level(evolution, k)
+    _check_level(j, evolution.dim)
+    _check_level(k, evolution.dim)
     if j == k:
         raise IndexError(f"sigma needs two distinct levels, got j = k = {j}")
-    overlap = complex(
-        np.vdot(evolution.frames[0][:, j - 1], evolution.frames[-1][:, k - 1])
-    )
+    overlap = complex(evolution._table.overlap[j - 1, k - 1])
     if abs(overlap) <= tol.tol_generic:
         return Undefined(VANISHING_OVERLAP)
     arg = principal_arg(overlap, tol=tol)
-    return complex(np.exp(1j * (arg - _column_dynamical(evolution, k, quadrature, tol))))
+    evolution._table.check(k, tol)
+    return complex(np.exp(1j * (arg - evolution._table.dynamical_phase(k, quadrature))))
 
 
 def gamma_pair(evolution: FrameEvolution, j: int, k: int, *,
@@ -116,9 +117,8 @@ def gamma_diag(evolution: FrameEvolution, j: int, *,
                quadrature: str = "pancharatnam",
                tol: Tolerances = DEFAULT_TOLERANCES) -> complex | Undefined:
     """Diagonal factor gamma_j = exp(i phi_g[C_j]), when phi_g exists."""
-    _check_level(evolution, j)
-    geo = geometric_phase(evolution.column_curve(j, tol=tol),
-                          quadrature=quadrature, tol=tol)
+    evolution._table.check(j, tol)
+    geo = evolution._table.geometric_phase(j, quadrature, tol)
     if isinstance(geo, Undefined):
         return geo
     return complex(np.exp(1j * geo))
@@ -133,11 +133,7 @@ def gamma_multi(evolution: FrameEvolution, levels: Sequence[int], *,
     the whole product Undefined.  Invariant under cyclic relabelling of
     the level list and under independent per-level rephasings.
     """
-    levels = [int(j) for j in levels]
-    if len(levels) < 2:
-        raise ValueError(f"need at least two levels, got {levels}")
-    if len(set(levels)) != len(levels):
-        raise ValueError(f"duplicate level in {levels}")
+    levels = _level_list(levels)
     value = 1.0 + 0.0j
     for t, j in enumerate(levels):
         k = levels[(t + 1) % len(levels)]
@@ -159,18 +155,14 @@ def gamma_via_invariants(evolution: FrameEvolution, levels: Sequence[int], *,
     or the interleaved invariant itself is undefined — the exceptional
     stratum where only the direct sigma products exist.
     """
-    levels = [int(j) for j in levels]
-    if len(levels) < 2:
-        raise ValueError(f"need at least two levels, got {levels}")
-    if len(set(levels)) != len(levels):
-        raise ValueError(f"duplicate level in {levels}")
+    levels = _level_list(levels)
     for j in levels:
-        _check_level(evolution, j)
+        _check_level(j, evolution.dim)
 
     phase_sum = 0.0
     for j in levels:
-        geo = geometric_phase(evolution.column_curve(j, tol=tol),
-                              quadrature=quadrature, tol=tol)
+        evolution._table.check(j, tol)
+        geo = evolution._table.geometric_phase(j, quadrature, tol)
         if isinstance(geo, Undefined):
             return Undefined(UNDEFINED_DIAGONAL)
         phase_sum += geo
@@ -178,7 +170,7 @@ def gamma_via_invariants(evolution: FrameEvolution, levels: Sequence[int], *,
     first = evolution.frames[0]
     last = evolution.frames[-1]
     ring: list[UnitVector] = []
-    norm_gate = max(tol.tol_norm, 1e-9)
+    norm_gate = _column_norm_gate(tol)
     for j in levels:
         ring.append(UnitVector(last[:, j - 1], tol=norm_gate))   # phi_j
         ring.append(UnitVector(first[:, j - 1], tol=norm_gate))  # psi_j

@@ -7,6 +7,8 @@ explicit analytic solution), so agreement is evidence, not tautology.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 
@@ -63,3 +65,58 @@ def octant_triangle(points_per_arc: int) -> tuple[np.ndarray, np.ndarray]:
     states = np.array(leg1 + leg2 + leg3 + [bloch_state(0.0, 0.0)])
     grid = np.linspace(0.0, 3.0, states.shape[0])
     return grid, states
+
+
+def level_sums_by_loops(frames, quadrature: str) -> tuple[list[list[complex]], list[float]]:
+    """Endpoint overlaps and per-level dynamical phases as explicit sums.
+
+    ``a[j][k]`` is sum_i conj(F_first[i, j]) F_last[i, k] (0-based j, k).
+    ``dynamical[k]`` sums over successive grid points t either the
+    argument of (psi_t, psi_{t+1}) ("pancharatnam") or
+    Im (psi_t, psi_{t+1} - psi_t) ("trapezoid", in its defining form),
+    with psi_t column k of frame t.
+    """
+    f = np.asarray(frames, dtype=np.complex128)
+    steps, n = f.shape[0], f.shape[1]
+
+    def column(t: int, k: int) -> list[complex]:
+        return [complex(f[t, i, k]) for i in range(n)]
+
+    def inner(u: list[complex], v: list[complex]) -> complex:
+        return sum((x.conjugate() * y for x, y in zip(u, v)), 0j)
+
+    a = [[inner(column(0, j), column(steps - 1, k)) for k in range(n)] for j in range(n)]
+    dynamical = []
+    for k in range(n):
+        total = 0.0
+        for t in range(steps - 1):
+            u, v = column(t, k), column(t + 1, k)
+            if quadrature == "pancharatnam":
+                total += cmath.phase(inner(u, v))
+            else:
+                total += inner(u, [y - x for x, y in zip(u, v)]).imag
+        dynamical.append(total)
+    return a, dynamical
+
+
+def sigma_by_loops(a, dynamical, j: int, k: int, gate: float = 1e-8) -> complex | None:
+    """sigma_{jk} (1-based) from explicit sums; None for a vanishing overlap."""
+    z = a[j - 1][k - 1]
+    if abs(z) <= gate:
+        return None
+    return z / abs(z) * cmath.exp(-1j * dynamical[k - 1])
+
+
+def gamma_by_loops(a, dynamical, levels, gate: float = 1e-8) -> complex | None:
+    """Cyclic product of sigma_by_loops; a single diagonal level gives
+    exp(i phi_g), the level's geometric phase factor."""
+    levels = list(levels)
+    if len(levels) == 1:
+        return sigma_by_loops(a, dynamical, levels[0], levels[0], gate)
+    value = 1.0 + 0.0j
+    for t, j in enumerate(levels):
+        factor = sigma_by_loops(a, dynamical, j, levels[(t + 1) % len(levels)], gate)
+        if factor is None:
+            return None
+        value *= factor
+    return value

@@ -13,9 +13,11 @@ from gaugephase import (
     decompose,
     dump_report,
     engineered_swap_evolution,
+    frame_evolution_from_path,
     load_evolution,
     load_matrix,
     random_generic_unitary,
+    random_hermitian_path,
     save_evolution,
     save_matrix,
 )
@@ -211,6 +213,54 @@ class TestCliOffdiag:
         ]
 
 
+def _under_resolved_file(tmp_path) -> str:
+    # Every 100th point of a 300-step eigenframe evolution: level 3's
+    # smallest successive overlap is 0.892, below the 0.9 guard.
+    full = frame_evolution_from_path(random_hermitian_path(4, 5), 300)
+    path = str(tmp_path / "coarse.json")
+    save_evolution(path, full.grid[::100], full.frames[::100])
+    return path
+
+
+def _reversed_grid_file(tmp_path) -> str:
+    evolution = engineered_swap_evolution(3, 1, 2, 11)
+    path = str(tmp_path / "reversed.json")
+    save_evolution(path, evolution.grid[::-1], evolution.frames)
+    return path
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda tmp, swap: ["phases", _under_resolved_file(tmp)], "under-resolved"),
+    (lambda tmp, swap: ["offdiag", _under_resolved_file(tmp)], "under-resolved"),
+    (lambda tmp, swap: ["phases", _reversed_grid_file(tmp)], "strictly increasing"),
+    (lambda tmp, swap: ["phases", swap, "--tol-generic", "0"], "tol_generic"),
+    (lambda tmp, swap: ["verify", "--suite", "gauge", "--n", "1"], "need n >= 2"),
+], ids=["phases_under_resolved", "offdiag_under_resolved", "non_increasing_grid",
+        "zero_tol_generic", "verify_n_1"])
+def test_invalid_input_exits_two(argv, message, tmp_path, swap_file, capsys):
+    assert main(argv(tmp_path, swap_file)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_tol_unitary_governs_phases_and_offdiag(tmp_path, capsys):
+    # Column norms off by 3e-8: unitary at 1e-6 but not at the default 1e-10.
+    evolution = frame_evolution_from_path(random_hermitian_path(3, 100), 300)
+    path = str(tmp_path / "scaled.json")
+    save_evolution(path, evolution.grid, evolution.frames * (1.0 + 3e-8))
+    report = str(tmp_path / "report.json")
+    for command in ("phases", "offdiag"):
+        assert main([command, path]) == 3
+        assert "not unitary" in capsys.readouterr().err
+        assert main([command, path, "--tol-unitary", "1e-6", "-o", report]) == 0
+    with open(report) as fh:
+        doc = json.load(fh)
+    assert doc["identity"]["pass"] is True
+    assert doc["identity"]["exceptional"] == []
+    assert all(row["value"] is not None for row in doc["reconstructed"])
+
+
 class TestCliVerify:
     def test_gauge_suite_passes_and_is_byte_deterministic(self, capsys):
         argv = ["verify", "--suite", "gauge", "--n", "3", "--trials", "10", "--seed", "5"]
@@ -223,6 +273,15 @@ class TestCliVerify:
         assert doc["pass"] is True
         assert doc["suite"] == "gauge"
         assert all({"name", "measured", "threshold", "pass"} <= set(c) for c in doc["checks"])
+
+    def test_zero_trials_are_reported_and_fail(self, capsys):
+        argv = ["verify", "--suite", "offdiag", "--n", "3", "--trials", "0"]
+        assert main(argv) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["trials"] == 0
+        assert doc["pass"] is False
+        compared = {c["name"]: c for c in doc["checks"]}["compared_index_sets"]
+        assert compared["measured"] == 0.0 and compared["pass"] is False
 
     def test_failing_suite_maps_to_exit_one(self, monkeypatch, capsys):
         class FailingReport:

@@ -1,5 +1,6 @@
 """Tests for cross-level factors and their invariant reconstruction."""
 
+import cmath
 import math
 from itertools import combinations
 
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 
 from gaugephase import (
+    FrameEvolution,
     Undefined,
     circular_distance,
     dynamical_factor,
+    dynamical_phase,
     engineered_swap_evolution,
     frame_evolution_from_path,
     gamma_diag,
@@ -17,11 +20,15 @@ from gaugephase import (
     gamma_pair,
     gamma_via_invariants,
     geometric_phase,
+    gauge_transform_evolution,
     interleaved_invariant,
     random_hermitian_path,
+    random_smooth_phases,
     sigma,
     verify_offdiag_identity,
 )
+
+from oracles import gamma_by_loops, level_sums_by_loops, sigma_by_loops
 
 
 @pytest.fixture(scope="module")
@@ -164,8 +171,6 @@ class TestGenericEvolutions:
         # Contrast with the invariance of gamma: rephasing one endpoint
         # column moves sigma, which is why only cyclic products are
         # reported as physical.
-        from gaugephase import gauge_transform_evolution
-
         alphas = np.zeros((generic3.num_points, 3))
         alphas[:, 0] = 0.9  # constant rephasing of the first level
         moved = gauge_transform_evolution(generic3, alphas)
@@ -175,3 +180,67 @@ class TestGenericEvolutions:
         assert gamma_pair(moved, 1, 2) == pytest.approx(
             gamma_pair(generic3, 1, 2), abs=1e-10
         )
+
+
+def _generic5():
+    return frame_evolution_from_path(random_hermitian_path(5, 102), 300)
+
+
+def _gauged_swap5():
+    swap = engineered_swap_evolution(5, 2, 4, 301)
+    return gauge_transform_evolution(
+        swap, random_smooth_phases(swap.grid, 103, columns=5, amplitude=1.5))
+
+
+def _agrees(value, expected) -> bool:
+    if expected is None:
+        return isinstance(value, Undefined)
+    return not isinstance(value, Undefined) and abs(value - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("quadrature", ["pancharatnam", "trapezoid"])
+@pytest.mark.parametrize("make", [_generic5, _gauged_swap5], ids=["generic", "gauged_swap"])
+def test_factors_match_the_plain_loop_oracle(make, quadrature):
+    evolution = make()
+    a, dyn = level_sums_by_loops(evolution.frames, quadrature)
+    levels = range(1, 6)
+    undefined = 0
+    for j in levels:
+        expected = cmath.exp(-1j * dyn[j - 1])
+        assert abs(dynamical_factor(evolution, j, quadrature=quadrature) - expected) <= 1e-12
+        curve = evolution.column_curve(j)
+        assert abs(dynamical_phase(curve, quadrature=quadrature) - dyn[j - 1]) <= 1e-12
+        assert _agrees(gamma_diag(evolution, j, quadrature=quadrature),
+                       gamma_by_loops(a, dyn, [j]))
+        for k in levels:
+            if k != j:
+                expected = sigma_by_loops(a, dyn, j, k)
+                undefined += expected is None
+                assert _agrees(sigma(evolution, j, k, quadrature=quadrature), expected)
+    for size in (2, 3):
+        for chosen in combinations(levels, size):
+            assert _agrees(gamma_multi(evolution, chosen, quadrature=quadrature),
+                           gamma_by_loops(a, dyn, chosen))
+    # The swap exercises the Undefined branches; the generic draw has none.
+    assert (undefined > 0) == (make is _gauged_swap5)
+
+
+class TestOneUnderResolvedLevel:
+    @pytest.fixture(scope="class")
+    def coarse(self):
+        full = frame_evolution_from_path(random_hermitian_path(4, 5), 300)
+        return FrameEvolution(full.grid[::100], full.frames[::100])
+
+    def test_reading_the_coarse_level_raises(self, coarse):
+        for read in (lambda: gamma_diag(coarse, 3),
+                     lambda: dynamical_factor(coarse, 3),
+                     lambda: sigma(coarse, 1, 3),
+                     lambda: gamma_multi(coarse, (1, 2, 3)),
+                     lambda: gamma_via_invariants(coarse, (2, 3))):
+            with pytest.raises(ValueError, match="under-resolved"):
+                read()
+
+    def test_other_levels_still_read(self, coarse):
+        assert isinstance(sigma(coarse, 1, 2), complex)
+        assert isinstance(sigma(coarse, 3, 4), complex)
+        assert abs(abs(gamma_pair(coarse, 1, 2)) - 1.0) <= 1e-12

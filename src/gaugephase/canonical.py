@@ -24,6 +24,17 @@ Its entries in closed form, with rho_j = (|v_1|^2 + ... + |v_j|^2)^(1/2):
 
 Genericity (|v_1| bounded away from zero at every level) is what makes
 the representative — and hence the whole factorization — well defined.
+
+Every non-final column of F is a prefix of v plus one subdiagonal entry,
+so no m x m factor is ever formed for a product.  With 0-based indices,
+g_c = -v_{c+1} / (rho_c rho_{c+1}) for c < m-1 and g_{m-1} = 1:
+
+    (F^dagger a)_c = g_c * sum_{j <= c} conj(v_j) a_j + (rho_c / rho_{c+1}) a_{c+1}
+    (F b)_j        = v_j * sum_{k >= j} conj(g_k) b_k + (rho_{j-1} / rho_j) b_{j-1}
+
+(the last term absent for c = m-1 and j = 0): one prefix sum for the
+peel, one suffix sum for the rebuild, O(m^2) per level on an m x m block,
+so ``decompose`` and ``reconstruct`` are O(n^3).
 """
 
 from __future__ import annotations
@@ -125,24 +136,35 @@ def rho_ladder(zeta: UnitVector) -> np.ndarray:
     return np.sqrt(np.cumsum(np.abs(zeta.data) ** 2))
 
 
-def _coset_array(zeta: np.ndarray) -> np.ndarray:
-    """Closed-form coset representative from a raw complex array."""
-    m = zeta.shape[0]
+def _coset_weights(zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weights g_c and the subdiagonal rho_c / rho_{c+1} of F(zeta)."""
     rho = np.sqrt(np.cumsum(np.abs(zeta) ** 2))
-    a = np.zeros((m, m), dtype=np.complex128)
-    a[:, m - 1] = zeta
-    for r in range(1, m):
-        a[r, r - 1] = rho[r - 1] / rho[r]
-    for c in range(m - 1):
-        a[: c + 1, c] = -np.conj(zeta[c + 1]) * zeta[: c + 1] / (rho[c] * rho[c + 1])
-    return a
+    g = np.ones_like(zeta)
+    g[:-1] = -zeta[1:] / (rho[:-1] * rho[1:])
+    return g, rho[:-1] / rho[1:]
+
+
+def _coset_adjoint_apply(zeta: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """F(zeta)^dagger a by prefix sums, O(m^2) for an m x m ``a``."""
+    g, sub = _coset_weights(zeta)
+    out = g[:, None] * np.cumsum(zeta.conj()[:, None] * a, axis=0)
+    out[:-1] += sub[:, None] * a[1:]
+    return out
+
+
+def _coset_apply(zeta: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """F(zeta) b by suffix sums, O(m^2) for an m x m ``b``."""
+    g, sub = _coset_weights(zeta)
+    out = zeta[:, None] * np.cumsum((g.conj()[:, None] * b)[::-1], axis=0)[::-1]
+    out[1:] += sub[:, None] * b[:-1]
+    return out
 
 
 def coset_representative(zeta: UnitVector, *,
                          tol: Tolerances = DEFAULT_TOLERANCES) -> UnitaryMatrix:
     """The distinguished unitary with last column ``zeta``.
 
-    Built entry-by-entry from the closed form in the module docstring.
+    The closed form of the module docstring applied to the identity.
 
     Raises
     ------
@@ -157,7 +179,7 @@ def coset_representative(zeta: UnitVector, *,
         raise NonGenericVectorError(
             f"|zeta_1| = {lead:.3e} <= {tol.tol_generic:.3e}: coset representative undefined"
         )
-    return UnitaryMatrix(_coset_array(zeta.data), tol=tol.tol_unitary)
+    return UnitaryMatrix(_coset_apply(zeta.data, np.eye(zeta.dim)), tol=tol.tol_unitary)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +199,7 @@ def _split_arrays(a: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarra
     lead = abs(zeta[0])
     if lead <= tol.tol_generic:
         raise NonGenericMatrixError(m, lead, tol.tol_generic)
-    factor = _coset_array(zeta / np.linalg.norm(zeta))
-    peeled = factor.conj().T @ a
+    peeled = _coset_adjoint_apply(zeta / np.linalg.norm(zeta), a)
     e_last = np.zeros(m)
     e_last[m - 1] = 1.0
     dev = max(
@@ -211,7 +232,8 @@ def decompose(A: UnitaryMatrix, *,
     Peels coset factors from dimension n down to 2, then reads the
     residual U(1) phase chi off the remaining 1 x 1 block, which must be
     e^{i chi} within ``tol.tol_unitary`` (it is, for any certified
-    input; a violation means the input's certificate lied).
+    input; a violation means the input's certificate lied).  Each peel
+    is a prefix-sum product, so the whole factorization is O(n^3).
 
     Raises
     ------
@@ -242,14 +264,16 @@ def reconstruct(params: CanonicalParams, *,
 
     Applies factors from F_1(chi) upward, each embedded to act on the
     first m coordinates; exact inverse of :func:`decompose` up to
-    floating-point rounding.
+    floating-point rounding.  Before F_m acts, the first m rows are zero
+    beyond column m, so each factor is a suffix-sum product on the
+    leading m x m block only: O(n^3) in all.
     """
     n = params.dim
     out = np.eye(n, dtype=np.complex128)
     out[0, 0] = np.exp(1j * params.chi)
     for v in reversed(params.vectors):
         m = v.dim
-        out[:m, :] = _coset_array(v.data) @ out[:m, :]
+        out[:m, :m] = _coset_apply(v.data, out[:m, :m])
     return UnitaryMatrix(out, tol=tol.tol_unitary)
 
 
@@ -293,14 +317,14 @@ def phase_invariant_list(params: CanonicalParams, *,
     ordered = list(reversed(params.vectors))  # dimension 2 first
     for u, v in zip(ordered[:-1], ordered[1:]):
         m = u.dim
-        ud, vd = u.data, v.data
-        for j in range(m - 1):
-            parts = (ud[j], ud[j + 1], vd[j + 1], vd[j + 2])
-            small = min(abs(p) for p in parts)
-            if small <= tol.tol_generic:
-                raise NonGenericVectorError(
-                    f"phase invariant at pair (dim {m}, dim {m + 1}), j = {j + 1}: "
-                    f"a factor has modulus {small:.3e} <= {tol.tol_generic:.3e}"
-                )
-            out.append(complex(ud[j] * np.conj(ud[j + 1]) * np.conj(vd[j + 1]) * vd[j + 2]))
+        parts = (u.data[:-1], u.data[1:], v.data[1:-1], v.data[2:])
+        small = np.minimum.reduce([np.abs(p) for p in parts])
+        bad = np.flatnonzero(small <= tol.tol_generic)
+        if bad.size:
+            j = int(bad[0])
+            raise NonGenericVectorError(
+                f"phase invariant at pair (dim {m}, dim {m + 1}), j = {j + 1}: "
+                f"a factor has modulus {small[j]:.3e} <= {tol.tol_generic:.3e}"
+            )
+        out.extend((parts[0] * parts[1].conj() * parts[2].conj() * parts[3]).tolist())
     return out

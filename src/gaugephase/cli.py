@@ -204,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ph.add_argument("input", help="evolution file (JSON)")
     p_ph.add_argument("--quadrature", choices=QUADRATURES, default="pancharatnam")
     p_ph.add_argument("--min-overlap", type=float, default=0.9,
-                      help="resolution guard on successive overlaps (default %(default)s)")
+                      help="resolution guard on successive overlaps, never below "
+                           "--tol-generic (default %(default)s)")
     common(p_ph)
     p_ph.set_defaults(func=cmd_phases)
 

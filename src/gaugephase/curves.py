@@ -95,15 +95,20 @@ def _column_norm_gate(tol: Tolerances) -> float:
 
 
 def _check_states(norm_dev: float, tol_norm: float, smallest: float,
-                  min_overlap: float) -> None:
-    """Unit-norm certificate and resolution guard of one state curve."""
+                  min_overlap: float, tol_generic: float) -> None:
+    """Unit-norm certificate and resolution guard of one state curve.
+
+    A successive overlap at or below ``tol_generic`` has no phase, so it
+    fails the guard whatever ``min_overlap`` is.
+    """
     if norm_dev > tol_norm:
         raise ValueError(f"state norms deviate from 1 by up to {norm_dev:.3e}")
     if not 0.0 <= min_overlap < 1.0:
         raise ValueError(f"min_overlap must lie in [0, 1), got {min_overlap}")
-    if smallest <= min_overlap:
+    gate = max(min_overlap, tol_generic)
+    if smallest <= gate:
         raise ValueError(f"curve under-resolved: successive overlap modulus {smallest:.6f} "
-                         f"<= {min_overlap}; refine the grid")
+                         f"<= {gate}; refine the grid")
 
 
 @dataclass(frozen=True)
@@ -129,7 +134,7 @@ class _LevelTable(NamedTuple):
         """Raise as ``column_curve(j, min_overlap=min_overlap, tol=tol)`` would."""
         _check_level(j, len(self.smallest))
         _check_states(self.norm_dev[j - 1], _column_norm_gate(tol), self.smallest[j - 1],
-                      min_overlap)
+                      min_overlap, tol.tol_generic)
 
     def total_phase(self, j: int, tol: Tolerances) -> float | Undefined:
         overlap = complex(self.overlap[j - 1, j - 1])
@@ -204,7 +209,8 @@ class StateCurve(_Sampled):
 
     ``states`` is an (N, n) complex array, one unit row per grid point.
     Construction enforces the resolution guard: every successive overlap
-    modulus must exceed ``min_overlap`` (default 0.9).  An under-resolved
+    modulus must exceed ``min_overlap`` (default 0.9) and
+    ``tol.tol_generic``.  An under-resolved
     curve fails loudly here instead of silently corrupting phase sums
     downstream.  The guard reads the curve's one-level table, which the
     phase functionals read in turn.
@@ -227,7 +233,8 @@ class StateCurve(_Sampled):
         if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
             raise ValueError("states contain non-finite entries")
         table = _level_table(arr[:, :, None])
-        _check_states(table.norm_dev[0], tol.tol_norm, table.smallest[0], min_overlap)
+        _check_states(table.norm_dev[0], tol.tol_norm, table.smallest[0], min_overlap,
+                      tol.tol_generic)
         self._store(g, arr, table)
         object.__setattr__(self, "_min_overlap", float(min_overlap))
 

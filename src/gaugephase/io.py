@@ -119,7 +119,7 @@ def save_evolution(path: str, grid: np.ndarray, frames: np.ndarray) -> None:
 def complex_pairs(values) -> list[list[float]]:
     """Complex sequence -> [[re, im], ...] with native floats."""
     arr = np.asarray(values, dtype=np.complex128).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in arr]
+    return np.column_stack((arr.real, arr.imag)).tolist()
 
 
 def dump_report(doc: Any, stream: IO[str]) -> None:

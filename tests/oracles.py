@@ -34,6 +34,32 @@ def coset_by_orthogonality(zeta: np.ndarray) -> np.ndarray:
     return a
 
 
+def peel_by_dense_product(a: np.ndarray) -> tuple[list[np.ndarray], complex, float]:
+    """Canonical peel by dense products with :func:`coset_by_orthogonality`.
+
+    At each level m the raw last column zeta of the m x m working block
+    is recorded, F = coset_by_orthogonality(zeta / |zeta|) is formed in
+    full, and the block becomes the top-left (m-1) x (m-1) corner of
+    F^dagger @ block.  Returns the raw columns (dimension n first), the
+    final 1 x 1 entry, and the worst certificate value: the largest
+    deviation of a peeled last row or column from e_m, or of the final
+    entry's modulus from 1.
+    """
+    work = np.array(a, dtype=np.complex128)
+    columns: list[np.ndarray] = []
+    worst = 0.0
+    for m in range(work.shape[0], 1, -1):
+        zeta = work[:, m - 1].copy()
+        columns.append(zeta)
+        peeled = coset_by_orthogonality(zeta / np.linalg.norm(zeta)).conj().T @ work
+        e_last = np.eye(m)[m - 1]
+        worst = max(worst, float(np.abs(peeled[m - 1, :] - e_last).max()),
+                    float(np.abs(peeled[:, m - 1] - e_last).max()))
+        work = peeled[: m - 1, : m - 1]
+    residual = complex(work[0, 0])
+    return columns, residual, max(worst, abs(abs(residual) - 1.0))
+
+
 def cyclic_product(vectors) -> complex:
     """Plain-loop cyclic overlap product, conjugating the first slot."""
     vs = [np.asarray(v, dtype=np.complex128) for v in vectors]

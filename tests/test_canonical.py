@@ -25,7 +25,7 @@ from gaugephase import (
     split_coset,
 )
 
-from oracles import coset_by_orthogonality
+from oracles import coset_by_orthogonality, peel_by_dense_product
 
 RT3 = 1.0 / math.sqrt(3.0)
 
@@ -177,6 +177,55 @@ class TestDecomposeReconstruct:
             decompose(coset_representative(zeta))
         assert exc.value.level == 2
 
+    def test_peel_matches_the_dense_oracle(self):
+        a = random_generic_unitary(48, 41)
+        params = decompose(a)
+        columns, residual, _ = peel_by_dense_product(a.data)
+        for v, zeta in zip(params.vectors, columns):
+            np.testing.assert_allclose(v.data, zeta, rtol=0.0, atol=1e-12)
+        assert circular_distance(params.chi, np.angle(residual)) <= 1e-12
+
+    def test_rebuild_matches_a_dense_product(self):
+        params = decompose(random_generic_unitary(48, 42))
+        dense = np.eye(48, dtype=complex)
+        dense[0, 0] = np.exp(1j * params.chi)
+        for v in reversed(params.vectors):
+            factor = np.eye(48, dtype=complex)
+            factor[: v.dim, : v.dim] = coset_by_orthogonality(v.data)
+            dense = factor @ dense
+        np.testing.assert_allclose(reconstruct(params).data, dense, rtol=0.0, atol=1e-12)
+
+    def test_round_trip_at_n_512(self):
+        a = random_generic_unitary(512, 43)
+        b = reconstruct(decompose(a))
+        assert float(np.abs(b.data - a.data).max()) <= 1e-10
+
+    def test_peel_certificate_fires_on_a_norm_preserving_defect(self):
+        # Adding small multiples of the last column to the other columns
+        # keeps every peeled column a unit vector, so only the peel
+        # certificate on the last row of F^dagger A can see the defect.
+        a = random_generic_unitary(16, 44).data
+        rng = np.random.default_rng(45)
+        kick = 1e-8 * (rng.normal(size=15) + 1j * rng.normal(size=15))
+        bad = a.copy()
+        bad[:, :15] += np.outer(a[:, 15], kick)
+        admitted = UnitaryMatrix(bad, tol=1e-6)
+        with pytest.raises(NotUnitaryError) as exc:
+            decompose(admitted)
+        _, _, worst = peel_by_dense_product(bad)
+        assert worst > 1e-9
+        assert exc.value.deviation == pytest.approx(worst, rel=1e-6)
+
+    def test_numerically_zero_leading_component_is_reported_at_its_level(self):
+        rng = np.random.default_rng(46)
+        vectors = [random_unit_vector(m, rng, min_leading=0.2) for m in range(9, 1, -1)]
+        tail = random_unit_vector(6, rng).data
+        vectors[2] = UnitVector(np.concatenate(([1e-13], tail)))  # dimension 7
+        rebuilt = reconstruct(CanonicalParams(vectors=tuple(vectors), chi=0.3))
+        with pytest.raises(NonGenericMatrixError) as exc:
+            decompose(rebuilt)
+        assert exc.value.level == 7
+
     def test_non_unitary_certificate_blocks_entry(self):
         with pytest.raises(NotUnitaryError):
             UnitaryMatrix(1.01 * np.eye(3, dtype=complex))
@@ -278,3 +327,35 @@ class TestInvariantContent:
         )
         with pytest.raises(NonGenericVectorError):
             phase_invariant_list(p)
+
+    def test_phase_invariant_error_names_the_first_small_factor(self):
+        # v_3 of the dimension-4 vector enters j = 1 and j = 2 of the pair
+        # (dim 3, dim 4); v_2 of the dimension-5 vector, also below the
+        # gate, enters only the later pair.  The first offender is named.
+        r = math.sqrt((1.0 - 1e-24) / 3.0)
+        s = math.sqrt((1.0 - 1e-20) / 4.0)
+        p = CanonicalParams(
+            vectors=(
+                UnitVector(np.array([s, 1e-10, s, s, s], dtype=complex)),
+                UnitVector(np.array([r, r, 1e-12, r], dtype=complex)),
+                UnitVector(np.array([RT3, RT3, RT3], dtype=complex)),
+                UnitVector(np.array([0.6, 0.8], dtype=complex)),
+            ),
+            chi=0.0,
+        )
+        with pytest.raises(NonGenericVectorError) as exc:
+            phase_invariant_list(p)
+        assert str(exc.value) == (
+            "phase invariant at pair (dim 3, dim 4), j = 1: "
+            "a factor has modulus 1.000e-12 <= 1.000e-08"
+        )
+
+    def test_phase_invariants_match_a_plain_loop(self):
+        p = decompose(random_generic_unitary(9, 47))
+        expected = []
+        ordered = list(reversed(p.vectors))
+        for u, v in zip(ordered[:-1], ordered[1:]):
+            for j in range(u.dim - 1):
+                expected.append(complex(u.data[j]) * complex(u.data[j + 1]).conjugate()
+                                * complex(v.data[j + 1]).conjugate() * complex(v.data[j + 2]))
+        np.testing.assert_allclose(phase_invariant_list(p), expected, rtol=1e-15, atol=0.0)

@@ -59,6 +59,18 @@ class TestStateCurveValidation:
             StateCurve(t, states)
         StateCurve(t, states, min_overlap=0.5)  # relaxed guard admits it
 
+    def test_near_orthogonal_step_fails_the_guard_at_min_overlap_zero(self):
+        # The step from the second to the third state has overlap 1e-12,
+        # below tol_generic: its phase is noise, so no min_overlap admits it.
+        c = 1e-12
+        states = np.array([[1.0, 0.0], [1.0, 0.0], [c, 1.0]], dtype=complex)
+        with pytest.raises(ValueError, match="under-resolved"):
+            StateCurve([0.0, 1.0, 2.0], states, min_overlap=0.0)
+        frames = np.stack([np.eye(2), np.eye(2), np.array([[c, -1.0], [1.0, c]])])
+        evolution = FrameEvolution([0.0, 1.0, 2.0], frames)
+        with pytest.raises(ValueError, match="under-resolved"):
+            frame_phase_bundle(evolution, min_overlap=0.0)
+
     def test_state_access_is_zero_based(self):
         curve = _analytic_curve(20)
         np.testing.assert_allclose(curve.state(0).data, [1.0, 0.0], atol=1e-15)

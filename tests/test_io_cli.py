@@ -110,6 +110,15 @@ class TestFileGrammar:
         dump_report(reordered, third)
         assert third.getvalue() == first.getvalue()
 
+    @pytest.mark.parametrize("values", [
+        np.array([0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]),
+        (np.arange(12.0) + 1j * np.linspace(-math.pi, math.e, 12)).reshape(3, 4)[:, 1],
+        np.array([], dtype=complex),
+    ], ids=["signed_zeros", "non_contiguous_column", "empty"])
+    def test_complex_pairs_matches_a_plain_loop_byte_for_byte(self, values):
+        expected = [[float(z.real), float(z.imag)] for z in np.asarray(values).reshape(-1)]
+        assert json.dumps(complex_pairs(values)) == json.dumps(expected)
+
     def test_dump_report_refuses_non_finite(self):
         with pytest.raises(ValueError):
             dump_report({"x": float("nan")}, _stdio.StringIO())
@@ -229,14 +238,25 @@ def _reversed_grid_file(tmp_path) -> str:
     return path
 
 
+def _near_orthogonal_step_file(tmp_path) -> str:
+    # Three frames; both levels' last step has overlap modulus 1e-12.
+    c = 1e-12
+    turn = np.array([[c, -1.0], [1.0, c]], dtype=complex)
+    path = str(tmp_path / "near_orthogonal.json")
+    save_evolution(path, [0.0, 1.0, 2.0], np.stack([np.eye(2), np.eye(2), turn]))
+    return path
+
+
 @pytest.mark.parametrize("argv, message", [
     (lambda tmp, swap: ["phases", _under_resolved_file(tmp)], "under-resolved"),
     (lambda tmp, swap: ["offdiag", _under_resolved_file(tmp)], "under-resolved"),
     (lambda tmp, swap: ["phases", _reversed_grid_file(tmp)], "strictly increasing"),
     (lambda tmp, swap: ["phases", swap, "--tol-generic", "0"], "tol_generic"),
     (lambda tmp, swap: ["verify", "--suite", "gauge", "--n", "1"], "need n >= 2"),
+    (lambda tmp, swap: ["phases", _near_orthogonal_step_file(tmp), "--min-overlap", "0"],
+     "under-resolved"),
 ], ids=["phases_under_resolved", "offdiag_under_resolved", "non_increasing_grid",
-        "zero_tol_generic", "verify_n_1"])
+        "zero_tol_generic", "verify_n_1", "near_orthogonal_step_at_min_overlap_0"])
 def test_invalid_input_exits_two(argv, message, tmp_path, swap_file, capsys):
     assert main(argv(tmp_path, swap_file)) == 2
     captured = capsys.readouterr()

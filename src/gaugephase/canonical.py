@@ -243,19 +243,21 @@ def decompose(A: UnitaryMatrix, *,
         reports m.
     """
     work = np.array(A.data)
-    norm_gate = max(tol.tol_norm, tol.tol_unitary)
-    vectors: list[UnitVector] = []
+    columns: list[np.ndarray] = []
     worst = 0.0
     for m in range(A.n, 1, -1):
         zeta, work, dev = _split_arrays(work, tol)
         worst = max(worst, dev)
-        vectors.append(UnitVector(zeta, tol=norm_gate))
+        columns.append(zeta)
     residual = complex(work[0, 0])
     worst = max(worst, abs(abs(residual) - 1.0))
     if worst > tol.tol_unitary:
         raise NotUnitaryError(worst, tol.tol_unitary)
+    # The certificate bounds | ||zeta|| - 1 | per level, so the norm gate passes.
+    norm_gate = max(tol.tol_norm, tol.tol_unitary)
+    vectors = tuple(UnitVector(zeta, tol=norm_gate) for zeta in columns)
     chi = principal_arg(residual, tol=tol)
-    return CanonicalParams(vectors=tuple(vectors), chi=chi)
+    return CanonicalParams(vectors=vectors, chi=chi)
 
 
 def reconstruct(params: CanonicalParams, *,
@@ -266,8 +268,13 @@ def reconstruct(params: CanonicalParams, *,
     first m coordinates; exact inverse of :func:`decompose` up to
     floating-point rounding.  Before F_m acts, the first m rows are zero
     beyond column m, so each factor is a suffix-sum product on the
-    leading m x m block only: O(n^3) in all.
+    leading m x m block only: O(n^3) in all.  Like
+    :func:`coset_representative`, raises NonGenericVectorError when a
+    level's leading component is at or below ``tol.tol_generic``.
     """
+    if params.genericity_margin <= tol.tol_generic:
+        raise NonGenericVectorError(f"genericity margin {params.genericity_margin:.3e} "
+                                    f"<= {tol.tol_generic:.3e}: coset factor undefined")
     n = params.dim
     out = np.eye(n, dtype=np.complex128)
     out[0, 0] = np.exp(1j * params.chi)

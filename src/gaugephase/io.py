@@ -8,11 +8,19 @@ Numbers pass through Python's shortest-round-trip float representation
 (up to 17 significant digits), so a value survives a write/read cycle
 bit-exactly.  Reports are emitted with sorted keys and a fixed layout:
 the same inputs produce byte-identical documents.
+
+The writer is not ``json.dump``, which with an indent runs its pure-Python
+encoder and makes one write per token.  ``dump_report`` writes the same
+bytes, but joins each leaf list of floats or [re, im] pairs in bounded
+blocks, so no document is ever held whole as one string.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Any, IO
 
 import numpy as np
@@ -26,6 +34,9 @@ __all__ = [
     "complex_pairs",
     "dump_report",
 ]
+
+
+_BLOCK = 2048  # leaf-list items per join: bounds the text held at once
 
 
 class FileFormatError(ValueError):
@@ -124,6 +135,72 @@ def complex_pairs(values) -> list[list[float]]:
 
 def dump_report(doc: Any, stream: IO[str]) -> None:
     """Write a report deterministically: sorted keys, fixed indentation,
-    shortest-round-trip floats, no NaN/Inf, trailing newline."""
-    json.dump(doc, stream, sort_keys=True, indent=2, allow_nan=False)
+    shortest-round-trip floats, no NaN/Inf, trailing newline.  The text and
+    the exception types are those of ``json.dump(doc, stream,
+    sort_keys=True, indent=2, allow_nan=False)`` followed by a newline."""
+    _write_value(doc, stream.write, "\n")
     stream.write("\n")
+
+
+def _scalar(value: Any) -> str:
+    """json's text for a leaf or a non-str key: bool before int, and int or
+    float subclasses by the base repr."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else ("false", "true")[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    if isinstance(value, float):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_value(value: Any, write, newline: str) -> None:
+    """``newline`` is a line break plus the indentation ``value`` starts at."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        write("{")
+        for i, (key, item) in enumerate(sorted(value.items())):
+            key = encode_basestring_ascii(key if isinstance(key, str) else _scalar(key))
+            write(("," if i else "") + inner + key + ": ")
+            _write_value(item, write, inner)
+        write((newline if value else "") + "}")
+    elif isinstance(value, (list, tuple)):
+        write("[")
+        for start in range(0, len(value), _BLOCK):
+            block = value[start:start + _BLOCK]
+            write("," + inner if start else inner)
+            text = _leaf_block(block, inner)
+            if text is not None:
+                write(text)
+                continue
+            for i, item in enumerate(block):
+                write("," + inner if i else "")
+                _write_value(item, write, inner)
+        write((newline if value else "") + "]")
+    else:
+        write(_scalar(value))
+
+
+def _leaf_block(block, inner: str) -> str | None:
+    """All-float or all-[float, float] ``block`` as one join, else None.
+
+    A non-finite float (the only repr with an "n") also gives None, so
+    that the item-by-item path raises json's ValueError for it.
+    """
+    sep = "," + inner
+    try:
+        if type(block[0]) is float:
+            text = sep.join(map(float.__repr__, block))
+        elif set(map(type, block)) == {list} and set(map(len, block)) == {2}:
+            reprs = map(float.__repr__, chain.from_iterable(block))
+            pair = "[" + inner + "  %s," + inner + "  %s" + inner + "]"
+            text = sep.join(map(pair.__mod__, zip(reprs, reprs)))
+        else:
+            return None
+    except TypeError:  # a member that is not a float
+        return None
+    return None if "n" in text else text

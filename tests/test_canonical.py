@@ -11,6 +11,7 @@ from gaugephase import (
     NonGenericMatrixError,
     NonGenericVectorError,
     NotUnitaryError,
+    Tolerances,
     UnitVector,
     UnitaryMatrix,
     circular_distance,
@@ -221,10 +222,33 @@ class TestDecomposeReconstruct:
         vectors = [random_unit_vector(m, rng, min_leading=0.2) for m in range(9, 1, -1)]
         tail = random_unit_vector(6, rng).data
         vectors[2] = UnitVector(np.concatenate(([1e-13], tail)))  # dimension 7
-        rebuilt = reconstruct(CanonicalParams(vectors=tuple(vectors), chi=0.3))
+        # Building the input needs a gate below 1e-13; decompose keeps the default.
+        rebuilt = reconstruct(CanonicalParams(vectors=tuple(vectors), chi=0.3),
+                              tol=Tolerances(tol_generic=1e-14))
         with pytest.raises(NonGenericMatrixError) as exc:
             decompose(rebuilt)
         assert exc.value.level == 7
+
+    def test_failed_peel_certificate_is_not_unitary_before_any_norm_gate(self):
+        # Generic 1e-8 noise moves every column norm by about 1e-8: admitted
+        # at 1e-6, it fails the default certificate, which decompose must
+        # report as NotUnitaryError rather than as a bad vector norm.
+        a = random_generic_unitary(16, 47).data
+        rng = np.random.default_rng(48)
+        noisy = a + 1e-8 * (rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape))
+        with pytest.raises(NotUnitaryError) as exc:
+            decompose(UnitaryMatrix(noisy, tol=1e-6))
+        assert exc.value.deviation > 1e-10
+
+    @pytest.mark.filterwarnings("error")
+    def test_reconstruct_rejects_a_zero_leading_component(self):
+        params = CanonicalParams(
+            vectors=(UnitVector(np.array([0.0, 0.6, 0.8], dtype=complex)),
+                     UnitVector(np.array([RT3, math.sqrt(2.0 / 3.0)], dtype=complex))),
+            chi=0.1,
+        )
+        with pytest.raises(NonGenericVectorError):
+            reconstruct(params)
 
     def test_non_unitary_certificate_blocks_entry(self):
         with pytest.raises(NotUnitaryError):

@@ -3,6 +3,7 @@
 import io as _stdio
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from gaugephase import (
     save_matrix,
 )
 from gaugephase.cli import main
+from gaugephase.io import _BLOCK
+from gaugephase.verification import SUITES
 
 
 class TestFileGrammar:
@@ -122,6 +125,142 @@ class TestFileGrammar:
     def test_dump_report_refuses_non_finite(self):
         with pytest.raises(ValueError):
             dump_report({"x": float("nan")}, _stdio.StringIO())
+
+
+def _dumped(doc) -> str:
+    out = _stdio.StringIO()
+    dump_report(doc, out)
+    return out.getvalue()
+
+
+def _json_dumped(doc) -> str:
+    """The oracle: the standard library's encoder with the report settings."""
+    out = _stdio.StringIO()
+    json.dump(doc, out, sort_keys=True, indent=2, allow_nan=False)
+    return out.getvalue() + "\n"
+
+
+def _assert_same_text(ours: str, oracle: str) -> None:
+    # Compares offsets, not the strings: pytest's diff of two long
+    # reports, repeated while hypothesis shrinks, would take minutes.
+    at = len(os.path.commonprefix([ours, oracle]))
+    assert at == len(ours) == len(oracle), (
+        f"texts differ from offset {at}: {ours[at:at + 60]!r} != {oracle[at:at + 60]!r}")
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2e-308, 1e-300, 1e-5, 0.1, 1e16, -1e16, 1.7976931348623157e308]
+
+
+def test_dump_report_matches_json_dump_on_random_trees():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+    pairs = st.lists(floats, min_size=2, max_size=2)
+    # Leaf lists longer than one block: a short list tiled past _BLOCK.
+    tiled = st.builds(lambda xs, extra: (xs * (_BLOCK // len(xs) + 1))[:_BLOCK + extra],
+                      st.lists(floats, min_size=1, max_size=5), st.integers(1, 2 * _BLOCK))
+    tiled_pairs = st.builds(lambda ps, extra: (ps * (_BLOCK // len(ps) + 1))[:_BLOCK + extra],
+                            st.lists(pairs, min_size=1, max_size=5), st.integers(1, 2 * _BLOCK))
+    odd_member = st.sampled_from([1, True, None, "x", [1.0], 2**70])
+
+    def with_odd_pair(ps, where, member, slot):
+        ps = [list(p) for p in ps]
+        ps[where % len(ps)][slot] = member
+        return ps
+
+    scalars = (st.text() | st.integers(-2**80, 2**80) | st.booleans() | st.none() | floats)
+    leaves = (scalars | st.lists(floats, max_size=6) | st.lists(pairs, max_size=6)
+              | tiled | tiled_pairs
+              | st.builds(with_odd_pair, tiled_pairs, st.integers(0, 10**6), odd_member,
+                          st.integers(0, 1)))
+    trees = st.recursive(
+        leaves,
+        lambda children: (st.lists(children, max_size=4)
+                          | st.dictionaries(st.text(), children, max_size=4)),
+        max_leaves=12,
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(trees)
+    def check(doc):
+        _assert_same_text(_dumped(doc), _json_dumped(doc))
+
+    check()
+
+
+def test_dump_report_matches_json_dump_on_edge_values():
+    doc = {
+        "floats": EDGE_FLOATS + [2.0 ** -1074, 123456789.0],
+        "ints": [0, -1, 2**70, -(2**70), True, False, None],
+        "text": ["", "\u00e9\u4e2d\U0001f600", "\x00\x1f\t\n\"\\/", "plain"],
+        "empty": [{}, [], [[]], {"a": {}}],
+        "mixed": [1.0, 1, "1", [1.0, 2.0], [1.0, 2], (3.0, 4.0), {"k": [0.5, -0.0]}],
+        "pairs_then_other": [[1.0, 2.0]] * (_BLOCK + 3) + [[1.0, True]] + [[0.0, -0.0]] * 5,
+        "floats_then_other": [0.25] * (2 * _BLOCK + 1) + [7] + [1e16] * 3,
+        "tuple": (1.5, (2.5, 3.5)),
+        "float_subclass": [np.float64(0.1), [np.float64(1e-300), 2.0]],
+    }
+    keyed = {1: "int key", 2.5: "float key", False: "bool key"}
+    for value in (doc, keyed, [], {}, "top", 3.0, None):
+        _assert_same_text(_dumped(value), _json_dumped(value))
+
+
+def _report(tmp_path, argv) -> str:
+    out = str(tmp_path / "report.json")
+    main([*argv, "-o", out])
+    with open(out, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _decompose_argv(tmp_path):
+    path = str(tmp_path / "m48.json")
+    save_matrix(path, random_generic_unitary(48, 7).data)
+    return ["decompose", path]
+
+
+def _evolution_argv(command):
+    def argv(tmp_path):
+        evolution = frame_evolution_from_path(random_hermitian_path(4, 3), 200)
+        path = str(tmp_path / "evolution.json")
+        save_evolution(path, evolution.grid, evolution.frames)
+        return [command, path]
+    return argv
+
+
+@pytest.mark.parametrize("argv", [
+    _decompose_argv,
+    _evolution_argv("phases"),
+    _evolution_argv("offdiag"),
+    *[lambda tmp, s=suite: ["verify", "--suite", s, "--n", "4", "--trials", "3"]
+      for suite in sorted(SUITES)],
+], ids=["decompose_n48", "phases", "offdiag", *(f"verify_{s}" for s in sorted(SUITES))])
+def test_cli_reports_are_byte_identical_to_json_dump(argv, tmp_path):
+    text = _report(tmp_path, argv(tmp_path))
+    doc = json.loads(text)  # shortest-repr floats parse back to the same values
+    _assert_same_text(text, _json_dumped(doc))
+    _assert_same_text(_dumped(doc), text)
+
+
+@pytest.mark.parametrize("doc, error", [
+    ([1.0, float("nan"), 2.0], ValueError),
+    ([0.5] * (_BLOCK + 7) + [float("inf")], ValueError),
+    ([[1.0, 2.0], [float("-inf"), 0.0]], ValueError),
+    ([[1.0, 2.0]] * _BLOCK + [[0.0, float("nan")]], ValueError),
+    ({"x": float("inf")}, ValueError),
+    ({"x": float("-inf")}, ValueError),
+    ({"x": np.float32(1.0)}, TypeError),
+    ([1.0, np.float32(1.0)], TypeError),
+    ({"x": 1 + 2j}, TypeError),
+    ([[1.0, 2.0], [1j, 0.0]], TypeError),
+], ids=["nan_in_floats", "inf_in_second_block", "minus_inf_in_pairs",
+        "nan_in_pairs_second_block", "inf_value", "minus_inf_value", "float32_value",
+        "float32_in_floats", "complex_value", "complex_in_pair"])
+def test_dump_report_raises_what_json_dump_raises(doc, error):
+    with pytest.raises(error):
+        _json_dumped(doc)
+    with pytest.raises(error):
+        _dumped(doc)
 
 
 @pytest.fixture()

@@ -96,12 +96,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_phases(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
     grid, frames = io.load_evolution(args.input)
-    evolution = FrameEvolution(grid, frames, tol=tol)
-    reports = frame_phase_bundle(evolution, quadrature=args.quadrature,
-                                 min_overlap=args.min_overlap, tol=tol)
-    overlap = endpoint_overlap_matrix(evolution, tol=tol)
+    evolution = FrameEvolution(grid, frames, min_overlap=args.min_overlap,
+                               tol=_tolerances(args))
+    reports = frame_phase_bundle(evolution, quadrature=args.quadrature)
+    overlap = endpoint_overlap_matrix(evolution)
     levels = []
     for j, rep in enumerate(reports, start=1):
         entry: dict[str, Any] = {"level": j}
@@ -123,16 +122,14 @@ def cmd_phases(args: argparse.Namespace) -> int:
 
 
 def cmd_offdiag(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
     grid, frames = io.load_evolution(args.input)
-    evolution = FrameEvolution(grid, frames, tol=tol)
+    evolution = FrameEvolution(grid, frames, tol=_tolerances(args))
     report = verify_offdiag_identity(
         evolution,
         include_pairs=True,
         include_triples=not args.no_triples,
         quadrature=args.quadrature,
         tolerance=args.identity_tolerance,
-        tol=tol,
     )
 
     def table(mapping) -> list[dict]:

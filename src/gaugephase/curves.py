@@ -26,6 +26,13 @@ Im sum_i (psi_i, psi_{i+1}): both quadratures are functions of the
 successive overlaps alone, so neither references the grid values and both
 are exactly reparametrization invariant.  Curves and frame evolutions
 keep one level table of those sums and the endpoint overlaps.
+
+Each curve and evolution also keeps the ``Tolerances`` and the resolution
+guard ``min_overlap`` it was admitted under, as ``.tol`` and
+``.min_overlap``.  Every phase functional, the off-diagonal factors and
+the gauge transforms read those gates from the object, so none of them
+takes a tolerance.  To read at other gates, re-admit the data, e.g.
+``FrameEvolution(evolution.grid, evolution.frames, tol=...)``.
 """
 
 from __future__ import annotations
@@ -94,23 +101,6 @@ def _column_norm_gate(tol: Tolerances) -> float:
     return max(tol.tol_norm, 2.0 * tol.tol_unitary)
 
 
-def _check_states(norm_dev: float, tol_norm: float, smallest: float,
-                  min_overlap: float, tol_generic: float) -> None:
-    """Unit-norm certificate and resolution guard of one state curve.
-
-    A successive overlap at or below ``tol_generic`` has no phase, so it
-    fails the guard whatever ``min_overlap`` is.
-    """
-    if norm_dev > tol_norm:
-        raise ValueError(f"state norms deviate from 1 by up to {norm_dev:.3e}")
-    if not 0.0 <= min_overlap < 1.0:
-        raise ValueError(f"min_overlap must lie in [0, 1), got {min_overlap}")
-    gate = max(min_overlap, tol_generic)
-    if smallest <= gate:
-        raise ValueError(f"curve under-resolved: successive overlap modulus {smallest:.6f} "
-                         f"<= {gate}; refine the grid")
-
-
 @dataclass(frozen=True)
 class PhaseReport:
     """Phases of one curve.  Undefined values are values, not errors."""
@@ -123,44 +113,50 @@ class PhaseReport:
 
 
 class _LevelTable(NamedTuple):
-    """What the phases of each level j (1-based) read; a curve has one level."""
+    """Each level j's (1-based) phase data and its object's gates; a curve has one level."""
 
     overlap: np.ndarray               # endpoint overlaps A = F(s_1)^dagger F(s_2)
     dynamical: dict[str, np.ndarray]  # each level's dynamical phase, by quadrature
     smallest: np.ndarray              # each level's minimum successive-overlap modulus
-    norm_dev: np.ndarray              # each level's worst state-norm deviation from 1
+    tol: Tolerances
+    min_overlap: float
 
-    def check(self, j: int, tol: Tolerances, min_overlap: float = 0.9) -> None:
-        """Raise as ``column_curve(j, min_overlap=min_overlap, tol=tol)`` would."""
+    def check(self, j: int) -> None:
+        """Level range and resolution guard of level j.  An overlap at or below
+        ``tol_generic`` has no phase, so it fails whatever ``min_overlap`` is."""
         _check_level(j, len(self.smallest))
-        _check_states(self.norm_dev[j - 1], _column_norm_gate(tol), self.smallest[j - 1],
-                      min_overlap, tol.tol_generic)
+        gate = max(self.min_overlap, self.tol.tol_generic)
+        if self.smallest[j - 1] <= gate:
+            raise ValueError(f"curve under-resolved: successive overlap modulus "
+                             f"{self.smallest[j - 1]:.6f} <= {gate}; refine the grid")
 
-    def total_phase(self, j: int, tol: Tolerances) -> float | Undefined:
+    def total_phase(self, j: int) -> float | Undefined:
         overlap = complex(self.overlap[j - 1, j - 1])
-        if abs(overlap) <= tol.tol_generic:
+        if abs(overlap) <= self.tol.tol_generic:
             return Undefined(ORTHOGONAL_ENDPOINTS)
-        return principal_arg(overlap, tol=tol)
+        return principal_arg(overlap, tol=self.tol)
 
     def dynamical_phase(self, j: int, quadrature: str) -> float:
         _check_quadrature(quadrature)
         return float(self.dynamical[quadrature][j - 1])
 
-    def geometric_phase(self, j: int, quadrature: str, tol: Tolerances) -> float | Undefined:
-        tot = self.total_phase(j, tol)
+    def geometric_phase(self, j: int, quadrature: str) -> float | Undefined:
+        tot = self.total_phase(j)
         if isinstance(tot, Undefined):
             return tot
         return reduce_phase(tot - self.dynamical_phase(j, quadrature))
 
-    def phase_report(self, j: int, quadrature: str, tol: Tolerances) -> PhaseReport:
+    def phase_report(self, j: int, quadrature: str) -> PhaseReport:
         dyn = self.dynamical_phase(j, quadrature)
-        tot = self.total_phase(j, tol)
+        tot = self.total_phase(j)
         geo = tot if isinstance(tot, Undefined) else reduce_phase(tot - dyn)
         return PhaseReport(tot, dyn, geo, abs(complex(self.overlap[j - 1, j - 1])), quadrature)
 
 
-def _level_table(frames: np.ndarray) -> _LevelTable:
+def _level_table(frames: np.ndarray, tol: Tolerances, min_overlap: float) -> _LevelTable:
     """The level table of the columns of an (N, n, n) frame stack."""
+    if not 0.0 <= min_overlap < 1.0:
+        raise ValueError(f"min_overlap must lie in [0, 1), got {min_overlap}")
     # Row j: level j+1's successive overlaps, contiguous to sum pairwise.
     overlaps = np.ascontiguousarray(
         np.einsum("tij,tij->jt", frames[:-1].conj(), frames[1:]))
@@ -169,7 +165,8 @@ def _level_table(frames: np.ndarray) -> _LevelTable:
         dynamical={"pancharatnam": np.angle(overlaps).sum(axis=-1),
                    "trapezoid": overlaps.imag.sum(axis=-1)},
         smallest=np.abs(overlaps).min(axis=-1, initial=np.inf),
-        norm_dev=np.abs(np.linalg.norm(frames, axis=1) - 1.0).max(axis=0),
+        tol=tol,
+        min_overlap=float(min_overlap),
     )
 
 
@@ -197,6 +194,16 @@ class _Sampled:
     def dim(self) -> int:
         return self._data.shape[1]
 
+    @property
+    def tol(self) -> Tolerances:
+        """The tolerances this object was admitted under."""
+        return self._table.tol
+
+    @property
+    def min_overlap(self) -> float:
+        """Resolution guard; successive overlaps must exceed it and tol.tol_generic."""
+        return self._table.min_overlap
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(points={self.num_points}, dim={self.dim})"
 
@@ -209,14 +216,13 @@ class StateCurve(_Sampled):
 
     ``states`` is an (N, n) complex array, one unit row per grid point.
     Construction enforces the resolution guard: every successive overlap
-    modulus must exceed ``min_overlap`` (default 0.9) and
-    ``tol.tol_generic``.  An under-resolved
-    curve fails loudly here instead of silently corrupting phase sums
-    downstream.  The guard reads the curve's one-level table, which the
-    phase functionals read in turn.
+    modulus must exceed ``min_overlap`` (default 0.9) and ``tol.tol_generic``.
+    An under-resolved curve fails loudly here instead of silently corrupting
+    phase sums downstream.  The guard reads the curve's one-level table,
+    which the phase functionals read in turn, at the curve's own ``tol``.
     """
 
-    __slots__ = ("_min_overlap",)
+    __slots__ = ()
 
     def __init__(self, grid, states, *, min_overlap: float = 0.9,
                  tol: Tolerances = DEFAULT_TOLERANCES):
@@ -232,23 +238,20 @@ class StateCurve(_Sampled):
             raise DimensionMismatchError("states need at least one component")
         if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
             raise ValueError("states contain non-finite entries")
-        table = _level_table(arr[:, :, None])
-        _check_states(table.norm_dev[0], tol.tol_norm, table.smallest[0], min_overlap,
-                      tol.tol_generic)
+        norm_dev = float(np.abs(np.linalg.norm(arr, axis=1) - 1.0).max())
+        if norm_dev > tol.tol_norm:
+            raise ValueError(f"state norms deviate from 1 by up to {norm_dev:.3e}")
+        table = _level_table(arr[:, :, None], tol, min_overlap)
+        table.check(1)
         self._store(g, arr, table)
-        object.__setattr__(self, "_min_overlap", float(min_overlap))
 
     @property
     def states(self) -> np.ndarray:
         return self._data
 
-    @property
-    def min_overlap(self) -> float:
-        return self._min_overlap
-
     def state(self, i: int) -> UnitVector:
         """Grid-point state by 0-based position."""
-        return UnitVector(self._data[i], tol=1e-9)
+        return UnitVector(self._data[i], tol=self.tol.tol_norm)
 
 
 class FrameEvolution(_Sampled):
@@ -257,12 +260,15 @@ class FrameEvolution(_Sampled):
     Column j of frame i is the j-th basis state at grid point i; the
     j-th column traced over the grid is the state curve C_j the
     off-diagonal machinery works with.  Every per-level phase reads the
-    evolution's level table instead of building C_j.
+    evolution's level table instead of building C_j.  Construction
+    certifies unitarity at ``tol.tol_unitary``; the resolution guard is
+    enforced per level, when that level's phase is read.
     """
 
     __slots__ = ()
 
-    def __init__(self, grid, frames, *, tol: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, grid, frames, *, min_overlap: float = 0.9,
+                 tol: Tolerances = DEFAULT_TOLERANCES):
         g = _check_grid(grid)
         if isinstance(frames, np.ndarray):
             arr = np.asarray(frames, dtype=np.complex128)
@@ -283,7 +289,7 @@ class FrameEvolution(_Sampled):
         ).max())
         if dev > tol.tol_unitary:
             raise NotUnitaryError(dev, tol.tol_unitary)
-        self._store(g, arr, _level_table(arr))
+        self._store(g, arr, _level_table(arr, tol, min_overlap))
 
     @property
     def frames(self) -> np.ndarray:
@@ -291,21 +297,20 @@ class FrameEvolution(_Sampled):
 
     def frame(self, i: int) -> UnitaryMatrix:
         """Frame by 0-based grid position."""
-        return UnitaryMatrix(self._data[i], tol=1e-8)
+        return UnitaryMatrix(self._data[i], tol=self.tol.tol_unitary)
 
-    def column_curve(self, j: int, *, min_overlap: float = 0.9,
-                     tol: Tolerances = DEFAULT_TOLERANCES) -> StateCurve:
-        """The state curve traced by basis level j (1-based)."""
+    def column_curve(self, j: int) -> StateCurve:
+        """The state curve traced by basis level j (1-based), at the evolution's
+        gates, with the column-norm gate of its ``tol_unitary`` as ``tol_norm``."""
         _check_level(j, self.dim)
-        relaxed = replace(tol, tol_norm=_column_norm_gate(tol))
+        relaxed = replace(self.tol, tol_norm=_column_norm_gate(self.tol))
         return StateCurve(self._grid, self._data[:, :, j - 1],
-                          min_overlap=min_overlap, tol=relaxed)
+                          min_overlap=self.min_overlap, tol=relaxed)
 
 
-def total_phase(curve: StateCurve, *,
-                tol: Tolerances = DEFAULT_TOLERANCES) -> float | Undefined:
+def total_phase(curve: StateCurve) -> float | Undefined:
     """arg of the endpoint overlap, or Undefined for orthogonal endpoints."""
-    return curve._table.total_phase(1, tol)
+    return curve._table.total_phase(1)
 
 
 def dynamical_phase(curve: StateCurve, *, quadrature: str = "pancharatnam") -> float:
@@ -316,21 +321,19 @@ def dynamical_phase(curve: StateCurve, *, quadrature: str = "pancharatnam") -> f
     return curve._table.dynamical_phase(1, quadrature)
 
 
-def geometric_phase(curve: StateCurve, *, quadrature: str = "pancharatnam",
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> float | Undefined:
+def geometric_phase(curve: StateCurve, *,
+                    quadrature: str = "pancharatnam") -> float | Undefined:
     """total - dynamical, reduced to (-pi, pi]; Undefined follows total."""
-    return curve._table.geometric_phase(1, quadrature, tol)
+    return curve._table.geometric_phase(1, quadrature)
 
 
-def phase_report(curve: StateCurve, *, quadrature: str = "pancharatnam",
-                 tol: Tolerances = DEFAULT_TOLERANCES) -> PhaseReport:
+def phase_report(curve: StateCurve, *, quadrature: str = "pancharatnam") -> PhaseReport:
     """All three phases plus the endpoint overlap modulus, in one record."""
-    return curve._table.phase_report(1, quadrature, tol)
+    return curve._table.phase_report(1, quadrature)
 
 
-def frame_phase_bundle(evolution: FrameEvolution, *, quadrature: str = "pancharatnam",
-                       min_overlap: float = 0.9,
-                       tol: Tolerances = DEFAULT_TOLERANCES) -> list[PhaseReport]:
+def frame_phase_bundle(evolution: FrameEvolution, *,
+                       quadrature: str = "pancharatnam") -> list[PhaseReport]:
     """Phase reports of every basis-level curve, level 1 first.
 
     A level whose endpoint overlap a_{jj} vanishes reports total (and
@@ -340,15 +343,17 @@ def frame_phase_bundle(evolution: FrameEvolution, *, quadrature: str = "panchara
     table = evolution._table
     reports = []
     for j in range(1, evolution.dim + 1):
-        table.check(j, tol, min_overlap)
-        reports.append(table.phase_report(j, quadrature, tol))
+        table.check(j)
+        reports.append(table.phase_report(j, quadrature))
     return reports
 
 
-def endpoint_overlap_matrix(evolution: FrameEvolution, *,
-                            tol: Tolerances = DEFAULT_TOLERANCES) -> UnitaryMatrix:
+def endpoint_overlap_matrix(evolution: FrameEvolution) -> UnitaryMatrix:
     """Overlap matrix a_{jk} = (psi_j(s_1), psi_k(s_2)) of the endpoints.
 
-    Equals F(s_1)^dagger F(s_2); unitary because both frames are.
+    Equals F(s_1)^dagger F(s_2); unitary because both frames are.  Each
+    frame is certified to t = tol_unitary, so the product is certified to
+    2t + t^2, the most the two frames' deviations can add up to.
     """
-    return UnitaryMatrix(evolution._table.overlap, tol=tol.tol_unitary)
+    t = evolution.tol.tol_unitary
+    return UnitaryMatrix(evolution._table.overlap, tol=t * (2.0 + t))

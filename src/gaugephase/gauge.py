@@ -97,7 +97,8 @@ def gauge_transform_curve(curve: StateCurve, alpha) -> StateCurve:
     """Local phase change psi_i -> e^{i alpha_i} psi_i on the same grid.
 
     Successive overlap moduli are untouched, so the resolution guard
-    passes exactly as before.
+    passes exactly as before; the result keeps the curve's ``tol`` and
+    ``min_overlap``.
     """
     a = np.asarray(alpha, dtype=np.float64)
     if a.shape != (curve.num_points,):
@@ -107,11 +108,14 @@ def gauge_transform_curve(curve: StateCurve, alpha) -> StateCurve:
     if not np.all(np.isfinite(a)):
         raise ValueError("alpha contains non-finite phases")
     states = np.exp(1j * a)[:, None] * curve.states
-    return StateCurve(curve.grid, states, min_overlap=curve.min_overlap)
+    return StateCurve(curve.grid, states, min_overlap=curve.min_overlap, tol=curve.tol)
 
 
 def gauge_transform_evolution(evolution: FrameEvolution, alphas) -> FrameEvolution:
-    """Per-level local phases: column j of frame i gains e^{i alphas[i, j-1]}."""
+    """Per-level local phases: column j of frame i gains e^{i alphas[i, j-1]}.
+
+    The result keeps the evolution's ``tol`` and ``min_overlap``.
+    """
     a = np.asarray(alphas, dtype=np.float64)
     expected = (evolution.num_points, evolution.dim)
     if a.shape != expected:
@@ -119,7 +123,8 @@ def gauge_transform_evolution(evolution: FrameEvolution, alphas) -> FrameEvoluti
     if not np.all(np.isfinite(a)):
         raise ValueError("alphas contain non-finite phases")
     frames = evolution.frames * np.exp(1j * a)[:, None, :]
-    return FrameEvolution(evolution.grid, frames)
+    return FrameEvolution(evolution.grid, frames, min_overlap=evolution.min_overlap,
+                          tol=evolution.tol)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,10 @@ its endpoint frames.  It fails only on the exceptional stratum where
 an ingredient (a diagonal geometric phase, or the invariant itself) is
 undefined — which is precisely the regime the direct sigma products are
 for, and the verification report flags it rather than papering over it.
+
+Every factor here reads its gates (genericity, resolution, column norm)
+from the evolution's own ``tol`` and ``min_overlap``; none takes a
+tolerance.
 """
 
 from __future__ import annotations
@@ -41,14 +45,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .bargmann import bargmann_invariant
-from .core import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
-    Undefined,
-    UnitVector,
-    circular_distance,
-    principal_arg,
-)
+from .core import Undefined, UnitVector, circular_distance, principal_arg
 from .curves import FrameEvolution, _check_level, _column_norm_gate
 
 __all__ = [
@@ -79,54 +76,49 @@ def _level_list(levels: Sequence[int]) -> list[int]:
 
 
 def dynamical_factor(evolution: FrameEvolution, j: int, *,
-                     quadrature: str = "pancharatnam",
-                     tol: Tolerances = DEFAULT_TOLERANCES) -> complex:
+                     quadrature: str = "pancharatnam") -> complex:
     """The removable dynamical content of level j: exp(-i phi_dyn[C_j])."""
-    evolution._table.check(j, tol)
+    evolution._table.check(j)
     return complex(np.exp(-1j * evolution._table.dynamical_phase(j, quadrature)))
 
 
 def sigma(evolution: FrameEvolution, j: int, k: int, *,
-          quadrature: str = "pancharatnam",
-          tol: Tolerances = DEFAULT_TOLERANCES) -> complex | Undefined:
+          quadrature: str = "pancharatnam") -> complex | Undefined:
     """Cross factor sigma_{jk} for distinct levels j, k (1-based).
 
     Undefined when the cross overlap (psi_j(s_1), psi_k(s_2)) vanishes.
     Not gauge invariant on its own — only closed cyclic products are.
     """
+    table = evolution._table
     _check_level(j, evolution.dim)
-    _check_level(k, evolution.dim)
+    table.check(k)
     if j == k:
         raise IndexError(f"sigma needs two distinct levels, got j = k = {j}")
-    overlap = complex(evolution._table.overlap[j - 1, k - 1])
-    if abs(overlap) <= tol.tol_generic:
+    overlap = complex(table.overlap[j - 1, k - 1])
+    if abs(overlap) <= table.tol.tol_generic:
         return Undefined(VANISHING_OVERLAP)
-    arg = principal_arg(overlap, tol=tol)
-    evolution._table.check(k, tol)
-    return complex(np.exp(1j * (arg - evolution._table.dynamical_phase(k, quadrature))))
+    arg = principal_arg(overlap, tol=table.tol)
+    return complex(np.exp(1j * (arg - table.dynamical_phase(k, quadrature))))
 
 
 def gamma_pair(evolution: FrameEvolution, j: int, k: int, *,
-               quadrature: str = "pancharatnam",
-               tol: Tolerances = DEFAULT_TOLERANCES) -> complex | Undefined:
+               quadrature: str = "pancharatnam") -> complex | Undefined:
     """Gauge-invariant pair factor gamma_{jk} = sigma_{jk} sigma_{kj}."""
-    return gamma_multi(evolution, (j, k), quadrature=quadrature, tol=tol)
+    return gamma_multi(evolution, (j, k), quadrature=quadrature)
 
 
 def gamma_diag(evolution: FrameEvolution, j: int, *,
-               quadrature: str = "pancharatnam",
-               tol: Tolerances = DEFAULT_TOLERANCES) -> complex | Undefined:
+               quadrature: str = "pancharatnam") -> complex | Undefined:
     """Diagonal factor gamma_j = exp(i phi_g[C_j]), when phi_g exists."""
-    evolution._table.check(j, tol)
-    geo = evolution._table.geometric_phase(j, quadrature, tol)
+    evolution._table.check(j)
+    geo = evolution._table.geometric_phase(j, quadrature)
     if isinstance(geo, Undefined):
         return geo
     return complex(np.exp(1j * geo))
 
 
 def gamma_multi(evolution: FrameEvolution, levels: Sequence[int], *,
-                quadrature: str = "pancharatnam",
-                tol: Tolerances = DEFAULT_TOLERANCES) -> complex | Undefined:
+                quadrature: str = "pancharatnam") -> complex | Undefined:
     """Cyclic product sigma_{j1 j2} sigma_{j2 j3} ... sigma_{jl j1}.
 
     Needs at least two distinct levels; any vanishing cross overlap makes
@@ -137,7 +129,7 @@ def gamma_multi(evolution: FrameEvolution, levels: Sequence[int], *,
     value = 1.0 + 0.0j
     for t, j in enumerate(levels):
         k = levels[(t + 1) % len(levels)]
-        factor = sigma(evolution, j, k, quadrature=quadrature, tol=tol)
+        factor = sigma(evolution, j, k, quadrature=quadrature)
         if isinstance(factor, Undefined):
             return factor
         value *= factor
@@ -145,8 +137,7 @@ def gamma_multi(evolution: FrameEvolution, levels: Sequence[int], *,
 
 
 def gamma_via_invariants(evolution: FrameEvolution, levels: Sequence[int], *,
-                         quadrature: str = "pancharatnam",
-                         tol: Tolerances = DEFAULT_TOLERANCES) -> complex | Undefined:
+                         quadrature: str = "pancharatnam") -> complex | Undefined:
     """Reconstruct gamma from frame invariants and diagonal phases only.
 
     Evaluates exp{i arg B(phi_{j1}, psi_{j1}, ..., phi_{jl}, psi_{jl})
@@ -156,13 +147,13 @@ def gamma_via_invariants(evolution: FrameEvolution, levels: Sequence[int], *,
     stratum where only the direct sigma products exist.
     """
     levels = _level_list(levels)
+    table = evolution._table
     for j in levels:
-        _check_level(j, evolution.dim)
+        table.check(j)
 
     phase_sum = 0.0
     for j in levels:
-        evolution._table.check(j, tol)
-        geo = evolution._table.geometric_phase(j, quadrature, tol)
+        geo = table.geometric_phase(j, quadrature)
         if isinstance(geo, Undefined):
             return Undefined(UNDEFINED_DIAGONAL)
         phase_sum += geo
@@ -170,11 +161,11 @@ def gamma_via_invariants(evolution: FrameEvolution, levels: Sequence[int], *,
     first = evolution.frames[0]
     last = evolution.frames[-1]
     ring: list[UnitVector] = []
-    norm_gate = _column_norm_gate(tol)
+    norm_gate = _column_norm_gate(evolution.tol)
     for j in levels:
         ring.append(UnitVector(last[:, j - 1], tol=norm_gate))   # phi_j
         ring.append(UnitVector(first[:, j - 1], tol=norm_gate))  # psi_j
-    invariant = bargmann_invariant(ring, tol=tol)
+    invariant = bargmann_invariant(ring, tol=evolution.tol)
     if not invariant.defined:
         return Undefined(VANISHING_INVARIANT)
     return complex(np.exp(1j * (invariant.phase + phase_sum)))
@@ -218,8 +209,7 @@ def verify_offdiag_identity(evolution: FrameEvolution, *,
                             include_pairs: bool = True,
                             include_triples: bool = True,
                             quadrature: str = "pancharatnam",
-                            tolerance: float = 1e-8,
-                            tol: Tolerances = DEFAULT_TOLERANCES) -> OffDiagReport:
+                            tolerance: float = 1e-8) -> OffDiagReport:
     """Compare direct sigma products against invariant reconstructions.
 
     Runs over all level pairs (and optionally all triples), recording
@@ -240,8 +230,8 @@ def verify_offdiag_identity(evolution: FrameEvolution, *,
         index_sets.extend(combinations(range(1, n + 1), 3))
 
     for levels in index_sets:
-        direct = gamma_multi(evolution, levels, quadrature=quadrature, tol=tol)
-        recon = gamma_via_invariants(evolution, levels, quadrature=quadrature, tol=tol)
+        direct = gamma_multi(evolution, levels, quadrature=quadrature)
+        recon = gamma_via_invariants(evolution, levels, quadrature=quadrature)
         if len(levels) == 2:
             pair_gammas[levels] = direct
         else:

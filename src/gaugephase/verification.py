@@ -205,12 +205,12 @@ def run_gauge_suite(n: int, trials: int, seed: int, *,
     gamma_dev = 0.0
     sigma_shift = 0.0
     for j, k in combinations(range(1, n + 1), 2):
-        before = gamma_multi(evolution, (j, k), quadrature=quadrature, tol=tol)
-        after = gamma_multi(transformed, (j, k), quadrature=quadrature, tol=tol)
+        before = gamma_multi(evolution, (j, k), quadrature=quadrature)
+        after = gamma_multi(transformed, (j, k), quadrature=quadrature)
         if not isinstance(before, Undefined) and not isinstance(after, Undefined):
             gamma_dev = max(gamma_dev, abs(after - before))
-        s_before = sigma(evolution, j, k, quadrature=quadrature, tol=tol)
-        s_after = sigma(transformed, j, k, quadrature=quadrature, tol=tol)
+        s_before = sigma(evolution, j, k, quadrature=quadrature)
+        s_after = sigma(transformed, j, k, quadrature=quadrature)
         if not isinstance(s_before, Undefined) and not isinstance(s_after, Undefined):
             shift = circular_distance(
                 math.atan2(s_after.imag, s_after.real),
@@ -218,8 +218,8 @@ def run_gauge_suite(n: int, trials: int, seed: int, *,
             )
             sigma_shift = max(sigma_shift, shift)
     triple = tuple(range(1, min(n, 3) + 1))
-    before = gamma_multi(evolution, triple, quadrature=quadrature, tol=tol)
-    after = gamma_multi(transformed, triple, quadrature=quadrature, tol=tol)
+    before = gamma_multi(evolution, triple, quadrature=quadrature)
+    after = gamma_multi(transformed, triple, quadrature=quadrature)
     if not isinstance(before, Undefined) and not isinstance(after, Undefined):
         gamma_dev = max(gamma_dev, abs(after - before))
 
@@ -338,7 +338,7 @@ def run_offdiag_suite(n: int, trials: int, seed: int, *,
         path = random_hermitian_path(n, seed + 31 * t)
         evolution = frame_evolution_from_path(path, steps=steps, tol=tol)
         report = verify_offdiag_identity(
-            evolution, quadrature=quadrature, tol=tol, tolerance=1e-8)
+            evolution, quadrature=quadrature, tolerance=1e-8)
         worst_residual = max(worst_residual, report.max_residual)
         compared += len(report.identity_residuals)
         for table in (report.pair_gammas, report.multi_gammas):

@@ -11,15 +11,28 @@ from gaugephase import (
     GridMismatchError,
     NotUnitaryError,
     StateCurve,
+    Tolerances,
     Undefined,
     circular_distance,
+    dynamical_factor,
     dynamical_phase,
     endpoint_overlap_matrix,
     engineered_swap_evolution,
+    frame_evolution_from_path,
     frame_phase_bundle,
+    gamma_diag,
+    gamma_multi,
+    gamma_pair,
+    gamma_via_invariants,
+    gauge_transform_curve,
+    gauge_transform_evolution,
     geometric_phase,
     phase_report,
+    random_hermitian_path,
+    random_smooth_phases,
+    sigma,
     total_phase,
+    verify_offdiag_identity,
 )
 
 from oracles import octant_triangle
@@ -67,9 +80,9 @@ class TestStateCurveValidation:
         with pytest.raises(ValueError, match="under-resolved"):
             StateCurve([0.0, 1.0, 2.0], states, min_overlap=0.0)
         frames = np.stack([np.eye(2), np.eye(2), np.array([[c, -1.0], [1.0, c]])])
-        evolution = FrameEvolution([0.0, 1.0, 2.0], frames)
+        evolution = FrameEvolution([0.0, 1.0, 2.0], frames, min_overlap=0.0)
         with pytest.raises(ValueError, match="under-resolved"):
-            frame_phase_bundle(evolution, min_overlap=0.0)
+            frame_phase_bundle(evolution)
 
     def test_state_access_is_zero_based(self):
         curve = _analytic_curve(20)
@@ -254,3 +267,120 @@ class TestPhaseAdditivity:
             * np.vdot(curve.states[-1], curve.states[0])
         )
         assert circular_distance(t1 + t2, t0 + float(np.angle(tri))) < 1e-12
+
+
+def test_admitted_objects_read_at_their_own_tolerances():
+    # Columns 3e-8 off unit norm: unitary at 1e-6, not at the default 1e-10.
+    base = frame_evolution_from_path(random_hermitian_path(3, 100), 300)
+    loose = Tolerances(tol_norm=1e-6, tol_unitary=1e-6)
+    evolution = FrameEvolution(base.grid, base.frames * (1.0 + 3e-8),
+                               min_overlap=0.8, tol=loose)
+    assert evolution.tol == loose and evolution.min_overlap == 0.8
+    curve = evolution.column_curve(1)
+    assert curve.min_overlap == 0.8
+    assert curve.tol.tol_generic == loose.tol_generic
+    alphas = random_smooth_phases(evolution.grid, 7, columns=evolution.dim)
+    reads = {
+        "frame": lambda: evolution.frame(0),
+        "column_curve": lambda: evolution.column_curve(2),
+        "state": lambda: curve.state(0),
+        "gauge_transform_curve": lambda: gauge_transform_curve(curve, alphas[:, 0]),
+        "total_phase": lambda: total_phase(curve),
+        "geometric_phase": lambda: geometric_phase(curve),
+        "phase_report": lambda: phase_report(curve),
+        "frame_phase_bundle": lambda: frame_phase_bundle(evolution),
+        "endpoint_overlap_matrix": lambda: endpoint_overlap_matrix(evolution),
+        "dynamical_factor": lambda: dynamical_factor(evolution, 1),
+        "sigma": lambda: sigma(evolution, 1, 2),
+        "gamma_pair": lambda: gamma_pair(evolution, 1, 2),
+        "gamma_diag": lambda: gamma_diag(evolution, 3),
+        "gamma_multi": lambda: gamma_multi(evolution, (1, 2, 3)),
+        "gamma_via_invariants": lambda: gamma_via_invariants(evolution, (1, 2, 3)),
+        "verify_offdiag_identity": lambda: verify_offdiag_identity(evolution),
+        "gauge_transform_evolution": lambda: gauge_transform_evolution(evolution, alphas),
+    }
+    results = {name: read() for name, read in reads.items()}
+    assert not any(isinstance(value, Undefined) for value in results.values())
+    assert results["verify_offdiag_identity"].passed
+    moved_curve = results["gauge_transform_curve"]
+    assert moved_curve.tol == curve.tol and moved_curve.min_overlap == 0.8
+    moved = results["gauge_transform_evolution"]
+    assert moved.tol == loose and moved.min_overlap == 0.8
+    # The same frames re-admitted at the default gates are refused.
+    with pytest.raises(NotUnitaryError):
+        FrameEvolution(evolution.grid, evolution.frames)
+
+
+def _rotation_frames(angles) -> np.ndarray:
+    """Planar rotations R(theta) = [[cos, -sin], [sin, cos]], one per angle."""
+    c, s = np.cos(angles), np.sin(angles)
+    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+
+
+def _unitarity_edge(deviation):
+    # Every frame scaled so that max |F*F - I| is ``deviation``.
+    frames = _rotation_frames(np.linspace(0.0, 0.5, 50)) * math.sqrt(1.0 + deviation)
+    evolution = FrameEvolution(np.arange(50.0), frames, tol=Tolerances(tol_unitary=1e-6))
+    endpoint_overlap_matrix(evolution)
+    return frame_phase_bundle(evolution)[0].geometric
+
+
+def _resolution_edge(min_overlap, tol):
+    # One step whose successive overlap modulus is ``overlap``, read lazily.
+    def read(overlap):
+        frames = _rotation_frames([0.0, math.acos(overlap), 2.0 * math.acos(overlap)])
+        evolution = FrameEvolution([0.0, 1.0, 2.0], frames, min_overlap=min_overlap, tol=tol)
+        return frame_phase_bundle(evolution)[1].dynamical
+    return read
+
+
+def _curve_resolution_edge(overlap):
+    states = np.array([[1.0, 0.0], [overlap, math.sqrt(1.0 - overlap**2)]], dtype=complex)
+    curve = StateCurve([0.0, 1.0], states, min_overlap=0.0, tol=Tolerances(tol_generic=1e-4))
+    return total_phase(curve)
+
+
+def _endpoint_edge(overlap):
+    # A 101-point rotation whose endpoint overlap modulus is ``overlap``.
+    angles = np.linspace(0.0, math.acos(overlap), 101)
+    states = np.stack([np.cos(angles), np.sin(angles)], axis=1).astype(complex)
+    return total_phase(StateCurve(angles, states, tol=Tolerances(tol_generic=1e-4)))
+
+
+def _cross_edge(overlap):
+    # Two frames whose cross overlap |a_12| = |(psi_1(s_1), psi_2(s_2))| is ``overlap``.
+    frames = _rotation_frames([0.0, math.asin(overlap)])
+    evolution = FrameEvolution([0.0, 1.0], frames, tol=Tolerances(tol_generic=1e-4))
+    return sigma(evolution, 1, 2)
+
+
+UNDER_RESOLVED = (ValueError, "under-resolved")
+
+# (read, gate, whether the gate refuses inputs above it, what refusal is:
+# Undefined, or an exception type and message)
+GATE_EDGES = {
+    "tol_unitary_at_admission": (_unitarity_edge, 1e-6, True, (NotUnitaryError, "not unitary")),
+    "resolution_guard_at_min_overlap": (_resolution_edge(0.4, Tolerances()), 0.4, False,
+                                        UNDER_RESOLVED),
+    "resolution_guard_at_tol_generic": (_resolution_edge(0.0, Tolerances(tol_generic=1e-4)),
+                                        1e-4, False, UNDER_RESOLVED),
+    "state_curve_resolution_guard_at_tol_generic": (_curve_resolution_edge, 1e-4, False,
+                                                    UNDER_RESOLVED),
+    "tol_generic_on_endpoint_overlap": (_endpoint_edge, 1e-4, False, Undefined),
+    "tol_generic_on_cross_overlap": (_cross_edge, 1e-4, False, Undefined),
+}
+
+
+@pytest.mark.parametrize("read, gate, refuses_above, refusal",
+                         GATE_EDGES.values(), ids=GATE_EDGES.keys())
+def test_inputs_a_factor_two_from_a_gate(read, gate, refuses_above, refusal):
+    """Admitted side: a finite number.  Refused side: Undefined or the error."""
+    admitted, refused = (0.5 * gate, 2.0 * gate) if refuses_above else (2.0 * gate, 0.5 * gate)
+    value = read(admitted)
+    assert isinstance(value, (float, complex)) and np.isfinite(value)
+    if refusal is Undefined:
+        assert isinstance(read(refused), Undefined)
+    else:
+        error, message = refusal
+        with pytest.raises(error, match=message):
+            read(refused)

@@ -10,6 +10,7 @@ import pytest
 
 from gaugephase import (
     FileFormatError,
+    Tolerances,
     complex_pairs,
     decompose,
     dump_report,
@@ -420,6 +421,21 @@ def test_tol_unitary_governs_phases_and_offdiag(tmp_path, capsys):
     assert all(row["value"] is not None for row in doc["reconstructed"])
 
 
+def test_phases_reads_the_endpoint_overlaps_at_the_gate_of_two_frames(tmp_path, capsys):
+    # Columns 3e-11 off unit norm: each frame is unitary to 6e-11, inside the
+    # default 1e-10, while A = F(s_1)^dagger F(s_2) is off by 1.2e-10, inside
+    # the 2t + t^2 that two frames certified at t allow.  Columns 1e-10 off
+    # fail admission.
+    evolution = frame_evolution_from_path(random_hermitian_path(3, 100), 300)
+    report = str(tmp_path / "report.json")
+    for scale, code in ((1.0 + 3e-11, 0), (1.0 + 1e-10, 3)):
+        path = str(tmp_path / "scaled.json")
+        save_evolution(path, evolution.grid, evolution.frames * scale)
+        for command in ("phases", "offdiag"):
+            assert main([command, path, "-o", report]) == code
+            assert ("not unitary" in capsys.readouterr().err) == (code == 3)
+
+
 class TestCliVerify:
     def test_gauge_suite_passes_and_is_byte_deterministic(self, capsys):
         argv = ["verify", "--suite", "gauge", "--n", "3", "--trials", "10", "--seed", "5"]
@@ -441,6 +457,27 @@ class TestCliVerify:
         assert doc["pass"] is False
         compared = {c["name"]: c for c in doc["checks"]}["compared_index_sets"]
         assert compared["measured"] == 0.0 and compared["pass"] is False
+
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_every_suite_runs_at_the_command_line_tolerances(self, suite, monkeypatch, capsys):
+        seen = []
+
+        class PassingReport:
+            passed = True
+
+            @staticmethod
+            def as_dict():
+                return {"pass": True}
+
+        def record(*args, **kwargs):
+            seen.append(kwargs.get("tol"))
+            return PassingReport()
+
+        monkeypatch.setitem(SUITES, suite, record)
+        argv = ["verify", "--suite", suite, "--tol-generic", "1e-6", "--tol-unitary", "1e-9"]
+        assert main(argv) == 0
+        assert seen == [Tolerances(tol_generic=1e-6, tol_unitary=1e-9)]
+        capsys.readouterr()
 
     def test_failing_suite_maps_to_exit_one(self, monkeypatch, capsys):
         class FailingReport:

@@ -28,7 +28,6 @@ from .canonical import (
     modulus_invariants,
     phase_invariant_list,
     reconstruct,
-    rho_ladder,
     split_coset,
 )
 from .core import (
@@ -49,7 +48,6 @@ from .core import (
     inner_product,
     principal_arg,
     reduce_phase,
-    validate_unitary,
 )
 from .curves import (
     QUADRATURES,
@@ -64,7 +62,6 @@ from .curves import (
     total_phase,
 )
 from .gauge import (
-    DiagonalPhases,
     GaugeInvarianceReport,
     GaugeRecursionReport,
     gauge_transform_curve,
@@ -117,19 +114,18 @@ __all__ = [
     # core
     "Tolerances", "DEFAULT_TOLERANCES", "Undefined", "UnitVector", "UnitaryMatrix",
     "inner_product", "principal_arg", "reduce_phase", "circular_distance",
-    "validate_unitary",
     "DimensionMismatchError", "NotUnitaryError", "UndefinedPhaseError",
     "NonGenericVectorError", "NonGenericMatrixError", "NonGenericAnchorError",
     "DegenerateSpectrumError", "GridMismatchError",
     # canonical
-    "CanonicalParams", "rho_ladder", "coset_representative", "split_coset",
+    "CanonicalParams", "coset_representative", "split_coset",
     "decompose", "reconstruct", "modulus_invariants", "phase_invariant_list",
     # bargmann
     "BargmannValue", "BargmannFactor", "bargmann_invariant", "interleaved_invariant",
     "delta4_general", "delta4_primitive", "delta4_grid", "reduce_to_adjacent",
     "reduce_general_bargmann", "independent_primitive_set",
     # gauge
-    "DiagonalPhases", "gauge_transform_matrix", "gauge_transform_curve",
+    "gauge_transform_matrix", "gauge_transform_curve",
     "gauge_transform_evolution", "GaugeRecursionReport", "verify_gauge_recursion",
     "GaugeInvarianceReport", "verify_invariants_under_gauge",
     # curves

@@ -29,6 +29,7 @@ from .core import (
     Tolerances,
     UnitaryMatrix,
     UnitVector,
+    _gram_deviation,
     inner_product,
     reduce_phase,
 )
@@ -120,8 +121,7 @@ def _family(arg, name: str, *, tol: Tolerances) -> list[UnitVector]:
     if isinstance(arg, UnitaryMatrix):
         return [arg.column(k) for k in range(1, arg.n + 1)]
     vs = _as_vector_list(arg, tol=tol, least=1, what=f"family '{name}'")
-    gram = np.array([[inner_product(a, b) for b in vs] for a in vs])
-    dev = float(np.abs(gram - np.eye(len(vs))).max())
+    dev = _gram_deviation(np.stack([v.data for v in vs], axis=-1))
     if dev > tol.tol_unitary:
         raise ValueError(
             f"family '{name}' is not orthonormal: max Gram deviation {dev:.3e}"

@@ -58,7 +58,6 @@ from .core import (
 
 __all__ = [
     "CanonicalParams",
-    "rho_ladder",
     "coset_representative",
     "split_coset",
     "decompose",
@@ -126,15 +125,6 @@ class CanonicalParams:
 # ---------------------------------------------------------------------------
 # Coset representative
 # ---------------------------------------------------------------------------
-
-def rho_ladder(zeta: UnitVector) -> np.ndarray:
-    """Partial-norm ladder rho_j = sqrt(|v_1|^2 + ... + |v_j|^2).
-
-    Monotone non-decreasing, ending at the vector's norm (1 within its
-    certificate).  Index 0 of the returned array is rho_1.
-    """
-    return np.sqrt(np.cumsum(np.abs(zeta.data) ** 2))
-
 
 def _coset_weights(zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The weights g_c and the subdiagonal rho_c / rho_{c+1} of F(zeta)."""

@@ -33,7 +33,7 @@ from .core import (
     UnitaryMatrix,
 )
 from .curves import QUADRATURES, FrameEvolution, endpoint_overlap_matrix, frame_phase_bundle
-from .offdiag import verify_offdiag_identity
+from .offdiag import _IDENTITY_TOLERANCE, verify_offdiag_identity
 from .verification import SUITES, run_suite
 
 __all__ = ["main"]
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_od.add_argument("--quadrature", choices=QUADRATURES, default="pancharatnam")
     p_od.add_argument("--no-triples", action="store_true",
                       help="skip three-level cyclic products")
-    p_od.add_argument("--identity-tolerance", type=float, default=1e-8,
+    p_od.add_argument("--identity-tolerance", type=float, default=_IDENTITY_TOLERANCE,
                       help="pass gate on identity residuals (default %(default)s)")
     common(p_od)
     p_od.set_defaults(func=cmd_offdiag)

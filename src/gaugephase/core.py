@@ -5,6 +5,13 @@ here: validated unit vectors and unitary matrices, the tolerance bundle
 threaded through every numerical decision, principal-branch phase
 arithmetic, and the ``Undefined`` marker used wherever a phase simply
 does not exist (orthogonal endpoints, vanishing invariants).
+
+Two private helpers are the package's only input checks of their kind:
+``_as_complex_array`` (complex and finite) for every vector, matrix,
+curve and evolution constructor, and ``_gram_deviation`` (the
+orthonormality certificate max |C^dagger C - I|) for ``UnitaryMatrix``,
+the frames of ``FrameEvolution`` and the vector families of
+``bargmann.interleaved_invariant``.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ __all__ = [
     "principal_arg",
     "reduce_phase",
     "circular_distance",
-    "validate_unitary",
 ]
 
 # ---------------------------------------------------------------------------
@@ -201,6 +207,13 @@ def _as_complex_array(values, *, what: str) -> np.ndarray:
     return arr
 
 
+def _gram_deviation(columns: np.ndarray) -> float:
+    """max |C^dagger C - I| over the last two axes: the orthonormality
+    certificate of the columns of C, one batched product for a stack."""
+    gram = columns.conj().swapaxes(-1, -2) @ columns
+    return float(np.abs(gram - np.eye(columns.shape[-1])).max())
+
+
 class UnitVector:
     """An n-component complex vector certified to have unit norm.
 
@@ -264,7 +277,7 @@ class UnitaryMatrix:
         arr = _as_complex_array(values, what="matrix")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise DimensionMismatchError(f"expected a square matrix, got shape {arr.shape}")
-        dev = float(np.abs(arr.conj().T @ arr - np.eye(arr.shape[0])).max())
+        dev = _gram_deviation(arr)
         if dev > tol:
             raise NotUnitaryError(dev, tol)
         arr = arr.copy()
@@ -302,15 +315,6 @@ class UnitaryMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("UnitaryMatrix is immutable")
-
-
-def validate_unitary(values, *, tol: Tolerances = DEFAULT_TOLERANCES) -> UnitaryMatrix:
-    """Certify a raw array as unitary, returning the wrapped matrix.
-
-    The certificate is the max-entry norm of A*A - I measured against
-    ``tol.tol_unitary``; the deviation is retained on the result.
-    """
-    return UnitaryMatrix(values, tol=tol.tol_unitary)
 
 
 def inner_product(u: UnitVector | Sequence[complex] | np.ndarray,

@@ -51,6 +51,8 @@ from .core import (
     Undefined,
     UnitaryMatrix,
     UnitVector,
+    _as_complex_array,
+    _gram_deviation,
     principal_arg,
     reduce_phase,
 )
@@ -227,7 +229,7 @@ class StateCurve(_Sampled):
     def __init__(self, grid, states, *, min_overlap: float = 0.9,
                  tol: Tolerances = DEFAULT_TOLERANCES):
         g = _check_grid(grid)
-        arr = np.asarray(states, dtype=np.complex128)
+        arr = _as_complex_array(states, what="states")
         if arr.ndim != 2:
             raise DimensionMismatchError(f"states must be (N, n), got shape {arr.shape}")
         if arr.shape[0] != g.size:
@@ -236,8 +238,6 @@ class StateCurve(_Sampled):
             )
         if arr.shape[1] < 1:
             raise DimensionMismatchError("states need at least one component")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-            raise ValueError("states contain non-finite entries")
         norm_dev = float(np.abs(np.linalg.norm(arr, axis=1) - 1.0).max())
         if norm_dev > tol.tol_norm:
             raise ValueError(f"state norms deviate from 1 by up to {norm_dev:.3e}")
@@ -270,23 +270,14 @@ class FrameEvolution(_Sampled):
     def __init__(self, grid, frames, *, min_overlap: float = 0.9,
                  tol: Tolerances = DEFAULT_TOLERANCES):
         g = _check_grid(grid)
-        if isinstance(frames, np.ndarray):
-            arr = np.asarray(frames, dtype=np.complex128)
-        else:
-            arr = np.stack([
-                f.data if isinstance(f, UnitaryMatrix) else np.asarray(f, dtype=np.complex128)
-                for f in frames
-            ])
+        if not isinstance(frames, np.ndarray):
+            frames = np.stack([f.data if isinstance(f, UnitaryMatrix) else f for f in frames])
+        arr = _as_complex_array(frames, what="frames")
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise DimensionMismatchError(f"frames must be (N, n, n), got shape {arr.shape}")
         if arr.shape[0] != g.size:
             raise GridMismatchError(f"{arr.shape[0]} frames on a grid of {g.size} points")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-            raise ValueError("frames contain non-finite entries")
-        eye = np.eye(arr.shape[1])
-        dev = float(np.abs(
-            np.einsum("nji,njk->nik", arr.conj(), arr) - eye[None, :, :]
-        ).max())
+        dev = _gram_deviation(arr)
         if dev > tol.tol_unitary:
             raise NotUnitaryError(dev, tol.tol_unitary)
         self._store(g, arr, _level_table(arr, tol, min_overlap))

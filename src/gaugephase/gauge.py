@@ -15,6 +15,12 @@ truncated right phases (theta'_1..theta'_{n-1})).
 
 An overall shift theta_j -> theta_j + c, theta'_k -> theta'_k - c acts
 trivially: only the sums theta_j + theta'_k enter.
+
+Every gauge argument (row and column phases of a matrix, a curve's alpha,
+an evolution's per-level alphas) passes one check, ``_as_phase_array``:
+finite real phases of exactly the expected shape.  A misshapen matrix
+gauge raises DimensionMismatchError, a misshapen curve or evolution gauge
+GridMismatchError.
 """
 
 from __future__ import annotations
@@ -31,12 +37,10 @@ from .core import (
     GridMismatchError,
     Tolerances,
     UnitaryMatrix,
-    reduce_phase,
 )
 from .curves import FrameEvolution, StateCurve
 
 __all__ = [
-    "DiagonalPhases",
     "gauge_transform_matrix",
     "gauge_transform_curve",
     "gauge_transform_evolution",
@@ -47,34 +51,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiagonalPhases:
-    """An n-tuple of real phases, stored on the principal branch."""
-
-    phases: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "phases", tuple(reduce_phase(float(p)) for p in self.phases)
-        )
-        if not self.phases:
-            raise ValueError("need at least one phase")
-
-    @property
-    def n(self) -> int:
-        return len(self.phases)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.phases, dtype=np.float64)
+_RECURSION_TOLERANCE = 1e-10  # default pass gate of the peeling law
 
 
-def _as_phase_array(phases, n: int, what: str) -> np.ndarray:
-    if isinstance(phases, DiagonalPhases):
-        arr = phases.as_array()
-    else:
-        arr = np.asarray(phases, dtype=np.float64)
-    if arr.shape != (n,):
-        raise DimensionMismatchError(f"{what} must have shape ({n},), got {arr.shape}")
+def _as_phase_array(values, shape: tuple[int, ...], what: str,
+                    error: type[ValueError]) -> np.ndarray:
+    """Real, finite phases of exactly ``shape``; ``error`` names a misshape."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.shape != shape:
+        raise error(f"{what} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains non-finite phases")
     return arr
@@ -87,8 +72,8 @@ def gauge_transform_matrix(A: UnitaryMatrix, left, right, *,
     Computed entrywise (never by matrix products), so entry moduli are
     preserved exactly, not just to rounding of a product.
     """
-    lt = _as_phase_array(left, A.n, "left phases")
-    rt = _as_phase_array(right, A.n, "right phases")
+    lt = _as_phase_array(left, (A.n,), "left phases", DimensionMismatchError)
+    rt = _as_phase_array(right, (A.n,), "right phases", DimensionMismatchError)
     factor = np.exp(1j * (lt[:, None] + rt[None, :]))
     return UnitaryMatrix(factor * A.data, tol=tol.tol_unitary)
 
@@ -100,13 +85,7 @@ def gauge_transform_curve(curve: StateCurve, alpha) -> StateCurve:
     passes exactly as before; the result keeps the curve's ``tol`` and
     ``min_overlap``.
     """
-    a = np.asarray(alpha, dtype=np.float64)
-    if a.shape != (curve.num_points,):
-        raise GridMismatchError(
-            f"alpha must have shape ({curve.num_points},), got {a.shape}"
-        )
-    if not np.all(np.isfinite(a)):
-        raise ValueError("alpha contains non-finite phases")
+    a = _as_phase_array(alpha, (curve.num_points,), "alpha", GridMismatchError)
     states = np.exp(1j * a)[:, None] * curve.states
     return StateCurve(curve.grid, states, min_overlap=curve.min_overlap, tol=curve.tol)
 
@@ -116,12 +95,8 @@ def gauge_transform_evolution(evolution: FrameEvolution, alphas) -> FrameEvoluti
 
     The result keeps the evolution's ``tol`` and ``min_overlap``.
     """
-    a = np.asarray(alphas, dtype=np.float64)
-    expected = (evolution.num_points, evolution.dim)
-    if a.shape != expected:
-        raise GridMismatchError(f"alphas must have shape {expected}, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("alphas contain non-finite phases")
+    a = _as_phase_array(alphas, (evolution.num_points, evolution.dim), "alphas",
+                        GridMismatchError)
     frames = evolution.frames * np.exp(1j * a)[:, None, :]
     return FrameEvolution(evolution.grid, frames, min_overlap=evolution.min_overlap,
                           tol=evolution.tol)
@@ -147,7 +122,7 @@ class GaugeRecursionReport:
 
 
 def verify_gauge_recursion(A: UnitaryMatrix, left, right, *,
-                           tolerance: float = 1e-10,
+                           tolerance: float = _RECURSION_TOLERANCE,
                            tol: Tolerances = DEFAULT_TOLERANCES) -> GaugeRecursionReport:
     """Check how one peeling step transports the gauge action.
 
@@ -156,8 +131,8 @@ def verify_gauge_recursion(A: UnitaryMatrix, left, right, *,
     zeta'_j = e^{i(theta_j + theta'_n)} zeta_j, and the peeled remainder
     must equal D(theta_2..theta_n) R D(theta'_1..theta'_{n-1}).
     """
-    lt = _as_phase_array(left, A.n, "left phases")
-    rt = _as_phase_array(right, A.n, "right phases")
+    lt = _as_phase_array(left, (A.n,), "left phases", DimensionMismatchError)
+    rt = _as_phase_array(right, (A.n,), "right phases", DimensionMismatchError)
     transformed = gauge_transform_matrix(A, lt, rt, tol=tol)
 
     zeta, rest = split_coset(A, tol=tol)

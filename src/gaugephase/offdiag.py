@@ -64,14 +64,18 @@ VANISHING_OVERLAP = "vanishing_overlap"
 UNDEFINED_DIAGONAL = "undefined_diagonal_phase"
 VANISHING_INVARIANT = "vanishing_invariant"
 
+_IDENTITY_TOLERANCE = 1e-8  # default pass gate on identity residuals
 
-def _level_list(levels: Sequence[int]) -> list[int]:
-    """At least two distinct levels; ranges are checked as levels are read."""
+
+def _level_list(levels: Sequence[int], n: int) -> list[int]:
+    """At least two distinct levels, each in 1..n, checked before any is read."""
     levels = [int(j) for j in levels]
     if len(levels) < 2:
         raise ValueError(f"need at least two levels, got {levels}")
     if len(set(levels)) != len(levels):
         raise ValueError(f"duplicate level in {levels}")
+    for j in levels:
+        _check_level(j, n)
     return levels
 
 
@@ -125,7 +129,7 @@ def gamma_multi(evolution: FrameEvolution, levels: Sequence[int], *,
     the whole product Undefined.  Invariant under cyclic relabelling of
     the level list and under independent per-level rephasings.
     """
-    levels = _level_list(levels)
+    levels = _level_list(levels, evolution.dim)
     value = 1.0 + 0.0j
     for t, j in enumerate(levels):
         k = levels[(t + 1) % len(levels)]
@@ -146,7 +150,7 @@ def gamma_via_invariants(evolution: FrameEvolution, levels: Sequence[int], *,
     or the interleaved invariant itself is undefined — the exceptional
     stratum where only the direct sigma products exist.
     """
-    levels = _level_list(levels)
+    levels = _level_list(levels, evolution.dim)
     table = evolution._table
     for j in levels:
         table.check(j)
@@ -209,7 +213,7 @@ def verify_offdiag_identity(evolution: FrameEvolution, *,
                             include_pairs: bool = True,
                             include_triples: bool = True,
                             quadrature: str = "pancharatnam",
-                            tolerance: float = 1e-8) -> OffDiagReport:
+                            tolerance: float = _IDENTITY_TOLERANCE) -> OffDiagReport:
     """Compare direct sigma products against invariant reconstructions.
 
     Runs over all level pairs (and optionally all triples), recording

@@ -17,7 +17,6 @@ from .bargmann import (
     bargmann_invariant,
     delta4_general,
     delta4_grid,
-    delta4_primitive,
     independent_primitive_set,
     reduce_general_bargmann,
     reduce_to_adjacent,
@@ -38,6 +37,7 @@ from .core import (
     circular_distance,
 )
 from .gauge import (
+    _RECURSION_TOLERANCE,
     gauge_transform_evolution,
     verify_gauge_recursion,
     verify_invariants_under_gauge,
@@ -49,7 +49,7 @@ from .generators import (
     random_smooth_phases,
     random_unit_vector,
 )
-from .offdiag import gamma_multi, sigma, verify_offdiag_identity
+from .offdiag import _IDENTITY_TOLERANCE, gamma_multi, sigma, verify_offdiag_identity
 
 __all__ = [
     "CheckResult",
@@ -223,16 +223,18 @@ def run_gauge_suite(n: int, trials: int, seed: int, *,
     if not isinstance(before, Undefined) and not isinstance(after, Undefined):
         gamma_dev = max(gamma_dev, abs(after - before))
 
+    moduli_gate = invariance.tolerance_moduli
+    phases_gate = invariance.tolerance_phases
     checks = (
         CheckResult("max_entry_modulus_drift",
-                    invariance.max_entry_modulus_deviation, 1e-12),
+                    invariance.max_entry_modulus_deviation, moduli_gate),
         CheckResult("max_modulus_invariant_drift",
-                    invariance.max_modulus_invariant_deviation, 1e-12),
-        CheckResult("max_delta4_drift", invariance.max_delta4_deviation, 1e-10),
+                    invariance.max_modulus_invariant_deviation, moduli_gate),
+        CheckResult("max_delta4_drift", invariance.max_delta4_deviation, phases_gate),
         CheckResult("max_phase_invariant_drift",
-                    invariance.max_phase_invariant_deviation, 1e-10),
-        CheckResult("max_peeling_vector_deviation", worst_vec, 1e-10),
-        CheckResult("max_peeling_remainder_deviation", worst_rest, 1e-10),
+                    invariance.max_phase_invariant_deviation, phases_gate),
+        CheckResult("max_peeling_vector_deviation", worst_vec, _RECURSION_TOLERANCE),
+        CheckResult("max_peeling_remainder_deviation", worst_rest, _RECURSION_TOLERANCE),
         CheckResult("max_gamma_drift_under_frame_gauge", gamma_dev, 1e-10),
         CheckResult("max_sigma_shift_under_frame_gauge", sigma_shift, 1e-3,
                     kind="lower"),
@@ -337,8 +339,7 @@ def run_offdiag_suite(n: int, trials: int, seed: int, *,
     for t in range(trials):
         path = random_hermitian_path(n, seed + 31 * t)
         evolution = frame_evolution_from_path(path, steps=steps, tol=tol)
-        report = verify_offdiag_identity(
-            evolution, quadrature=quadrature, tolerance=1e-8)
+        report = verify_offdiag_identity(evolution, quadrature=quadrature)
         worst_residual = max(worst_residual, report.max_residual)
         compared += len(report.identity_residuals)
         for table in (report.pair_gammas, report.multi_gammas):
@@ -346,7 +347,7 @@ def run_offdiag_suite(n: int, trials: int, seed: int, *,
                 if not isinstance(value, Undefined):
                     worst_modulus = max(worst_modulus, abs(abs(value) - 1.0))
     checks = (
-        CheckResult("max_identity_residual", worst_residual, 1e-8),
+        CheckResult("max_identity_residual", worst_residual, _IDENTITY_TOLERANCE),
         CheckResult("max_gamma_modulus_deviation", worst_modulus, 1e-12),
         CheckResult("compared_index_sets", float(compared), 0.0, kind="lower"),
     )

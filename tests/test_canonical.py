@@ -22,31 +22,12 @@ from gaugephase import (
     random_generic_unitary,
     random_unit_vector,
     reconstruct,
-    rho_ladder,
     split_coset,
 )
 
 from oracles import coset_by_orthogonality, peel_by_dense_product
 
 RT3 = 1.0 / math.sqrt(3.0)
-
-
-class TestRhoLadder:
-    def test_hand_values(self):
-        zeta = UnitVector(np.array([RT3, RT3, RT3], dtype=complex))
-        np.testing.assert_allclose(
-            rho_ladder(zeta),
-            [1 / math.sqrt(3), math.sqrt(2.0 / 3.0), 1.0],
-            atol=1e-15,
-        )
-
-    def test_monotone_and_terminal(self):
-        rng = np.random.default_rng(30)
-        for _ in range(20):
-            v = random_unit_vector(5, rng)
-            rho = rho_ladder(v)
-            assert np.all(np.diff(rho) >= -1e-15)
-            assert rho[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCosetRepresentative:
@@ -383,3 +364,54 @@ class TestInvariantContent:
                 expected.append(complex(u.data[j]) * complex(u.data[j + 1]).conjugate()
                                 * complex(v.data[j + 1]).conjugate() * complex(v.data[j + 2]))
         np.testing.assert_allclose(phase_invariant_list(p), expected, rtol=1e-15, atol=0.0)
+
+
+def _params_with_leading(lead):
+    """n = 5 parameters whose dimension-3 vector has |zeta_1| = ``lead``."""
+    rng = np.random.default_rng(49)
+    vectors = [random_unit_vector(m, rng, min_leading=0.2) for m in range(5, 1, -1)]
+    tail = random_unit_vector(2, rng).data * math.sqrt(1.0 - lead**2)
+    vectors[2] = UnitVector(np.concatenate(([lead], tail)))
+    return CanonicalParams(vectors=tuple(vectors), chi=0.4)
+
+
+def _decompose_edge(lead):
+    rebuilt = reconstruct(_params_with_leading(lead))
+    return decompose(rebuilt, tol=Tolerances(tol_generic=1e-4)).genericity_margin
+
+
+def _reconstruct_edge(lead):
+    return reconstruct(_params_with_leading(lead), tol=Tolerances(tol_generic=1e-4)).deviation
+
+
+def _peel_edge(defect):
+    # Adding defect-sized multiples of the last column to the others leaves
+    # every column a unit vector and the remainder unitary; the peeled last
+    # row of F^dagger A then reads the defect, so the peel certificate is it.
+    a = random_generic_unitary(6, 50).data
+    kick = defect * np.exp(1j * np.linspace(0.0, 2.0, 5))
+    bad = a.copy()
+    bad[:, :5] += np.outer(a[:, 5], kick)
+    return decompose(UnitaryMatrix(bad, tol=1e-5), tol=Tolerances(tol_unitary=1e-6)).chi
+
+
+# (read, gate, whether the gate refuses inputs above it, error type and message)
+TOWER_GATE_EDGES = {
+    "tol_generic_at_a_decompose_level": (_decompose_edge, 1e-4, False,
+                                         (NonGenericMatrixError, "level 3")),
+    "tol_generic_in_reconstruct": (_reconstruct_edge, 1e-4, False,
+                                   (NonGenericVectorError, "genericity margin")),
+    "tol_unitary_on_the_peel_certificate": (_peel_edge, 1e-6, True,
+                                            (NotUnitaryError, "not unitary")),
+}
+
+
+@pytest.mark.parametrize("read, gate, refuses_above, refusal",
+                         TOWER_GATE_EDGES.values(), ids=TOWER_GATE_EDGES.keys())
+def test_tower_inputs_a_factor_two_from_a_gate(read, gate, refuses_above, refusal):
+    """Admitted side: a finite number.  Refused side: the documented error."""
+    admitted, refused = (0.5 * gate, 2.0 * gate) if refuses_above else (2.0 * gate, 0.5 * gate)
+    assert math.isfinite(read(admitted))
+    error, message = refusal
+    with pytest.raises(error, match=message):
+        read(refused)

@@ -8,6 +8,7 @@ import pytest
 from gaugephase import (
     DEFAULT_TOLERANCES,
     DimensionMismatchError,
+    FrameEvolution,
     NotUnitaryError,
     Tolerances,
     UndefinedPhaseError,
@@ -15,9 +16,10 @@ from gaugephase import (
     UnitVector,
     circular_distance,
     inner_product,
+    interleaved_invariant,
     principal_arg,
+    random_generic_unitary,
     reduce_phase,
-    validate_unitary,
 )
 
 
@@ -160,13 +162,6 @@ class TestUnitaryMatrix:
         with pytest.raises(IndexError):
             m.column(3)
 
-    def test_validate_unitary_wraps_and_certifies(self):
-        m = validate_unitary(np.eye(4, dtype=complex))
-        assert isinstance(m, UnitaryMatrix)
-        assert m.deviation == 0.0
-        with pytest.raises(NotUnitaryError):
-            validate_unitary(np.ones((2, 2), dtype=complex))
-
 
 class TestTolerances:
     def test_defaults(self):
@@ -181,3 +176,47 @@ class TestTolerances:
             Tolerances(tol_norm=0.0)
         with pytest.raises(ValueError):
             Tolerances(tol_generic=-1e-8)
+
+
+# Every input below has orthonormality deviation max |C^dagger C - I| equal to
+# ``deviation`` and is gated at tol_unitary = 1e-6, through each user of the
+# one Gram certificate.
+GRAM_GATE = 1e-6
+
+
+def _unitary_matrix_edge(deviation):
+    scaled = random_generic_unitary(4, 51).data * math.sqrt(1.0 + deviation)
+    return UnitaryMatrix(scaled, tol=GRAM_GATE).deviation
+
+
+def _frame_evolution_edge(deviation):
+    frames = np.stack([random_generic_unitary(3, seed).data for seed in (52, 52)])
+    evolution = FrameEvolution([0.0, 1.0], frames * math.sqrt(1.0 + deviation),
+                               tol=Tolerances(tol_unitary=GRAM_GATE))
+    return evolution.frame(0).deviation
+
+
+def _vector_family_edge(deviation):
+    # Two unit vectors of dimension 3 (k < n) with overlap ``deviation``.
+    psis = [[1.0, 0.0, 0.0], [deviation, math.sqrt(1.0 - deviation**2), 0.0]]
+    pattern = [("psi", 1), ("phi", 1), ("psi", 2), ("phi", 2)]
+    return interleaved_invariant(psis, random_generic_unitary(3, 53), pattern,
+                                 tol=Tolerances(tol_unitary=GRAM_GATE)).value
+
+
+GRAM_GATE_EDGES = {
+    "UnitaryMatrix": (_unitary_matrix_edge, NotUnitaryError, "not unitary"),
+    "FrameEvolution": (_frame_evolution_edge, NotUnitaryError, "not unitary"),
+    "interleaved_invariant_vector_family": (_vector_family_edge, ValueError,
+                                            "not orthonormal"),
+}
+
+
+@pytest.mark.parametrize("read, error, message", GRAM_GATE_EDGES.values(),
+                         ids=GRAM_GATE_EDGES.keys())
+def test_the_gram_certificate_a_factor_two_from_its_gate(read, error, message):
+    """Half the gate: a finite number.  Twice the gate: the documented error."""
+    value = read(0.5 * GRAM_GATE)
+    assert isinstance(value, (float, complex)) and np.isfinite(value)
+    with pytest.raises(error, match=message):
+        read(2.0 * GRAM_GATE)

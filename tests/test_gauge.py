@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from gaugephase import (
-    DiagonalPhases,
     DimensionMismatchError,
     GridMismatchError,
     circular_distance,
@@ -27,18 +26,6 @@ from gaugephase import (
 )
 
 
-class TestDiagonalPhases:
-    def test_reduction_to_principal_branch(self):
-        p = DiagonalPhases(phases=(3 * math.pi + 0.1, -math.pi))
-        assert p.phases[0] == pytest.approx(-math.pi + 0.1)
-        assert p.phases[1] == pytest.approx(math.pi)
-        assert p.n == 2
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            DiagonalPhases(phases=())
-
-
 class TestMatrixAction:
     def test_entrywise_law(self):
         rng = np.random.default_rng(70)
@@ -49,14 +36,6 @@ class TestMatrixAction:
         expected = np.exp(1j * (left[:, None] + right[None, :])) * a.data
         np.testing.assert_allclose(b.data, expected, atol=1e-15)
         np.testing.assert_allclose(np.abs(b.data), np.abs(a.data), atol=1e-15)
-
-    def test_accepts_diagonal_phases_objects(self):
-        rng = np.random.default_rng(71)
-        a = random_generic_unitary(3, rng)
-        phases = DiagonalPhases(phases=(0.1, -0.4, 2.0))
-        b = gauge_transform_matrix(a, phases, phases)
-        c = gauge_transform_matrix(a, phases.as_array(), phases.as_array())
-        np.testing.assert_allclose(b.data, c.data, atol=0.0)
 
     def test_overall_shift_is_redundant(self):
         rng = np.random.default_rng(72)

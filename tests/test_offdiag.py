@@ -112,6 +112,13 @@ class TestArgumentValidation:
         with pytest.raises(ValueError):
             gamma_via_invariants(swap3, (2, 2))
 
+    @pytest.mark.parametrize("read", [gamma_multi, gamma_via_invariants])
+    def test_every_level_is_range_checked_before_any_is_read(self, swap3, read):
+        # The cross overlap (psi_1(s_1), psi_3(s_2)) vanishes on the swap, so a
+        # range check made only as levels are reached would never see 99.
+        with pytest.raises(IndexError, match="level 99 outside 1..3"):
+            read(swap3, (1, 3, 99))
+
 
 class TestGenericEvolutions:
     def test_gammas_have_unit_modulus(self, generic4):

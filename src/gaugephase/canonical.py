@@ -35,11 +35,24 @@ g_c = -v_{c+1} / (rho_c rho_{c+1}) for c < m-1 and g_{m-1} = 1:
 (the last term absent for c = m-1 and j = 0): one prefix sum for the
 peel, one suffix sum for the rebuild, O(m^2) per level on an m x m block,
 so ``decompose`` and ``reconstruct`` are O(n^3).
+
+The tower works on stacks.  Each level peels, rebuilds or certifies k
+same-size blocks, shape (k, m, m), with one set of array operations, and
+``decompose``, ``split_coset`` and ``reconstruct`` are the k = 1 case.
+Callers with many matrices of one size (the batched Haar draw, the
+roundtrip, reduction and gauge checks) hand over whole stacks of at most
+``_STACK_ENTRIES`` matrix entries each, or of one matrix.  Each member
+keeps every check of its own: the genericity gate at each level before
+that level is used, the certificate on the full peeled last row and
+column and on the final 1 x 1 entry, and the error ``decompose`` would
+raise for it alone, non-genericity first.  A non-generic member is
+peeled on by F(e_1), so it makes no warning and disturbs no other member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -127,26 +140,33 @@ class CanonicalParams:
 # ---------------------------------------------------------------------------
 
 def _coset_weights(zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The weights g_c and the subdiagonal rho_c / rho_{c+1} of F(zeta)."""
-    rho = np.sqrt(np.cumsum(np.abs(zeta) ** 2))
-    g = np.ones_like(zeta)
-    g[:-1] = -zeta[1:] / (rho[:-1] * rho[1:])
-    return g, rho[:-1] / rho[1:]
+    """The weights g_c for c < m-1 (g_{m-1} = 1) and the subdiagonal
+    rho_c / rho_{c+1} of F(zeta), for each row of a (k, m) stack."""
+    rho = np.sqrt(np.square(np.abs(zeta)).cumsum(axis=1))
+    head, tail = rho[:, :-1], rho[:, 1:]
+    return -zeta[:, 1:] / (head * tail), head / tail
 
 
 def _coset_adjoint_apply(zeta: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """F(zeta)^dagger a by prefix sums, O(m^2) for an m x m ``a``."""
+    """F(zeta_i)^dagger a_i for each member of a stack, by prefix sums:
+    ``zeta`` is (k, m), ``a`` is (k, m, m), O(k m^2) in all."""
     g, sub = _coset_weights(zeta)
-    out = g[:, None] * np.cumsum(zeta.conj()[:, None] * a, axis=0)
-    out[:-1] += sub[:, None] * a[1:]
+    out = (zeta.conj()[:, :, None] * a).cumsum(axis=1)
+    top = out[:, :-1]  # g_{m-1} = 1 leaves the last row as summed
+    np.multiply(g[:, :, None], top, out=top)
+    top += sub[:, :, None] * a[:, 1:]
     return out
 
 
 def _coset_apply(zeta: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """F(zeta) b by suffix sums, O(m^2) for an m x m ``b``."""
+    """F(zeta_i) b_i for each member of a stack, by suffix sums:
+    ``zeta`` is (k, m), ``b`` is (k, m, m), O(k m^2) in all."""
     g, sub = _coset_weights(zeta)
-    out = zeta[:, None] * np.cumsum((g.conj()[:, None] * b)[::-1], axis=0)[::-1]
-    out[1:] += sub[:, None] * b[:-1]
+    weighted = b.astype(np.complex128)
+    top = weighted[:, :-1]  # g_{m-1} = 1 leaves the last row as it is
+    np.multiply(g.conj()[:, :, None], top, out=top)
+    out = zeta[:, :, None] * weighted[:, ::-1].cumsum(axis=1)[:, ::-1]
+    out[:, 1:] += sub[:, :, None] * b[:, :-1]
     return out
 
 
@@ -169,34 +189,161 @@ def coset_representative(zeta: UnitVector, *,
         raise NonGenericVectorError(
             f"|zeta_1| = {lead:.3e} <= {tol.tol_generic:.3e}: coset representative undefined"
         )
-    return UnitaryMatrix(_coset_apply(zeta.data, np.eye(zeta.dim)), tol=tol.tol_unitary)
+    rep = _coset_apply(zeta.data[None], np.eye(zeta.dim)[None])[0]
+    return UnitaryMatrix(rep, tol=tol.tol_unitary)
 
 
 # ---------------------------------------------------------------------------
 # Factor / defactor
 # ---------------------------------------------------------------------------
 
-def _split_arrays(a: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, float]:
-    """One peeling step on a raw array.
+def _row_norms(z: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a (k, m) complex stack, as (k, 1).
 
-    Returns (zeta, remainder, residual_deviation) where ``zeta`` is the
-    raw last column, ``remainder`` the (m-1) x (m-1) top-left block of
-    F(zeta)^dagger a, and the deviation measures how far the peeled last
-    row and column are from the unit vector e_m they must equal.
+    The same two real dot products that ``norm`` takes, batched by
+    matmul, so each norm is bit for bit the one ``norm`` returns (einsum
+    sums in another order).
     """
-    m = a.shape[0]
-    zeta = a[:, m - 1].copy()
-    lead = abs(zeta[0])
-    if lead <= tol.tol_generic:
-        raise NonGenericMatrixError(m, lead, tol.tol_generic)
-    peeled = _coset_adjoint_apply(zeta / np.linalg.norm(zeta), a)
-    e_last = np.zeros(m)
-    e_last[m - 1] = 1.0
-    dev = max(
-        float(np.abs(peeled[m - 1, :] - e_last).max()),
-        float(np.abs(peeled[:, m - 1] - e_last).max()),
-    )
-    return zeta, peeled[: m - 1, : m - 1], dev
+    re, im = z.real, z.imag
+    return np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0]
+
+
+def _split_arrays(a: np.ndarray, tol: Tolerances, edge: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One peeling step on a stack of k m x m arrays, shape (k, m, m).
+
+    Returns (zeta, remainder, lead, failed): the raw last columns (k, m);
+    the (k, m-1, m-1) top-left blocks of F(zeta)^dagger a; |zeta_1| of
+    each member; and the indices of the members whose |zeta_1| is at or
+    below the genericity gate.  Those members are peeled by F(e_1)
+    instead, which keeps the stack finite and free of warnings; their
+    remainder means nothing.  ``edge`` (k, 2m-1) receives the peeled last
+    row and then the rest of the peeled last column, which together must
+    equal e_m (see :func:`_certificate`).
+    """
+    m = a.shape[-1]
+    zeta = a[:, :, m - 1].copy()
+    lead = np.hypot(zeta.real[:, 0], zeta.imag[:, 0])  # abs() of each, bit for bit
+    failed = (lead <= tol.tol_generic).nonzero()[0]
+    unit = zeta
+    if failed.size:
+        unit = zeta.copy()
+        unit[failed] = np.eye(1, m)
+    peeled = _coset_adjoint_apply(unit / _row_norms(unit), a)
+    np.concatenate((peeled[:, m - 1], peeled[:, : m - 1, m - 1]), axis=1, out=edge)
+    return zeta, peeled[:, : m - 1, : m - 1], lead, failed
+
+
+def _certificate(edges: np.ndarray, corners: list[int]) -> np.ndarray:
+    """Each member's largest deviation of a peeled last row or column from
+    e_m: ``edges`` holds the levels' edges side by side, and ``corners``
+    the column of each level's entry m, from which the 1 it must equal is
+    subtracted in place."""
+    edges[:, corners] -= 1.0
+    return np.abs(edges).max(axis=1)
+
+
+class _Peel(NamedTuple):
+    """A stack of k matrices peeled down to 1 x 1 blocks.
+
+    ``columns`` holds each level's raw columns, a (k, m) array per level
+    from m = n down to 2; ``residual`` the final 1 x 1 entries; ``worst``
+    each member's certificate, the largest deviation of a peeled last row
+    or column from e_m, or of |residual| from 1; ``failures`` maps each
+    member that hit the non-generic stratum to its first such level and
+    |zeta_1| there.
+    """
+
+    columns: list[np.ndarray]
+    residual: np.ndarray
+    worst: np.ndarray
+    failures: dict[int, tuple[int, float]]
+
+
+def _peel(a: np.ndarray, tol: Tolerances) -> _Peel:
+    """Peel every member of a (k, n, n) stack, one set of array calls per level.
+
+    Raises nothing: :func:`_check_member` reads a member's error.
+    """
+    k, n = a.shape[0], a.shape[-1]
+    work = a
+    columns: list[np.ndarray] = []
+    edges = np.empty((k, n * n - 1), dtype=np.complex128)  # sum of 2m - 1 over m = 2..n
+    corners: list[int] = []
+    failures: dict[int, tuple[int, float]] = {}
+    for m in range(n, 1, -1):
+        start = n * n - m * m
+        zeta, work, lead, failed = _split_arrays(work, tol, edges[:, start:start + 2 * m - 1])
+        if failed.size:
+            for i in failed.tolist():
+                failures.setdefault(i, (m, float(lead[i])))
+        columns.append(zeta)
+        corners.append(start + m - 1)
+    residual = work[:, 0, 0]
+    worst = np.abs(np.hypot(residual.real, residual.imag) - 1.0)
+    if corners:
+        np.maximum(_certificate(edges, corners), worst, out=worst)
+    return _Peel(columns, residual, worst, failures)
+
+
+def _check_member(peel: _Peel, i: int, tol: Tolerances) -> None:
+    """Raise the error :func:`decompose` raises for member ``i`` alone:
+    non-genericity first, then the certificate."""
+    if i in peel.failures:
+        level, magnitude = peel.failures[i]
+        raise NonGenericMatrixError(level, magnitude, tol.tol_generic)
+    worst = float(peel.worst[i])
+    if worst > tol.tol_unitary:
+        raise NotUnitaryError(worst, tol.tol_unitary)
+
+
+_STACK_ENTRIES = 1 << 14  # entries per stack: 256 kB per complex working array
+
+
+def _stacks(count: int, n: int) -> list[range]:
+    """Consecutive ranges that split ``count`` same-size n x n matrices
+    into stacks of at most ``_STACK_ENTRIES`` entries (one matrix at least)."""
+    size = max(1, _STACK_ENTRIES // max(1, n * n))
+    return [range(start, min(start + size, count)) for start in range(0, count, size)]
+
+
+def _decompose_stack(matrices: Sequence[UnitaryMatrix],
+                     tol: Tolerances) -> list[CanonicalParams]:
+    """:func:`decompose` of each of several same-size matrices, peeled
+    as one stack.  Raises the error of the first matrix that has one, as
+    a loop of :func:`decompose` calls would.
+    """
+    if not matrices:
+        return []
+    peel = _peel(np.array([A.data for A in matrices]), tol)
+    # The certificate bounds | ||zeta|| - 1 | per level, so the norm gate passes.
+    norm_gate = max(tol.tol_norm, tol.tol_unitary)
+    out = []
+    for i in range(len(matrices)):
+        _check_member(peel, i, tol)
+        vectors = tuple(UnitVector(zeta[i], tol=norm_gate) for zeta in peel.columns)
+        out.append(CanonicalParams(vectors=vectors, chi=principal_arg(peel.residual[i], tol=tol)))
+    return out
+
+
+def _reconstruct_stack(params: Sequence[CanonicalParams],
+                       tol: Tolerances) -> list[UnitaryMatrix]:
+    """:func:`reconstruct` of each of several same-dimension parameter
+    sets, rebuilt as one stack."""
+    for p in params:
+        if p.genericity_margin <= tol.tol_generic:
+            raise NonGenericVectorError(f"genericity margin {p.genericity_margin:.3e} "
+                                        f"<= {tol.tol_generic:.3e}: coset factor undefined")
+    if not params:
+        return []
+    k, n = len(params), params[0].dim
+    out = np.zeros((k, n, n), dtype=np.complex128)
+    out.reshape(k, n * n)[:, :: n + 1] = 1.0
+    out[:, 0, 0] = np.exp(1j * np.array([p.chi for p in params]))
+    for level in reversed(list(zip(*(p.vectors for p in params)))):
+        m = level[0].dim
+        out[:, :m, :m] = _coset_apply(np.array([v.data for v in level]), out[:, :m, :m])
+    return [UnitaryMatrix(u, tol=tol.tol_unitary) for u in out]
 
 
 def split_coset(A: UnitaryMatrix, *,
@@ -208,11 +355,15 @@ def split_coset(A: UnitaryMatrix, *,
     """
     if A.n < 2:
         raise DimensionMismatchError("nothing to split below dimension 2")
-    zeta, rest, dev = _split_arrays(np.array(A.data), tol)
+    edge = np.empty((1, 2 * A.n - 1), dtype=np.complex128)
+    zeta, rest, lead, failed = _split_arrays(A.data[None], tol, edge)
+    if failed.size:
+        raise NonGenericMatrixError(A.n, float(lead[0]), tol.tol_generic)
+    dev = float(_certificate(edge, [A.n - 1])[0])
     if dev > tol.tol_unitary:
         raise NotUnitaryError(dev, tol.tol_unitary)
     norm_gate = max(tol.tol_norm, tol.tol_unitary)
-    return UnitVector(zeta, tol=norm_gate), UnitaryMatrix(rest, tol=tol.tol_unitary)
+    return UnitVector(zeta[0], tol=norm_gate), UnitaryMatrix(rest[0], tol=tol.tol_unitary)
 
 
 def decompose(A: UnitaryMatrix, *,
@@ -223,7 +374,8 @@ def decompose(A: UnitaryMatrix, *,
     residual U(1) phase chi off the remaining 1 x 1 block, which must be
     e^{i chi} within ``tol.tol_unitary`` (it is, for any certified
     input; a violation means the input's certificate lied).  Each peel
-    is a prefix-sum product, so the whole factorization is O(n^3).
+    is a prefix-sum product, so the whole factorization is O(n^3).  It
+    is the one-matrix case of the stacked tower.
 
     Raises
     ------
@@ -232,22 +384,7 @@ def decompose(A: UnitaryMatrix, *,
         has modulus <= ``tol.tol_generic``.  ``level`` on the exception
         reports m.
     """
-    work = np.array(A.data)
-    columns: list[np.ndarray] = []
-    worst = 0.0
-    for m in range(A.n, 1, -1):
-        zeta, work, dev = _split_arrays(work, tol)
-        worst = max(worst, dev)
-        columns.append(zeta)
-    residual = complex(work[0, 0])
-    worst = max(worst, abs(abs(residual) - 1.0))
-    if worst > tol.tol_unitary:
-        raise NotUnitaryError(worst, tol.tol_unitary)
-    # The certificate bounds | ||zeta|| - 1 | per level, so the norm gate passes.
-    norm_gate = max(tol.tol_norm, tol.tol_unitary)
-    vectors = tuple(UnitVector(zeta, tol=norm_gate) for zeta in columns)
-    chi = principal_arg(residual, tol=tol)
-    return CanonicalParams(vectors=vectors, chi=chi)
+    return _decompose_stack([A], tol)[0]
 
 
 def reconstruct(params: CanonicalParams, *,
@@ -260,18 +397,10 @@ def reconstruct(params: CanonicalParams, *,
     beyond column m, so each factor is a suffix-sum product on the
     leading m x m block only: O(n^3) in all.  Like
     :func:`coset_representative`, raises NonGenericVectorError when a
-    level's leading component is at or below ``tol.tol_generic``.
+    level's leading component is at or below ``tol.tol_generic``.  It is
+    the one-matrix case of the stacked tower.
     """
-    if params.genericity_margin <= tol.tol_generic:
-        raise NonGenericVectorError(f"genericity margin {params.genericity_margin:.3e} "
-                                    f"<= {tol.tol_generic:.3e}: coset factor undefined")
-    n = params.dim
-    out = np.eye(n, dtype=np.complex128)
-    out[0, 0] = np.exp(1j * params.chi)
-    for v in reversed(params.vectors):
-        m = v.dim
-        out[:m, :m] = _coset_apply(v.data, out[:m, :m])
-    return UnitaryMatrix(out, tol=tol.tol_unitary)
+    return _reconstruct_stack([params], tol)[0]
 
 
 # ---------------------------------------------------------------------------

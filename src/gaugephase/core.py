@@ -202,7 +202,7 @@ def circular_distance(a: float, b: float) -> float:
 
 def _as_complex_array(values, *, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not (np.isfinite(arr.real).all() and np.isfinite(arr.imag).all()):
         raise ValueError(f"{what} contains non-finite entries")
     return arr
 

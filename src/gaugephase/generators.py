@@ -10,10 +10,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .canonical import decompose
+from .canonical import _check_member, _peel, _stacks
 from .core import (
     DEFAULT_TOLERANCES,
     DegenerateSpectrumError,
@@ -69,22 +70,47 @@ def random_generic_unitary(n: int, seed: int, *,
     stratum is rejected and redrawn (the rejection is logged; at the
     default gate this is a measure-~1e-8 event, so in practice the first
     draw is returned).  Deterministic for fixed (n, seed) including any
-    rejections.
+    rejections.  This is the one-seed case of a batched draw that peels
+    a whole stack of candidates at once; each seed in a batch yields the
+    matrix it yields here.
     """
-    if n < 2:
+    return next(_random_generic_unitaries(n, [seed], tol))
+
+
+def _random_generic_unitaries(n: int, seeds: Sequence, tol: Tolerances
+                              ) -> Iterator[UnitaryMatrix]:
+    """:func:`random_generic_unitary` for each seed in turn, drawn in stacks.
+
+    Every seed has its own generator.  The pending candidates of a stack
+    are peeled at once, and only the rejected ones are redrawn, each from
+    its own generator, so each seed yields exactly the matrix, after
+    exactly the logged rejections, that it does alone.
+    """
+    seeds = list(seeds)
+    if seeds and n < 2:
         raise DimensionMismatchError(f"need n >= 2, got {n}")
-    rng = np.random.default_rng(seed)
-    while True:
-        candidate = UnitaryMatrix(_haar_unitary(n, rng), tol=tol.tol_unitary)
-        try:
-            decompose(candidate, tol=tol)
-        except NonGenericMatrixError as err:
-            logger.debug(
-                "rejected non-generic draw at n=%d seed=%d (level %d, |zeta_1|=%.3e)",
-                n, seed, err.level, err.magnitude,
-            )
-            continue
-        return candidate
+    for stack in _stacks(len(seeds), n):
+        rngs = [np.random.default_rng(seeds[i]) for i in stack]
+        draws: list[UnitaryMatrix | None] = [None] * len(stack)
+        pending = list(range(len(stack)))
+        while pending:
+            candidates = [UnitaryMatrix(_haar_unitary(n, rngs[j]), tol=tol.tol_unitary)
+                          for j in pending]
+            peel = _peel(np.array([c.data for c in candidates]), tol)
+            rejected = []
+            for row, (j, candidate) in enumerate(zip(pending, candidates)):
+                try:
+                    _check_member(peel, row, tol)
+                except NonGenericMatrixError as err:
+                    logger.debug(
+                        "rejected non-generic draw at n=%d seed=%s (level %d, |zeta_1|=%.3e)",
+                        n, seeds[stack[j]], err.level, err.magnitude,
+                    )
+                    rejected.append(j)
+                else:
+                    draws[j] = candidate
+            pending = rejected
+        yield from draws
 
 
 def random_unit_vector(n: int, seed_or_rng, *, min_leading: float = 0.0) -> UnitVector:

@@ -23,6 +23,9 @@ from .bargmann import (
 )
 from .canonical import (
     CanonicalParams,
+    _decompose_stack,
+    _reconstruct_stack,
+    _stacks,
     decompose,
     modulus_invariants,
     phase_invariant_list,
@@ -43,6 +46,7 @@ from .gauge import (
     verify_invariants_under_gauge,
 )
 from .generators import (
+    _random_generic_unitaries,
     frame_evolution_from_path,
     random_generic_unitary,
     random_hermitian_path,
@@ -156,16 +160,17 @@ def run_roundtrip_suite(n: int, trials: int, seed: int, *,
     """Reconstruction fidelity and parameter uniqueness over Haar draws."""
     worst_matrix = 0.0
     worst_params = 0.0
-    for t in range(trials):
-        matrix = random_generic_unitary(n, seed + t, tol=tol)
-        params = decompose(matrix, tol=tol)
-        rebuilt = reconstruct(params, tol=tol)
-        worst_matrix = max(worst_matrix, float(np.abs(rebuilt.data - matrix.data).max()))
-        again = decompose(rebuilt, tol=tol)
-        dev = abs(math.remainder(again.chi - params.chi, 2.0 * math.pi))
-        for u, v in zip(again.vectors, params.vectors):
-            dev = max(dev, float(np.abs(u.data - v.data).max()))
-        worst_params = max(worst_params, dev)
+    for stack in _stacks(trials, n):
+        matrices = list(_random_generic_unitaries(n, [seed + t for t in stack], tol))
+        params = _decompose_stack(matrices, tol)
+        rebuilt = _reconstruct_stack(params, tol)
+        again = _decompose_stack(rebuilt, tol)
+        for matrix, found, copy, found_again in zip(matrices, params, rebuilt, again):
+            worst_matrix = max(worst_matrix, float(np.abs(copy.data - matrix.data).max()))
+            dev = abs(math.remainder(found_again.chi - found.chi, 2.0 * math.pi))
+            for u, v in zip(found_again.vectors, found.vectors):
+                dev = max(dev, float(np.abs(u.data - v.data).max()))
+            worst_params = max(worst_params, dev)
     checks = (
         CheckResult("max_roundtrip_deviation", worst_matrix, 1e-10),
         CheckResult("max_parameter_uniqueness_deviation", worst_params, 1e-10),
@@ -271,9 +276,9 @@ def run_reduction_suite(n: int, trials: int, seed: int, *,
             continue  # astronomically unlikely orthogonal draw; skip
 
     worst_quad = 0.0
-    for t in range(trials):
-        first = random_generic_unitary(n, seed + 7919 + t, tol=tol)
-        second = random_generic_unitary(n, seed + 104729 + t, tol=tol)
+    firsts = _random_generic_unitaries(n, range(seed + 7919, seed + 7919 + trials), tol)
+    seconds = _random_generic_unitaries(n, range(seed + 104729, seed + 104729 + trials), tol)
+    for first, second in zip(firsts, seconds):
         ell = int(rng.integers(2, min(n, 3) + 1))
         psi_idx = list(rng.permutation(n)[:ell] + 1)
         phi_idx = list(rng.permutation(n)[:ell] + 1)
@@ -288,8 +293,8 @@ def run_reduction_suite(n: int, trials: int, seed: int, *,
 
     worst_split = 0.0
     worst_rectangle = 0.0
-    for t in range(trials):
-        matrix = random_generic_unitary(n, seed + 15485863 + t, tol=tol)
+    for matrix in _random_generic_unitaries(
+            n, range(seed + 15485863, seed + 15485863 + trials), tol):
         grid = delta4_grid(matrix)
         if n >= 3:
             j, l = sorted(rng.choice(n, size=2, replace=False) + 1)
@@ -369,6 +374,8 @@ def run_suite(suite: str, n: int, trials: int, seed: int, *,
     """Dispatch a named suite with uniform arguments."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     if suite in ("gauge", "offdiag"):
         return SUITES[suite](n, trials, seed, quadrature=quadrature, tol=tol)
     return SUITES[suite](n, trials, seed, tol=tol)

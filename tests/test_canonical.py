@@ -24,6 +24,7 @@ from gaugephase import (
     reconstruct,
     split_coset,
 )
+from gaugephase.canonical import _decompose_stack, _peel, _reconstruct_stack, _row_norms
 
 from oracles import coset_by_orthogonality, peel_by_dense_product
 
@@ -364,6 +365,91 @@ class TestInvariantContent:
                 expected.append(complex(u.data[j]) * complex(u.data[j + 1]).conjugate()
                                 * complex(v.data[j + 1]).conjugate() * complex(v.data[j + 2]))
         np.testing.assert_allclose(phase_invariant_list(p), expected, rtol=1e-15, atol=0.0)
+
+
+class TestStackedTower:
+    """A stack of k matrices goes through the tower as k separate matrices would."""
+
+    def test_a_stack_peels_each_member_as_it_peels_alone(self):
+        matrices = [random_generic_unitary(12, seed) for seed in range(60, 68)]
+        stacked = _peel(np.array([a.data for a in matrices]), Tolerances())
+        for i, a in enumerate(matrices):
+            alone = _peel(a.data[None], Tolerances())
+            assert all(np.array_equal(level[i], column[0])
+                       for level, column in zip(stacked.columns, alone.columns))
+            assert stacked.residual[i] == alone.residual[0]
+            assert stacked.worst[i] == alone.worst[0]
+            columns, residual, worst = peel_by_dense_product(a.data)
+            for level, zeta in zip(stacked.columns, columns):
+                np.testing.assert_allclose(level[i], zeta, rtol=0.0, atol=1e-12)
+            assert abs(stacked.residual[i] - residual) <= 1e-12
+            assert abs(stacked.worst[i] - worst) <= 1e-12
+        for p, a in zip(_decompose_stack(matrices, Tolerances()), matrices):
+            q = decompose(a)
+            assert p.chi == q.chi
+            assert all(np.array_equal(u.data, v.data) for u, v in zip(p.vectors, q.vectors))
+
+    @pytest.mark.parametrize("m", [2, 3, 12, 32, 256])
+    def test_the_stacked_norm_is_numpys_norm_bit_for_bit(self, m):
+        rng = np.random.default_rng(m)
+        z = rng.standard_normal((40, m)) + 1j * rng.standard_normal((40, m))
+        z *= np.exp(rng.uniform(-30.0, 30.0, (40, 1)))
+        norms = _row_norms(z)
+        assert norms.shape == (40, 1)
+        assert np.array_equal(norms[:, 0], [np.linalg.norm(row) for row in z])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("member, level", [
+        (lambda: UnitaryMatrix(np.eye(9, dtype=complex)), 9),
+        (lambda: _with_tiny_leading_component_at_dimension_7(), 7),
+    ], ids=["exact_zero_at_level_9", "1e-13_at_level_7"])
+    def test_a_non_generic_member_raises_its_own_level_and_magnitude(self, member, level):
+        bad = member()
+        with pytest.raises(NonGenericMatrixError) as alone:
+            decompose(bad)
+        matrices = [random_generic_unitary(9, seed) for seed in (70, 71, 72)]
+        matrices.insert(2, bad)
+        with pytest.raises(NonGenericMatrixError) as stacked:
+            _decompose_stack(matrices, Tolerances())
+        assert alone.value.level == stacked.value.level == level
+        assert alone.value.magnitude == stacked.value.magnitude <= 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_stack_raises_the_error_a_loop_of_decompose_calls_raises_first(self):
+        a = random_generic_unitary(6, 74).data
+        rng = np.random.default_rng(75)
+        noise = 1e-8 * (rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape))
+        not_unitary = UnitaryMatrix(a + noise, tol=1e-6)
+        # Non-generic and off its certificate at once: non-genericity wins.
+        both = UnitaryMatrix(np.eye(6) + 1e-3 * noise, tol=1e-6)
+        good = random_generic_unitary(6, 76)
+        with pytest.raises(NotUnitaryError):
+            decompose(not_unitary)
+        with pytest.raises(NonGenericMatrixError):
+            decompose(both)
+        with pytest.raises(NotUnitaryError):
+            _decompose_stack([good, not_unitary, both], Tolerances())
+        with pytest.raises(NonGenericMatrixError) as exc:
+            _decompose_stack([good, both, not_unitary], Tolerances())
+        assert exc.value.level == 6
+
+    def test_stacked_reconstruct_is_reconstruct_bit_for_bit(self):
+        params = [decompose(random_generic_unitary(10, seed)) for seed in range(90, 96)]
+        rebuilt = _reconstruct_stack(params, Tolerances())
+        for p, u in zip(params, rebuilt):
+            assert np.array_equal(u.data, reconstruct(p).data)
+
+    def test_empty_stacks_give_empty_lists(self):
+        assert _decompose_stack([], Tolerances()) == []
+        assert _reconstruct_stack([], Tolerances()) == []
+
+
+def _with_tiny_leading_component_at_dimension_7():
+    rng = np.random.default_rng(46)
+    vectors = [random_unit_vector(m, rng, min_leading=0.2) for m in range(9, 1, -1)]
+    vectors[2] = UnitVector(np.concatenate(([1e-13], random_unit_vector(6, rng).data)))
+    return reconstruct(CanonicalParams(vectors=tuple(vectors), chi=0.3),
+                       tol=Tolerances(tol_generic=1e-14))
 
 
 def _params_with_leading(lead):

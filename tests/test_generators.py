@@ -11,6 +11,7 @@ from gaugephase import (
     DimensionMismatchError,
     HermitianPath,
     SmoothCoefficient,
+    Tolerances,
     decompose,
     engineered_swap_evolution,
     frame_evolution_from_path,
@@ -19,6 +20,10 @@ from gaugephase import (
     random_smooth_phases,
     random_unit_vector,
 )
+from gaugephase.canonical import _stacks
+from gaugephase.generators import _haar_unitary, _random_generic_unitaries
+
+from oracles import peel_by_dense_product
 
 
 class TestRandomGenericUnitary:
@@ -51,6 +56,44 @@ class TestRandomGenericUnitary:
                 random_generic_unitary(3, seed)
         rejections = [r for r in caplog.records if "rejected" in r.message]
         assert rejections == []
+
+    def test_batched_draw_matches_a_sequential_loop_through_rejections(self, caplog):
+        # At a genericity gate of 0.2 about a quarter of n = 4 Haar draws are
+        # rejected.  The loop below decides genericity with the dense oracle.
+        gate = 0.2
+        seeds = list(range(200, 260))
+        expected, rejections = [], 0
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            while True:
+                candidate = _haar_unitary(4, rng)
+                columns, _, _ = peel_by_dense_product(candidate)
+                if min(abs(zeta[0]) for zeta in columns) > gate:
+                    break
+                rejections += 1
+            expected.append(candidate)
+        share = rejections / (rejections + len(seeds))
+        assert 0.1 < share < 0.4
+        with caplog.at_level(logging.DEBUG, logger="gaugephase.generators"):
+            drawn = list(_random_generic_unitaries(4, seeds, Tolerances(tol_generic=gate)))
+        logged = [r for r in caplog.records if "rejected" in r.message]
+        assert len(logged) == rejections
+        assert len(drawn) == len(seeds)
+        assert all(np.array_equal(d.data, e) for d, e in zip(drawn, expected))
+        one = random_generic_unitary(4, seeds[0], tol=Tolerances(tol_generic=gate))
+        assert np.array_equal(one.data, expected[0])
+
+    def test_a_batch_split_into_several_stacks_draws_each_seed_alone(self):
+        seeds = [5, 6, 7, 8, 9]  # at n = 64 a stack holds four matrices
+        assert [len(stack) for stack in _stacks(len(seeds), 64)] == [4, 1]
+        drawn = list(_random_generic_unitaries(64, seeds, Tolerances()))
+        for seed, matrix in zip(seeds, drawn):
+            assert np.array_equal(matrix.data, random_generic_unitary(64, seed).data)
+
+    def test_an_empty_batch_draws_nothing_at_any_size(self):
+        assert list(_random_generic_unitaries(1, [], Tolerances())) == []
+        with pytest.raises(DimensionMismatchError):
+            list(_random_generic_unitaries(1, [0], Tolerances()))
 
 
 class TestRandomUnitVector:

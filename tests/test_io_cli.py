@@ -25,7 +25,7 @@ from gaugephase import (
 )
 from gaugephase.cli import main
 from gaugephase.io import _BLOCK
-from gaugephase.verification import SUITES
+from gaugephase.verification import SUITES, run_suite
 
 
 class TestFileGrammar:
@@ -395,8 +395,11 @@ def _near_orthogonal_step_file(tmp_path) -> str:
     (lambda tmp, swap: ["verify", "--suite", "gauge", "--n", "1"], "need n >= 2"),
     (lambda tmp, swap: ["phases", _near_orthogonal_step_file(tmp), "--min-overlap", "0"],
      "under-resolved"),
+    *[(lambda tmp, swap, suite=suite: ["verify", "--suite", suite, "--trials", "-3"],
+       "trials must be >= 0, got -3") for suite in sorted(SUITES)],
 ], ids=["phases_under_resolved", "offdiag_under_resolved", "non_increasing_grid",
-        "zero_tol_generic", "verify_n_1", "near_orthogonal_step_at_min_overlap_0"])
+        "zero_tol_generic", "verify_n_1", "near_orthogonal_step_at_min_overlap_0",
+        *[f"verify_negative_trials_{suite}" for suite in sorted(SUITES)]])
 def test_invalid_input_exits_two(argv, message, tmp_path, swap_file, capsys):
     assert main(argv(tmp_path, swap_file)) == 2
     captured = capsys.readouterr()
@@ -457,6 +460,34 @@ class TestCliVerify:
         assert doc["pass"] is False
         compared = {c["name"]: c for c in doc["checks"]}["compared_index_sets"]
         assert compared["measured"] == 0.0 and compared["pass"] is False
+
+    @pytest.mark.parametrize("suite, n, passed, trial_checks", [
+        ("counting", 5, True, ()),
+        ("roundtrip", 5, True, ("max_roundtrip_deviation",
+                                "max_parameter_uniqueness_deviation")),
+        ("reduction", 5, True, ("max_triangle_fan_residual", "max_quad_fan_residual",
+                                "max_recursion_split_residual",
+                                "max_rectangle_reduction_residual")),
+        ("gauge", 4, True, ("max_entry_modulus_drift", "max_modulus_invariant_drift",
+                            "max_delta4_drift", "max_phase_invariant_drift",
+                            "max_peeling_vector_deviation",
+                            "max_peeling_remainder_deviation")),
+        ("offdiag", 3, False, ("max_identity_residual", "max_gamma_modulus_deviation",
+                               "compared_index_sets")),
+    ])
+    def test_zero_trials_read_zero_on_every_trial_driven_check(self, suite, n, passed,
+                                                               trial_checks):
+        """--trials 0 draws nothing: each check fed by trials reads exactly 0,
+        and every other check reads what it reads with one trial."""
+        zero = run_suite(suite, n, 0, 3).as_dict()
+        one = run_suite(suite, n, 1, 3).as_dict()
+        assert (zero["trials"], zero["pass"]) == (0, passed)
+        assert [c["name"] for c in zero["checks"]] == [c["name"] for c in one["checks"]]
+        for check, reference in zip(zero["checks"], one["checks"]):
+            expected = 0.0 if check["name"] in trial_checks else reference["measured"]
+            assert check["measured"] == expected
+            assert (check["threshold"], check["kind"]) == (reference["threshold"],
+                                                          reference["kind"])
 
     @pytest.mark.parametrize("suite", sorted(SUITES))
     def test_every_suite_runs_at_the_command_line_tolerances(self, suite, monkeypatch, capsys):

@@ -40,19 +40,21 @@ The tower works on stacks.  Each level peels, rebuilds or certifies k
 same-size blocks, shape (k, m, m), with one set of array operations, and
 ``decompose``, ``split_coset`` and ``reconstruct`` are the k = 1 case.
 Callers with many matrices of one size (the batched Haar draw, the
-roundtrip, reduction and gauge checks) hand over whole stacks of at most
-``_STACK_ENTRIES`` matrix entries each, or of one matrix.  Each member
-keeps every check of its own: the genericity gate at each level before
-that level is used, the certificate on the full peeled last row and
-column and on the final 1 x 1 entry, and the error ``decompose`` would
-raise for it alone, non-genericity first.  A non-generic member is
-peeled on by F(e_1), so it makes no warning and disturbs no other member.
+roundtrip, reduction and gauge checks) hand over streams of them, which
+are cut here into stacks of at most ``_STACK_ENTRIES`` matrix entries
+each.  Each member keeps every check of its own: the genericity gate at
+each level before that level is used, the certificate on the full peeled
+last row and column and on the final 1 x 1 entry, and the error
+``decompose`` would raise for it alone, non-genericity first.  A
+non-generic member is peeled on by F(e_1), so it makes no warning and
+disturbs no other member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -158,16 +160,21 @@ def _coset_adjoint_apply(zeta: np.ndarray, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _coset_apply(zeta: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """F(zeta_i) b_i for each member of a stack, by suffix sums:
-    ``zeta`` is (k, m), ``b`` is (k, m, m), O(k m^2) in all."""
+def _coset_apply(zeta: np.ndarray, b: np.ndarray) -> None:
+    """Overwrite each member b_i of a stack with F(zeta_i) b_i, by suffix
+    sums: ``zeta`` is (k, m), ``b`` is (k, m, m), O(k m^2) in all.  The
+    sums run in a fresh contiguous array, which is faster than in a
+    strided ``b``."""
     g, sub = _coset_weights(zeta)
-    weighted = b.astype(np.complex128)
-    top = weighted[:, :-1]  # g_{m-1} = 1 leaves the last row as it is
-    np.multiply(g.conj()[:, :, None], top, out=top)
-    out = zeta[:, :, None] * weighted[:, ::-1].cumsum(axis=1)[:, ::-1]
+    out = np.empty(b.shape, dtype=np.complex128)
+    top = out[:, :-1]
+    np.multiply(g.conj()[:, :, None], b[:, :-1], out=top)
+    out[:, -1] = b[:, -1]  # g_{m-1} = 1
+    suffix = out[:, ::-1]
+    suffix.cumsum(axis=1, out=suffix)
+    np.multiply(zeta[:, :, None], out, out=out)
     out[:, 1:] += sub[:, :, None] * b[:, :-1]
-    return out
+    b[...] = out
 
 
 def coset_representative(zeta: UnitVector, *,
@@ -189,7 +196,8 @@ def coset_representative(zeta: UnitVector, *,
         raise NonGenericVectorError(
             f"|zeta_1| = {lead:.3e} <= {tol.tol_generic:.3e}: coset representative undefined"
         )
-    rep = _coset_apply(zeta.data[None], np.eye(zeta.dim)[None])[0]
+    rep = np.eye(zeta.dim, dtype=np.complex128)
+    _coset_apply(zeta.data[None], rep[None])
     return UnitaryMatrix(rep, tol=tol.tol_unitary)
 
 
@@ -244,34 +252,37 @@ def _certificate(edges: np.ndarray, corners: list[int]) -> np.ndarray:
 
 
 class _Peel(NamedTuple):
-    """A stack of k matrices peeled down to 1 x 1 blocks.
+    """A stack of k matrices with some or all of their coset factors peeled.
 
-    ``columns`` holds each level's raw columns, a (k, m) array per level
-    from m = n down to 2; ``residual`` the final 1 x 1 entries; ``worst``
-    each member's certificate, the largest deviation of a peeled last row
-    or column from e_m, or of |residual| from 1; ``failures`` maps each
-    member that hit the non-generic stratum to its first such level and
-    |zeta_1| there.
+    ``columns`` holds each peeled level's raw columns, a (k, m) array per
+    level from m = n down; ``remainder`` the (k, m, m) blocks left, 1 x 1
+    after the whole tower; ``worst`` each member's certificate, the
+    largest deviation of a peeled last row or column from e_m, and after
+    the whole tower of |final entry| from 1; ``failures`` maps each member
+    that hit the non-generic stratum to its first such level and |zeta_1|
+    there.
     """
 
     columns: list[np.ndarray]
-    residual: np.ndarray
+    remainder: np.ndarray
     worst: np.ndarray
     failures: dict[int, tuple[int, float]]
 
 
-def _peel(a: np.ndarray, tol: Tolerances) -> _Peel:
-    """Peel every member of a (k, n, n) stack, one set of array calls per level.
+def _peel(a: np.ndarray, tol: Tolerances, levels: int | None = None) -> _Peel:
+    """Peel ``levels`` coset factors, all n - 1 by default, off every member
+    of a (k, n, n) stack, one set of array calls per level.
 
     Raises nothing: :func:`_check_member` reads a member's error.
     """
     k, n = a.shape[0], a.shape[-1]
+    last = 1 if levels is None else n - levels
     work = a
     columns: list[np.ndarray] = []
-    edges = np.empty((k, n * n - 1), dtype=np.complex128)  # sum of 2m - 1 over m = 2..n
+    edges = np.empty((k, n * n - last * last), dtype=np.complex128)  # 2m - 1 per level m
     corners: list[int] = []
     failures: dict[int, tuple[int, float]] = {}
-    for m in range(n, 1, -1):
+    for m in range(n, last, -1):
         start = n * n - m * m
         zeta, work, lead, failed = _split_arrays(work, tol, edges[:, start:start + 2 * m - 1])
         if failed.size:
@@ -279,11 +290,11 @@ def _peel(a: np.ndarray, tol: Tolerances) -> _Peel:
                 failures.setdefault(i, (m, float(lead[i])))
         columns.append(zeta)
         corners.append(start + m - 1)
-    residual = work[:, 0, 0]
-    worst = np.abs(np.hypot(residual.real, residual.imag) - 1.0)
-    if corners:
-        np.maximum(_certificate(edges, corners), worst, out=worst)
-    return _Peel(columns, residual, worst, failures)
+    worst = _certificate(edges, corners) if corners else np.zeros(k)
+    if levels is None:
+        residual = work[:, 0, 0]
+        np.maximum(worst, np.abs(np.hypot(residual.real, residual.imag) - 1.0), out=worst)
+    return _Peel(columns, work, worst, failures)
 
 
 def _check_member(peel: _Peel, i: int, tol: Tolerances) -> None:
@@ -299,51 +310,109 @@ def _check_member(peel: _Peel, i: int, tol: Tolerances) -> None:
 
 _STACK_ENTRIES = 1 << 14  # entries per stack: 256 kB per complex working array
 
+T = TypeVar("T")
 
-def _stacks(count: int, n: int) -> list[range]:
-    """Consecutive ranges that split ``count`` same-size n x n matrices
-    into stacks of at most ``_STACK_ENTRIES`` entries (one matrix at least)."""
-    size = max(1, _STACK_ENTRIES // max(1, n * n))
-    return [range(start, min(start + size, count)) for start in range(0, count, size)]
+
+def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Same-shape arrays stacked on a new leading axis; a lone array is
+    viewed, not copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+def _stacks(items: Iterable[T], dim: Callable[[T], int]) -> Iterator[list[T]]:
+    """Consecutive lists of ``items``, each of at most ``_STACK_ENTRIES``
+    matrix entries (one item at least); ``dim`` gives an item's size n."""
+    it = iter(items)
+    for first in it:
+        yield [first, *islice(it, max(1, _STACK_ENTRIES // dim(first) ** 2) - 1)]
 
 
 def _decompose_stack(matrices: Sequence[UnitaryMatrix],
                      tol: Tolerances) -> list[CanonicalParams]:
-    """:func:`decompose` of each of several same-size matrices, peeled
-    as one stack.  Raises the error of the first matrix that has one, as
-    a loop of :func:`decompose` calls would.
-    """
-    if not matrices:
-        return []
-    peel = _peel(np.array([A.data for A in matrices]), tol)
+    """:func:`decompose` of each of k >= 1 same-size matrices, peeled as
+    one stack.  Raises the error of the first member that has one, as a
+    loop of :func:`decompose` calls would."""
+    peel = _peel(_stack([A.data for A in matrices]), tol)
     # The certificate bounds | ||zeta|| - 1 | per level, so the norm gate passes.
     norm_gate = max(tol.tol_norm, tol.tol_unitary)
     out = []
     for i in range(len(matrices)):
         _check_member(peel, i, tol)
         vectors = tuple(UnitVector(zeta[i], tol=norm_gate) for zeta in peel.columns)
-        out.append(CanonicalParams(vectors=vectors, chi=principal_arg(peel.residual[i], tol=tol)))
+        out.append(CanonicalParams(vectors=vectors,
+                                   chi=principal_arg(peel.remainder[i, 0, 0], tol=tol)))
     return out
 
 
 def _reconstruct_stack(params: Sequence[CanonicalParams],
                        tol: Tolerances) -> list[UnitaryMatrix]:
-    """:func:`reconstruct` of each of several same-dimension parameter
-    sets, rebuilt as one stack."""
-    for p in params:
-        if p.genericity_margin <= tol.tol_generic:
-            raise NonGenericVectorError(f"genericity margin {p.genericity_margin:.3e} "
-                                        f"<= {tol.tol_generic:.3e}: coset factor undefined")
-    if not params:
-        return []
-    k, n = len(params), params[0].dim
+    """:func:`reconstruct` of each of k >= 1 same-dimension parameter sets,
+    rebuilt as one stack.  Raises the error of the first member that has
+    one, as a loop of :func:`reconstruct` calls would: the members before
+    a non-generic one are rebuilt and certified before its error."""
+    k = 0
+    while k < len(params) and params[k].genericity_margin > tol.tol_generic:
+        k += 1
+    n = params[0].dim
     out = np.zeros((k, n, n), dtype=np.complex128)
     out.reshape(k, n * n)[:, :: n + 1] = 1.0
-    out[:, 0, 0] = np.exp(1j * np.array([p.chi for p in params]))
-    for level in reversed(list(zip(*(p.vectors for p in params)))):
-        m = level[0].dim
-        out[:, :m, :m] = _coset_apply(np.array([v.data for v in level]), out[:, :m, :m])
-    return [UnitaryMatrix(u, tol=tol.tol_unitary) for u in out]
+    out[:, 0, 0] = [np.exp(1j * p.chi) for p in params[:k]]
+    for level in reversed(list(zip(*([v.data for v in p.vectors] for p in params[:k])))):
+        m = level[0].shape[0]
+        _coset_apply(_stack(level), out[:, :m, :m])
+    rebuilt = [UnitaryMatrix(u, tol=tol.tol_unitary) for u in out]
+    if k < len(params):
+        margin = params[k].genericity_margin
+        raise NonGenericVectorError(f"genericity margin {margin:.3e} "
+                                    f"<= {tol.tol_generic:.3e}: coset factor undefined")
+    return rebuilt
+
+
+def _decompose_all(matrices: Iterable[UnitaryMatrix],
+                   tol: Tolerances) -> Iterator[CanonicalParams]:
+    """:func:`decompose` of each of any number of same-size matrices in
+    turn, a stack at a time.  A whole stack is taken from ``matrices``
+    before any of it is peeled, so an error raised in making a later
+    member of a stack comes before the errors of the earlier ones."""
+    for stack in _stacks(matrices, lambda A: A.n):
+        yield from _decompose_stack(stack, tol)
+
+
+def _reconstruct_all(params: Iterable[CanonicalParams],
+                     tol: Tolerances) -> Iterator[UnitaryMatrix]:
+    """:func:`reconstruct` of each of any number of same-dimension
+    parameter sets in turn, a stack at a time."""
+    for stack in _stacks(params, lambda p: p.dim):
+        yield from _reconstruct_stack(stack, tol)
+
+
+def _nongeneric_errors(matrices: Sequence[UnitaryMatrix],
+                       tol: Tolerances) -> list[NonGenericMatrixError | None]:
+    """The NonGenericMatrixError :func:`decompose` raises for each of several
+    same-size matrices, or None where it raises none; any other error is
+    raised, the first member's first.
+
+    Several matrices are peeled as one stack.  A lone one goes through
+    :func:`decompose` itself, so a one-seed Haar draw makes exactly one
+    ``decompose`` call per candidate, the count the bench's
+    ``generators.draw_accept_ratio`` divides by.
+    """
+    if len(matrices) == 1:
+        try:
+            decompose(matrices[0], tol=tol)
+        except NonGenericMatrixError as err:
+            return [err]
+        return [None]
+    peel = _peel(_stack([A.data for A in matrices]), tol)
+    errors: list[NonGenericMatrixError | None] = []
+    for i in range(len(matrices)):
+        try:
+            _check_member(peel, i, tol)
+        except NonGenericMatrixError as err:
+            errors.append(err)
+        else:
+            errors.append(None)
+    return errors
 
 
 def split_coset(A: UnitaryMatrix, *,
@@ -355,15 +424,11 @@ def split_coset(A: UnitaryMatrix, *,
     """
     if A.n < 2:
         raise DimensionMismatchError("nothing to split below dimension 2")
-    edge = np.empty((1, 2 * A.n - 1), dtype=np.complex128)
-    zeta, rest, lead, failed = _split_arrays(A.data[None], tol, edge)
-    if failed.size:
-        raise NonGenericMatrixError(A.n, float(lead[0]), tol.tol_generic)
-    dev = float(_certificate(edge, [A.n - 1])[0])
-    if dev > tol.tol_unitary:
-        raise NotUnitaryError(dev, tol.tol_unitary)
+    peel = _peel(A.data[None], tol, levels=1)
+    _check_member(peel, 0, tol)
     norm_gate = max(tol.tol_norm, tol.tol_unitary)
-    return UnitVector(zeta[0], tol=norm_gate), UnitaryMatrix(rest[0], tol=tol.tol_unitary)
+    return (UnitVector(peel.columns[0][0], tol=norm_gate),
+            UnitaryMatrix(peel.remainder[0], tol=tol.tol_unitary))
 
 
 def decompose(A: UnitaryMatrix, *,

@@ -26,13 +26,13 @@ GridMismatchError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import tee
 
 import numpy as np
 
 from .bargmann import delta4_grid
 from .canonical import (
-    _decompose_stack,
-    _stacks,
+    _decompose_all,
     decompose,
     modulus_invariants,
     phase_invariant_list,
@@ -204,25 +204,24 @@ def verify_invariants_under_gauge(A: UnitaryMatrix, *, trials: int = 200,
     base_phase_inv = np.array(phase_invariant_list(base_params, tol=tol))
 
     dev_entry = dev_modinv = dev_delta = dev_phase = 0.0
-    for stack in _stacks(trials, A.n):
-        transformed = [
-            gauge_transform_matrix(A, rng.uniform(-np.pi, np.pi, A.n),
-                                   rng.uniform(-np.pi, np.pi, A.n), tol=tol)
-            for _ in stack
-        ]
-        for matrix, params in zip(transformed, _decompose_stack(transformed, tol)):
-            dev_entry = max(dev_entry, float(np.abs(np.abs(matrix.data) - base_moduli).max()))
-            dev_delta = max(dev_delta, float(np.abs(delta4_grid(matrix) - base_grid).max()))
-            dev_modinv = max(
-                dev_modinv,
-                float(np.abs(np.array(modulus_invariants(params)) - base_mod_inv).max()),
+    transformed, to_peel = tee(
+        gauge_transform_matrix(A, rng.uniform(-np.pi, np.pi, A.n),
+                               rng.uniform(-np.pi, np.pi, A.n), tol=tol)
+        for _ in range(trials)
+    )
+    for matrix, params in zip(transformed, _decompose_all(to_peel, tol)):
+        dev_entry = max(dev_entry, float(np.abs(np.abs(matrix.data) - base_moduli).max()))
+        dev_delta = max(dev_delta, float(np.abs(delta4_grid(matrix) - base_grid).max()))
+        dev_modinv = max(
+            dev_modinv,
+            float(np.abs(np.array(modulus_invariants(params)) - base_mod_inv).max()),
+        )
+        if base_phase_inv.size:
+            dev_phase = max(
+                dev_phase,
+                float(np.abs(np.array(phase_invariant_list(params, tol=tol))
+                             - base_phase_inv).max()),
             )
-            if base_phase_inv.size:
-                dev_phase = max(
-                    dev_phase,
-                    float(np.abs(np.array(phase_invariant_list(params, tol=tol))
-                                 - base_phase_inv).max()),
-                )
 
     return GaugeInvarianceReport(
         n=A.n,

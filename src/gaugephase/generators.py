@@ -10,16 +10,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .canonical import _check_member, _peel, _stacks
+from .canonical import _nongeneric_errors, _stacks
 from .core import (
     DEFAULT_TOLERANCES,
     DegenerateSpectrumError,
     DimensionMismatchError,
-    NonGenericMatrixError,
     Tolerances,
     UnitaryMatrix,
     UnitVector,
@@ -72,12 +71,13 @@ def random_generic_unitary(n: int, seed: int, *,
     draw is returned).  Deterministic for fixed (n, seed) including any
     rejections.  This is the one-seed case of a batched draw that peels
     a whole stack of candidates at once; each seed in a batch yields the
-    matrix it yields here.
+    matrix it yields here.  Alone, each candidate is judged by one
+    :func:`~gaugephase.canonical.decompose` call.
     """
     return next(_random_generic_unitaries(n, [seed], tol))
 
 
-def _random_generic_unitaries(n: int, seeds: Sequence, tol: Tolerances
+def _random_generic_unitaries(n: int, seeds: Iterable, tol: Tolerances
                               ) -> Iterator[UnitaryMatrix]:
     """:func:`random_generic_unitary` for each seed in turn, drawn in stacks.
 
@@ -89,26 +89,24 @@ def _random_generic_unitaries(n: int, seeds: Sequence, tol: Tolerances
     seeds = list(seeds)
     if seeds and n < 2:
         raise DimensionMismatchError(f"need n >= 2, got {n}")
-    for stack in _stacks(len(seeds), n):
-        rngs = [np.random.default_rng(seeds[i]) for i in stack]
+    for stack in _stacks(seeds, lambda seed: n):
+        rngs = [np.random.default_rng(seed) for seed in stack]
         draws: list[UnitaryMatrix | None] = [None] * len(stack)
         pending = list(range(len(stack)))
         while pending:
             candidates = [UnitaryMatrix(_haar_unitary(n, rngs[j]), tol=tol.tol_unitary)
                           for j in pending]
-            peel = _peel(np.array([c.data for c in candidates]), tol)
             rejected = []
-            for row, (j, candidate) in enumerate(zip(pending, candidates)):
-                try:
-                    _check_member(peel, row, tol)
-                except NonGenericMatrixError as err:
-                    logger.debug(
-                        "rejected non-generic draw at n=%d seed=%s (level %d, |zeta_1|=%.3e)",
-                        n, seeds[stack[j]], err.level, err.magnitude,
-                    )
-                    rejected.append(j)
-                else:
+            for j, candidate, err in zip(pending, candidates,
+                                         _nongeneric_errors(candidates, tol)):
+                if err is None:
                     draws[j] = candidate
+                    continue
+                logger.debug(
+                    "rejected non-generic draw at n=%d seed=%s (level %d, |zeta_1|=%.3e)",
+                    n, stack[j], err.level, err.magnitude,
+                )
+                rejected.append(j)
             pending = rejected
         yield from draws
 

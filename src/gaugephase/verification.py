@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, tee
 
 import numpy as np
 
@@ -23,9 +23,8 @@ from .bargmann import (
 )
 from .canonical import (
     CanonicalParams,
-    _decompose_stack,
-    _reconstruct_stack,
-    _stacks,
+    _decompose_all,
+    _reconstruct_all,
     decompose,
     modulus_invariants,
     phase_invariant_list,
@@ -160,17 +159,16 @@ def run_roundtrip_suite(n: int, trials: int, seed: int, *,
     """Reconstruction fidelity and parameter uniqueness over Haar draws."""
     worst_matrix = 0.0
     worst_params = 0.0
-    for stack in _stacks(trials, n):
-        matrices = list(_random_generic_unitaries(n, [seed + t for t in stack], tol))
-        params = _decompose_stack(matrices, tol)
-        rebuilt = _reconstruct_stack(params, tol)
-        again = _decompose_stack(rebuilt, tol)
-        for matrix, found, copy, found_again in zip(matrices, params, rebuilt, again):
-            worst_matrix = max(worst_matrix, float(np.abs(copy.data - matrix.data).max()))
-            dev = abs(math.remainder(found_again.chi - found.chi, 2.0 * math.pi))
-            for u, v in zip(found_again.vectors, found.vectors):
-                dev = max(dev, float(np.abs(u.data - v.data).max()))
-            worst_params = max(worst_params, dev)
+    matrices, to_peel = tee(_random_generic_unitaries(n, range(seed, seed + trials), tol))
+    params, to_rebuild = tee(_decompose_all(to_peel, tol))
+    rebuilt, to_peel_again = tee(_reconstruct_all(to_rebuild, tol))
+    again = _decompose_all(to_peel_again, tol)
+    for matrix, found, copy, found_again in zip(matrices, params, rebuilt, again):
+        worst_matrix = max(worst_matrix, float(np.abs(copy.data - matrix.data).max()))
+        dev = abs(math.remainder(found_again.chi - found.chi, 2.0 * math.pi))
+        for u, v in zip(found_again.vectors, found.vectors):
+            dev = max(dev, float(np.abs(u.data - v.data).max()))
+        worst_params = max(worst_params, dev)
     checks = (
         CheckResult("max_roundtrip_deviation", worst_matrix, 1e-10),
         CheckResult("max_parameter_uniqueness_deviation", worst_params, 1e-10),

@@ -24,7 +24,16 @@ from gaugephase import (
     reconstruct,
     split_coset,
 )
-from gaugephase.canonical import _decompose_stack, _peel, _reconstruct_stack, _row_norms
+from gaugephase.canonical import (
+    _STACK_ENTRIES,
+    _decompose_all,
+    _decompose_stack,
+    _peel,
+    _reconstruct_all,
+    _reconstruct_stack,
+    _row_norms,
+    _stacks,
+)
 
 from oracles import coset_by_orthogonality, peel_by_dense_product
 
@@ -377,12 +386,12 @@ class TestStackedTower:
             alone = _peel(a.data[None], Tolerances())
             assert all(np.array_equal(level[i], column[0])
                        for level, column in zip(stacked.columns, alone.columns))
-            assert stacked.residual[i] == alone.residual[0]
+            assert stacked.remainder[i, 0, 0] == alone.remainder[0, 0, 0]
             assert stacked.worst[i] == alone.worst[0]
             columns, residual, worst = peel_by_dense_product(a.data)
             for level, zeta in zip(stacked.columns, columns):
                 np.testing.assert_allclose(level[i], zeta, rtol=0.0, atol=1e-12)
-            assert abs(stacked.residual[i] - residual) <= 1e-12
+            assert abs(stacked.remainder[i, 0, 0] - residual) <= 1e-12
             assert abs(stacked.worst[i] - worst) <= 1e-12
         for p, a in zip(_decompose_stack(matrices, Tolerances()), matrices):
             q = decompose(a)
@@ -436,12 +445,54 @@ class TestStackedTower:
     def test_stacked_reconstruct_is_reconstruct_bit_for_bit(self):
         params = [decompose(random_generic_unitary(10, seed)) for seed in range(90, 96)]
         rebuilt = _reconstruct_stack(params, Tolerances())
+        assert len(rebuilt) == len(params)
         for p, u in zip(params, rebuilt):
             assert np.array_equal(u.data, reconstruct(p).data)
 
-    def test_empty_stacks_give_empty_lists(self):
-        assert _decompose_stack([], Tolerances()) == []
-        assert _reconstruct_stack([], Tolerances()) == []
+    def test_stacked_reconstruct_raises_the_error_a_loop_of_reconstruct_calls_raises_first(self):
+        tight = Tolerances(tol_unitary=1e-17)
+        generic = decompose(random_generic_unitary(5, 97))
+        vectors = list(decompose(random_generic_unitary(5, 98)).vectors)
+        vectors[1] = UnitVector(np.array([0.0, 0.6, 0.0, 0.8], dtype=complex))
+        non_generic = CanonicalParams(vectors=tuple(vectors), chi=0.3)
+        with pytest.raises(NotUnitaryError):
+            reconstruct(generic, tol=tight)
+        with pytest.raises(NonGenericVectorError):
+            reconstruct(non_generic, tol=tight)
+        with pytest.raises(NotUnitaryError):
+            _reconstruct_stack([generic, non_generic], tight)
+        with pytest.raises(NonGenericVectorError):
+            _reconstruct_stack([non_generic, generic], tight)
+        # A stream yields the stacks before the one with the non-generic member.
+        per_stack = _STACK_ENTRIES // 25
+        rebuilt = _reconstruct_all([generic] * per_stack + [non_generic], Tolerances())
+        for _ in range(per_stack):
+            assert np.array_equal(next(rebuilt).data, reconstruct(generic).data)
+        with pytest.raises(NonGenericVectorError):
+            next(rebuilt)
+
+    def test_split_coset_takes_the_stacked_peel_one_level_deep(self):
+        a = random_generic_unitary(7, 99)
+        zeta, rest = split_coset(a)
+        peel = _peel(a.data[None], Tolerances())
+        assert np.array_equal(zeta.data, peel.columns[0][0])
+        assert np.array_equal(decompose(rest).vectors[0].data, peel.columns[1][0])
+        with pytest.raises(NonGenericMatrixError) as exc:
+            split_coset(UnitaryMatrix(np.eye(7, dtype=complex)))
+        assert (exc.value.level, exc.value.magnitude) == (7, 0.0)
+
+    def test_long_inputs_go_through_in_several_stacks(self):
+        matrices = [random_generic_unitary(64, seed) for seed in range(100, 105)]
+        assert [len(stack) for stack in _stacks(matrices, lambda a: a.n)] == [4, 1]
+        peeled = list(_decompose_all(iter(matrices), Tolerances()))
+        rebuilt = list(_reconstruct_all(iter(peeled), Tolerances()))
+        for a, p, u in zip(matrices, peeled, rebuilt):
+            assert np.array_equal(p.vectors[-1].data, decompose(a).vectors[-1].data)
+            assert np.array_equal(u.data, reconstruct(p).data)
+
+    def test_empty_stacks_give_nothing(self):
+        assert list(_decompose_all([], Tolerances())) == []
+        assert list(_reconstruct_all([], Tolerances())) == []
 
 
 def _with_tiny_leading_component_at_dimension_7():

@@ -20,6 +20,7 @@ from gaugephase import (
     random_smooth_phases,
     random_unit_vector,
 )
+from gaugephase import canonical
 from gaugephase.canonical import _stacks
 from gaugephase.generators import _haar_unitary, _random_generic_unitaries
 
@@ -85,10 +86,30 @@ class TestRandomGenericUnitary:
 
     def test_a_batch_split_into_several_stacks_draws_each_seed_alone(self):
         seeds = [5, 6, 7, 8, 9]  # at n = 64 a stack holds four matrices
-        assert [len(stack) for stack in _stacks(len(seeds), 64)] == [4, 1]
+        assert [len(stack) for stack in _stacks(seeds, lambda seed: 64)] == [4, 1]
         drawn = list(_random_generic_unitaries(64, seeds, Tolerances()))
         for seed, matrix in zip(seeds, drawn):
             assert np.array_equal(matrix.data, random_generic_unitary(64, seed).data)
+
+    def test_a_one_seed_draw_judges_each_candidate_by_one_decompose_call(self, monkeypatch):
+        gate = Tolerances(tol_generic=0.2)
+        calls = []
+        real = canonical.decompose
+
+        def counted(matrix, *, tol):
+            calls.append(matrix)
+            return real(matrix, tol=tol)
+
+        monkeypatch.setattr(canonical, "decompose", counted)
+        rejected = 0
+        for seed in range(200, 230):
+            rng = np.random.default_rng(seed)
+            while min(abs(z[0]) for z in peel_by_dense_product(_haar_unitary(4, rng))[0]) <= 0.2:
+                rejected += 1
+        drawn = [random_generic_unitary(4, seed, tol=gate) for seed in range(200, 230)]
+        assert rejected > 0
+        assert len(calls) == len(drawn) + rejected
+        assert np.array_equal(calls[-1].data, drawn[-1].data)
 
     def test_an_empty_batch_draws_nothing_at_any_size(self):
         assert list(_random_generic_unitaries(1, [], Tolerances())) == []

@@ -40,14 +40,14 @@ The tower works on stacks.  Each level peels, rebuilds or certifies k
 same-size blocks, shape (k, m, m), with one set of array operations, and
 ``decompose``, ``split_coset`` and ``reconstruct`` are the k = 1 case.
 Callers with many matrices of one size (the batched Haar draw, the
-roundtrip, reduction and gauge checks) hand over streams of them, which
-are cut here into stacks of at most ``_STACK_ENTRIES`` matrix entries
-each.  Each member keeps every check of its own: the genericity gate at
-each level before that level is used, the certificate on the full peeled
-last row and column and on the final 1 x 1 entry, and the error
-``decompose`` would raise for it alone, non-genericity first.  A
-non-generic member is peeled on by F(e_1), so it makes no warning and
-disturbs no other member.
+roundtrip, reduction and gauge-invariance checks, the gauge suite's
+peeling law) hand over streams of them, which are cut here into stacks
+of at most ``_STACK_ENTRIES`` matrix entries each.  Each member keeps
+every check of its own: the genericity gate at each level before that
+level is used, the certificate on the full peeled last row and column
+and on the final 1 x 1 entry, and the error ``decompose`` would raise
+for it alone, non-genericity first.  A non-generic member is peeled on
+by F(e_1), so it makes no warning and disturbs no other member.
 """
 
 from __future__ import annotations
@@ -415,20 +415,40 @@ def _nongeneric_errors(matrices: Sequence[UnitaryMatrix],
     return errors
 
 
+def _split_stack(matrices: Sequence[UnitaryMatrix], tol: Tolerances
+                 ) -> list[tuple[UnitVector, UnitaryMatrix]]:
+    """:func:`split_coset` of each of k >= 1 same-size matrices, peeled as
+    one stack.  Raises the error of the first member that has one, as a
+    loop of :func:`split_coset` calls would."""
+    peel = _peel(_stack([A.data for A in matrices]), tol, levels=1)
+    norm_gate = max(tol.tol_norm, tol.tol_unitary)
+    out = []
+    for i in range(len(matrices)):
+        _check_member(peel, i, tol)
+        out.append((UnitVector(peel.columns[0][i], tol=norm_gate),
+                    UnitaryMatrix(peel.remainder[i], tol=tol.tol_unitary)))
+    return out
+
+
+def _split_all(matrices: Iterable[UnitaryMatrix], tol: Tolerances
+               ) -> Iterator[tuple[UnitVector, UnitaryMatrix]]:
+    """:func:`split_coset` of each of any number of same-size matrices in
+    turn, a stack at a time, as :func:`_decompose_all` decomposes them."""
+    for stack in _stacks(matrices, lambda A: A.n):
+        yield from _split_stack(stack, tol)
+
+
 def split_coset(A: UnitaryMatrix, *,
                 tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[UnitVector, UnitaryMatrix]:
     """Peel the top coset factor: A = F_n(zeta) * embed(remainder).
 
     ``zeta`` is exactly the last column of A; ``remainder`` is the
-    (n-1) x (n-1) unitary the recursion continues on.
+    (n-1) x (n-1) unitary the recursion continues on.  It is the
+    one-matrix case of the stacked peel.
     """
     if A.n < 2:
         raise DimensionMismatchError("nothing to split below dimension 2")
-    peel = _peel(A.data[None], tol, levels=1)
-    _check_member(peel, 0, tol)
-    norm_gate = max(tol.tol_norm, tol.tol_unitary)
-    return (UnitVector(peel.columns[0][0], tol=norm_gate),
-            UnitaryMatrix(peel.remainder[0], tol=tol.tol_unitary))
+    return _split_stack([A], tol)[0]
 
 
 def decompose(A: UnitaryMatrix, *,

@@ -27,12 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import tee
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .bargmann import delta4_grid
 from .canonical import (
     _decompose_all,
+    _split_all,
     decompose,
     modulus_invariants,
     phase_invariant_list,
@@ -128,6 +130,20 @@ class GaugeRecursionReport:
                 and self.remainder_deviation <= self.tolerance)
 
 
+def _recursion_deviations(A: UnitaryMatrix, gauges: Sequence[tuple[np.ndarray, np.ndarray]],
+                          tol: Tolerances) -> Iterator[tuple[float, float]]:
+    """The (vector, remainder) deviations of the peeling law for each
+    (left, right) phase pair of ``gauges`` in turn.  A is peeled once,
+    and its transforms a stack at a time."""
+    zeta, rest = split_coset(A, tol=tol)
+    transformed = (gauge_transform_matrix(A, lt, rt, tol=tol) for lt, rt in gauges)
+    for (lt, rt), (zeta_t, rest_t) in zip(gauges, _split_all(transformed, tol)):
+        predicted_vec = np.exp(1j * (lt + rt[-1])) * zeta.data
+        inner = np.exp(1j * (lt[1:, None] + rt[None, :-1])) * rest.data
+        yield (float(np.abs(zeta_t.data - predicted_vec).max()),
+               float(np.abs(rest_t.data - inner).max()))
+
+
 def verify_gauge_recursion(A: UnitaryMatrix, left, right, *,
                            tolerance: float = _RECURSION_TOLERANCE,
                            tol: Tolerances = DEFAULT_TOLERANCES) -> GaugeRecursionReport:
@@ -140,17 +156,7 @@ def verify_gauge_recursion(A: UnitaryMatrix, left, right, *,
     """
     lt = _as_phase_array(left, (A.n,), "left phases", DimensionMismatchError)
     rt = _as_phase_array(right, (A.n,), "right phases", DimensionMismatchError)
-    transformed = gauge_transform_matrix(A, lt, rt, tol=tol)
-
-    zeta, rest = split_coset(A, tol=tol)
-    zeta_t, rest_t = split_coset(transformed, tol=tol)
-
-    predicted_vec = np.exp(1j * (lt + rt[-1])) * zeta.data
-    dev_vec = float(np.abs(zeta_t.data - predicted_vec).max())
-
-    inner = np.exp(1j * (lt[1:, None] + rt[None, :-1])) * rest.data
-    dev_rest = float(np.abs(rest_t.data - inner).max())
-
+    (dev_vec, dev_rest), = _recursion_deviations(A, [(lt, rt)], tol)
     return GaugeRecursionReport(
         n=A.n,
         vector_deviation=dev_vec,

@@ -22,6 +22,7 @@ from .core import (
     Tolerances,
     UnitaryMatrix,
     UnitVector,
+    _as_complex_array,
 )
 from .curves import FrameEvolution
 
@@ -154,30 +155,36 @@ def random_smooth_phases(grid, seed_or_rng, *, columns: int | None = None,
 @dataclass(frozen=True)
 class SmoothCoefficient:
     """c(s) = sum_k poly[k] s^k + sum_k (cos_amps[k] cos((k+1) omega s)
-    + sin_amps[k] sin((k+1) omega s))."""
+    + sin_amps[k] sin((k+1) omega s)).
+
+    ``s`` may be a real number, which gives a (numpy) float, or an array,
+    which gives c at each of its points in an array of the same shape.
+    """
 
     poly: tuple[float, ...] = ()
     cos_amps: tuple[float, ...] = ()
     sin_amps: tuple[float, ...] = ()
     omega: float = 1.0
 
-    def __call__(self, s: float) -> float:
-        value = 0.0
+    def __call__(self, s):
+        s = np.asarray(s, dtype=np.float64)
+        value = np.zeros(s.shape)
         for k, c in enumerate(self.poly):
-            value += c * s ** k
+            value = value + c * s ** k
         for k, a in enumerate(self.cos_amps):
-            value += a * math.cos((k + 1) * self.omega * s)
+            value = value + a * np.cos((k + 1) * self.omega * s)
         for k, b in enumerate(self.sin_amps):
-            value += b * math.sin((k + 1) * self.omega * s)
-        return value
+            value = value + b * np.sin((k + 1) * self.omega * s)
+        return value[()]
 
 
 @dataclass(frozen=True)
 class HermitianPath:
     """A smooth family H(s) = sum_i c_i(s) B_i of Hermitian matrices.
 
-    The basis matrices are validated Hermitian once at construction;
-    real coefficients then keep every sample exactly Hermitian.
+    The basis matrices are validated finite and Hermitian once at
+    construction; real coefficients then keep every sample exactly
+    Hermitian.
     """
 
     basis: tuple[np.ndarray, ...]
@@ -190,7 +197,7 @@ class HermitianPath:
         frozen = []
         n = None
         for i, b in enumerate(self.basis):
-            arr = np.asarray(b, dtype=np.complex128)
+            arr = _as_complex_array(b, what=f"basis[{i}]")
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise DimensionMismatchError(f"basis[{i}] is not square: {arr.shape}")
             if n is None:
@@ -212,14 +219,22 @@ class HermitianPath:
     def dim(self) -> int:
         return self.basis[0].shape[0]
 
-    def sample(self, s: float) -> np.ndarray:
+    def sample(self, s) -> np.ndarray:
+        """H(s) as an (n, n) array for a real ``s``; for an array of s of
+        shape S, the samples stacked in an array of shape S + (n, n).
+
+        Raises ValueError naming the first s outside the domain.
+        """
+        s = np.asarray(s, dtype=np.float64)
         lo, hi = self.domain
         slack = 1e-9 * (hi - lo)
-        if not lo - slack <= s <= hi + slack:
-            raise ValueError(f"s = {s!r} outside domain [{lo}, {hi}]")
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        outside = ~((lo - slack <= s) & (s <= hi + slack))
+        if outside.any():
+            first = float(s.reshape(-1)[outside.reshape(-1).argmax()])
+            raise ValueError(f"s = {first!r} outside domain [{lo}, {hi}]")
+        out = np.zeros(s.shape + (self.dim, self.dim), dtype=np.complex128)
         for c, b in zip(self.coefficients, self.basis):
-            out += c(s) * b
+            out += c(s)[..., None, None] * b
         return out
 
 
@@ -260,39 +275,48 @@ def frame_evolution_from_path(path: HermitianPath, steps: int, *,
                               tol: Tolerances = DEFAULT_TOLERANCES) -> FrameEvolution:
     """Eigenframes of H(s) on a uniform grid, phase-aligned point to point.
 
-    Eigenvectors come from eigh (ascending eigenvalues); each column of
-    each successive frame is rephased so its overlap with the previous
-    frame's column is real and positive, producing smooth basis curves.
+    The whole grid is sampled as one (steps, n, n) stack and diagonalized
+    by one ``eigh`` call (ascending eigenvalues).  Each column of each
+    successive frame is rephased so its overlap with the previous
+    frame's column is real and positive, producing smooth basis curves:
+    the phase of column j at point i is the cumulative product of the
+    conjugated unit overlaps up to i, renormalized to modulus 1 so no
+    modulus drift builds up over the grid.
 
     Raises
     ------
     DegenerateSpectrumError
-        At the first grid point whose minimal eigengap is <= ``min_gap``;
-        eigenframe continuation is ill-posed across a (near-)crossing.
+        At the first grid point whose minimal eigengap is not above
+        ``min_gap``; eigenframe continuation is ill-posed across a
+        (near-)crossing.
+    ValueError
+        At the first grid point, if it comes before any such gap, where
+        some column's overlap with the previous frame is not above 0.5:
+        the grid is too coarse to follow the eigenframes.
     """
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
     grid = np.linspace(path.domain[0], path.domain[1], steps)
-    frames = np.empty((steps, path.dim, path.dim), dtype=np.complex128)
-    previous = None
-    for i, s in enumerate(grid):
-        h = path.sample(float(s))
-        w, v = np.linalg.eigh(h)
-        gap = float(np.diff(w).min())
-        if gap <= min_gap:
-            raise DegenerateSpectrumError(float(s), gap)
-        if previous is not None:
-            overlaps = np.einsum("ij,ij->j", previous.conj(), v)
-            moduli = np.abs(overlaps)
-            if float(moduli.min()) <= 0.5:
-                raise ValueError(
-                    f"eigenframe continuation under-resolved near s = {float(s)!r} "
-                    f"(column overlap {float(moduli.min()):.3f}); increase steps"
-                )
-            v = v * (overlaps / moduli).conj()[None, :]
-        frames[i] = v
-        previous = v
-    return FrameEvolution(grid, frames, tol=tol)
+    w, v = np.linalg.eigh(path.sample(grid))
+    gaps = np.diff(w, axis=1).min(axis=1)
+    overlaps = np.einsum("tij,tij->tj", v[:-1].conj(), v[1:])
+    moduli = np.abs(overlaps)
+    resolution = np.concatenate(([np.inf], moduli.min(axis=1)))
+    degenerate = ~(gaps > min_gap)
+    failed = degenerate | ~(resolution > 0.5)
+    if failed.any():
+        i = int(failed.argmax())
+        s = float(grid[i])
+        if degenerate[i]:
+            raise DegenerateSpectrumError(s, float(gaps[i]))
+        raise ValueError(
+            f"eigenframe continuation under-resolved near s = {s!r} "
+            f"(column overlap {float(resolution[i]):.3f}); increase steps"
+        )
+    phases = np.ones((steps, path.dim), dtype=np.complex128)
+    np.cumprod((overlaps / moduli).conj(), axis=0, out=phases[1:])
+    phases /= np.abs(phases)
+    return FrameEvolution(grid, v * phases[:, None, :], tol=tol)
 
 
 def engineered_swap_evolution(n: int, j: int, k: int, steps: int) -> FrameEvolution:

@@ -146,3 +146,33 @@ def gamma_by_loops(a, dynamical, levels, gate: float = 1e-8) -> complex | None:
             return None
         value *= factor
     return value
+
+
+def eigenframes_by_loops(path_samples, min_gap: float = 1e-6):
+    """Eigenframe continuation one grid point at a time.
+
+    Each (n, n) sample is diagonalized alone (ascending eigenvalues).  A
+    point fails when its smallest eigengap is not above ``min_gap``
+    ("gap") or, checked next, when some column's overlap with the
+    previous frame has modulus not above 0.5 ("resolution").  Otherwise
+    each column is rephased in turn so its overlap with the previous
+    frame's column is real and positive.  Returns (frames, failure):
+    the aligned frames of the points before the first failing one, and
+    None or (index, "gap" | "resolution") of that point.
+    """
+    samples = np.asarray(path_samples, dtype=np.complex128)
+    frames: list[np.ndarray] = []
+    for t, h in enumerate(samples):
+        w, v = np.linalg.eigh(h)
+        gap = min(w[i + 1] - w[i] for i in range(len(w) - 1))
+        if not gap > min_gap:
+            return frames, (t, "gap")
+        if frames:
+            previous = frames[-1]
+            for j in range(v.shape[1]):
+                overlap = complex(np.vdot(previous[:, j], v[:, j]))
+                if not abs(overlap) > 0.5:
+                    return frames, (t, "resolution")
+                v[:, j] *= (overlap / abs(overlap)).conjugate()
+        frames.append(v)
+    return frames, None

@@ -24,6 +24,7 @@ from gaugephase import (
     verify_gauge_recursion,
     verify_invariants_under_gauge,
 )
+from gaugephase.verification import run_gauge_suite
 
 
 class TestMatrixAction:
@@ -67,6 +68,21 @@ class TestPeelingLaw:
                 assert report.vector_deviation < 1e-12
                 assert report.remainder_deviation < 1e-12
                 assert report.n == n
+
+    def test_suite_peeling_law_equals_a_loop_of_recursion_checks(self):
+        # The suite peels A once and its 200 transforms as stacks; a loop
+        # of one-trial checks on the same phase draws gives the same bits.
+        n, trials, seed = 12, 200, 5
+        rng = np.random.default_rng(seed)
+        matrix = random_generic_unitary(n, seed)
+        reports = [verify_gauge_recursion(matrix, rng.uniform(-np.pi, np.pi, n),
+                                          rng.uniform(-np.pi, np.pi, n))
+                   for _ in range(trials)]
+        checks = {c.name: c.measured for c in run_gauge_suite(n, trials, seed).checks}
+        assert checks["max_peeling_vector_deviation"] == max(
+            r.vector_deviation for r in reports)
+        assert checks["max_peeling_remainder_deviation"] == max(
+            r.remainder_deviation for r in reports)
 
 
 class TestInvarianceReport:

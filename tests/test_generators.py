@@ -24,7 +24,7 @@ from gaugephase import canonical
 from gaugephase.canonical import _stacks
 from gaugephase.generators import _haar_unitary, _random_generic_unitaries
 
-from oracles import peel_by_dense_product
+from oracles import eigenframes_by_loops, peel_by_dense_product
 
 
 class TestRandomGenericUnitary:
@@ -167,6 +167,14 @@ class TestSmoothCoefficient:
         # cos(pi/2) kills the cosine; sin(2 * pi * 1/2) kills the k=2 sine.
         assert c(0.5) == pytest.approx(0.0, abs=1e-15)
 
+    def test_array_argument_evaluates_each_point(self):
+        c = SmoothCoefficient(poly=(0.5, -1.0, 2.0), cos_amps=(0.3, 0.1),
+                              sin_amps=(0.2,), omega=2.5)
+        s = np.linspace(-1.0, 2.0, 37).reshape(37, 1)
+        values = c(s)
+        assert values.shape == (37, 1)
+        assert np.abs(values[:, 0] - [c(float(x)) for x in s[:, 0]]).max() <= 1e-15
+
 
 class TestHermitianPath:
     def test_rejects_non_hermitian_basis(self):
@@ -174,6 +182,15 @@ class TestHermitianPath:
             HermitianPath(
                 basis=(np.array([[0.0, 1.0], [0.0, 0.0]]),),
                 coefficients=(SmoothCoefficient(poly=(1.0,)),),
+                domain=(0.0, 1.0),
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_basis(self, bad):
+        with pytest.raises(ValueError, match="basis\\[1\\] contains non-finite entries"):
+            HermitianPath(
+                basis=(np.eye(3), np.diag([bad, 1.0, 1.0])),
+                coefficients=(SmoothCoefficient(poly=(1.0,)),) * 2,
                 domain=(0.0, 1.0),
             )
 
@@ -202,6 +219,27 @@ class TestHermitianPath:
         assert float(np.abs(h - h.conj().T).max()) < 1e-15
         with pytest.raises(ValueError):
             path.sample(1.5)
+
+    def test_array_sample_stacks_the_scalar_samples(self):
+        polynomial = HermitianPath(
+            basis=(np.diag([0.0, 1.0, 3.0]), np.array([[0, 1j, 0], [-1j, 0, 2], [0, 2, 0]])),
+            coefficients=(SmoothCoefficient(poly=(1.0, -2.0, 3.0)),
+                          SmoothCoefficient(poly=(0.5,), cos_amps=(0.2, 0.4), omega=3.0)),
+            domain=(-1.0, 2.0),
+        )
+        for path in (random_hermitian_path(6, 3), polynomial):
+            grid = np.linspace(*path.domain, 600)
+            stacked = path.sample(grid)
+            assert stacked.shape == (600, path.dim, path.dim)
+            scalar = np.array([path.sample(float(s)) for s in grid])
+            assert float(np.abs(stacked - scalar).max()) <= 1e-15
+
+    def test_array_sample_names_the_first_point_outside_the_domain(self):
+        path = random_hermitian_path(3, 8)
+        with pytest.raises(ValueError, match=r"^s = 1\.5 outside domain \[0\.0, 1\.0\]$"):
+            path.sample(np.array([0.2, 1.5, -1.0, 2.0]))
+        with pytest.raises(ValueError, match=r"^s = nan outside"):
+            path.sample(np.array([[0.1, np.nan]]))
 
     def test_random_path_is_deterministic(self):
         a = random_hermitian_path(3, 9).sample(0.5)
@@ -239,6 +277,80 @@ class TestFrameEvolutionFromPath:
             frame_evolution_from_path(path, 10)
         assert exc.value.s == pytest.approx(0.0)
         assert exc.value.gap == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n, steps", [(2, 50), (6, 600), (12, 400), (8, 4000)])
+    def test_frames_match_a_point_by_point_loop(self, n, steps):
+        path = random_hermitian_path(n, 40 + n)
+        evolution = frame_evolution_from_path(path, steps)
+        frames, failure = eigenframes_by_loops(path.sample(evolution.grid))
+        assert failure is None
+        assert float(np.abs(evolution.frames - np.array(frames)).max()) <= 1e-12
+
+
+def _two_level_sweep(centre: float, coupling: float) -> HermitianPath:
+    """(s - centre) sigma_z + coupling sigma_x on [0, 1]: an avoided
+    crossing at s = centre, exact when ``coupling`` is 0."""
+    return HermitianPath(
+        basis=(np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])),
+        coefficients=(SmoothCoefficient(poly=(-centre, 1.0)),
+                      SmoothCoefficient(poly=(coupling,))),
+        domain=(0.0, 1.0),
+    )
+
+
+class TestFirstFailingPoint:
+    # Each case fails mid-grid; the loop oracle names the first failing
+    # point and the gate that fails there, the gap gate checked first.
+
+    @staticmethod
+    def _oracle(path, steps, min_gap):
+        grid = np.linspace(*path.domain, steps)
+        _, failure = eigenframes_by_loops(path.sample(grid), min_gap)
+        assert failure is not None and 0 < failure[0] < steps - 1
+        return float(grid[failure[0]]), failure[1]
+
+    @pytest.mark.parametrize("centre, coupling, steps, min_gap", [
+        (0.5, 0.0, 101, 1e-6),    # exact crossing on a grid point
+        (0.52, 1e-3, 10, 0.1),    # gap and resolution both fail at s = 5/9
+        (0.37, 0.02, 401, 0.05),  # a band of points below a wide gap gate
+    ])
+    def test_degenerate_spectrum_at_the_oracle_point(self, centre, coupling, steps, min_gap):
+        path = _two_level_sweep(centre, coupling)
+        s, gate = self._oracle(path, steps, min_gap)
+        assert gate == "gap"
+        with pytest.raises(DegenerateSpectrumError) as exc:
+            frame_evolution_from_path(path, steps, min_gap=min_gap)
+        assert exc.value.s == s
+        assert not exc.value.gap > min_gap
+
+    def test_level_crossing_in_a_three_level_path(self):
+        # Level 2 is decoupled, so it crosses a level of the stirred
+        # (1, 3) block exactly, somewhere in the middle of the grid.
+        path = HermitianPath(
+            basis=(np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 0.0, 2.0]),
+                   np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=float)),
+            coefficients=(SmoothCoefficient(poly=(-0.5, 1.0)),
+                          SmoothCoefficient(poly=(1.0,)),
+                          SmoothCoefficient(sin_amps=(0.3,), omega=math.pi)),
+            domain=(0.0, 1.0),
+        )
+        s, gate = self._oracle(path, 300, 0.01)
+        assert gate == "gap"
+        with pytest.raises(DegenerateSpectrumError) as exc:
+            frame_evolution_from_path(path, 300, min_gap=0.01)
+        assert exc.value.s == s
+
+    def test_too_coarse_grid_is_under_resolved_at_the_oracle_point(self):
+        path = _two_level_sweep(0.52, 1e-3)
+        s, gate = self._oracle(path, 10, 1e-6)
+        assert gate == "resolution"
+        message = f"eigenframe continuation under-resolved near s = {s!r} "
+        with pytest.raises(ValueError, match=r"increase steps$") as exc:
+            frame_evolution_from_path(path, 10)
+        assert str(exc.value).startswith(message)
+        assert not isinstance(exc.value, DegenerateSpectrumError)
+        # A grid fine enough for the 1e-3 avoided crossing follows it.
+        assert frame_evolution_from_path(path, 2001).num_points == 2001
 
 
 class TestEngineeredSwap:

@@ -166,6 +166,12 @@ class SmoothCoefficient:
     sin_amps: tuple[float, ...] = ()
     omega: float = 1.0
 
+    def __post_init__(self) -> None:
+        for name, values in (("poly", self.poly), ("cos_amps", self.cos_amps),
+                             ("sin_amps", self.sin_amps), ("omega", (self.omega,))):
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"SmoothCoefficient.{name} must be finite, got {values!r}")
+
     def __call__(self, s):
         s = np.asarray(s, dtype=np.float64)
         value = np.zeros(s.shape)

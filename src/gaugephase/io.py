@@ -9,6 +9,17 @@ Numbers pass through Python's shortest-round-trip float representation
 bit-exactly.  Reports are emitted with sorted keys and a fixed layout:
 the same inputs produce byte-identical documents.
 
+The reader makes one ``json.load`` per file with the cyclic garbage
+collector paused (``_gc_paused``): a document holds one small list per
+[re, im] pair, and each of those counts towards the collector's next pass,
+so an n=8, N=4000 evolution would otherwise trigger hundreds of passes over
+a tree that cannot hold a reference cycle.  Every [re, im] pair, of a
+matrix or of all frames of an evolution at once, then goes through one
+flat conversion (``_pairs_to_complex``): one ``np.fromiter`` over the
+chained pairs, one finite check, one complex assembly.  Only when that
+fails are the frames looked at one by one, so that the ``FileFormatError``
+names the first bad frame.
+
 The writer is not ``json.dump``, which with an indent runs its pure-Python
 encoder and makes one write per token.  ``dump_report`` writes the same
 bytes, but joins each leaf list of floats or [re, im] pairs in bounded
@@ -17,8 +28,10 @@ blocks, so no document is ever held whole as one string.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+from contextlib import contextmanager
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, IO
@@ -43,6 +56,25 @@ class FileFormatError(ValueError):
     """The document does not match the expected grammar."""
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector while a large acyclic tree is built.
+
+    The pause is process-wide and lasts only as long as the block or the
+    decorated call; the collector is switched back on only if it was on
+    before.  A decorated loader returns, and so frees its parsed document,
+    before the collector is back on: a document dropped after the pause
+    would first cost one full pass over its pairs.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -54,19 +86,20 @@ def _load_json(path: str) -> Any:
 
 
 def _pairs_to_complex(pairs, count: int, what: str) -> np.ndarray:
+    """A list of ``count`` [re, im] lists -> a flat complex array."""
+    if (not isinstance(pairs, list) or len(pairs) != count
+            or set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}):
+        raise FileFormatError(f"{what}: expected {count} [re, im] pairs")
     try:
-        arr = np.asarray(pairs, dtype=np.float64)
-    except (TypeError, ValueError) as err:
+        flat = np.fromiter(chain.from_iterable(pairs), np.float64, count=2 * count)
+    except (TypeError, ValueError, OverflowError) as err:
         raise FileFormatError(f"{what}: malformed pairs: {err}") from err
-    if arr.ndim != 2 or arr.shape != (count, 2):
-        raise FileFormatError(
-            f"{what}: expected {count} [re, im] pairs, got shape {getattr(arr, 'shape', None)}"
-        )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(flat).all():
         raise FileFormatError(f"{what}: non-finite entries")
-    return arr[:, 0] + 1j * arr[:, 1]
+    return flat[0::2] + 1j * flat[1::2]
 
 
+@_gc_paused()
 def load_matrix(path: str) -> np.ndarray:
     """Parse a matrix file into a raw (n, n) complex array.
 
@@ -90,6 +123,7 @@ def save_matrix(path: str, matrix: np.ndarray) -> None:
         dump_report(doc, fh)
 
 
+@_gc_paused()
 def load_evolution(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Parse an evolution file into (grid, frames) raw arrays."""
     doc = _load_json(path)
@@ -101,7 +135,10 @@ def load_evolution(path: str) -> tuple[np.ndarray, np.ndarray]:
     n = doc["n"]
     if not isinstance(n, int) or n < 1:
         raise FileFormatError(f"{path!r}: 'n' must be a positive integer, got {n!r}")
-    grid = np.asarray(doc["grid"], dtype=np.float64)
+    try:
+        grid = np.asarray(doc["grid"], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise FileFormatError(f"{path!r}: 'grid' must be a list of finite reals: {err}") from err
     if grid.ndim != 1 or grid.size < 1 or not np.all(np.isfinite(grid)):
         raise FileFormatError(f"{path!r}: 'grid' must be a non-empty list of finite reals")
     raw = doc["frames"]
@@ -109,24 +146,34 @@ def load_evolution(path: str) -> tuple[np.ndarray, np.ndarray]:
         raise FileFormatError(
             f"{path!r}: expected {grid.size} frames, got {len(raw) if isinstance(raw, list) else type(raw)}"
         )
-    frames = np.empty((grid.size, n, n), dtype=np.complex128)
-    for i, entry in enumerate(raw):
-        frames[i] = _pairs_to_complex(entry, n * n, f"{path!r} frame {i}").reshape(n, n)
-    return grid, frames
+    try:
+        if set(map(type, raw)) != {list} or set(map(len, raw)) != {n * n}:
+            raise FileFormatError(f"{path!r}: every frame must hold {n * n} pairs")
+        frames = _pairs_to_complex(list(chain.from_iterable(raw)), grid.size * n * n,
+                                   f"{path!r} frames")
+    except FileFormatError:
+        for i, entry in enumerate(raw):  # only to name the first bad frame
+            _pairs_to_complex(entry, n * n, f"{path!r} frame {i}")
+        raise
+    return grid, frames.reshape(grid.size, n, n)
 
 
 def save_evolution(path: str, grid: np.ndarray, frames: np.ndarray) -> None:
     grid = np.asarray(grid, dtype=np.float64)
     frames = np.asarray(frames, dtype=np.complex128)
+    pairs = np.stack((frames.real, frames.imag), -1)
+    with _gc_paused():
+        pairs = pairs.reshape(len(frames), math.prod(frames.shape[1:]), 2).tolist()
     doc = {
         "n": int(frames.shape[1]),
         "grid": [float(s) for s in grid],
-        "frames": [complex_pairs(f.reshape(-1)) for f in frames],
+        "frames": pairs,
     }
     with open(path, "w", encoding="utf-8") as fh:
         dump_report(doc, fh)
 
 
+@_gc_paused()
 def complex_pairs(values) -> list[list[float]]:
     """Complex sequence -> [[re, im], ...] with native floats."""
     arr = np.asarray(values, dtype=np.complex128).reshape(-1)

@@ -8,6 +8,7 @@ explicit analytic solution), so agreement is evidence, not tautology.
 from __future__ import annotations
 
 import cmath
+import json
 
 import numpy as np
 
@@ -176,3 +177,21 @@ def eigenframes_by_loops(path_samples, min_gap: float = 1e-6):
                 v[:, j] *= (overlap / abs(overlap)).conjugate()
         frames.append(v)
     return frames, None
+
+
+def evolution_by_loops(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """An evolution file read with stdlib ``json`` and one numpy conversion
+    per frame.
+
+    Each entry is assembled as re + 1j * im, the file grammar's arithmetic
+    (under which an imaginary part of -0.0 reads back as +0.0).
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    n = doc["n"]
+    grid = np.array([float(s) for s in doc["grid"]])
+    frames = np.empty((len(doc["frames"]), n, n), dtype=np.complex128)
+    for i, frame in enumerate(doc["frames"]):
+        pairs = np.array(frame, dtype=np.float64)
+        frames[i] = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(n, n)
+    return grid, frames

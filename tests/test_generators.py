@@ -167,6 +167,13 @@ class TestSmoothCoefficient:
         # cos(pi/2) kills the cosine; sin(2 * pi * 1/2) kills the k=2 sine.
         assert c(0.5) == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("field", ["poly", "cos_amps", "sin_amps", "omega"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_coefficients(self, field, bad):
+        value = bad if field == "omega" else (0.5, bad)
+        with pytest.raises(ValueError, match=f"SmoothCoefficient.{field} must be finite"):
+            SmoothCoefficient(**{field: value})
+
     def test_array_argument_evaluates_each_point(self):
         c = SmoothCoefficient(poly=(0.5, -1.0, 2.0), cos_amps=(0.3, 0.1),
                               sin_amps=(0.2,), omega=2.5)

@@ -1,5 +1,6 @@
 """Tests for the file grammar and the command-line interface."""
 
+import gc
 import io as _stdio
 import json
 import math
@@ -26,6 +27,7 @@ from gaugephase import (
 from gaugephase.cli import main
 from gaugephase.io import _BLOCK
 from gaugephase.verification import SUITES, run_suite
+from oracles import evolution_by_loops
 
 
 class TestFileGrammar:
@@ -126,6 +128,96 @@ class TestFileGrammar:
     def test_dump_report_refuses_non_finite(self):
         with pytest.raises(ValueError):
             dump_report({"x": float("nan")}, _stdio.StringIO())
+
+
+def _write_doc(tmp_path, doc, name="doc.json") -> str:
+    path = str(tmp_path / name)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)  # allow_nan: Infinity and NaN are written as such
+    return path
+
+
+# Members the grammar admits besides shortest-repr floats: signed zeros, the
+# smallest subnormal, 17-digit floats, integers and bools.
+SPECIAL_MEMBERS = [-0.0, 0.0, 5e-324, -5e-324, 0.30000000000000004, math.pi,
+                   -1.0000000000000002, 0, -3, 2 ** 60, True, False]
+
+
+def _evolution_doc(n: int, steps: int) -> dict:
+    rng = np.random.default_rng(1000 * n + steps)
+    frames = rng.standard_normal((steps, n * n, 2)).tolist()
+    for k, value in enumerate(SPECIAL_MEMBERS):
+        frames[(7 * k) % steps][k % (n * n)][k % 2] = value
+    grid = [0, *np.linspace(0.0, 1.0, steps + 1)[2:].tolist()][:steps]
+    return {"n": n, "grid": grid, "frames": frames}
+
+
+class TestEvolutionReader:
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("steps", [1, 2, 500])
+    def test_bit_identical_to_a_per_frame_loop(self, n, steps, tmp_path):
+        path = _write_doc(tmp_path, _evolution_doc(n, steps))
+        grid, frames = load_evolution(path)
+        oracle_grid, oracle_frames = evolution_by_loops(path)
+        assert grid.dtype == np.float64 and frames.dtype == np.complex128
+        assert frames.shape == (steps, n, n)
+        assert np.array_equal(grid.view(np.uint64), oracle_grid.view(np.uint64))
+        assert np.array_equal(frames.view(np.uint64), oracle_frames.view(np.uint64))
+
+    @pytest.mark.parametrize("defect", ["pair_count", "three_member_pair", "dict_member",
+                                        "infinity", "huge_integer"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_names_the_bad_frame(self, defect, where, tmp_path):
+        n, steps = 3, 9
+        doc = _evolution_doc(n, steps)
+        i = {"first": 0, "middle": steps // 2, "last": steps - 1}[where]
+        frame = doc["frames"][i]
+        if defect == "pair_count":
+            frame.pop()
+        elif defect == "three_member_pair":
+            frame[4].append(0.0)
+        elif defect == "dict_member":
+            frame[4][1] = {}
+        elif defect == "infinity":
+            frame[4][0] = math.inf
+        else:
+            frame[4][1] = 10 ** 400
+        with pytest.raises(FileFormatError, match=rf"frame {i}: "):
+            load_evolution(_write_doc(tmp_path, doc))
+
+    def test_collector_state_is_restored(self, tmp_path):
+        good = _write_doc(tmp_path, _evolution_doc(2, 3), "good.json")
+        bad_doc = _evolution_doc(2, 3)
+        bad_doc["frames"][1][0] = [1.0]
+        bad = _write_doc(tmp_path, bad_doc, "bad.json")
+        matrix = _write_doc(tmp_path, {"n": 1, "entries": [[1.0, 0.0]]}, "matrix.json")
+        was_enabled = gc.isenabled()
+        try:
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                load_evolution(good)
+                assert gc.isenabled() is enabled
+                load_matrix(matrix)
+                assert gc.isenabled() is enabled
+                complex_pairs([1j])
+                assert gc.isenabled() is enabled
+                with pytest.raises(FileFormatError):
+                    load_evolution(bad)
+                assert gc.isenabled() is enabled
+                with pytest.raises(FileFormatError):
+                    load_matrix(str(tmp_path / "missing.json"))
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_writer_matches_one_complex_pairs_call_per_frame(self, tmp_path):
+        evolution = engineered_swap_evolution(3, 1, 2, 25)
+        path = str(tmp_path / "e.json")
+        save_evolution(path, evolution.grid, evolution.frames)
+        doc = {"n": 3, "grid": [float(s) for s in evolution.grid],
+               "frames": [complex_pairs(f) for f in evolution.frames]}
+        with open(path) as fh:
+            assert fh.read() == _dumped(doc)
 
 
 def _dumped(doc) -> str:
@@ -322,6 +414,21 @@ class TestCliDecompose:
             fh.write("{oops")
         assert main(["decompose", p]) == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("decompose", {"n": 1, "entries": [[10 ** 400, 0.0]]}, "entries: malformed pairs"),
+    ("offdiag", {"n": 1, "grid": [0.0, 1.0], "frames": [[[1.0, 0.0]], [[0.0, 10 ** 400]]]},
+     "frame 1: malformed pairs"),
+    ("offdiag", {"n": 1, "grid": [0.0, 10 ** 400], "frames": [[[1.0, 0.0]], [[1.0, 0.0]]]},
+     "'grid'"),
+    ("phases", {"n": 1, "grid": [0.0, {}], "frames": [[[1.0, 0.0]], [[1.0, 0.0]]]}, "'grid'"),
+], ids=["huge_integer_entry", "huge_integer_frame", "huge_integer_grid", "dict_in_grid"])
+def test_unconvertible_numbers_exit_two(command, doc, message, tmp_path, capsys):
+    assert main([command, _write_doc(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
 
 
 class TestCliPhases:

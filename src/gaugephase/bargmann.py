@@ -196,8 +196,18 @@ def delta4_grid(A: UnitaryMatrix) -> np.ndarray:
 
     Returns an (n-1) x (n-1) complex array.
     """
-    a = A.data
-    return a[:-1, :-1] * np.conj(a[1:, :-1]) * a[1:, 1:] * np.conj(a[:-1, 1:])
+    return _delta4(A.data)
+
+
+def _delta4(a: np.ndarray) -> np.ndarray:
+    """:func:`delta4_grid` of each matrix of a (..., n, n) stack.
+
+    A stack of at most ``canonical._STACK_ENTRIES`` entries keeps each
+    product below the size at which numpy would multiply a temporary in
+    place, which rounds differently, so each member's grid is the one
+    :func:`delta4_grid` gives it alone.
+    """
+    return a[..., :-1, :-1] * np.conj(a[..., 1:, :-1]) * a[..., 1:, 1:] * np.conj(a[..., :-1, 1:])
 
 
 def reduce_to_adjacent(j: int, l: int, k: int, m: int) -> list[tuple[int, int]]:

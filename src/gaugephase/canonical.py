@@ -37,17 +37,29 @@ peel, one suffix sum for the rebuild, O(m^2) per level on an m x m block,
 so ``decompose`` and ``reconstruct`` are O(n^3).
 
 The tower works on stacks.  Each level peels, rebuilds or certifies k
-same-size blocks, shape (k, m, m), with one set of array operations, and
-``decompose``, ``split_coset`` and ``reconstruct`` are the k = 1 case.
-Callers with many matrices of one size (the batched Haar draw, the
-roundtrip, reduction and gauge-invariance checks, the gauge suite's
-peeling law) hand over streams of them, which are cut here into stacks
-of at most ``_STACK_ENTRIES`` matrix entries each.  Each member keeps
-every check of its own: the genericity gate at each level before that
-level is used, the certificate on the full peeled last row and column
-and on the final 1 x 1 entry, and the error ``decompose`` would raise
-for it alone, non-genericity first.  A non-generic member is peeled on
-by F(e_1), so it makes no warning and disturbs no other member.
+same-size blocks, shape (k, m, m), with one set of array operations.
+``_checked_peel`` peels a stack with every check ``decompose`` (or, one
+level deep, ``split_coset``) makes; ``_rebuild`` multiplies a stack of
+towers back together from its level columns and chi and certifies it;
+``_modulus_arrays`` and ``_phase_arrays`` read the invariants of a stack
+off the same per-level (k, m) column arrays.  ``decompose``,
+``split_coset``, ``reconstruct``, ``modulus_invariants`` and
+``phase_invariant_list`` are their k = 1 case, wrapped in objects.
+
+Callers with many matrices of one size cut them with ``_stacks`` into
+stacks of at most ``_STACK_ENTRIES`` matrix entries.  The roundtrip
+check (``verification.run_roundtrip_suite``), the gauge-invariance check
+(``gauge.verify_invariants_under_gauge``) and the gauge suite's peeling
+law (``gauge._recursion_deviations``) hand over arrays and compare the
+arrays they get back, with no object per member; the batched Haar draw
+hands its candidates to ``_nongeneric_errors``.  Each member keeps every
+check of its own: the genericity gate at each level before that level is
+used, the certificate on the full peeled last row and column and on the
+final 1 x 1 entry, the norm gate of its level columns, the gate of chi
+or the certificate of its remainder, and the error a loop over the
+members would raise first, non-genericity first within a member.  A
+non-generic member is peeled on by F(e_1), so it makes no warning and
+disturbs no other member.
 """
 
 from __future__ import annotations
@@ -67,6 +79,7 @@ from .core import (
     Tolerances,
     UnitaryMatrix,
     UnitVector,
+    _certify_stack,
     principal_arg,
     reduce_phase,
 )
@@ -217,17 +230,18 @@ def _row_norms(z: np.ndarray) -> np.ndarray:
 
 
 def _split_arrays(a: np.ndarray, tol: Tolerances, edge: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One peeling step on a stack of k m x m arrays, shape (k, m, m).
 
-    Returns (zeta, remainder, lead, failed): the raw last columns (k, m);
-    the (k, m-1, m-1) top-left blocks of F(zeta)^dagger a; |zeta_1| of
-    each member; and the indices of the members whose |zeta_1| is at or
-    below the genericity gate.  Those members are peeled by F(e_1)
-    instead, which keeps the stack finite and free of warnings; their
-    remainder means nothing.  ``edge`` (k, 2m-1) receives the peeled last
-    row and then the rest of the peeled last column, which together must
-    equal e_m (see :func:`_certificate`).
+    Returns (zeta, remainder, lead, norms, failed): the raw last columns
+    (k, m); the (k, m-1, m-1) top-left blocks of F(zeta)^dagger a;
+    |zeta_1| of each member; ||zeta|| of each member, (k, 1); and the
+    indices of the members whose |zeta_1| is at or below the genericity
+    gate.  Those members are peeled by F(e_1) instead, which keeps the
+    stack finite and free of warnings; their remainder means nothing and
+    their norm is that of e_1.  ``edge`` (k, 2m-1) receives the peeled
+    last row and then the rest of the peeled last column, which together
+    must equal e_m (see :func:`_certificate`).
     """
     m = a.shape[-1]
     zeta = a[:, :, m - 1].copy()
@@ -237,9 +251,10 @@ def _split_arrays(a: np.ndarray, tol: Tolerances, edge: np.ndarray
     if failed.size:
         unit = zeta.copy()
         unit[failed] = np.eye(1, m)
-    peeled = _coset_adjoint_apply(unit / _row_norms(unit), a)
+    norms = _row_norms(unit)
+    peeled = _coset_adjoint_apply(unit / norms, a)
     np.concatenate((peeled[:, m - 1], peeled[:, : m - 1, m - 1]), axis=1, out=edge)
-    return zeta, peeled[:, : m - 1, : m - 1], lead, failed
+    return zeta, peeled[:, : m - 1, : m - 1], lead, norms, failed
 
 
 def _certificate(edges: np.ndarray, corners: list[int]) -> np.ndarray:
@@ -258,14 +273,15 @@ class _Peel(NamedTuple):
     level from m = n down; ``remainder`` the (k, m, m) blocks left, 1 x 1
     after the whole tower; ``worst`` each member's certificate, the
     largest deviation of a peeled last row or column from e_m, and after
-    the whole tower of |final entry| from 1; ``failures`` maps each member
-    that hit the non-generic stratum to its first such level and |zeta_1|
-    there.
+    the whole tower of |final entry| from 1; ``norms`` the (k, levels)
+    norms of the columns; ``failures`` maps each member that hit the
+    non-generic stratum to its first such level and |zeta_1| there.
     """
 
     columns: list[np.ndarray]
     remainder: np.ndarray
     worst: np.ndarray
+    norms: np.ndarray
     failures: dict[int, tuple[int, float]]
 
 
@@ -273,18 +289,22 @@ def _peel(a: np.ndarray, tol: Tolerances, levels: int | None = None) -> _Peel:
     """Peel ``levels`` coset factors, all n - 1 by default, off every member
     of a (k, n, n) stack, one set of array calls per level.
 
-    Raises nothing: :func:`_check_member` reads a member's error.
+    Raises nothing: :func:`_check_member` reads a member's error, and
+    :func:`_checked_peel` each member's every error.
     """
     k, n = a.shape[0], a.shape[-1]
     last = 1 if levels is None else n - levels
     work = a
     columns: list[np.ndarray] = []
     edges = np.empty((k, n * n - last * last), dtype=np.complex128)  # 2m - 1 per level m
+    norms = np.empty((k, n - last))
     corners: list[int] = []
     failures: dict[int, tuple[int, float]] = {}
     for m in range(n, last, -1):
         start = n * n - m * m
-        zeta, work, lead, failed = _split_arrays(work, tol, edges[:, start:start + 2 * m - 1])
+        zeta, work, lead, norm, failed = _split_arrays(
+            work, tol, edges[:, start:start + 2 * m - 1])
+        norms[:, n - m] = norm[:, 0]
         if failed.size:
             for i in failed.tolist():
                 failures.setdefault(i, (m, float(lead[i])))
@@ -294,18 +314,80 @@ def _peel(a: np.ndarray, tol: Tolerances, levels: int | None = None) -> _Peel:
     if levels is None:
         residual = work[:, 0, 0]
         np.maximum(worst, np.abs(np.hypot(residual.real, residual.imag) - 1.0), out=worst)
-    return _Peel(columns, work, worst, failures)
+    return _Peel(columns, work, worst, norms, failures)
 
 
 def _check_member(peel: _Peel, i: int, tol: Tolerances) -> None:
-    """Raise the error :func:`decompose` raises for member ``i`` alone:
-    non-genericity first, then the certificate."""
+    """Raise the error of member ``i``'s peel: non-genericity first, then
+    the certificate."""
     if i in peel.failures:
         level, magnitude = peel.failures[i]
         raise NonGenericMatrixError(level, magnitude, tol.tol_generic)
     worst = float(peel.worst[i])
     if worst > tol.tol_unitary:
         raise NotUnitaryError(worst, tol.tol_unitary)
+
+
+def _checked_peel(a: np.ndarray, tol: Tolerances, levels: int | None = None
+                  ) -> tuple[_Peel, np.ndarray]:
+    """:func:`_peel` with every check :func:`decompose` (all levels) or
+    :func:`split_coset` (``levels=1``) makes of each member, made for the
+    whole stack at once.
+
+    Returns the peel and, after the whole tower, each member's chi (k,),
+    or else the certificate of each member's remainder (k,).  Raises the
+    error of the first member that has one, as a loop would; in a member,
+    non-genericity, then the peel certificate, then the norm gate of the
+    level columns, then the gate of chi or the remainder's certificate.
+    """
+    peel = _peel(a, tol, levels)
+    # The certificate bounds | ||zeta|| - 1 | per level, so certified input passes.
+    norm_gate = max(tol.tol_norm, tol.tol_unitary)
+    off_norm = np.abs(peel.norms - 1.0) > norm_gate
+    failed = (peel.worst > tol.tol_unitary) | off_norm.any(axis=1)
+    failed[list(peel.failures)] = True
+    stop = int(failed.argmax()) if failed.any() else len(failed)
+    # The members before the first failure take their last check, in order, before its error.
+    if levels is None:
+        tail = np.array([reduce_phase(principal_arg(z, tol=tol))
+                         for z in peel.remainder[:stop, 0, 0].tolist()])
+    else:
+        tail = _certify_stack(peel.remainder[:stop], tol.tol_unitary)
+    if stop < len(failed):
+        _check_member(peel, stop, tol)
+        norm = float(peel.norms[stop, off_norm[stop].argmax()])
+        raise ValueError(f"vector norm {norm!r} deviates from 1 by more than {norm_gate:.3e}")
+    return peel, tail
+
+
+def _rebuild(columns: Sequence[np.ndarray], chi: np.ndarray, tol: Tolerances
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """The towers of a stack multiplied back together and certified.
+
+    ``columns`` holds a (k, m) array of level vectors per level, m = n
+    down to 2, and ``chi`` the k residual phases.  Returns the (k, n, n)
+    matrices and their certificates.  Raises the error of the first
+    member that has one, as a loop of :func:`reconstruct` calls would:
+    the members before one with a leading component at or below the
+    genericity gate are rebuilt and certified before its error.
+    """
+    k = len(chi)
+    n = columns[0].shape[1] if columns else 1
+    lead = np.array([zeta[:, 0] for zeta in columns], dtype=np.complex128).reshape(-1, k)
+    margin = np.hypot(lead.real, lead.imag).min(axis=0, initial=np.inf)  # abs(), bit for bit
+    generic = margin > tol.tol_generic
+    stop = k if generic.all() else int(generic.argmin())
+    out = np.zeros((stop, n, n), dtype=np.complex128)
+    out.reshape(stop, n * n)[:, :: n + 1] = 1.0
+    out[:, 0, 0] = np.exp(1j * chi[:stop])
+    for zeta in reversed(columns):
+        m = zeta.shape[1]
+        _coset_apply(zeta[:stop], out[:, :m, :m])
+    deviations = _certify_stack(out, tol.tol_unitary)
+    if stop < k:
+        raise NonGenericVectorError(f"genericity margin {margin[stop]:.3e} "
+                                    f"<= {tol.tol_generic:.3e}: coset factor undefined")
+    return out, deviations
 
 
 _STACK_ENTRIES = 1 << 14  # entries per stack: 256 kB per complex working array
@@ -332,65 +414,27 @@ def _decompose_stack(matrices: Sequence[UnitaryMatrix],
     """:func:`decompose` of each of k >= 1 same-size matrices, peeled as
     one stack.  Raises the error of the first member that has one, as a
     loop of :func:`decompose` calls would."""
-    peel = _peel(_stack([A.data for A in matrices]), tol)
-    # The certificate bounds | ||zeta|| - 1 | per level, so the norm gate passes.
-    norm_gate = max(tol.tol_norm, tol.tol_unitary)
-    out = []
-    for i in range(len(matrices)):
-        _check_member(peel, i, tol)
-        vectors = tuple(UnitVector(zeta[i], tol=norm_gate) for zeta in peel.columns)
-        out.append(CanonicalParams(vectors=vectors,
-                                   chi=principal_arg(peel.remainder[i, 0, 0], tol=tol)))
-    return out
+    peel, chi = _checked_peel(_stack([A.data for A in matrices]), tol)
+    return [CanonicalParams(vectors=tuple(UnitVector._certified(zeta[i]) for zeta in peel.columns),
+                            chi=chi[i])
+            for i in range(len(matrices))]
 
 
 def _reconstruct_stack(params: Sequence[CanonicalParams],
                        tol: Tolerances) -> list[UnitaryMatrix]:
     """:func:`reconstruct` of each of k >= 1 same-dimension parameter sets,
-    rebuilt as one stack.  Raises the error of the first member that has
-    one, as a loop of :func:`reconstruct` calls would: the members before
-    a non-generic one are rebuilt and certified before its error."""
-    k = 0
-    while k < len(params) and params[k].genericity_margin > tol.tol_generic:
-        k += 1
-    n = params[0].dim
-    out = np.zeros((k, n, n), dtype=np.complex128)
-    out.reshape(k, n * n)[:, :: n + 1] = 1.0
-    out[:, 0, 0] = [np.exp(1j * p.chi) for p in params[:k]]
-    for level in reversed(list(zip(*([v.data for v in p.vectors] for p in params[:k])))):
-        m = level[0].shape[0]
-        _coset_apply(_stack(level), out[:, :m, :m])
-    rebuilt = [UnitaryMatrix(u, tol=tol.tol_unitary) for u in out]
-    if k < len(params):
-        margin = params[k].genericity_margin
-        raise NonGenericVectorError(f"genericity margin {margin:.3e} "
-                                    f"<= {tol.tol_generic:.3e}: coset factor undefined")
-    return rebuilt
+    rebuilt as one stack by :func:`_rebuild`."""
+    columns = [_stack([p.vectors[level].data for p in params])
+               for level in range(params[0].dim - 1)]
+    rebuilt, deviations = _rebuild(columns, np.array([p.chi for p in params]), tol)
+    return list(map(UnitaryMatrix._certified, rebuilt, deviations))
 
 
-def _decompose_all(matrices: Iterable[UnitaryMatrix],
-                   tol: Tolerances) -> Iterator[CanonicalParams]:
-    """:func:`decompose` of each of any number of same-size matrices in
-    turn, a stack at a time.  A whole stack is taken from ``matrices``
-    before any of it is peeled, so an error raised in making a later
-    member of a stack comes before the errors of the earlier ones."""
-    for stack in _stacks(matrices, lambda A: A.n):
-        yield from _decompose_stack(stack, tol)
-
-
-def _reconstruct_all(params: Iterable[CanonicalParams],
-                     tol: Tolerances) -> Iterator[UnitaryMatrix]:
-    """:func:`reconstruct` of each of any number of same-dimension
-    parameter sets in turn, a stack at a time."""
-    for stack in _stacks(params, lambda p: p.dim):
-        yield from _reconstruct_stack(stack, tol)
-
-
-def _nongeneric_errors(matrices: Sequence[UnitaryMatrix],
+def _nongeneric_errors(matrices: np.ndarray, deviations: np.ndarray,
                        tol: Tolerances) -> list[NonGenericMatrixError | None]:
-    """The NonGenericMatrixError :func:`decompose` raises for each of several
-    same-size matrices, or None where it raises none; any other error is
-    raised, the first member's first.
+    """The NonGenericMatrixError :func:`decompose` raises for each member of a
+    (k, n, n) stack of matrices certified at ``deviations``, or None where
+    it raises none; any other error is raised, the first member's first.
 
     Several matrices are peeled as one stack.  A lone one goes through
     :func:`decompose` itself, so a one-seed Haar draw makes exactly one
@@ -399,11 +443,11 @@ def _nongeneric_errors(matrices: Sequence[UnitaryMatrix],
     """
     if len(matrices) == 1:
         try:
-            decompose(matrices[0], tol=tol)
+            decompose(UnitaryMatrix._certified(matrices[0], deviations[0]), tol=tol)
         except NonGenericMatrixError as err:
             return [err]
         return [None]
-    peel = _peel(_stack([A.data for A in matrices]), tol)
+    peel = _peel(matrices, tol)
     errors: list[NonGenericMatrixError | None] = []
     for i in range(len(matrices)):
         try:
@@ -413,29 +457,6 @@ def _nongeneric_errors(matrices: Sequence[UnitaryMatrix],
         else:
             errors.append(None)
     return errors
-
-
-def _split_stack(matrices: Sequence[UnitaryMatrix], tol: Tolerances
-                 ) -> list[tuple[UnitVector, UnitaryMatrix]]:
-    """:func:`split_coset` of each of k >= 1 same-size matrices, peeled as
-    one stack.  Raises the error of the first member that has one, as a
-    loop of :func:`split_coset` calls would."""
-    peel = _peel(_stack([A.data for A in matrices]), tol, levels=1)
-    norm_gate = max(tol.tol_norm, tol.tol_unitary)
-    out = []
-    for i in range(len(matrices)):
-        _check_member(peel, i, tol)
-        out.append((UnitVector(peel.columns[0][i], tol=norm_gate),
-                    UnitaryMatrix(peel.remainder[i], tol=tol.tol_unitary)))
-    return out
-
-
-def _split_all(matrices: Iterable[UnitaryMatrix], tol: Tolerances
-               ) -> Iterator[tuple[UnitVector, UnitaryMatrix]]:
-    """:func:`split_coset` of each of any number of same-size matrices in
-    turn, a stack at a time, as :func:`_decompose_all` decomposes them."""
-    for stack in _stacks(matrices, lambda A: A.n):
-        yield from _split_stack(stack, tol)
 
 
 def split_coset(A: UnitaryMatrix, *,
@@ -448,7 +469,9 @@ def split_coset(A: UnitaryMatrix, *,
     """
     if A.n < 2:
         raise DimensionMismatchError("nothing to split below dimension 2")
-    return _split_stack([A], tol)[0]
+    peel, deviations = _checked_peel(A.data[None], tol, levels=1)
+    return (UnitVector._certified(peel.columns[0][0]),
+            UnitaryMatrix._certified(peel.remainder[0], deviations[0]))
 
 
 def decompose(A: UnitaryMatrix, *,
@@ -492,17 +515,57 @@ def reconstruct(params: CanonicalParams, *,
 # Invariant content of the parameters
 # ---------------------------------------------------------------------------
 
+def _modulus_arrays(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """:func:`modulus_invariants` of each member of a stack, from its level
+    columns (a (k, m) array per level, m = n down to 2): a (k, n(n-1)/2)
+    array.  With no levels (n = 1) it is one empty row."""
+    if not columns:
+        return np.empty((1, 0))
+    return np.abs(np.concatenate([zeta[:, :-1] for zeta in reversed(columns)], axis=1))
+
+
+def _phase_arrays(columns: Sequence[np.ndarray], tol: Tolerances) -> np.ndarray:
+    """:func:`phase_invariant_list` of each member of a stack, from its level
+    columns as for :func:`_modulus_arrays`: a (k, (n-1)(n-2)/2) complex
+    array; with no levels (n = 1) it is one empty row.
+
+    Raises the error of the first member that has one, at its first
+    offending pair and j, as a loop of :func:`phase_invariant_list` calls
+    would.
+    """
+    ordered = columns[::-1]  # dimension 2 first
+    pairs = list(zip(ordered[:-1], ordered[1:]))
+    if not pairs:
+        return np.empty((len(columns[0]) if columns else 1, 0), dtype=np.complex128)
+    parts = [np.concatenate(cut, axis=1) for cut in
+             zip(*((u[:, :-1], u[:, 1:], v[:, 1:-1], v[:, 2:]) for u, v in pairs))]
+    small = np.minimum.reduce([np.abs(p) for p in parts])
+    bad = small <= tol.tol_generic
+    if bad.any():
+        i = int(bad.any(axis=1).argmax())
+        flat = int(bad[i].argmax())
+        starts = np.cumsum([0] + [u.shape[1] - 1 for u, _ in pairs])
+        pair = int(np.searchsorted(starts, flat, side="right")) - 1
+        m = pairs[pair][0].shape[1]
+        raise NonGenericVectorError(
+            f"phase invariant at pair (dim {m}, dim {m + 1}), j = {flat - int(starts[pair]) + 1}: "
+            f"a factor has modulus {small[i, flat]:.3e} <= {tol.tol_generic:.3e}"
+        )
+    # Each product into a fresh array: numpy would multiply a large
+    # temporary in place, which rounds differently.
+    return np.multiply(np.multiply(np.multiply(parts[0], parts[1].conj()),
+                                   parts[2].conj()), parts[3])
+
+
 def modulus_invariants(params: CanonicalParams) -> list[float]:
     """Gauge-invariant moduli: the first m-1 component moduli per level.
 
     Listed from the dimension-2 vector upward, n(n-1)/2 numbers in all.
     Together with the phase invariants these exhaust the gauge-invariant
-    content of a generic unitary.
+    content of a generic unitary.  It is the one-matrix case of
+    :func:`_modulus_arrays`.
     """
-    out: list[float] = []
-    for v in reversed(params.vectors):
-        out.extend(float(x) for x in np.abs(v.data[:-1]))
-    return out
+    return _modulus_arrays([v.data[None] for v in params.vectors])[0].tolist()
 
 
 def phase_invariant_list(params: CanonicalParams, *,
@@ -516,7 +579,7 @@ def phase_invariant_list(params: CanonicalParams, *,
 
     are invariant under the full diagonal gauge freedom (each gauge
     phase enters twice with opposite signs).  Listed from the smallest
-    pair upward.
+    pair upward.  It is the one-matrix case of :func:`_phase_arrays`.
 
     Raises
     ------
@@ -524,18 +587,4 @@ def phase_invariant_list(params: CanonicalParams, *,
         If any participating component has modulus <= tol.tol_generic,
         in which case that combination's phase carries no information.
     """
-    out: list[complex] = []
-    ordered = list(reversed(params.vectors))  # dimension 2 first
-    for u, v in zip(ordered[:-1], ordered[1:]):
-        m = u.dim
-        parts = (u.data[:-1], u.data[1:], v.data[1:-1], v.data[2:])
-        small = np.minimum.reduce([np.abs(p) for p in parts])
-        bad = np.flatnonzero(small <= tol.tol_generic)
-        if bad.size:
-            j = int(bad[0])
-            raise NonGenericVectorError(
-                f"phase invariant at pair (dim {m}, dim {m + 1}), j = {j + 1}: "
-                f"a factor has modulus {small[j]:.3e} <= {tol.tol_generic:.3e}"
-            )
-        out.extend((parts[0] * parts[1].conj() * parts[2].conj() * parts[3]).tolist())
-    return out
+    return _phase_arrays([v.data[None] for v in params.vectors], tol)[0].tolist()

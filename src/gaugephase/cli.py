@@ -86,7 +86,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             for v in params.vectors
         ],
         "genericity_margin": params.genericity_margin,
-        "modulus_invariants": [float(x) for x in modulus_invariants(params)],
+        "modulus_invariants": modulus_invariants(params),
         "phase_invariants": phase_invariants,
         "unitarity_deviation": matrix.deviation,
         "roundtrip_deviation": float(np.abs(rebuilt.data - matrix.data).max()),

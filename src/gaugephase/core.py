@@ -8,10 +8,14 @@ does not exist (orthogonal endpoints, vanishing invariants).
 
 Two private helpers are the package's only input checks of their kind:
 ``_as_complex_array`` (complex and finite) for every vector, matrix,
-curve and evolution constructor, and ``_gram_deviation`` (the
-orthonormality certificate max |C^dagger C - I|) for ``UnitaryMatrix``,
-the frames of ``FrameEvolution`` and the vector families of
-``bargmann.interleaved_invariant``.
+curve and evolution constructor, and ``_gram_deviations`` (the
+orthonormality certificate max |C^dagger C - I|, one per member of a
+stack) for ``UnitaryMatrix``, the frames of ``FrameEvolution``, the
+vector families of ``bargmann.interleaved_invariant`` and, through
+``_certify_stack``, every stack of matrices built at once (rebuilt
+towers, gauge transforms, Haar draws).  Such a stack is wrapped member by
+member with the private constructors ``UnitaryMatrix._certified`` and
+``UnitVector._certified``, which store a copy without checking again.
 """
 
 from __future__ import annotations
@@ -207,11 +211,40 @@ def _as_complex_array(values, *, what: str) -> np.ndarray:
     return arr
 
 
-def _gram_deviation(columns: np.ndarray) -> float:
-    """max |C^dagger C - I| over the last two axes: the orthonormality
-    certificate of the columns of C, one batched product for a stack."""
+def _gram_deviations(columns: np.ndarray) -> np.ndarray:
+    """max |C^dagger C - I| over the last two axes, for each member of a
+    stack of C: the orthonormality certificate of the columns of C, one
+    batched product for the whole stack."""
     gram = columns.conj().swapaxes(-1, -2) @ columns
-    return float(np.abs(gram - np.eye(columns.shape[-1])).max())
+    return np.abs(gram - np.eye(columns.shape[-1])).max(axis=(-2, -1))
+
+
+def _gram_deviation(columns: np.ndarray) -> float:
+    """The largest certificate of :func:`_gram_deviations` over a stack."""
+    return float(_gram_deviations(columns).max())
+
+
+def _certify_stack(arrays: np.ndarray, tol: float) -> np.ndarray:
+    """The certificate ``UnitaryMatrix`` takes of each member of a (k, n, n)
+    stack, taken at once.  Returns each member's deviation; raises the
+    error ``UnitaryMatrix`` raises for the first member that fails, a
+    non-finite entry before the deviation."""
+    finite = np.isfinite(arrays).all(axis=(-2, -1))
+    deviations = _gram_deviations(arrays)
+    failed = ~finite | (deviations > tol)
+    if failed.any():
+        i = int(failed.argmax())
+        if not finite[i]:
+            raise ValueError("matrix contains non-finite entries")
+        raise NotUnitaryError(deviations[i], tol)
+    return deviations
+
+
+def _freeze(obj, values: np.ndarray) -> None:
+    """Store a read-only copy of ``values`` as ``obj._data``."""
+    arr = values.copy()
+    arr.setflags(write=False)
+    object.__setattr__(obj, "_data", arr)
 
 
 class UnitVector:
@@ -233,9 +266,14 @@ class UnitVector:
         norm = float(np.linalg.norm(arr))
         if abs(norm - 1.0) > tol:
             raise ValueError(f"vector norm {norm!r} deviates from 1 by more than {tol:.3e}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "_data", arr)
+        _freeze(self, arr)
+
+    @classmethod
+    def _certified(cls, values: np.ndarray) -> "UnitVector":
+        """A copy of a 1-d complex array whose norm the caller has gated."""
+        self = object.__new__(cls)
+        _freeze(self, values)
+        return self
 
     # -- accessors ---------------------------------------------------------
 
@@ -280,10 +318,17 @@ class UnitaryMatrix:
         dev = _gram_deviation(arr)
         if dev > tol:
             raise NotUnitaryError(dev, tol)
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "_data", arr)
+        _freeze(self, arr)
         object.__setattr__(self, "_deviation", dev)
+
+    @classmethod
+    def _certified(cls, values: np.ndarray, deviation: float) -> "UnitaryMatrix":
+        """A copy of a square complex array whose certificate the caller has
+        taken (see :func:`_certify_stack`) and found to be ``deviation``."""
+        self = object.__new__(cls)
+        _freeze(self, values)
+        object.__setattr__(self, "_deviation", float(deviation))
+        return self
 
     @property
     def data(self) -> np.ndarray:

@@ -26,26 +26,18 @@ GridMismatchError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import tee
-from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bargmann import delta4_grid
-from .canonical import (
-    _decompose_all,
-    _split_all,
-    decompose,
-    modulus_invariants,
-    phase_invariant_list,
-    split_coset,
-)
+from .bargmann import _delta4, delta4_grid
+from .canonical import _checked_peel, _modulus_arrays, _phase_arrays, _stacks, split_coset
 from .core import (
     DEFAULT_TOLERANCES,
     DimensionMismatchError,
     GridMismatchError,
     Tolerances,
     UnitaryMatrix,
+    _certify_stack,
 )
 from .curves import FrameEvolution, StateCurve
 
@@ -74,17 +66,36 @@ def _as_phase_array(values, shape: tuple[int, ...], what: str,
     return arr
 
 
+def _times_each(stack: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+    """``stack[i] * fixed`` for each member i, rounded as each product alone
+    is: ``fixed`` is repeated over the stack first, because numpy
+    multiplies a broadcast (zero-stride) complex operand in another loop,
+    which can round differently."""
+    return np.multiply(stack, np.repeat(fixed[None], len(stack), axis=0))
+
+
+def _gauge_transforms(a: np.ndarray, left: np.ndarray, right: np.ndarray,
+                      tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """The rephasings of the matrix ``a`` by each row pair of the (k, n)
+    phase arrays ``left`` and ``right``, with one ``exp`` and one batched
+    certificate: the (k, n, n) transforms and their certificates."""
+    factor = np.exp(1j * (left[:, :, None] + right[:, None, :]))
+    transformed = _times_each(factor, a)
+    return transformed, _certify_stack(transformed, tol.tol_unitary)
+
+
 def gauge_transform_matrix(A: UnitaryMatrix, left, right, *,
                            tol: Tolerances = DEFAULT_TOLERANCES) -> UnitaryMatrix:
     """Entrywise row/column rephasing e^{i theta_j} a_{jk} e^{i theta'_k}.
 
     Computed entrywise (never by matrix products), so entry moduli are
-    preserved exactly, not just to rounding of a product.
+    preserved exactly, not just to rounding of a product.  It is the
+    one-matrix case of the stacked transform.
     """
     lt = _as_phase_array(left, (A.n,), "left phases", DimensionMismatchError)
     rt = _as_phase_array(right, (A.n,), "right phases", DimensionMismatchError)
-    factor = np.exp(1j * (lt[:, None] + rt[None, :]))
-    return UnitaryMatrix(factor * A.data, tol=tol.tol_unitary)
+    transformed, deviations = _gauge_transforms(A.data, lt[None], rt[None], tol)
+    return UnitaryMatrix._certified(transformed[0], deviations[0])
 
 
 def gauge_transform_curve(curve: StateCurve, alpha) -> StateCurve:
@@ -130,18 +141,23 @@ class GaugeRecursionReport:
                 and self.remainder_deviation <= self.tolerance)
 
 
-def _recursion_deviations(A: UnitaryMatrix, gauges: Sequence[tuple[np.ndarray, np.ndarray]],
-                          tol: Tolerances) -> Iterator[tuple[float, float]]:
-    """The (vector, remainder) deviations of the peeling law for each
-    (left, right) phase pair of ``gauges`` in turn.  A is peeled once,
-    and its transforms a stack at a time."""
+def _recursion_deviations(A: UnitaryMatrix, left: np.ndarray, right: np.ndarray,
+                          tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """The vector and the remainder deviation of the peeling law for each
+    row pair of the (k, n) phase arrays ``left`` and ``right``, as two
+    (k,) arrays.  A is peeled once, and its transforms a stack at a time,
+    each with every check of :func:`~gaugephase.canonical.split_coset`."""
     zeta, rest = split_coset(A, tol=tol)
-    transformed = (gauge_transform_matrix(A, lt, rt, tol=tol) for lt, rt in gauges)
-    for (lt, rt), (zeta_t, rest_t) in zip(gauges, _split_all(transformed, tol)):
-        predicted_vec = np.exp(1j * (lt + rt[-1])) * zeta.data
-        inner = np.exp(1j * (lt[1:, None] + rt[None, :-1])) * rest.data
-        yield (float(np.abs(zeta_t.data - predicted_vec).max()),
-               float(np.abs(rest_t.data - inner).max()))
+    vector_dev, remainder_dev = [np.zeros(0)], [np.zeros(0)]
+    for stack in _stacks(range(len(left)), lambda _: A.n):
+        lt, rt = left[stack], right[stack]
+        transformed, _ = _gauge_transforms(A.data, lt, rt, tol)
+        peel, _ = _checked_peel(transformed, tol, levels=1)
+        predicted_vec = _times_each(np.exp(1j * (lt + rt[:, -1:])), zeta.data)
+        inner = _times_each(np.exp(1j * (lt[:, 1:, None] + rt[:, None, :-1])), rest.data)
+        vector_dev.append(np.abs(peel.columns[0] - predicted_vec).max(axis=1))
+        remainder_dev.append(np.abs(peel.remainder - inner).max(axis=(1, 2)))
+    return np.concatenate(vector_dev), np.concatenate(remainder_dev)
 
 
 def verify_gauge_recursion(A: UnitaryMatrix, left, right, *,
@@ -156,11 +172,11 @@ def verify_gauge_recursion(A: UnitaryMatrix, left, right, *,
     """
     lt = _as_phase_array(left, (A.n,), "left phases", DimensionMismatchError)
     rt = _as_phase_array(right, (A.n,), "right phases", DimensionMismatchError)
-    (dev_vec, dev_rest), = _recursion_deviations(A, [(lt, rt)], tol)
+    (dev_vec,), (dev_rest,) = _recursion_deviations(A, lt[None], rt[None], tol)
     return GaugeRecursionReport(
         n=A.n,
-        vector_deviation=dev_vec,
-        remainder_deviation=dev_rest,
+        vector_deviation=float(dev_vec),
+        remainder_deviation=float(dev_rest),
         tolerance=tolerance,
     )
 
@@ -200,34 +216,29 @@ def verify_invariants_under_gauge(A: UnitaryMatrix, *, trials: int = 200,
     four families are compared against the untransformed baseline:
     entry moduli, canonical modulus invariants, the full four-index
     invariant grid (complex values), and the canonical phase-invariant
-    list (complex values).
+    list (complex values).  The transforms are made, certified, peeled
+    and compared a stack at a time, with every check
+    :func:`~gaugephase.canonical.decompose` makes of each.
     """
     rng = np.random.default_rng(seed)
     base_moduli = np.abs(A.data)
     base_grid = delta4_grid(A)
-    base_params = decompose(A, tol=tol)
-    base_mod_inv = np.array(modulus_invariants(base_params))
-    base_phase_inv = np.array(phase_invariant_list(base_params, tol=tol))
+    base, _ = _checked_peel(A.data[None], tol)
+    base_mod_inv = _modulus_arrays(base.columns)
+    base_phase_inv = _phase_arrays(base.columns, tol)
 
     dev_entry = dev_modinv = dev_delta = dev_phase = 0.0
-    transformed, to_peel = tee(
-        gauge_transform_matrix(A, rng.uniform(-np.pi, np.pi, A.n),
-                               rng.uniform(-np.pi, np.pi, A.n), tol=tol)
-        for _ in range(trials)
-    )
-    for matrix, params in zip(transformed, _decompose_all(to_peel, tol)):
-        dev_entry = max(dev_entry, float(np.abs(np.abs(matrix.data) - base_moduli).max()))
-        dev_delta = max(dev_delta, float(np.abs(delta4_grid(matrix) - base_grid).max()))
-        dev_modinv = max(
-            dev_modinv,
-            float(np.abs(np.array(modulus_invariants(params)) - base_mod_inv).max()),
-        )
+    for stack in _stacks(range(trials), lambda _: A.n):
+        phases = rng.uniform(-np.pi, np.pi, (len(stack), 2, A.n))  # left, right per trial
+        transformed, _ = _gauge_transforms(A.data, phases[:, 0], phases[:, 1], tol)
+        peel, _ = _checked_peel(transformed, tol)
+        dev_entry = max(dev_entry, float(np.abs(np.abs(transformed) - base_moduli).max()))
+        dev_delta = max(dev_delta, float(np.abs(_delta4(transformed) - base_grid).max()))
+        dev_modinv = max(dev_modinv, float(np.abs(_modulus_arrays(peel.columns)
+                                                  - base_mod_inv).max()))
         if base_phase_inv.size:
-            dev_phase = max(
-                dev_phase,
-                float(np.abs(np.array(phase_invariant_list(params, tol=tol))
-                             - base_phase_inv).max()),
-            )
+            dev_phase = max(dev_phase, float(np.abs(_phase_arrays(peel.columns, tol)
+                                                    - base_phase_inv).max()))
 
     return GaugeInvarianceReport(
         n=A.n,

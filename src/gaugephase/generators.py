@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .core import (
     UnitaryMatrix,
     UnitVector,
     _as_complex_array,
+    _certify_stack,
 )
 from .curves import FrameEvolution
 
@@ -50,16 +51,20 @@ def _as_rng(seed_or_rng) -> np.random.Generator:
 # Haar sampling
 # ---------------------------------------------------------------------------
 
-def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """QR of a complex Ginibre matrix, with the R-diagonal phases fixed.
+def _haar_unitaries(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """QR of a complex Ginibre matrix from each generator, with the
+    R-diagonal phases fixed: a (k, n, n) stack.
 
     Dividing out the phases of R's diagonal makes the distribution exactly
-    Haar rather than QR-convention dependent.
+    Haar rather than QR-convention dependent.  All k matrices go through
+    one stacked ``np.linalg.qr``, which gives each the Q and R it gives
+    alone.
     """
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
+    z = np.array([(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+                  / math.sqrt(2.0) for rng in rngs])
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d)).conj()
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return np.multiply(q, (d / np.abs(d)).conj()[:, None, :])
 
 
 def random_generic_unitary(n: int, seed: int, *,
@@ -80,28 +85,39 @@ def random_generic_unitary(n: int, seed: int, *,
 
 def _random_generic_unitaries(n: int, seeds: Iterable, tol: Tolerances
                               ) -> Iterator[UnitaryMatrix]:
-    """:func:`random_generic_unitary` for each seed in turn, drawn in stacks.
+    """:func:`random_generic_unitary` for each seed in turn, drawn in stacks
+    by :func:`_generic_unitary_stacks`."""
+    for draws, deviations in _generic_unitary_stacks(n, seeds, tol):
+        yield from map(UnitaryMatrix._certified, draws, deviations)
+
+
+def _generic_unitary_stacks(n: int, seeds: Iterable, tol: Tolerances
+                            ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """:func:`random_generic_unitary` for each seed, a (k, n, n) stack of
+    draws and their (k,) certificates at a time.
 
     Every seed has its own generator.  The pending candidates of a stack
-    are peeled at once, and only the rejected ones are redrawn, each from
-    its own generator, so each seed yields exactly the matrix, after
-    exactly the logged rejections, that it does alone.
+    are drawn, certified and peeled at once, and only the rejected ones
+    are redrawn, each from its own generator, so each seed yields exactly
+    the matrix, after exactly the logged rejections, that it does alone.
     """
     seeds = list(seeds)
     if seeds and n < 2:
         raise DimensionMismatchError(f"need n >= 2, got {n}")
     for stack in _stacks(seeds, lambda seed: n):
         rngs = [np.random.default_rng(seed) for seed in stack]
-        draws: list[UnitaryMatrix | None] = [None] * len(stack)
+        draws = np.empty((len(stack), n, n), dtype=np.complex128)
+        deviations = np.empty(len(stack))
         pending = list(range(len(stack)))
         while pending:
-            candidates = [UnitaryMatrix(_haar_unitary(n, rngs[j]), tol=tol.tol_unitary)
-                          for j in pending]
+            candidates = _haar_unitaries(n, [rngs[j] for j in pending])
+            certificates = _certify_stack(candidates, tol.tol_unitary)
             rejected = []
-            for j, candidate, err in zip(pending, candidates,
-                                         _nongeneric_errors(candidates, tol)):
+            errors = _nongeneric_errors(candidates, certificates, tol)
+            for c, (j, err) in enumerate(zip(pending, errors)):
                 if err is None:
-                    draws[j] = candidate
+                    draws[j] = candidates[c]
+                    deviations[j] = certificates[c]
                     continue
                 logger.debug(
                     "rejected non-generic draw at n=%d seed=%s (level %d, |zeta_1|=%.3e)",
@@ -109,7 +125,7 @@ def _random_generic_unitaries(n: int, seeds: Iterable, tol: Tolerances
                 )
                 rejected.append(j)
             pending = rejected
-        yield from draws
+        yield draws, deviations
 
 
 def random_unit_vector(n: int, seed_or_rng, *, min_leading: float = 0.0) -> UnitVector:

@@ -16,7 +16,8 @@ so an n=8, N=4000 evolution would otherwise trigger hundreds of passes over
 a tree that cannot hold a reference cycle.  Every [re, im] pair, of a
 matrix or of all frames of an evolution at once, then goes through one
 flat conversion (``_pairs_to_complex``): one ``np.fromiter`` over the
-chained pairs, one finite check, one complex assembly.  Only when that
+chained pairs, one finite check, and a complex view of the same memory,
+which keeps every bit of both parts, signed zeros too.  Only when that
 fails are the frames looked at one by one, so that the ``FileFormatError``
 names the first bad frame.
 
@@ -96,7 +97,7 @@ def _pairs_to_complex(pairs, count: int, what: str) -> np.ndarray:
         raise FileFormatError(f"{what}: malformed pairs: {err}") from err
     if not np.isfinite(flat).all():
         raise FileFormatError(f"{what}: non-finite entries")
-    return flat[0::2] + 1j * flat[1::2]
+    return flat.view(np.complex128)
 
 
 @_gc_paused()

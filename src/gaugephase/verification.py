@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, tee
+from itertools import combinations
 
 import numpy as np
 
@@ -23,8 +23,8 @@ from .bargmann import (
 )
 from .canonical import (
     CanonicalParams,
-    _decompose_all,
-    _reconstruct_all,
+    _checked_peel,
+    _rebuild,
     decompose,
     modulus_invariants,
     phase_invariant_list,
@@ -45,6 +45,7 @@ from .gauge import (
     verify_invariants_under_gauge,
 )
 from .generators import (
+    _generic_unitary_stacks,
     _random_generic_unitaries,
     frame_evolution_from_path,
     random_generic_unitary,
@@ -156,19 +157,23 @@ def run_counting_suite(n: int = 10, trials: int = 1, seed: int = 0, *,
 
 def run_roundtrip_suite(n: int, trials: int, seed: int, *,
                         tol: Tolerances = DEFAULT_TOLERANCES) -> SuiteReport:
-    """Reconstruction fidelity and parameter uniqueness over Haar draws."""
+    """Reconstruction fidelity and parameter uniqueness over Haar draws.
+
+    The draws are peeled, rebuilt and peeled again a stack at a time, as
+    arrays, with every check ``decompose`` and ``reconstruct`` make of
+    each matrix.
+    """
     worst_matrix = 0.0
     worst_params = 0.0
-    matrices, to_peel = tee(_random_generic_unitaries(n, range(seed, seed + trials), tol))
-    params, to_rebuild = tee(_decompose_all(to_peel, tol))
-    rebuilt, to_peel_again = tee(_reconstruct_all(to_rebuild, tol))
-    again = _decompose_all(to_peel_again, tol)
-    for matrix, found, copy, found_again in zip(matrices, params, rebuilt, again):
-        worst_matrix = max(worst_matrix, float(np.abs(copy.data - matrix.data).max()))
-        dev = abs(math.remainder(found_again.chi - found.chi, 2.0 * math.pi))
-        for u, v in zip(found_again.vectors, found.vectors):
-            dev = max(dev, float(np.abs(u.data - v.data).max()))
-        worst_params = max(worst_params, dev)
+    for drawn, _ in _generic_unitary_stacks(n, range(seed, seed + trials), tol):
+        found, chi = _checked_peel(drawn, tol)
+        rebuilt, _ = _rebuild(found.columns, chi, tol)
+        again, chi_again = _checked_peel(rebuilt, tol)
+        worst_matrix = max(worst_matrix, float(np.abs(rebuilt - drawn).max()))
+        for before, after in zip(chi.tolist(), chi_again.tolist()):
+            worst_params = max(worst_params, abs(math.remainder(after - before, 2.0 * math.pi)))
+        for u, v in zip(again.columns, found.columns):
+            worst_params = max(worst_params, float(np.abs(u - v).max()))
     checks = (
         CheckResult("max_roundtrip_deviation", worst_matrix, 1e-10),
         CheckResult("max_parameter_uniqueness_deviation", worst_params, 1e-10),
@@ -191,12 +196,10 @@ def run_gauge_suite(n: int, trials: int, seed: int, *,
     invariance = verify_invariants_under_gauge(
         matrix, trials=trials, seed=seed + 1, tol=tol)
 
-    worst_vec = worst_rest = 0.0
-    gauges = [(rng.uniform(-np.pi, np.pi, n), rng.uniform(-np.pi, np.pi, n))
-              for _ in range(trials)]
-    for dev_vec, dev_rest in _recursion_deviations(matrix, gauges, tol):
-        worst_vec = max(worst_vec, dev_vec)
-        worst_rest = max(worst_rest, dev_rest)
+    gauges = rng.uniform(-np.pi, np.pi, (trials, 2, n))  # left, right per trial
+    dev_vec, dev_rest = _recursion_deviations(matrix, gauges[:, 0], gauges[:, 1], tol)
+    worst_vec = float(dev_vec.max(initial=0.0))
+    worst_rest = float(dev_rest.max(initial=0.0))
 
     # Frame-evolution side: gamma invariant, sigma not.
     path = random_hermitian_path(n, seed + 2)

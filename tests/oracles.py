@@ -183,8 +183,8 @@ def evolution_by_loops(path: str) -> tuple[np.ndarray, np.ndarray]:
     """An evolution file read with stdlib ``json`` and one numpy conversion
     per frame.
 
-    Each entry is assembled as re + 1j * im, the file grammar's arithmetic
-    (under which an imaginary part of -0.0 reads back as +0.0).
+    Each entry is assembled by ``complex(re, im)``, which keeps signed
+    zeros.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -192,6 +192,5 @@ def evolution_by_loops(path: str) -> tuple[np.ndarray, np.ndarray]:
     grid = np.array([float(s) for s in doc["grid"]])
     frames = np.empty((len(doc["frames"]), n, n), dtype=np.complex128)
     for i, frame in enumerate(doc["frames"]):
-        pairs = np.array(frame, dtype=np.float64)
-        frames[i] = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(n, n)
+        frames[i] = np.array([complex(re, im) for re, im in frame]).reshape(n, n)
     return grid, frames

@@ -26,14 +26,17 @@ from gaugephase import (
 )
 from gaugephase.canonical import (
     _STACK_ENTRIES,
-    _decompose_all,
+    _checked_peel,
     _decompose_stack,
+    _modulus_arrays,
     _peel,
-    _reconstruct_all,
+    _phase_arrays,
+    _rebuild,
     _reconstruct_stack,
     _row_norms,
     _stacks,
 )
+from gaugephase.core import _gram_deviation
 
 from oracles import coset_by_orthogonality, peel_by_dense_product
 
@@ -463,13 +466,14 @@ class TestStackedTower:
             _reconstruct_stack([generic, non_generic], tight)
         with pytest.raises(NonGenericVectorError):
             _reconstruct_stack([non_generic, generic], tight)
-        # A stream yields the stacks before the one with the non-generic member.
+        # Cut into stacks, the stack before the non-generic member's is rebuilt.
         per_stack = _STACK_ENTRIES // 25
-        rebuilt = _reconstruct_all([generic] * per_stack + [non_generic], Tolerances())
-        for _ in range(per_stack):
-            assert np.array_equal(next(rebuilt).data, reconstruct(generic).data)
+        stacks = _stacks([generic] * per_stack + [non_generic], lambda p: p.dim)
+        rebuilt = _reconstruct_stack(next(stacks), Tolerances())
+        assert len(rebuilt) == per_stack
+        assert all(np.array_equal(u.data, reconstruct(generic).data) for u in rebuilt)
         with pytest.raises(NonGenericVectorError):
-            next(rebuilt)
+            _reconstruct_stack(next(stacks), Tolerances())
 
     def test_split_coset_takes_the_stacked_peel_one_level_deep(self):
         a = random_generic_unitary(7, 99)
@@ -483,16 +487,125 @@ class TestStackedTower:
 
     def test_long_inputs_go_through_in_several_stacks(self):
         matrices = [random_generic_unitary(64, seed) for seed in range(100, 105)]
-        assert [len(stack) for stack in _stacks(matrices, lambda a: a.n)] == [4, 1]
-        peeled = list(_decompose_all(iter(matrices), Tolerances()))
-        rebuilt = list(_reconstruct_all(iter(peeled), Tolerances()))
+        stacks = list(_stacks(iter(matrices), lambda a: a.n))
+        assert [len(stack) for stack in stacks] == [4, 1]
+        peeled = [p for stack in stacks for p in _decompose_stack(stack, Tolerances())]
+        rebuilt = [u for stack in _stacks(iter(peeled), lambda p: p.dim)
+                   for u in _reconstruct_stack(stack, Tolerances())]
         for a, p, u in zip(matrices, peeled, rebuilt):
             assert np.array_equal(p.vectors[-1].data, decompose(a).vectors[-1].data)
             assert np.array_equal(u.data, reconstruct(p).data)
 
     def test_empty_stacks_give_nothing(self):
-        assert list(_decompose_all([], Tolerances())) == []
-        assert list(_reconstruct_all([], Tolerances())) == []
+        assert list(_stacks([], lambda a: a.n)) == []
+        assert list(_stacks(iter([]), lambda p: p.dim)) == []
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values).view(np.uint64)
+
+
+def _level_columns(params):
+    """The per-level (k, m) column arrays of a list of parameter sets."""
+    return [np.array([p.vectors[level].data for p in params])
+            for level in range(params[0].dim - 1)]
+
+
+def _raised(call):
+    with pytest.raises(ValueError) as exc:
+        call()
+    return type(exc.value), str(exc.value), getattr(exc.value, "level", None)
+
+
+def _loop(call, items):
+    def run():
+        for item in items:
+            call(item)
+    return run
+
+
+def _with_bad_remainder(n, seed):
+    """A matrix whose peeled last row and column pass at the default gate
+    while the remainder beneath them is off its certificate by ~1e-8."""
+    a = random_generic_unitary(n, seed)
+    zeta, rest = split_coset(a)
+    rng = np.random.default_rng(seed)
+    block = np.eye(n, dtype=complex)
+    block[: n - 1, : n - 1] = rest.data + 1e-8 * rng.normal(size=(n - 1, n - 1))
+    return UnitaryMatrix(coset_representative(zeta).data @ block, tol=1e-6)
+
+
+class TestStackedInvariants:
+    """The array paths give, member by member, what the one-matrix calls give."""
+
+    @pytest.mark.parametrize("n", [2, 3, 12, 64])
+    def test_kernels_equal_a_loop_of_the_one_matrix_calls_bit_for_bit(self, n):
+        matrices = [random_generic_unitary(n, seed) for seed in range(300, 309)]
+        for stack in (matrices[:1], matrices[1:4], matrices):
+            peel, chi = _checked_peel(np.array([a.data for a in stack]), Tolerances())
+            moduli = _modulus_arrays(peel.columns)
+            phases = _phase_arrays(peel.columns, Tolerances())
+            assert moduli.shape == (len(stack), n * (n - 1) // 2)
+            assert phases.shape == (len(stack), (n - 1) * (n - 2) // 2)
+            for i, a in enumerate(stack):
+                params = decompose(a)
+                assert chi[i] == params.chi
+                assert np.array_equal(_bits(moduli[i]), _bits(modulus_invariants(params)))
+                assert np.array_equal(_bits(phases[i]),
+                                      _bits(np.array(phase_invariant_list(params), dtype=complex)))
+
+    def test_an_engineered_member_raises_the_loop_s_error_text(self):
+        # The tiny entry of the dimension-4 vector enters the pairs (3, 4) and
+        # (4, 5); the loop names (3, 4) at j = 1.  A later member is worse.
+        params = [decompose(random_generic_unitary(6, seed)) for seed in range(310, 315)]
+        rng = np.random.default_rng(316)
+        for i, (m, j, size) in {2: (4, 2, 1e-12), 4: (3, 0, 0.0)}.items():
+            vectors = list(params[i].vectors)
+            v = random_unit_vector(m, rng).data.copy()
+            v[j] = size
+            vectors[6 - m] = UnitVector(v / np.linalg.norm(v))
+            params[i] = CanonicalParams(vectors=tuple(vectors), chi=params[i].chi)
+        loop = _raised(_loop(phase_invariant_list, params))
+        assert "pair (dim 3, dim 4), j = 1" in loop[1]
+        assert _raised(lambda: _phase_arrays(_level_columns(params), Tolerances())) == loop
+        worse = _raised(lambda: phase_invariant_list(params[4]))
+        assert worse != loop
+        assert _raised(lambda: _phase_arrays(_level_columns(params[3:]), Tolerances())) == worse
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_checked_peel_raises_what_a_loop_raises_first(self):
+        good = random_generic_unitary(6, 320)
+        non_generic = UnitaryMatrix(np.eye(6, dtype=complex))
+        a = random_generic_unitary(6, 321).data
+        noise = 1e-8 * np.random.default_rng(322).normal(size=a.shape)
+        not_unitary = UnitaryMatrix(a + noise, tol=1e-6)
+        bad_remainder = _with_bad_remainder(6, 323)
+        tol = Tolerances()
+        for order in ([good, non_generic, not_unitary], [good, not_unitary, non_generic],
+                      [good, bad_remainder, non_generic], [good, non_generic, bad_remainder]):
+            stack = np.array([m.data for m in order])
+            assert (_raised(lambda: _checked_peel(stack, tol))
+                    == _raised(_loop(lambda m: decompose(m, tol=tol), order)))
+            assert (_raised(lambda: _checked_peel(stack, tol, levels=1))
+                    == _raised(_loop(lambda m: split_coset(m, tol=tol), order)))
+        # The remainder fails its own certificate, with UnitaryMatrix's deviation.
+        kind, message, _ = _raised(lambda: split_coset(bad_remainder, tol=tol))
+        assert kind is NotUnitaryError
+        deviation = _gram_deviation(_peel(bad_remainder.data[None], tol, levels=1).remainder[0])
+        assert message == str(NotUnitaryError(deviation, tol.tol_unitary))
+
+    def test_a_rebuilt_member_fails_with_the_deviation_unitary_matrix_measures(self):
+        params = [decompose(random_generic_unitary(5, seed)) for seed in range(330, 334)]
+        columns, chi = _level_columns(params), np.array([p.chi for p in params])
+        rebuilt, deviations = _rebuild(columns, chi, Tolerances())
+        assert all(np.array_equal(u, reconstruct(p).data) for u, p in zip(rebuilt, params))
+        measured = [UnitaryMatrix(u).deviation for u in rebuilt]
+        assert deviations.tolist() == measured
+        gate = sorted(measured)[1]  # at least one member passes and two fail
+        first = next(i for i, d in enumerate(measured) if d > gate)
+        alone = _raised(lambda: UnitaryMatrix(rebuilt[first], tol=gate))
+        stacked = _raised(lambda: _rebuild(columns, chi, Tolerances(tol_unitary=gate)))
+        assert alone[0] is NotUnitaryError and stacked == alone
 
 
 def _with_tiny_leading_component_at_dimension_7():

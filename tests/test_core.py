@@ -21,6 +21,7 @@ from gaugephase import (
     random_generic_unitary,
     reduce_phase,
 )
+from gaugephase.core import _certify_stack
 
 
 class TestReducePhase:
@@ -161,6 +162,27 @@ class TestUnitaryMatrix:
             m.entry(0, 1)
         with pytest.raises(IndexError):
             m.column(3)
+
+
+    def test_stacked_certificate_is_each_member_s_own(self):
+        rng = np.random.default_rng(150)
+        stack = np.array([np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))[0]
+                          for _ in range(6)])
+        deviations = _certify_stack(stack, 1e-10)
+        assert deviations.tolist() == [UnitaryMatrix(u).deviation for u in stack]
+        copy = UnitaryMatrix._certified(stack[2], deviations[2])
+        assert np.array_equal(copy.data, stack[2]) and copy.deviation == deviations[2]
+        assert not copy.data.flags.writeable and copy.data.base is not stack
+
+    def test_stacked_certificate_raises_the_first_member_s_error(self):
+        stack = np.array([np.eye(3), 1.01 * np.eye(3), np.full((3, 3), np.nan)], dtype=complex)
+        with pytest.raises(NotUnitaryError) as exc:
+            _certify_stack(stack, 1e-10)
+        with pytest.raises(NotUnitaryError) as alone:
+            UnitaryMatrix(stack[1])
+        assert str(exc.value) == str(alone.value)
+        with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+            _certify_stack(stack[::-1], 1e-10)
 
 
 class TestTolerances:

@@ -22,7 +22,7 @@ from gaugephase import (
 )
 from gaugephase import canonical
 from gaugephase.canonical import _stacks
-from gaugephase.generators import _haar_unitary, _random_generic_unitaries
+from gaugephase.generators import _haar_unitaries, _random_generic_unitaries
 
 from oracles import eigenframes_by_loops, peel_by_dense_product
 
@@ -67,7 +67,7 @@ class TestRandomGenericUnitary:
         for seed in seeds:
             rng = np.random.default_rng(seed)
             while True:
-                candidate = _haar_unitary(4, rng)
+                candidate = _haar_unitaries(4, [rng])[0]
                 columns, _, _ = peel_by_dense_product(candidate)
                 if min(abs(zeta[0]) for zeta in columns) > gate:
                     break
@@ -104,12 +104,24 @@ class TestRandomGenericUnitary:
         rejected = 0
         for seed in range(200, 230):
             rng = np.random.default_rng(seed)
-            while min(abs(z[0]) for z in peel_by_dense_product(_haar_unitary(4, rng))[0]) <= 0.2:
+            while min(abs(z[0]) for z in
+                      peel_by_dense_product(_haar_unitaries(4, [rng])[0])[0]) <= 0.2:
                 rejected += 1
         drawn = [random_generic_unitary(4, seed, tol=gate) for seed in range(200, 230)]
         assert rejected > 0
         assert len(calls) == len(drawn) + rejected
         assert np.array_equal(calls[-1].data, drawn[-1].data)
+
+    @pytest.mark.parametrize("n", [2, 4, 12, 32])
+    def test_a_stacked_draw_is_one_qr_per_matrix_bit_for_bit(self, n):
+        seeds = range(400, 407)
+        stacked = _haar_unitaries(n, [np.random.default_rng(seed) for seed in seeds])
+        for seed, drawn in zip(seeds, stacked):
+            rng = np.random.default_rng(seed)
+            z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
+            q, r = np.linalg.qr(z)
+            d = np.diagonal(r)
+            assert np.array_equal(drawn, q * (d / np.abs(d)).conj())
 
     def test_an_empty_batch_draws_nothing_at_any_size(self):
         assert list(_random_generic_unitaries(1, [], Tolerances())) == []

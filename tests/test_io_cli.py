@@ -103,6 +103,25 @@ class TestFileGrammar:
         with pytest.raises(FileFormatError):
             load_matrix(p)
 
+    def test_signed_zeros_survive_save_load_save(self, tmp_path):
+        # (-0.0, +0.0), (1.0, -0.0), (-0.0, -0.0), (0.5, 0.25)
+        parts = np.array([-0.0, 0.0, 1.0, -0.0, -0.0, -0.0, 0.5, 0.25])
+        matrix = parts.view(np.complex128).reshape(2, 2)
+        first, second = str(tmp_path / "m1.json"), str(tmp_path / "m2.json")
+        save_matrix(first, matrix)
+        loaded = load_matrix(first)
+        save_matrix(second, loaded)
+        assert open(first, "rb").read() == open(second, "rb").read()
+        assert np.array_equal(np.signbit(loaded.view(np.float64)), np.signbit(parts.reshape(2, 4)))
+        frames = np.stack([matrix, matrix[::-1]])
+        first, second = str(tmp_path / "e1.json"), str(tmp_path / "e2.json")
+        save_evolution(first, np.array([0.0, 1.0]), frames)
+        grid, loaded = load_evolution(first)
+        save_evolution(second, grid, loaded)
+        assert open(first, "rb").read() == open(second, "rb").read()
+        assert np.array_equal(np.signbit(loaded.view(np.float64)),
+                              np.signbit(frames.view(np.float64)))
+
     def test_dump_report_is_deterministic(self):
         doc = {"zebra": 1.5, "alpha": [1, 2], "nested": {"b": 2, "a": 1}}
         first, second = _stdio.StringIO(), _stdio.StringIO()

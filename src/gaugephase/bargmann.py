@@ -13,12 +13,15 @@ vertex, and reduces four-index matrix invariants
 
 to the primitive adjacent blocks D_{jk} = D_{j, j+1, k, k+1}, of which
 exactly (n-1)(n-2)/2 with j < k <= n-1 are functionally independent.
+
+A ring is one list of vertex arrays, and each of its overlaps is one
+``np.vdot`` taken once: a fan reads its blocks off the ring's cyclic
+overlaps, its anchors (v_0, v_k) and its closings (v_k, v_0).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +33,7 @@ from .core import (
     UnitaryMatrix,
     UnitVector,
     _gram_deviation,
-    inner_product,
+    _unit_array,
     reduce_phase,
 )
 
@@ -81,18 +84,27 @@ class BargmannFactor:
 
 
 def _as_vector_list(vectors, *, tol: Tolerances, least: int = 2,
-                    what: str = "vectors") -> list[UnitVector]:
-    out = [v if isinstance(v, UnitVector) else UnitVector(v, tol=tol.tol_norm) for v in vectors]
+                    what: str = "vectors") -> list[np.ndarray]:
+    """The vertices' arrays; any vertex but a UnitVector passes the UnitVector check."""
+    out = [v.data if isinstance(v, UnitVector) else _unit_array(v, tol.tol_norm)
+           for v in vectors]
     if len(out) < least:
         raise ValueError(f"{what}: need at least {least}, got {len(out)}")
-    dims = {v.dim for v in out}
+    dims = {v.shape[0] for v in out}
     if len(dims) != 1:
         raise DimensionMismatchError(f"{what} of mixed dimensions: {sorted(dims)}")
     return out
 
 
-def _cyclic_overlaps(vs: Sequence[UnitVector]) -> list[complex]:
-    return [inner_product(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
+def _ring_invariant(vs: list[np.ndarray], tol: Tolerances) -> BargmannValue:
+    """:func:`bargmann_invariant` of admitted vertex arrays."""
+    overlaps = [np.vdot(u, v) for u, v in zip(vs, vs[1:] + vs[:1])]
+    value = complex(np.prod(overlaps))
+    defined = all(abs(o) > tol.tol_generic for o in overlaps)
+    phase = None
+    if defined:
+        phase = reduce_phase(float(np.sum(np.angle(overlaps))))
+    return BargmannValue(value=value, vertex_count=len(vs), defined=defined, phase=phase)
 
 
 def bargmann_invariant(vectors, *,
@@ -103,30 +115,47 @@ def bargmann_invariant(vectors, *,
     the phase enters one overlap and its conjugate enters the adjacent
     one.  The two-vertex case is \\|(v_1, v_2)\\|^2, real and non-negative.
     """
-    vs = _as_vector_list(vectors, tol=tol)
-    overlaps = _cyclic_overlaps(vs)
-    value = complex(np.prod(overlaps))
-    defined = all(abs(o) > tol.tol_generic for o in overlaps)
-    phase = None
-    if defined:
-        phase = reduce_phase(float(np.sum(np.angle(overlaps))))
-    return BargmannValue(value=value, vertex_count=len(vs), defined=defined, phase=phase)
+    return _ring_invariant(_as_vector_list(vectors, tol=tol), tol)
 
 
 # ---------------------------------------------------------------------------
 # Interleaved invariants over two orthonormal families
 # ---------------------------------------------------------------------------
 
-def _family(arg, name: str, *, tol: Tolerances) -> list[UnitVector]:
+def _family(arg, name: str, *, tol: Tolerances) -> np.ndarray:
+    """A family as the contiguous rows of one array; a UnitaryMatrix is certified."""
     if isinstance(arg, UnitaryMatrix):
-        return [arg.column(k) for k in range(1, arg.n + 1)]
-    vs = _as_vector_list(arg, tol=tol, least=1, what=f"family '{name}'")
-    dev = _gram_deviation(np.stack([v.data for v in vs], axis=-1))
+        return arg.data.T.copy()
+    columns = np.stack(_as_vector_list(arg, tol=tol, least=1, what=f"family '{name}'"), axis=-1)
+    dev = _gram_deviation(columns)
     if dev > tol.tol_unitary:
         raise ValueError(
             f"family '{name}' is not orthonormal: max Gram deviation {dev:.3e}"
         )
-    return vs
+    return columns.T.copy()
+
+
+def _interleaved(psis: np.ndarray, phis: np.ndarray, pattern,
+                 tol: Tolerances) -> BargmannValue:
+    """:func:`interleaved_invariant` of two families of admitted rows."""
+    fams = {"psi": psis, "phi": phis}
+    pattern = list(pattern)
+    if len(pattern) < 2 or len(pattern) % 2 != 0:
+        raise ValueError("pattern must have even length >= 2 to alternate cyclically")
+    vs: list[np.ndarray] = []
+    for pos, (family, index) in enumerate(pattern):
+        if family not in fams:
+            raise ValueError(f"pattern entry {pos}: unknown family {family!r}")
+        if family == pattern[(pos + 1) % len(pattern)][0]:
+            raise ValueError(
+                f"pattern does not alternate at position {pos}: "
+                f"{family!r} followed by {family!r}"
+            )
+        rows = fams[family]
+        if not 1 <= index <= len(rows):
+            raise IndexError(f"pattern entry {pos}: index {index} outside 1..{len(rows)}")
+        vs.append(rows[index - 1])
+    return _ring_invariant(vs, tol)
 
 
 def interleaved_invariant(psis, phis, pattern, *,
@@ -138,27 +167,8 @@ def interleaved_invariant(psis, phis, pattern, *,
     ("phi", k) pairs with 1-based indices; it must alternate between the
     families around the whole cycle, which forces an even length.
     """
-    fams = {
-        "psi": _family(psis, "psi", tol=tol),
-        "phi": _family(phis, "phi", tol=tol),
-    }
-    pattern = list(pattern)
-    if len(pattern) < 2 or len(pattern) % 2 != 0:
-        raise ValueError("pattern must have even length >= 2 to alternate cyclically")
-    vs: list[UnitVector] = []
-    for pos, (family, index) in enumerate(pattern):
-        if family not in fams:
-            raise ValueError(f"pattern entry {pos}: unknown family {family!r}")
-        if family == pattern[(pos + 1) % len(pattern)][0]:
-            raise ValueError(
-                f"pattern does not alternate at position {pos}: "
-                f"{family!r} followed by {family!r}"
-            )
-        vecs = fams[family]
-        if not 1 <= index <= len(vecs):
-            raise IndexError(f"pattern entry {pos}: index {index} outside 1..{len(vecs)}")
-        vs.append(vecs[index - 1])
-    return bargmann_invariant(vs, tol=tol)
+    return _interleaved(_family(psis, "psi", tol=tol), _family(phis, "phi", tol=tol),
+                        pattern, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -261,65 +271,55 @@ def reduce_general_bargmann(vectors, *, mode: str = "auto",
     ``mode="auto"`` picks triangles when the first triangle anchor
     (v_0, v_2) is generic, quads otherwise (even counts only).  Inputs
     with <= 3 vertices are already primitive and come back unchanged as
-    a single factor.
+    a single factor.  A c-vertex triangle fan takes 3c - 6 overlaps, a
+    quad fan 2c - 4 (one more when ``mode="auto"`` tests (v_0, v_2)).
     """
     vs = _as_vector_list(vectors, tol=tol)
     count = len(vs)
 
-    overlaps = _cyclic_overlaps(vs)
+    overlaps = [np.vdot(u, v) for u, v in zip(vs, vs[1:] + vs[:1])]
     for i, o in enumerate(overlaps):
         if abs(o) <= tol.tol_generic:
             raise ValueError(
                 f"input invariant undefined: successive overlap "
                 f"({i}, {(i + 1) % count}) has modulus {abs(o):.3e}"
             )
+    if mode not in ("auto", "triangles", "quads"):
+        raise ValueError(f"unknown mode {mode!r}")
 
     if count <= 3:
         value = complex(np.prod(overlaps))
         return [BargmannFactor(vertices=tuple(range(count)), value=value)]
 
+    # anchors[k] = (v_0, v_k); the first is the ring's own first overlap.
+    anchors = {1: overlaps[0]}
     if mode == "auto":
-        anchor = inner_product(vs[0], vs[2])
-        if abs(anchor) > tol.tol_generic:
+        anchors[2] = np.vdot(vs[0], vs[2])
+        if abs(anchors[2]) > tol.tol_generic:
             mode = "triangles"
         elif count % 2 == 0:
             mode = "quads"
         else:
             raise NonGenericAnchorError(
-                f"anchor overlap (0, 2) has modulus {abs(anchor):.3e} and the vertex "
+                f"anchor overlap (0, 2) has modulus {abs(anchors[2]):.3e} and the vertex "
                 f"count {count} is odd: no reduction fan exists"
             )
-    if mode not in ("triangles", "quads"):
-        raise ValueError(f"unknown mode {mode!r}")
-
-    def block(indices: tuple[int, ...]) -> BargmannFactor:
-        ring = [vs[i] for i in indices]
-        value = complex(np.prod(_cyclic_overlaps(ring)))
-        return BargmannFactor(vertices=indices, value=value)
-
-    factors: list[BargmannFactor] = []
-    if mode == "triangles":
-        for k in range(1, count - 1):
-            if k >= 2:
-                anchor = inner_product(vs[0], vs[k])
-                if abs(anchor) <= tol.tol_generic:
-                    raise NonGenericAnchorError(
-                        f"triangle anchor overlap (0, {k}) has modulus "
-                        f"{abs(anchor):.3e}: fan undefined"
-                    )
-            factors.append(block((0, k, k + 1)))
-        return factors
-
-    if count % 2 != 0:
+    if mode == "quads" and count % 2 != 0:
         raise ValueError(f"quad fan needs an even vertex count, got {count}")
-    for t in range(1, count // 2):
-        lead = 2 * t - 1
-        if lead >= 3:
-            anchor = inner_product(vs[0], vs[lead])
-            if abs(anchor) <= tol.tol_generic:
-                raise NonGenericAnchorError(
-                    f"quad anchor overlap (0, {lead}) has modulus "
-                    f"{abs(anchor):.3e}: fan undefined"
-                )
-        factors.append(block((0, lead, 2 * t, 2 * t + 1)))
+
+    # A block (v_0, v_lead, ..., v_last) multiplies its anchor, the ring's
+    # overlaps from v_lead to v_last, and the closing overlap (v_last, v_0).
+    width = 1 if mode == "triangles" else 2
+    factors: list[BargmannFactor] = []
+    for lead in range(1, count - width, width):
+        anchor = anchors[lead] if lead in anchors else np.vdot(vs[0], vs[lead])
+        if abs(anchor) <= tol.tol_generic:
+            raise NonGenericAnchorError(
+                f"{mode[:-1]} anchor overlap (0, {lead}) has modulus "
+                f"{abs(anchor):.3e}: fan undefined"
+            )
+        last = lead + width
+        closing = overlaps[last] if last == count - 1 else np.vdot(vs[last], vs[0])
+        value = complex(np.prod([anchor, *overlaps[lead:last], closing]))
+        factors.append(BargmannFactor(vertices=(0, *range(lead, last + 1)), value=value))
     return factors

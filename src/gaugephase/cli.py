@@ -126,7 +126,6 @@ def cmd_offdiag(args: argparse.Namespace) -> int:
     evolution = FrameEvolution(grid, frames, tol=_tolerances(args))
     report = verify_offdiag_identity(
         evolution,
-        include_pairs=True,
         include_triples=not args.no_triples,
         quadrature=args.quadrature,
         tolerance=args.identity_tolerance,

@@ -6,11 +6,12 @@ threaded through every numerical decision, principal-branch phase
 arithmetic, and the ``Undefined`` marker used wherever a phase simply
 does not exist (orthogonal endpoints, vanishing invariants).
 
-Two private helpers are the package's only input checks of their kind:
+Three private helpers are the package's only input checks of their kind:
 ``_as_complex_array`` (complex and finite) for every vector, matrix,
-curve and evolution constructor, and ``_gram_deviations`` (the
-orthonormality certificate max |C^dagger C - I|, one per member of a
-stack) for ``UnitaryMatrix``, the frames of ``FrameEvolution``, the
+curve and evolution constructor, ``_unit_array`` (unit norm) for
+``UnitVector`` and raw ``bargmann`` vertices, and ``_gram_deviations``
+(the orthonormality certificate max |C^dagger C - I|, one per member of
+a stack) for ``UnitaryMatrix``, the frames of ``FrameEvolution``, the
 vector families of ``bargmann.interleaved_invariant`` and, through
 ``_certify_stack``, every stack of matrices built at once (rebuilt
 towers, gauge transforms, Haar draws).  Such a stack is wrapped member by
@@ -141,16 +142,14 @@ class Tolerances:
     tol_norm     : unit-norm certificate for vectors
     tol_unitary  : unitarity certificate for matrices (max-entry norm)
     tol_generic  : genericity gate; moduli at or below this count as zero
-    tol_phase    : tolerance for comparing phases (circular distance)
     """
 
     tol_norm: float = 1e-12
     tol_unitary: float = 1e-10
     tol_generic: float = 1e-8
-    tol_phase: float = 1e-10
 
     def __post_init__(self) -> None:
-        for name in ("tol_norm", "tol_unitary", "tol_generic", "tol_phase"):
+        for name in ("tol_norm", "tol_unitary", "tol_generic"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a positive finite float, got {value!r}")
@@ -240,6 +239,19 @@ def _certify_stack(arrays: np.ndarray, tol: float) -> np.ndarray:
     return deviations
 
 
+def _unit_array(values, tol: float) -> np.ndarray:
+    """A vector as ``UnitVector`` admits it: contiguous, 1-d, norm within ``tol`` of 1."""
+    arr = _as_complex_array(values, what="vector")
+    if arr.ndim != 1 or arr.size < 1:
+        raise DimensionMismatchError(
+            f"expected a 1-d vector with at least one component, got shape {arr.shape}"
+        )
+    norm = float(np.linalg.norm(arr))
+    if abs(norm - 1.0) > tol:
+        raise ValueError(f"vector norm {norm!r} deviates from 1 by more than {tol:.3e}")
+    return np.ascontiguousarray(arr)
+
+
 def _freeze(obj, values: np.ndarray) -> None:
     """Store a read-only copy of ``values`` as ``obj._data``."""
     arr = values.copy()
@@ -258,15 +270,7 @@ class UnitVector:
     __slots__ = ("_data",)
 
     def __init__(self, values, *, tol: float = DEFAULT_TOLERANCES.tol_norm):
-        arr = _as_complex_array(values, what="vector")
-        if arr.ndim != 1 or arr.size < 1:
-            raise DimensionMismatchError(
-                f"expected a 1-d vector with at least one component, got shape {arr.shape}"
-            )
-        norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > tol:
-            raise ValueError(f"vector norm {norm!r} deviates from 1 by more than {tol:.3e}")
-        _freeze(self, arr)
+        _freeze(self, _unit_array(values, tol))
 
     @classmethod
     def _certified(cls, values: np.ndarray) -> "UnitVector":

@@ -98,11 +98,6 @@ def _check_level(j: int, n: int) -> None:
         raise IndexError(f"level {j} outside 1..{n}")
 
 
-def _column_norm_gate(tol: Tolerances) -> float:
-    """Unit-norm gate of a column of a frame unitary at tol_unitary."""
-    return max(tol.tol_norm, 2.0 * tol.tol_unitary)
-
-
 @dataclass(frozen=True)
 class PhaseReport:
     """Phases of one curve.  Undefined values are values, not errors."""
@@ -275,6 +270,8 @@ class FrameEvolution(_Sampled):
         arr = _as_complex_array(frames, what="frames")
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise DimensionMismatchError(f"frames must be (N, n, n), got shape {arr.shape}")
+        if arr.shape[1] < 1:
+            raise DimensionMismatchError("frames need at least one level")
         if arr.shape[0] != g.size:
             raise GridMismatchError(f"{arr.shape[0]} frames on a grid of {g.size} points")
         dev = _gram_deviation(arr)
@@ -294,7 +291,7 @@ class FrameEvolution(_Sampled):
         """The state curve traced by basis level j (1-based), at the evolution's
         gates, with the column-norm gate of its ``tol_unitary`` as ``tol_norm``."""
         _check_level(j, self.dim)
-        relaxed = replace(self.tol, tol_norm=_column_norm_gate(self.tol))
+        relaxed = replace(self.tol, tol_norm=max(self.tol.tol_norm, 2.0 * self.tol.tol_unitary))
         return StateCurve(self._grid, self._data[:, :, j - 1],
                           min_overlap=self.min_overlap, tol=relaxed)
 

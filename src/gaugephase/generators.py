@@ -320,7 +320,7 @@ def frame_evolution_from_path(path: HermitianPath, steps: int, *,
         raise ValueError(f"need at least 2 steps, got {steps}")
     grid = np.linspace(path.domain[0], path.domain[1], steps)
     w, v = np.linalg.eigh(path.sample(grid))
-    gaps = np.diff(w, axis=1).min(axis=1)
+    gaps = np.diff(w, axis=1).min(axis=1, initial=np.inf)  # a 1 x 1 path has no gap
     overlaps = np.einsum("tij,tij->tj", v[:-1].conj(), v[1:])
     moduli = np.abs(overlaps)
     resolution = np.concatenate(([np.inf], moduli.min(axis=1)))

@@ -30,7 +30,7 @@ an ingredient (a diagonal geometric phase, or the invariant itself) is
 undefined — which is precisely the regime the direct sigma products are
 for, and the verification report flags it rather than papering over it.
 
-Every factor here reads its gates (genericity, resolution, column norm)
+Every factor here reads its gates (genericity, resolution)
 from the evolution's own ``tol`` and ``min_overlap``; none takes a
 tolerance.
 """
@@ -44,9 +44,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bargmann import bargmann_invariant
-from .core import Undefined, UnitVector, circular_distance, principal_arg
-from .curves import FrameEvolution, _check_level, _column_norm_gate
+from .bargmann import _interleaved
+from .core import Undefined, circular_distance, principal_arg
+from .curves import FrameEvolution, _check_level
 
 __all__ = [
     "VANISHING_OVERLAP",
@@ -69,6 +69,9 @@ _IDENTITY_TOLERANCE = 1e-8  # default pass gate on identity residuals
 
 def _level_list(levels: Sequence[int], n: int) -> list[int]:
     """At least two distinct levels, each in 1..n, checked before any is read."""
+    for j in levels:
+        if not isinstance(j, (int, np.integer)):
+            raise ValueError(f"level {j!r} is not an integer")
     levels = [int(j) for j in levels]
     if len(levels) < 2:
         raise ValueError(f"need at least two levels, got {levels}")
@@ -162,14 +165,10 @@ def gamma_via_invariants(evolution: FrameEvolution, levels: Sequence[int], *,
             return Undefined(UNDEFINED_DIAGONAL)
         phase_sum += geo
 
-    first = evolution.frames[0]
-    last = evolution.frames[-1]
-    ring: list[UnitVector] = []
-    norm_gate = _column_norm_gate(evolution.tol)
-    for j in levels:
-        ring.append(UnitVector(last[:, j - 1], tol=norm_gate))   # phi_j
-        ring.append(UnitVector(first[:, j - 1], tol=norm_gate))  # psi_j
-    invariant = bargmann_invariant(ring, tol=evolution.tol)
+    frames = evolution.frames  # certified: their columns are read as they are
+    invariant = _interleaved(frames[0].T.copy(), frames[-1].T.copy(),
+                             [(family, j) for j in levels for family in ("phi", "psi")],
+                             evolution.tol)
     if not invariant.defined:
         return Undefined(VANISHING_INVARIANT)
     return complex(np.exp(1j * (invariant.phase + phase_sum)))
@@ -210,7 +209,6 @@ class OffDiagReport:
 
 
 def verify_offdiag_identity(evolution: FrameEvolution, *,
-                            include_pairs: bool = True,
                             include_triples: bool = True,
                             quadrature: str = "pancharatnam",
                             tolerance: float = _IDENTITY_TOLERANCE) -> OffDiagReport:
@@ -227,9 +225,7 @@ def verify_offdiag_identity(evolution: FrameEvolution, *,
     residuals: dict[tuple[int, ...], float] = {}
     exceptional: dict[tuple[int, ...], str] = {}
 
-    index_sets: list[tuple[int, ...]] = []
-    if include_pairs:
-        index_sets.extend(combinations(range(1, n + 1), 2))
+    index_sets: list[tuple[int, ...]] = list(combinations(range(1, n + 1), 2))
     if include_triples:
         index_sets.extend(combinations(range(1, n + 1), 3))
 

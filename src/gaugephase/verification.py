@@ -280,12 +280,10 @@ def run_reduction_suite(n: int, trials: int, seed: int, *,
     seconds = _random_generic_unitaries(n, range(seed + 104729, seed + 104729 + trials), tol)
     for first, second in zip(firsts, seconds):
         ell = int(rng.integers(2, min(n, 3) + 1))
-        psi_idx = list(rng.permutation(n)[:ell] + 1)
-        phi_idx = list(rng.permutation(n)[:ell] + 1)
-        ring = []
-        for j, k in zip(psi_idx, phi_idx):
-            ring.append(first.column(int(j)))
-            ring.append(second.column(int(k)))
+        psi_idx = rng.permutation(n)[:ell]
+        phi_idx = rng.permutation(n)[:ell]
+        psis, phis = first.data.T.copy(), second.data.T.copy()
+        ring = [row for j, k in zip(psi_idx, phi_idx) for row in (psis[j], phis[k])]
         try:
             worst_quad = max(worst_quad, _fan_residual(ring, tol=tol))
         except ValueError:

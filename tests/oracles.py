@@ -71,6 +71,29 @@ def cyclic_product(vectors) -> complex:
     return value
 
 
+def fan_by_vdots(vectors, shape: str) -> list[tuple[tuple[int, ...], complex]]:
+    """A reduction fan with every block formed from its own edges.
+
+    Blocks are (0, k, k+1) for ``shape="triangles"`` and
+    (0, 2t-1, 2t, 2t+1) for ``shape="quads"``, in fan order.  Each value
+    is the left-to-right product of the block's cyclic edges, every edge
+    its own ``np.vdot`` (conjugating the first slot).
+    """
+    vs = [np.asarray(v, dtype=np.complex128) for v in vectors]
+    if shape == "triangles":
+        blocks = [(0, k, k + 1) for k in range(1, len(vs) - 1)]
+    else:
+        blocks = [(0, 2 * t - 1, 2 * t, 2 * t + 1) for t in range(1, len(vs) // 2)]
+    fan = []
+    for block in blocks:
+        edges = [np.vdot(vs[i], vs[block[(p + 1) % len(block)]]) for p, i in enumerate(block)]
+        value = edges[0]
+        for edge in edges[1:]:
+            value = value * edge
+        fan.append((block, complex(value)))
+    return fan
+
+
 def bloch_state(theta: float, phi: float) -> np.ndarray:
     """Two-level state at polar angle theta, azimuth phi."""
     return np.array([np.cos(theta / 2.0),

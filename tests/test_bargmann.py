@@ -25,7 +25,7 @@ from gaugephase import (
     reduce_to_adjacent,
 )
 
-from oracles import cyclic_product
+from oracles import cyclic_product, fan_by_vdots
 
 R2 = 1.0 / math.sqrt(2.0)
 RT3 = 1.0 / math.sqrt(3.0)
@@ -97,6 +97,16 @@ class TestBargmannInvariant:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatchError):
             bargmann_invariant([_uv(1, 0), _uv(1, 0, 0)])
+
+    @pytest.mark.parametrize("read", [bargmann_invariant, reduce_general_bargmann])
+    def test_raw_vertices_pass_the_unit_vector_check(self, read):
+        e = [1.0, 0.0]
+        assert read([e, [0.6, 0.8j], e, [0.8, 0.6]]) == read(
+            [UnitVector(e), UnitVector([0.6, 0.8j]), UnitVector(e), UnitVector([0.8, 0.6])])
+        with pytest.raises(ValueError, match="vector norm 1.0000000001 deviates from 1"):
+            read([e, [0.6, 0.8j], [1.0000000001, 0.0]])
+        with pytest.raises(DimensionMismatchError, match="1-d vector"):
+            read([e, 1.0, e])
 
     def test_phase_survives_modulus_underflow(self):
         # 2000 vertices walking a fixed-latitude circle 531 times: every
@@ -327,6 +337,58 @@ class TestReduceGeneralBargmann:
 
     def test_unknown_mode_rejected(self):
         rng = np.random.default_rng(63)
-        vs = [random_unit_vector(3, rng) for _ in range(4)]
-        with pytest.raises(ValueError):
-            reduce_general_bargmann(vs, mode="pentagons")
+        for count in (3, 4):
+            vs = [random_unit_vector(3, rng) for _ in range(count)]
+            with pytest.raises(ValueError, match="unknown mode 'pentagons'"):
+                reduce_general_bargmann(vs, mode="pentagons")
+
+
+def _interleaved_ring(seed: int, n: int) -> list[np.ndarray]:
+    """psi_1, phi_2, psi_2, phi_3, ... as contiguous rows of two Haar matrices."""
+    rng = np.random.default_rng(seed)
+    psis = random_generic_unitary(n, rng).data.T.copy()
+    phis = random_generic_unitary(n, rng).data.T.copy()
+    return [row for k in range(n) for row in (psis[k], phis[(k + 1) % n])]
+
+
+class TestFanBits:
+    """Each block is the product of its own edges' overlaps, to the bit."""
+
+    @pytest.mark.parametrize("count", [4, 5, 6, 7])
+    def test_triangle_fans_equal_the_edge_products(self, count):
+        rng = np.random.default_rng(70 + count)
+        for _ in range(10):
+            vs = [random_unit_vector(5, rng) for _ in range(count)]
+            expected = fan_by_vdots([v.data for v in vs], "triangles")
+            for mode in ("auto", "triangles"):
+                got = reduce_general_bargmann(vs, mode=mode)
+                assert [(f.vertices, f.value) for f in got] == expected
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_interleaved_quad_fans_equal_the_edge_products(self, n):
+        for seed in range(80, 85):
+            ring = _interleaved_ring(seed, n)
+            expected = fan_by_vdots(ring, "quads")
+            for mode in ("auto", "quads"):
+                got = reduce_general_bargmann(ring, mode=mode)
+                assert [(f.vertices, f.value) for f in got] == expected
+
+    @pytest.mark.parametrize("mode, calls", [("triangles", 12), ("quads", 8)])
+    def test_a_six_vertex_fan_takes_each_overlap_once(self, monkeypatch, mode, calls):
+        # Triangles: 6 cyclic overlaps, anchors (0, 2..4), closings (2..4, 0);
+        # quads: 6 cyclic overlaps, anchor (0, 3), closing (3, 0).
+        if mode == "triangles":
+            rng = np.random.default_rng(86)
+            ring = [random_unit_vector(4, rng).data for _ in range(6)]
+        else:
+            ring = _interleaved_ring(86, 3)
+        count = [0]
+        vdot = np.vdot
+
+        def counted(u, v):
+            count[0] += 1
+            return vdot(u, v)
+
+        monkeypatch.setattr(np, "vdot", counted)
+        assert len(reduce_general_bargmann(ring, mode=mode)) == (4 if mode == "triangles" else 2)
+        assert count[0] == calls

@@ -15,10 +15,13 @@ from gaugephase import (
     UnitaryMatrix,
     UnitVector,
     circular_distance,
+    frame_evolution_from_path,
+    gamma_via_invariants,
     inner_product,
     interleaved_invariant,
     principal_arg,
     random_generic_unitary,
+    random_hermitian_path,
     reduce_phase,
 )
 from gaugephase.core import _certify_stack
@@ -133,6 +136,11 @@ class TestUnitVector:
         with pytest.raises(ValueError):
             v.data[0] = 0.5
 
+    @pytest.mark.parametrize("values", [1.0, [[1.0]], []], ids=["scalar", "2-d", "empty"])
+    def test_rejects_anything_but_a_nonempty_1d_vector(self, values):
+        with pytest.raises(DimensionMismatchError, match="1-d vector"):
+            UnitVector(values)
+
     def test_defensive_copy_of_input(self):
         raw = np.array([1.0, 0.0], dtype=complex)
         v = UnitVector(raw)
@@ -191,7 +199,6 @@ class TestTolerances:
         assert t.tol_norm == 1e-12
         assert t.tol_unitary == 1e-10
         assert t.tol_generic == 1e-8
-        assert t.tol_phase == 1e-10
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -242,3 +249,27 @@ def test_the_gram_certificate_a_factor_two_from_its_gate(read, error, message):
     assert isinstance(value, (float, complex)) and np.isfinite(value)
     with pytest.raises(error, match=message):
         read(2.0 * GRAM_GATE)
+
+
+def _interleaved_on_a_unitary_matrix(deviation):
+    scaled = random_generic_unitary(3, 54).data * math.sqrt(1.0 + deviation)
+    matrix = UnitaryMatrix(scaled, tol=GRAM_GATE)
+    pattern = [("psi", 1), ("phi", 2), ("psi", 2), ("phi", 1)]
+    return interleaved_invariant(matrix, matrix, pattern,
+                                 tol=Tolerances(tol_unitary=GRAM_GATE)).value
+
+
+def _gamma_via_invariants_on_an_evolution(deviation):
+    generic = frame_evolution_from_path(random_hermitian_path(3, 55), 200)
+    evolution = FrameEvolution(generic.grid, generic.frames * math.sqrt(1.0 + deviation),
+                               tol=Tolerances(tol_unitary=GRAM_GATE))
+    return gamma_via_invariants(evolution, (1, 2, 3))
+
+
+@pytest.mark.parametrize("read", [_interleaved_on_a_unitary_matrix,
+                                  _gamma_via_invariants_on_an_evolution])
+def test_certified_families_are_read_half_a_gate_from_their_certificate(read):
+    """The columns of a matrix or evolution admitted half a Gram gate from
+    tol_unitary are read as they are, not gated again as unit vectors."""
+    value = read(0.5 * GRAM_GATE)
+    assert isinstance(value, complex) and np.isfinite(value)

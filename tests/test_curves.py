@@ -193,6 +193,10 @@ class TestFrameEvolution:
         with pytest.raises(NotUnitaryError):
             FrameEvolution(grid, frames)
 
+    def test_frames_need_at_least_one_level(self):
+        with pytest.raises(DimensionMismatchError, match="at least one level"):
+            FrameEvolution(np.array([0.0, 1.0]), np.zeros((2, 0, 0), dtype=complex))
+
     def test_grid_frame_count_mismatch(self):
         frames = np.stack([np.eye(2)] * 3).astype(complex)
         with pytest.raises(GridMismatchError):

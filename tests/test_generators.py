@@ -15,6 +15,7 @@ from gaugephase import (
     decompose,
     engineered_swap_evolution,
     frame_evolution_from_path,
+    frame_phase_bundle,
     random_generic_unitary,
     random_hermitian_path,
     random_smooth_phases,
@@ -296,6 +297,15 @@ class TestFrameEvolutionFromPath:
             frame_evolution_from_path(path, 10)
         assert exc.value.s == pytest.approx(0.0)
         assert exc.value.gap == pytest.approx(0.0, abs=1e-12)
+
+    def test_a_one_level_path_gives_the_trivial_evolution(self):
+        # A 1 x 1 path has no eigengap that could close.
+        path = HermitianPath(basis=(np.array([[2.0]]),),
+                             coefficients=(SmoothCoefficient(poly=(1.0, -3.0), cos_amps=(0.5,)),),
+                             domain=(0.0, 1.0))
+        evolution = frame_evolution_from_path(path, 20)
+        assert np.array_equal(evolution.frames, np.ones((20, 1, 1)))
+        assert frame_phase_bundle(evolution)[0].geometric == 0.0
 
     @pytest.mark.parametrize("n, steps", [(2, 50), (6, 600), (12, 400), (8, 4000)])
     def test_frames_match_a_point_by_point_loop(self, n, steps):

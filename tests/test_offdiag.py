@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -111,6 +112,17 @@ class TestArgumentValidation:
             gamma_via_invariants(swap3, (2,))
         with pytest.raises(ValueError):
             gamma_via_invariants(swap3, (2, 2))
+
+    @pytest.mark.parametrize("read", [gamma_multi, gamma_via_invariants])
+    @pytest.mark.parametrize("level", [2.5, 2.0, np.float64(2.0), "2"],
+                             ids=["float", "integral-float", "numpy-float", "str"])
+    def test_levels_must_be_integers(self, swap3, read, level):
+        with pytest.raises(ValueError, match=re.escape(f"level {level!r} is not an integer")):
+            read(swap3, (1, level))
+
+    @pytest.mark.parametrize("read", [gamma_multi, gamma_via_invariants])
+    def test_numpy_integer_levels_read_as_python_ones(self, generic3, read):
+        assert read(generic3, np.array([1, 3])) == read(generic3, (1, 3))
 
     @pytest.mark.parametrize("read", [gamma_multi, gamma_via_invariants])
     def test_every_level_is_range_checked_before_any_is_read(self, swap3, read):

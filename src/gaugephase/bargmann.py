@@ -14,14 +14,17 @@ vertex, and reduces four-index matrix invariants
 to the primitive adjacent blocks D_{jk} = D_{j, j+1, k, k+1}, of which
 exactly (n-1)(n-2)/2 with j < k <= n-1 are functionally independent.
 
-A ring is one list of vertex arrays, and each of its overlaps is one
-``np.vdot`` taken once: a fan reads its blocks off the ring's cyclic
-overlaps, its anchors (v_0, v_k) and its closings (v_k, v_0).
+A ring is the rows of one (c, n) array and a stack of k rings one
+(k, c, n) array.  Each overlap a stack needs is taken once, by one
+batched dot that gives ``np.vdot``'s value bit for bit: the cyclic
+overlaps, the anchors (v_0, v_k) and the closings (v_k, v_0), and a fan
+reads its blocks off these.  The object API is the one-ring case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +35,9 @@ from .core import (
     Tolerances,
     UnitaryMatrix,
     UnitVector,
+    _as_vector,
     _gram_deviation,
-    _unit_array,
+    _unit_rows,
     reduce_phase,
 )
 
@@ -83,28 +87,108 @@ class BargmannFactor:
     value: complex
 
 
-def _as_vector_list(vectors, *, tol: Tolerances, least: int = 2,
-                    what: str = "vectors") -> list[np.ndarray]:
-    """The vertices' arrays; any vertex but a UnitVector passes the UnitVector check."""
-    out = [v.data if isinstance(v, UnitVector) else _unit_array(v, tol.tol_norm)
-           for v in vectors]
-    if len(out) < least:
-        raise ValueError(f"{what}: need at least {least}, got {len(out)}")
-    dims = {v.shape[0] for v in out}
+def _admit(vectors, *, tol: Tolerances, least: int = 2,
+           what: str = "vectors") -> np.ndarray:
+    """The vertices as the rows of one (c, n) array.
+
+    A UnitVector's data counts as certified; every other vertex passes the
+    check UnitVector runs, all of them in one stacked check.
+    """
+    vectors = list(vectors)
+    rows = [v.data if isinstance(v, UnitVector) else _as_vector(v) for v in vectors]
+    if len(rows) < least:
+        raise ValueError(f"{what}: need at least {least}, got {len(rows)}")
+    dims = {row.shape[0] for row in rows}
     if len(dims) != 1:
         raise DimensionMismatchError(f"{what} of mixed dimensions: {sorted(dims)}")
-    return out
+    ring = np.array(rows)
+    _unit_rows(ring[np.array([not isinstance(v, UnitVector) for v in vectors])], tol.tol_norm)
+    return ring
 
 
-def _ring_invariant(vs: list[np.ndarray], tol: Tolerances) -> BargmannValue:
-    """:func:`bargmann_invariant` of admitted vertex arrays."""
-    overlaps = [np.vdot(u, v) for u, v in zip(vs, vs[1:] + vs[:1])]
-    value = complex(np.prod(overlaps))
-    defined = all(abs(o) > tol.tol_generic for o in overlaps)
-    phase = None
-    if defined:
-        phase = reduce_phase(float(np.sum(np.angle(overlaps))))
-    return BargmannValue(value=value, vertex_count=len(vs), defined=defined, phase=phase)
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.vdot`` of each pair of rows of two (..., n) stacks, broadcast
+    over the leading axes.
+
+    A stack of vector-vector matmuls reaches the BLAS dot that ``vdot``
+    calls, so on rows with contiguous entries each value is ``vdot``'s
+    bit for bit; ``einsum`` and a Gram product sum in other orders.
+    """
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+class _Rings(NamedTuple):
+    """The invariants and reduction fans of k rings of c vertices, a row each.
+
+    A row of ``anchors`` (v_0, v_lead) or ``blocks`` runs in fan order; a
+    quad fan found by ``mode="auto"`` fills the first c/2 - 1 entries and
+    leaves the rest at 1.  Where ``mode="auto"`` finds no fan, ``anchors``
+    holds the triangle anchors.  A ring of at most three vertices is its
+    own block.
+    """
+
+    values: np.ndarray    # (k,) each invariant: the product of the ring's overlaps
+    phases: np.ndarray    # (k,) the sum of the ring's overlap arguments
+    overlaps: np.ndarray  # (k, c) the cyclic overlaps (v_i, v_{i+1})
+    defined: np.ndarray   # (k,) every cyclic overlap passes the genericity gate
+    quads: np.ndarray     # (k,) the fan is made of quads, not triangles
+    anchors: np.ndarray   # (k, m) the anchors (v_0, v_lead), m blocks to the widest fan
+    blocks: np.ndarray    # (k, m) the block values
+    fanned: np.ndarray    # (k,) defined, and a fan exists whose every anchor passes the gate
+
+
+def _rings(vs: np.ndarray, tol: Tolerances, mode: str | None = None) -> _Rings:
+    """:func:`bargmann_invariant` and, for a fan ``mode``,
+    :func:`reduce_general_bargmann` of each ring of a (k, c, n) stack of
+    admitted vertices, each kind of overlap taken by one batched dot.
+
+    A triangle fan takes the anchors and closings of v_2 .. v_{c-2}, a
+    quad fan those of v_3, v_5, .. v_{c-3}; ``mode="auto"`` takes the
+    triangle anchors, picks each ring's shape by (v_0, v_2), and then the
+    closings of each shape.
+    """
+    k, c, _ = vs.shape
+    gate = tol.tol_generic
+    overlaps = _dots(vs, np.concatenate((vs[:, 1:], vs[:, :1]), axis=1))
+    values = np.prod(overlaps, axis=1)
+    defined = (np.abs(overlaps) > gate).all(axis=1)
+    phases = np.angle(overlaps).sum(axis=1)
+    if mode is None or c <= 3:
+        return _Rings(values, phases, overlaps, defined, np.zeros(k, dtype=bool),
+                      overlaps[:, :1], values[:, None], defined)
+
+    step = 2 if mode == "quads" else 1
+    anchors = np.concatenate((overlaps[:, :1], _dots(vs[:, :1], vs[:, 1 + step:c - 1:step])),
+                             axis=1)
+    quads = np.abs(anchors[:, 1]) <= gate if mode == "auto" else np.full(k, mode == "quads")
+    fanned = defined & ~(quads & (c % 2 == 1))  # an odd ring has no quad fan
+    blocks = np.ones_like(anchors)
+    # A block (v_0, v_lead, ..., v_last) multiplies its anchor, the ring's
+    # overlaps from v_lead to v_last, and the closing overlap (v_last, v_0);
+    # the last block closes with the ring's own last overlap.
+    for width, members in ((1, ~quads), (2, quads & fanned)):
+        if not members.any():
+            continue
+        fan = anchors[members] if width == step else anchors[members, ::2]
+        ring, edge = vs[members], overlaps[members]
+        closings = np.concatenate(
+            (_dots(ring[:, 1 + width:c - 1:width], ring[:, :1]), edge[:, -1:]), axis=1)
+        edges = [edge[:, 1 + e:c - width + e:width] for e in range(width)]
+        blocks[members, :fan.shape[1]] = np.prod(np.stack((fan, *edges, closings), axis=-1),
+                                                 axis=-1)
+        if width != step:
+            anchors[members] = 1.0
+            anchors[members, :fan.shape[1]] = fan
+    fanned &= (np.abs(anchors) > gate).all(axis=1)
+    return _Rings(values, phases, overlaps, defined, quads, anchors, blocks, fanned)
+
+
+def _ring_invariant(ring: np.ndarray, tol: Tolerances) -> BargmannValue:
+    """:func:`bargmann_invariant` of the admitted vertex rows of one (c, n) array."""
+    r = _rings(ring[None], tol)
+    defined = bool(r.defined[0])
+    return BargmannValue(value=complex(r.values[0]), vertex_count=len(ring), defined=defined,
+                         phase=reduce_phase(float(r.phases[0])) if defined else None)
 
 
 def bargmann_invariant(vectors, *,
@@ -115,7 +199,7 @@ def bargmann_invariant(vectors, *,
     the phase enters one overlap and its conjugate enters the adjacent
     one.  The two-vertex case is \\|(v_1, v_2)\\|^2, real and non-negative.
     """
-    return _ring_invariant(_as_vector_list(vectors, tol=tol), tol)
+    return _ring_invariant(_admit(vectors, tol=tol), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +210,13 @@ def _family(arg, name: str, *, tol: Tolerances) -> np.ndarray:
     """A family as the contiguous rows of one array; a UnitaryMatrix is certified."""
     if isinstance(arg, UnitaryMatrix):
         return arg.data.T.copy()
-    columns = np.stack(_as_vector_list(arg, tol=tol, least=1, what=f"family '{name}'"), axis=-1)
-    dev = _gram_deviation(columns)
+    rows = _admit(arg, tol=tol, least=1, what=f"family '{name}'")
+    dev = _gram_deviation(np.ascontiguousarray(rows.T))
     if dev > tol.tol_unitary:
         raise ValueError(
             f"family '{name}' is not orthonormal: max Gram deviation {dev:.3e}"
         )
-    return columns.T.copy()
+    return rows
 
 
 def _interleaved(psis: np.ndarray, phis: np.ndarray, pattern,
@@ -155,7 +239,7 @@ def _interleaved(psis: np.ndarray, phis: np.ndarray, pattern,
         if not 1 <= index <= len(rows):
             raise IndexError(f"pattern entry {pos}: index {index} outside 1..{len(rows)}")
         vs.append(rows[index - 1])
-    return _ring_invariant(vs, tol)
+    return _ring_invariant(np.array(vs), tol)
 
 
 def interleaved_invariant(psis, phis, pattern, *,
@@ -187,7 +271,11 @@ def delta4_general(A: UnitaryMatrix, j: int, l: int, k: int, m: int) -> complex:
     for idx in (j, l, k, m):
         if not 1 <= idx <= n:
             raise IndexError(f"index {idx} outside 1..{n}")
-    a = A.data
+    return _delta4_at(A.data, j, l, k, m)
+
+
+def _delta4_at(a: np.ndarray, j: int, l: int, k: int, m: int) -> complex:
+    """:func:`delta4_general` of an array, indices unchecked."""
     return complex(
         a[j - 1, k - 1] * np.conj(a[l - 1, k - 1]) * a[l - 1, m - 1] * np.conj(a[j - 1, m - 1])
     )
@@ -272,54 +360,40 @@ def reduce_general_bargmann(vectors, *, mode: str = "auto",
     (v_0, v_2) is generic, quads otherwise (even counts only).  Inputs
     with <= 3 vertices are already primitive and come back unchanged as
     a single factor.  A c-vertex triangle fan takes 3c - 6 overlaps, a
-    quad fan 2c - 4 (one more when ``mode="auto"`` tests (v_0, v_2)).
+    quad fan 2c - 4; ``mode="auto"`` takes every triangle anchor to pick
+    the shape, which costs a quad fan c/2 - 1 more.
     """
-    vs = _as_vector_list(vectors, tol=tol)
-    count = len(vs)
-
-    overlaps = [np.vdot(u, v) for u, v in zip(vs, vs[1:] + vs[:1])]
-    for i, o in enumerate(overlaps):
-        if abs(o) <= tol.tol_generic:
-            raise ValueError(
-                f"input invariant undefined: successive overlap "
-                f"({i}, {(i + 1) % count}) has modulus {abs(o):.3e}"
-            )
     if mode not in ("auto", "triangles", "quads"):
         raise ValueError(f"unknown mode {mode!r}")
+    ring = _admit(vectors, tol=tol)
+    count = len(ring)
+    r = _rings(ring[None], tol, mode)
 
+    if not r.defined[0]:
+        moduli = np.abs(r.overlaps[0])
+        i = int((moduli <= tol.tol_generic).argmax())
+        raise ValueError(
+            f"input invariant undefined: successive overlap "
+            f"({i}, {(i + 1) % count}) has modulus {moduli[i]:.3e}"
+        )
     if count <= 3:
-        value = complex(np.prod(overlaps))
-        return [BargmannFactor(vertices=tuple(range(count)), value=value)]
+        return [BargmannFactor(vertices=tuple(range(count)), value=complex(r.values[0]))]
 
-    # anchors[k] = (v_0, v_k); the first is the ring's own first overlap.
-    anchors = {1: overlaps[0]}
-    if mode == "auto":
-        anchors[2] = np.vdot(vs[0], vs[2])
-        if abs(anchors[2]) > tol.tol_generic:
-            mode = "triangles"
-        elif count % 2 == 0:
-            mode = "quads"
-        else:
-            raise NonGenericAnchorError(
-                f"anchor overlap (0, 2) has modulus {abs(anchors[2]):.3e} and the vertex "
-                f"count {count} is odd: no reduction fan exists"
-            )
-    if mode == "quads" and count % 2 != 0:
-        raise ValueError(f"quad fan needs an even vertex count, got {count}")
-
-    # A block (v_0, v_lead, ..., v_last) multiplies its anchor, the ring's
-    # overlaps from v_lead to v_last, and the closing overlap (v_last, v_0).
-    width = 1 if mode == "triangles" else 2
-    factors: list[BargmannFactor] = []
-    for lead in range(1, count - width, width):
-        anchor = anchors[lead] if lead in anchors else np.vdot(vs[0], vs[lead])
+    quads = bool(r.quads[0])
+    if quads and count % 2 != 0:
+        if mode == "quads":
+            raise ValueError(f"quad fan needs an even vertex count, got {count}")
+        raise NonGenericAnchorError(
+            f"anchor overlap (0, 2) has modulus {abs(r.anchors[0, 1]):.3e} and the vertex "
+            f"count {count} is odd: no reduction fan exists"
+        )
+    width = 2 if quads else 1
+    leads = range(1, count - width, width)
+    for lead, anchor in zip(leads, r.anchors[0]):
         if abs(anchor) <= tol.tol_generic:
             raise NonGenericAnchorError(
-                f"{mode[:-1]} anchor overlap (0, {lead}) has modulus "
+                f"{'quad' if quads else 'triangle'} anchor overlap (0, {lead}) has modulus "
                 f"{abs(anchor):.3e}: fan undefined"
             )
-        last = lead + width
-        closing = overlaps[last] if last == count - 1 else np.vdot(vs[last], vs[0])
-        value = complex(np.prod([anchor, *overlaps[lead:last], closing]))
-        factors.append(BargmannFactor(vertices=(0, *range(lead, last + 1)), value=value))
-    return factors
+    return [BargmannFactor(vertices=(0, *range(lead, lead + width + 1)), value=complex(value))
+            for lead, value in zip(leads, r.blocks[0])]

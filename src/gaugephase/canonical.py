@@ -80,6 +80,7 @@ from .core import (
     UnitaryMatrix,
     UnitVector,
     _certify_stack,
+    _row_norms,
     principal_arg,
     reduce_phase,
 )
@@ -217,17 +218,6 @@ def coset_representative(zeta: UnitVector, *,
 # ---------------------------------------------------------------------------
 # Factor / defactor
 # ---------------------------------------------------------------------------
-
-def _row_norms(z: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each row of a (k, m) complex stack, as (k, 1).
-
-    The same two real dot products that ``norm`` takes, batched by
-    matmul, so each norm is bit for bit the one ``norm`` returns (einsum
-    sums in another order).
-    """
-    re, im = z.real, z.imag
-    return np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0]
-
 
 def _split_arrays(a: np.ndarray, tol: Tolerances, edge: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

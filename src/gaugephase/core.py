@@ -7,16 +7,17 @@ arithmetic, and the ``Undefined`` marker used wherever a phase simply
 does not exist (orthogonal endpoints, vanishing invariants).
 
 Three private helpers are the package's only input checks of their kind:
-``_as_complex_array`` (complex and finite) for every vector, matrix,
-curve and evolution constructor, ``_unit_array`` (unit norm) for
-``UnitVector`` and raw ``bargmann`` vertices, and ``_gram_deviations``
-(the orthonormality certificate max |C^dagger C - I|, one per member of
-a stack) for ``UnitaryMatrix``, the frames of ``FrameEvolution``, the
-vector families of ``bargmann.interleaved_invariant`` and, through
-``_certify_stack``, every stack of matrices built at once (rebuilt
-towers, gauge transforms, Haar draws).  Such a stack is wrapped member by
-member with the private constructors ``UnitaryMatrix._certified`` and
-``UnitVector._certified``, which store a copy without checking again.
+``_as_complex_array`` (complex and finite) for every matrix, curve and
+evolution constructor, ``_unit_rows`` (finite and of unit norm, a stack
+of vectors at once) for ``UnitVector`` and the ``bargmann`` rings, and
+``_gram_deviations`` (the orthonormality certificate max |C^dagger C - I|,
+one per member of a stack) for ``UnitaryMatrix``, the frames of
+``FrameEvolution``, the vector families of
+``bargmann.interleaved_invariant`` and, through ``_certify_stack``, every
+stack of matrices built at once (rebuilt towers, gauge transforms, Haar
+draws).  Such a stack is wrapped member by member with the private
+constructors ``UnitaryMatrix._certified`` and ``UnitVector._certified``,
+which store a copy without checking again.
 """
 
 from __future__ import annotations
@@ -239,17 +240,45 @@ def _certify_stack(arrays: np.ndarray, tol: float) -> np.ndarray:
     return deviations
 
 
-def _unit_array(values, tol: float) -> np.ndarray:
-    """A vector as ``UnitVector`` admits it: contiguous, 1-d, norm within ``tol`` of 1."""
-    arr = _as_complex_array(values, what="vector")
+def _row_norms(z: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a (k, m) complex stack, as (k, 1).
+
+    The same two real dot products that ``norm`` takes, batched by
+    matmul, so each norm is bit for bit the one ``norm`` returns (einsum
+    sums in another order).
+    """
+    re, im = z.real, z.imag
+    return np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0]
+
+
+def _unit_rows(rows: np.ndarray, tol: float) -> None:
+    """The check ``UnitVector`` makes of each row of a (k, n) complex
+    stack, taken at once.  Raises the error it raises for the first row
+    that fails, a non-finite entry anywhere before a norm."""
+    if not np.isfinite(rows).all():
+        raise ValueError("vector contains non-finite entries")
+    norms = _row_norms(rows)[:, 0]
+    off = np.abs(norms - 1.0) > tol
+    if off.any():
+        norm = float(norms[off.argmax()])
+        raise ValueError(f"vector norm {norm!r} deviates from 1 by more than {tol:.3e}")
+
+
+def _as_vector(values) -> np.ndarray:
+    """``values`` as a contiguous 1-d complex array with at least one entry."""
+    arr = np.asarray(values, dtype=np.complex128)
     if arr.ndim != 1 or arr.size < 1:
         raise DimensionMismatchError(
             f"expected a 1-d vector with at least one component, got shape {arr.shape}"
         )
-    norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"vector norm {norm!r} deviates from 1 by more than {tol:.3e}")
     return np.ascontiguousarray(arr)
+
+
+def _unit_array(values, tol: float) -> np.ndarray:
+    """A vector as ``UnitVector`` admits it: contiguous, 1-d, norm within ``tol`` of 1."""
+    arr = _as_vector(values)
+    _unit_rows(arr[None], tol)
+    return arr
 
 
 def _freeze(obj, values: np.ndarray) -> None:

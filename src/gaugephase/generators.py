@@ -24,6 +24,7 @@ from .core import (
     UnitVector,
     _as_complex_array,
     _certify_stack,
+    _row_norms,
 )
 from .curves import FrameEvolution
 
@@ -80,15 +81,8 @@ def random_generic_unitary(n: int, seed: int, *,
     matrix it yields here.  Alone, each candidate is judged by one
     :func:`~gaugephase.canonical.decompose` call.
     """
-    return next(_random_generic_unitaries(n, [seed], tol))
-
-
-def _random_generic_unitaries(n: int, seeds: Iterable, tol: Tolerances
-                              ) -> Iterator[UnitaryMatrix]:
-    """:func:`random_generic_unitary` for each seed in turn, drawn in stacks
-    by :func:`_generic_unitary_stacks`."""
-    for draws, deviations in _generic_unitary_stacks(n, seeds, tol):
-        yield from map(UnitaryMatrix._certified, draws, deviations)
+    (draw,), (deviation,) = next(_generic_unitary_stacks(n, [seed], tol))
+    return UnitaryMatrix._certified(draw, deviation)
 
 
 def _generic_unitary_stacks(n: int, seeds: Iterable, tol: Tolerances
@@ -135,10 +129,20 @@ def random_unit_vector(n: int, seed_or_rng, *, min_leading: float = 0.0) -> Unit
         raise DimensionMismatchError(f"need n >= 1, got {n}")
     rng = _as_rng(seed_or_rng)
     while True:
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v /= np.linalg.norm(v)
+        (v,) = _random_unit_rows(n, 1, rng)
         if abs(v[0]) > min_leading:
             return UnitVector(v)
+
+
+def _random_unit_rows(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` successive :func:`random_unit_vector` draws from ``rng`` as
+    the rows of one (count, n) array: the same normals in the same order,
+    normalized to the same bits.  Unlike ``random_unit_vector``, a row
+    whose leading entry is exactly 0 (two exactly-zero normals) is kept,
+    not redrawn."""
+    z = rng.standard_normal((count, 2, n))
+    rows = z[:, 0] + 1j * z[:, 1]
+    return rows / _row_norms(rows)
 
 
 def random_smooth_phases(grid, seed_or_rng, *, columns: int | None = None,

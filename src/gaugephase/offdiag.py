@@ -68,17 +68,15 @@ _IDENTITY_TOLERANCE = 1e-8  # default pass gate on identity residuals
 
 
 def _level_list(levels: Sequence[int], n: int) -> list[int]:
-    """At least two distinct levels, each in 1..n, checked before any is read."""
+    """At least two distinct levels, each an integer in 1..n, checked before any is read."""
+    levels = list(levels)
     for j in levels:
-        if not isinstance(j, (int, np.integer)):
-            raise ValueError(f"level {j!r} is not an integer")
+        _check_level(j, n)
     levels = [int(j) for j in levels]
     if len(levels) < 2:
         raise ValueError(f"need at least two levels, got {levels}")
     if len(set(levels)) != len(levels):
         raise ValueError(f"duplicate level in {levels}")
-    for j in levels:
-        _check_level(j, n)
     return levels
 
 

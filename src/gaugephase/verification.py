@@ -14,11 +14,11 @@ from itertools import combinations
 import numpy as np
 
 from .bargmann import (
-    bargmann_invariant,
-    delta4_general,
+    _delta4,
+    _delta4_at,
+    _rings,
     delta4_grid,
     independent_primitive_set,
-    reduce_general_bargmann,
     reduce_to_adjacent,
 )
 from .canonical import (
@@ -36,7 +36,9 @@ from .core import (
     Undefined,
     UnitaryMatrix,
     UnitVector,
+    _unit_rows,
     circular_distance,
+    reduce_phase,
 )
 from .gauge import (
     _RECURSION_TOLERANCE,
@@ -46,12 +48,11 @@ from .gauge import (
 )
 from .generators import (
     _generic_unitary_stacks,
-    _random_generic_unitaries,
+    _random_unit_rows,
     frame_evolution_from_path,
     random_generic_unitary,
     random_hermitian_path,
     random_smooth_phases,
-    random_unit_vector,
 )
 from .offdiag import _IDENTITY_TOLERANCE, gamma_multi, sigma, verify_offdiag_identity
 
@@ -251,66 +252,74 @@ def run_gauge_suite(n: int, trials: int, seed: int, *,
 # reduction
 # ---------------------------------------------------------------------------
 
-def _fan_residual(vectors, *, tol: Tolerances) -> float:
-    """Circular distance between an invariant's arg and its fan's arg sum."""
-    whole = bargmann_invariant(vectors, tol=tol)
-    factors = reduce_general_bargmann(vectors, tol=tol)
-    total = sum(math.atan2(f.value.imag, f.value.real) for f in factors)
-    return circular_distance(whole.phase, total)
+def _worst_fan_residual(rings: list[np.ndarray], tol: Tolerances) -> float:
+    """The largest circular distance between a ring's invariant argument
+    and the sum of its fan's block arguments, over the rings that
+    :func:`bargmann_invariant` and :func:`reduce_general_bargmann` (auto
+    mode) accept.  Rings of one vertex count are admitted and reduced as
+    one stack."""
+    worst = 0.0
+    for count in sorted({len(ring) for ring in rings}):
+        stack = np.array([ring for ring in rings if len(ring) == count])
+        _unit_rows(stack.reshape(-1, stack.shape[-1]), tol.tol_norm)
+        fans = _rings(stack, tol, "auto")
+        ok = fans.fanned
+        for phase, quads, blocks in zip(fans.phases[ok].tolist(), fans.quads[ok].tolist(),
+                                        fans.blocks[ok].tolist()):
+            size = count // 2 - 1 if quads else count - 2
+            total = sum(math.atan2(b.imag, b.real) for b in blocks[:size])
+            worst = max(worst, circular_distance(reduce_phase(phase), total))
+    return worst
 
 
 def run_reduction_suite(n: int, trials: int, seed: int, *,
                         tol: Tolerances = DEFAULT_TOLERANCES) -> SuiteReport:
     """Fan reductions for vector and interleaved invariants, and the
-    four-index recursions down to primitive blocks."""
+    four-index recursions down to primitive blocks.
+
+    The rings and matrices are drawn and reduced as arrays, a stack at a
+    time, with the values and gates of the object API; a ring on which
+    that API raises (an astronomically unlikely orthogonal draw) is
+    skipped.
+    """
     rng = np.random.default_rng(seed)
     gate = 10.0 * tol.tol_generic
 
-    worst_triangle = 0.0
-    for _ in range(trials):
-        count = int(rng.integers(4, 7))
-        vectors = [random_unit_vector(n, rng) for _ in range(count)]
-        try:
-            worst_triangle = max(worst_triangle, _fan_residual(vectors, tol=tol))
-        except ValueError:
-            continue  # astronomically unlikely orthogonal draw; skip
+    worst_triangle = _worst_fan_residual(
+        [_random_unit_rows(n, int(rng.integers(4, 7)), rng) for _ in range(trials)], tol)
 
-    worst_quad = 0.0
-    firsts = _random_generic_unitaries(n, range(seed + 7919, seed + 7919 + trials), tol)
-    seconds = _random_generic_unitaries(n, range(seed + 104729, seed + 104729 + trials), tol)
-    for first, second in zip(firsts, seconds):
-        ell = int(rng.integers(2, min(n, 3) + 1))
-        psi_idx = rng.permutation(n)[:ell]
-        phi_idx = rng.permutation(n)[:ell]
-        psis, phis = first.data.T.copy(), second.data.T.copy()
-        ring = [row for j, k in zip(psi_idx, phi_idx) for row in (psis[j], phis[k])]
-        try:
-            worst_quad = max(worst_quad, _fan_residual(ring, tol=tol))
-        except ValueError:
-            continue
+    quads = []
+    firsts = _generic_unitary_stacks(n, range(seed + 7919, seed + 7919 + trials), tol)
+    seconds = _generic_unitary_stacks(n, range(seed + 104729, seed + 104729 + trials), tol)
+    for (first, _), (second, _) in zip(firsts, seconds):
+        for psis, phis in zip(first.swapaxes(1, 2), second.swapaxes(1, 2)):
+            ell = int(rng.integers(2, min(n, 3) + 1))
+            psi_idx = rng.permutation(n)[:ell]
+            phi_idx = rng.permutation(n)[:ell]
+            quads.append(np.stack((psis[psi_idx], phis[phi_idx]), axis=1).reshape(2 * ell, n))
+    worst_quad = _worst_fan_residual(quads, tol)
 
     worst_split = 0.0
     worst_rectangle = 0.0
-    for matrix in _random_generic_unitaries(
-            n, range(seed + 15485863, seed + 15485863 + trials), tol):
-        grid = delta4_grid(matrix)
-        if n >= 3:
+    seeds = range(seed + 15485863, seed + 15485863 + trials)
+    for draws, _ in _generic_unitary_stacks(n, seeds if n >= 3 else (), tol):
+        for a, grid in zip(draws, _delta4(draws)):
             j, l = sorted(rng.choice(n, size=2, replace=False) + 1)
             k, m = sorted(rng.choice(n, size=2, replace=False) + 1)
-            whole = delta4_general(matrix, int(j), int(l), int(k), int(m))
+            whole = _delta4_at(a, j, l, k, m)
             if abs(whole) > gate:
                 if l - j >= 2:
-                    a = delta4_general(matrix, int(j), int(l - 1), int(k), int(m))
-                    b = delta4_general(matrix, int(l - 1), int(l), int(k), int(m))
-                    if min(abs(a), abs(b)) > gate:
+                    x = _delta4_at(a, j, l - 1, k, m)
+                    y = _delta4_at(a, l - 1, l, k, m)
+                    if min(abs(x), abs(y)) > gate:
                         worst_split = max(worst_split, circular_distance(
-                            np.angle(whole), np.angle(a) + np.angle(b)))
+                            np.angle(whole), np.angle(x) + np.angle(y)))
                 if m - k >= 2:
-                    a = delta4_general(matrix, int(j), int(l), int(k), int(m - 1))
-                    b = delta4_general(matrix, int(j), int(l), int(m - 1), int(m))
-                    if min(abs(a), abs(b)) > gate:
+                    x = _delta4_at(a, j, l, k, m - 1)
+                    y = _delta4_at(a, j, l, m - 1, m)
+                    if min(abs(x), abs(y)) > gate:
                         worst_split = max(worst_split, circular_distance(
-                            np.angle(whole), np.angle(a) + np.angle(b)))
+                            np.angle(whole), np.angle(x) + np.angle(y)))
                 blocks = reduce_to_adjacent(int(j), int(l), int(k), int(m))
                 values = [grid[r - 1, c - 1] for r, c in blocks]
                 if min(abs(v) for v in values) > gate:

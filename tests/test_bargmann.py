@@ -1,6 +1,7 @@
 """Tests for cyclic invariants, four-index blocks, and reduction fans."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from gaugephase import (
     reduce_general_bargmann,
     reduce_to_adjacent,
 )
+from gaugephase import bargmann
+from gaugephase.bargmann import _dots
 
 from oracles import cyclic_product, fan_by_vdots
 
@@ -107,6 +110,21 @@ class TestBargmannInvariant:
             read([e, [0.6, 0.8j], [1.0000000001, 0.0]])
         with pytest.raises(DimensionMismatchError, match="1-d vector"):
             read([e, 1.0, e])
+
+    @pytest.mark.parametrize("read", [bargmann_invariant, reduce_general_bargmann])
+    def test_one_stacked_check_admits_every_vertex(self, read):
+        e = [1.0, 0.0]
+        with pytest.raises(ValueError, match="vector contains non-finite entries"):
+            read([e, [0.6, 0.8j], [np.nan, 0.0], e])
+        # A non-finite entry anywhere speaks before a norm.
+        with pytest.raises(ValueError, match="vector contains non-finite entries"):
+            read([e, [2.0, 0.0], [0.0, np.inf], e])
+        # The first vertex off the unit sphere names its norm.
+        with pytest.raises(ValueError, match=re.escape("vector norm 2.0 deviates from 1")):
+            read([e, [2.0, 0.0], [0.0, 3.0], e])
+        # A UnitVector counts as certified; the raw vertices beside it do not.
+        with pytest.raises(ValueError, match=re.escape("vector norm 3.0 deviates from 1")):
+            read([UnitVector(e), [0.0, 3.0], e])
 
     def test_phase_survives_modulus_underflow(self):
         # 2000 vertices walking a fixed-latitude circle 531 times: every
@@ -373,8 +391,8 @@ class TestFanBits:
                 got = reduce_general_bargmann(ring, mode=mode)
                 assert [(f.vertices, f.value) for f in got] == expected
 
-    @pytest.mark.parametrize("mode, calls", [("triangles", 12), ("quads", 8)])
-    def test_a_six_vertex_fan_takes_each_overlap_once(self, monkeypatch, mode, calls):
+    @pytest.mark.parametrize("mode, pairs", [("triangles", 12), ("quads", 8)])
+    def test_a_six_vertex_fan_takes_each_overlap_once(self, monkeypatch, mode, pairs):
         # Triangles: 6 cyclic overlaps, anchors (0, 2..4), closings (2..4, 0);
         # quads: 6 cyclic overlaps, anchor (0, 3), closing (3, 0).
         if mode == "triangles":
@@ -383,12 +401,27 @@ class TestFanBits:
         else:
             ring = _interleaved_ring(86, 3)
         count = [0]
-        vdot = np.vdot
+        dots = bargmann._dots
 
-        def counted(u, v):
-            count[0] += 1
-            return vdot(u, v)
+        def counted(a, b):
+            count[0] += math.prod(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+            return dots(a, b)
 
-        monkeypatch.setattr(np, "vdot", counted)
+        monkeypatch.setattr(bargmann, "_dots", counted)
         assert len(reduce_general_bargmann(ring, mode=mode)) == (4 if mode == "triangles" else 2)
-        assert count[0] == calls
+        assert count[0] == pairs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 32])
+@pytest.mark.parametrize("c", range(2, 8))
+def test_the_batched_dot_is_vdot_bit_for_bit(n, c):
+    rng = np.random.default_rng(100 * n + c)
+    u, v = (rng.standard_normal((30, c, n)) + 1j * rng.standard_normal((30, c, n))
+            for _ in range(2))
+    u *= np.exp(rng.uniform(-30.0, 30.0, (30, c, 1)))
+    for a, b in ((u, v), (v, u)):
+        expected = np.array([[np.vdot(x, y) for x, y in zip(p, q)] for p, q in zip(a, b)])
+        assert _dots(a, b).tobytes() == expected.tobytes()
+        # The fans' forms: each ring's first row against its others, and a strided pick.
+        expected = np.array([[np.vdot(p[0], y) for y in q[1::2]] for p, q in zip(a, b)])
+        assert _dots(a[:, :1], b[:, 1::2]).tobytes() == expected.tobytes()

@@ -23,7 +23,7 @@ from gaugephase import (
 )
 from gaugephase import canonical
 from gaugephase.canonical import _stacks
-from gaugephase.generators import _haar_unitaries, _random_generic_unitaries
+from gaugephase.generators import _generic_unitary_stacks, _haar_unitaries
 
 from oracles import eigenframes_by_loops, peel_by_dense_product
 
@@ -77,20 +77,23 @@ class TestRandomGenericUnitary:
         share = rejections / (rejections + len(seeds))
         assert 0.1 < share < 0.4
         with caplog.at_level(logging.DEBUG, logger="gaugephase.generators"):
-            drawn = list(_random_generic_unitaries(4, seeds, Tolerances(tol_generic=gate)))
+            drawn = [d for draws, _ in _generic_unitary_stacks(
+                4, seeds, Tolerances(tol_generic=gate)) for d in draws]
         logged = [r for r in caplog.records if "rejected" in r.message]
         assert len(logged) == rejections
         assert len(drawn) == len(seeds)
-        assert all(np.array_equal(d.data, e) for d, e in zip(drawn, expected))
+        assert all(np.array_equal(d, e) for d, e in zip(drawn, expected))
         one = random_generic_unitary(4, seeds[0], tol=Tolerances(tol_generic=gate))
         assert np.array_equal(one.data, expected[0])
 
     def test_a_batch_split_into_several_stacks_draws_each_seed_alone(self):
         seeds = [5, 6, 7, 8, 9]  # at n = 64 a stack holds four matrices
         assert [len(stack) for stack in _stacks(seeds, lambda seed: 64)] == [4, 1]
-        drawn = list(_random_generic_unitaries(64, seeds, Tolerances()))
+        stacks = list(_generic_unitary_stacks(64, seeds, Tolerances()))
+        assert [len(draws) for draws, _ in stacks] == [4, 1]
+        drawn = [d for draws, _ in stacks for d in draws]
         for seed, matrix in zip(seeds, drawn):
-            assert np.array_equal(matrix.data, random_generic_unitary(64, seed).data)
+            assert np.array_equal(matrix, random_generic_unitary(64, seed).data)
 
     def test_a_one_seed_draw_judges_each_candidate_by_one_decompose_call(self, monkeypatch):
         gate = Tolerances(tol_generic=0.2)
@@ -125,9 +128,9 @@ class TestRandomGenericUnitary:
             assert np.array_equal(drawn, q * (d / np.abs(d)).conj())
 
     def test_an_empty_batch_draws_nothing_at_any_size(self):
-        assert list(_random_generic_unitaries(1, [], Tolerances())) == []
+        assert list(_generic_unitary_stacks(1, [], Tolerances())) == []
         with pytest.raises(DimensionMismatchError):
-            list(_random_generic_unitaries(1, [0], Tolerances()))
+            list(_generic_unitary_stacks(1, [0], Tolerances()))
 
 
 class TestRandomUnitVector:

@@ -120,6 +120,16 @@ class TestArgumentValidation:
         with pytest.raises(ValueError, match=re.escape(f"level {level!r} is not an integer")):
             read(swap3, (1, level))
 
+    @pytest.mark.parametrize("read, args, level", [
+        (sigma, (1.5, 2), 1.5),
+        (sigma, (1, 2.0), 2.0),
+        (gamma_diag, (2.0,), 2.0),
+        (dynamical_factor, (np.float64(1.5),), np.float64(1.5)),
+    ], ids=["sigma-first", "sigma-second", "gamma_diag", "dynamical_factor"])
+    def test_single_levels_must_be_integers(self, swap3, read, args, level):
+        with pytest.raises(ValueError, match=re.escape(f"level {level!r} is not an integer")):
+            read(swap3, *args)
+
     @pytest.mark.parametrize("read", [gamma_multi, gamma_via_invariants])
     def test_numpy_integer_levels_read_as_python_ones(self, generic3, read):
         assert read(generic3, np.array([1, 3])) == read(generic3, (1, 3))

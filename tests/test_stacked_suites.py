@@ -10,20 +10,28 @@ import pytest
 from gaugephase import (
     Tolerances,
     UnitaryMatrix,
+    UnitVector,
+    bargmann_invariant,
+    circular_distance,
     decompose,
+    delta4_general,
     delta4_grid,
     gauge_transform_matrix,
     modulus_invariants,
     phase_invariant_list,
     random_generic_unitary,
+    random_unit_vector,
     reconstruct,
+    reduce_general_bargmann,
+    reduce_to_adjacent,
     split_coset,
     verify_gauge_recursion,
     verify_invariants_under_gauge,
 )
+from gaugephase import verification
 from gaugephase.cli import main
 from gaugephase.gauge import _recursion_deviations
-from gaugephase.verification import run_gauge_suite, run_roundtrip_suite
+from gaugephase.verification import run_gauge_suite, run_reduction_suite, run_roundtrip_suite
 
 
 def _max(values) -> float:
@@ -106,6 +114,96 @@ def test_gauge_suite_peeling_checks_are_the_maxima_of_single_reports(n, trials, 
     assert measured["max_peeling_vector_deviation"] == _max(r.vector_deviation for r in reports)
     assert measured["max_peeling_remainder_deviation"] == _max(
         r.remainder_deviation for r in reports)
+
+
+def _anchorless(ring: np.ndarray) -> np.ndarray:
+    """The ring with its third vertex turned orthogonal to its first: the
+    anchor (v_0, v_2) vanishes, which leaves an odd ring without a fan."""
+    ring = ring.copy()
+    w = ring[2] - np.vdot(ring[0], ring[2]) * ring[0]
+    ring[2] = w / np.linalg.norm(w)
+    return ring
+
+
+def _fan_residual(vectors) -> float:
+    whole = bargmann_invariant(vectors)
+    total = sum(math.atan2(f.value.imag, f.value.real) for f in reduce_general_bargmann(vectors))
+    return circular_distance(whole.phase, total)
+
+
+def _reduction_by_objects(n: int, trials: int, seed: int) -> tuple[list, int]:
+    """The reduction suite's four measurements as a loop of public calls,
+    with the first five-vertex triangle ring made :func:`_anchorless`; and
+    how many rings the object API refused."""
+    rng = np.random.default_rng(seed)
+    gate = 10.0 * Tolerances().tol_generic
+    refused = 0
+    worst_triangle = 0.0
+    counts = []
+    for _ in range(trials):
+        counts.append(int(rng.integers(4, 7)))
+        ring = np.array([random_unit_vector(n, rng).data for _ in range(counts[-1])])
+        if counts.count(5) == 1 and counts[-1] == 5:
+            ring = _anchorless(ring)
+        try:
+            worst_triangle = max(worst_triangle, _fan_residual([UnitVector(v) for v in ring]))
+        except ValueError:
+            refused += 1
+    worst_quad = 0.0
+    for t in range(trials):
+        first = random_generic_unitary(n, seed + 7919 + t)
+        second = random_generic_unitary(n, seed + 104729 + t)
+        ell = int(rng.integers(2, min(n, 3) + 1))
+        psi_idx = rng.permutation(n)[:ell]
+        phi_idx = rng.permutation(n)[:ell]
+        ring = [v for j, k in zip(psi_idx, phi_idx)
+                for v in (first.column(j + 1), second.column(k + 1))]
+        try:
+            worst_quad = max(worst_quad, _fan_residual(ring))
+        except ValueError:
+            refused += 1
+    worst_split = worst_rectangle = 0.0
+    for t in range(trials if n >= 3 else 0):
+        a = random_generic_unitary(n, seed + 15485863 + t)
+        grid = delta4_grid(a)
+        j, l = (int(i) for i in sorted(rng.choice(n, size=2, replace=False) + 1))
+        k, m = (int(i) for i in sorted(rng.choice(n, size=2, replace=False) + 1))
+        whole = delta4_general(a, j, l, k, m)
+        if abs(whole) <= gate:
+            continue
+        splits = []
+        if l - j >= 2:
+            splits.append((delta4_general(a, j, l - 1, k, m), delta4_general(a, l - 1, l, k, m)))
+        if m - k >= 2:
+            splits.append((delta4_general(a, j, l, k, m - 1), delta4_general(a, j, l, m - 1, m)))
+        for x, y in splits:
+            if min(abs(x), abs(y)) > gate:
+                worst_split = max(worst_split, circular_distance(
+                    np.angle(whole), np.angle(x) + np.angle(y)))
+        values = [grid[r - 1, c - 1] for r, c in reduce_to_adjacent(j, l, k, m)]
+        if min(abs(v) for v in values) > gate:
+            worst_rectangle = max(worst_rectangle, circular_distance(
+                np.angle(whole), float(np.sum(np.angle(values)))))
+    return [worst_triangle, worst_quad, worst_split, worst_rectangle], refused
+
+
+@pytest.mark.parametrize("n, trials, seed", [
+    (2, 20, 0), (3, 30, 1), (3, 25, 8), (5, 40, 2), (5, 30, 9), (12, 200, 3), (12, 0, 4)])
+def test_reduction_suite_is_a_loop_of_object_calls(n, trials, seed, monkeypatch):
+    draws = verification._random_unit_rows
+    counts = []
+
+    def draw(n, count, rng):
+        counts.append(count)
+        ring = draws(n, count, rng)
+        return _anchorless(ring) if counts.count(5) == 1 and counts[-1] == 5 else ring
+
+    monkeypatch.setattr(verification, "_random_unit_rows", draw)
+    expected, refused = _reduction_by_objects(n, trials, seed)
+    assert refused == (1 if trials else 0)
+    report = run_reduction_suite(n, trials, seed)
+    assert [c.measured for c in report.checks] == expected
+    assert report.passed
 
 
 @pytest.mark.parametrize("suite, trial_checks", [

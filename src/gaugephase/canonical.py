@@ -38,9 +38,10 @@ so ``decompose`` and ``reconstruct`` are O(n^3).
 
 The tower works on stacks.  Each level peels, rebuilds or certifies k
 same-size blocks, shape (k, m, m), with one set of array operations.
-``_checked_peel`` peels a stack with every check ``decompose`` (or, one
-level deep, ``split_coset``) makes; ``_rebuild`` multiplies a stack of
-towers back together from its level columns and chi and certifies it;
+``_checked_peel`` peels a stack (``_peel``) and passes the peel through
+``_verdict``, every check ``decompose`` (or, one level deep,
+``split_coset``) makes; ``_rebuild`` multiplies a stack of towers back
+together from its level columns and chi and certifies it;
 ``_modulus_arrays`` and ``_phase_arrays`` read the invariants of a stack
 off the same per-level (k, m) column arrays.  ``decompose``,
 ``split_coset``, ``reconstruct``, ``modulus_invariants`` and
@@ -51,15 +52,18 @@ stacks of at most ``_STACK_ENTRIES`` matrix entries.  The roundtrip
 check (``verification.run_roundtrip_suite``), the gauge-invariance check
 (``gauge.verify_invariants_under_gauge``) and the gauge suite's peeling
 law (``gauge._recursion_deviations``) hand over arrays and compare the
-arrays they get back, with no object per member; the batched Haar draw
-hands its candidates to ``_nongeneric_errors``.  Each member keeps every
-check of its own: the genericity gate at each level before that level is
-used, the certificate on the full peeled last row and column and on the
-final 1 x 1 entry, the norm gate of its level columns, the gate of chi
-or the certificate of its remainder, and the error a loop over the
-members would raise first, non-genericity first within a member.  A
-non-generic member is peeled on by F(e_1), so it makes no warning and
-disturbs no other member.
+arrays they get back, with no object per member.  The batched Haar draw
+hands its candidates to ``_judge``, which peels them once and returns
+the checked tower of the accepted ones, their level columns and chi; the
+draw passes that tower on, so the roundtrip and counting suites never
+peel a drawn matrix again.  Each member keeps every check of its own:
+the genericity gate at each level before that level is used, the
+certificate on the full peeled last row and column and on the final
+1 x 1 entry, the norm gate of its level columns, the gate of chi or the
+certificate of its remainder, and the error a loop over the members
+would raise first, non-genericity first within a member.  A non-generic
+member is peeled on by F(e_1), so it makes no warning and disturbs no
+other member.
 """
 
 from __future__ import annotations
@@ -279,8 +283,7 @@ def _peel(a: np.ndarray, tol: Tolerances, levels: int | None = None) -> _Peel:
     """Peel ``levels`` coset factors, all n - 1 by default, off every member
     of a (k, n, n) stack, one set of array calls per level.
 
-    Raises nothing: :func:`_check_member` reads a member's error, and
-    :func:`_checked_peel` each member's every error.
+    Raises nothing: :func:`_verdict` reads each member's every error.
     """
     k, n = a.shape[0], a.shape[-1]
     last = 1 if levels is None else n - levels
@@ -307,30 +310,17 @@ def _peel(a: np.ndarray, tol: Tolerances, levels: int | None = None) -> _Peel:
     return _Peel(columns, work, worst, norms, failures)
 
 
-def _check_member(peel: _Peel, i: int, tol: Tolerances) -> None:
-    """Raise the error of member ``i``'s peel: non-genericity first, then
-    the certificate."""
-    if i in peel.failures:
-        level, magnitude = peel.failures[i]
-        raise NonGenericMatrixError(level, magnitude, tol.tol_generic)
-    worst = float(peel.worst[i])
-    if worst > tol.tol_unitary:
-        raise NotUnitaryError(worst, tol.tol_unitary)
+def _verdict(peel: _Peel, tol: Tolerances, levels: int | None = None) -> np.ndarray:
+    """Every check :func:`decompose` (all levels) or :func:`split_coset`
+    (``levels=1``) makes of each member of a peel already made, made for
+    the whole stack at once.
 
-
-def _checked_peel(a: np.ndarray, tol: Tolerances, levels: int | None = None
-                  ) -> tuple[_Peel, np.ndarray]:
-    """:func:`_peel` with every check :func:`decompose` (all levels) or
-    :func:`split_coset` (``levels=1``) makes of each member, made for the
-    whole stack at once.
-
-    Returns the peel and, after the whole tower, each member's chi (k,),
-    or else the certificate of each member's remainder (k,).  Raises the
-    error of the first member that has one, as a loop would; in a member,
+    Returns each member's chi (k,) after the whole tower, or else the
+    certificate of each member's remainder (k,).  Raises the error of the
+    first member that has one, as a loop would; in a member,
     non-genericity, then the peel certificate, then the norm gate of the
     level columns, then the gate of chi or the remainder's certificate.
     """
-    peel = _peel(a, tol, levels)
     # The certificate bounds | ||zeta|| - 1 | per level, so certified input passes.
     norm_gate = max(tol.tol_norm, tol.tol_unitary)
     off_norm = np.abs(peel.norms - 1.0) > norm_gate
@@ -344,10 +334,23 @@ def _checked_peel(a: np.ndarray, tol: Tolerances, levels: int | None = None
     else:
         tail = _certify_stack(peel.remainder[:stop], tol.tol_unitary)
     if stop < len(failed):
-        _check_member(peel, stop, tol)
+        if stop in peel.failures:
+            level, magnitude = peel.failures[stop]
+            raise NonGenericMatrixError(level, magnitude, tol.tol_generic)
+        worst = float(peel.worst[stop])
+        if worst > tol.tol_unitary:
+            raise NotUnitaryError(worst, tol.tol_unitary)
         norm = float(peel.norms[stop, off_norm[stop].argmax()])
         raise ValueError(f"vector norm {norm!r} deviates from 1 by more than {norm_gate:.3e}")
-    return peel, tail
+    return tail
+
+
+def _checked_peel(a: np.ndarray, tol: Tolerances, levels: int | None = None
+                  ) -> tuple[_Peel, np.ndarray]:
+    """:func:`_peel` of a (k, n, n) stack followed by its :func:`_verdict`:
+    the peel and each member's chi, or its remainder's certificate."""
+    peel = _peel(a, tol, levels)
+    return peel, _verdict(peel, tol, levels)
 
 
 def _rebuild(columns: Sequence[np.ndarray], chi: np.ndarray, tol: Tolerances
@@ -399,15 +402,21 @@ def _stacks(items: Iterable[T], dim: Callable[[T], int]) -> Iterator[list[T]]:
         yield [first, *islice(it, max(1, _STACK_ENTRIES // dim(first) ** 2) - 1)]
 
 
+def _params(columns: Sequence[np.ndarray], chi: np.ndarray) -> list[CanonicalParams]:
+    """The parameters of each member of a stack's checked tower: its level
+    columns (a (k, m) array per level, m = n down to 2) and chi (k,)."""
+    return [CanonicalParams(vectors=tuple(UnitVector._certified(zeta[i]) for zeta in columns),
+                            chi=chi[i])
+            for i in range(len(chi))]
+
+
 def _decompose_stack(matrices: Sequence[UnitaryMatrix],
                      tol: Tolerances) -> list[CanonicalParams]:
     """:func:`decompose` of each of k >= 1 same-size matrices, peeled as
     one stack.  Raises the error of the first member that has one, as a
     loop of :func:`decompose` calls would."""
     peel, chi = _checked_peel(_stack([A.data for A in matrices]), tol)
-    return [CanonicalParams(vectors=tuple(UnitVector._certified(zeta[i]) for zeta in peel.columns),
-                            chi=chi[i])
-            for i in range(len(matrices))]
+    return _params(peel.columns, chi)
 
 
 def _reconstruct_stack(params: Sequence[CanonicalParams],
@@ -420,33 +429,39 @@ def _reconstruct_stack(params: Sequence[CanonicalParams],
     return list(map(UnitaryMatrix._certified, rebuilt, deviations))
 
 
-def _nongeneric_errors(matrices: np.ndarray, deviations: np.ndarray,
-                       tol: Tolerances) -> list[NonGenericMatrixError | None]:
-    """The NonGenericMatrixError :func:`decompose` raises for each member of a
-    (k, n, n) stack of matrices certified at ``deviations``, or None where
-    it raises none; any other error is raised, the first member's first.
+def _judge(matrices: np.ndarray, deviations: np.ndarray, tol: Tolerances
+           ) -> tuple[list[NonGenericMatrixError | None], list[np.ndarray], np.ndarray]:
+    """Judge each member of a (k, n, n) stack of matrices certified at
+    ``deviations`` as :func:`decompose` does.
 
-    Several matrices are peeled as one stack.  A lone one goes through
-    :func:`decompose` itself, so a one-seed Haar draw makes exactly one
-    ``decompose`` call per candidate, the count the bench's
-    ``generators.draw_accept_ratio`` divides by.
+    Returns the NonGenericMatrixError :func:`decompose` raises for each
+    member, or None where it raises none, and the tower of the accepted
+    members in order: their level columns (one array per level, m = n
+    down to 2, with a row of m entries per accepted member) and their
+    chi.  Any other error is raised, the first accepted member's first,
+    in the order of :func:`_verdict`.
+
+    Several matrices are peeled as one stack, and the peel of the
+    accepted ones goes through :func:`_verdict`.  A lone one goes through
+    :func:`decompose` itself, whose result is its tower, so a one-seed
+    Haar draw makes exactly one ``decompose`` call per candidate, the
+    count the bench's ``generators.draw_accept_ratio`` divides by.
     """
     if len(matrices) == 1:
         try:
-            decompose(UnitaryMatrix._certified(matrices[0], deviations[0]), tol=tol)
+            params = decompose(UnitaryMatrix._certified(matrices[0], deviations[0]), tol=tol)
         except NonGenericMatrixError as err:
-            return [err]
-        return [None]
+            return [err], [], np.empty(0)
+        return [None], [v.data[None] for v in params.vectors], np.array([params.chi])
     peel = _peel(matrices, tol)
-    errors: list[NonGenericMatrixError | None] = []
-    for i in range(len(matrices)):
-        try:
-            _check_member(peel, i, tol)
-        except NonGenericMatrixError as err:
-            errors.append(err)
-        else:
-            errors.append(None)
-    return errors
+    errors: list[NonGenericMatrixError | None] = [None] * len(matrices)
+    for i, (level, magnitude) in peel.failures.items():
+        errors[i] = NonGenericMatrixError(level, magnitude, tol.tol_generic)
+    if peel.failures:
+        kept = [i for i, err in enumerate(errors) if err is None]
+        peel = _Peel([zeta[kept] for zeta in peel.columns], peel.remainder[kept],
+                     peel.worst[kept], peel.norms[kept], {})
+    return errors, peel.columns, _verdict(peel, tol)
 
 
 def split_coset(A: UnitaryMatrix, *,

@@ -85,7 +85,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             {"dim": v.dim, "components": io.complex_pairs(v.data)}
             for v in params.vectors
         ],
-        "genericity_margin": params.genericity_margin,
+        # A 1 x 1 matrix has no level, so no leading component to bound.
+        **_fields(params.genericity_margin if params.vectors else Undefined("no_coset_levels"),
+                  "genericity_margin"),
         "modulus_invariants": modulus_invariants(params),
         "phase_invariants": phase_invariants,
         "unitarity_deviation": matrix.deviation,

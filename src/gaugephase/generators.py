@@ -10,11 +10,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .canonical import _nongeneric_errors, _stacks
+from .canonical import _judge, _stacks
 from .core import (
     DEFAULT_TOLERANCES,
     DegenerateSpectrumError,
@@ -56,13 +56,20 @@ def _haar_unitaries(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """QR of a complex Ginibre matrix from each generator, with the
     R-diagonal phases fixed: a (k, n, n) stack.
 
-    Dividing out the phases of R's diagonal makes the distribution exactly
-    Haar rather than QR-convention dependent.  All k matrices go through
-    one stacked ``np.linalg.qr``, which gives each the Q and R it gives
-    alone.
+    Each generator gives its real and imaginary parts as one (2, n, n)
+    draw, the normals two (n, n) draws would give, and the whole stack is
+    combined with the elementwise operations of (re + 1j * im) / sqrt(2),
+    to the same bits.  Dividing out the phases of R's diagonal makes the
+    distribution exactly Haar rather than QR-convention dependent.  All k
+    matrices go through one stacked ``np.linalg.qr``, which gives each
+    the Q and R it gives alone.
     """
-    z = np.array([(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-                  / math.sqrt(2.0) for rng in rngs])
+    normals = np.empty((len(rngs), 2, n, n))
+    for rng, out in zip(rngs, normals):
+        rng.standard_normal(out=out)
+    z = 1j * normals[:, 1]
+    z += normals[:, 0]  # IEEE addition commutes, signed zeros included
+    z /= math.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return np.multiply(q, (d / np.abs(d)).conj()[:, None, :])
@@ -81,45 +88,64 @@ def random_generic_unitary(n: int, seed: int, *,
     matrix it yields here.  Alone, each candidate is judged by one
     :func:`~gaugephase.canonical.decompose` call.
     """
-    (draw,), (deviation,) = next(_generic_unitary_stacks(n, [seed], tol))
-    return UnitaryMatrix._certified(draw, deviation)
+    drawn = next(_generic_unitary_stacks(n, [seed], tol))
+    return UnitaryMatrix._certified(drawn.matrices[0], drawn.deviations[0])
 
 
-def _generic_unitary_stacks(n: int, seeds: Iterable, tol: Tolerances
-                            ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """:func:`random_generic_unitary` for each seed, a (k, n, n) stack of
-    draws and their (k,) certificates at a time.
+class _Draws(NamedTuple):
+    """A stack of k Haar draws and their towers: the (k, n, n) matrices,
+    their (k,) certificates, and the level columns (a (k, m) array per
+    level, m = n down to 2) and chi (k,) that
+    :func:`~gaugephase.canonical.decompose` gives each, checked as it
+    checks them."""
+
+    matrices: np.ndarray
+    deviations: np.ndarray
+    columns: list[np.ndarray]
+    chi: np.ndarray
+
+
+def _generic_unitary_stacks(n: int, seeds: Iterable, tol: Tolerances) -> Iterator[_Draws]:
+    """:func:`random_generic_unitary` for each seed, with its tower, a stack
+    of at most ``_STACK_ENTRIES`` matrix entries at a time.
 
     Every seed has its own generator.  The pending candidates of a stack
-    are drawn, certified and peeled at once, and only the rejected ones
+    are drawn, certified and judged at once by
+    :func:`~gaugephase.canonical._judge`, whose peel of the accepted ones
+    is their tower, so no draw is peeled again.  Only the rejected ones
     are redrawn, each from its own generator, so each seed yields exactly
-    the matrix, after exactly the logged rejections, that it does alone.
+    the matrix and tower, after exactly the logged rejections, that it
+    does alone; each member's slice comes from the round that accepted it.
     """
     seeds = list(seeds)
     if seeds and n < 2:
         raise DimensionMismatchError(f"need n >= 2, got {n}")
     for stack in _stacks(seeds, lambda seed: n):
         rngs = [np.random.default_rng(seed) for seed in stack]
-        draws = np.empty((len(stack), n, n), dtype=np.complex128)
-        deviations = np.empty(len(stack))
-        pending = list(range(len(stack)))
+        k = len(stack)
+        drawn = _Draws(np.empty((k, n, n), dtype=np.complex128), np.empty(k),
+                       [np.empty((k, m), dtype=np.complex128) for m in range(n, 1, -1)],
+                       np.empty(k))
+        pending = list(range(k))
         while pending:
             candidates = _haar_unitaries(n, [rngs[j] for j in pending])
             certificates = _certify_stack(candidates, tol.tol_unitary)
-            rejected = []
-            errors = _nongeneric_errors(candidates, certificates, tol)
-            for c, (j, err) in enumerate(zip(pending, errors)):
-                if err is None:
-                    draws[j] = candidates[c]
-                    deviations[j] = certificates[c]
-                    continue
-                logger.debug(
-                    "rejected non-generic draw at n=%d seed=%s (level %d, |zeta_1|=%.3e)",
-                    n, stack[j], err.level, err.magnitude,
-                )
-                rejected.append(j)
-            pending = rejected
-        yield draws, deviations
+            errors, columns, chi = _judge(candidates, certificates, tol)
+            accepted = [c for c, err in enumerate(errors) if err is None]
+            kept = [pending[c] for c in accepted]
+            drawn.matrices[kept] = candidates[accepted]
+            drawn.deviations[kept] = certificates[accepted]
+            drawn.chi[kept] = chi
+            for whole, level in zip(drawn.columns, columns):
+                whole[kept] = level
+            for j, err in zip(pending, errors):
+                if err is not None:
+                    logger.debug(
+                        "rejected non-generic draw at n=%d seed=%s (level %d, |zeta_1|=%.3e)",
+                        n, stack[j], err.level, err.magnitude,
+                    )
+            pending = [j for j, err in zip(pending, errors) if err is not None]
+        yield drawn
 
 
 def random_unit_vector(n: int, seed_or_rng, *, min_leading: float = 0.0) -> UnitVector:

@@ -24,6 +24,7 @@ from .bargmann import (
 from .canonical import (
     CanonicalParams,
     _checked_peel,
+    _params,
     _rebuild,
     decompose,
     modulus_invariants,
@@ -32,6 +33,7 @@ from .canonical import (
 )
 from .core import (
     DEFAULT_TOLERANCES,
+    DimensionMismatchError,
     Tolerances,
     Undefined,
     UnitaryMatrix,
@@ -130,10 +132,12 @@ class SuiteReport:
 def run_counting_suite(n: int = 10, trials: int = 1, seed: int = 0, *,
                        tol: Tolerances = DEFAULT_TOLERANCES) -> SuiteReport:
     """Structural counts for 2 <= dim <= n: invariant list lengths and the
-    real-parameter tally of the canonical factorization."""
+    real-parameter tally of the canonical factorization, read off the
+    tower each Haar draw hands over."""
     checks = []
     for dim in range(2, n + 1):
-        params = decompose(random_generic_unitary(dim, seed + dim, tol=tol), tol=tol)
+        (drawn,) = _generic_unitary_stacks(dim, [seed + dim], tol)
+        (params,) = _params(drawn.columns, drawn.chi)
         moduli = len(modulus_invariants(params))
         phases = len(phase_invariant_list(params, tol=tol))
         primitive = len(independent_primitive_set(dim))
@@ -160,20 +164,19 @@ def run_roundtrip_suite(n: int, trials: int, seed: int, *,
                         tol: Tolerances = DEFAULT_TOLERANCES) -> SuiteReport:
     """Reconstruction fidelity and parameter uniqueness over Haar draws.
 
-    The draws are peeled, rebuilt and peeled again a stack at a time, as
-    arrays, with every check ``decompose`` and ``reconstruct`` make of
-    each matrix.
+    The draws come with their towers, checked as ``decompose`` checks
+    them; each stack is rebuilt and peeled again as arrays, with every
+    check ``reconstruct`` and ``decompose`` make of each matrix.
     """
     worst_matrix = 0.0
     worst_params = 0.0
-    for drawn, _ in _generic_unitary_stacks(n, range(seed, seed + trials), tol):
-        found, chi = _checked_peel(drawn, tol)
-        rebuilt, _ = _rebuild(found.columns, chi, tol)
+    for drawn in _generic_unitary_stacks(n, range(seed, seed + trials), tol):
+        rebuilt, _ = _rebuild(drawn.columns, drawn.chi, tol)
         again, chi_again = _checked_peel(rebuilt, tol)
-        worst_matrix = max(worst_matrix, float(np.abs(rebuilt - drawn).max()))
-        for before, after in zip(chi.tolist(), chi_again.tolist()):
+        worst_matrix = max(worst_matrix, float(np.abs(rebuilt - drawn.matrices).max()))
+        for before, after in zip(drawn.chi.tolist(), chi_again.tolist()):
             worst_params = max(worst_params, abs(math.remainder(after - before, 2.0 * math.pi)))
-        for u, v in zip(again.columns, found.columns):
+        for u, v in zip(again.columns, drawn.columns):
             worst_params = max(worst_params, float(np.abs(u - v).max()))
     checks = (
         CheckResult("max_roundtrip_deviation", worst_matrix, 1e-10),
@@ -291,8 +294,8 @@ def run_reduction_suite(n: int, trials: int, seed: int, *,
     quads = []
     firsts = _generic_unitary_stacks(n, range(seed + 7919, seed + 7919 + trials), tol)
     seconds = _generic_unitary_stacks(n, range(seed + 104729, seed + 104729 + trials), tol)
-    for (first, _), (second, _) in zip(firsts, seconds):
-        for psis, phis in zip(first.swapaxes(1, 2), second.swapaxes(1, 2)):
+    for first, second in zip(firsts, seconds):
+        for psis, phis in zip(first.matrices.swapaxes(1, 2), second.matrices.swapaxes(1, 2)):
             ell = int(rng.integers(2, min(n, 3) + 1))
             psi_idx = rng.permutation(n)[:ell]
             phi_idx = rng.permutation(n)[:ell]
@@ -302,8 +305,8 @@ def run_reduction_suite(n: int, trials: int, seed: int, *,
     worst_split = 0.0
     worst_rectangle = 0.0
     seeds = range(seed + 15485863, seed + 15485863 + trials)
-    for draws, _ in _generic_unitary_stacks(n, seeds if n >= 3 else (), tol):
-        for a, grid in zip(draws, _delta4(draws)):
+    for drawn in _generic_unitary_stacks(n, seeds if n >= 3 else (), tol):
+        for a, grid in zip(drawn.matrices, _delta4(drawn.matrices)):
             j, l = sorted(rng.choice(n, size=2, replace=False) + 1)
             k, m = sorted(rng.choice(n, size=2, replace=False) + 1)
             whole = _delta4_at(a, j, l, k, m)
@@ -378,11 +381,17 @@ SUITES = {
 def run_suite(suite: str, n: int, trials: int, seed: int, *,
               quadrature: str = "pancharatnam",
               tol: Tolerances = DEFAULT_TOLERANCES) -> SuiteReport:
-    """Dispatch a named suite with uniform arguments."""
+    """Dispatch a named suite with uniform arguments.
+
+    Every suite draws matrices or paths of size n, so n < 2 is rejected
+    here, as a negative ``trials`` is, before any suite runs.
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    if n < 2:
+        raise DimensionMismatchError(f"need n >= 2, got {n}")
     if suite in ("gauge", "offdiag"):
         return SUITES[suite](n, trials, seed, quadrature=quadrature, tol=tol)
     return SUITES[suite](n, trials, seed, tol=tol)

@@ -10,8 +10,10 @@ from gaugephase import (
     DegenerateSpectrumError,
     DimensionMismatchError,
     HermitianPath,
+    NotUnitaryError,
     SmoothCoefficient,
     Tolerances,
+    UndefinedPhaseError,
     decompose,
     engineered_swap_evolution,
     frame_evolution_from_path,
@@ -77,8 +79,8 @@ class TestRandomGenericUnitary:
         share = rejections / (rejections + len(seeds))
         assert 0.1 < share < 0.4
         with caplog.at_level(logging.DEBUG, logger="gaugephase.generators"):
-            drawn = [d for draws, _ in _generic_unitary_stacks(
-                4, seeds, Tolerances(tol_generic=gate)) for d in draws]
+            drawn = [d for stack in _generic_unitary_stacks(
+                4, seeds, Tolerances(tol_generic=gate)) for d in stack.matrices]
         logged = [r for r in caplog.records if "rejected" in r.message]
         assert len(logged) == rejections
         assert len(drawn) == len(seeds)
@@ -90,8 +92,8 @@ class TestRandomGenericUnitary:
         seeds = [5, 6, 7, 8, 9]  # at n = 64 a stack holds four matrices
         assert [len(stack) for stack in _stacks(seeds, lambda seed: 64)] == [4, 1]
         stacks = list(_generic_unitary_stacks(64, seeds, Tolerances()))
-        assert [len(draws) for draws, _ in stacks] == [4, 1]
-        drawn = [d for draws, _ in stacks for d in draws]
+        assert [len(stack.matrices) for stack in stacks] == [4, 1]
+        drawn = [d for stack in stacks for d in stack.matrices]
         for seed, matrix in zip(seeds, drawn):
             assert np.array_equal(matrix, random_generic_unitary(64, seed).data)
 
@@ -115,6 +117,46 @@ class TestRandomGenericUnitary:
         assert rejected > 0
         assert len(calls) == len(drawn) + rejected
         assert np.array_equal(calls[-1].data, drawn[-1].data)
+
+    @pytest.mark.parametrize("n, seeds, gate", [
+        (4, range(200, 260), 0.2),  # about a quarter of the candidates rejected
+        (64, range(5, 10), 1e-8),   # stacks of four and one
+        (5, [3], 1e-8),             # one seed
+        (4, [201], 0.2),            # one seed, redrawn once
+    ])
+    def test_each_draw_hands_over_the_tower_its_checked_peel_gives(self, n, seeds, gate):
+        tol = Tolerances(tol_generic=gate)
+        for drawn in _generic_unitary_stacks(n, seeds, tol):
+            peel, chi = canonical._checked_peel(drawn.matrices, tol)
+            assert [zeta.shape for zeta in drawn.columns] == [(len(chi), m) for m in range(n, 1, -1)]
+            for handed, peeled in zip(drawn.columns, peel.columns):
+                assert handed.tobytes() == peeled.tobytes()
+            assert drawn.chi.tobytes() == chi.tobytes()
+
+    @pytest.mark.parametrize("tamper, error", [
+        (lambda peel, i: peel.norms.__setitem__((i, -1), 1.0 + 1e-6), ValueError),
+        (lambda peel, i: peel.worst.__setitem__(i, 1e-6), NotUnitaryError),
+        (lambda peel, i: peel.remainder.__setitem__((i, 0, 0), 0.0), UndefinedPhaseError),
+    ], ids=["column_norm", "certificate", "chi"])
+    @pytest.mark.parametrize("seeds", [range(10, 16), [10]], ids=["stack", "one_seed"])
+    def test_a_corrupted_tower_fails_the_verdict_as_its_checked_peel_does(
+            self, tamper, error, seeds, monkeypatch):
+        tol = Tolerances()
+        drawn = np.array([random_generic_unitary(5, seed).data for seed in seeds])
+        member = len(seeds) // 2
+        real = canonical._peel
+
+        def corrupted(a, tol, levels=None):
+            peel = real(a, tol, levels)
+            tamper(peel, member)
+            return peel
+
+        monkeypatch.setattr(canonical, "_peel", corrupted)
+        with pytest.raises(error) as handed:
+            list(_generic_unitary_stacks(5, seeds, tol))
+        with pytest.raises(error) as peeled:
+            canonical._checked_peel(drawn, tol)
+        assert str(handed.value) == str(peeled.value)
 
     @pytest.mark.parametrize("n", [2, 4, 12, 32])
     def test_a_stacked_draw_is_one_qr_per_matrix_bit_for_bit(self, n):

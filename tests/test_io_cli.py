@@ -533,6 +533,41 @@ def test_invalid_input_exits_two(argv, message, tmp_path, swap_file, capsys):
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+@pytest.mark.parametrize("trials", [0, 2])
+@pytest.mark.parametrize("n", [1, 0, -3])
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verify_rejects_every_size_below_two_in_every_suite(suite, n, trials, capsys):
+    argv = ["verify", "--suite", suite, "--n", str(n), "--trials", str(trials)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need n >= 2, got {n}\n"
+
+
+def test_decompose_of_a_one_by_one_matrix_writes_one_document(tmp_path, capsys):
+    # No coset level, so no leading component bounds the factorization.
+    path = tmp_path / "one.json"
+    path.write_text('{"n": 1, "entries": [[0.6, 0.8]]}')
+    assert main(["decompose", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["chi"] == math.atan2(0.8, 0.6)
+    assert doc["genericity_margin"] is None
+    assert doc["genericity_margin_reason"] == "no_coset_levels"
+    assert doc["roundtrip_deviation"] == 0.0
+    assert doc["vectors"] == [] and doc["modulus_invariants"] == []
+    report = tmp_path / "report.json"
+    assert main(["decompose", str(path), "-o", str(report)]) == 0
+    assert report.read_text() == captured.out
+    two = str(tmp_path / "two.json")
+    save_matrix(two, random_generic_unitary(2, 3).data)
+    assert main(["decompose", two]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert isinstance(doc["genericity_margin"], float)
+    assert "genericity_margin_reason" not in doc
+
+
 def test_tol_unitary_governs_phases_and_offdiag(tmp_path, capsys):
     # Column norms off by 3e-8: unitary at 1e-6 but not at the default 1e-10.
     evolution = frame_evolution_from_path(random_hermitian_path(3, 100), 300)

@@ -17,6 +17,7 @@ from gaugephase import (
     delta4_general,
     delta4_grid,
     gauge_transform_matrix,
+    independent_primitive_set,
     modulus_invariants,
     phase_invariant_list,
     random_generic_unitary,
@@ -53,6 +54,37 @@ def test_roundtrip_suite_is_a_loop_of_decompose_and_reconstruct(n, trials, seed)
                                 for u, v in zip(again.vectors, found.vectors)))
     report = run_roundtrip_suite(n, trials, seed)
     assert [c.measured for c in report.checks] == [worst_matrix, worst_params]
+
+
+@pytest.mark.parametrize("n, seed", [(2, 0), (3, 4), (10, 7), (24, 5)])
+def test_counting_suite_is_a_loop_of_object_calls(n, seed, monkeypatch):
+    expected, loop_params = [], []
+    for dim in range(2, n + 1):
+        params = decompose(random_generic_unitary(dim, seed + dim))
+        loop_params.append(params)
+        expected += [
+            (f"modulus_invariant_count_n{dim}",
+             abs(len(modulus_invariants(params)) - dim * (dim - 1) // 2)),
+            (f"phase_invariant_count_n{dim}",
+             abs(len(phase_invariant_list(params)) - (dim - 1) * (dim - 2) // 2)),
+            (f"primitive_set_count_n{dim}",
+             abs(len(independent_primitive_set(dim)) - (dim - 1) * (dim - 2) // 2)),
+            (f"parameter_count_n{dim}", abs(params.parameter_count - dim * dim)),
+        ]
+    suite_params = []
+
+    def recorded(params):
+        suite_params.append(params)
+        return modulus_invariants(params)
+
+    monkeypatch.setattr(verification, "modulus_invariants", recorded)
+    report = verification.run_counting_suite(n, 1, seed)
+    assert [(c.name, c.measured) for c in report.checks] == expected
+    assert report.passed
+    # The suite's parameters are the loop's, bit for bit.
+    for ours, theirs in zip(suite_params, loop_params, strict=True):
+        assert ours.chi == theirs.chi
+        assert [v.data.tobytes() for v in ours.vectors] == [v.data.tobytes() for v in theirs.vectors]
 
 
 # 150 trials at n = 12 span two stacks.

@@ -9,22 +9,32 @@ Numbers pass through Python's shortest-round-trip float representation
 bit-exactly.  Reports are emitted with sorted keys and a fixed layout:
 the same inputs produce byte-identical documents.
 
-The reader makes one ``json.load`` per file with the cyclic garbage
-collector paused (``_gc_paused``): a document holds one small list per
-[re, im] pair, and each of those counts towards the collector's next pass,
-so an n=8, N=4000 evolution would otherwise trigger hundreds of passes over
-a tree that cannot hold a reference cycle.  Every [re, im] pair, of a
-matrix or of all frames of an evolution at once, then goes through one
-flat conversion (``_pairs_to_complex``): one ``np.fromiter`` over the
-chained pairs, one finite check, and a complex view of the same memory,
-which keeps every bit of both parts, signed zeros too.  Only when that
-fails are the frames looked at one by one, so that the ``FileFormatError``
-names the first bad frame.
+A matrix file is read with one ``json.load``, its [re, im] pairs then
+converted in one flat pass (``_pairs_to_complex``): one ``np.fromiter``
+over the chained pairs, one finite check, and a complex view of the same
+memory, which keeps every bit of both parts, signed zeros too.
+
+An evolution grows as N*n*n pairs, and one Python list per pair costs
+about eight times the complex array it becomes.  So ``load_evolution``
+never builds the document as one tree: it walks the top-level object
+itself, in any key order, and decodes the ``frames`` array one frame at a
+time with json's own scanner (``JSONDecoder.raw_decode``).  Every
+``_FRAME_BLOCK`` frames go through the same pair conversion before the
+next block is decoded, so at most one block of pairs is alive at a time.
+A document the walk does not accept is judged whole, by ``json.loads``
+and the checks of a one-tree reader, so that a rejected file gets the
+same ``FileFormatError`` whichever defect comes first, and names the
+first bad frame.  Both readers run with the cyclic garbage collector
+paused (``_gc_paused``), since each [re, im] list would count towards its
+next pass over objects that cannot form a cycle.
 
 The writer is not ``json.dump``, which with an indent runs its pure-Python
 encoder and makes one write per token.  ``dump_report`` writes the same
 bytes, but joins each leaf list of floats or [re, im] pairs in bounded
-blocks, so no document is ever held whole as one string.
+blocks, so no document is ever held whole as one string.  It also takes
+an ndarray, written as its ``tolist()`` one block of rows at a time:
+``save_evolution`` hands it the frames as an (N, n*n, 2) float array, so
+no list of the whole evolution is ever built.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import re
 from contextlib import contextmanager
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -51,6 +62,11 @@ __all__ = [
 
 
 _BLOCK = 2048  # leaf-list items per join: bounds the text held at once
+_FRAME_BLOCK = 64  # frames (ndarray rows) per block: bounds the lists held at once
+
+_WS = json.decoder.WHITESPACE.match
+_AFTER = re.compile(r"[ \t\n\r]*([,\]}])[ \t\n\r]*").match  # what follows a JSON item
+_DECODER = json.JSONDecoder()
 
 
 class FileFormatError(ValueError):
@@ -59,13 +75,16 @@ class FileFormatError(ValueError):
 
 @contextmanager
 def _gc_paused():
-    """Pause the cyclic garbage collector while a large acyclic tree is built.
+    """Pause the cyclic garbage collector while many acyclic lists are built.
 
-    The pause is process-wide and lasts only as long as the block or the
-    decorated call; the collector is switched back on only if it was on
-    before.  A decorated loader returns, and so frees its parsed document,
-    before the collector is back on: a document dropped after the pause
-    would first cost one full pass over its pairs.
+    The readers' [re, im] lists and the ``tolist()`` blocks of an ndarray
+    written by ``save_evolution`` are containers that cannot form a cycle,
+    yet each counts towards the collector's next pass.  The pause is
+    process-wide and lasts only as long as the block or the decorated call;
+    the collector is switched back on only if it was on before.  A
+    decorated loader returns, and so frees what it parsed, before the
+    collector is back on: lists dropped after the pause would first cost
+    one pass over them.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -76,12 +95,17 @@ def _gc_paused():
             gc.enable()
 
 
-def _load_json(path: str) -> Any:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except OSError as err:
         raise FileFormatError(f"cannot read {path!r}: {err}") from err
+
+
+def _parse_json(text: str, path: str) -> Any:
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise FileFormatError(f"{path!r} is not valid JSON: {err}") from err
 
@@ -100,6 +124,13 @@ def _pairs_to_complex(pairs, count: int, what: str) -> np.ndarray:
     return flat.view(np.complex128)
 
 
+def _size(doc: dict, path: str) -> int:
+    n = doc["n"]
+    if type(n) is not int or n < 1:  # a bool is not a size
+        raise FileFormatError(f"{path!r}: 'n' must be a positive integer, got {n!r}")
+    return n
+
+
 @_gc_paused()
 def load_matrix(path: str) -> np.ndarray:
     """Parse a matrix file into a raw (n, n) complex array.
@@ -107,12 +138,10 @@ def load_matrix(path: str) -> np.ndarray:
     Grammar errors raise FileFormatError; whether the matrix is actually
     unitary is the caller's check, at the caller's tolerance.
     """
-    doc = _load_json(path)
+    doc = _parse_json(_read_text(path), path)
     if not isinstance(doc, dict) or "n" not in doc or "entries" not in doc:
         raise FileFormatError(f"{path!r}: expected an object with 'n' and 'entries'")
-    n = doc["n"]
-    if not isinstance(n, int) or n < 1:
-        raise FileFormatError(f"{path!r}: 'n' must be a positive integer, got {n!r}")
+    n = _size(doc, path)
     return _pairs_to_complex(doc["entries"], n * n, f"{path!r} entries").reshape(n, n)
 
 
@@ -127,50 +156,123 @@ def save_matrix(path: str, matrix: np.ndarray) -> None:
 @_gc_paused()
 def load_evolution(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Parse an evolution file into (grid, frames) raw arrays."""
-    doc = _load_json(path)
+    text = _read_text(path)
+    try:
+        return _walked_evolution(text, path)
+    except ValueError:  # judged whole below, for the one-tree reader's error
+        pass
+    return _evolution_from_tree(_parse_json(text, path), path)
+
+
+def _evolution_header(doc: Any, path: str) -> tuple[int, np.ndarray]:
+    """The checks of an evolution document before its frames: n and grid."""
     if (not isinstance(doc, dict)
             or any(key not in doc for key in ("n", "grid", "frames"))):
         raise FileFormatError(
             f"{path!r}: expected an object with 'n', 'grid' and 'frames'"
         )
-    n = doc["n"]
-    if not isinstance(n, int) or n < 1:
-        raise FileFormatError(f"{path!r}: 'n' must be a positive integer, got {n!r}")
+    n = _size(doc, path)
     try:
         grid = np.asarray(doc["grid"], dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as err:
         raise FileFormatError(f"{path!r}: 'grid' must be a list of finite reals: {err}") from err
     if grid.ndim != 1 or grid.size < 1 or not np.all(np.isfinite(grid)):
         raise FileFormatError(f"{path!r}: 'grid' must be a non-empty list of finite reals")
+    return n, grid
+
+
+def _evolution_from_tree(doc: Any, path: str) -> tuple[np.ndarray, np.ndarray]:
+    """An evolution from its whole parsed document, frame by frame, so that
+    the error names the first bad frame."""
+    n, grid = _evolution_header(doc, path)
     raw = doc["frames"]
     if not isinstance(raw, list) or len(raw) != grid.size:
         raise FileFormatError(
             f"{path!r}: expected {grid.size} frames, got {len(raw) if isinstance(raw, list) else type(raw)}"
         )
-    try:
-        if set(map(type, raw)) != {list} or set(map(len, raw)) != {n * n}:
-            raise FileFormatError(f"{path!r}: every frame must hold {n * n} pairs")
-        frames = _pairs_to_complex(list(chain.from_iterable(raw)), grid.size * n * n,
-                                   f"{path!r} frames")
-    except FileFormatError:
-        for i, entry in enumerate(raw):  # only to name the first bad frame
-            _pairs_to_complex(entry, n * n, f"{path!r} frame {i}")
-        raise
-    return grid, frames.reshape(grid.size, n, n)
+    frames = [_pairs_to_complex(entry, n * n, f"{path!r} frame {i}")
+              for i, entry in enumerate(raw)]
+    return grid, np.array(frames).reshape(grid.size, n, n)
+
+
+def _walked_evolution(text: str, path: str) -> tuple[np.ndarray, np.ndarray]:
+    """An evolution read by walking ``text``, with its frames converted a
+    block at a time; any ValueError means "judge the document whole"."""
+    doc = _walked_object(text)
+    n, grid = _evolution_header(doc, path)
+    blocks = doc["frames"]
+    if sum(map(len, blocks)) != grid.size or {b.shape[1] for b in blocks} != {n * n}:
+        raise ValueError("frames do not fit 'n' and 'grid'")
+    return grid, np.concatenate(blocks).reshape(grid.size, n, n)
+
+
+def _walked_object(text: str) -> dict:
+    """The top-level JSON object of ``text``, its ``frames`` as the blocks
+    of ``_frame_blocks`` and every other value as json decodes it, the last
+    of duplicate keys winning.  Raises ValueError on any text
+    ``json.loads`` would not read as an object."""
+    idx = _WS(text, _expect(text, _WS(text, 0).end(), "{")).end()
+    doc = {}
+    while True:  # an empty object is refused: it holds no evolution
+        key, idx = json.decoder.scanstring(text, _expect(text, idx, '"'))
+        idx = _expect(text, _WS(text, idx).end(), ":")
+        decode = _frame_blocks if key == "frames" else _DECODER.raw_decode
+        doc[key], idx = decode(text, _WS(text, idx).end())
+        idx, last = _after_item(text, idx, "}")
+        if last:
+            break
+    if idx != len(text):
+        raise ValueError("extra data")
+    return doc
+
+
+def _frame_blocks(text: str, idx: int) -> tuple[list[np.ndarray], int]:
+    """The JSON array of frames at ``idx`` as (k, pairs) complex blocks of at
+    most ``_FRAME_BLOCK`` frames, and the index past it.  Each block is
+    converted before the next one is decoded; a block whose frames are not
+    lists of one length of [re, im] pairs raises ValueError."""
+    idx = _WS(text, _expect(text, idx, "[")).end()
+    blocks, block = [], []
+    while True:  # an empty array is refused: an evolution has frames
+        frame, idx = _DECODER.raw_decode(text, idx)
+        block.append(frame)
+        idx, last = _after_item(text, idx, "]")
+        if last or len(block) == _FRAME_BLOCK:
+            if set(map(type, block)) != {list} or len(set(map(len, block))) != 1:
+                raise ValueError("frames of unequal size")
+            pairs = list(chain.from_iterable(block))
+            blocks.append(_pairs_to_complex(pairs, len(pairs), "frames")
+                          .reshape(len(block), -1))
+            block = []
+        if last:
+            return blocks, idx
+
+
+def _after_item(text: str, idx: int, close: str) -> tuple[int, bool]:
+    """The index past the ',' or ``close`` (and the whitespace around it)
+    that must follow an item ending at ``idx``, and whether it was ``close``."""
+    after = _AFTER(text, idx)
+    if after is None or after[1] not in (",", close):
+        raise ValueError(f"expected ',' or {close!r} at {idx}")
+    return after.end(), after[1] == close
+
+
+def _expect(text: str, idx: int, token: str) -> int:
+    """The index past ``token``, which must stand at ``idx``."""
+    if text[idx:idx + 1] != token:
+        raise ValueError(f"expected {token!r} at {idx}")
+    return idx + 1
 
 
 def save_evolution(path: str, grid: np.ndarray, frames: np.ndarray) -> None:
     grid = np.asarray(grid, dtype=np.float64)
-    frames = np.asarray(frames, dtype=np.complex128)
-    pairs = np.stack((frames.real, frames.imag), -1)
-    with _gc_paused():
-        pairs = pairs.reshape(len(frames), math.prod(frames.shape[1:]), 2).tolist()
+    frames = np.ascontiguousarray(frames, dtype=np.complex128)
     doc = {
         "n": int(frames.shape[1]),
         "grid": [float(s) for s in grid],
-        "frames": pairs,
+        "frames": frames.view(np.float64).reshape(len(frames), math.prod(frames.shape[1:]), 2),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with _gc_paused(), open(path, "w", encoding="utf-8") as fh:
         dump_report(doc, fh)
 
 
@@ -185,7 +287,8 @@ def dump_report(doc: Any, stream: IO[str]) -> None:
     """Write a report deterministically: sorted keys, fixed indentation,
     shortest-round-trip floats, no NaN/Inf, trailing newline.  The text and
     the exception types are those of ``json.dump(doc, stream,
-    sort_keys=True, indent=2, allow_nan=False)`` followed by a newline."""
+    sort_keys=True, indent=2, allow_nan=False)`` followed by a newline,
+    where an ndarray with at least one axis stands for its ``tolist()``."""
     _write_value(doc, stream.write, "\n")
     stream.write("\n")
 
@@ -216,10 +319,14 @@ def _write_value(value: Any, write, newline: str) -> None:
             write(("," if i else "") + inner + key + ": ")
             _write_value(item, write, inner)
         write((newline if value else "") + "}")
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim):
+        rows = isinstance(value, np.ndarray)  # turned into lists a block of rows at a time
+        step = _FRAME_BLOCK if rows else _BLOCK
         write("[")
-        for start in range(0, len(value), _BLOCK):
-            block = value[start:start + _BLOCK]
+        for start in range(0, len(value), step):
+            block = value[start:start + step]
+            if rows:
+                block = block.tolist()
             write("," + inner if start else inner)
             text = _leaf_block(block, inner)
             if text is not None:
@@ -228,7 +335,7 @@ def _write_value(value: Any, write, newline: str) -> None:
             for i, item in enumerate(block):
                 write("," + inner if i else "")
                 _write_value(item, write, inner)
-        write((newline if value else "") + "]")
+        write((newline if len(value) else "") + "]")
     else:
         write(_scalar(value))
 

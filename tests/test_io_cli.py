@@ -5,6 +5,7 @@ import io as _stdio
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from gaugephase import (
     save_matrix,
 )
 from gaugephase.cli import main
-from gaugephase.io import _BLOCK
+from gaugephase import io as io_module
+from gaugephase.io import _BLOCK, _FRAME_BLOCK
 from gaugephase.verification import SUITES, run_suite
 from oracles import evolution_by_loops
 
@@ -71,6 +73,8 @@ class TestFileGrammar:
             load_matrix(write({"n": 1, "entries": [[1.0]]}))  # not a pair
         with pytest.raises(FileFormatError):
             load_matrix(write([1, 2, 3]))  # not an object
+        with pytest.raises(FileFormatError, match="'n' must be a positive integer, got True"):
+            load_matrix(write({"n": True, "entries": [[1.0, 0.0]]}))  # a bool is not a size
 
     def test_non_finite_entries_rejected(self, tmp_path):
         p = str(tmp_path / "inf.json")
@@ -93,6 +97,8 @@ class TestFileGrammar:
             load_evolution(write({"n": 2, "grid": [0.0, 1.0], "frames": [eye]}))
         with pytest.raises(FileFormatError):
             load_evolution(write({"n": 2, "grid": [], "frames": []}))
+        with pytest.raises(FileFormatError, match="'n' must be a positive integer, got True"):
+            load_evolution(write({"n": True, "grid": [0.0], "frames": [[[1.0, 0.0]]]}))
 
     def test_unreadable_and_broken_files(self, tmp_path):
         with pytest.raises(FileFormatError):
@@ -171,11 +177,35 @@ def _evolution_doc(n: int, steps: int) -> dict:
     return {"n": n, "grid": grid, "frames": frames}
 
 
+def _laid_out(doc: dict, layout: str) -> str:
+    """``doc`` as JSON text in a layout the writer never produces."""
+    if layout == "compact":
+        return json.dumps(doc, separators=(",", ":"))
+    if layout == "keys_reordered":
+        return json.dumps({key: doc[key] for key in ("frames", "grid", "n")}, indent="\t")
+    if layout == "extra_keys":
+        return json.dumps({"comment": "frames", "frames": doc["frames"], "grid": doc["grid"],
+                           "meta": {"frames": [[[0.0, 0.0]]], "n": 2}, "n": doc["n"],
+                           "zeta": [[1.0, 2.0]]})
+    if layout == "duplicate_frames":  # json keeps the last of a repeated key
+        return '{"frames": [[[9.0, 9.0]]], "n": 7,' + json.dumps(doc)[1:]
+    return json.dumps(doc)
+
+
 class TestEvolutionReader:
+    @pytest.mark.parametrize("layout", ["plain", "compact", "keys_reordered", "extra_keys",
+                                        "duplicate_frames"])
     @pytest.mark.parametrize("n", [1, 3, 8])
     @pytest.mark.parametrize("steps", [1, 2, 500])
-    def test_bit_identical_to_a_per_frame_loop(self, n, steps, tmp_path):
-        path = _write_doc(tmp_path, _evolution_doc(n, steps))
+    def test_bit_identical_to_a_per_frame_loop(self, n, steps, layout, tmp_path, monkeypatch):
+        path = str(tmp_path / "doc.json")
+        with open(path, "w") as fh:
+            fh.write(_laid_out(_evolution_doc(n, steps), layout))
+
+        def parsed_whole(text, where):
+            raise AssertionError("an accepted document was parsed whole")
+
+        monkeypatch.setattr(io_module, "_parse_json", parsed_whole)
         grid, frames = load_evolution(path)
         oracle_grid, oracle_frames = evolution_by_loops(path)
         assert grid.dtype == np.float64 and frames.dtype == np.complex128
@@ -183,16 +213,21 @@ class TestEvolutionReader:
         assert np.array_equal(grid.view(np.uint64), oracle_grid.view(np.uint64))
         assert np.array_equal(frames.view(np.uint64), oracle_frames.view(np.uint64))
 
-    @pytest.mark.parametrize("defect", ["pair_count", "three_member_pair", "dict_member",
-                                        "infinity", "huge_integer"])
-    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("defect", ["pair_count", "pair_moved", "three_member_pair",
+                                        "dict_member", "infinity", "huge_integer"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last", "second_block"])
     def test_names_the_bad_frame(self, defect, where, tmp_path):
-        n, steps = 3, 9
+        n, steps = 3, 2 * _FRAME_BLOCK + 9
         doc = _evolution_doc(n, steps)
-        i = {"first": 0, "middle": steps // 2, "last": steps - 1}[where]
+        i = {"first": 0, "middle": steps // 2, "last": steps - 1,
+             "second_block": _FRAME_BLOCK + 3}[where]
         frame = doc["frames"][i]
         if defect == "pair_count":
             frame.pop()
+        elif defect == "pair_moved":  # two frames of one block, the pair count kept
+            j = i + 1 if i + 1 < steps else i - 1
+            doc["frames"][j].append(frame.pop())
+            i = min(i, j)
         elif defect == "three_member_pair":
             frame[4].append(0.0)
         elif defect == "dict_member":
@@ -229,6 +264,21 @@ class TestEvolutionReader:
         finally:
             (gc.enable if was_enabled else gc.disable)()
 
+    @pytest.mark.parametrize("steps", [_FRAME_BLOCK - 1, _FRAME_BLOCK, _FRAME_BLOCK + 1])
+    def test_round_trip_across_a_block_edge_is_bit_exact(self, steps, tmp_path):
+        doc = _evolution_doc(2, steps)
+        first, second = _write_doc(tmp_path, doc, "first.json"), str(tmp_path / "second.json")
+        grid, frames = load_evolution(first)
+        save_evolution(second, grid, frames)
+        oracle_grid, oracle_frames = evolution_by_loops(first)
+        floats = {"n": 2, "grid": oracle_grid.tolist(),
+                  "frames": [[[z.real, z.imag] for z in f.reshape(-1)] for f in oracle_frames]}
+        with open(second) as fh:
+            _assert_same_text(fh.read(), _json_dumped(floats))
+        for got, oracle in zip((grid, frames, *load_evolution(second)),
+                               (oracle_grid, oracle_frames) * 2):
+            assert np.array_equal(got.view(np.uint64), oracle.view(np.uint64))
+
     def test_writer_matches_one_complex_pairs_call_per_frame(self, tmp_path):
         evolution = engineered_swap_evolution(3, 1, 2, 25)
         path = str(tmp_path / "e.json")
@@ -237,6 +287,29 @@ class TestEvolutionReader:
                "frames": [complex_pairs(f) for f in evolution.frames]}
         with open(path) as fh:
             assert fh.read() == _dumped(doc)
+
+
+def test_evolution_files_are_read_and_written_a_block_of_frames_at_a_time(tmp_path):
+    # n = 8, N = 2000: one [re, im] list costs about 120 bytes against the 16
+    # of its complex entry, so a whole-evolution list tree (about 8x
+    # frames.nbytes) breaks either bound.  Reading holds the file's bytes and
+    # its text for a moment (2x its size), then one block of frames at a time.
+    rng = np.random.default_rng(8)
+    frames = rng.standard_normal((2000, 8, 8)) + 1j * rng.standard_normal((2000, 8, 8))
+    path = str(tmp_path / "evolution.json")
+    tracemalloc.start()
+    try:
+        save_evolution(path, np.linspace(0.0, 1.0, len(frames)), frames)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        loaded = load_evolution(path)[1]
+        load_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded, frames)
+    assert save_peak < 2 * frames.nbytes
+    assert load_peak < 2 * os.path.getsize(path) + 2 * frames.nbytes
 
 
 def _dumped(doc) -> str:
@@ -513,6 +586,12 @@ def _near_orthogonal_step_file(tmp_path) -> str:
     return path
 
 
+def _bool_n_file(tmp_path, key) -> str:
+    doc = {"n": True, key: [[1.0, 0.0]]} if key == "entries" else {
+        "n": True, "grid": [0.0, 1.0], "frames": [[[1.0, 0.0]], [[1.0, 0.0]]]}
+    return _write_doc(tmp_path, doc, "bool_n.json")
+
+
 @pytest.mark.parametrize("argv, message", [
     (lambda tmp, swap: ["phases", _under_resolved_file(tmp)], "under-resolved"),
     (lambda tmp, swap: ["offdiag", _under_resolved_file(tmp)], "under-resolved"),
@@ -523,9 +602,13 @@ def _near_orthogonal_step_file(tmp_path) -> str:
      "under-resolved"),
     *[(lambda tmp, swap, suite=suite: ["verify", "--suite", suite, "--trials", "-3"],
        "trials must be >= 0, got -3") for suite in sorted(SUITES)],
+    *[(lambda tmp, swap, command=command, key=key: [command, _bool_n_file(tmp, key)],
+       "'n' must be a positive integer, got True")
+      for command, key in [("decompose", "entries"), ("phases", "frames"), ("offdiag", "frames")]],
 ], ids=["phases_under_resolved", "offdiag_under_resolved", "non_increasing_grid",
         "zero_tol_generic", "verify_n_1", "near_orthogonal_step_at_min_overlap_0",
-        *[f"verify_negative_trials_{suite}" for suite in sorted(SUITES)]])
+        *[f"verify_negative_trials_{suite}" for suite in sorted(SUITES)],
+        "decompose_bool_n", "phases_bool_n", "offdiag_bool_n"])
 def test_invalid_input_exits_two(argv, message, tmp_path, swap_file, capsys):
     assert main(argv(tmp_path, swap_file)) == 2
     captured = capsys.readouterr()

@@ -16,17 +16,23 @@ memory, which keeps every bit of both parts, signed zeros too.
 
 An evolution grows as N*n*n pairs, and one Python list per pair costs
 about eight times the complex array it becomes.  So ``load_evolution``
-never builds the document as one tree: it walks the top-level object
-itself, in any key order, and decodes the ``frames`` array one frame at a
-time with json's own scanner (``JSONDecoder.raw_decode``).  Every
-``_FRAME_BLOCK`` frames go through the same pair conversion before the
-next block is decoded, so at most one block of pairs is alive at a time.
-A document the walk does not accept is judged whole, by ``json.loads``
-and the checks of a one-tree reader, so that a rejected file gets the
-same ``FileFormatError`` whichever defect comes first, and names the
-first bad frame.  Both readers run with the cyclic garbage collector
-paused (``_gc_paused``), since each [re, im] list would count towards its
-next pass over objects that cannot form a cycle.
+never builds the document as one tree, nor holds its text whole: it reads
+the file in text mode ``_CHUNK`` characters at a time (``_Window``), which
+keeps UTF-8 decoding and newline translation as one ``read()`` would.  It
+walks the top-level object itself, in any key order, and decodes the
+``frames`` array one frame at a time with json's own scanner
+(``JSONDecoder.raw_decode``).  A token that may be cut by the window's edge
+is read again after a refill, and before each frame the window holds a
+margin of text beyond it, so frames are not cut.  Every ``_FRAME_BLOCK``
+frames go through the same pair conversion before the next block is
+decoded, so at most one block of pairs is alive at a time.  A document the
+walk does not accept is judged whole, by ``json.loads`` and the checks of a
+one-tree reader, so that a rejected file gets the same ``FileFormatError``
+whichever defect comes first, and names the first bad frame: that path and
+``load_matrix`` are all that read a file's text whole (``_read_text``).
+Both readers run with the cyclic garbage collector paused
+(``_gc_paused``), since each [re, im] list would count towards its next
+pass over objects that cannot form a cycle.
 
 The writer is not ``json.dump``, which with an indent runs its pure-Python
 encoder and makes one write per token.  ``dump_report`` writes the same
@@ -64,6 +70,10 @@ __all__ = [
 _BLOCK = 2048  # leaf-list items per join: bounds the text held at once
 _FRAME_BLOCK = 64  # frames (ndarray rows) per block: bounds the lists held at once
 
+_CHUNK = 2 ** 20  # characters per read of an evolution file: bounds the text held at once
+_MARGIN = 2 ** 16  # characters left in the window before each frame, at least
+_LOOKAHEAD = 2  # characters a token must leave before the window's end to be taken
+
 _WS = json.decoder.WHITESPACE.match
 _AFTER = re.compile(r"[ \t\n\r]*([,\]}])[ \t\n\r]*").match  # what follows a JSON item
 _DECODER = json.JSONDecoder()
@@ -96,6 +106,8 @@ def _gc_paused():
 
 
 def _read_text(path: str) -> str:
+    """The whole text of ``path``: for matrices, and for evolutions the
+    walk refuses."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
@@ -156,12 +168,12 @@ def save_matrix(path: str, matrix: np.ndarray) -> None:
 @_gc_paused()
 def load_evolution(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Parse an evolution file into (grid, frames) raw arrays."""
-    text = _read_text(path)
     try:
-        return _walked_evolution(text, path)
-    except ValueError:  # judged whole below, for the one-tree reader's error
+        with open(path, "r", encoding="utf-8") as fh:
+            return _walked_evolution(_Window(fh), path)
+    except (OSError, ValueError):  # judged whole below, for the one-tree reader's error
         pass
-    return _evolution_from_tree(_parse_json(text, path), path)
+    return _evolution_from_tree(_parse_json(_read_text(path), path), path)
 
 
 def _evolution_header(doc: Any, path: str) -> tuple[int, np.ndarray]:
@@ -195,10 +207,10 @@ def _evolution_from_tree(doc: Any, path: str) -> tuple[np.ndarray, np.ndarray]:
     return grid, np.array(frames).reshape(grid.size, n, n)
 
 
-def _walked_evolution(text: str, path: str) -> tuple[np.ndarray, np.ndarray]:
-    """An evolution read by walking ``text``, with its frames converted a
+def _walked_evolution(window: _Window, path: str) -> tuple[np.ndarray, np.ndarray]:
+    """An evolution read by walking ``window``, with its frames converted a
     block at a time; any ValueError means "judge the document whole"."""
-    doc = _walked_object(text)
+    doc = _walked_object(window)
     n, grid = _evolution_header(doc, path)
     blocks = doc["frames"]
     if sum(map(len, blocks)) != grid.size or {b.shape[1] for b in blocks} != {n * n}:
@@ -206,37 +218,95 @@ def _walked_evolution(text: str, path: str) -> tuple[np.ndarray, np.ndarray]:
     return grid, np.concatenate(blocks).reshape(grid.size, n, n)
 
 
-def _walked_object(text: str) -> dict:
-    """The top-level JSON object of ``text``, its ``frames`` as the blocks
+class _Window:
+    """A text file seen ``_CHUNK`` characters at a time.
+
+    ``text[idx:]`` is what the walk has not yet consumed.  ``take`` reads
+    one token there and moves past it; a token that cannot be read, or that
+    ends within ``_LOOKAHEAD`` characters of the window's end, may be cut
+    by the edge, so before the end of the file it is read again after a
+    refill that drops the consumed text and at least doubles what is left.
+    Two characters of lookahead are what json's number scanner needs: on
+    "1.5e+" it would stop at "1.5" where "1.5e+7" goes on.
+    """
+
+    __slots__ = ("fh", "text", "idx", "eof")
+
+    def __init__(self, fh: IO[str]):
+        self.fh, self.text, self.idx, self.eof = fh, "", 0, False
+
+    def fill(self, size: int) -> None:
+        """Drop the consumed text and read on until ``size`` characters
+        are left or the file ends."""
+        pieces = [self.text[self.idx:]]
+        left = len(pieces[0])
+        while left < size and not self.eof:
+            piece = self.fh.read(_CHUNK)
+            pieces.append(piece)
+            left += len(piece)
+            self.eof = not piece
+        self.text, self.idx = "".join(pieces), 0
+
+    def take(self, read, *args) -> Any:
+        """The value of ``read(text, idx, *args) -> (value, end)``, past it."""
+        while True:
+            try:
+                value, end = read(self.text, self.idx, *args)
+            except ValueError:
+                if self.eof:
+                    raise
+            else:
+                if self.eof or end + _LOOKAHEAD < len(self.text):
+                    self.idx = end
+                    return value
+            self.fill(2 * (len(self.text) - self.idx) + 1)
+
+
+def _walked_object(window: _Window) -> dict:
+    """The top-level JSON object in ``window``, its ``frames`` as the blocks
     of ``_frame_blocks`` and every other value as json decodes it, the last
     of duplicate keys winning.  Raises ValueError on any text
     ``json.loads`` would not read as an object."""
-    idx = _WS(text, _expect(text, _WS(text, 0).end(), "{")).end()
+    window.take(_opening, "{")
     doc = {}
     while True:  # an empty object is refused: it holds no evolution
-        key, idx = json.decoder.scanstring(text, _expect(text, idx, '"'))
-        idx = _expect(text, _WS(text, idx).end(), ":")
-        decode = _frame_blocks if key == "frames" else _DECODER.raw_decode
-        doc[key], idx = decode(text, _WS(text, idx).end())
-        idx, last = _after_item(text, idx, "}")
-        if last:
+        key = window.take(_key)
+        doc[key] = _frame_blocks(window) if key == "frames" else window.take(_value)
+        if window.take(_after_item, "}"):
             break
-    if idx != len(text):
+    if window.idx != len(window.text):
         raise ValueError("extra data")
     return doc
 
 
-def _frame_blocks(text: str, idx: int) -> tuple[list[np.ndarray], int]:
-    """The JSON array of frames at ``idx`` as (k, pairs) complex blocks of at
-    most ``_FRAME_BLOCK`` frames, and the index past it.  Each block is
-    converted before the next one is decoded; a block whose frames are not
-    lists of one length of [re, im] pairs raises ValueError."""
-    idx = _WS(text, _expect(text, idx, "[")).end()
-    blocks, block = [], []
+def _frame_blocks(window: _Window) -> list[np.ndarray]:
+    """The JSON array of frames in ``window`` as (k, pairs) complex blocks
+    of at most ``_FRAME_BLOCK`` frames.  Each block is converted before the
+    next one is decoded; a block whose frames are not lists of one length
+    of [re, im] pairs raises ValueError.
+
+    Before each frame the window is refilled if fewer than ``margin``
+    characters are left: twice the longest frame so far, and at least
+    ``_MARGIN``.  So a frame is not cut by the window's edge, where its
+    decode would fail and be taken again."""
+    window.take(_opening, "[")
+    decode = _DECODER.raw_decode
+    blocks, block, margin = [], [], _MARGIN
     while True:  # an empty array is refused: an evolution has frames
-        frame, idx = _DECODER.raw_decode(text, idx)
+        if len(window.text) - window.idx < margin and not window.eof:
+            window.fill(margin)
+        text, idx = window.text, window.idx
+        try:  # most frames lie clear of the edge: read them without ``take``
+            frame, end = decode(text, idx)
+            after = _AFTER(text, end)
+        except ValueError:  # cut by the edge, or not JSON
+            after = None
+        if after is not None and after[1] in ",]" and after.end() + _LOOKAHEAD < len(text):
+            window.idx, length, last = after.end(), end - idx, after[1] == "]"
+        else:  # ``take`` tells, after a refill if the file goes on
+            frame, length, last = window.take(_frame)
         block.append(frame)
-        idx, last = _after_item(text, idx, "]")
+        margin = max(margin, 2 * length)
         if last or len(block) == _FRAME_BLOCK:
             if set(map(type, block)) != {list} or len(set(map(len, block))) != 1:
                 raise ValueError("frames of unequal size")
@@ -245,16 +315,49 @@ def _frame_blocks(text: str, idx: int) -> tuple[list[np.ndarray], int]:
                           .reshape(len(block), -1))
             block = []
         if last:
-            return blocks, idx
+            return blocks
 
 
-def _after_item(text: str, idx: int, close: str) -> tuple[int, bool]:
-    """The index past the ',' or ``close`` (and the whitespace around it)
-    that must follow an item ending at ``idx``, and whether it was ``close``."""
+def _frame(text: str, idx: int) -> tuple[tuple[Any, int, bool], int]:
+    """The frame at ``idx``, its length, and whether the ']' that closes
+    the frames follows it; then the index past that ',' or ']'."""
+    frame, end = _DECODER.raw_decode(text, idx)
+    last, after = _after_item(text, end, "]")
+    return (frame, end - idx, last), after
+
+
+def _opening(text: str, idx: int, token: str) -> tuple[None, int]:
+    """``token`` at ``idx``, with the whitespace around it."""
+    return None, _WS(text, _expect(text, _WS(text, idx).end(), token)).end()
+
+
+def _key(text: str, idx: int) -> tuple[str, int]:
+    """A member's key at ``idx``, with the ':' and whitespace after it."""
+    if text[idx:idx + 1] != '"' or text.find('"', idx + 1) < 0:
+        raise ValueError(f"expected a key at {idx}")
+    key, idx = json.decoder.scanstring(text, idx + 1)
+    return key, _WS(text, _expect(text, _WS(text, idx).end(), ":")).end()
+
+
+def _value(text: str, idx: int) -> tuple[Any, int]:
+    """The JSON value at ``idx``.  When the window cannot hold it whole (it
+    holds nothing there, or no closing bracket of an array or object), this
+    raises before json's scanner runs, so that a long flat array such as a
+    grid is not decoded up to the edge and refused there."""
+    opening = text[idx:idx + 1]
+    if not opening or opening in "[{" and text.find("]" if opening == "[" else "}", idx) < 0:
+        raise ValueError(f"no whole value at {idx}")
+    return _DECODER.raw_decode(text, idx)
+
+
+def _after_item(text: str, idx: int, close: str) -> tuple[bool, int]:
+    """Whether the ',' or ``close`` that must follow an item ending at
+    ``idx`` was ``close``, and the index past it and the whitespace
+    around it."""
     after = _AFTER(text, idx)
     if after is None or after[1] not in (",", close):
         raise ValueError(f"expected ',' or {close!r} at {idx}")
-    return after.end(), after[1] == close
+    return after[1] == close, after.end()
 
 
 def _expect(text: str, idx: int, token: str) -> int:
@@ -346,14 +449,16 @@ def _leaf_block(block, inner: str) -> str | None:
     A non-finite float (the only repr with an "n") also gives None, so
     that the item-by-item path raises json's ValueError for it.
     """
-    sep = "," + inner
     try:
         if type(block[0]) is float:
-            text = sep.join(map(float.__repr__, block))
+            text = ("," + inner).join(map(float.__repr__, block))
         elif set(map(type, block)) == {list} and set(map(len, block)) == {2}:
-            reprs = map(float.__repr__, chain.from_iterable(block))
-            pair = "[" + inner + "  %s," + inner + "  %s" + inner + "]"
-            text = sep.join(map(pair.__mod__, zip(reprs, reprs)))
+            # open, re, within, im, between, ..., im, close: one join
+            parts = ["[" + inner + "  "] + [None, "," + inner + "  ", None,
+                                           inner + "]," + inner + "[" + inner + "  "] * len(block)
+            parts[1::2] = map(float.__repr__, chain.from_iterable(block))
+            parts[-1] = inner + "]"
+            text = "".join(parts)
         else:
             return None
     except TypeError:  # a member that is not a float

@@ -5,6 +5,7 @@ import io as _stdio
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -189,23 +190,37 @@ def _laid_out(doc: dict, layout: str) -> str:
                            "zeta": [[1.0, 2.0]]})
     if layout == "duplicate_frames":  # json keeps the last of a repeated key
         return '{"frames": [[[9.0, 9.0]]], "n": 7,' + json.dumps(doc)[1:]
+    if layout == "crlf":  # text mode reads each "\r\n" as one "\n"
+        return json.dumps(doc, indent=2).replace("\n", "\r\n")
+    if layout == "wide_whitespace":  # a run longer than the margin after the first frame
+        return json.dumps(doc).replace("]], [[", "]]," + " " * (io_module._MARGIN + 9) + "[[", 1)
     return json.dumps(doc)
 
 
+# Window sizes in characters: 1 and 7 put every kind of token across an
+# edge of the window; 4096 refills many times per frame block.
+CHUNKS = [None, 1, 7, 4096]
+
+
+def _windowed(monkeypatch, chunk) -> None:
+    """Read evolutions through windows of ``chunk`` characters (None: the default)."""
+    if chunk is not None:
+        monkeypatch.setattr(io_module, "_CHUNK", chunk)
+
+
 class TestEvolutionReader:
+    @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("layout", ["plain", "compact", "keys_reordered", "extra_keys",
-                                        "duplicate_frames"])
+                                        "duplicate_frames", "crlf", "wide_whitespace"])
     @pytest.mark.parametrize("n", [1, 3, 8])
     @pytest.mark.parametrize("steps", [1, 2, 500])
-    def test_bit_identical_to_a_per_frame_loop(self, n, steps, layout, tmp_path, monkeypatch):
+    def test_bit_identical_to_a_per_frame_loop(self, n, steps, layout, chunk, tmp_path,
+                                               monkeypatch):
         path = str(tmp_path / "doc.json")
-        with open(path, "w") as fh:
+        with open(path, "w", newline="") as fh:
             fh.write(_laid_out(_evolution_doc(n, steps), layout))
-
-        def parsed_whole(text, where):
-            raise AssertionError("an accepted document was parsed whole")
-
-        monkeypatch.setattr(io_module, "_parse_json", parsed_whole)
+        _windowed(monkeypatch, chunk)
+        monkeypatch.setattr(io_module, "_parse_json", _parsed_whole)
         grid, frames = load_evolution(path)
         oracle_grid, oracle_frames = evolution_by_loops(path)
         assert grid.dtype == np.float64 and frames.dtype == np.complex128
@@ -216,7 +231,9 @@ class TestEvolutionReader:
     @pytest.mark.parametrize("defect", ["pair_count", "pair_moved", "three_member_pair",
                                         "dict_member", "infinity", "huge_integer"])
     @pytest.mark.parametrize("where", ["first", "middle", "last", "second_block"])
-    def test_names_the_bad_frame(self, defect, where, tmp_path):
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_names_the_bad_frame(self, defect, where, chunk, tmp_path, monkeypatch):
+        _windowed(monkeypatch, chunk)
         n, steps = 3, 2 * _FRAME_BLOCK + 9
         doc = _evolution_doc(n, steps)
         i = {"first": 0, "middle": steps // 2, "last": steps - 1,
@@ -238,6 +255,88 @@ class TestEvolutionReader:
             frame[4][1] = 10 ** 400
         with pytest.raises(FileFormatError, match=rf"frame {i}: "):
             load_evolution(_write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize("chunk", range(1, 48))
+    def test_every_window_size_reads_every_token_alike(self, chunk, tmp_path, monkeypatch):
+        # Top-level numbers whose prefixes are numbers too ("1.5e" of "1.5e+7"),
+        # escaped keys, literals, "\r\n" and every bracket, read through windows
+        # of 1 to 47 characters, so that each lands across an edge somewhere.
+        text = (' \r\n{"scale" :\t1.5e+7 ,"k\\"ey": [true, null, {"a": [-0.0]}],'
+                '\r\n "n": 2,\r\n "grid": [0, 2.5E-1, 1e2],\r\n "frames": [\r\n'
+                + ",\r\n".join(json.dumps(frame) for frame in _evolution_doc(2, 3)["frames"])
+                + '\r\n ], "tail": -12.75e-3 , "x": "y"\r\n}\r\n  ')
+        path = str(tmp_path / "doc.json")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        _windowed(monkeypatch, chunk)
+        monkeypatch.setattr(io_module, "_parse_json", _parsed_whole)
+        grid, frames = load_evolution(path)
+        oracle_grid, oracle_frames = evolution_by_loops(path)
+        assert np.array_equal(grid.view(np.uint64), oracle_grid.view(np.uint64))
+        assert np.array_equal(frames.view(np.uint64), oracle_frames.view(np.uint64))
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_a_frame_longer_than_the_margin_is_read_again_whole(self, chunk, tmp_path,
+                                                                 monkeypatch, decode_errors):
+        # The first frame may be cut by the window's edge, and then fails to
+        # decode twice (once before ``take``, once in it, before the refill);
+        # the margin then grows to twice its length, so no later frame is cut.
+        doc = _evolution_doc(48, 3)  # about 100k characters a frame
+        assert len(json.dumps(doc["frames"][0])) > io_module._MARGIN
+        path = _write_doc(tmp_path, doc)
+        _windowed(monkeypatch, chunk)
+        monkeypatch.setattr(io_module, "_parse_json", _parsed_whole)
+        frames = load_evolution(path)[1]
+        assert len(decode_errors) <= 2
+        assert np.array_equal(frames.view(np.uint64), evolution_by_loops(path)[1].view(np.uint64))
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("separator", ["}", ":", "]", " "])
+    def test_a_wrong_separator_between_frames_is_refused_as_json_refuses_it(
+            self, separator, chunk, tmp_path, monkeypatch):
+        text = json.dumps(_evolution_doc(1, 3)).replace("]], [[", "]]" + separator + " [[", 1)
+        path = str(tmp_path / "doc.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        _windowed(monkeypatch, chunk)
+        with pytest.raises(FileFormatError, match="is not valid JSON"):
+            load_evolution(path)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_a_byte_order_mark_is_refused_as_json_refuses_it(self, chunk, tmp_path,
+                                                             monkeypatch):
+        path = str(tmp_path / "bom.json")
+        with open(path, "w", encoding="utf-8-sig") as fh:
+            json.dump(_evolution_doc(2, 3), fh)
+        _windowed(monkeypatch, chunk)
+        message = f"{path!r} is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+        with pytest.raises(FileFormatError, match=re.escape(message)):
+            load_evolution(path)
+
+    @pytest.mark.parametrize("n, steps, chunk", [
+        (8, 1200, None), (1, 60000, None), *((2, 5, chunk) for chunk in range(1, 48))])
+    def test_a_written_evolution_is_read_with_no_decode_error(self, n, steps, chunk, tmp_path,
+                                                              monkeypatch, decode_errors):
+        # The margin keeps every frame clear of the window's edge, and a key,
+        # the grid (longer than a window at n = 1) or n is decoded only once
+        # the window holds its end.  A decode error would cost a count of the
+        # newlines before it, and a second decode.
+        if n > 1:
+            evolution = frame_evolution_from_path(random_hermitian_path(n, 5), steps)
+            grid, frames = evolution.grid, evolution.frames
+        else:
+            grid = np.linspace(0.0, 1.0, steps)
+            frames = np.exp(2j * np.pi * grid).reshape(steps, 1, 1)
+        path = str(tmp_path / "e.json")
+        save_evolution(path, grid, frames)
+        _windowed(monkeypatch, chunk)
+        assert os.path.getsize(path) > 3 * io_module._CHUNK
+        if n == 1:
+            assert len(json.dumps(grid.tolist())) > io_module._CHUNK
+        monkeypatch.setattr(io_module, "_parse_json", _parsed_whole)
+        loaded_grid, loaded_frames = load_evolution(path)
+        assert decode_errors == []
+        assert np.array_equal(loaded_grid, grid) and np.array_equal(loaded_frames, frames)
 
     def test_collector_state_is_restored(self, tmp_path):
         good = _write_doc(tmp_path, _evolution_doc(2, 3), "good.json")
@@ -289,11 +388,31 @@ class TestEvolutionReader:
             assert fh.read() == _dumped(doc)
 
 
+@pytest.fixture
+def decode_errors(monkeypatch):
+    """The message of every JSONDecodeError made while the test runs."""
+    errors = []
+    init = json.JSONDecodeError.__init__
+
+    def counted(self, *args):
+        errors.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(json.JSONDecodeError, "__init__", counted)
+    return errors
+
+
+def _parsed_whole(text, where):
+    raise AssertionError("an accepted document was parsed whole")
+
+
 def test_evolution_files_are_read_and_written_a_block_of_frames_at_a_time(tmp_path):
     # n = 8, N = 2000: one [re, im] list costs about 120 bytes against the 16
     # of its complex entry, so a whole-evolution list tree (about 8x
-    # frames.nbytes) breaks either bound.  Reading holds the file's bytes and
-    # its text for a moment (2x its size), then one block of frames at a time.
+    # frames.nbytes) breaks either bound.  Reading holds a window of text of
+    # about one _CHUNK, one block of frames at a time, and the frames twice
+    # (the blocks and their concatenation); the file is 9.45 MB, so holding
+    # its text whole breaks the load bound too.
     rng = np.random.default_rng(8)
     frames = rng.standard_normal((2000, 8, 8)) + 1j * rng.standard_normal((2000, 8, 8))
     path = str(tmp_path / "evolution.json")
@@ -309,7 +428,7 @@ def test_evolution_files_are_read_and_written_a_block_of_frames_at_a_time(tmp_pa
         tracemalloc.stop()
     assert np.array_equal(loaded, frames)
     assert save_peak < 2 * frames.nbytes
-    assert load_peak < 2 * os.path.getsize(path) + 2 * frames.nbytes
+    assert load_peak < 3 * frames.nbytes + 4 * io_module._CHUNK
 
 
 def _dumped(doc) -> str:

@@ -290,21 +290,11 @@ def _frame_blocks(window: _Window) -> list[np.ndarray]:
     ``_MARGIN``.  So a frame is not cut by the window's edge, where its
     decode would fail and be taken again."""
     window.take(_opening, "[")
-    decode = _DECODER.raw_decode
     blocks, block, margin = [], [], _MARGIN
     while True:  # an empty array is refused: an evolution has frames
         if len(window.text) - window.idx < margin and not window.eof:
             window.fill(margin)
-        text, idx = window.text, window.idx
-        try:  # most frames lie clear of the edge: read them without ``take``
-            frame, end = decode(text, idx)
-            after = _AFTER(text, end)
-        except ValueError:  # cut by the edge, or not JSON
-            after = None
-        if after is not None and after[1] in ",]" and after.end() + _LOOKAHEAD < len(text):
-            window.idx, length, last = after.end(), end - idx, after[1] == "]"
-        else:  # ``take`` tells, after a refill if the file goes on
-            frame, length, last = window.take(_frame)
+        frame, length, last = window.take(_frame)
         block.append(frame)
         margin = max(margin, 2 * length)
         if last or len(block) == _FRAME_BLOCK:

@@ -1,0 +1,105 @@
+#!/usr/bin/env bash
+# End-to-end checks of the installed `gaugephase` entry point: every verify
+# suite, the exit codes of refused input, and reports from matrix and
+# evolution files, each made twice (or from an LF and a CRLF copy of one
+# file) and compared byte for byte.  The tests call cli.main() in-process;
+# this script runs the console script itself.
+#
+# Usage: scripts/check_cli.sh [work-directory]   (default: a new temporary one)
+set -euo pipefail
+work="${1:-$(mktemp -d)}"
+mkdir -p "$work"
+cd "$work"
+
+# Console script: every verify suite, its determinism and its refusals.
+for suite in counting roundtrip gauge reduction offdiag; do
+  gaugephase verify --suite "$suite" --n 4 --trials 3 > /dev/null
+done
+gaugephase verify --suite roundtrip --n 4 --trials 0 > /dev/null
+gaugephase verify --suite gauge --n 4 --trials 0 > /dev/null
+for run in 1 2; do
+  gaugephase verify --suite reduction --n 12 --trials 200 --seed 5 > "reduction$run.json"
+done
+cmp reduction1.json reduction2.json
+# The roundtrip and counting suites read the towers the Haar draws hand over.
+for run in 1 2; do
+  gaugephase verify --suite roundtrip --n 32 --trials 40 --seed 5 > "roundtrip$run.json"
+  gaugephase verify --suite counting --n 24 --seed 5 > "counting$run.json"
+done
+cmp roundtrip1.json roundtrip2.json
+cmp counting1.json counting2.json
+status=0; gaugephase verify --suite counting --n 1 > /dev/null || status=$?
+test "$status" -eq 2
+status=0; gaugephase verify --suite roundtrip --n 1 --trials 0 > /dev/null || status=$?
+test "$status" -eq 2
+printf '{oops' > broken.json
+status=0; gaugephase decompose broken.json || status=$?
+test "$status" -eq 2
+
+# Reports from files: the README's matrix and swap evolution.
+python - <<'EOF'
+from gaugephase import (engineered_swap_evolution, random_generic_unitary,
+                        save_evolution, save_matrix)
+save_matrix("matrix.json", random_generic_unitary(4, seed=7).data)
+swap = engineered_swap_evolution(3, 1, 2, steps=301)
+save_evolution("evolution.json", swap.grid, swap.frames)
+EOF
+for run in 1 2; do
+  gaugephase decompose matrix.json > "decompose$run.json"
+  gaugephase phases evolution.json --quadrature pancharatnam > "phases$run.json"
+  gaugephase offdiag evolution.json --no-triples > "offdiag$run.json"
+done
+for report in decompose phases offdiag; do
+  cmp "${report}1.json" "${report}2.json"
+done
+
+# An evolution of three blocks of frames and one more, read and written a
+# block at a time: the file survives a load and a save.
+python - <<'EOF'
+from gaugephase import (frame_evolution_from_path, load_evolution,
+                        random_hermitian_path, save_evolution)
+from gaugephase.io import _FRAME_BLOCK
+blocks = frame_evolution_from_path(random_hermitian_path(3, 11), 3 * _FRAME_BLOCK + 1)
+save_evolution("blocks.json", blocks.grid, blocks.frames)
+save_evolution("blocks_again.json", *load_evolution("blocks.json"))
+EOF
+cmp blocks.json blocks_again.json
+for run in 1 2; do
+  gaugephase phases blocks.json > "blocks_phases$run.json"
+  gaugephase offdiag blocks.json > "blocks_offdiag$run.json"
+done
+cmp blocks_phases1.json blocks_phases2.json
+cmp blocks_offdiag1.json blocks_offdiag2.json
+
+# An evolution and a matrix of more than two windows of text each, and
+# copies with "\r\n" line ends: the reader refills its window across all
+# of them, and each file survives a load and a save.
+python - <<'EOF'
+import os
+from gaugephase import (frame_evolution_from_path, load_evolution, load_matrix,
+                        random_generic_unitary, random_hermitian_path, save_evolution,
+                        save_matrix)
+from gaugephase.io import _CHUNK
+windows = frame_evolution_from_path(random_hermitian_path(4, 13), 3000)
+save_evolution("windows.json", windows.grid, windows.frames)
+save_matrix("matrix_windows.json", random_generic_unitary(300, seed=17).data)
+for name in ("windows", "matrix_windows"):
+    assert os.path.getsize(f"{name}.json") > 2 * _CHUNK
+    with open(f"{name}.json", "rb") as lf, open(f"{name}_crlf.json", "wb") as crlf:
+        crlf.write(lf.read().replace(b"\n", b"\r\n"))
+save_evolution("windows_again.json", *load_evolution("windows.json"))
+save_matrix("matrix_windows_again.json", load_matrix("matrix_windows.json"))
+EOF
+cmp windows.json windows_again.json
+cmp matrix_windows.json matrix_windows_again.json
+for file in windows windows_crlf; do
+  gaugephase phases "$file.json" > "${file}_phases.json"
+  gaugephase offdiag "$file.json" > "${file}_offdiag.json"
+done
+cmp windows_phases.json windows_crlf_phases.json
+cmp windows_offdiag.json windows_crlf_offdiag.json
+for file in matrix_windows matrix_windows_crlf; do
+  gaugephase decompose "$file.json" > "${file}_decompose.json"
+done
+cmp matrix_windows_decompose.json matrix_windows_crlf_decompose.json
+echo "check_cli: all checks passed"

@@ -16,7 +16,9 @@ unitary at tolerance, 4 non-generic input (factorization undefined).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 from typing import Any
 
 import numpy as np
@@ -61,11 +63,26 @@ def _fields(value: float | complex | Undefined, name: str) -> dict[str, Any]:
 
 
 def _emit(doc: dict, args: argparse.Namespace) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            io.dump_report(doc, fh)
-    else:
+    """Write the report to stdout, or whole to ``--output``: it is written
+    to a temporary file beside the target, which replaces the target only
+    once the report is complete, so a failed report leaves the target as
+    it was."""
+    if not args.output:
         io.dump_report(doc, sys.stdout)
+        return
+    target = os.path.abspath(args.output)
+    fd, temporary = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp",
+                                     prefix=f".{os.path.basename(target)}.")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            io.dump_report(doc, fh)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(temporary, 0o666 & ~umask)  # the mode a new file opened for writing gets
+        os.replace(temporary, target)
+    except BaseException:
+        os.unlink(temporary)
+        raise
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
@@ -74,7 +91,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     params = decompose(matrix, tol=tol)
     rebuilt = reconstruct(params, tol=tol)
     try:
-        phase_invariants = io.complex_pairs(phase_invariant_list(params, tol=tol))
+        phase_invariants = io._pair_rows(phase_invariant_list(params, tol=tol))
     except NonGenericVectorError:
         phase_invariants = None
     doc = {
@@ -82,7 +99,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         "n": matrix.n,
         "chi": params.chi,
         "vectors": [
-            {"dim": v.dim, "components": io.complex_pairs(v.data)}
+            {"dim": v.dim, "components": io._pair_rows(v.data)}
             for v in params.vectors
         ],
         # A 1 x 1 matrix has no level, so no leading component to bound.

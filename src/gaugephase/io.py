@@ -9,28 +9,29 @@ Numbers pass through Python's shortest-round-trip float representation
 bit-exactly.  Reports are emitted with sorted keys and a fixed layout:
 the same inputs produce byte-identical documents.
 
-A matrix file is read with one ``json.load``, its [re, im] pairs then
-converted in one flat pass (``_pairs_to_complex``): one ``np.fromiter``
-over the chained pairs, one finite check, and a complex view of the same
-memory, which keeps every bit of both parts, signed zeros too.
-
-An evolution grows as N*n*n pairs, and one Python list per pair costs
-about eight times the complex array it becomes.  So ``load_evolution``
-never builds the document as one tree, nor holds its text whole: it reads
-the file in text mode ``_CHUNK`` characters at a time (``_Window``), which
+Both kinds of file are read the same way, and never as one tree of
+lists nor as one whole text: one Python list per [re, im] pair costs about
+eight times the complex entry it becomes.  A reader (``_loaded``) reads the
+file in text mode ``_CHUNK`` characters at a time (``_Window``), which
 keeps UTF-8 decoding and newline translation as one ``read()`` would.  It
-walks the top-level object itself, in any key order, and decodes the
-``frames`` array one frame at a time with json's own scanner
-(``JSONDecoder.raw_decode``).  A token that may be cut by the window's edge
-is read again after a refill, and before each frame the window holds a
-margin of text beyond it, so frames are not cut.  Every ``_FRAME_BLOCK``
-frames go through the same pair conversion before the next block is
-decoded, so at most one block of pairs is alive at a time.  A document the
-walk does not accept is judged whole, by ``json.loads`` and the checks of a
-one-tree reader, so that a rejected file gets the same ``FileFormatError``
-whichever defect comes first, and names the first bad frame: that path and
-``load_matrix`` are all that read a file's text whole (``_read_text``).
-Both readers run with the cyclic garbage collector paused
+walks the top-level object itself, in any key order, decoding every value
+with json's own scanner (``JSONDecoder.raw_decode``) except the one that
+grows with the file, which goes to a block reader: a matrix's ``entries``
+a run of pairs at a time (``_pair_runs``: the text up to a pair's ']'
+about ``_PAIR_RUN`` characters on, decoded as one array), an evolution's
+``frames`` one frame at a time.  A token that may be cut by the window's
+edge is read again after a refill, and before each run or frame the window
+holds a margin of text beyond it, so runs and frames are not cut.  Each
+run, and every ``_FRAME_BLOCK`` frames, go through one flat pair
+conversion (``_pairs_to_complex``: one ``np.fromiter`` over the chained
+pairs, one finite check, and a complex view of the same memory, which
+keeps every bit of both parts, signed zeros too) before the next is
+decoded, so at most one run or block of pairs is alive at a time.  A
+document the walk does not accept is judged whole, by ``json.loads`` and
+the checks of a one-tree reader, so that a rejected file gets the same
+``FileFormatError`` whichever defect comes first, and an evolution's names
+the first bad frame: that path is all that reads a file's text whole
+(``_read_text``).  Readers run with the cyclic garbage collector paused
 (``_gc_paused``), since each [re, im] list would count towards its next
 pass over objects that cannot form a cycle.
 
@@ -38,9 +39,11 @@ The writer is not ``json.dump``, which with an indent runs its pure-Python
 encoder and makes one write per token.  ``dump_report`` writes the same
 bytes, but joins each leaf list of floats or [re, im] pairs in bounded
 blocks, so no document is ever held whole as one string.  It also takes
-an ndarray, written as its ``tolist()`` one block of rows at a time:
-``save_evolution`` hands it the frames as an (N, n*n, 2) float array, so
-no list of the whole evolution is ever built.
+an ndarray, written as its ``tolist()`` one block of rows at a time; a
+float array of leaves or of pairs is joined from its flat floats, with no
+list per pair.  ``save_matrix`` hands it the entries as an (n*n, 2) float
+view and ``save_evolution`` the frames as an (N, n*n, 2) float array, so
+no list of the whole document is ever built.
 """
 
 from __future__ import annotations
@@ -70,7 +73,8 @@ __all__ = [
 _BLOCK = 2048  # leaf-list items per join: bounds the text held at once
 _FRAME_BLOCK = 64  # frames (ndarray rows) per block: bounds the lists held at once
 
-_CHUNK = 2 ** 20  # characters per read of an evolution file: bounds the text held at once
+_CHUNK = 2 ** 20  # characters per read of a file: bounds the text held at once
+_PAIR_RUN = 80_000  # characters of [re, im] pairs decoded at once: bounds the lists held
 _MARGIN = 2 ** 16  # characters left in the window before each frame, at least
 _LOOKAHEAD = 2  # characters a token must leave before the window's end to be taken
 
@@ -106,8 +110,7 @@ def _gc_paused():
 
 
 def _read_text(path: str) -> str:
-    """The whole text of ``path``: for matrices, and for evolutions the
-    walk refuses."""
+    """The whole text of ``path``, for a document the walk refuses."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
@@ -143,37 +146,62 @@ def _size(doc: dict, path: str) -> int:
     return n
 
 
-@_gc_paused()
 def load_matrix(path: str) -> np.ndarray:
     """Parse a matrix file into a raw (n, n) complex array.
 
     Grammar errors raise FileFormatError; whether the matrix is actually
     unitary is the caller's check, at the caller's tolerance.
     """
-    doc = _parse_json(_read_text(path), path)
-    if not isinstance(doc, dict) or "n" not in doc or "entries" not in doc:
-        raise FileFormatError(f"{path!r}: expected an object with 'n' and 'entries'")
-    n = _size(doc, path)
-    return _pairs_to_complex(doc["entries"], n * n, f"{path!r} entries").reshape(n, n)
+    return _loaded(path, _walked_matrix, _matrix_from_tree)
 
 
 def save_matrix(path: str, matrix: np.ndarray) -> None:
     arr = np.asarray(matrix, dtype=np.complex128)
-    n = arr.shape[0]
-    doc = {"n": int(n), "entries": complex_pairs(arr.reshape(-1))}
+    doc = {"n": int(arr.shape[0]), "entries": _pair_rows(arr)}
     with open(path, "w", encoding="utf-8") as fh:
         dump_report(doc, fh)
 
 
-@_gc_paused()
 def load_evolution(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Parse an evolution file into (grid, frames) raw arrays."""
+    return _loaded(path, _walked_evolution, _evolution_from_tree)
+
+
+@_gc_paused()
+def _loaded(path: str, walked, from_tree) -> Any:
+    """``walked(window, path)`` over the file, or, if the walk refuses it,
+    ``from_tree`` of the whole parsed document, for the one-tree reader's
+    error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return _walked_evolution(_Window(fh), path)
-    except (OSError, ValueError):  # judged whole below, for the one-tree reader's error
+            return walked(_Window(fh), path)
+    except (OSError, ValueError):  # judged whole below
         pass
-    return _evolution_from_tree(_parse_json(_read_text(path), path), path)
+    return from_tree(_parse_json(_read_text(path), path), path)
+
+
+def _matrix_size(doc: Any, path: str) -> int:
+    """The checks of a matrix document before its entries: n."""
+    if not isinstance(doc, dict) or "n" not in doc or "entries" not in doc:
+        raise FileFormatError(f"{path!r}: expected an object with 'n' and 'entries'")
+    return _size(doc, path)
+
+
+def _matrix_from_tree(doc: Any, path: str) -> np.ndarray:
+    """A matrix from its whole parsed document."""
+    n = _matrix_size(doc, path)
+    return _pairs_to_complex(doc["entries"], n * n, f"{path!r} entries").reshape(n, n)
+
+
+def _walked_matrix(window: _Window, path: str) -> np.ndarray:
+    """A matrix read by walking ``window``, its entries converted a run of
+    pairs at a time; any ValueError means "judge the document whole"."""
+    doc = _walked_object(window, "entries", _pair_runs)
+    n = _matrix_size(doc, path)
+    runs = doc["entries"]
+    if sum(map(len, runs)) != n * n:
+        raise ValueError("entries do not fit 'n'")
+    return np.concatenate(runs).reshape(n, n)
 
 
 def _evolution_header(doc: Any, path: str) -> tuple[int, np.ndarray]:
@@ -210,7 +238,7 @@ def _evolution_from_tree(doc: Any, path: str) -> tuple[np.ndarray, np.ndarray]:
 def _walked_evolution(window: _Window, path: str) -> tuple[np.ndarray, np.ndarray]:
     """An evolution read by walking ``window``, with its frames converted a
     block at a time; any ValueError means "judge the document whole"."""
-    doc = _walked_object(window)
+    doc = _walked_object(window, "frames", _frame_blocks)
     n, grid = _evolution_header(doc, path)
     blocks = doc["frames"]
     if sum(map(len, blocks)) != grid.size or {b.shape[1] for b in blocks} != {n * n}:
@@ -262,21 +290,54 @@ class _Window:
             self.fill(2 * (len(self.text) - self.idx) + 1)
 
 
-def _walked_object(window: _Window) -> dict:
-    """The top-level JSON object in ``window``, its ``frames`` as the blocks
-    of ``_frame_blocks`` and every other value as json decodes it, the last
-    of duplicate keys winning.  Raises ValueError on any text
-    ``json.loads`` would not read as an object."""
+def _walked_object(window: _Window, blocks: str, read_blocks) -> dict:
+    """The top-level JSON object in ``window``, the value of its key
+    ``blocks`` as ``read_blocks(window)`` reads it and every other value as
+    json decodes it, the last of duplicate keys winning.  Raises ValueError
+    on any text ``json.loads`` would not read as an object."""
     window.take(_opening, "{")
     doc = {}
-    while True:  # an empty object is refused: it holds no evolution
+    while True:  # an empty object is refused: it holds no matrix or evolution
         key = window.take(_key)
-        doc[key] = _frame_blocks(window) if key == "frames" else window.take(_value)
+        doc[key] = read_blocks(window) if key == blocks else window.take(_value)
         if window.take(_after_item, "}"):
             break
     if window.idx != len(window.text):
         raise ValueError("extra data")
     return doc
+
+
+def _pair_runs(window: _Window) -> list[np.ndarray]:
+    """The JSON array of [re, im] pairs in ``window`` as flat complex runs,
+    each converted before the next one is decoded.  Before each run the
+    window is refilled if it holds fewer than two runs' length of text."""
+    window.take(_opening, "[")
+    runs = []
+    while True:
+        if len(window.text) - window.idx < 2 * _PAIR_RUN and not window.eof:
+            window.fill(2 * _PAIR_RUN)
+        pairs, last = window.take(_pair_run)
+        runs.append(_pairs_to_complex(pairs, len(pairs), "entries"))
+        if last:
+            return runs
+
+
+def _pair_run(text: str, idx: int) -> tuple[tuple[list, bool], int]:
+    """The pairs at ``idx`` up to the last ']' within ``_PAIR_RUN``
+    characters (or the first one beyond), decoded as one array, and whether
+    the array of pairs closed there; then the index past it, or past the
+    ',' that follows the run."""
+    cut = text.rfind("]", idx, idx + _PAIR_RUN)
+    if cut < 0:
+        cut = text.find("]", idx + _PAIR_RUN)
+    if cut < 0:
+        raise ValueError(f"no ']' after {idx}")
+    run = "[" + text[idx:cut + 1] + "]"
+    pairs, end = _DECODER.raw_decode(run)
+    if end < len(run):  # the ']' closes the array itself, at idx + end - 2
+        return (pairs, True), idx + end - 1
+    last, after = _after_item(text, cut + 1, "]")
+    return (pairs, last), after
 
 
 def _frame_blocks(window: _Window) -> list[np.ndarray]:
@@ -376,6 +437,13 @@ def complex_pairs(values) -> list[list[float]]:
     return np.column_stack((arr.real, arr.imag)).tolist()
 
 
+def _pair_rows(values) -> np.ndarray:
+    """Complex sequence -> an (m, 2) float view of its [re, im] pairs, which
+    ``dump_report`` writes as it writes ``complex_pairs(values)``."""
+    flat = np.ascontiguousarray(values, dtype=np.complex128).reshape(-1)
+    return flat.view(np.float64).reshape(-1, 2)
+
+
 def dump_report(doc: Any, stream: IO[str]) -> None:
     """Write a report deterministically: sorted keys, fixed indentation,
     shortest-round-trip floats, no NaN/Inf, trailing newline.  The text and
@@ -413,19 +481,17 @@ def _write_value(value: Any, write, newline: str) -> None:
             _write_value(item, write, inner)
         write((newline if value else "") + "}")
     elif isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim):
-        rows = isinstance(value, np.ndarray)  # turned into lists a block of rows at a time
-        step = _FRAME_BLOCK if rows else _BLOCK
+        rows = isinstance(value, np.ndarray)  # read a block of rows at a time
+        step = _FRAME_BLOCK if rows and value.ndim > 2 else _BLOCK  # frames, else leaves or pairs
         write("[")
         for start in range(0, len(value), step):
             block = value[start:start + step]
-            if rows:
-                block = block.tolist()
             write("," + inner if start else inner)
             text = _leaf_block(block, inner)
             if text is not None:
                 write(text)
                 continue
-            for i, item in enumerate(block):
+            for i, item in enumerate(block.tolist() if rows else block):
                 write("," + inner if i else "")
                 _write_value(item, write, inner)
         write((newline if len(value) else "") + "]")
@@ -435,22 +501,31 @@ def _write_value(value: Any, write, newline: str) -> None:
 
 def _leaf_block(block, inner: str) -> str | None:
     """All-float or all-[float, float] ``block`` as one join, else None.
+    A float64 ndarray of leaves or of pairs is joined from its flat
+    ``tolist()``, with no list per pair.
 
     A non-finite float (the only repr with an "n") also gives None, so
     that the item-by-item path raises json's ValueError for it.
     """
     try:
-        if type(block[0]) is float:
-            text = ("," + inner).join(map(float.__repr__, block))
+        if isinstance(block, np.ndarray):
+            if block.dtype != np.float64 or block.shape[1:] not in ((), (2,)):
+                return None
+            pairs, floats = block.ndim == 2, block.ravel().tolist()
+        elif type(block[0]) is float:
+            pairs, floats = False, block
         elif set(map(type, block)) == {list} and set(map(len, block)) == {2}:
-            # open, re, within, im, between, ..., im, close: one join
+            pairs, floats = True, chain.from_iterable(block)
+        else:
+            return None
+        if pairs:  # open, re, within, im, between, ..., im, close: one join
             parts = ["[" + inner + "  "] + [None, "," + inner + "  ", None,
                                            inner + "]," + inner + "[" + inner + "  "] * len(block)
-            parts[1::2] = map(float.__repr__, chain.from_iterable(block))
+            parts[1::2] = map(float.__repr__, floats)
             parts[-1] = inner + "]"
             text = "".join(parts)
         else:
-            return None
+            text = ("," + inner).join(map(float.__repr__, floats))
     except TypeError:  # a member that is not a float
         return None
     return None if "n" in text else text

@@ -217,3 +217,12 @@ def evolution_by_loops(path: str) -> tuple[np.ndarray, np.ndarray]:
     for i, frame in enumerate(doc["frames"]):
         frames[i] = np.array([complex(re, im) for re, im in frame]).reshape(n, n)
     return grid, frames
+
+
+def matrix_by_loops(path: str) -> np.ndarray:
+    """A matrix file read with stdlib ``json`` and one ``complex(re, im)``
+    per entry, which keeps signed zeros."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    n = doc["n"]
+    return np.array([complex(re, im) for re, im in doc["entries"]]).reshape(n, n)

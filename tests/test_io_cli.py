@@ -30,7 +30,7 @@ from gaugephase.cli import main
 from gaugephase import io as io_module
 from gaugephase.io import _BLOCK, _FRAME_BLOCK
 from gaugephase.verification import SUITES, run_suite
-from oracles import evolution_by_loops
+from oracles import evolution_by_loops, matrix_by_loops
 
 
 class TestFileGrammar:
@@ -179,21 +179,28 @@ def _evolution_doc(n: int, steps: int) -> dict:
 
 
 def _laid_out(doc: dict, layout: str) -> str:
-    """``doc`` as JSON text in a layout the writer never produces."""
+    """``doc``, an evolution or a matrix, as JSON text in a layout the writer
+    never produces."""
+    blocks, other = ("frames", "entries") if "frames" in doc else ("entries", "frames")
     if layout == "compact":
         return json.dumps(doc, separators=(",", ":"))
     if layout == "keys_reordered":
-        return json.dumps({key: doc[key] for key in ("frames", "grid", "n")}, indent="\t")
-    if layout == "extra_keys":
-        return json.dumps({"comment": "frames", "frames": doc["frames"], "grid": doc["grid"],
-                           "meta": {"frames": [[[0.0, 0.0]]], "n": 2}, "n": doc["n"],
-                           "zeta": [[1.0, 2.0]]})
+        return json.dumps({key: doc[key] for key in sorted(doc)}, indent="\t")
+    if layout == "extra_keys":  # the other kind's block key holds what its reader would refuse
+        extra = {"comment": blocks, "meta": {blocks: [[[0.0, 0.0]]], "n": 2},
+                 other: {"frames": [[[0.0, 0.0]], [[1.0]]], "entries": [[1.0, 2.0], [3.0]]}[other],
+                 "zeta": [[1.0, 2.0]]}
+        return json.dumps(dict(sorted({**doc, **extra}.items())))
     if layout == "duplicate_frames":  # json keeps the last of a repeated key
-        return '{"frames": [[[9.0, 9.0]]], "n": 7,' + json.dumps(doc)[1:]
+        first = [[[9.0, 9.0]]] if blocks == "frames" else [[9.0, 9.0]]
+        return json.dumps({blocks: first, "n": 7})[:-1] + "," + json.dumps(doc)[1:]
     if layout == "crlf":  # text mode reads each "\r\n" as one "\n"
         return json.dumps(doc, indent=2).replace("\n", "\r\n")
-    if layout == "wide_whitespace":  # a run longer than the margin after the first frame
-        return json.dumps(doc).replace("]], [[", "]]," + " " * (io_module._MARGIN + 9) + "[[", 1)
+    if layout == "wide_whitespace":  # after the first frame (pair), longer than the margin (a run)
+        close, opening, width = (("]]", "[[", io_module._MARGIN) if blocks == "frames"
+                                 else ("]", "[", io_module._PAIR_RUN))
+        return json.dumps(doc).replace(f"{close}, {opening}",
+                                       close + "," + " " * (width + 9) + opening, 1)
     return json.dumps(doc)
 
 
@@ -431,6 +438,134 @@ def test_evolution_files_are_read_and_written_a_block_of_frames_at_a_time(tmp_pa
     assert load_peak < 3 * frames.nbytes + 4 * io_module._CHUNK
 
 
+def _matrix_doc(n: int) -> dict:
+    rng = np.random.default_rng(n)
+    entries = rng.standard_normal((n * n, 2)).tolist()
+    for k, value in enumerate(SPECIAL_MEMBERS):
+        entries[(7 * k) % (n * n)][k % 2] = value
+    return {"n": n, "entries": entries}
+
+
+def _pair_run_sizes(monkeypatch) -> list[int]:
+    """The number of pairs in each run the reader converts from now on."""
+    sizes = []
+    convert = io_module._pairs_to_complex
+
+    def counted(pairs, count, what):
+        sizes.append(len(pairs))
+        return convert(pairs, count, what)
+
+    monkeypatch.setattr(io_module, "_pairs_to_complex", counted)
+    return sizes
+
+
+class TestMatrixReader:
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("layout", ["plain", "compact", "keys_reordered", "extra_keys",
+                                        "duplicate_frames", "crlf", "wide_whitespace"])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_bit_identical_to_a_per_entry_loop(self, n, layout, chunk, tmp_path, monkeypatch):
+        path = str(tmp_path / "doc.json")
+        with open(path, "w", newline="") as fh:
+            fh.write(_laid_out(_matrix_doc(n), layout))
+        _windowed(monkeypatch, chunk)
+        monkeypatch.setattr(io_module, "_parse_json", _parsed_whole)
+        matrix = load_matrix(path)
+        assert matrix.dtype == np.complex128 and matrix.shape == (n, n)
+        assert np.array_equal(matrix.view(np.uint64), matrix_by_loops(path).view(np.uint64))
+
+    @pytest.mark.parametrize("beyond", [-1, 0, 1],
+                             ids=["one_pair_more", "one_run", "array_closed"])
+    def test_a_run_ends_at_a_pair_or_at_the_array(self, beyond, tmp_path, monkeypatch):
+        # The first run is cut at the last ']' within _PAIR_RUN characters:
+        # here the closing ']' of the 15th or 16th (last) of 16 pairs, or the
+        # ']' that closes the array.
+        n = 4
+        path = str(tmp_path / "m.json")
+        save_matrix(path, random_generic_unitary(n, 5).data)
+        with open(path) as fh:
+            text = fh.read()
+        first = text.index("[", text.index('"entries": [') + len('"entries": ['))
+        closers = [i for i, c in enumerate(text[first:]) if c == "]"]
+        assert len(closers) == n * n + 1
+        monkeypatch.setattr(io_module, "_PAIR_RUN", closers[n * n - 1 + beyond] + 1)
+        monkeypatch.setattr(io_module, "_parse_json", _parsed_whole)
+        sizes = _pair_run_sizes(monkeypatch)
+        matrix = load_matrix(path)
+        assert sizes == {-1: [n * n - 1, 1], 0: [n * n], 1: [n * n]}[beyond]
+        assert np.array_equal(matrix.view(np.uint64), matrix_by_loops(path).view(np.uint64))
+
+    @pytest.mark.parametrize("pair_run", [1, 30, 500])
+    @pytest.mark.parametrize("defect", ["pair_count", "three_member_pair", "dict_member",
+                                        "infinity", "huge_integer", "n_too_small"])
+    def test_a_defect_in_any_run_gets_the_whole_reader_error(self, defect, pair_run, tmp_path,
+                                                            monkeypatch):
+        doc = _matrix_doc(5)
+        entries = doc["entries"]
+        if defect == "pair_count":
+            entries.pop()
+        elif defect == "three_member_pair":
+            entries[17].append(0.0)
+        elif defect == "dict_member":
+            entries[17][1] = {}
+        elif defect == "infinity":
+            entries[17][0] = math.inf
+        elif defect == "huge_integer":
+            entries[17][1] = 10 ** 400
+        else:
+            doc["n"] = 4
+        path = _write_doc(tmp_path, doc)
+        with pytest.raises(FileFormatError) as whole:
+            load_matrix(path)
+        monkeypatch.setattr(io_module, "_PAIR_RUN", pair_run)
+        monkeypatch.setattr(io_module, "_CHUNK", 7)
+        with pytest.raises(FileFormatError) as walked:
+            load_matrix(path)
+        assert str(walked.value) == str(whole.value)
+        assert f"{path!r}" in str(walked.value)
+
+    @pytest.mark.parametrize("n, chunk", [(256, None), *((2, chunk) for chunk in range(1, 48))])
+    def test_a_written_matrix_is_read_with_no_decode_error(self, n, chunk, tmp_path, monkeypatch,
+                                                          decode_errors):
+        # Each run ends at a ']' the window holds, so it is decoded once.
+        rng = np.random.default_rng(n)
+        matrix = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        path = str(tmp_path / "m.json")
+        save_matrix(path, matrix)
+        _windowed(monkeypatch, chunk)
+        if n > 2:
+            assert os.path.getsize(path) > 3 * io_module._CHUNK
+        monkeypatch.setattr(io_module, "_parse_json", _parsed_whole)
+        loaded = load_matrix(path)
+        assert decode_errors == []
+        assert np.array_equal(loaded.view(np.uint64), matrix.view(np.uint64))
+
+
+def test_matrix_files_are_read_and_written_a_run_of_pairs_at_a_time(tmp_path):
+    # n = 256: a 4.5 MB file of 65536 [re, im] pairs.  One list per pair
+    # costs about 120 bytes against the 16 of its complex entry, so a list
+    # tree of the entries (about 8x matrix.nbytes) breaks either bound.
+    # Reading holds a window of text of about one _CHUNK, one run of pairs,
+    # and the entries twice (the runs and their concatenation).
+    rng = np.random.default_rng(256)
+    matrix = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+    path = str(tmp_path / "matrix.json")
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        save_matrix(path, matrix)
+        save_peak = tracemalloc.get_traced_memory()[1] - held
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        loaded = load_matrix(path)
+        load_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded, matrix)
+    assert save_peak < matrix.nbytes
+    assert load_peak < 3 * matrix.nbytes + 4 * io_module._CHUNK
+
+
 def _dumped(doc) -> str:
     out = _stdio.StringIO()
     dump_report(doc, out)
@@ -567,6 +702,27 @@ def test_dump_report_raises_what_json_dump_raises(doc, error):
         _dumped(doc)
 
 
+@pytest.mark.parametrize("array", [
+    np.array([[0.5, -0.0], [5e-324, 1e16]] * (_BLOCK + 3)),
+    np.linspace(-1.0, 1.0, 2 * _BLOCK + 5),
+    np.arange(12.0).reshape(4, 3),
+    np.arange(8).reshape(4, 2),
+    np.array([[0.1, 0.2]] * 5, dtype=np.float32),
+    np.zeros((0, 2)),
+    np.array([[1.0, 2.0]] * (_BLOCK + 1) + [[np.nan, 0.0]]),
+    np.array([[np.inf, 0.0]]),
+], ids=["pairs", "floats", "triples", "integer_pairs", "float32_pairs", "empty", "nan_pair",
+        "inf_pair"])
+def test_an_ndarray_is_written_as_its_tolist(array):
+    try:
+        expected = _json_dumped({"a": array.tolist()})
+    except ValueError:
+        with pytest.raises(ValueError):
+            _dumped({"a": array})
+        return
+    _assert_same_text(_dumped({"a": array}), expected)
+
+
 @pytest.fixture()
 def matrix_file(tmp_path):
     a = random_generic_unitary(4, 11)
@@ -605,6 +761,36 @@ class TestCliDecompose:
         assert capsys.readouterr().out == ""
         with open(out) as fh:
             assert json.load(fh)["command"] == "decompose"
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["earlier_target", "no_target"])
+    def test_a_failed_report_leaves_the_target_as_it_was(self, existing, matrix_file, tmp_path,
+                                                         monkeypatch, capsys):
+        path, _ = matrix_file
+        out = tmp_path / "out"
+        out.mkdir()
+        target = out / "report.json"
+        if existing:
+            target.write_bytes(b"earlier report\n")
+
+        def broken(doc, stream):
+            stream.write('{\n  "chi": 1.0,')
+            raise ValueError("report failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(io_module, "dump_report", broken)
+            assert main(["decompose", path, "-o", str(target)]) == 2
+        assert "report failed" in capsys.readouterr().err
+        assert os.listdir(out) == (["report.json"] if existing else [])
+        if existing:
+            assert target.read_bytes() == b"earlier report\n"
+        # Once the report is complete it replaces the target, with the mode
+        # of a file newly opened for writing.
+        assert main(["decompose", path, "-o", str(target)]) == 0
+        assert os.listdir(out) == ["report.json"]
+        assert json.loads(target.read_text())["command"] == "decompose"
+        umask = os.umask(0)
+        os.umask(umask)
+        assert target.stat().st_mode & 0o777 == 0o666 & ~umask
 
     def test_non_unitary_exit_code(self, tmp_path, capsys):
         path = str(tmp_path / "bad.json")

@@ -86,6 +86,7 @@ from .io import (
     dump_report,
     load_evolution,
     load_matrix,
+    pair_rows,
     save_evolution,
     save_matrix,
 )
@@ -141,7 +142,7 @@ __all__ = [
     "frame_evolution_from_path", "engineered_swap_evolution",
     # io
     "FileFormatError", "load_matrix", "save_matrix", "load_evolution",
-    "save_evolution", "complex_pairs", "dump_report",
+    "save_evolution", "complex_pairs", "pair_rows", "dump_report",
     # verification
     "CheckResult", "SuiteReport", "SUITES", "run_suite", "primitive_phase_rank",
 ]

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
-import tempfile
 from typing import Any
 
 import numpy as np
@@ -63,26 +63,63 @@ def _fields(value: float | complex | Undefined, name: str) -> dict[str, Any]:
 
 
 def _emit(doc: dict, args: argparse.Namespace) -> None:
-    """Write the report to stdout, or whole to ``--output``: it is written
-    to a temporary file beside the target, which replaces the target only
-    once the report is complete, so a failed report leaves the target as
-    it was."""
+    """Write the report to stdout, or to ``--output``.  Where it can, the
+    report goes to a new file beside the target (``_beside``), which
+    replaces the target only once the report is complete, so a failed
+    report leaves the target as it was; elsewhere it is written straight
+    through, as to stdout."""
     if not args.output:
         io.dump_report(doc, sys.stdout)
         return
-    target = os.path.abspath(args.output)
-    fd, temporary = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp",
-                                     prefix=f".{os.path.basename(target)}.")
+    target = os.path.realpath(args.output)
+    beside = _beside(target)
+    if beside is None:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            io.dump_report(doc, fh)
+        return
+    fd, temporary = beside
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             io.dump_report(doc, fh)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(temporary, 0o666 & ~umask)  # the mode a new file opened for writing gets
         os.replace(temporary, target)
     except BaseException:
         os.unlink(temporary)
         raise
+
+
+def _beside(target: str) -> tuple[int, str] | None:
+    """A new file in ``target``'s directory, open for writing, that can
+    take its place unnoticed: with its owner and mode, or a new file's
+    where ``target`` is not there yet.  None where it cannot: ``target`` is
+    not a regular file with one link (a device, a FIFO, a hard link) or
+    one this process may write, or the directory or owner do not allow
+    the copy."""
+    try:
+        info = os.stat(target)
+    except FileNotFoundError:
+        info = None
+    except OSError:
+        return None
+    if info is not None and not (stat.S_ISREG(info.st_mode) and info.st_nlink == 1
+                                 and os.access(target, os.W_OK)):
+        return None
+    directory, name = os.path.split(target)
+    temporary = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    try:
+        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError:
+        return None
+    try:
+        if info is not None:
+            new = os.fstat(fd)
+            if (new.st_uid, new.st_gid) != (info.st_uid, info.st_gid):
+                os.fchown(fd, info.st_uid, info.st_gid)
+            os.fchmod(fd, stat.S_IMODE(info.st_mode))
+    except OSError:
+        os.close(fd)
+        os.unlink(temporary)
+        return None
+    return fd, temporary
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
@@ -91,7 +128,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     params = decompose(matrix, tol=tol)
     rebuilt = reconstruct(params, tol=tol)
     try:
-        phase_invariants = io._pair_rows(phase_invariant_list(params, tol=tol))
+        phase_invariants = io.pair_rows(phase_invariant_list(params, tol=tol))
     except NonGenericVectorError:
         phase_invariants = None
     doc = {
@@ -99,7 +136,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         "n": matrix.n,
         "chi": params.chi,
         "vectors": [
-            {"dim": v.dim, "components": io._pair_rows(v.data)}
+            {"dim": v.dim, "components": io.pair_rows(v.data)}
             for v in params.vectors
         ],
         # A 1 x 1 matrix has no level, so no leading component to bound.
@@ -134,7 +171,7 @@ def cmd_phases(args: argparse.Namespace) -> int:
         "points": evolution.num_points,
         "quadrature": args.quadrature,
         "levels": levels,
-        "endpoint_overlap": io.complex_pairs(overlap.data.reshape(-1)),
+        "endpoint_overlap": io.pair_rows(overlap.data),
     }
     _emit(doc, args)
     return EXIT_OK

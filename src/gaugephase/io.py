@@ -66,6 +66,7 @@ __all__ = [
     "load_evolution",
     "save_evolution",
     "complex_pairs",
+    "pair_rows",
     "dump_report",
 ]
 
@@ -157,7 +158,7 @@ def load_matrix(path: str) -> np.ndarray:
 
 def save_matrix(path: str, matrix: np.ndarray) -> None:
     arr = np.asarray(matrix, dtype=np.complex128)
-    doc = {"n": int(arr.shape[0]), "entries": _pair_rows(arr)}
+    doc = {"n": int(arr.shape[0]), "entries": pair_rows(arr)}
     with open(path, "w", encoding="utf-8") as fh:
         dump_report(doc, fh)
 
@@ -317,6 +318,8 @@ def _pair_runs(window: _Window) -> list[np.ndarray]:
         if len(window.text) - window.idx < 2 * _PAIR_RUN and not window.eof:
             window.fill(2 * _PAIR_RUN)
         pairs, last = window.take(_pair_run)
+        if runs and not pairs:  # a ',' before the array's ']'
+            raise ValueError("trailing ',' in entries")
         runs.append(_pairs_to_complex(pairs, len(pairs), "entries"))
         if last:
             return runs
@@ -437,7 +440,7 @@ def complex_pairs(values) -> list[list[float]]:
     return np.column_stack((arr.real, arr.imag)).tolist()
 
 
-def _pair_rows(values) -> np.ndarray:
+def pair_rows(values) -> np.ndarray:
     """Complex sequence -> an (m, 2) float view of its [re, im] pairs, which
     ``dump_report`` writes as it writes ``complex_pairs(values)``."""
     flat = np.ascontiguousarray(values, dtype=np.complex128).reshape(-1)

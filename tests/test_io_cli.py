@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import stat
 import tracemalloc
 
 import numpy as np
@@ -495,9 +496,10 @@ class TestMatrixReader:
         assert sizes == {-1: [n * n - 1, 1], 0: [n * n], 1: [n * n]}[beyond]
         assert np.array_equal(matrix.view(np.uint64), matrix_by_loops(path).view(np.uint64))
 
-    @pytest.mark.parametrize("pair_run", [1, 30, 500])
+    @pytest.mark.parametrize("pair_run", [1, 30, 500, None])
     @pytest.mark.parametrize("defect", ["pair_count", "three_member_pair", "dict_member",
-                                        "infinity", "huge_integer", "n_too_small"])
+                                        "infinity", "huge_integer", "n_too_small",
+                                        "trailing_comma", "trailing_comma_wide"])
     def test_a_defect_in_any_run_gets_the_whole_reader_error(self, defect, pair_run, tmp_path,
                                                             monkeypatch):
         doc = _matrix_doc(5)
@@ -512,17 +514,26 @@ class TestMatrixReader:
             entries[17][0] = math.inf
         elif defect == "huge_integer":
             entries[17][1] = 10 ** 400
-        else:
+        elif defect == "n_too_small":
             doc["n"] = 4
-        path = _write_doc(tmp_path, doc)
-        with pytest.raises(FileFormatError) as whole:
-            load_matrix(path)
-        monkeypatch.setattr(io_module, "_PAIR_RUN", pair_run)
-        monkeypatch.setattr(io_module, "_CHUNK", 7)
-        with pytest.raises(FileFormatError) as walked:
-            load_matrix(path)
-        assert str(walked.value) == str(whole.value)
-        assert f"{path!r}" in str(walked.value)
+        text = json.dumps(doc, separators=(",", ":"))  # Infinity is written as such
+        if defect.startswith("trailing_comma"):  # a ',' after the last pair, before the ']'
+            blank = " " * (io_module._PAIR_RUN + 9) if defect.endswith("wide") else ""
+            assert text.endswith("]]}")
+            text = text[:-2] + "," + blank + "]}"
+        path = str(tmp_path / "doc.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        with pytest.raises(FileFormatError) as whole:  # the one-tree reader
+            io_module._matrix_from_tree(io_module._parse_json(text, path), path)
+        if pair_run is not None:
+            monkeypatch.setattr(io_module, "_PAIR_RUN", pair_run)
+        for chunk in (None, 7):
+            _windowed(monkeypatch, chunk)
+            with pytest.raises(FileFormatError) as walked:
+                load_matrix(path)
+            assert str(walked.value) == str(whole.value)
+            assert f"{path!r}" in str(walked.value)
 
     @pytest.mark.parametrize("n, chunk", [(256, None), *((2, chunk) for chunk in range(1, 48))])
     def test_a_written_matrix_is_read_with_no_decode_error(self, n, chunk, tmp_path, monkeypatch,
@@ -784,13 +795,49 @@ class TestCliDecompose:
         if existing:
             assert target.read_bytes() == b"earlier report\n"
         # Once the report is complete it replaces the target, with the mode
-        # of a file newly opened for writing.
+        # the target had, or that of a file newly opened for writing.
+        fresh = tmp_path / "fresh"
+        fresh.write_bytes(b"")
+        mode = target.stat().st_mode if existing else fresh.stat().st_mode
         assert main(["decompose", path, "-o", str(target)]) == 0
         assert os.listdir(out) == ["report.json"]
         assert json.loads(target.read_text())["command"] == "decompose"
-        umask = os.umask(0)
-        os.umask(umask)
-        assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert target.stat().st_mode == mode
+
+    def test_a_report_through_a_symlink_keeps_the_link_and_the_file_mode(self, matrix_file,
+                                                                         tmp_path):
+        path, _ = matrix_file
+        out = tmp_path / "out"
+        out.mkdir()
+        private = out / "private.json"
+        private.write_bytes(b"earlier report\n")
+        private.chmod(0o600)
+        link = out / "link.json"
+        link.symlink_to(private)
+        assert main(["decompose", path, "-o", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(private)
+        assert private.stat().st_mode & 0o777 == 0o600
+        assert json.loads(private.read_text())["command"] == "decompose"
+        assert sorted(os.listdir(out)) == ["link.json", "private.json"]
+
+    def test_a_hard_linked_target_is_written_through(self, matrix_file, tmp_path):
+        path, _ = matrix_file
+        target, other = tmp_path / "report.json", tmp_path / "other.json"
+        target.write_bytes(b"earlier report\n")
+        os.link(target, other)
+        assert main(["decompose", path, "-o", str(target)]) == 0
+        assert os.path.samefile(target, other)
+        assert json.loads(other.read_text())["command"] == "decompose"
+
+    def test_a_device_target_is_written_through(self, matrix_file, monkeypatch):
+        path, _ = matrix_file
+
+        def replace(source, target):  # here it would take the device's place
+            raise AssertionError(f"{target!r} replaced")
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert main(["decompose", path, "-o", os.devnull]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
     def test_non_unitary_exit_code(self, tmp_path, capsys):
         path = str(tmp_path / "bad.json")

@@ -102,4 +102,31 @@ for file in matrix_windows matrix_windows_crlf; do
   gaugephase decompose "$file.json" > "${file}_decompose.json"
 done
 cmp matrix_windows_decompose.json matrix_windows_crlf_decompose.json
+
+# Refused files, read once: a bad last frame after many windows of text,
+# 'n' = 0 after a matrix's entries, and a leading byte order mark.  Each
+# exits 2, with nothing on stdout and the error's text on stderr.
+python - <<'EOF'
+text = open("windows.json").read()
+cut = text.index('"grid"')
+for _ in range(3):  # the ']' of the frames, of the last frame, of its last pair
+    cut = text.rindex("]", 0, cut)
+open("bad_last_frame.json", "w").write(text[:cut] + ", 0.0" + text[cut:])
+with open("bom.json", "w", encoding="utf-8-sig") as fh:
+    fh.write(text)
+matrix = open("matrix_windows.json").read()
+open("matrix_n0.json", "w").write(matrix.replace('"n": 300', '"n": 0'))
+EOF
+refused() {  # the text stderr must hold, then the command
+  local expected="$1" status=0
+  shift
+  "$@" > refused.out 2> refused.err || status=$?
+  test "$status" -eq 2
+  test ! -s refused.out
+  grep -qF -- "$expected" refused.err
+}
+refused "bad_last_frame.json' frame 2999: expected 16 [re, im] pairs" \
+  gaugephase offdiag bad_last_frame.json
+refused "matrix_n0.json': 'n' must be a positive integer, got 0" gaugephase decompose matrix_n0.json
+refused "bom.json' is not valid JSON: Unexpected UTF-8 BOM" gaugephase phases bom.json
 echo "check_cli: all checks passed"

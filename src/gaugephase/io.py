@@ -26,12 +26,22 @@ run, and every ``_FRAME_BLOCK`` frames, go through one flat pair
 conversion (``_pairs_to_complex``: one ``np.fromiter`` over the chained
 pairs, one finite check, and a complex view of the same memory, which
 keeps every bit of both parts, signed zeros too) before the next is
-decoded, so at most one run or block of pairs is alive at a time.  A
-document the walk does not accept is judged whole, by ``json.loads`` and
-the checks of a one-tree reader, so that a rejected file gets the same
-``FileFormatError`` whichever defect comes first, and an evolution's names
-the first bad frame: that path is all that reads a file's text whole
-(``_read_text``).  Readers run with the cyclic garbage collector paused
+decoded, so at most one run or block of pairs is alive at a time.
+
+The walk is the only reader of a JSON object, and it refuses nothing that
+``json.loads`` reads as one.  A block reader notes defects instead of
+raising (``_Items``): the pair count of each item (the entries of a matrix
+are one item, each frame of an evolution is one), and the first defect, as
+``_pairs_to_complex`` ranks them.  One function per kind of file,
+``_matrix`` or ``_evolution``, then judges the walked document and raises
+every grammar ``FileFormatError``, in the order and with the text of a
+reader that holds the document whole: the object and its keys, 'n', the
+grid, the frame count, then the first bad frame (for a matrix, the entries'
+first defect of the earliest kind).  A number written as a string, which
+numpy would convert, is refused last.  Only text that is not a JSON object
+is read again whole, for json's own error or for the value that is not an
+object; a character at fault that the window holds is refused without a
+refill (``_Refused``).  Readers run with the cyclic garbage collector paused
 (``_gc_paused``), since each [re, im] list would count towards its next
 pass over objects that cannot form a cycle.
 
@@ -82,6 +92,7 @@ _LOOKAHEAD = 2  # characters a token must leave before the window's end to be ta
 _WS = json.decoder.WHITESPACE.match
 _AFTER = re.compile(r"[ \t\n\r]*([,\]}])[ \t\n\r]*").match  # what follows a JSON item
 _DECODER = json.JSONDecoder()
+_QUOTED = "a number is written as a string"  # which numpy would read as the number
 
 
 class FileFormatError(ValueError):
@@ -110,15 +121,6 @@ def _gc_paused():
             gc.enable()
 
 
-def _read_text(path: str) -> str:
-    """The whole text of ``path``, for a document the walk refuses."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as err:
-        raise FileFormatError(f"cannot read {path!r}: {err}") from err
-
-
 def _parse_json(text: str, path: str) -> Any:
     try:
         return json.loads(text)
@@ -126,21 +128,71 @@ def _parse_json(text: str, path: str) -> Any:
         raise FileFormatError(f"{path!r} is not valid JSON: {err}") from err
 
 
-def _pairs_to_complex(pairs, count: int, what: str) -> np.ndarray:
-    """A list of ``count`` [re, im] lists -> a flat complex array."""
-    if (not isinstance(pairs, list) or len(pairs) != count
-            or set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}):
-        raise FileFormatError(f"{what}: expected {count} [re, im] pairs")
+def _pairs_to_complex(pairs: Any) -> tuple[np.ndarray | None, tuple[int, str] | None]:
+    """A list of [re, im] lists -> (a flat complex array, None), or (None,
+    its first defect as (kind, detail)), the kinds ranked as found: 0, not
+    [re, im] lists; 1, a member that is not a number; 2, one not finite."""
+    if (not isinstance(pairs, list)
+            or set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}):
+        return None, (0, "")
     try:
-        flat = np.fromiter(chain.from_iterable(pairs), np.float64, count=2 * count)
+        flat = np.fromiter(chain.from_iterable(pairs), np.float64, count=2 * len(pairs))
     except (TypeError, ValueError, OverflowError) as err:
-        raise FileFormatError(f"{what}: malformed pairs: {err}") from err
+        return None, (1, str(err))
     if not np.isfinite(flat).all():
-        raise FileFormatError(f"{what}: non-finite entries")
-    return flat.view(np.complex128)
+        return None, (2, "")
+    return flat.view(np.complex128), None
 
 
-def _size(doc: dict, path: str) -> int:
+class _Items:
+    """A JSON array of items of [re, im] pairs as its block reader leaves it
+    (a matrix's entries are one item, an evolution's frames one item each):
+    the flat complex blocks converted before the first defect, each item's
+    pair count (-1: not a list), the first defect as (item, kind, detail),
+    and the first item whose text holds a '"': in an item with no defect,
+    only a number written as a string puts it there."""
+
+    def __init__(self, counts: list[int]):
+        self.arrays, self.counts, self.defect, self.quoted = [], counts, None, None
+
+    def add(self, first: int, block: list) -> None:
+        """Convert ``block``, the items from ``first`` on (or a run of the item
+        ``first``), as one flat array, unless the defect noted outranks any
+        it may hold; a block that fails is judged again item by item."""
+        if self.defect is not None and (self.defect[0] < first or self.defect[1] == 0):
+            return
+        flat, defect = _pairs_to_complex(
+            list(chain.from_iterable(block)) if set(map(type, block)) == {list} else None)
+        if defect is None:
+            self.arrays.append(flat)
+        elif len(block) > 1:
+            for item, pairs in enumerate(block, first):
+                self.add(item, [pairs])
+        elif self.defect is None or (first, defect[0]) < self.defect[:2]:
+            self.defect = (first, *defect)
+
+    def checked(self, count: int, name) -> np.ndarray:
+        """The flat complex entries, if each item holds ``count`` pairs and
+        none has a defect; else the FileFormatError of the first defect, a
+        wrong count counting as kind 0, its item named by ``name(item)``.
+        A number written as a string is refused last, after every defect
+        a reader that converts it would find."""
+        bad = next(((i, 0, "") for i, c in enumerate(self.counts) if c != count), None)
+        if bad or self.defect:
+            item, kind, detail = min(d for d in (bad, self.defect) if d)
+            raise FileFormatError(f"{name(item)}: " + (
+                f"expected {count} [re, im] pairs", f"malformed pairs: {detail}",
+                "non-finite entries")[kind])
+        if self.quoted is not None:
+            raise FileFormatError(f"{name(self.quoted)}: {_QUOTED}")
+        return np.concatenate(self.arrays)
+
+
+def _size(doc: Any, path: str, keys: tuple[str, ...]) -> int:
+    """'n' of an object that holds ``keys``, the first of which is 'n'."""
+    if not isinstance(doc, dict) or any(key not in doc for key in keys):
+        names = ", ".join(map(repr, keys[:-1])) + f" and {keys[-1]!r}"
+        raise FileFormatError(f"{path!r}: expected an object with {names}")
     n = doc["n"]
     if type(n) is not int or n < 1:  # a bool is not a size
         raise FileFormatError(f"{path!r}: 'n' must be a positive integer, got {n!r}")
@@ -153,7 +205,7 @@ def load_matrix(path: str) -> np.ndarray:
     Grammar errors raise FileFormatError; whether the matrix is actually
     unitary is the caller's check, at the caller's tolerance.
     """
-    return _loaded(path, _walked_matrix, _matrix_from_tree)
+    return _loaded(path, "entries", _pair_runs, _matrix)
 
 
 def save_matrix(path: str, matrix: np.ndarray) -> None:
@@ -165,86 +217,65 @@ def save_matrix(path: str, matrix: np.ndarray) -> None:
 
 def load_evolution(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Parse an evolution file into (grid, frames) raw arrays."""
-    return _loaded(path, _walked_evolution, _evolution_from_tree)
+    return _loaded(path, "frames", _frame_blocks, _evolution)
 
 
 @_gc_paused()
-def _loaded(path: str, walked, from_tree) -> Any:
-    """``walked(window, path)`` over the file, or, if the walk refuses it,
-    ``from_tree`` of the whole parsed document, for the one-tree reader's
-    error."""
+def _loaded(path: str, blocks: str, read_blocks, checked) -> Any:
+    """``checked(doc, path)`` of the document in ``path``, walked once with
+    the array under its key ``blocks`` read by ``read_blocks``; text that is
+    not a JSON object is parsed whole, for json's error or the non-object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return walked(_Window(fh), path)
-    except (OSError, ValueError):  # judged whole below
-        pass
-    return from_tree(_parse_json(_read_text(path), path), path)
+            try:
+                doc = _walked_object(_Window(fh), blocks, read_blocks)
+            except ValueError:  # read again whole below, once the window is freed
+                doc = None
+            if doc is None:
+                fh.seek(0)
+                doc = _parse_json(fh.read(), path)
+    except OSError as err:
+        raise FileFormatError(f"cannot read {path!r}: {err}") from err
+    return checked(doc, path)
 
 
-def _matrix_size(doc: Any, path: str) -> int:
-    """The checks of a matrix document before its entries: n."""
-    if not isinstance(doc, dict) or "n" not in doc or "entries" not in doc:
-        raise FileFormatError(f"{path!r}: expected an object with 'n' and 'entries'")
-    return _size(doc, path)
+def _matrix(doc: Any, path: str) -> np.ndarray:
+    """The matrix of a walked document, or its first grammar error."""
+    n, entries = _size(doc, path, ("n", "entries")), doc["entries"]
+    entries = entries if isinstance(entries, _Items) else _Items([-1])  # -1: not an array
+    return entries.checked(n * n, lambda item: f"{path!r} entries").reshape(n, n)
 
 
-def _matrix_from_tree(doc: Any, path: str) -> np.ndarray:
-    """A matrix from its whole parsed document."""
-    n = _matrix_size(doc, path)
-    return _pairs_to_complex(doc["entries"], n * n, f"{path!r} entries").reshape(n, n)
-
-
-def _walked_matrix(window: _Window, path: str) -> np.ndarray:
-    """A matrix read by walking ``window``, its entries converted a run of
-    pairs at a time; any ValueError means "judge the document whole"."""
-    doc = _walked_object(window, "entries", _pair_runs)
-    n = _matrix_size(doc, path)
-    runs = doc["entries"]
-    if sum(map(len, runs)) != n * n:
-        raise ValueError("entries do not fit 'n'")
-    return np.concatenate(runs).reshape(n, n)
-
-
-def _evolution_header(doc: Any, path: str) -> tuple[int, np.ndarray]:
-    """The checks of an evolution document before its frames: n and grid."""
-    if (not isinstance(doc, dict)
-            or any(key not in doc for key in ("n", "grid", "frames"))):
-        raise FileFormatError(
-            f"{path!r}: expected an object with 'n', 'grid' and 'frames'"
-        )
-    n = _size(doc, path)
+def _evolution(doc: Any, path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The grid and frames of a walked document, or its first grammar
+    error; for a frame, the first bad frame's."""
+    n = _size(doc, path, ("n", "grid", "frames"))
     try:
         grid = np.asarray(doc["grid"], dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as err:
         raise FileFormatError(f"{path!r}: 'grid' must be a list of finite reals: {err}") from err
     if grid.ndim != 1 or grid.size < 1 or not np.all(np.isfinite(grid)):
         raise FileFormatError(f"{path!r}: 'grid' must be a non-empty list of finite reals")
-    return n, grid
+    frames = doc["frames"]
+    got = len(frames.counts) if isinstance(frames, _Items) else type(frames)
+    if got != grid.size:
+        raise FileFormatError(f"{path!r}: expected {grid.size} frames, got {got}")
+    entries = frames.checked(n * n, lambda item: f"{path!r} frame {item}")
+    if str in set(map(type, doc["grid"])):
+        raise FileFormatError(f"{path!r} grid: {_QUOTED}")
+    return grid, entries.reshape(grid.size, n, n)
 
 
-def _evolution_from_tree(doc: Any, path: str) -> tuple[np.ndarray, np.ndarray]:
-    """An evolution from its whole parsed document, frame by frame, so that
-    the error names the first bad frame."""
-    n, grid = _evolution_header(doc, path)
-    raw = doc["frames"]
-    if not isinstance(raw, list) or len(raw) != grid.size:
-        raise FileFormatError(
-            f"{path!r}: expected {grid.size} frames, got {len(raw) if isinstance(raw, list) else type(raw)}"
-        )
-    frames = [_pairs_to_complex(entry, n * n, f"{path!r} frame {i}")
-              for i, entry in enumerate(raw)]
-    return grid, np.array(frames).reshape(grid.size, n, n)
+class _Refused(ValueError):
+    """Text no refill can mend: the character at fault, and the lookahead
+    past it, are in the window."""
 
 
-def _walked_evolution(window: _Window, path: str) -> tuple[np.ndarray, np.ndarray]:
-    """An evolution read by walking ``window``, with its frames converted a
-    block at a time; any ValueError means "judge the document whole"."""
-    doc = _walked_object(window, "frames", _frame_blocks)
-    n, grid = _evolution_header(doc, path)
-    blocks = doc["frames"]
-    if sum(map(len, blocks)) != grid.size or {b.shape[1] for b in blocks} != {n * n}:
-        raise ValueError("frames do not fit 'n' and 'grid'")
-    return grid, np.concatenate(blocks).reshape(grid.size, n, n)
+def _refused(text: str, idx: int, expected: str) -> ValueError:
+    """The error for ``expected`` missing at ``idx``: ``_Refused`` where the
+    window holds what is there, else one that a refill may mend."""
+    final = idx + _LOOKAHEAD < len(text)
+    return (_Refused if final else ValueError)(f"expected {expected} at {idx}")
 
 
 class _Window:
@@ -256,7 +287,9 @@ class _Window:
     by the edge, so before the end of the file it is read again after a
     refill that drops the consumed text and at least doubles what is left.
     Two characters of lookahead are what json's number scanner needs: on
-    "1.5e+" it would stop at "1.5" where "1.5e+7" goes on.
+    "1.5e+" it would stop at "1.5" where "1.5e+7" goes on.  A wrong
+    character the window holds with that lookahead (``_Refused``) is no
+    cut token, and is refused at once, before any refill.
     """
 
     __slots__ = ("fh", "text", "idx", "eof")
@@ -281,8 +314,8 @@ class _Window:
         while True:
             try:
                 value, end = read(self.text, self.idx, *args)
-            except ValueError:
-                if self.eof:
+            except ValueError as err:
+                if self.eof or isinstance(err, _Refused):
                     raise
             else:
                 if self.eof or end + _LOOKAHEAD < len(self.text):
@@ -292,103 +325,112 @@ class _Window:
 
 
 def _walked_object(window: _Window, blocks: str, read_blocks) -> dict:
-    """The top-level JSON object in ``window``, the value of its key
+    """The top-level JSON object in ``window``, an array under its key
     ``blocks`` as ``read_blocks(window)`` reads it and every other value as
     json decodes it, the last of duplicate keys winning.  Raises ValueError
     on any text ``json.loads`` would not read as an object."""
-    window.take(_opening, "{")
-    doc = {}
-    while True:  # an empty object is refused: it holds no matrix or evolution
+    doc, closed = {}, window.take(_opening, "{")
+    while not closed:
         key = window.take(_key)
-        doc[key] = read_blocks(window) if key == blocks else window.take(_value)
-        if window.take(_after_item, "}"):
-            break
+        doc[key] = (read_blocks(window) if key == blocks and window.text.startswith("[", window.idx)
+                    else window.take(_value))
+        closed = window.take(_after_item, "}")
     if window.idx != len(window.text):
         raise ValueError("extra data")
     return doc
 
 
-def _pair_runs(window: _Window) -> list[np.ndarray]:
-    """The JSON array of [re, im] pairs in ``window`` as flat complex runs,
-    each converted before the next one is decoded.  Before each run the
+def _pair_runs(window: _Window) -> _Items:
+    """The JSON array of [re, im] pairs in ``window`` as one item, converted
+    a run at a time before the next run is decoded.  Before each run the
     window is refilled if it holds fewer than two runs' length of text."""
-    window.take(_opening, "[")
-    runs = []
-    while True:
+    entries = _Items([0])
+    last = window.take(_opening, "[")
+    while not last:
         if len(window.text) - window.idx < 2 * _PAIR_RUN and not window.eof:
             window.fill(2 * _PAIR_RUN)
-        pairs, last = window.take(_pair_run)
-        if runs and not pairs:  # a ',' before the array's ']'
+        pairs, last, quoted = window.take(_pair_run)
+        if entries.counts[0] and not pairs:  # a ',' before the array's ']'
             raise ValueError("trailing ',' in entries")
-        runs.append(_pairs_to_complex(pairs, len(pairs), "entries"))
-        if last:
-            return runs
+        if quoted:
+            entries.quoted = 0
+        entries.counts[0] += len(pairs)
+        entries.add(0, [pairs])
+    return entries
 
 
-def _pair_run(text: str, idx: int) -> tuple[tuple[list, bool], int]:
-    """The pairs at ``idx`` up to the last ']' within ``_PAIR_RUN``
-    characters (or the first one beyond), decoded as one array, and whether
-    the array of pairs closed there; then the index past it, or past the
-    ',' that follows the run."""
+def _pair_run(text: str, idx: int) -> tuple[tuple[list, bool, bool], int]:
+    """The items at ``idx`` up to the last ']' within ``_PAIR_RUN``
+    characters (or the first one beyond), decoded as one array, whether
+    the array of pairs closed there, and whether their text holds a '"';
+    then the index past it, or past the ',' that follows the run."""
     cut = text.rfind("]", idx, idx + _PAIR_RUN)
     if cut < 0:
         cut = text.find("]", idx + _PAIR_RUN)
     if cut < 0:
         raise ValueError(f"no ']' after {idx}")
     run = "[" + text[idx:cut + 1] + "]"
-    pairs, end = _DECODER.raw_decode(run)
+    try:
+        pairs, end = _DECODER.raw_decode(run)
+    except ValueError:  # that ']' is nested deeper, or in a string: one item
+        (item, _, quoted, last), after = _item(text, idx)
+        return ([item], last, quoted), after
+    quoted = run.find('"', 0, end) >= 0
     if end < len(run):  # the ']' closes the array itself, at idx + end - 2
-        return (pairs, True), idx + end - 1
+        return (pairs, True, quoted), idx + end - 1
     last, after = _after_item(text, cut + 1, "]")
-    return (pairs, last), after
+    return (pairs, last, quoted), after
 
 
-def _frame_blocks(window: _Window) -> list[np.ndarray]:
-    """The JSON array of frames in ``window`` as (k, pairs) complex blocks
-    of at most ``_FRAME_BLOCK`` frames.  Each block is converted before the
-    next one is decoded; a block whose frames are not lists of one length
-    of [re, im] pairs raises ValueError.
+def _frame_blocks(window: _Window) -> _Items:
+    """The JSON array of frames in ``window``, one item each, converted a
+    block of at most ``_FRAME_BLOCK`` frames at a time before the next block
+    is decoded; after the first bad frame, frames are only counted.
 
     Before each frame the window is refilled if fewer than ``margin``
     characters are left: twice the longest frame so far, and at least
     ``_MARGIN``.  So a frame is not cut by the window's edge, where its
     decode would fail and be taken again."""
-    window.take(_opening, "[")
-    blocks, block, margin = [], [], _MARGIN
-    while True:  # an empty array is refused: an evolution has frames
+    frames, block, margin = _Items([]), [], _MARGIN
+    last = window.take(_opening, "[")
+    while not last:
         if len(window.text) - window.idx < margin and not window.eof:
             window.fill(margin)
-        frame, length, last = window.take(_frame)
+        frame, length, quoted, last = window.take(_item)
+        if quoted and frames.quoted is None:
+            frames.quoted = len(frames.counts)
+        frames.counts.append(len(frame) if type(frame) is list else -1)
         block.append(frame)
         margin = max(margin, 2 * length)
         if last or len(block) == _FRAME_BLOCK:
-            if set(map(type, block)) != {list} or len(set(map(len, block))) != 1:
-                raise ValueError("frames of unequal size")
-            pairs = list(chain.from_iterable(block))
-            blocks.append(_pairs_to_complex(pairs, len(pairs), "frames")
-                          .reshape(len(block), -1))
+            frames.add(len(frames.counts) - len(block), block)
             block = []
-        if last:
-            return blocks
+    return frames
 
 
-def _frame(text: str, idx: int) -> tuple[tuple[Any, int, bool], int]:
-    """The frame at ``idx``, its length, and whether the ']' that closes
-    the frames follows it; then the index past that ',' or ']'."""
-    frame, end = _DECODER.raw_decode(text, idx)
+def _item(text: str, idx: int) -> tuple[tuple[Any, int, bool, bool], int]:
+    """The array item at ``idx``, its length, whether its text holds a '"',
+    and whether the ']' that closes the array follows it; then the index
+    past that ',' or ']'."""
+    item, end = _DECODER.raw_decode(text, idx)
     last, after = _after_item(text, end, "]")
-    return (frame, end - idx, last), after
+    return (item, end - idx, text.find('"', idx, end) >= 0, last), after
 
 
-def _opening(text: str, idx: int, token: str) -> tuple[None, int]:
-    """``token`` at ``idx``, with the whitespace around it."""
-    return None, _WS(text, _expect(text, _WS(text, idx).end(), token)).end()
+def _opening(text: str, idx: int, token: str) -> tuple[bool, int]:
+    """``token`` at ``idx``, with the whitespace around it, and whether the
+    array or object it opens is closed at once (then past that too)."""
+    idx = _WS(text, _expect(text, _WS(text, idx).end(), token)).end()
+    closed = text.startswith("]" if token == "[" else "}", idx)
+    return closed, _WS(text, idx + closed).end()
 
 
 def _key(text: str, idx: int) -> tuple[str, int]:
     """A member's key at ``idx``, with the ':' and whitespace after it."""
-    if text[idx:idx + 1] != '"' or text.find('"', idx + 1) < 0:
-        raise ValueError(f"expected a key at {idx}")
+    if text[idx:idx + 1] != '"':
+        raise _refused(text, idx, "a key")
+    if text.find('"', idx + 1) < 0:
+        raise ValueError(f"no end of the key at {idx}")
     key, idx = json.decoder.scanstring(text, idx + 1)
     return key, _WS(text, _expect(text, _WS(text, idx).end(), ":")).end()
 
@@ -410,14 +452,14 @@ def _after_item(text: str, idx: int, close: str) -> tuple[bool, int]:
     around it."""
     after = _AFTER(text, idx)
     if after is None or after[1] not in (",", close):
-        raise ValueError(f"expected ',' or {close!r} at {idx}")
+        raise _refused(text, _WS(text, idx).end(), f"',' or {close!r}")
     return after[1] == close, after.end()
 
 
 def _expect(text: str, idx: int, token: str) -> int:
     """The index past ``token``, which must stand at ``idx``."""
     if text[idx:idx + 1] != token:
-        raise ValueError(f"expected {token!r} at {idx}")
+        raise _refused(text, idx, repr(token))
     return idx + 1
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -226,3 +227,99 @@ def matrix_by_loops(path: str) -> np.ndarray:
         doc = json.load(fh)
     n = doc["n"]
     return np.array([complex(re, im) for re, im in doc["entries"]]).reshape(n, n)
+
+
+class _Refusal(Exception):
+    """A grammar error of the one-tree reader below."""
+
+
+def _one_tree(path: str, judge):
+    """``judge(doc, path)`` of the file parsed whole by ``json.loads``, or
+    the text of the first error: the file cannot be read, is not JSON, or
+    breaks the grammar."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as err:
+        return f"cannot read {path!r}: {err}"
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as err:
+        return f"{path!r} is not valid JSON: {err}"
+    try:
+        return judge(doc, path)
+    except _Refusal as err:
+        return str(err)
+
+
+def _size(doc: dict, path: str) -> int:
+    n = doc["n"]
+    if type(n) is not int or n < 1:
+        raise _Refusal(f"{path!r}: 'n' must be a positive integer, got {n!r}")
+    return n
+
+
+def _pairs(pairs, count: int, what: str) -> np.ndarray:
+    """``count`` [re, im] lists as one flat complex array, judged as a whole:
+    their shape first, then every member as a number, then every member as
+    finite."""
+    if (not isinstance(pairs, list) or len(pairs) != count
+            or set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}):
+        raise _Refusal(f"{what}: expected {count} [re, im] pairs")
+    try:
+        flat = np.fromiter(chain.from_iterable(pairs), np.float64, count=2 * count)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise _Refusal(f"{what}: malformed pairs: {err}") from err
+    if not np.isfinite(flat).all():
+        raise _Refusal(f"{what}: non-finite entries")
+    return flat.view(np.complex128)
+
+
+def _matrix_tree(doc, path: str) -> np.ndarray:
+    if not isinstance(doc, dict) or "n" not in doc or "entries" not in doc:
+        raise _Refusal(f"{path!r}: expected an object with 'n' and 'entries'")
+    n = _size(doc, path)
+    return _pairs(doc["entries"], n * n, f"{path!r} entries").reshape(n, n)
+
+
+def _evolution_tree(doc, path: str) -> tuple[np.ndarray, np.ndarray]:
+    if not isinstance(doc, dict) or any(key not in doc for key in ("n", "grid", "frames")):
+        raise _Refusal(f"{path!r}: expected an object with 'n', 'grid' and 'frames'")
+    n = _size(doc, path)
+    try:
+        grid = np.asarray(doc["grid"], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise _Refusal(f"{path!r}: 'grid' must be a list of finite reals: {err}") from err
+    if grid.ndim != 1 or grid.size < 1 or not np.all(np.isfinite(grid)):
+        raise _Refusal(f"{path!r}: 'grid' must be a non-empty list of finite reals")
+    raw = doc["frames"]
+    if not isinstance(raw, list) or len(raw) != grid.size:
+        got = len(raw) if isinstance(raw, list) else type(raw)
+        raise _Refusal(f"{path!r}: expected {grid.size} frames, got {got}")
+    frames = [_pairs(frame, n * n, f"{path!r} frame {i}") for i, frame in enumerate(raw)]
+    return grid, np.array(frames).reshape(grid.size, n, n)
+
+
+def matrix_by_one_tree(path: str):
+    """A matrix file parsed whole by ``json.loads`` and judged as one tree of
+    lists: the (n, n) complex array, or the text of the first error.
+
+    This is the grammar of a reader that holds the whole document: the
+    object and its keys, then 'n', then the entries as a whole (their
+    shape, then numbers, then finite values).  Numbers written as strings
+    pass, as ``np.fromiter`` converts them.
+    """
+    return _one_tree(path, _matrix_tree)
+
+
+def evolution_by_one_tree(path: str):
+    """An evolution file parsed whole by ``json.loads`` and judged as one
+    tree of lists: (grid, frames), or the text of the first error.
+
+    The checks run in the order: the object and its keys, 'n', 'grid', the
+    number of frames, then frame by frame, each judged as
+    ``matrix_by_one_tree`` judges entries, so that the error names the
+    first bad frame.  Numbers written as strings pass, as numpy converts
+    them.
+    """
+    return _one_tree(path, _evolution_tree)

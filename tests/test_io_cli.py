@@ -5,9 +5,11 @@ import io as _stdio
 import json
 import math
 import os
+import random
 import re
 import stat
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -31,7 +33,8 @@ from gaugephase.cli import main
 from gaugephase import io as io_module
 from gaugephase.io import _BLOCK, _FRAME_BLOCK
 from gaugephase.verification import SUITES, run_suite
-from oracles import evolution_by_loops, matrix_by_loops
+from oracles import (evolution_by_loops, evolution_by_one_tree, matrix_by_loops,
+                     matrix_by_one_tree)
 
 
 class TestFileGrammar:
@@ -411,7 +414,7 @@ def decode_errors(monkeypatch):
 
 
 def _parsed_whole(text, where):
-    raise AssertionError("an accepted document was parsed whole")
+    raise AssertionError("a JSON object was parsed whole")
 
 
 def test_evolution_files_are_read_and_written_a_block_of_frames_at_a_time(tmp_path):
@@ -452,9 +455,9 @@ def _pair_run_sizes(monkeypatch) -> list[int]:
     sizes = []
     convert = io_module._pairs_to_complex
 
-    def counted(pairs, count, what):
+    def counted(pairs):
         sizes.append(len(pairs))
-        return convert(pairs, count, what)
+        return convert(pairs)
 
     monkeypatch.setattr(io_module, "_pairs_to_complex", counted)
     return sizes
@@ -524,16 +527,16 @@ class TestMatrixReader:
         path = str(tmp_path / "doc.json")
         with open(path, "w") as fh:
             fh.write(text)
-        with pytest.raises(FileFormatError) as whole:  # the one-tree reader
-            io_module._matrix_from_tree(io_module._parse_json(text, path), path)
+        whole = matrix_by_one_tree(path)
+        assert isinstance(whole, str)
         if pair_run is not None:
             monkeypatch.setattr(io_module, "_PAIR_RUN", pair_run)
         for chunk in (None, 7):
             _windowed(monkeypatch, chunk)
             with pytest.raises(FileFormatError) as walked:
                 load_matrix(path)
-            assert str(walked.value) == str(whole.value)
-            assert f"{path!r}" in str(walked.value)
+            assert str(walked.value) == whole
+            assert f"{path!r}" in whole
 
     @pytest.mark.parametrize("n, chunk", [(256, None), *((2, chunk) for chunk in range(1, 48))])
     def test_a_written_matrix_is_read_with_no_decode_error(self, n, chunk, tmp_path, monkeypatch,
@@ -575,6 +578,174 @@ def test_matrix_files_are_read_and_written_a_run_of_pairs_at_a_time(tmp_path):
     assert np.array_equal(loaded, matrix)
     assert save_peak < matrix.nbytes
     assert load_peak < 3 * matrix.nbytes + 4 * io_module._CHUNK
+
+
+def test_a_refused_evolution_is_read_a_block_of_frames_at_a_time(tmp_path):
+    # The shape and load bound of the test above, for files refused by
+    # their grammar: a bad last frame, and 'n' = 0 after the frames.  Such a
+    # file is walked once, as an accepted one is, and never read whole.
+    rng = np.random.default_rng(8)
+    frames = rng.standard_normal((2000, 8, 8)) + 1j * rng.standard_normal((2000, 8, 8))
+    path = str(tmp_path / "evolution.json")
+    save_evolution(path, np.linspace(0.0, 1.0, len(frames)), frames)
+    with open(path) as fh:
+        text = fh.read()
+    cut = text.index('"grid"')
+    for _ in range(3):  # the ']' of the frames, of the last frame, of its last pair
+        cut = text.rindex("]", 0, cut)
+    refused = {"bad_last_frame": (text[:cut] + ", 0.0" + text[cut:], "frame 1999: expected 64"),
+               "n_zero": (text.replace('"n": 8', '"n": 0'), "'n' must be a positive integer")}
+    del text
+    for defect, (text, message) in refused.items():
+        with open(path, "w") as fh:
+            fh.write(text)
+        del text
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(FileFormatError, match=re.escape(message)):
+                load_evolution(path)
+            load_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert load_peak < 3 * frames.nbytes + 4 * io_module._CHUNK, defect
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\ufeff" + json.dumps(_evolution_doc(3, 200)),
+     "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ("{oops" + " " * 5 * 4096, "Expecting property name enclosed in double quotes: "
+                               "line 1 column 2 (char 1)"),
+    ('{"n": 1 ;' + " " * 5 * 4096, "Expecting ',' delimiter: line 1 column 9 (char 8)"),
+], ids=["byte_order_mark", "no_key", "no_comma"])
+def test_a_wrong_character_in_the_window_is_refused_at_once(text, message, tmp_path,
+                                                            monkeypatch):
+    # _expect, _key and _after_item refuse a character the window holds
+    # without refilling it to the end of the file; json's message stays.
+    monkeypatch.setattr(io_module, "_CHUNK", 4096)
+    path = str(tmp_path / "doc.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    assert os.path.getsize(path) > 3 * io_module._CHUNK
+    fills = []
+    fill = io_module._Window.fill
+
+    def counted(window, size):
+        fills.append(size)
+        fill(window, size)
+
+    monkeypatch.setattr(io_module._Window, "fill", counted)
+    with pytest.raises(FileFormatError, match=re.escape(f"{path!r} is not valid JSON: {message}")):
+        load_evolution(path)
+    assert len(fills) == 1  # the first window
+
+
+# Members that break the grammar, that pass the one-tree reader only as
+# numbers written as strings (numpy converts them), or that pass it as
+# numbers (a bool, a signed zero): each may land in any pair.
+DEFECT_MEMBERS = [{}, None, [], "abc", "0.5", "1e3", "x]y", math.inf, -math.inf, math.nan,
+                  10 ** 400, True, -0.0]
+
+
+def _with_defects(doc: dict, rng: random.Random) -> dict:
+    """``doc``, a matrix or an evolution, with up to three of its members
+    gone wrong, then up to two defects in a pair, a frame, the grid, 'n'
+    or a key."""
+    blocks = "frames" if "frames" in doc else "entries"
+    for _ in range(rng.randrange(4)):
+        pairs = doc[blocks] if blocks == "entries" else rng.choice(doc[blocks])
+        rng.choice(pairs)[rng.randrange(2)] = rng.choice(DEFECT_MEMBERS)
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        items, roll = doc.get(blocks), rng.randrange(7)
+        if roll < 2 and isinstance(items, list) and items:
+            pairs = items if blocks == "entries" else rng.choice(items)
+            k = rng.randrange(len(pairs)) if isinstance(pairs, list) and pairs else None
+            if k is None:
+                continue
+            if roll == 0:
+                pairs[k] = rng.choice([[1.0], [1.0, 2.0, 3.0], 1.0, "pair", {}])
+            elif rng.random() < 0.5:
+                pairs.pop(k)
+            else:
+                pairs.append([0.5, -0.5])
+        elif roll == 2 and blocks == "frames" and isinstance(items, list) and items:
+            k = rng.randrange(len(items))
+            [lambda: items.pop(k), lambda: items.append(items[k]),
+             lambda: items.__setitem__(k, rng.choice([1.0, {}, [], [[1.0, 2.0, 3.0]]]))
+             ][rng.randrange(3)]()
+        elif roll == 3:
+            doc["n"] = rng.choice([0, -1, True, "2", 1.5, None, 1, 2])
+        elif roll == 4 and isinstance(doc.get("grid"), list) and doc["grid"]:
+            grid = doc["grid"]
+            grid[rng.randrange(len(grid))] = rng.choice(["0.5", "s", math.inf, None, [1.0]])
+        elif roll == 5:
+            doc.pop(rng.choice(["n", blocks, "grid"]), None)
+        else:
+            doc[blocks] = rng.choice([{}, 3, "x", None, [], [[]]])
+    return doc
+
+
+def _quoted_error(tree: dict, kind: str, path: str) -> str | None:
+    """The error for the first number written as a string in ``tree``, a
+    document the one-tree reader accepts: in the entries, else in the first
+    such frame, else in the grid."""
+    if kind == "matrix":
+        places = [("entries", tree["entries"])]
+    else:
+        places = [*((f"frame {i}", frame) for i, frame in enumerate(tree["frames"])),
+                  ("grid", [tree["grid"]])]
+    for name, pairs in places:
+        if str in set(map(type, chain.from_iterable(pairs))):
+            return f"{path!r} {name}: a number is written as a string"
+    return None
+
+
+def test_the_walk_gives_the_one_tree_readers_arrays_and_errors(tmp_path, monkeypatch):
+    # Seeded documents with several defects at once, in every layout, read
+    # through windows and runs of every size: the walk gives the one-tree
+    # reader's arrays bit for bit, or its error text, except that a number
+    # written as a string is refused.  A JSON object is never parsed whole.
+    rng = random.Random(17)
+    layouts = ["plain", "compact", "keys_reordered", "extra_keys", "duplicate_frames", "crlf",
+               "wide_whitespace"]
+    path = str(tmp_path / "doc.json")
+    parse_json = io_module._parse_json
+    for case in range(600):
+        kind = ("matrix", "evolution")[case % 2]
+        n = rng.choice([1, 2, 3, 5])
+        base = _matrix_doc(n) if kind == "matrix" else _evolution_doc(n, rng.choice([1, 3, 70]))
+        text = _laid_out(_with_defects(base, rng), rng.choice(layouts))
+        roll = rng.randrange(20)
+        if roll == 0:  # text that is not a JSON object
+            text = rng.choice(["\ufeff" + text, text[:rng.randrange(len(text))], f"[{text}]"])
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        try:
+            tree = json.loads(text)
+        except ValueError:
+            tree = None
+        monkeypatch.setattr(io_module, "_parse_json",
+                            _parsed_whole if isinstance(tree, dict) else parse_json)
+        monkeypatch.setattr(io_module, "_CHUNK", rng.choice(CHUNKS) or 2 ** 20)
+        monkeypatch.setattr(io_module, "_PAIR_RUN", rng.choice([1, 30, 80_000]))
+        load, oracle = ((load_matrix, matrix_by_one_tree) if kind == "matrix"
+                        else (load_evolution, evolution_by_one_tree))
+        expected = oracle(path)
+        if not isinstance(expected, str):
+            expected = _quoted_error(tree, kind, path) or expected
+        try:
+            got = load(path)
+        except FileFormatError as err:
+            got = str(err)
+        where = f"case {case}: {text[:200]!r}"
+        if isinstance(expected, str):
+            assert got == expected, where
+            continue
+        assert not isinstance(got, str), f"{where}: {got}"
+        for ours, theirs in zip(got if kind == "evolution" else [got],
+                                expected if kind == "evolution" else [expected]):
+            assert ours.shape == theirs.shape, where
+            assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64)), where
 
 
 def _dumped(doc) -> str:
@@ -867,7 +1038,13 @@ class TestCliDecompose:
     ("offdiag", {"n": 1, "grid": [0.0, 10 ** 400], "frames": [[[1.0, 0.0]], [[1.0, 0.0]]]},
      "'grid'"),
     ("phases", {"n": 1, "grid": [0.0, {}], "frames": [[[1.0, 0.0]], [[1.0, 0.0]]]}, "'grid'"),
-], ids=["huge_integer_entry", "huge_integer_frame", "huge_integer_grid", "dict_in_grid"])
+    ("decompose", {"n": 1, "entries": [["0.5", 0.0]]}, "entries: a number is written as a string"),
+    ("offdiag", {"n": 1, "grid": [0.0, 1.0], "frames": [[[1.0, 0.0]], [[0.0, "1e0"]]]},
+     "frame 1: a number is written as a string"),
+    ("phases", {"n": 1, "grid": [0.0, "0.5"], "frames": [[[1.0, 0.0]], [[1.0, 0.0]]]},
+     "grid: a number is written as a string"),
+], ids=["huge_integer_entry", "huge_integer_frame", "huge_integer_grid", "dict_in_grid",
+        "string_entry", "string_frame", "string_grid"])
 def test_unconvertible_numbers_exit_two(command, doc, message, tmp_path, capsys):
     assert main([command, _write_doc(tmp_path, doc)]) == 2
     captured = capsys.readouterr()

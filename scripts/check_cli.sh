@@ -53,17 +53,27 @@ for report in decompose phases offdiag; do
   cmp "${report}1.json" "${report}2.json"
 done
 
-# An evolution of three blocks of frames and one more, read and written a
-# block at a time: the file survives a load and a save.
+# An evolution of three blocks of frames and one more, which the reader
+# converts a block at a time and the writer writes a frame at a time from
+# its float rows: the file survives a load and a save, and it holds the
+# bytes the standard library's json.dump writes for the same nested lists.
 python - <<'EOF'
+import json
 from gaugephase import (frame_evolution_from_path, load_evolution,
                         random_hermitian_path, save_evolution)
 from gaugephase.io import _FRAME_BLOCK
 blocks = frame_evolution_from_path(random_hermitian_path(3, 11), 3 * _FRAME_BLOCK + 1)
 save_evolution("blocks.json", blocks.grid, blocks.frames)
 save_evolution("blocks_again.json", *load_evolution("blocks.json"))
+doc = {"frames": [[[z.real, z.imag] for z in frame.reshape(-1).tolist()]
+                  for frame in blocks.frames],
+       "grid": blocks.grid.tolist(), "n": 3}
+with open("blocks_stdlib.json", "w", encoding="utf-8") as fh:
+    json.dump(doc, fh, sort_keys=True, indent=2)
+    fh.write("\n")
 EOF
 cmp blocks.json blocks_again.json
+cmp blocks.json blocks_stdlib.json
 for run in 1 2; do
   gaugephase phases blocks.json > "blocks_phases$run.json"
   gaugephase offdiag blocks.json > "blocks_offdiag$run.json"

@@ -45,7 +45,8 @@ together from its level columns and chi and certifies it;
 ``_modulus_arrays`` and ``_phase_arrays`` read the invariants of a stack
 off the same per-level (k, m) column arrays.  ``decompose``,
 ``split_coset``, ``reconstruct``, ``modulus_invariants`` and
-``phase_invariant_list`` are their k = 1 case, wrapped in objects.
+``phase_invariant_list`` call these kernels themselves on a stack of one
+(k = 1) and wrap what they return in objects.
 
 Callers with many matrices of one size cut them with ``_stacks`` into
 stacks of at most ``_STACK_ENTRIES`` matrix entries.  The roundtrip
@@ -388,12 +389,6 @@ _STACK_ENTRIES = 1 << 14  # entries per stack: 256 kB per complex working array
 T = TypeVar("T")
 
 
-def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Same-shape arrays stacked on a new leading axis; a lone array is
-    viewed, not copied."""
-    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
-
-
 def _stacks(items: Iterable[T], dim: Callable[[T], int]) -> Iterator[list[T]]:
     """Consecutive lists of ``items``, each of at most ``_STACK_ENTRIES``
     matrix entries (one item at least); ``dim`` gives an item's size n."""
@@ -408,25 +403,6 @@ def _params(columns: Sequence[np.ndarray], chi: np.ndarray) -> list[CanonicalPar
     return [CanonicalParams(vectors=tuple(UnitVector._certified(zeta[i]) for zeta in columns),
                             chi=chi[i])
             for i in range(len(chi))]
-
-
-def _decompose_stack(matrices: Sequence[UnitaryMatrix],
-                     tol: Tolerances) -> list[CanonicalParams]:
-    """:func:`decompose` of each of k >= 1 same-size matrices, peeled as
-    one stack.  Raises the error of the first member that has one, as a
-    loop of :func:`decompose` calls would."""
-    peel, chi = _checked_peel(_stack([A.data for A in matrices]), tol)
-    return _params(peel.columns, chi)
-
-
-def _reconstruct_stack(params: Sequence[CanonicalParams],
-                       tol: Tolerances) -> list[UnitaryMatrix]:
-    """:func:`reconstruct` of each of k >= 1 same-dimension parameter sets,
-    rebuilt as one stack by :func:`_rebuild`."""
-    columns = [_stack([p.vectors[level].data for p in params])
-               for level in range(params[0].dim - 1)]
-    rebuilt, deviations = _rebuild(columns, np.array([p.chi for p in params]), tol)
-    return list(map(UnitaryMatrix._certified, rebuilt, deviations))
 
 
 def _judge(matrices: np.ndarray, deviations: np.ndarray, tol: Tolerances
@@ -497,7 +473,8 @@ def decompose(A: UnitaryMatrix, *,
         has modulus <= ``tol.tol_generic``.  ``level`` on the exception
         reports m.
     """
-    return _decompose_stack([A], tol)[0]
+    peel, chi = _checked_peel(A.data[None], tol)
+    return _params(peel.columns, chi)[0]
 
 
 def reconstruct(params: CanonicalParams, *,
@@ -513,7 +490,9 @@ def reconstruct(params: CanonicalParams, *,
     level's leading component is at or below ``tol.tol_generic``.  It is
     the one-matrix case of the stacked tower.
     """
-    return _reconstruct_stack([params], tol)[0]
+    columns = [v.data[None] for v in params.vectors]
+    rebuilt, deviations = _rebuild(columns, np.array([params.chi]), tol)
+    return UnitaryMatrix._certified(rebuilt[0], deviations[0])
 
 
 # ---------------------------------------------------------------------------

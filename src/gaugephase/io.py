@@ -47,13 +47,14 @@ pass over objects that cannot form a cycle.
 
 The writer is not ``json.dump``, which with an indent runs its pure-Python
 encoder and makes one write per token.  ``dump_report`` writes the same
-bytes, but joins each leaf list of floats or [re, im] pairs in bounded
-blocks, so no document is ever held whole as one string.  It also takes
-an ndarray, written as its ``tolist()`` one block of rows at a time; a
-float array of leaves or of pairs is joined from its flat floats, with no
-list per pair.  ``save_matrix`` hands it the entries as an (n*n, 2) float
-view and ``save_evolution`` the frames as an (N, n*n, 2) float array, so
-no list of the whole document is ever built.
+bytes, but joins each list of floats in bounded blocks, so no document is
+ever held whole as one string.  It writes an ndarray as its ``tolist()``:
+one of three or more axes a row at a time, as arrays, and a float array of
+leaves or of [re, im] pairs from its flat floats, with no list per pair.
+Every array the package writes is such a float view (``pair_rows``, the
+savers' entries, grid and frames); a list of [re, im] lists from outside
+goes item by item.  A saver refuses what its reader refuses before it
+opens the file, so a refused save leaves no file, and a target as it was.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ from typing import Any, IO
 
 import numpy as np
 
+from .core import DimensionMismatchError
+
 __all__ = [
     "FileFormatError",
     "load_matrix",
@@ -82,7 +85,7 @@ __all__ = [
 
 
 _BLOCK = 2048  # leaf-list items per join: bounds the text held at once
-_FRAME_BLOCK = 64  # frames (ndarray rows) per block: bounds the lists held at once
+_FRAME_BLOCK = 64  # frames the reader converts at once: bounds the lists held
 
 _CHUNK = 2 ** 20  # characters per read of a file: bounds the text held at once
 _PAIR_RUN = 80_000  # characters of [re, im] pairs decoded at once: bounds the lists held
@@ -103,14 +106,13 @@ class FileFormatError(ValueError):
 def _gc_paused():
     """Pause the cyclic garbage collector while many acyclic lists are built.
 
-    The readers' [re, im] lists and the ``tolist()`` blocks of an ndarray
-    written by ``save_evolution`` are containers that cannot form a cycle,
-    yet each counts towards the collector's next pass.  The pause is
-    process-wide and lasts only as long as the block or the decorated call;
-    the collector is switched back on only if it was on before.  A
-    decorated loader returns, and so frees what it parsed, before the
-    collector is back on: lists dropped after the pause would first cost
-    one pass over them.
+    The readers' [re, im] lists and those of ``complex_pairs`` are
+    containers that cannot form a cycle, yet each counts towards the
+    collector's next pass.  The pause is process-wide and lasts only as
+    long as the decorated call; the collector is switched back on only if
+    it was on before.  A decorated loader returns, and so frees what it
+    parsed, before the collector is back on: lists dropped after the pause
+    would first cost one pass over them.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -209,8 +211,11 @@ def load_matrix(path: str) -> np.ndarray:
 
 
 def save_matrix(path: str, matrix: np.ndarray) -> None:
+    """Write a matrix file; what ``load_matrix`` refuses raises before ``path`` is opened."""
     arr = np.asarray(matrix, dtype=np.complex128)
-    doc = {"n": int(arr.shape[0]), "entries": pair_rows(arr)}
+    _check_writable(arr.ndim == 2 and arr.shape[0] == arr.shape[1], "an (n, n) matrix, n >= 1",
+                    matrix=arr)
+    doc = {"n": len(arr), "entries": pair_rows(arr)}
     with open(path, "w", encoding="utf-8") as fh:
         dump_report(doc, fh)
 
@@ -464,22 +469,33 @@ def _expect(text: str, idx: int, token: str) -> int:
 
 
 def save_evolution(path: str, grid: np.ndarray, frames: np.ndarray) -> None:
+    """Write an evolution file; what ``load_evolution`` refuses raises before ``path`` is opened."""
     grid = np.asarray(grid, dtype=np.float64)
     frames = np.ascontiguousarray(frames, dtype=np.complex128)
-    doc = {
-        "n": int(frames.shape[1]),
-        "grid": [float(s) for s in grid],
-        "frames": frames.view(np.float64).reshape(len(frames), math.prod(frames.shape[1:]), 2),
-    }
-    with _gc_paused(), open(path, "w", encoding="utf-8") as fh:
+    shaped = frames.ndim == 3 and frames.shape[1] == frames.shape[2]
+    _check_writable(shaped and grid.shape == frames.shape[:1],
+                    "(N, n, n) frames on a grid of N points, N, n >= 1", grid=grid, frames=frames)
+    n = frames.shape[1]
+    doc = {"n": n, "grid": grid, "frames": frames.view(np.float64).reshape(len(frames), n * n, 2)}
+    with open(path, "w", encoding="utf-8") as fh:
         dump_report(doc, fh)
+
+
+def _check_writable(shaped: bool, shape: str, **arrays: np.ndarray) -> None:
+    """Refuse what a reader refuses: arrays not ``shaped`` as ``shape``
+    says, or with an empty axis, or holding a number that is not finite."""
+    if not shaped or not all(arr.size for arr in arrays.values()):
+        got = ", ".join(f"{name} {arr.shape}" for name, arr in arrays.items())
+        raise DimensionMismatchError(f"a file holds {shape}; got {got}")
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"non-finite numbers in the {name}: a file holds finite ones only")
 
 
 @_gc_paused()
 def complex_pairs(values) -> list[list[float]]:
     """Complex sequence -> [[re, im], ...] with native floats."""
-    arr = np.asarray(values, dtype=np.complex128).reshape(-1)
-    return np.column_stack((arr.real, arr.imag)).tolist()
+    return pair_rows(values).tolist()
 
 
 def pair_rows(values) -> np.ndarray:
@@ -526,17 +542,18 @@ def _write_value(value: Any, write, newline: str) -> None:
             _write_value(item, write, inner)
         write((newline if value else "") + "}")
     elif isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim):
-        rows = isinstance(value, np.ndarray)  # read a block of rows at a time
-        step = _FRAME_BLOCK if rows and value.ndim > 2 else _BLOCK  # frames, else leaves or pairs
         write("[")
-        for start in range(0, len(value), step):
-            block = value[start:start + step]
+        for start in range(0, len(value), _BLOCK):
+            block = value[start:start + _BLOCK]
             write("," + inner if start else inner)
             text = _leaf_block(block, inner)
             if text is not None:
                 write(text)
                 continue
-            for i, item in enumerate(block.tolist() if rows else block):
+            # An array of three or more axes goes on a row at a time, as arrays.
+            if isinstance(block, np.ndarray) and block.ndim < 3:
+                block = block.tolist()
+            for i, item in enumerate(block):
                 write("," + inner if i else "")
                 _write_value(item, write, inner)
         write((newline if len(value) else "") + "]")
@@ -545,8 +562,8 @@ def _write_value(value: Any, write, newline: str) -> None:
 
 
 def _leaf_block(block, inner: str) -> str | None:
-    """All-float or all-[float, float] ``block`` as one join, else None.
-    A float64 ndarray of leaves or of pairs is joined from its flat
+    """A float64 ndarray of leaves or of [re, im] pairs, or an all-float
+    list, as one join, else None.  An array is joined from its flat
     ``tolist()``, with no list per pair.
 
     A non-finite float (the only repr with an "n") also gives None, so
@@ -559,8 +576,6 @@ def _leaf_block(block, inner: str) -> str | None:
             pairs, floats = block.ndim == 2, block.ravel().tolist()
         elif type(block[0]) is float:
             pairs, floats = False, block
-        elif set(map(type, block)) == {list} and set(map(len, block)) == {2}:
-            pairs, floats = True, chain.from_iterable(block)
         else:
             return None
         if pairs:  # open, re, within, im, between, ..., im, close: one join

@@ -311,18 +311,14 @@ def run_reduction_suite(n: int, trials: int, seed: int, *,
             k, m = sorted(rng.choice(n, size=2, replace=False) + 1)
             whole = _delta4_at(a, j, l, k, m)
             if abs(whole) > gate:
-                if l - j >= 2:
-                    x = _delta4_at(a, j, l - 1, k, m)
-                    y = _delta4_at(a, l - 1, l, k, m)
-                    if min(abs(x), abs(y)) > gate:
-                        worst_split = max(worst_split, circular_distance(
-                            np.angle(whole), np.angle(x) + np.angle(y)))
-                if m - k >= 2:
-                    x = _delta4_at(a, j, l, k, m - 1)
-                    y = _delta4_at(a, j, l, m - 1, m)
-                    if min(abs(x), abs(y)) > gate:
-                        worst_split = max(worst_split, circular_distance(
-                            np.angle(whole), np.angle(x) + np.angle(y)))
+                # The row split (j, l-1 | l-1, l), then the column split (k, m-1 | m-1, m).
+                for span, x, y in ((l - j, (j, l - 1, k, m), (l - 1, l, k, m)),
+                                   (m - k, (j, l, k, m - 1), (j, l, m - 1, m))):
+                    if span >= 2:
+                        x, y = _delta4_at(a, *x), _delta4_at(a, *y)
+                        if min(abs(x), abs(y)) > gate:
+                            worst_split = max(worst_split, circular_distance(
+                                np.angle(whole), np.angle(x) + np.angle(y)))
                 blocks = reduce_to_adjacent(int(j), int(l), int(k), int(m))
                 values = [grid[r - 1, c - 1] for r, c in blocks]
                 if min(abs(v) for v in values) > gate:

@@ -27,12 +27,11 @@ from gaugephase import (
 from gaugephase.canonical import (
     _STACK_ENTRIES,
     _checked_peel,
-    _decompose_stack,
     _modulus_arrays,
+    _params,
     _peel,
     _phase_arrays,
     _rebuild,
-    _reconstruct_stack,
     _row_norms,
     _stacks,
 )
@@ -396,7 +395,7 @@ class TestStackedTower:
                 np.testing.assert_allclose(level[i], zeta, rtol=0.0, atol=1e-12)
             assert abs(stacked.remainder[i, 0, 0] - residual) <= 1e-12
             assert abs(stacked.worst[i] - worst) <= 1e-12
-        for p, a in zip(_decompose_stack(matrices, Tolerances()), matrices):
+        for p, a in zip(_decomposed(matrices), matrices):
             q = decompose(a)
             assert p.chi == q.chi
             assert all(np.array_equal(u.data, v.data) for u, v in zip(p.vectors, q.vectors))
@@ -422,35 +421,16 @@ class TestStackedTower:
         matrices = [random_generic_unitary(9, seed) for seed in (70, 71, 72)]
         matrices.insert(2, bad)
         with pytest.raises(NonGenericMatrixError) as stacked:
-            _decompose_stack(matrices, Tolerances())
+            _decomposed(matrices)
         assert alone.value.level == stacked.value.level == level
         assert alone.value.magnitude == stacked.value.magnitude <= 1e-12
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_a_stack_raises_the_error_a_loop_of_decompose_calls_raises_first(self):
-        a = random_generic_unitary(6, 74).data
-        rng = np.random.default_rng(75)
-        noise = 1e-8 * (rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape))
-        not_unitary = UnitaryMatrix(a + noise, tol=1e-6)
-        # Non-generic and off its certificate at once: non-genericity wins.
-        both = UnitaryMatrix(np.eye(6) + 1e-3 * noise, tol=1e-6)
-        good = random_generic_unitary(6, 76)
-        with pytest.raises(NotUnitaryError):
-            decompose(not_unitary)
-        with pytest.raises(NonGenericMatrixError):
-            decompose(both)
-        with pytest.raises(NotUnitaryError):
-            _decompose_stack([good, not_unitary, both], Tolerances())
-        with pytest.raises(NonGenericMatrixError) as exc:
-            _decompose_stack([good, both, not_unitary], Tolerances())
-        assert exc.value.level == 6
-
     def test_stacked_reconstruct_is_reconstruct_bit_for_bit(self):
         params = [decompose(random_generic_unitary(10, seed)) for seed in range(90, 96)]
-        rebuilt = _reconstruct_stack(params, Tolerances())
+        rebuilt = _rebuilt(params)
         assert len(rebuilt) == len(params)
         for p, u in zip(params, rebuilt):
-            assert np.array_equal(u.data, reconstruct(p).data)
+            assert np.array_equal(u, reconstruct(p).data)
 
     def test_stacked_reconstruct_raises_the_error_a_loop_of_reconstruct_calls_raises_first(self):
         tight = Tolerances(tol_unitary=1e-17)
@@ -462,18 +442,19 @@ class TestStackedTower:
             reconstruct(generic, tol=tight)
         with pytest.raises(NonGenericVectorError):
             reconstruct(non_generic, tol=tight)
-        with pytest.raises(NotUnitaryError):
-            _reconstruct_stack([generic, non_generic], tight)
-        with pytest.raises(NonGenericVectorError):
-            _reconstruct_stack([non_generic, generic], tight)
+        for order, kind in (([generic, non_generic], NotUnitaryError),
+                            ([non_generic, generic], NonGenericVectorError)):
+            stacked = _raised(lambda: _rebuilt(order, tight))
+            assert stacked[0] is kind
+            assert stacked == _raised(_loop(lambda p: reconstruct(p, tol=tight), order))
         # Cut into stacks, the stack before the non-generic member's is rebuilt.
         per_stack = _STACK_ENTRIES // 25
         stacks = _stacks([generic] * per_stack + [non_generic], lambda p: p.dim)
-        rebuilt = _reconstruct_stack(next(stacks), Tolerances())
+        rebuilt = _rebuilt(next(stacks))
         assert len(rebuilt) == per_stack
-        assert all(np.array_equal(u.data, reconstruct(generic).data) for u in rebuilt)
+        assert all(np.array_equal(u, reconstruct(generic).data) for u in rebuilt)
         with pytest.raises(NonGenericVectorError):
-            _reconstruct_stack(next(stacks), Tolerances())
+            _rebuilt(next(stacks))
 
     def test_split_coset_takes_the_stacked_peel_one_level_deep(self):
         a = random_generic_unitary(7, 99)
@@ -489,12 +470,11 @@ class TestStackedTower:
         matrices = [random_generic_unitary(64, seed) for seed in range(100, 105)]
         stacks = list(_stacks(iter(matrices), lambda a: a.n))
         assert [len(stack) for stack in stacks] == [4, 1]
-        peeled = [p for stack in stacks for p in _decompose_stack(stack, Tolerances())]
-        rebuilt = [u for stack in _stacks(iter(peeled), lambda p: p.dim)
-                   for u in _reconstruct_stack(stack, Tolerances())]
+        peeled = [p for stack in stacks for p in _decomposed(stack)]
+        rebuilt = [u for stack in _stacks(iter(peeled), lambda p: p.dim) for u in _rebuilt(stack)]
         for a, p, u in zip(matrices, peeled, rebuilt):
             assert np.array_equal(p.vectors[-1].data, decompose(a).vectors[-1].data)
-            assert np.array_equal(u.data, reconstruct(p).data)
+            assert np.array_equal(u, reconstruct(p).data)
 
     def test_empty_stacks_give_nothing(self):
         assert list(_stacks([], lambda a: a.n)) == []
@@ -509,6 +489,17 @@ def _level_columns(params):
     """The per-level (k, m) column arrays of a list of parameter sets."""
     return [np.array([p.vectors[level].data for p in params])
             for level in range(params[0].dim - 1)]
+
+
+def _decomposed(matrices, tol=Tolerances()):
+    """The parameters of each of a list of same-size matrices, peeled as one stack."""
+    peel, chi = _checked_peel(np.array([a.data for a in matrices]), tol)
+    return _params(peel.columns, chi)
+
+
+def _rebuilt(params, tol=Tolerances()):
+    """The (k, n, n) matrices of a list of same-size parameter sets, rebuilt as one stack."""
+    return _rebuild(_level_columns(params), np.array([p.chi for p in params]), tol)[0]
 
 
 def _raised(call):
@@ -580,14 +571,24 @@ class TestStackedInvariants:
         noise = 1e-8 * np.random.default_rng(322).normal(size=a.shape)
         not_unitary = UnitaryMatrix(a + noise, tol=1e-6)
         bad_remainder = _with_bad_remainder(6, 323)
+        # Non-generic and off its certificate at once: non-genericity wins.
+        rng = np.random.default_rng(75)
+        both = UnitaryMatrix(np.eye(6) + 1e-11 * (rng.normal(size=(6, 6))
+                                                  + 1j * rng.normal(size=(6, 6))), tol=1e-6)
         tol = Tolerances()
+        assert _raised(lambda: decompose(not_unitary, tol=tol))[0] is NotUnitaryError
+        assert _raised(lambda: decompose(both, tol=tol))[0] is NonGenericMatrixError
+        raised = []
         for order in ([good, non_generic, not_unitary], [good, not_unitary, non_generic],
-                      [good, bad_remainder, non_generic], [good, non_generic, bad_remainder]):
+                      [good, bad_remainder, non_generic], [good, non_generic, bad_remainder],
+                      [good, not_unitary, both], [good, both, not_unitary]):
             stack = np.array([m.data for m in order])
-            assert (_raised(lambda: _checked_peel(stack, tol))
-                    == _raised(_loop(lambda m: decompose(m, tol=tol), order)))
+            raised.append(_raised(lambda: _checked_peel(stack, tol)))
+            assert raised[-1] == _raised(_loop(lambda m: decompose(m, tol=tol), order))
             assert (_raised(lambda: _checked_peel(stack, tol, levels=1))
                     == _raised(_loop(lambda m: split_coset(m, tol=tol), order)))
+        assert raised[4][0] is NotUnitaryError
+        assert (raised[5][0], raised[5][2]) == (NonGenericMatrixError, 6)
         # The remainder fails its own certificate, with UnitaryMatrix's deviation.
         kind, message, _ = _raised(lambda: split_coset(bad_remainder, tol=tol))
         assert kind is NotUnitaryError

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from gaugephase import (
+    DimensionMismatchError,
     FileFormatError,
     Tolerances,
     complex_pairs,
@@ -423,7 +424,10 @@ def test_evolution_files_are_read_and_written_a_block_of_frames_at_a_time(tmp_pa
     # frames.nbytes) breaks either bound.  Reading holds a window of text of
     # about one _CHUNK, one block of frames at a time, and the frames twice
     # (the blocks and their concatenation); the file is 9.45 MB, so holding
-    # its text whole breaks the load bound too.
+    # its text whole breaks the load bound too.  Writing goes a frame at a
+    # time from the frames' float view, and holds the text of one frame and
+    # of the grid: a list of floats per frame block, as the writer once
+    # made, breaks the save bound.
     rng = np.random.default_rng(8)
     frames = rng.standard_normal((2000, 8, 8)) + 1j * rng.standard_normal((2000, 8, 8))
     path = str(tmp_path / "evolution.json")
@@ -438,8 +442,60 @@ def test_evolution_files_are_read_and_written_a_block_of_frames_at_a_time(tmp_pa
     finally:
         tracemalloc.stop()
     assert np.array_equal(loaded, frames)
-    assert save_peak < 2 * frames.nbytes
+    assert save_peak < frames.nbytes / 4
     assert load_peak < 3 * frames.nbytes + 4 * io_module._CHUNK
+
+
+def _spoiled(array: np.ndarray, value) -> np.ndarray:
+    """A copy of ``array`` with its last entry set to ``value``."""
+    array = array.copy()
+    array.reshape(-1)[-1] = value
+    return array
+
+
+_EYE = np.eye(3, dtype=complex)
+_GRID = np.linspace(0.0, 1.0, 3)
+_FRAMES = np.array([np.eye(2, dtype=complex)] * 3)
+
+# (save, its arguments after the path, the error, a part of its message)
+REFUSED_SAVES = {
+    "matrix_not_square": (save_matrix, (np.ones((2, 3)),), DimensionMismatchError,
+                          "got matrix (2, 3)"),
+    "matrix_of_one_axis": (save_matrix, (np.ones(4),), DimensionMismatchError, "got matrix (4,)"),
+    "empty_matrix": (save_matrix, (np.ones((0, 0)),), DimensionMismatchError, "got matrix (0, 0)"),
+    "nan_entry": (save_matrix, (_spoiled(_EYE, np.nan),), ValueError,
+                  "non-finite numbers in the matrix"),
+    "inf_imaginary_part": (save_matrix, (_spoiled(_EYE, complex(0.0, np.inf)),), ValueError,
+                           "non-finite numbers in the matrix"),
+    "frames_not_square": (save_evolution, (_GRID, np.ones((3, 2, 3))), DimensionMismatchError,
+                          "frames (3, 2, 3)"),
+    "frames_of_two_axes": (save_evolution, (_GRID, np.ones((3, 4))), DimensionMismatchError,
+                           "frames (3, 4)"),
+    "no_frames": (save_evolution, (_GRID[:0], _FRAMES[:0]), DimensionMismatchError,
+                  "got grid (0,), frames (0, 2, 2)"),
+    "grid_too_short": (save_evolution, (_GRID[:2], _FRAMES), DimensionMismatchError,
+                       "got grid (2,), frames (3, 2, 2)"),
+    "grid_of_two_axes": (save_evolution, (_GRID[:, None], _FRAMES), DimensionMismatchError,
+                         "got grid (3, 1)"),
+    "nan_grid_point": (save_evolution, (_spoiled(_GRID, np.nan), _FRAMES), ValueError,
+                       "non-finite numbers in the grid"),
+    "inf_frame_entry": (save_evolution, (_GRID, _spoiled(_FRAMES, np.inf)), ValueError,
+                        "non-finite numbers in the frames"),
+}
+
+
+@pytest.mark.parametrize("save, args, error, message", REFUSED_SAVES.values(),
+                         ids=REFUSED_SAVES.keys())
+def test_a_save_the_reader_would_refuse_raises_before_the_file_is_opened(
+        save, args, error, message, tmp_path):
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    save_matrix(str(old), random_generic_unitary(3, 5).data)
+    kept = old.read_bytes()
+    for target in (new, old):
+        with pytest.raises(error, match=re.escape(message)):
+            save(str(target), *args)
+    assert not new.exists()
+    assert old.read_bytes() == kept
 
 
 def _matrix_doc(n: int) -> dict:
@@ -893,8 +949,12 @@ def test_dump_report_raises_what_json_dump_raises(doc, error):
     np.zeros((0, 2)),
     np.array([[1.0, 2.0]] * (_BLOCK + 1) + [[np.nan, 0.0]]),
     np.array([[np.inf, 0.0]]),
+    np.array([[[0.5, -0.0], [5e-324, 1e16]]] * (_BLOCK + 3)),
+    np.arange(12).reshape(3, 2, 2),
+    np.arange(18.0).reshape(2, 3, 3) / 7.0,
+    np.where(np.arange(8).reshape(2, 2, 2) == 5, np.nan, 0.25),
 ], ids=["pairs", "floats", "triples", "integer_pairs", "float32_pairs", "empty", "nan_pair",
-        "inf_pair"])
+        "inf_pair", "frames_past_a_block", "integer_frames", "frames_of_triples", "nan_frame"])
 def test_an_ndarray_is_written_as_its_tolist(array):
     try:
         expected = _json_dumped({"a": array.tolist()})

@@ -53,33 +53,44 @@ for report in decompose phases offdiag; do
   cmp "${report}1.json" "${report}2.json"
 done
 
-# An evolution of three blocks of frames and one more, which the reader
-# converts a block at a time and the writer writes a frame at a time from
+# An evolution whose frames span more than three runs, which the reader
+# converts a run at a time and the writer writes a frame at a time from
 # its float rows: the file survives a load and a save, and it holds the
 # bytes the standard library's json.dump writes for the same nested lists.
+# A compact copy, whose frames end in "]]" with nothing between, gives the
+# same reports.
 python - <<'EOF'
 import json
 from gaugephase import (frame_evolution_from_path, load_evolution,
                         random_hermitian_path, save_evolution)
-from gaugephase.io import _FRAME_BLOCK
-blocks = frame_evolution_from_path(random_hermitian_path(3, 11), 3 * _FRAME_BLOCK + 1)
-save_evolution("blocks.json", blocks.grid, blocks.frames)
-save_evolution("blocks_again.json", *load_evolution("blocks.json"))
+from gaugephase.io import _PAIR_RUN
+runs = frame_evolution_from_path(random_hermitian_path(3, 11), 500)
+save_evolution("runs.json", runs.grid, runs.frames)
+save_evolution("runs_again.json", *load_evolution("runs.json"))
 doc = {"frames": [[[z.real, z.imag] for z in frame.reshape(-1).tolist()]
-                  for frame in blocks.frames],
-       "grid": blocks.grid.tolist(), "n": 3}
-with open("blocks_stdlib.json", "w", encoding="utf-8") as fh:
+                  for frame in runs.frames],
+       "grid": runs.grid.tolist(), "n": 3}
+with open("runs_stdlib.json", "w", encoding="utf-8") as fh:
     json.dump(doc, fh, sort_keys=True, indent=2)
     fh.write("\n")
+with open("runs_compact.json", "w", encoding="utf-8") as fh:
+    json.dump(doc, fh, separators=(",", ":"))
+text = open("runs.json").read()
+assert text.index('"grid"') - text.index('"frames"') > 3 * _PAIR_RUN
+assert "]],[[" in open("runs_compact.json").read()
 EOF
-cmp blocks.json blocks_again.json
-cmp blocks.json blocks_stdlib.json
+cmp runs.json runs_again.json
+cmp runs.json runs_stdlib.json
 for run in 1 2; do
-  gaugephase phases blocks.json > "blocks_phases$run.json"
-  gaugephase offdiag blocks.json > "blocks_offdiag$run.json"
+  gaugephase phases runs.json > "runs_phases$run.json"
+  gaugephase offdiag runs.json > "runs_offdiag$run.json"
 done
-cmp blocks_phases1.json blocks_phases2.json
-cmp blocks_offdiag1.json blocks_offdiag2.json
+gaugephase phases runs_compact.json > runs_compact_phases.json
+gaugephase offdiag runs_compact.json > runs_compact_offdiag.json
+for report in phases offdiag; do
+  cmp "runs_${report}1.json" "runs_${report}2.json"
+  cmp "runs_${report}1.json" "runs_compact_${report}.json"
+done
 
 # An evolution and a matrix of more than two windows of text each, and
 # copies with "\r\n" line ends: the reader refills its window across all

@@ -152,7 +152,8 @@ class Tolerances:
     def __post_init__(self) -> None:
         for name in ("tol_norm", "tol_unitary", "tol_generic"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if type(value) is bool or not (isinstance(value, (int, float))
+                                           and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a positive finite float, got {value!r}")
 
 

@@ -94,8 +94,8 @@ def _check_quadrature(quadrature: str) -> None:
 
 
 def _check_level(j: int, n: int) -> None:
-    """Level j is an integer (a numpy one too) in 1..n."""
-    if not isinstance(j, (int, np.integer)):
+    """Level j is an integer (a numpy one too, not a bool) in 1..n."""
+    if not isinstance(j, (int, np.integer)) or type(j) is bool:
         raise ValueError(f"level {j!r} is not an integer")
     if not 1 <= j <= n:
         raise IndexError(f"level {j} outside 1..{n}")

@@ -16,22 +16,22 @@ file in text mode ``_CHUNK`` characters at a time (``_Window``), which
 keeps UTF-8 decoding and newline translation as one ``read()`` would.  It
 walks the top-level object itself, in any key order, decoding every value
 with json's own scanner (``JSONDecoder.raw_decode``) except the one that
-grows with the file, which goes to a block reader: a matrix's ``entries``
-a run of pairs at a time (``_pair_runs``: the text up to a pair's ']'
-about ``_PAIR_RUN`` characters on, decoded as one array), an evolution's
-``frames`` one frame at a time.  A token that may be cut by the window's
-edge is read again after a refill, and before each run or frame the window
-holds a margin of text beyond it, so runs and frames are not cut.  Each
-run, and every ``_FRAME_BLOCK`` frames, go through one flat pair
-conversion (``_pairs_to_complex``: one ``np.fromiter`` over the chained
-pairs, one finite check, and a complex view of the same memory, which
-keeps every bit of both parts, signed zeros too) before the next is
-decoded, so at most one run or block of pairs is alive at a time.
+grows with the file, a matrix's ``entries`` or an evolution's ``frames``.
+One block reader (``_runs``) decodes that array a run of members at a
+time: the text up to a member's end about ``_PAIR_RUN`` characters on, as
+one array, where a pair ends at one ']' and a frame of pairs at two.  A
+token that may be cut by the window's edge is read again after a refill,
+and before each run the window holds two runs' length of text, so runs
+are not cut.  Each run goes through one flat pair conversion
+(``_pairs_to_complex``: one ``np.fromiter`` over the chained pairs, one
+finite check, and a complex view of the same memory, which keeps every
+bit of both parts, signed zeros too) before the next run is decoded, so
+at most one run of pairs is alive at a time.
 
 The walk is the only reader of a JSON object, and it refuses nothing that
-``json.loads`` reads as one.  A block reader notes defects instead of
-raising (``_Items``): the pair count of each item (the entries of a matrix
-are one item, each frame of an evolution is one), and the first defect, as
+``json.loads`` reads as one.  Its runs are noted, not raised on
+(``_Items``): the pair count of each item (the entries of a matrix are
+one item, each frame of an evolution is one), and the first defect, as
 ``_pairs_to_complex`` ranks them.  One function per kind of file,
 ``_matrix`` or ``_evolution``, then judges the walked document and raises
 every grammar ``FileFormatError``, in the order and with the text of a
@@ -66,7 +66,7 @@ import re
 from contextlib import contextmanager
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Any, IO
+from typing import Any, IO, Iterator
 
 import numpy as np
 
@@ -85,17 +85,19 @@ __all__ = [
 
 
 _BLOCK = 2048  # leaf-list items per join: bounds the text held at once
-_FRAME_BLOCK = 64  # frames the reader converts at once: bounds the lists held
 
 _CHUNK = 2 ** 20  # characters per read of a file: bounds the text held at once
-_PAIR_RUN = 80_000  # characters of [re, im] pairs decoded at once: bounds the lists held
-_MARGIN = 2 ** 16  # characters left in the window before each frame, at least
+_PAIR_RUN = 80_000  # characters of pairs or frames decoded at once: bounds the lists held
 _LOOKAHEAD = 2  # characters a token must leave before the window's end to be taken
 
 _WS = json.decoder.WHITESPACE.match
 _AFTER = re.compile(r"[ \t\n\r]*([,\]}])[ \t\n\r]*").match  # what follows a JSON item
 _DECODER = json.JSONDecoder()
 _QUOTED = "a number is written as a string"  # which numpy would read as the number
+# The last and the next end of a block array's member: one ']' after a pair,
+# two after a frame of pairs.
+_ENDS = {closers: (re.compile("(?s:.*)" + end).match, re.compile(end).search)
+         for closers, end in ((1, r"\]"), (2, r"\][ \t\n\r]*\]"))}
 
 
 class FileFormatError(ValueError):
@@ -222,7 +224,7 @@ def save_matrix(path: str, matrix: np.ndarray) -> None:
 
 def load_evolution(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Parse an evolution file into (grid, frames) raw arrays."""
-    return _loaded(path, "frames", _frame_blocks, _evolution)
+    return _loaded(path, "frames", _frame_runs, _evolution)
 
 
 @_gc_paused()
@@ -347,16 +349,9 @@ def _walked_object(window: _Window, blocks: str, read_blocks) -> dict:
 
 def _pair_runs(window: _Window) -> _Items:
     """The JSON array of [re, im] pairs in ``window`` as one item, converted
-    a run at a time before the next run is decoded.  Before each run the
-    window is refilled if it holds fewer than two runs' length of text."""
+    a run at a time before the next run is decoded."""
     entries = _Items([0])
-    last = window.take(_opening, "[")
-    while not last:
-        if len(window.text) - window.idx < 2 * _PAIR_RUN and not window.eof:
-            window.fill(2 * _PAIR_RUN)
-        pairs, last, quoted = window.take(_pair_run)
-        if entries.counts[0] and not pairs:  # a ',' before the array's ']'
-            raise ValueError("trailing ',' in entries")
+    for pairs, quoted in _runs(window, 1):
         if quoted:
             entries.quoted = 0
         entries.counts[0] += len(pairs)
@@ -364,62 +359,63 @@ def _pair_runs(window: _Window) -> _Items:
     return entries
 
 
-def _pair_run(text: str, idx: int) -> tuple[tuple[list, bool, bool], int]:
-    """The items at ``idx`` up to the last ']' within ``_PAIR_RUN``
-    characters (or the first one beyond), decoded as one array, whether
-    the array of pairs closed there, and whether their text holds a '"';
-    then the index past it, or past the ',' that follows the run."""
-    cut = text.rfind("]", idx, idx + _PAIR_RUN)
-    if cut < 0:
-        cut = text.find("]", idx + _PAIR_RUN)
-    if cut < 0:
-        raise ValueError(f"no ']' after {idx}")
-    run = "[" + text[idx:cut + 1] + "]"
-    try:
-        pairs, end = _DECODER.raw_decode(run)
-    except ValueError:  # that ']' is nested deeper, or in a string: one item
-        (item, _, quoted, last), after = _item(text, idx)
-        return ([item], last, quoted), after
-    quoted = run.find('"', 0, end) >= 0
-    if end < len(run):  # the ']' closes the array itself, at idx + end - 2
-        return (pairs, True, quoted), idx + end - 1
-    last, after = _after_item(text, cut + 1, "]")
-    return (pairs, last, quoted), after
-
-
-def _frame_blocks(window: _Window) -> _Items:
+def _frame_runs(window: _Window) -> _Items:
     """The JSON array of frames in ``window``, one item each, converted a
-    block of at most ``_FRAME_BLOCK`` frames at a time before the next block
-    is decoded; after the first bad frame, frames are only counted.
-
-    Before each frame the window is refilled if fewer than ``margin``
-    characters are left: twice the longest frame so far, and at least
-    ``_MARGIN``.  So a frame is not cut by the window's edge, where its
-    decode would fail and be taken again."""
-    frames, block, margin = _Items([]), [], _MARGIN
-    last = window.take(_opening, "[")
-    while not last:
-        if len(window.text) - window.idx < margin and not window.eof:
-            window.fill(margin)
-        frame, length, quoted, last = window.take(_item)
+    run at a time before the next run is decoded; after the first bad
+    frame, frames are only counted."""
+    frames = _Items([])
+    for run, quoted in _runs(window, 2):
+        first = len(frames.counts)
         if quoted and frames.quoted is None:
-            frames.quoted = len(frames.counts)
-        frames.counts.append(len(frame) if type(frame) is list else -1)
-        block.append(frame)
-        margin = max(margin, 2 * length)
-        if last or len(block) == _FRAME_BLOCK:
-            frames.add(len(frames.counts) - len(block), block)
-            block = []
+            frames.quoted = first
+        frames.counts += [len(frame) if type(frame) is list else -1 for frame in run]
+        frames.add(first, run)
     return frames
 
 
-def _item(text: str, idx: int) -> tuple[tuple[Any, int, bool, bool], int]:
-    """The array item at ``idx``, its length, whether its text holds a '"',
-    and whether the ']' that closes the array follows it; then the index
-    past that ',' or ']'."""
-    item, end = _DECODER.raw_decode(text, idx)
-    last, after = _after_item(text, end, "]")
-    return (item, end - idx, text.find('"', idx, end) >= 0, last), after
+def _runs(window: _Window, closers: int) -> Iterator[tuple[list, bool]]:
+    """The members of the JSON array in ``window`` a run at a time, as
+    ``_run`` reads them, each run with whether its text holds a '"'.
+    Before each run the window is refilled if it holds fewer than two
+    runs' length of text."""
+    last = window.take(_opening, "[")
+    while not last:
+        if len(window.text) - window.idx < 2 * _PAIR_RUN and not window.eof:
+            window.fill(2 * _PAIR_RUN)
+        members, last, quoted = window.take(_run, closers)
+        if not members:  # a ',' before the array's ']'
+            raise ValueError("trailing ',' in an array")
+        yield members, quoted
+
+
+def _run(text: str, idx: int, closers: int) -> tuple[tuple[list, bool, bool], int]:
+    """The members at ``idx`` up to the last that ends within ``_PAIR_RUN``
+    characters and before the first '"' (or up to the first that ends
+    beyond), decoded as one array, whether the array closed there, and
+    whether their text holds a '"'; then the index past it, or past the
+    ',' that follows the run.  A member ends at ``closers`` ']'.
+
+    A run that holds a '"' holds it in its first member, or after a member
+    that does not end in a pair, which is refused first: so a number
+    written as a string is blamed on its own frame, with no run read again."""
+    last_end, next_end = _ENDS[closers]
+    quote = text.find('"', idx, idx + _PAIR_RUN)
+    cut = last_end(text, idx, idx + _PAIR_RUN if quote < 0 else quote) or next_end(text, idx)
+    if cut is not None:
+        run = "[" + text[idx:cut.end()] + "]"
+        try:
+            members, end = _DECODER.raw_decode(run)
+        except ValueError:  # that ']' is nested deeper, or in a string
+            cut = None
+    if cut is None:  # no end, or a false one: one member
+        member, end = _DECODER.raw_decode(text, idx)
+        last, after = _after_item(text, end, "]")
+        return ([member], last, text.find('"', idx, end) >= 0), after
+    quoted = run.find('"', 0, end) >= 0
+    if end < len(run):  # the ']' closes the array itself, at idx + end - 2
+        return (members, True, quoted), idx + end - 1
+    last, after = _after_item(text, cut.end(), "]")
+    return (members, last, quoted), after
 
 
 def _opening(text: str, idx: int, token: str) -> tuple[bool, int]:

@@ -345,6 +345,28 @@ class TestInvariantContent:
         with pytest.raises(NonGenericVectorError):
             phase_invariant_list(p)
 
+    @pytest.mark.parametrize("t, generic", [(5e-9, False), (2e-8, True), (1e-8 + 0j, False)],
+                             ids=["half_the_gate", "twice_the_gate", "at_the_gate"])
+    def test_phase_invariant_gate_sits_at_tol_generic(self, t, generic):
+        # t is the smallest factor of the one invariant of n = 3: a factor
+        # of 2 either side of the gate, and the gate itself, which counts
+        # as zero.
+        p = CanonicalParams(
+            vectors=(
+                UnitVector(np.array([math.sqrt(0.5), t, math.sqrt(0.5 - abs(t) ** 2)],
+                                    dtype=complex)),
+                UnitVector(np.array([0.6, 0.8], dtype=complex)),
+            ),
+            chi=0.0,
+        )
+        if generic:
+            (q,) = phase_invariant_list(p)
+            assert q == pytest.approx(0.6 * 0.8 * t * math.sqrt(0.5 - t * t), rel=1e-15)
+        else:
+            with pytest.raises(NonGenericVectorError,
+                               match=f"modulus {abs(t):.3e} <= 1.000e-08"):
+                phase_invariant_list(p)
+
     def test_phase_invariant_error_names_the_first_small_factor(self):
         # v_3 of the dimension-4 vector enters j = 1 and j = 2 of the pair
         # (dim 3, dim 4); v_2 of the dimension-5 vector, also below the

@@ -206,6 +206,12 @@ class TestTolerances:
         with pytest.raises(ValueError):
             Tolerances(tol_generic=-1e-8)
 
+    @pytest.mark.parametrize("name", ["tol_norm", "tol_unitary", "tol_generic"])
+    def test_rejects_a_bool(self, name):
+        # True would be read as 1.0: a unitarity gate of 1 admits almost anything.
+        with pytest.raises(ValueError, match=f"{name} must be a positive finite float, got True"):
+            Tolerances(**{name: True})
+
 
 # Every input below has orthonormality deviation max |C^dagger C - I| equal to
 # ``deviation`` and is gated at tol_unitary = 1e-6, through each user of the

@@ -32,7 +32,7 @@ from gaugephase import (
 )
 from gaugephase.cli import main
 from gaugephase import io as io_module
-from gaugephase.io import _BLOCK, _FRAME_BLOCK
+from gaugephase.io import _BLOCK
 from gaugephase.verification import SUITES, run_suite
 from oracles import (evolution_by_loops, evolution_by_one_tree, matrix_by_loops,
                      matrix_by_one_tree)
@@ -201,16 +201,15 @@ def _laid_out(doc: dict, layout: str) -> str:
         return json.dumps({blocks: first, "n": 7})[:-1] + "," + json.dumps(doc)[1:]
     if layout == "crlf":  # text mode reads each "\r\n" as one "\n"
         return json.dumps(doc, indent=2).replace("\n", "\r\n")
-    if layout == "wide_whitespace":  # after the first frame (pair), longer than the margin (a run)
-        close, opening, width = (("]]", "[[", io_module._MARGIN) if blocks == "frames"
-                                 else ("]", "[", io_module._PAIR_RUN))
+    if layout == "wide_whitespace":  # after the first frame (pair), longer than a run
+        close, opening = ("]]", "[[") if blocks == "frames" else ("]", "[")
         return json.dumps(doc).replace(f"{close}, {opening}",
-                                       close + "," + " " * (width + 9) + opening, 1)
+                                       close + "," + " " * (io_module._PAIR_RUN + 9) + opening, 1)
     return json.dumps(doc)
 
 
 # Window sizes in characters: 1 and 7 put every kind of token across an
-# edge of the window; 4096 refills many times per frame block.
+# edge of the window; 4096 takes many reads per run.
 CHUNKS = [None, 1, 7, 4096]
 
 
@@ -218,6 +217,31 @@ def _windowed(monkeypatch, chunk) -> None:
     """Read evolutions through windows of ``chunk`` characters (None: the default)."""
     if chunk is not None:
         monkeypatch.setattr(io_module, "_CHUNK", chunk)
+
+
+def _first_run_ends_with(monkeypatch, path: str, frame: int, beyond: int = 0) -> None:
+    """Set ``_PAIR_RUN`` so that the first run of frames in ``path``, a file
+    with no '"' in its frames and no newline, ends with ``frame`` (or one
+    character later, where the ']' that closes the array may follow)."""
+    with open(path) as fh:
+        text = fh.read()
+    start = text.index("[", text.index('"frames"')) + 1
+    ends = [match.end() for match in re.finditer(r"\]\]", text[start:])]
+    monkeypatch.setattr(io_module, "_PAIR_RUN", ends[frame] + beyond)
+
+
+def _run_lengths(monkeypatch) -> list[int]:
+    """The number of members in each run the reader decodes from now on."""
+    lengths = []
+    runs = io_module._runs
+
+    def counted(window, closers):
+        for members, quoted in runs(window, closers):
+            lengths.append(len(members))
+            yield members, quoted
+
+    monkeypatch.setattr(io_module, "_runs", counted)
+    return lengths
 
 
 class TestEvolutionReader:
@@ -242,18 +266,22 @@ class TestEvolutionReader:
 
     @pytest.mark.parametrize("defect", ["pair_count", "pair_moved", "three_member_pair",
                                         "dict_member", "infinity", "huge_integer"])
-    @pytest.mark.parametrize("where", ["first", "middle", "last", "second_block"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last", "second_run", "run_first",
+                                       "run_last"])
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_names_the_bad_frame(self, defect, where, chunk, tmp_path, monkeypatch):
+        # The first run holds frames 0 to 4 (0 to 5 for "run_last"), and the
+        # later runs about as many: frame 7 is inside the second run, frame
+        # 5 the first of a run or the last.
         _windowed(monkeypatch, chunk)
-        n, steps = 3, 2 * _FRAME_BLOCK + 9
+        n, steps = 3, 29
         doc = _evolution_doc(n, steps)
-        i = {"first": 0, "middle": steps // 2, "last": steps - 1,
-             "second_block": _FRAME_BLOCK + 3}[where]
+        i = {"first": 0, "middle": steps // 2, "last": steps - 1, "second_run": 7,
+             "run_first": 5, "run_last": 5}[where]
         frame = doc["frames"][i]
         if defect == "pair_count":
             frame.pop()
-        elif defect == "pair_moved":  # two frames of one block, the pair count kept
+        elif defect == "pair_moved":  # two neighbouring frames, the pair count kept
             j = i + 1 if i + 1 < steps else i - 1
             doc["frames"][j].append(frame.pop())
             i = min(i, j)
@@ -265,8 +293,51 @@ class TestEvolutionReader:
             frame[4][0] = math.inf
         else:
             frame[4][1] = 10 ** 400
+        path = _write_doc(tmp_path, doc)
+        _first_run_ends_with(monkeypatch, path, 5 if where == "run_last" else 4)
+        runs = _run_lengths(monkeypatch)
         with pytest.raises(FileFormatError, match=rf"frame {i}: "):
-            load_evolution(_write_doc(tmp_path, doc))
+            load_evolution(path)
+        assert runs[0] == (6 if where == "run_last" else 5) and sum(runs) == steps
+        assert where != "second_run" or i < runs[0] + runs[1]
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_a_number_written_as_a_string_names_its_frame_within_a_run(self, chunk, tmp_path,
+                                                                       monkeypatch):
+        # Frame 2 of a first run that would hold frames 0 to 4 holds the
+        # first number written as a string, and frame 8 another.
+        _windowed(monkeypatch, chunk)
+        doc = _evolution_doc(3, 12)
+        path = _write_doc(tmp_path, doc)
+        _first_run_ends_with(monkeypatch, path, 4)
+        doc["frames"][2][4][1] = "0.5"
+        doc["frames"][8][0][0] = "-1e3"
+        path = _write_doc(tmp_path, doc)
+        with pytest.raises(FileFormatError, match=rf"{re.escape(repr(path))} frame 2: "
+                                                  "a number is written as a string"):
+            load_evolution(path)
+
+    def test_numbers_written_as_strings_in_every_frame_are_decoded_once(self, tmp_path,
+                                                                        monkeypatch):
+        # A run ends before its first '"', so such a file is still read in one
+        # pass: reading a run's first member alone, then the rest again, would
+        # decode a run's text once per frame.
+        doc = _evolution_doc(1, 2000)
+        for frame in doc["frames"]:
+            frame[0][1] = "0.5"
+        path = _write_doc(tmp_path, doc)
+        decoded, decoder = [], io_module._DECODER
+
+        class Counted:
+            def raw_decode(self, text, idx=0):
+                value, end = decoder.raw_decode(text, idx)
+                decoded.append(end - idx)
+                return value, end
+
+        monkeypatch.setattr(io_module, "_DECODER", Counted())
+        with pytest.raises(FileFormatError, match="frame 0: a number is written as a string"):
+            load_evolution(path)
+        assert sum(decoded) < 2 * os.path.getsize(path)
 
     @pytest.mark.parametrize("chunk", range(1, 48))
     def test_every_window_size_reads_every_token_alike(self, chunk, tmp_path, monkeypatch):
@@ -288,17 +359,19 @@ class TestEvolutionReader:
         assert np.array_equal(frames.view(np.uint64), oracle_frames.view(np.uint64))
 
     @pytest.mark.parametrize("chunk", CHUNKS)
-    def test_a_frame_longer_than_the_margin_is_read_again_whole(self, chunk, tmp_path,
-                                                                 monkeypatch, decode_errors):
-        # The first frame may be cut by the window's edge, and then fails to
-        # decode twice (once before ``take``, once in it, before the refill);
-        # the margin then grows to twice its length, so no later frame is cut.
+    def test_a_frame_longer_than_a_run_is_read_whole(self, chunk, tmp_path, monkeypatch,
+                                                    decode_errors):
+        # A frame with no end within _PAIR_RUN characters is a run of its own,
+        # cut at the first end beyond; the window holds two runs' length of
+        # text before each run, so it is not cut by the window's edge.
         doc = _evolution_doc(48, 3)  # about 100k characters a frame
-        assert len(json.dumps(doc["frames"][0])) > io_module._MARGIN
+        assert len(json.dumps(doc["frames"][0])) > io_module._PAIR_RUN
         path = _write_doc(tmp_path, doc)
         _windowed(monkeypatch, chunk)
         monkeypatch.setattr(io_module, "_parse_json", _parsed_whole)
+        runs = _run_lengths(monkeypatch)
         frames = load_evolution(path)[1]
+        assert runs == [1, 1, 1]
         assert len(decode_errors) <= 2
         assert np.array_equal(frames.view(np.uint64), evolution_by_loops(path)[1].view(np.uint64))
 
@@ -329,9 +402,9 @@ class TestEvolutionReader:
         (8, 1200, None), (1, 60000, None), *((2, 5, chunk) for chunk in range(1, 48))])
     def test_a_written_evolution_is_read_with_no_decode_error(self, n, steps, chunk, tmp_path,
                                                               monkeypatch, decode_errors):
-        # The margin keeps every frame clear of the window's edge, and a key,
-        # the grid (longer than a window at n = 1) or n is decoded only once
-        # the window holds its end.  A decode error would cost a count of the
+        # Each run ends at a frame's end the window holds, and a key, the
+        # grid (longer than a window at n = 1) or n is decoded only once the
+        # window holds its end.  A decode error would cost a count of the
         # newlines before it, and a second decode.
         if n > 1:
             evolution = frame_evolution_from_path(random_hermitian_path(n, 5), steps)
@@ -375,11 +448,18 @@ class TestEvolutionReader:
         finally:
             (gc.enable if was_enabled else gc.disable)()
 
-    @pytest.mark.parametrize("steps", [_FRAME_BLOCK - 1, _FRAME_BLOCK, _FRAME_BLOCK + 1])
-    def test_round_trip_across_a_block_edge_is_bit_exact(self, steps, tmp_path):
+    @pytest.mark.parametrize("beyond", [-1, 0, 1],
+                             ids=["one_frame_more", "one_run", "array_closed"])
+    def test_round_trip_across_a_run_edge_is_bit_exact(self, beyond, tmp_path, monkeypatch):
+        # The first run of the 64 frames ends with the 63rd or the 64th
+        # (last), or at the ']' that closes the array after it.
+        steps = 64
         doc = _evolution_doc(2, steps)
         first, second = _write_doc(tmp_path, doc, "first.json"), str(tmp_path / "second.json")
+        _first_run_ends_with(monkeypatch, first, steps - 1 + min(beyond, 0), max(beyond, 0))
+        runs = _run_lengths(monkeypatch)
         grid, frames = load_evolution(first)
+        assert runs == {-1: [steps - 1, 1], 0: [steps], 1: [steps]}[beyond]
         save_evolution(second, grid, frames)
         oracle_grid, oracle_frames = evolution_by_loops(first)
         floats = {"n": 2, "grid": oracle_grid.tolist(),
@@ -422,8 +502,8 @@ def test_evolution_files_are_read_and_written_a_block_of_frames_at_a_time(tmp_pa
     # n = 8, N = 2000: one [re, im] list costs about 120 bytes against the 16
     # of its complex entry, so a whole-evolution list tree (about 8x
     # frames.nbytes) breaks either bound.  Reading holds a window of text of
-    # about one _CHUNK, one block of frames at a time, and the frames twice
-    # (the blocks and their concatenation); the file is 9.45 MB, so holding
+    # about one _CHUNK, one run of frames at a time, and the frames twice
+    # (the runs and their concatenation); the file is 9.45 MB, so holding
     # its text whole breaks the load bound too.  Writing goes a frame at a
     # time from the frames' float view, and holds the text of one frame and
     # of the grid: a list of floats per frame block, as the writer once

@@ -114,8 +114,8 @@ class TestArgumentValidation:
             gamma_via_invariants(swap3, (2, 2))
 
     @pytest.mark.parametrize("read", [gamma_multi, gamma_via_invariants])
-    @pytest.mark.parametrize("level", [2.5, 2.0, np.float64(2.0), "2"],
-                             ids=["float", "integral-float", "numpy-float", "str"])
+    @pytest.mark.parametrize("level", [2.5, 2.0, np.float64(2.0), "2", True],
+                             ids=["float", "integral-float", "numpy-float", "str", "bool"])
     def test_levels_must_be_integers(self, swap3, read, level):
         with pytest.raises(ValueError, match=re.escape(f"level {level!r} is not an integer")):
             read(swap3, (1, level))
@@ -125,7 +125,8 @@ class TestArgumentValidation:
         (sigma, (1, 2.0), 2.0),
         (gamma_diag, (2.0,), 2.0),
         (dynamical_factor, (np.float64(1.5),), np.float64(1.5)),
-    ], ids=["sigma-first", "sigma-second", "gamma_diag", "dynamical_factor"])
+        (sigma, (True, 2), True),
+    ], ids=["sigma-first", "sigma-second", "gamma_diag", "dynamical_factor", "sigma-bool"])
     def test_single_levels_must_be_integers(self, swap3, read, args, level):
         with pytest.raises(ValueError, match=re.escape(f"level {level!r} is not an integer")):
             read(swap3, *args)

@@ -125,9 +125,12 @@ done
 cmp matrix_windows_decompose.json matrix_windows_crlf_decompose.json
 
 # Refused files, read once: a bad last frame after many windows of text,
-# 'n' = 0 after a matrix's entries, and a leading byte order mark.  Each
-# exits 2, with nothing on stdout and the error's text on stderr.
+# 'n' = 0 after a matrix's entries, a leading byte order mark, and an
+# evolution of 20,000 frames with a number written as a string in every
+# frame.  Each exits 2, with nothing on stdout and the error's text on
+# stderr.
 python - <<'EOF'
+import json
 text = open("windows.json").read()
 cut = text.index('"grid"')
 for _ in range(3):  # the ']' of the frames, of the last frame, of its last pair
@@ -137,6 +140,10 @@ with open("bom.json", "w", encoding="utf-8-sig") as fh:
     fh.write(text)
 matrix = open("matrix_windows.json").read()
 open("matrix_n0.json", "w").write(matrix.replace('"n": 300', '"n": 0'))
+steps = 20000
+with open("quoted.json", "w") as fh:
+    json.dump({"n": 1, "grid": [s / steps for s in range(steps)],
+               "frames": [[[0.6, "0.5"]] for _ in range(steps)]}, fh, indent=2)
 EOF
 refused() {  # the text stderr must hold, then the command
   local expected="$1" status=0
@@ -150,4 +157,5 @@ refused "bad_last_frame.json' frame 2999: expected 16 [re, im] pairs" \
   gaugephase offdiag bad_last_frame.json
 refused "matrix_n0.json': 'n' must be a positive integer, got 0" gaugephase decompose matrix_n0.json
 refused "bom.json' is not valid JSON: Unexpected UTF-8 BOM" gaugephase phases bom.json
+refused "quoted.json' frame 0: a number is written as a string" gaugephase phases quoted.json
 echo "check_cli: all checks passed"

@@ -36,6 +36,7 @@ from .core import (
     UnitaryMatrix,
     UnitVector,
     _as_vector,
+    _check_indices,
     _gram_deviation,
     _unit_rows,
     reduce_phase,
@@ -236,6 +237,7 @@ def _interleaved(psis: np.ndarray, phis: np.ndarray, pattern,
                 f"{family!r} followed by {family!r}"
             )
         rows = fams[family]
+        _check_indices(index)
         if not 1 <= index <= len(rows):
             raise IndexError(f"pattern entry {pos}: index {index} outside 1..{len(rows)}")
         vs.append(rows[index - 1])
@@ -265,6 +267,7 @@ def delta4_general(A: UnitaryMatrix, j: int, l: int, k: int, m: int) -> complex:
     Invariant under the full diagonal gauge action on A: each of the four
     gauge phases enters once with each sign.
     """
+    _check_indices(j, l, k, m)
     n = A.n
     if not (j < l and k < m):
         raise ValueError(f"index order violated: need j < l and k < m, got ({j},{l},{k},{m})")
@@ -317,6 +320,7 @@ def reduce_to_adjacent(j: int, l: int, k: int, m: int) -> list[tuple[int, int]]:
 
         D_{jlkm} = product over the rectangle of D_{rc}.
     """
+    _check_indices(j, l, k, m)
     if j < 1 or k < 1:
         raise IndexError(f"indices must be >= 1, got ({j}, {l}, {k}, {m})")
     if not (j < l and k < m):

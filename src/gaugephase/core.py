@@ -265,6 +265,13 @@ def _unit_rows(rows: np.ndarray, tol: float) -> None:
         raise ValueError(f"vector norm {norm!r} deviates from 1 by more than {tol:.3e}")
 
 
+def _check_indices(*indices, what: str = "index") -> None:
+    """Each 1-based index is an integer (a numpy one too), not a bool."""
+    for j in indices:
+        if not isinstance(j, (int, np.integer)) or type(j) is bool:
+            raise ValueError(f"{what} {j!r} is not an integer")
+
+
 def _as_vector(values) -> np.ndarray:
     """``values`` as a contiguous 1-d complex array with at least one entry."""
     arr = np.asarray(values, dtype=np.complex128)
@@ -321,6 +328,7 @@ class UnitVector:
 
     def component(self, j: int) -> complex:
         """1-based component access: component(1) is the leading entry."""
+        _check_indices(j)
         if not 1 <= j <= self.dim:
             raise IndexError(f"component index {j} outside 1..{self.dim}")
         return complex(self._data[j - 1])
@@ -378,6 +386,7 @@ class UnitaryMatrix:
 
     def entry(self, j: int, k: int) -> complex:
         """1-based entry access: entry(1, 1) is the top-left element."""
+        _check_indices(j, k)
         n = self.n
         if not (1 <= j <= n and 1 <= k <= n):
             raise IndexError(f"entry index ({j}, {k}) outside 1..{n}")
@@ -385,6 +394,7 @@ class UnitaryMatrix:
 
     def column(self, k: int) -> UnitVector:
         """1-based column as a UnitVector."""
+        _check_indices(k)
         if not 1 <= k <= self.n:
             raise IndexError(f"column index {k} outside 1..{self.n}")
         return UnitVector(self._data[:, k - 1], tol=max(1e-12, 2.0 * self._deviation + 1e-15))

@@ -52,6 +52,7 @@ from .core import (
     UnitaryMatrix,
     UnitVector,
     _as_complex_array,
+    _check_indices,
     _gram_deviation,
     principal_arg,
     reduce_phase,
@@ -95,8 +96,7 @@ def _check_quadrature(quadrature: str) -> None:
 
 def _check_level(j: int, n: int) -> None:
     """Level j is an integer (a numpy one too, not a bool) in 1..n."""
-    if not isinstance(j, (int, np.integer)) or type(j) is bool:
-        raise ValueError(f"level {j!r} is not an integer")
+    _check_indices(j, what="level")
     if not 1 <= j <= n:
         raise IndexError(f"level {j} outside 1..{n}")
 

@@ -24,6 +24,7 @@ from .core import (
     UnitVector,
     _as_complex_array,
     _certify_stack,
+    _check_indices,
     _row_norms,
 )
 from .curves import FrameEvolution
@@ -381,6 +382,7 @@ def engineered_swap_evolution(n: int, j: int, k: int, steps: int) -> FrameEvolut
     a_{jk} = -1, a_{kj} = +1: the canonical source of a defined
     off-diagonal pair factor where the diagonal phases are undefined.
     """
+    _check_indices(j, k)
     if not (1 <= j < k <= n):
         raise ValueError(f"need 1 <= j < k <= n, got j={j}, k={k}, n={n}")
     if steps < 2:

@@ -153,8 +153,8 @@ class _Items:
     (a matrix's entries are one item, an evolution's frames one item each):
     the flat complex blocks converted before the first defect, each item's
     pair count (-1: not a list), the first defect as (item, kind, detail),
-    and the first item whose text holds a '"': in an item with no defect,
-    only a number written as a string puts it there."""
+    and the first item that holds a string or an object: in an item with
+    no defect, only a number written as a string."""
 
     def __init__(self, counts: list[int]):
         self.arrays, self.counts, self.defect, self.quoted = [], counts, None, None
@@ -367,10 +367,23 @@ def _frame_runs(window: _Window) -> _Items:
     for run, quoted in _runs(window, 2):
         first = len(frames.counts)
         if quoted and frames.quoted is None:
-            frames.quoted = first
+            frames.quoted = first + next(i for i, frame in enumerate(run) if _textual(frame))
         frames.counts += [len(frame) if type(frame) is list else -1 for frame in run]
         frames.add(first, run)
     return frames
+
+
+def _textual(value: Any) -> bool:
+    """Whether a decoded JSON value is or holds a string or an object (by a
+    stack, not recursion: json decodes nesting deeper than Python recurses)."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if type(value) in (str, dict):
+            return True
+        if type(value) is list:
+            stack += value
+    return False
 
 
 def _runs(window: _Window, closers: int) -> Iterator[tuple[list, bool]]:
@@ -390,17 +403,12 @@ def _runs(window: _Window, closers: int) -> Iterator[tuple[list, bool]]:
 
 def _run(text: str, idx: int, closers: int) -> tuple[tuple[list, bool, bool], int]:
     """The members at ``idx`` up to the last that ends within ``_PAIR_RUN``
-    characters and before the first '"' (or up to the first that ends
-    beyond), decoded as one array, whether the array closed there, and
-    whether their text holds a '"'; then the index past it, or past the
-    ',' that follows the run.  A member ends at ``closers`` ']'.
-
-    A run that holds a '"' holds it in its first member, or after a member
-    that does not end in a pair, which is refused first: so a number
-    written as a string is blamed on its own frame, with no run read again."""
+    characters (or up to the first that ends beyond), decoded as one array,
+    whether the array closed there, and whether their text holds a '"';
+    then the index past it, or past the ',' that follows the run.  A
+    member ends at ``closers`` ']'."""
     last_end, next_end = _ENDS[closers]
-    quote = text.find('"', idx, idx + _PAIR_RUN)
-    cut = last_end(text, idx, idx + _PAIR_RUN if quote < 0 else quote) or next_end(text, idx)
+    cut = last_end(text, idx, idx + _PAIR_RUN) or next_end(text, idx)
     if cut is not None:
         run = "[" + text[idx:cut.end()] + "]"
         try:

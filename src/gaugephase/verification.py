@@ -17,19 +17,16 @@ from .bargmann import (
     _delta4,
     _delta4_at,
     _rings,
-    delta4_grid,
     independent_primitive_set,
     reduce_to_adjacent,
 )
 from .canonical import (
-    CanonicalParams,
     _checked_peel,
     _params,
     _rebuild,
-    decompose,
+    _stacks,
     modulus_invariants,
     phase_invariant_list,
-    reconstruct,
 )
 from .core import (
     DEFAULT_TOLERANCES,
@@ -37,7 +34,7 @@ from .core import (
     Tolerances,
     Undefined,
     UnitaryMatrix,
-    UnitVector,
+    _row_norms,
     _unit_rows,
     circular_distance,
     reduce_phase,
@@ -397,28 +394,6 @@ def run_suite(suite: str, n: int, trials: int, seed: int, *,
 # functional independence of the primitive phases
 # ---------------------------------------------------------------------------
 
-def _flatten_params(params: CanonicalParams) -> np.ndarray:
-    parts = []
-    for v in params.vectors:
-        parts.append(v.data.real)
-        parts.append(v.data.imag)
-    parts.append(np.array([params.chi]))
-    return np.concatenate(parts)
-
-
-def _params_from_flat(x: np.ndarray, dims: list[int]) -> CanonicalParams:
-    vectors = []
-    offset = 0
-    for m in dims:
-        re = x[offset:offset + m]
-        im = x[offset + m:offset + 2 * m]
-        offset += 2 * m
-        v = re + 1j * im
-        v = v / np.linalg.norm(v)
-        vectors.append(UnitVector(v))
-    return CanonicalParams(vectors=tuple(vectors), chi=float(x[-1]))
-
-
 def primitive_phase_rank(matrix: UnitaryMatrix, *, step: float = 1e-6,
                          cutoff: float = 1e-6,
                          tol: Tolerances = DEFAULT_TOLERANCES,
@@ -429,29 +404,29 @@ def primitive_phase_rank(matrix: UnitaryMatrix, *, step: float = 1e-6,
     parameter sphere product; differences of arguments are taken
     circularly so branch cuts cannot corrupt a column.  Returns the rank
     at relative cutoff ``cutoff`` together with the singular values.
+    The shifted sets, each parameter plus then minus ``step`` in turn, are
+    rebuilt in stacks and raise the error a loop over them would raise first.
     """
-    params = decompose(matrix, tol=tol)
-    n = params.dim
-    dims = [v.dim for v in params.vectors]
-    independent = independent_primitive_set(n)
-
-    def observable(x: np.ndarray) -> np.ndarray:
-        rebuilt = reconstruct(_params_from_flat(x, dims), tol=tol)
-        grid = delta4_grid(rebuilt)
-        return np.array([np.angle(grid[j - 1, k - 1]) for j, k in independent])
-
-    x0 = _flatten_params(params)
-    rows = len(independent)
-    cols = x0.size
-    jacobian = np.empty((rows, cols))
-    for c in range(cols):
-        plus = x0.copy()
-        plus[c] += step
-        minus = x0.copy()
-        minus[c] -= step
-        diff = observable(plus) - observable(minus)
-        diff = np.remainder(diff + np.pi, 2.0 * np.pi) - np.pi
-        jacobian[:, c] = diff / (2.0 * step)
+    peel, chi = _checked_peel(matrix.data[None], tol)
+    rows, cols = np.array(independent_primitive_set(matrix.n), dtype=int).reshape(-1, 2).T - 1
+    x0 = np.concatenate([part for z in peel.columns for part in (z[0].real, z[0].imag)] + [chi])
+    shifted = np.repeat(x0[None], 2 * x0.size, axis=0)  # x0 + step e_c, then x0 - step e_c
+    shifted[::2][np.diag_indices(x0.size)] += step
+    shifted[1::2][np.diag_indices(x0.size)] -= step
+    levels, offset = [], 0
+    for m in range(matrix.n, 1, -1):
+        v = shifted[:, offset:offset + m] + 1j * shifted[:, offset + m:offset + 2 * m]
+        levels.append(v / _row_norms(v))
+        offset += 2 * m
+    phases = np.array([reduce_phase(x) for x in shifted[:, -1].tolist()])
+    angles = []
+    for stack in _stacks(range(len(shifted)), lambda _: matrix.n):
+        rebuilt, _ = _rebuild([v[stack] for v in levels], phases[stack], tol)
+        angles.append(np.angle(_delta4(rebuilt)[:, rows, cols]))
+    observed = np.concatenate(angles)
+    diff = observed[::2] - observed[1::2]
+    diff = np.remainder(diff + np.pi, 2.0 * np.pi) - np.pi
+    jacobian = (diff / (2.0 * step)).T
     singulars = np.linalg.svd(jacobian, compute_uv=False)
     if singulars.size == 0 or singulars[0] == 0.0:
         return 0, singulars

@@ -3,6 +3,8 @@
 Nothing here imports from the package's computational paths — each
 oracle rebuilds its target from the defining conditions (or from an
 explicit analytic solution), so agreement is evidence, not tautology.
+The one exception, :func:`rank_by_objects`, is a loop of the package's
+one-matrix calls, the reference for a path that stacks those calls.
 """
 
 from __future__ import annotations
@@ -323,3 +325,46 @@ def evolution_by_one_tree(path: str):
     them.
     """
     return _one_tree(path, _evolution_tree)
+
+
+def rank_by_objects(matrix, *, step: float = 1e-6, cutoff: float = 1e-6, tol=None):
+    """``primitive_phase_rank`` as a loop of one-matrix calls: one
+    ``reconstruct`` and ``delta4_grid`` per shifted parameter set, each
+    set a fresh ``CanonicalParams`` of ``UnitVector`` levels.
+
+    The parameters are each level's real then imaginary parts, then chi;
+    column c of the Jacobian is the circular difference of the independent
+    blocks' arguments at x0 + step e_c and x0 - step e_c, over 2 step.
+    """
+    from gaugephase import (DEFAULT_TOLERANCES, CanonicalParams, UnitVector, decompose,
+                            delta4_grid, independent_primitive_set, reconstruct)
+
+    tol = DEFAULT_TOLERANCES if tol is None else tol
+    params = decompose(matrix, tol=tol)
+    dims = [v.dim for v in params.vectors]
+    independent = independent_primitive_set(params.dim)
+
+    def observable(x: np.ndarray) -> np.ndarray:
+        vectors, offset = [], 0
+        for m in dims:
+            v = x[offset:offset + m] + 1j * x[offset + m:offset + 2 * m]
+            offset += 2 * m
+            vectors.append(UnitVector(v / np.linalg.norm(v)))
+        rebuilt = reconstruct(CanonicalParams(vectors=tuple(vectors), chi=float(x[-1])), tol=tol)
+        grid = delta4_grid(rebuilt)
+        return np.array([np.angle(grid[j - 1, k - 1]) for j, k in independent])
+
+    x0 = np.concatenate([np.concatenate((v.data.real, v.data.imag)) for v in params.vectors]
+                        + [np.array([params.chi])])
+    jacobian = np.empty((len(independent), x0.size))
+    for c in range(x0.size):
+        plus, minus = x0.copy(), x0.copy()
+        plus[c] += step
+        minus[c] -= step
+        diff = observable(plus) - observable(minus)
+        diff = np.remainder(diff + np.pi, 2.0 * np.pi) - np.pi
+        jacobian[:, c] = diff / (2.0 * step)
+    singulars = np.linalg.svd(jacobian, compute_uv=False)
+    if singulars.size == 0 or singulars[0] == 0.0:
+        return 0, singulars
+    return int(np.sum(singulars > cutoff * singulars[0])), singulars

@@ -1,6 +1,7 @@
 """Tests for shared primitives: phases, vectors, matrices, tolerances."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from gaugephase import (
     UnitaryMatrix,
     UnitVector,
     circular_distance,
+    delta4_general,
+    delta4_primitive,
+    engineered_swap_evolution,
     frame_evolution_from_path,
     gamma_via_invariants,
     inner_product,
@@ -23,8 +27,22 @@ from gaugephase import (
     random_generic_unitary,
     random_hermitian_path,
     reduce_phase,
+    reduce_to_adjacent,
 )
 from gaugephase.core import _certify_stack
+
+_A, _B = random_generic_unitary(3, 0), random_generic_unitary(3, 1)
+_INDEXED = {
+    "entry_row": lambda i: _A.entry(i, 1),
+    "entry_column": lambda i: _A.entry(1, i),
+    "column": lambda i: _A.column(i),
+    "component": lambda i: _A.column(1).component(i),
+    "delta4_general": lambda i: delta4_general(_A, i, 2, 1, 2),
+    "delta4_primitive": lambda i: delta4_primitive(_A, i, 1),
+    "reduce_to_adjacent": lambda i: reduce_to_adjacent(i, 3, 1, 2),
+    "interleaved_pattern": lambda i: interleaved_invariant(_A, _B, [("psi", i), ("phi", 1)]),
+    "engineered_swap": lambda i: engineered_swap_evolution(3, i, 2, 5),
+}
 
 
 class TestReducePhase:
@@ -191,6 +209,16 @@ class TestUnitaryMatrix:
         assert str(exc.value) == str(alone.value)
         with pytest.raises(ValueError, match="matrix contains non-finite entries"):
             _certify_stack(stack[::-1], 1e-10)
+
+
+@pytest.mark.parametrize("index", [True, np.True_, 1.0, np.float64(1.0)],
+                         ids=["bool", "numpy-bool", "float", "numpy-float"])
+@pytest.mark.parametrize("call", list(_INDEXED.values()), ids=list(_INDEXED))
+def test_a_one_based_index_is_an_integer_and_not_a_bool(call, index):
+    with pytest.raises(ValueError, match=f"^index {re.escape(repr(index))} is not an integer$"):
+        call(index)
+    call(1)
+    call(np.int64(1))
 
 
 class TestTolerances:

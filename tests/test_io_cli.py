@@ -319,9 +319,10 @@ class TestEvolutionReader:
 
     def test_numbers_written_as_strings_in_every_frame_are_decoded_once(self, tmp_path,
                                                                         monkeypatch):
-        # A run ends before its first '"', so such a file is still read in one
-        # pass: reading a run's first member alone, then the rest again, would
-        # decode a run's text once per frame.
+        # Runs are cut by length alone, so a string in every frame is decoded
+        # in as few runs as a number is; the frame that holds the first string
+        # is found by a type test of the run's members, with no text decoded
+        # again.
         doc = _evolution_doc(1, 2000)
         for frame in doc["frames"]:
             frame[0][1] = "0.5"

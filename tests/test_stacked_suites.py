@@ -3,11 +3,14 @@ object API: the same measured numbers, exactly."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from gaugephase import (
+    CanonicalParams,
+    NonGenericVectorError,
     Tolerances,
     UnitaryMatrix,
     UnitVector,
@@ -20,6 +23,7 @@ from gaugephase import (
     independent_primitive_set,
     modulus_invariants,
     phase_invariant_list,
+    primitive_phase_rank,
     random_generic_unitary,
     random_unit_vector,
     reconstruct,
@@ -33,6 +37,7 @@ from gaugephase import verification
 from gaugephase.cli import main
 from gaugephase.gauge import _recursion_deviations
 from gaugephase.verification import run_gauge_suite, run_reduction_suite, run_roundtrip_suite
+from oracles import rank_by_objects
 
 
 def _max(values) -> float:
@@ -250,3 +255,43 @@ def test_zero_trials_pass_at_the_command_line_with_zero_deviation(suite, trial_c
     assert doc["pass"] is True
     measured = {c["name"]: c["measured"] for c in doc["checks"]}
     assert all(measured[name] == 0.0 for name in trial_checks)
+
+
+@pytest.mark.parametrize("n, seed", [(3, 0), (12, 5)])
+def test_primitive_phase_rank_is_a_loop_of_reconstruct_calls(n, seed):
+    # At n = 12 the 310 shifted sets fill three stacks; as one stack the
+    # rebuilt towers round differently.
+    matrix = random_generic_unitary(n, seed)
+    rank, singulars = primitive_phase_rank(matrix)
+    expected_rank, expected = rank_by_objects(matrix)
+    assert rank == expected_rank == (n - 1) * (n - 2) // 2
+    assert singulars.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+def test_primitive_phase_rank_has_no_blocks_at_n_2_and_no_set_at_n_1():
+    rank, singulars = primitive_phase_rank(random_generic_unitary(2, 0))
+    assert rank == 0 and singulars.shape == (0,)
+    with pytest.raises(ValueError, match=r"^need n >= 2, got 1$"):
+        primitive_phase_rank(UnitaryMatrix(np.eye(1)))
+
+
+def test_a_shifted_set_on_the_gate_raises_the_error_a_loop_raises_first():
+    # The two top levels' leading components are about step, so x0 - step e_c
+    # lands on the genericity gate for the first component of each; a loop
+    # meets the top level's first.
+    params = decompose(random_generic_unitary(5, 3))
+    levels = list(params.vectors)
+    for i, lead in ((0, 1e-6), (1, 1e-6 + 5e-9)):
+        v = levels[i].data.copy()
+        v[1:] *= np.sqrt(1.0 - lead ** 2) / np.linalg.norm(v[1:])
+        v[0] = lead
+        levels[i] = UnitVector(v)
+    matrix = reconstruct(CanonicalParams(tuple(levels), params.chi))
+    with pytest.raises(NonGenericVectorError) as expected:
+        rank_by_objects(matrix)
+    with pytest.raises(NonGenericVectorError) as found:
+        primitive_phase_rank(matrix)
+    assert str(found.value) == str(expected.value)
+    assert re.fullmatch(r"genericity margin (\S+) <= 1\.000e-08: coset factor undefined",
+                        str(found.value))
+    assert float(str(found.value).split()[2]) < 1e-9

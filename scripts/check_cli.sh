@@ -124,10 +124,36 @@ for file in matrix_windows matrix_windows_crlf; do
 done
 cmp matrix_windows_decompose.json matrix_windows_crlf_decompose.json
 
+# A report of more floats than the writer's fork size (decompose at n = 200,
+# 59,302 floats), every other float block of which a forked helper joins:
+# the report through a pipe, the report written with -o, and the bytes the
+# standard library's json.dump writes for the same document are one text.
+# A helper that wrote to stdout, or flushed its copy of stdout's buffer,
+# would double text in the piped copy.
+python - <<'EOF'
+from gaugephase import random_generic_unitary, save_matrix
+from gaugephase.io import _FORK_FLOATS
+save_matrix("matrix_fork.json", random_generic_unitary(200, seed=23).data)
+assert 200 * 199 // 2 + 199 * 198 > _FORK_FLOATS
+EOF
+gaugephase decompose matrix_fork.json | cat > fork_piped.json
+gaugephase decompose matrix_fork.json -o fork_file.json
+python - <<'EOF'
+import json
+with open("fork_file.json", encoding="utf-8") as fh:
+    doc = json.load(fh)
+with open("fork_stdlib.json", "w", encoding="utf-8") as fh:
+    json.dump(doc, fh, sort_keys=True, indent=2)
+    fh.write("\n")
+EOF
+cmp fork_piped.json fork_file.json
+cmp fork_piped.json fork_stdlib.json
+
 # Refused files, read once: a bad last frame after many windows of text,
-# 'n' = 0 after a matrix's entries, a leading byte order mark, and an
+# 'n' = 0 after a matrix's entries, a leading byte order mark, an
 # evolution of 20,000 frames with a number written as a string in every
-# frame.  Each exits 2, with nothing on stdout and the error's text on
+# frame, and a frame nested in 100,000 brackets, deeper than json's decoder
+# recurses.  Each exits 2, with nothing on stdout and the error's text on
 # stderr.
 python - <<'EOF'
 import json
@@ -144,6 +170,8 @@ steps = 20000
 with open("quoted.json", "w") as fh:
     json.dump({"n": 1, "grid": [s / steps for s in range(steps)],
                "frames": [[[0.6, "0.5"]] for _ in range(steps)]}, fh, indent=2)
+deep = "[" * 100_000 + "0.5" + "]" * 100_000
+open("deep.json", "w").write('{"n": 1, "grid": [0.0], "frames": [' + deep + "]}")
 EOF
 refused() {  # the text stderr must hold, then the command
   local expected="$1" status=0
@@ -158,4 +186,5 @@ refused "bad_last_frame.json' frame 2999: expected 16 [re, im] pairs" \
 refused "matrix_n0.json': 'n' must be a positive integer, got 0" gaugephase decompose matrix_n0.json
 refused "bom.json' is not valid JSON: Unexpected UTF-8 BOM" gaugephase phases bom.json
 refused "quoted.json' frame 0: a number is written as a string" gaugephase phases quoted.json
+refused "deep.json' frames: nested deeper than json's decoder recurses" gaugephase phases deep.json
 echo "check_cli: all checks passed"

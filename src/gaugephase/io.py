@@ -41,9 +41,10 @@ first defect of the earliest kind).  A number written as a string, which
 numpy would convert, is refused last.  Only text that is not a JSON object
 is read again whole, for json's own error or for the value that is not an
 object; a character at fault that the window holds is refused without a
-refill (``_Refused``).  Readers run with the cyclic garbage collector paused
-(``_gc_paused``), since each [re, im] list would count towards its next
-pass over objects that cannot form a cycle.
+refill (``_Refused``), and a member nested deeper than json's scanner
+recurses without a re-read (``_Nested``).  Readers run with the cyclic
+garbage collector paused (``_gc_paused``), since each [re, im] list would
+count towards its next pass over objects that cannot form a cycle.
 
 The writer is not ``json.dump``, which with an indent runs its pure-Python
 encoder and makes one write per token.  ``dump_report`` writes the same
@@ -53,8 +54,16 @@ one of three or more axes a row at a time, as arrays, and a float array of
 leaves or of [re, im] pairs from its flat floats, with no list per pair.
 Every array the package writes is such a float view (``pair_rows``, the
 savers' entries, grid and frames); a list of [re, im] lists from outside
-goes item by item.  A saver refuses what its reader refuses before it
-opens the file, so a refused save leaves no file, and a target as it was.
+goes item by item.  Float repr (about 1 us a float) is most of a write and
+holds the GIL, so a document of ``_FORK_FLOATS`` floats or more (counted
+by one walk that stops there) is joined in two processes: one fork, a
+helper that walks the same document and joins every other leaf block into
+a pipe, and this process, which joins the rest, reads the helper's blocks
+in order and makes every write (``_Helper``).  A fork and its reaping cost
+about 3 ms, some 3,000 float reprs; a smaller document, and every document
+where there is no fork, is written in this process alone.  A saver
+refuses what its reader refuses before it opens the file, so a refused
+save leaves no file, and a target as it was.
 """
 
 from __future__ import annotations
@@ -62,9 +71,12 @@ from __future__ import annotations
 import gc
 import json
 import math
+import os
 import re
+import signal
+import warnings
 from contextlib import contextmanager
-from itertools import chain
+from itertools import chain, count
 from json.encoder import encode_basestring_ascii
 from typing import Any, IO, Iterator
 
@@ -85,6 +97,7 @@ __all__ = [
 
 
 _BLOCK = 2048  # leaf-list items per join: bounds the text held at once
+_FORK_FLOATS = 2 ** 15  # floats from which a helper joins half the blocks: a fork costs ~3k reprs
 
 _CHUNK = 2 ** 20  # characters per read of a file: bounds the text held at once
 _PAIR_RUN = 80_000  # characters of pairs or frames decoded at once: bounds the lists held
@@ -94,6 +107,7 @@ _WS = json.decoder.WHITESPACE.match
 _AFTER = re.compile(r"[ \t\n\r]*([,\]}])[ \t\n\r]*").match  # what follows a JSON item
 _DECODER = json.JSONDecoder()
 _QUOTED = "a number is written as a string"  # which numpy would read as the number
+_TOO_DEEP = "nested deeper than json's decoder recurses"
 # The last and the next end of a block array's member: one ']' after a pair,
 # two after a frame of pairs.
 _ENDS = {closers: (re.compile("(?s:.*)" + end).match, re.compile(end).search)
@@ -130,6 +144,8 @@ def _parse_json(text: str, path: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as err:
         raise FileFormatError(f"{path!r} is not valid JSON: {err}") from err
+    except RecursionError as err:
+        raise FileFormatError(f"{path!r}: {_TOO_DEEP}") from err
 
 
 def _pairs_to_complex(pairs: Any) -> tuple[np.ndarray | None, tuple[int, str] | None]:
@@ -236,6 +252,8 @@ def _loaded(path: str, blocks: str, read_blocks, checked) -> Any:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 doc = _walked_object(_Window(fh), blocks, read_blocks)
+            except _Nested as err:
+                raise FileFormatError(f"{path!r} {err}: {_TOO_DEEP}") from err
             except ValueError:  # read again whole below, once the window is freed
                 doc = None
             if doc is None:
@@ -271,6 +289,12 @@ def _evolution(doc: Any, path: str) -> tuple[np.ndarray, np.ndarray]:
     if str in set(map(type, doc["grid"])):
         raise FileFormatError(f"{path!r} grid: {_QUOTED}")
     return grid, entries.reshape(grid.size, n, n)
+
+
+class _Nested(Exception):
+    """The key of a member nested deeper than json's scanner recurses.  It is
+    no ValueError, so it is taken neither for a token cut by the window's
+    edge nor for text to read again whole, where json would recurse as deep."""
 
 
 class _Refused(ValueError):
@@ -339,8 +363,11 @@ def _walked_object(window: _Window, blocks: str, read_blocks) -> dict:
     doc, closed = {}, window.take(_opening, "{")
     while not closed:
         key = window.take(_key)
-        doc[key] = (read_blocks(window) if key == blocks and window.text.startswith("[", window.idx)
-                    else window.take(_value))
+        try:  # json's scanner, in _run or _value, recurses once per '['
+            doc[key] = (read_blocks(window) if key == blocks
+                        and window.text.startswith("[", window.idx) else window.take(_value))
+        except RecursionError as err:
+            raise _Nested(key) from err
         closed = window.take(_after_item, "}")
     if window.idx != len(window.text):
         raise ValueError("extra data")
@@ -514,9 +541,142 @@ def dump_report(doc: Any, stream: IO[str]) -> None:
     shortest-round-trip floats, no NaN/Inf, trailing newline.  The text and
     the exception types are those of ``json.dump(doc, stream,
     sort_keys=True, indent=2, allow_nan=False)`` followed by a newline,
-    where an ndarray with at least one axis stands for its ``tolist()``."""
-    _write_value(doc, stream.write, "\n")
-    stream.write("\n")
+    where an ndarray with at least one axis stands for its ``tolist()``.
+    A document of ``_FORK_FLOATS`` floats or more has every other leaf
+    block joined by a forked helper (``_Helper``); only this process writes
+    to ``stream``."""
+    helper = _Helper.start(doc) if _holds_floats(doc, _FORK_FLOATS) else None
+    try:
+        _write_value(doc, stream.write, "\n", helper or _leaf_block)
+        stream.write("\n")
+    finally:
+        if helper is not None:
+            helper.end()
+
+
+def _holds_floats(doc: Any, least: int) -> bool:
+    """Whether ``doc`` holds at least ``least`` floats, an ndarray counted by
+    its size and a list or tuple that starts with a float by its length.  The
+    walk (by a stack) stops once it has counted that many."""
+    stack = [doc]
+    while stack and least > 0:
+        value = stack.pop()
+        if isinstance(value, dict):
+            stack += value.values()
+        elif isinstance(value, np.ndarray):
+            least -= value.size
+        elif isinstance(value, (list, tuple)) and value:
+            if type(value[0]) is float:
+                least -= len(value)
+            else:
+                stack += value
+    return least <= 0
+
+
+class _Helper:
+    """A forked process that joins the odd-numbered leaf blocks of one
+    document, in the order the walk meets them, and sends each block's text
+    down a pipe, its length in front; this process joins the even-numbered
+    ones, reads the odd ones in order and does every write.
+
+    Both processes walk the same document, so their block numbers agree up
+    to the first block that will not join (a member that is not a float, or
+    one not finite).  The helper stops before such a block of its own,
+    closing the pipe, and takes each block of this process as joined; this
+    process stops reading at the end of the pipe or at such a block of its
+    own.  From there on this process joins every block itself, so every
+    error is raised here, with the serial walk's type and text.  Nothing
+    the helper does after the last block read matters, so it is killed, not
+    waited for, and then reaped.
+    """
+
+    def __init__(self, pid: int, reader: IO[bytes]):
+        self.pid, self.reader, self.count = pid, reader, 0
+
+    @classmethod
+    def start(cls, doc: Any) -> "_Helper | None":
+        """The helper for ``doc``, or None where there is no fork, or where
+        the pipe or the fork fails: then the walk stays in this process."""
+        if not hasattr(os, "fork"):
+            return None
+        try:
+            read_end, write_end = os.pipe()
+        except OSError:
+            return None
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns that a fork in a process with threads (an
+                # unpinned BLAS pool has one) may deadlock the child.  The
+                # helper calls no BLAS and takes no lock another thread may
+                # hold: it slices, calls tolist, joins float reprs, writes to
+                # its pipe and leaves by os._exit.
+                warnings.filterwarnings("ignore", "This process .*is multi-threaded",
+                                        DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            return None
+        if pid == 0:
+            try:  # the helper leaves by os._exit on every path: no flush, no unwinding
+                os.close(read_end)
+                _send_odd_blocks(doc, write_end)
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        return cls(pid, open(read_end, "rb"))
+
+    def __call__(self, block, pairs: bool, inner: str) -> str | None:
+        """The text of the next leaf block: this process's own, or the
+        helper's read from the pipe."""
+        theirs = self.count % 2
+        self.count += 1
+        if self.reader is None:
+            return _leaf_block(block, pairs, inner)
+        text = self._received() if theirs else _leaf_block(block, pairs, inner)
+        if text is None:  # the block will not join: from here on, every block is joined here
+            self.reader.close()
+            self.reader = None
+            if theirs:
+                return _leaf_block(block, pairs, inner)
+        return text
+
+    def _received(self) -> str | None:
+        """The helper's next block, or None at the end of the pipe."""
+        head = self.reader.read(8)
+        size = int.from_bytes(head, "little")
+        data = self.reader.read(size) if len(head) == 8 else b""
+        return data.decode("ascii") if len(data) == size > 0 else None
+
+    def end(self) -> None:
+        """Close the pipe, then kill the helper and reap it."""
+        if self.reader is not None:
+            self.reader.close()
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+
+
+def _send_odd_blocks(doc: Any, fd: int) -> None:
+    """The helper's walk of ``doc``: it writes nothing of the document, takes
+    each even-numbered leaf block as joined, and sends each odd-numbered
+    one's text down ``fd``, up to the first that will not join."""
+    gc.disable()  # a collection would touch, and so copy, the parent's pages
+    numbers = count()
+
+    def leaf(block, pairs: bool, inner: str) -> str:
+        if next(numbers) % 2 == 0:
+            return ""
+        text = _leaf_block(block, pairs, inner)
+        if text is None:  # the end of the pipe: the parent joins every block from here on
+            out.close()
+            os._exit(0)
+        data = text.encode("ascii")
+        out.write(len(data).to_bytes(8, "little"))
+        out.write(data)
+        return text
+
+    with open(fd, "wb") as out:
+        _write_value(doc, len, "\n", leaf)  # len: a write that keeps nothing
 
 
 def _scalar(value: Any) -> str:
@@ -535,22 +695,24 @@ def _scalar(value: Any) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _write_value(value: Any, write, newline: str) -> None:
-    """``newline`` is a line break plus the indentation ``value`` starts at."""
+def _write_value(value: Any, write, newline: str, leaf) -> None:
+    """``newline`` is a line break plus the indentation ``value`` starts at;
+    ``leaf(block, pairs, inner)`` joins a leaf block, or gives None."""
     inner = newline + "  "
     if isinstance(value, dict):
         write("{")
         for i, (key, item) in enumerate(sorted(value.items())):
             key = encode_basestring_ascii(key if isinstance(key, str) else _scalar(key))
             write(("," if i else "") + inner + key + ": ")
-            _write_value(item, write, inner)
+            _write_value(item, write, inner, leaf)
         write((newline if value else "") + "}")
     elif isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim):
         write("[")
         for start in range(0, len(value), _BLOCK):
             block = value[start:start + _BLOCK]
             write("," + inner if start else inner)
-            text = _leaf_block(block, inner)
+            pairs = _leaf_kind(block)
+            text = None if pairs is None else leaf(block, pairs, inner)
             if text is not None:
                 write(text)
                 continue
@@ -559,29 +721,31 @@ def _write_value(value: Any, write, newline: str) -> None:
                 block = block.tolist()
             for i, item in enumerate(block):
                 write("," + inner if i else "")
-                _write_value(item, write, inner)
+                _write_value(item, write, inner, leaf)
         write((newline if len(value) else "") + "]")
     else:
         write(_scalar(value))
 
 
-def _leaf_block(block, inner: str) -> str | None:
-    """A float64 ndarray of leaves or of [re, im] pairs, or an all-float
-    list, as one join, else None.  An array is joined from its flat
-    ``tolist()``, with no list per pair.
+def _leaf_kind(block) -> bool | None:
+    """Whether a leaf block holds [re, im] pairs: a float64 ndarray of pairs
+    (True) or of leaves, or a list that starts with a float (False); None
+    for any other block, which goes item by item."""
+    if isinstance(block, np.ndarray):
+        return {(): False, (2,): True}.get(block.shape[1:]) if block.dtype == np.float64 else None
+    return False if type(block[0]) is float else None
 
-    A non-finite float (the only repr with an "n") also gives None, so
-    that the item-by-item path raises json's ValueError for it.
+
+def _leaf_block(block, pairs: bool, inner: str) -> str | None:
+    """A leaf block as one join, else None.  An array is joined from its
+    flat ``tolist()``, with no list per pair.
+
+    A member that is not a float, or a non-finite float (the only repr
+    with an "n"), gives None, so that the item-by-item path raises json's
+    error for it.
     """
     try:
-        if isinstance(block, np.ndarray):
-            if block.dtype != np.float64 or block.shape[1:] not in ((), (2,)):
-                return None
-            pairs, floats = block.ndim == 2, block.ravel().tolist()
-        elif type(block[0]) is float:
-            pairs, floats = False, block
-        else:
-            return None
+        floats = block.ravel().tolist() if isinstance(block, np.ndarray) else block
         if pairs:  # open, re, within, im, between, ..., im, close: one join
             parts = ["[" + inner + "  "] + [None, "," + inner + "  ", None,
                                            inner + "]," + inner + "[" + inner + "  "] * len(block)

@@ -8,7 +8,9 @@ import os
 import random
 import re
 import stat
+import threading
 import tracemalloc
+import warnings
 from itertools import chain
 
 import numpy as np
@@ -32,7 +34,7 @@ from gaugephase import (
 )
 from gaugephase.cli import main
 from gaugephase import io as io_module
-from gaugephase.io import _BLOCK
+from gaugephase.io import _BLOCK, _FORK_FLOATS
 from gaugephase.verification import SUITES, run_suite
 from oracles import (evolution_by_loops, evolution_by_one_tree, matrix_by_loops,
                      matrix_by_one_tree)
@@ -971,10 +973,12 @@ def _report(tmp_path, argv) -> str:
         return fh.read()
 
 
-def _decompose_argv(tmp_path):
-    path = str(tmp_path / "m48.json")
-    save_matrix(path, random_generic_unitary(48, 7).data)
-    return ["decompose", path]
+def _decompose_argv(n):
+    def argv(tmp_path):
+        path = str(tmp_path / f"m{n}.json")
+        save_matrix(path, random_generic_unitary(n, 7).data)
+        return ["decompose", path]
+    return argv
 
 
 def _evolution_argv(command):
@@ -987,12 +991,14 @@ def _evolution_argv(command):
 
 
 @pytest.mark.parametrize("argv", [
-    _decompose_argv,
+    _decompose_argv(48),
+    _decompose_argv(200),  # 59,302 floats: past _FORK_FLOATS
     _evolution_argv("phases"),
     _evolution_argv("offdiag"),
     *[lambda tmp, s=suite: ["verify", "--suite", s, "--n", "4", "--trials", "3"]
       for suite in sorted(SUITES)],
-], ids=["decompose_n48", "phases", "offdiag", *(f"verify_{s}" for s in sorted(SUITES))])
+], ids=["decompose_n48", "decompose_n200", "phases", "offdiag",
+        *(f"verify_{s}" for s in sorted(SUITES))])
 def test_cli_reports_are_byte_identical_to_json_dump(argv, tmp_path):
     text = _report(tmp_path, argv(tmp_path))
     doc = json.loads(text)  # shortest-repr floats parse back to the same values
@@ -1011,14 +1017,137 @@ def test_cli_reports_are_byte_identical_to_json_dump(argv, tmp_path):
     ([1.0, np.float32(1.0)], TypeError),
     ({"x": 1 + 2j}, TypeError),
     ([[1.0, 2.0], [1j, 0.0]], TypeError),
+    ([0.5] * 7 + [float("nan")] + [0.5] * _FORK_FLOATS, ValueError),
+    ([0.5] * (_BLOCK + 7) + [float("nan")] + [0.5] * _FORK_FLOATS, ValueError),
+    ([0.5] * (2 * _BLOCK) + [1j] + [0.5] * _FORK_FLOATS, TypeError),
+    ([0.5] * (3 * _BLOCK) + [1j] + [0.5] * _FORK_FLOATS, TypeError),
 ], ids=["nan_in_floats", "inf_in_second_block", "minus_inf_in_pairs",
         "nan_in_pairs_second_block", "inf_value", "minus_inf_value", "float32_value",
-        "float32_in_floats", "complex_value", "complex_in_pair"])
-def test_dump_report_raises_what_json_dump_raises(doc, error):
-    with pytest.raises(error):
+        "float32_in_floats", "complex_value", "complex_in_pair",
+        "nan_in_a_block_of_this_process", "nan_in_a_block_of_the_helper",
+        "complex_in_a_block_of_this_process", "complex_in_a_block_of_the_helper"])
+def test_dump_report_raises_what_json_dump_raises(doc, error, forks):
+    with pytest.raises(error) as raised:
         _json_dumped(doc)
-    with pytest.raises(error):
+    with pytest.raises(error, match=f"^{re.escape(str(raised.value))}$"):
         _dumped(doc)
+    assert len(forks) == (len(doc) >= _FORK_FLOATS)
+
+
+def _random_array(shape, seed=0) -> np.ndarray:
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+def _with_nan_at(pairs, row) -> np.ndarray:
+    pairs[row, 1] = np.nan
+    return pairs
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The helpers ``dump_report`` forks; after the test, no child of this
+    process is left, reaped or not."""
+    made, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    yield made
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _tower_shaped(size) -> dict:
+    """A decompose-shaped document of ``size`` floats: many short pair arrays,
+    one block each, then a float list."""
+    rng = np.random.default_rng(size)
+    vectors = [{"components": rng.standard_normal((m, 2)), "dim": m} for m in range(1, 181)]
+    return {"n": 181, "vectors": vectors, "moduli": rng.random(size - 181 * 180).tolist()}
+
+
+def _raise_oserror(*args):
+    raise OSError(24, "Too many open files")
+
+
+def _fork_size_doc(kind, size) -> dict:
+    if kind == "tower":
+        return _tower_shaped(size)
+    floats = _random_array(size).tolist()
+    # A block that will not join, of this process or of the helper, then a
+    # block within it and more blocks after it.
+    at = {"floats": None, "unjoined_here": 5, "unjoined_in_the_helper": _BLOCK + 5}[kind]
+    return {"a": floats if at is None else floats[:at] + [[0.5, 0.25], 7] + floats[at + 2:]}
+
+
+@pytest.mark.parametrize("side", ["below", "at"])
+@pytest.mark.parametrize("kind", ["floats", "tower", "unjoined_here", "unjoined_in_the_helper"])
+@pytest.mark.parametrize("fork", ["fork", "fork_refused", "pipe_refused", "no_fork"])
+def test_a_document_about_the_fork_size_is_written_as_json_dumps_it(side, kind, fork, forks,
+                                                                       monkeypatch):
+    size = _FORK_FLOATS - (side == "below")
+    doc = _fork_size_doc(kind, size)
+    expected = _json_dumped(json.loads(json.dumps(doc, default=np.ndarray.tolist)))
+    if fork == "no_fork":
+        monkeypatch.delattr(os, "fork")
+    elif fork != "fork":
+        monkeypatch.setattr(os, fork.split("_")[0], _raise_oserror)
+    _assert_same_text(_dumped(doc), expected)
+    assert len(forks) == (side == "at" and fork == "fork")
+
+
+class _FullAfter:
+    """A stream whose ``write`` raises OSError once it has taken ``writes``."""
+
+    def __init__(self, writes):
+        self.left = writes
+
+    def write(self, text):
+        if not self.left:
+            raise OSError(28, "No space left on device")
+        self.left -= 1
+
+
+@pytest.mark.parametrize("writes", [0, 1, 40, 400, 1500])  # of about 1,900
+def test_a_stream_that_fails_partway_fails_the_forked_dump(writes, forks):
+    with pytest.raises(OSError, match="No space left on device"):
+        dump_report(_tower_shaped(2 * _FORK_FLOATS), _FullAfter(writes))
+    assert len(forks) == 1
+
+
+def test_the_helper_leaves_the_stream_and_its_buffer_alone(tmp_path, forks):
+    # The helper inherits the file object with "head " in its buffer; it
+    # must neither write nor flush it.
+    doc = _tower_shaped(2 * _FORK_FLOATS)
+    path = tmp_path / "report.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("head ")
+        dump_report(doc, fh)
+    _assert_same_text(path.read_text(encoding="utf-8"), "head " + _dumped(doc))
+    assert len(forks) == 2
+
+
+def test_a_forked_dump_beside_a_thread_and_under_warnings_as_errors(forks):
+    # Python 3.12+ warns (DeprecationWarning) of a fork in a process with a
+    # second thread; the writer does not let it reach the caller.
+    doc = _tower_shaped(2 * _FORK_FLOATS)
+    expected = _json_dumped(json.loads(json.dumps(doc, default=np.ndarray.tolist)))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            text = _dumped(doc)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    _assert_same_text(text, expected)
+    assert len(forks) == 1
 
 
 @pytest.mark.parametrize("array", [
@@ -1034,16 +1163,24 @@ def test_dump_report_raises_what_json_dump_raises(doc, error):
     np.arange(12).reshape(3, 2, 2),
     np.arange(18.0).reshape(2, 3, 3) / 7.0,
     np.where(np.arange(8).reshape(2, 2, 2) == 5, np.nan, 0.25),
+    *(_random_array(shape, size) for size in (_FORK_FLOATS - 1, _FORK_FLOATS)
+      for shape in ((size,), (size // 2, 2), (size // 128, 64, 2))),
+    _with_nan_at(_random_array((_FORK_FLOATS, 2)), 7),
+    _with_nan_at(_random_array((_FORK_FLOATS, 2)), _BLOCK + 7),
 ], ids=["pairs", "floats", "triples", "integer_pairs", "float32_pairs", "empty", "nan_pair",
-        "inf_pair", "frames_past_a_block", "integer_frames", "frames_of_triples", "nan_frame"])
-def test_an_ndarray_is_written_as_its_tolist(array):
+        "inf_pair", "frames_past_a_block", "integer_frames", "frames_of_triples", "nan_frame",
+        *(f"{shape}_{side}_the_fork_size" for side in ("below", "at")
+          for shape in ("floats", "pairs", "frames")),
+        "nan_pair_in_a_block_of_this_process", "nan_pair_in_a_block_of_the_helper"])
+def test_an_ndarray_is_written_as_its_tolist(array, forks):
     try:
         expected = _json_dumped({"a": array.tolist()})
-    except ValueError:
-        with pytest.raises(ValueError):
+    except ValueError as err:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
             _dumped({"a": array})
-        return
-    _assert_same_text(_dumped({"a": array}), expected)
+    else:
+        _assert_same_text(_dumped({"a": array}), expected)
+    assert len(forks) == (array.size >= _FORK_FLOATS)
 
 
 @pytest.fixture()
@@ -1256,6 +1393,17 @@ def _near_orthogonal_step_file(tmp_path) -> str:
     return path
 
 
+def _deep_file(tmp_path, key) -> str:
+    # 0.5 inside 100,000 brackets: far past the depth json's decoder reaches
+    # on any Python from 3.10 to 3.13 (their limits are 1,000 to 10,000).
+    deep = "[" * 100_000 + "0.5" + "]" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text({"entries": '{"n": 1, "entries": ' + deep + "}",
+                     "frames": '{"n": 1, "grid": [0.0], "frames": [' + deep + "]}",
+                     "": deep}[key])
+    return str(path)
+
+
 def _bool_n_file(tmp_path, key) -> str:
     doc = {"n": True, key: [[1.0, 0.0]]} if key == "entries" else {
         "n": True, "grid": [0.0, 1.0], "frames": [[[1.0, 0.0]], [[1.0, 0.0]]]}
@@ -1275,10 +1423,14 @@ def _bool_n_file(tmp_path, key) -> str:
     *[(lambda tmp, swap, command=command, key=key: [command, _bool_n_file(tmp, key)],
        "'n' must be a positive integer, got True")
       for command, key in [("decompose", "entries"), ("phases", "frames"), ("offdiag", "frames")]],
+    *[(lambda tmp, swap, command=command, key=key: [command, _deep_file(tmp, key)],
+       f"deep.json'{key and ' ' + key}: nested deeper than json's decoder recurses")
+      for command, key in [("decompose", "entries"), ("phases", "frames"), ("offdiag", "")]],
 ], ids=["phases_under_resolved", "offdiag_under_resolved", "non_increasing_grid",
         "zero_tol_generic", "verify_n_1", "near_orthogonal_step_at_min_overlap_0",
         *[f"verify_negative_trials_{suite}" for suite in sorted(SUITES)],
-        "decompose_bool_n", "phases_bool_n", "offdiag_bool_n"])
+        "decompose_bool_n", "phases_bool_n", "offdiag_bool_n",
+        "decompose_deep_entries", "phases_deep_frames", "offdiag_deep_document"])
 def test_invalid_input_exits_two(argv, message, tmp_path, swap_file, capsys):
     assert main(argv(tmp_path, swap_file)) == 2
     captured = capsys.readouterr()

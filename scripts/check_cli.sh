@@ -149,6 +149,53 @@ EOF
 cmp fork_piped.json fork_file.json
 cmp fork_piped.json fork_stdlib.json
 
+# An evolution above the reader's fork size, and its compact copy, each
+# read by two processes: a forked helper decodes every other run of frames.
+# The load holds json.load's numbers bit for bit, and both files give the
+# same reports.  A compact copy with a NaN in a frame of run 1, the
+# helper's first, is refused naming that frame.
+python - <<'EOF'
+import json
+import os
+import numpy as np
+from gaugephase import (frame_evolution_from_path, load_evolution, random_hermitian_path,
+                        save_evolution)
+from gaugephase import io
+fork = frame_evolution_from_path(random_hermitian_path(4, 29), 2500)
+save_evolution("fork_evolution.json", fork.grid, fork.frames)
+with open("fork_evolution.json", encoding="utf-8") as fh:
+    doc = json.load(fh)
+with open("fork_compact.json", "w", encoding="utf-8") as fh:
+    json.dump(doc, fh, separators=(",", ":"))
+for name in ("fork_evolution", "fork_compact"):
+    assert os.path.getsize(f"{name}.json") > io._FORK_BYTES
+grid, frames = load_evolution("fork_evolution.json")
+expected = np.array(doc["frames"], dtype=np.float64).reshape(frames.shape + (2,))
+assert np.array_equal(grid.view(np.uint64), np.array(doc["grid"]).view(np.uint64))
+assert np.array_equal(frames.view(np.float64).view(np.uint64).reshape(expected.shape),
+                      expected.view(np.uint64))
+# The frames in each run, as the two-process read cuts them.
+lengths, runs = [], io._runs
+def counted(window, closers, helper=None):
+    for run in runs(window, closers, helper):
+        lengths.append(len(run.counts))
+        yield run
+io._runs = counted
+load_evolution("fork_compact.json")
+bad = lengths[0] + lengths[1] // 2
+text = open("fork_compact.json").read()
+parts = text.split("]],[[")
+parts[bad] = "NaN" + parts[bad][parts[bad].index(","):]
+open("fork_nan.json", "w").write("]],[[".join(parts))
+open("fork_nan_frame.txt", "w").write(f"fork_nan.json' frame {bad}: non-finite entries")
+EOF
+for file in fork_evolution fork_compact; do
+  gaugephase phases "$file.json" > "${file}_phases.json"
+  gaugephase offdiag "$file.json" > "${file}_offdiag.json"
+done
+cmp fork_evolution_phases.json fork_compact_phases.json
+cmp fork_evolution_offdiag.json fork_compact_offdiag.json
+
 # Refused files, read once: a bad last frame after many windows of text,
 # 'n' = 0 after a matrix's entries, a leading byte order mark, an
 # evolution of 20,000 frames with a number written as a string in every
@@ -187,4 +234,5 @@ refused "matrix_n0.json': 'n' must be a positive integer, got 0" gaugephase deco
 refused "bom.json' is not valid JSON: Unexpected UTF-8 BOM" gaugephase phases bom.json
 refused "quoted.json' frame 0: a number is written as a string" gaugephase phases quoted.json
 refused "deep.json' frames: nested deeper than json's decoder recurses" gaugephase phases deep.json
+refused "$(cat fork_nan_frame.txt)" gaugephase offdiag fork_nan.json
 echo "check_cli: all checks passed"

@@ -28,6 +28,22 @@ finite check, and a complex view of the same memory, which keeps every
 bit of both parts, signed zeros too) before the next run is decoded, so
 at most one run of pairs is alive at a time.
 
+Decoding holds the GIL, so a file of ``_FORK_BYTES`` or more is read by
+two processes, as the writer writes (``_Helper``).  One fork, at the start
+of the walk, makes a helper that reads the same open file through
+``os.pread``, under its own text wrapper, walks the same text with the
+same window, cuts every run by the same regex, and decodes and converts
+only the odd-numbered runs (``_RunSender``): down a pipe go each one's span
+in the text, its items' pair counts and its float64 bytes.  This process
+cuts the helper's runs by the regex alone, decodes the others, and takes a
+helper's run only where the spans agree.  The helper sends nothing for a
+run it cannot send whole (a '"', a defect, an array that closes there, an
+exception), and this process decodes every run from there on, so every
+array and every error are those of the one-process walk.  A fork and its
+reaping cost about as much as decoding 0.75 MiB of frames; a smaller file,
+and every file where there is no ``os.fork`` or ``os.pread``, is read in
+this process alone.
+
 The walk is the only reader of a JSON object, and it refuses nothing that
 ``json.loads`` reads as one.  Its runs are noted, not raised on
 (``_Items``): the pair count of each item (the entries of a matrix are
@@ -69,6 +85,7 @@ save leaves no file, and a target as it was.
 from __future__ import annotations
 
 import gc
+import io
 import json
 import math
 import os
@@ -76,9 +93,10 @@ import re
 import signal
 import warnings
 from contextlib import contextmanager
+from functools import partial
 from itertools import chain, count
 from json.encoder import encode_basestring_ascii
-from typing import Any, IO, Iterator
+from typing import Any, IO, Iterator, NamedTuple
 
 import numpy as np
 
@@ -102,6 +120,7 @@ _FORK_FLOATS = 2 ** 15  # floats from which a helper joins half the blocks: a fo
 _CHUNK = 2 ** 20  # characters per read of a file: bounds the text held at once
 _PAIR_RUN = 80_000  # characters of pairs or frames decoded at once: bounds the lists held
 _LOOKAHEAD = 2  # characters a token must leave before the window's end to be taken
+_FORK_BYTES = 2 ** 20  # file size from which a helper decodes every other run: ~0.75 MiB break even
 
 _WS = json.decoder.WHITESPACE.match
 _AFTER = re.compile(r"[ \t\n\r]*([,\]}])[ \t\n\r]*").match  # what follows a JSON item
@@ -164,6 +183,13 @@ def _pairs_to_complex(pairs: Any) -> tuple[np.ndarray | None, tuple[int, str] | 
     return flat.view(np.complex128), None
 
 
+def _converted(block: list) -> tuple[np.ndarray | None, tuple[int, str] | None]:
+    """``_pairs_to_complex`` of a block of items, each a list of [re, im]
+    lists, as one flat array."""
+    return _pairs_to_complex(
+        list(chain.from_iterable(block)) if set(map(type, block)) == {list} else None)
+
+
 class _Items:
     """A JSON array of items of [re, im] pairs as its block reader leaves it
     (a matrix's entries are one item, an evolution's frames one item each):
@@ -175,14 +201,14 @@ class _Items:
     def __init__(self, counts: list[int]):
         self.arrays, self.counts, self.defect, self.quoted = [], counts, None, None
 
-    def add(self, first: int, block: list) -> None:
+    def add(self, first: int, block: list | None, flat: np.ndarray | None = None) -> None:
         """Convert ``block``, the items from ``first`` on (or a run of the item
         ``first``), as one flat array, unless the defect noted outranks any
-        it may hold; a block that fails is judged again item by item."""
+        it may hold; a block that fails is judged again item by item.  A
+        ``flat`` array is the block as the reader's helper converted it."""
         if self.defect is not None and (self.defect[0] < first or self.defect[1] == 0):
             return
-        flat, defect = _pairs_to_complex(
-            list(chain.from_iterable(block)) if set(map(type, block)) == {list} else None)
+        flat, defect = (flat, None) if flat is not None else _converted(block)
         if defect is None:
             self.arrays.append(flat)
         elif len(block) > 1:
@@ -247,21 +273,58 @@ def load_evolution(path: str) -> tuple[np.ndarray, np.ndarray]:
 def _loaded(path: str, blocks: str, read_blocks, checked) -> Any:
     """``checked(doc, path)`` of the document in ``path``, walked once with
     the array under its key ``blocks`` read by ``read_blocks``; text that is
-    not a JSON object is parsed whole, for json's error or the non-object."""
+    not a JSON object is parsed whole, for json's error or the non-object.
+    A file of ``_FORK_BYTES`` or more, where there is ``os.pread``, has
+    every other run of that array decoded by a forked helper
+    (``_send_odd_runs``)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
+            fd = fh.fileno()
+            helper = (_Helper.start(partial(_send_odd_runs, fd, blocks, read_blocks))
+                      if hasattr(os, "pread") and os.fstat(fd).st_size >= _FORK_BYTES else None)
             try:
-                doc = _walked_object(_Window(fh), blocks, read_blocks)
+                doc = _walked_object(_Window(fh), blocks, partial(read_blocks, helper=helper))
             except _Nested as err:
                 raise FileFormatError(f"{path!r} {err}: {_TOO_DEEP}") from err
             except ValueError:  # read again whole below, once the window is freed
                 doc = None
+            finally:
+                if helper is not None:
+                    helper.end()
             if doc is None:
                 fh.seek(0)
                 doc = _parse_json(fh.read(), path)
     except OSError as err:
         raise FileFormatError(f"cannot read {path!r}: {err}") from err
     return checked(doc, path)
+
+
+def _send_odd_runs(fd: int, blocks: str, read_blocks, out: IO[bytes]) -> None:
+    """The reader's helper: it walks the file open at ``fd`` as the reader
+    walks it, and sends the odd-numbered runs of its block arrays down
+    ``out``.  It reads from the file's start by ``os.pread``, which leaves
+    the offset of the open file, shared with the reader, alone; its text
+    wrapper decodes UTF-8 and newlines as the reader's does.  The path is
+    not opened again: a file put in its place since would be another."""
+    text = io.TextIOWrapper(io.BufferedReader(_Pread(fd)), encoding="utf-8")
+    _walked_object(_Window(text), blocks, partial(read_blocks, helper=_RunSender(out)))
+
+
+class _Pread(io.RawIOBase):
+    """An open file read from its start by ``os.pread``."""
+
+    def __init__(self, fd: int):
+        super().__init__()
+        self.fd, self.offset = fd, 0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = os.pread(self.fd, len(buffer), self.offset)
+        buffer[:len(data)] = data
+        self.offset += len(data)
+        return len(data)
 
 
 def _matrix(doc: Any, path: str) -> np.ndarray:
@@ -323,14 +386,19 @@ class _Window:
     cut token, and is refused at once, before any refill.
     """
 
-    __slots__ = ("fh", "text", "idx", "eof")
+    __slots__ = ("fh", "text", "idx", "eof", "dropped")
 
     def __init__(self, fh: IO[str]):
-        self.fh, self.text, self.idx, self.eof = fh, "", 0, False
+        self.fh, self.text, self.idx, self.eof, self.dropped = fh, "", 0, False, 0
+
+    def at(self) -> int:
+        """The offset of ``text[idx]`` in the whole text."""
+        return self.dropped + self.idx
 
     def fill(self, size: int) -> None:
         """Drop the consumed text and read on until ``size`` characters
         are left or the file ends."""
+        self.dropped += self.idx
         pieces = [self.text[self.idx:]]
         left = len(pieces[0])
         while left < size and not self.eof:
@@ -374,29 +442,41 @@ def _walked_object(window: _Window, blocks: str, read_blocks) -> dict:
     return doc
 
 
-def _pair_runs(window: _Window) -> _Items:
+class _Run(NamedTuple):
+    """A run of a block array: its items (a run of pairs is one item, a run
+    of frames one per frame), each item's pair count (-1: not a list),
+    whether its text holds a '"', and, for a run the reader's helper
+    converted, its flat complex entries in place of the items."""
+
+    items: list | None
+    counts: list[int]
+    quoted: bool
+    flat: np.ndarray | None
+
+
+def _pair_runs(window: _Window, helper=None) -> _Items:
     """The JSON array of [re, im] pairs in ``window`` as one item, converted
     a run at a time before the next run is decoded."""
     entries = _Items([0])
-    for pairs, quoted in _runs(window, 1):
-        if quoted:
+    for run in _runs(window, 1, helper):
+        if run.quoted:
             entries.quoted = 0
-        entries.counts[0] += len(pairs)
-        entries.add(0, [pairs])
+        entries.counts[0] += run.counts[0]
+        entries.add(0, run.items, run.flat)
     return entries
 
 
-def _frame_runs(window: _Window) -> _Items:
+def _frame_runs(window: _Window, helper=None) -> _Items:
     """The JSON array of frames in ``window``, one item each, converted a
     run at a time before the next run is decoded; after the first bad
     frame, frames are only counted."""
     frames = _Items([])
-    for run, quoted in _runs(window, 2):
+    for run in _runs(window, 2, helper):
         first = len(frames.counts)
-        if quoted and frames.quoted is None:
-            frames.quoted = first + next(i for i, frame in enumerate(run) if _textual(frame))
-        frames.counts += [len(frame) if type(frame) is list else -1 for frame in run]
-        frames.add(first, run)
+        if run.quoted and frames.quoted is None:
+            frames.quoted = first + next(i for i, frame in enumerate(run.items) if _textual(frame))
+        frames.counts += run.counts
+        frames.add(first, run.items, run.flat)
     return frames
 
 
@@ -413,19 +493,111 @@ def _textual(value: Any) -> bool:
     return False
 
 
-def _runs(window: _Window, closers: int) -> Iterator[tuple[list, bool]]:
+def _runs(window: _Window, closers: int, helper=None) -> Iterator[_Run]:
     """The members of the JSON array in ``window`` a run at a time, as
-    ``_run`` reads them, each run with whether its text holds a '"'.
-    Before each run the window is refilled if it holds fewer than two
-    runs' length of text."""
+    ``_run`` reads them.  Before each run the window is refilled if it
+    holds fewer than two runs' length of text.
+
+    With a ``_Helper``, the runs are numbered from 0 and each odd-numbered
+    one is the helper's: this process cuts it by ``_run``'s regex alone,
+    and takes the helper's arrays for it if the helper sent a run of the
+    same span.  Otherwise, and for every run after, it decodes the run
+    itself.  In the helper (a ``_RunSender``) this yields nothing.
+    """
     last = window.take(_opening, "[")
     while not last:
         if len(window.text) - window.idx < 2 * _PAIR_RUN and not window.eof:
             window.fill(2 * _PAIR_RUN)
-        members, last, quoted = window.take(_run, closers)
-        if not members:  # a ',' before the array's ']'
-            raise ValueError("trailing ',' in an array")
-        yield members, quoted
+        if isinstance(helper, _RunSender):
+            last = helper.sent(window, closers)
+            continue
+        run = (_received_run(window, closers, helper)
+               if helper is not None and helper.theirs() else None)
+        if run is None:
+            run, last = _decoded_run(window, closers)
+        yield run
+
+
+def _decoded_run(window: _Window, closers: int) -> tuple[_Run, bool]:
+    """The next run of the array in ``window``, decoded by ``_run``, and
+    whether the array closed there."""
+    members, last, quoted = window.take(_run, closers)
+    if not members:  # a ',' before the array's ']'
+        raise ValueError("trailing ',' in an array")
+    items = [members] if closers == 1 else members
+    return _Run(items, [len(item) if type(item) is list else -1 for item in items],
+                quoted, None), last
+
+
+def _received_run(window: _Window, closers: int, helper: "_Helper") -> _Run | None:
+    """The helper's next run, if it spans the run that ``_run``'s regex cuts
+    at the window's index (the window then past it); else None, with the
+    window where it was and the helper stopped."""
+    start, message = window.at(), helper.received(3)
+    if message is None:
+        return None
+    span, counts, flat = message
+    try:
+        last = window.take(_cut, closers)
+    except ValueError:
+        last = True
+    if not last and span == _span(start, window.at()):
+        return _Run(None, np.frombuffer(counts, np.int64).tolist(), False,
+                    np.frombuffer(flat, np.complex128))
+    window.idx = start - window.dropped
+    helper.stop()
+    return None
+
+
+def _span(start: int, end: int) -> bytes:
+    """A run's span in the whole text, as the helper sends it."""
+    return start.to_bytes(8, "little") + end.to_bytes(8, "little")
+
+
+class _RunSender:
+    """The reader's helper's side of ``_runs``.  Numbered as the reader
+    numbers them, each even-numbered run is cut by ``_run``'s regex alone,
+    and each odd-numbered one is decoded and converted, and its span in the
+    whole text, its items' pair counts and its flat floats are sent down
+    the pipe.  The helper sends nothing for a run that holds a '"', has a
+    defect, has an item that is not a list of [re, im] lists, closes the
+    array, or raises: it stops there (``_HandOver``), and the reader
+    decodes that run and every run after it, so every error is raised in
+    the reader, with its own text and in its own order."""
+
+    def __init__(self, out: IO[bytes]):
+        self.out, self.numbers = out, count()
+
+    def sent(self, window: _Window, closers: int) -> bool:
+        """Cut or send the next run; whether the array closed after it."""
+        start = window.at()
+        if next(self.numbers) % 2 == 0:
+            return window.take(_cut, closers)
+        run, last = _decoded_run(window, closers)
+        flat, defect = _converted(run.items)
+        if last or run.quoted or defect is not None:
+            raise _HandOver
+        _Helper.send(self.out, _span(start, window.at()),
+                     np.array(run.counts, np.int64).tobytes(), flat.tobytes())
+        return False
+
+
+def _regex_cut(text: str, idx: int, closers: int) -> re.Match | None:
+    """Where ``_run`` first tries to end the run at ``idx``: past the last
+    member end within ``_PAIR_RUN`` characters, else past the next one; a
+    member ends at ``closers`` ']'."""
+    last_end, next_end = _ENDS[closers]
+    return last_end(text, idx, idx + _PAIR_RUN) or next_end(text, idx)
+
+
+def _cut(text: str, idx: int, closers: int) -> tuple[bool, int]:
+    """The run at ``idx`` as ``_run`` reads it when it decodes as its regex
+    cuts it, not decoded: whether the array closed after it, and the index
+    past it and past the ',' that follows."""
+    cut = _regex_cut(text, idx, closers)
+    if cut is None:
+        raise ValueError(f"no end of a member at {idx}")
+    return _after_item(text, cut.end(), "]")
 
 
 def _run(text: str, idx: int, closers: int) -> tuple[tuple[list, bool, bool], int]:
@@ -434,8 +606,7 @@ def _run(text: str, idx: int, closers: int) -> tuple[tuple[list, bool, bool], in
     whether the array closed there, and whether their text holds a '"';
     then the index past it, or past the ',' that follows the run.  A
     member ends at ``closers`` ']'."""
-    last_end, next_end = _ENDS[closers]
-    cut = last_end(text, idx, idx + _PAIR_RUN) or next_end(text, idx)
+    cut = _regex_cut(text, idx, closers)
     if cut is not None:
         run = "[" + text[idx:cut.end()] + "]"
         try:
@@ -545,9 +716,10 @@ def dump_report(doc: Any, stream: IO[str]) -> None:
     A document of ``_FORK_FLOATS`` floats or more has every other leaf
     block joined by a forked helper (``_Helper``); only this process writes
     to ``stream``."""
-    helper = _Helper.start(doc) if _holds_floats(doc, _FORK_FLOATS) else None
+    helper = (_Helper.start(partial(_send_odd_blocks, doc))
+              if _holds_floats(doc, _FORK_FLOATS) else None)
     try:
-        _write_value(doc, stream.write, "\n", helper or _leaf_block)
+        _write_value(doc, stream.write, "\n", partial(_joined, helper) if helper else _leaf_block)
         stream.write("\n")
     finally:
         if helper is not None:
@@ -573,31 +745,41 @@ def _holds_floats(doc: Any, least: int) -> bool:
     return least <= 0
 
 
-class _Helper:
-    """A forked process that joins the odd-numbered leaf blocks of one
-    document, in the order the walk meets them, and sends each block's text
-    down a pipe, its length in front; this process joins the even-numbered
-    ones, reads the odd ones in order and does every write.
+class _HandOver(Exception):
+    """Raised in a helper to end its work at a piece that the process which
+    forked it must do itself, with every piece after it."""
 
-    Both processes walk the same document, so their block numbers agree up
-    to the first block that will not join (a member that is not a float, or
-    one not finite).  The helper stops before such a block of its own,
-    closing the pipe, and takes each block of this process as joined; this
-    process stops reading at the end of the pipe or at such a block of its
-    own.  From there on this process joins every block itself, so every
-    error is raised here, with the serial walk's type and text.  Nothing
-    the helper does after the last block read matters, so it is killed, not
-    waited for, and then reaped.
+
+class _Helper:
+    """A forked process that does every other piece of one job, the writer's
+    leaf blocks or the reader's runs, and sends each piece's result down a
+    pipe, each part behind its length; this process does the other pieces,
+    reads the helper's in order and keeps every result.
+
+    Both processes walk the same document, numbering its pieces alike, up
+    to the first piece whose result this process must make itself: where
+    that piece is the helper's, the helper stops there.  Its work ends on
+    every path, an exception included, by closing the pipe and leaving by
+    ``os._exit``: it flushes no inherited buffer and never unwinds into its
+    caller's ``finally``.  At the end of the pipe, or at a piece of its own
+    that parts the walks, this process stops reading (``stop``) and does
+    every piece from there on, so every error is raised here, with the
+    one-process walk's type and text.  Nothing the helper does after the
+    last piece read matters, so it is killed, not waited for, and then
+    reaped (``end``).
     """
 
-    def __init__(self, pid: int, reader: IO[bytes]):
-        self.pid, self.reader, self.count = pid, reader, 0
+    def __init__(self, pid: int, pipe: IO[bytes]):
+        self.pid, self.pipe, self.count = pid, pipe, 0
 
     @classmethod
-    def start(cls, doc: Any) -> "_Helper | None":
-        """The helper for ``doc``, or None where there is no fork, or where
-        the pipe or the fork fails: then the walk stays in this process."""
-        if not hasattr(os, "fork"):
+    def start(cls, work) -> "_Helper | None":
+        """A helper running ``work(pipe)``, or None where there is no fork,
+        or where the pipe or the fork fails: then the job stays in this
+        process.  So it does where SIGCHLD is ignored: children are then
+        reaped as they exit, and the helper's pid may be another process's
+        by the time it would be killed."""
+        if not hasattr(os, "fork") or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
             return None
         try:
             read_end, write_end = os.pipe()
@@ -608,8 +790,8 @@ class _Helper:
                 # Python 3.12+ warns that a fork in a process with threads (an
                 # unpinned BLAS pool has one) may deadlock the child.  The
                 # helper calls no BLAS and takes no lock another thread may
-                # hold: it slices, calls tolist, joins float reprs, writes to
-                # its pipe and leaves by os._exit.
+                # hold: it slices, decodes and converts JSON, joins float
+                # reprs, writes to its pipe and leaves by os._exit.
                 warnings.filterwarnings("ignore", "This process .*is multi-threaded",
                                         DeprecationWarning)
                 pid = os.fork()
@@ -620,63 +802,85 @@ class _Helper:
         if pid == 0:
             try:  # the helper leaves by os._exit on every path: no flush, no unwinding
                 os.close(read_end)
-                _send_odd_blocks(doc, write_end)
+                gc.disable()  # a collection would touch, and so copy, the parent's pages
+                with open(write_end, "wb") as pipe:
+                    work(pipe)
             finally:
                 os._exit(0)
         os.close(write_end)
         return cls(pid, open(read_end, "rb"))
 
-    def __call__(self, block, pairs: bool, inner: str) -> str | None:
-        """The text of the next leaf block: this process's own, or the
-        helper's read from the pipe."""
-        theirs = self.count % 2
-        self.count += 1
-        if self.reader is None:
-            return _leaf_block(block, pairs, inner)
-        text = self._received() if theirs else _leaf_block(block, pairs, inner)
-        if text is None:  # the block will not join: from here on, every block is joined here
-            self.reader.close()
-            self.reader = None
-            if theirs:
-                return _leaf_block(block, pairs, inner)
-        return text
+    @staticmethod
+    def send(pipe: IO[bytes], *parts: bytes) -> None:
+        """In the helper: one piece's result, each part behind its length."""
+        for part in parts:
+            pipe.write(len(part).to_bytes(8, "little"))
+            pipe.write(part)
+        pipe.flush()
 
-    def _received(self) -> str | None:
-        """The helper's next block, or None at the end of the pipe."""
-        head = self.reader.read(8)
-        size = int.from_bytes(head, "little")
-        data = self.reader.read(size) if len(head) == 8 else b""
-        return data.decode("ascii") if len(data) == size > 0 else None
+    def theirs(self) -> bool:
+        """Whether the next piece is the helper's: every other one, from the
+        second on, until this process stops reading."""
+        self.count += 1
+        return self.pipe is not None and self.count % 2 == 0
+
+    def received(self, parts: int) -> list[bytes] | None:
+        """The helper's next result of ``parts`` parts; None, and reading
+        stopped, at the end of the pipe."""
+        result = []
+        for _ in range(parts):
+            head = self.pipe.read(8)
+            size = int.from_bytes(head, "little")
+            result.append(self.pipe.read(size) if len(head) == 8 else b"")
+            if len(head) < 8 or len(result[-1]) < size:
+                self.stop()
+                return None
+        return result
+
+    def stop(self) -> None:
+        """Read no more: every piece from here on is this process's."""
+        if self.pipe is not None:
+            self.pipe.close()
+            self.pipe = None
 
     def end(self) -> None:
         """Close the pipe, then kill the helper and reap it."""
-        if self.reader is not None:
-            self.reader.close()
+        self.stop()
         os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)
 
 
-def _send_odd_blocks(doc: Any, fd: int) -> None:
-    """The helper's walk of ``doc``: it writes nothing of the document, takes
+def _joined(helper: _Helper, block, pairs: bool, inner: str) -> str | None:
+    """The text of the next leaf block of a document whose every other block
+    ``helper`` joins: the helper's, or joined here.  A block of this
+    process's that will not join parts the two walks (the helper takes it
+    as joined, this process goes into it item by item), so from there on
+    every block is joined here."""
+    message = helper.received(1) if helper.theirs() else None
+    if message is not None:
+        return message[0].decode("ascii")
+    text = _leaf_block(block, pairs, inner)
+    if text is None:
+        helper.stop()
+    return text
+
+
+def _send_odd_blocks(doc: Any, pipe: IO[bytes]) -> None:
+    """The writer's helper: it walks ``doc``, writing nothing of it, takes
     each even-numbered leaf block as joined, and sends each odd-numbered
-    one's text down ``fd``, up to the first that will not join."""
-    gc.disable()  # a collection would touch, and so copy, the parent's pages
+    one's text down ``pipe``, up to the first that will not join."""
     numbers = count()
 
     def leaf(block, pairs: bool, inner: str) -> str:
         if next(numbers) % 2 == 0:
             return ""
         text = _leaf_block(block, pairs, inner)
-        if text is None:  # the end of the pipe: the parent joins every block from here on
-            out.close()
-            os._exit(0)
-        data = text.encode("ascii")
-        out.write(len(data).to_bytes(8, "little"))
-        out.write(data)
+        if text is None:  # the parent joins every block from here on
+            raise _HandOver
+        _Helper.send(pipe, text.encode("ascii"))
         return text
 
-    with open(fd, "wb") as out:
-        _write_value(doc, len, "\n", leaf)  # len: a write that keeps nothing
+    _write_value(doc, len, "\n", leaf)  # len: a write that keeps nothing
 
 
 def _scalar(value: Any) -> str:

@@ -7,6 +7,7 @@ import math
 import os
 import random
 import re
+import signal
 import stat
 import threading
 import tracemalloc
@@ -232,15 +233,29 @@ def _first_run_ends_with(monkeypatch, path: str, frame: int, beyond: int = 0) ->
     monkeypatch.setattr(io_module, "_PAIR_RUN", ends[frame] + beyond)
 
 
+def _received_runs(monkeypatch) -> dict[str, int]:
+    """How many of the helper's runs the reader takes and leaves from now on."""
+    received = {"taken": 0, "left": 0}
+    receive = io_module._received_run
+
+    def counted(*args):
+        run = receive(*args)
+        received["left" if run is None else "taken"] += 1
+        return run
+
+    monkeypatch.setattr(io_module, "_received_run", counted)
+    return received
+
+
 def _run_lengths(monkeypatch) -> list[int]:
-    """The number of members in each run the reader decodes from now on."""
+    """The number of frames in each run the reader reads from now on."""
     lengths = []
     runs = io_module._runs
 
-    def counted(window, closers):
-        for members, quoted in runs(window, closers):
-            lengths.append(len(members))
-            yield members, quoted
+    def counted(window, closers, helper=None):
+        for run in runs(window, closers, helper):
+            lengths.append(len(run.counts))
+            yield run
 
     monkeypatch.setattr(io_module, "_runs", counted)
     return lengths
@@ -839,11 +854,18 @@ def _quoted_error(tree: dict, kind: str, path: str) -> str | None:
     return None
 
 
-def test_the_walk_gives_the_one_tree_readers_arrays_and_errors(tmp_path, monkeypatch):
+@pytest.mark.parametrize("fork_bytes", [None, 0], ids=["one_process", "two_processes"])
+def test_the_walk_gives_the_one_tree_readers_arrays_and_errors(fork_bytes, tmp_path, monkeypatch,
+                                                               forks):
     # Seeded documents with several defects at once, in every layout, read
     # through windows and runs of every size: the walk gives the one-tree
     # reader's arrays bit for bit, or its error text, except that a number
     # written as a string is refused.  A JSON object is never parsed whole.
+    # With the fork size lowered to 0, a helper decodes every other run of
+    # every document.
+    if fork_bytes is not None:
+        monkeypatch.setattr(io_module, "_FORK_BYTES", fork_bytes)
+    received = _received_runs(monkeypatch)
     rng = random.Random(17)
     layouts = ["plain", "compact", "keys_reordered", "extra_keys", "duplicate_frames", "crlf",
                "wide_whitespace"]
@@ -885,6 +907,9 @@ def test_the_walk_gives_the_one_tree_readers_arrays_and_errors(tmp_path, monkeyp
                                 expected if kind == "evolution" else [expected]):
             assert ours.shape == theirs.shape, where
             assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64)), where
+    assert len(forks) == (0 if fork_bytes is None else 600)
+    # Runs taken from the helper, and runs it left to the reader.
+    assert all(received.values()) if fork_bytes is not None else not any(received.values())
 
 
 def _dumped(doc) -> str:
@@ -1045,8 +1070,8 @@ def _with_nan_at(pairs, row) -> np.ndarray:
 
 @pytest.fixture()
 def forks(monkeypatch):
-    """The helpers ``dump_report`` forks; after the test, no child of this
-    process is left, reaped or not."""
+    """The helpers ``dump_report`` and the readers fork; after the test, no
+    child of this process is left, reaped or not."""
     made, fork = [], os.fork
 
     def counted():
@@ -1073,6 +1098,13 @@ def _raise_oserror(*args):
     raise OSError(24, "Too many open files")
 
 
+def _ignore_sigchld(request) -> None:
+    """Have children reaped as they exit, until the end of the test: then a
+    helper's pid may be reused before it is killed, so none is forked."""
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    request.addfinalizer(lambda: signal.signal(signal.SIGCHLD, previous))
+
+
 def _fork_size_doc(kind, size) -> dict:
     if kind == "tower":
         return _tower_shaped(size)
@@ -1085,14 +1117,17 @@ def _fork_size_doc(kind, size) -> dict:
 
 @pytest.mark.parametrize("side", ["below", "at"])
 @pytest.mark.parametrize("kind", ["floats", "tower", "unjoined_here", "unjoined_in_the_helper"])
-@pytest.mark.parametrize("fork", ["fork", "fork_refused", "pipe_refused", "no_fork"])
+@pytest.mark.parametrize("fork", ["fork", "fork_refused", "pipe_refused", "no_fork",
+                                  "sigchld_ignored"])
 def test_a_document_about_the_fork_size_is_written_as_json_dumps_it(side, kind, fork, forks,
-                                                                       monkeypatch):
+                                                                       monkeypatch, request):
     size = _FORK_FLOATS - (side == "below")
     doc = _fork_size_doc(kind, size)
     expected = _json_dumped(json.loads(json.dumps(doc, default=np.ndarray.tolist)))
     if fork == "no_fork":
         monkeypatch.delattr(os, "fork")
+    elif fork == "sigchld_ignored":
+        _ignore_sigchld(request)
     elif fork != "fork":
         monkeypatch.setattr(os, fork.split("_")[0], _raise_oserror)
     _assert_same_text(_dumped(doc), expected)
@@ -1181,6 +1216,154 @@ def test_an_ndarray_is_written_as_its_tolist(array, forks):
     else:
         _assert_same_text(_dumped({"a": array}), expected)
     assert len(forks) == (array.size >= _FORK_FLOATS)
+
+
+def _evolution_text(frames: list[str], grid: list[float], rest: list[str] = ()) -> str:
+    """A compact n = 4 evolution of frames given as text; ``rest``, if any,
+    goes under a key after the frames."""
+    text = '{"n":4,"grid":' + json.dumps(grid) + ',"frames":[' + ",".join(frames) + "]"
+    return text + (',"rest":[' + ",".join(rest) + "]}" if rest else "}")
+
+
+def _write_text(directory, text: str) -> str:
+    path = str(directory / "large.json")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+@pytest.fixture(scope="module")
+def large_frames(tmp_path_factory):
+    """A compact n = 4 evolution of about 1.4 times the reader's fork size,
+    as its frames' texts and its grid, and the first frame of each run
+    after the first, as the reader cuts them."""
+    steps = io_module._FORK_BYTES // 500
+    frames = np.random.default_rng(5).standard_normal((steps, 16, 2)).tolist()
+    texts = [json.dumps(frame, separators=(",", ":")) for frame in frames]
+    grid = np.linspace(0.0, 1.0, steps).tolist()
+    path = _write_text(tmp_path_factory.mktemp("large"), _evolution_text(texts, grid))
+    with pytest.MonkeyPatch.context() as patch:
+        lengths = _run_lengths(patch)
+        load_evolution(path)
+    return texts, grid, np.cumsum(lengths).tolist()
+
+
+def _loaded_or_error(load, path):
+    try:
+        return load(path)
+    except FileFormatError as err:
+        return str(err)
+
+
+def _one_process(load, path, monkeypatch):
+    """``load(path)``, or its error text, read with no helper."""
+    with monkeypatch.context() as patch:
+        patch.setattr(io_module, "_FORK_BYTES", math.inf)
+        return _loaded_or_error(load, path)
+
+
+def _assert_same_arrays(ours, theirs) -> None:
+    assert len(ours) == len(theirs)
+    for mine, other in zip(ours, theirs):
+        assert mine.shape == other.shape
+        assert np.array_equal(mine.view(np.uint64), other.view(np.uint64))
+
+
+# A defect put in one frame's text, the error the reader gives for it, and
+# the frame's place in its run: a few frames in, or first for nesting too
+# deep to decode, which would start a run of its own.  "array_closed" ends
+# the frames array at that frame, with the other frames under a later key.
+RUN_DEFECTS = {
+    "nan": (lambda t: "[[NaN" + t[t.index(","):], "frame {f}: non-finite entries", 3),
+    "string": (lambda t: '[["x"' + t[t.index(","):], "frame {f}: malformed pairs", 3),
+    "one_pair_short": (lambda t: t[:t.rindex(",[")] + "]",
+                       "frame {f}: expected 16 [re, im] pairs", 3),
+    "trailing_comma": (lambda t: t[:-1] + ",]",
+                       "is not valid JSON: ", 3),
+    "deep": (lambda t: "[" * 100_000 + "0.5" + "]" * 100_000,
+             "frames: nested deeper than json's decoder recurses", 0),
+    "array_closed": (None, None, 3),
+}
+
+
+@pytest.mark.parametrize("side", ["helper", "reader"])
+@pytest.mark.parametrize("defect", list(RUN_DEFECTS))
+def test_a_defect_in_either_process_run_gets_the_one_process_result(
+        defect, side, large_frames, tmp_path, monkeypatch, forks):
+    # The defect is in run 1, the helper's first, or in run 2, the reader's
+    # second, of a file above the fork size.  Where the helper meets it,
+    # the reader takes none of the helper's runs; else it takes run 1.  A
+    # short frame is no defect to the helper: it sends the frame's pair
+    # count, which the reader judges.
+    texts, grid, run_starts = large_frames
+    spoil, message, into = RUN_DEFECTS[defect]
+    run = 1 if side == "helper" else 2
+    f = run_starts[run - 1] + into
+    assert f + 3 < run_starts[run]
+    if spoil is None:
+        text = _evolution_text(texts[:f + 1], grid[:f + 1], texts[f + 1:])
+    else:
+        text = _evolution_text(texts[:f] + [spoil(texts[f])] + texts[f + 1:], grid)
+    path = _write_text(tmp_path, text)
+    assert os.path.getsize(path) > io_module._FORK_BYTES
+    expected = _one_process(load_evolution, path, monkeypatch)
+    received = _received_runs(monkeypatch)
+    got = _loaded_or_error(load_evolution, path)
+    assert len(forks) == 1
+    assert (received["taken"] > 0) == (side == "reader" or defect == "one_pair_short")
+    if spoil is None:
+        _assert_same_arrays(got, expected)
+        assert len(got[1]) == f + 1
+    else:
+        assert got == expected
+        assert message.format(f=f) in got
+
+
+@pytest.mark.parametrize("fork", ["fork", "fork_refused", "pipe_refused", "no_fork", "no_pread",
+                                  "sigchld_ignored", "one_byte_below_the_size", "at_the_size"])
+def test_a_large_file_is_read_by_a_helper_or_in_one_process_alike(fork, large_frames, tmp_path,
+                                                                   monkeypatch, forks, request):
+    texts, grid, _ = large_frames
+    path = _write_text(tmp_path, _evolution_text(texts, grid))
+    size = os.path.getsize(path)
+    if fork.startswith("no_"):
+        monkeypatch.delattr(os, fork[3:])
+    elif fork == "sigchld_ignored":
+        _ignore_sigchld(request)
+    elif fork.endswith("_refused"):
+        monkeypatch.setattr(os, fork.split("_")[0], _raise_oserror)
+    elif fork != "fork":
+        monkeypatch.setattr(io_module, "_FORK_BYTES", size + (fork == "one_byte_below_the_size"))
+    received = _received_runs(monkeypatch)
+    _assert_same_arrays(load_evolution(path), evolution_by_one_tree(path))
+    helped = fork in ("fork", "at_the_size")
+    assert len(forks) == helped
+    assert (received["taken"] > 0) == helped
+
+
+def test_a_file_replaced_after_it_is_opened_is_read_as_opened(large_frames, tmp_path,
+                                                               monkeypatch, forks):
+    # The replacement has the same layout, with the digits 1 and 2 swapped:
+    # a helper that opened the path again would send runs of the same span
+    # from the other file.
+    texts, grid, _ = large_frames
+    text = _evolution_text(texts, grid)
+    path = _write_text(tmp_path, text)
+    expected = evolution_by_one_tree(path)
+    other = str(tmp_path / "other.json")
+    with open(other, "w", encoding="utf-8") as fh:
+        fh.write(text.translate(str.maketrans("12", "21")))
+    fork = os.fork
+
+    def replaced_then_forked():
+        os.replace(other, path)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", replaced_then_forked)
+    received = _received_runs(monkeypatch)
+    _assert_same_arrays(load_evolution(path), expected)
+    assert received["taken"] > 0
+    assert not np.array_equal(load_evolution(path)[1], expected[1])  # the path holds the other
 
 
 @pytest.fixture()

@@ -53,6 +53,15 @@ for report in decompose phases offdiag; do
   cmp "${report}1.json" "${report}2.json"
 done
 
+# The verify and offdiag pass gates follow the --tol-* flags, and there is
+# no --identity-tolerance.
+gaugephase verify --suite roundtrip --n 4 --trials 3 --tol-unitary 1e-9 > gates_verify.json
+test "$(grep -c '"threshold": 1e-09' gates_verify.json)" -eq 2
+gaugephase offdiag evolution.json --tol-generic 1e-7 > gates_offdiag.json
+grep -qF '"tolerance": 1e-07' gates_offdiag.json
+status=0; gaugephase offdiag evolution.json --identity-tolerance 1e-6 2> /dev/null || status=$?
+test "$status" -eq 2
+
 # An evolution whose frames span more than three runs, which the reader
 # converts a run at a time and the writer writes a frame at a time from
 # its float rows: the file survives a load and a save, and it holds the

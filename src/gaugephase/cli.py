@@ -34,8 +34,9 @@ from .core import (
     Undefined,
     UnitaryMatrix,
 )
-from .curves import QUADRATURES, FrameEvolution, endpoint_overlap_matrix, frame_phase_bundle
-from .offdiag import _IDENTITY_TOLERANCE, verify_offdiag_identity
+from .curves import (_MIN_OVERLAP, QUADRATURES, FrameEvolution, endpoint_overlap_matrix,
+                     frame_phase_bundle)
+from .offdiag import verify_offdiag_identity
 from .verification import SUITES, run_suite
 
 __all__ = ["main"]
@@ -48,10 +49,7 @@ EXIT_NON_GENERIC = 4
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
-    return Tolerances(
-        tol_generic=args.tol_generic,
-        tol_unitary=args.tol_unitary,
-    )
+    return Tolerances(tol_generic=args.tol_generic, tol_unitary=args.tol_unitary)
 
 
 def _fields(value: float | complex | Undefined, name: str) -> dict[str, Any]:
@@ -180,12 +178,8 @@ def cmd_phases(args: argparse.Namespace) -> int:
 def cmd_offdiag(args: argparse.Namespace) -> int:
     grid, frames = io.load_evolution(args.input)
     evolution = FrameEvolution(grid, frames, tol=_tolerances(args))
-    report = verify_offdiag_identity(
-        evolution,
-        include_triples=not args.no_triples,
-        quadrature=args.quadrature,
-        tolerance=args.identity_tolerance,
-    )
+    report = verify_offdiag_identity(evolution, include_triples=not args.no_triples,
+                                     quadrature=args.quadrature)
 
     def table(mapping) -> list[dict]:
         rows = []
@@ -240,10 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--tol-generic", type=float,
                        default=DEFAULT_TOLERANCES.tol_generic,
-                       help="genericity gate (default %(default)s)")
+                       help="genericity gate, and the pass gate of the off-diagonal identity "
+                            "(default %(default)s)")
         p.add_argument("--tol-unitary", type=float,
                        default=DEFAULT_TOLERANCES.tol_unitary,
-                       help="unitarity certificate (default %(default)s)")
+                       help="unitarity certificate, and the pass gate of the roundtrip, "
+                            "reduction and most gauge checks (default %(default)s)")
         p.add_argument("--output", "-o", default=None,
                        help="write the JSON report here instead of stdout")
 
@@ -255,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ph = sub.add_parser("phases", help="per-level phases of an evolution file")
     p_ph.add_argument("input", help="evolution file (JSON)")
     p_ph.add_argument("--quadrature", choices=QUADRATURES, default="pancharatnam")
-    p_ph.add_argument("--min-overlap", type=float, default=0.9,
+    p_ph.add_argument("--min-overlap", type=float, default=_MIN_OVERLAP,
                       help="resolution guard on successive overlaps, never below "
                            "--tol-generic (default %(default)s)")
     common(p_ph)
@@ -266,8 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_od.add_argument("--quadrature", choices=QUADRATURES, default="pancharatnam")
     p_od.add_argument("--no-triples", action="store_true",
                       help="skip three-level cyclic products")
-    p_od.add_argument("--identity-tolerance", type=float, default=_IDENTITY_TOLERANCE,
-                      help="pass gate on identity residuals (default %(default)s)")
     common(p_od)
     p_od.set_defaults(func=cmd_offdiag)
 

@@ -8,11 +8,11 @@ does not exist (orthogonal endpoints, vanishing invariants).
 
 Three private helpers are the package's only input checks of their kind:
 ``_as_complex_array`` (complex and finite) for every matrix, curve and
-evolution constructor, ``_unit_rows`` (finite and of unit norm, a stack
-of vectors at once) for ``UnitVector`` and the ``bargmann`` rings, and
-``_gram_deviations`` (the orthonormality certificate max |C^dagger C - I|,
-one per member of a stack) for ``UnitaryMatrix``, the frames of
-``FrameEvolution``, the vector families of
+evolution constructor, ``_unit_rows`` (finite and of unit norm, a stack of
+vectors at once) for ``UnitVector``, ``StateCurve`` and the ``bargmann``
+rings, and ``_gram_deviations`` (the orthonormality certificate max
+|C^dagger C - I|, one per member of a stack) for ``UnitaryMatrix``, the
+frames of ``FrameEvolution``, the vector families of
 ``bargmann.interleaved_invariant`` and, through ``_certify_stack``, every
 stack of matrices built at once (rebuilt towers, gauge transforms, Haar
 draws).  Such a stack is wrapped member by member with the private
@@ -143,6 +143,10 @@ class Tolerances:
     tol_norm     : unit-norm certificate for vectors
     tol_unitary  : unitarity certificate for matrices (max-entry norm)
     tol_generic  : genericity gate; moduli at or below this count as zero
+
+    They are also every pass gate of the verify checks: tol_norm of the
+    modulus drifts and |gamma|'s distance from 1, tol_generic of the
+    off-diagonal identity residual, tol_unitary of every other deviation.
     """
 
     tol_norm: float = 1e-12
@@ -393,11 +397,12 @@ class UnitaryMatrix:
         return complex(self._data[j - 1, k - 1])
 
     def column(self, k: int) -> UnitVector:
-        """1-based column as a UnitVector."""
+        """1-based column as a UnitVector, not checked again: the certificate
+        bounds its squared norm's distance from 1 by ``deviation``."""
         _check_indices(k)
         if not 1 <= k <= self.n:
             raise IndexError(f"column index {k} outside 1..{self.n}")
-        return UnitVector(self._data[:, k - 1], tol=max(1e-12, 2.0 * self._deviation + 1e-15))
+        return UnitVector._certified(self._data[:, k - 1])
 
     def __repr__(self) -> str:
         return f"UnitaryMatrix(n={self.n}, deviation={self._deviation:.2e})"

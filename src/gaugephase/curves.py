@@ -54,6 +54,7 @@ from .core import (
     _as_complex_array,
     _check_indices,
     _gram_deviation,
+    _unit_rows,
     principal_arg,
     reduce_phase,
 )
@@ -74,6 +75,8 @@ __all__ = [
 QUADRATURES = ("pancharatnam", "trapezoid")
 
 ORTHOGONAL_ENDPOINTS = "orthogonal_endpoints"
+
+_MIN_OVERLAP = 0.9  # default resolution guard on successive overlaps
 
 
 def _check_grid(grid) -> np.ndarray:
@@ -216,7 +219,8 @@ class StateCurve(_Sampled):
 
     ``states`` is an (N, n) complex array, one unit row per grid point.
     Construction enforces the resolution guard: every successive overlap
-    modulus must exceed ``min_overlap`` (default 0.9) and ``tol.tol_generic``.
+    modulus must exceed ``min_overlap`` (default 0.9) and ``tol.tol_generic``,
+    and every state's norm lie within ``tol.tol_norm`` of 1 (``_unit_rows``).
     An under-resolved curve fails loudly here instead of silently corrupting
     phase sums downstream.  The guard reads the curve's one-level table,
     which the phase functionals read in turn, at the curve's own ``tol``.
@@ -224,7 +228,7 @@ class StateCurve(_Sampled):
 
     __slots__ = ()
 
-    def __init__(self, grid, states, *, min_overlap: float = 0.9,
+    def __init__(self, grid, states, *, min_overlap: float = _MIN_OVERLAP,
                  tol: Tolerances = DEFAULT_TOLERANCES):
         g = _check_grid(grid)
         arr = _as_complex_array(states, what="states")
@@ -236,9 +240,7 @@ class StateCurve(_Sampled):
             )
         if arr.shape[1] < 1:
             raise DimensionMismatchError("states need at least one component")
-        norm_dev = float(np.abs(np.linalg.norm(arr, axis=1) - 1.0).max())
-        if norm_dev > tol.tol_norm:
-            raise ValueError(f"state norms deviate from 1 by up to {norm_dev:.3e}")
+        _unit_rows(arr, tol.tol_norm)
         table = _level_table(arr[:, :, None], tol, min_overlap)
         table.check(1)
         self._store(g, arr, table)
@@ -265,7 +267,7 @@ class FrameEvolution(_Sampled):
 
     __slots__ = ()
 
-    def __init__(self, grid, frames, *, min_overlap: float = 0.9,
+    def __init__(self, grid, frames, *, min_overlap: float = _MIN_OVERLAP,
                  tol: Tolerances = DEFAULT_TOLERANCES):
         g = _check_grid(grid)
         if not isinstance(frames, np.ndarray):

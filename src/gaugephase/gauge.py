@@ -52,9 +52,6 @@ __all__ = [
 ]
 
 
-_RECURSION_TOLERANCE = 1e-10  # default pass gate of the peeling law
-
-
 def _as_phase_array(values, shape: tuple[int, ...], what: str,
                     error: type[ValueError]) -> np.ndarray:
     """Real, finite phases of exactly ``shape``; ``error`` names a misshape."""
@@ -161,24 +158,19 @@ def _recursion_deviations(A: UnitaryMatrix, left: np.ndarray, right: np.ndarray,
 
 
 def verify_gauge_recursion(A: UnitaryMatrix, left, right, *,
-                           tolerance: float = _RECURSION_TOLERANCE,
                            tol: Tolerances = DEFAULT_TOLERANCES) -> GaugeRecursionReport:
     """Check how one peeling step transports the gauge action.
 
     Peels A and its gauge transform A' and measures both halves of the
     law: the extracted vector must satisfy
     zeta'_j = e^{i(theta_j + theta'_n)} zeta_j, and the peeled remainder
-    must equal D(theta_2..theta_n) R D(theta'_1..theta'_{n-1}).
+    must equal D(theta_2..theta_n) R D(theta'_1..theta'_{n-1}), each to
+    the report's ``tolerance``, ``tol.tol_unitary``.
     """
     lt = _as_phase_array(left, (A.n,), "left phases", DimensionMismatchError)
     rt = _as_phase_array(right, (A.n,), "right phases", DimensionMismatchError)
     (dev_vec,), (dev_rest,) = _recursion_deviations(A, lt[None], rt[None], tol)
-    return GaugeRecursionReport(
-        n=A.n,
-        vector_deviation=float(dev_vec),
-        remainder_deviation=float(dev_rest),
-        tolerance=tolerance,
-    )
+    return GaugeRecursionReport(A.n, float(dev_vec), float(dev_rest), tol.tol_unitary)
 
 
 @dataclass(frozen=True)
@@ -206,8 +198,6 @@ class GaugeInvarianceReport:
 
 def verify_invariants_under_gauge(A: UnitaryMatrix, *, trials: int = 200,
                                   seed: int = 0,
-                                  tolerance_moduli: float = 1e-12,
-                                  tolerance_phases: float = 1e-10,
                                   tol: Tolerances = DEFAULT_TOLERANCES,
                                   ) -> GaugeInvarianceReport:
     """Measure invariance of every advertised invariant under random gauges.
@@ -218,7 +208,9 @@ def verify_invariants_under_gauge(A: UnitaryMatrix, *, trials: int = 200,
     invariant grid (complex values), and the canonical phase-invariant
     list (complex values).  The transforms are made, certified, peeled
     and compared a stack at a time, with every check
-    :func:`~gaugephase.canonical.decompose` makes of each.
+    :func:`~gaugephase.canonical.decompose` makes of each.  The moduli
+    must hold to ``tolerance_moduli = tol.tol_norm``, the complex values
+    to ``tolerance_phases = tol.tol_unitary``.
     """
     rng = np.random.default_rng(seed)
     base_moduli = np.abs(A.data)
@@ -247,6 +239,6 @@ def verify_invariants_under_gauge(A: UnitaryMatrix, *, trials: int = 200,
         max_modulus_invariant_deviation=dev_modinv,
         max_delta4_deviation=dev_delta,
         max_phase_invariant_deviation=dev_phase,
-        tolerance_moduli=tolerance_moduli,
-        tolerance_phases=tolerance_phases,
+        tolerance_moduli=tol.tol_norm,
+        tolerance_phases=tol.tol_unitary,
     )

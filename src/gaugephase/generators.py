@@ -173,8 +173,9 @@ def _random_unit_rows(n: int, count: int, rng: np.random.Generator) -> np.ndarra
 
 
 def random_smooth_phases(grid, seed_or_rng, *, columns: int | None = None,
-                         harmonics: int = 3, amplitude: float = 1.0) -> np.ndarray:
-    """Smooth random phase profiles over a grid: a low-order trig series.
+                         amplitude: float = 1.0) -> np.ndarray:
+    """Smooth random phase profiles over a grid: a constant plus three
+    harmonics, the k-th of amplitude at most ``amplitude / k``.
 
     Returns shape (N,) when ``columns`` is None, else (N, columns) with
     independent profiles per column.  Used to drive gauge-invariance
@@ -188,7 +189,7 @@ def random_smooth_phases(grid, seed_or_rng, *, columns: int | None = None,
     out = np.zeros((g.size, cols))
     for c in range(cols):
         alpha = np.full(g.size, rng.uniform(-amplitude, amplitude))
-        for k in range(1, harmonics + 1):
+        for k in range(1, 4):
             a, b = rng.uniform(-amplitude, amplitude, 2)
             alpha = alpha + (a * np.cos(np.pi * k * u) + b * np.sin(np.pi * k * u)) / k
         out[:, c] = alpha
@@ -291,36 +292,27 @@ class HermitianPath:
         return out
 
 
-def random_hermitian_path(n: int, seed: int, *, domain: tuple[float, float] = (0.0, 1.0),
-                          base_gap: float = 1.0, strength: float = 0.6,
-                          harmonics: int = 2) -> HermitianPath:
-    """A seeded smooth path with a gapped diagonal backbone.
+def random_hermitian_path(n: int, seed: int) -> HermitianPath:
+    """A seeded smooth path on [0, 1] with a gapped diagonal backbone.
 
-    The constant term diag(0, base_gap, 2 base_gap, ...) keeps the
-    spectrum generically non-degenerate; the trig terms (random Hermitian
-    matrices, amplitudes ~ strength/k) stir the eigenframes enough that
-    endpoint overlaps are generic.
+    The constant term diag(0, 1, 2, ...) keeps the spectrum generically
+    non-degenerate; the trig terms (random Hermitian matrices times
+    cos(k pi s) and sin(k pi s), k = 1, 2, amplitudes ~ 0.6/k) stir the
+    eigenframes enough that endpoint overlaps are generic.
     """
     if n < 2:
         raise DimensionMismatchError(f"need n >= 2, got {n}")
     rng = np.random.default_rng(seed)
-    span = domain[1] - domain[0]
-    omega = math.pi / span
-    basis = [np.diag(np.arange(n, dtype=np.float64)) * base_gap]
+    basis = [np.diag(np.arange(n, dtype=np.float64))]
     coeffs = [SmoothCoefficient(poly=(1.0,))]
-    for k in range(1, harmonics + 1):
-        for trig in ("cos", "sin"):
+    for k in (1, 2):
+        for trig in ("cos_amps", "sin_amps"):
             z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            h = (z + z.conj().T) / (2.0 * math.sqrt(n))
-            basis.append(h)
-            amp = strength * float(rng.uniform(0.5, 1.0)) / k
-            if trig == "cos":
-                amps = tuple(amp if i == k - 1 else 0.0 for i in range(k))
-                coeffs.append(SmoothCoefficient(cos_amps=amps, omega=omega))
-            else:
-                amps = tuple(amp if i == k - 1 else 0.0 for i in range(k))
-                coeffs.append(SmoothCoefficient(sin_amps=amps, omega=omega))
-    return HermitianPath(basis=tuple(basis), coefficients=tuple(coeffs), domain=domain)
+            basis.append((z + z.conj().T) / (2.0 * math.sqrt(n)))
+            amp = 0.6 * float(rng.uniform(0.5, 1.0)) / k
+            amps = tuple(amp if i == k - 1 else 0.0 for i in range(k))
+            coeffs.append(SmoothCoefficient(**{trig: amps}, omega=math.pi))
+    return HermitianPath(basis=tuple(basis), coefficients=tuple(coeffs), domain=(0.0, 1.0))
 
 
 def frame_evolution_from_path(path: HermitianPath, steps: int, *,

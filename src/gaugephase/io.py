@@ -75,9 +75,11 @@ holds the GIL, so a document of ``_FORK_FLOATS`` floats or more (counted
 by one walk that stops there) is joined in two processes: one fork, a
 helper that walks the same document and joins every other leaf block into
 a pipe, and this process, which joins the rest, reads the helper's blocks
-in order and makes every write (``_Helper``).  A fork and its reaping cost
-about 3 ms, some 3,000 float reprs; a smaller document, and every document
-where there is no fork, is written in this process alone.  A saver
+in order and makes every write (``_Helper``).  A fork, its pipe and its
+reaping cost about 2 ms, some 4,000 float reprs: two processes write a pair
+array faster from 2^14 floats on (5.9 ms against 7.2 in one), not at 2^13
+(3.7 against 3.6 ms).  A smaller document, and every document where there
+is no fork, is written in this process alone.  A saver
 refuses what its reader refuses before it opens the file, so a refused
 save leaves no file, and a target as it was.
 """
@@ -115,11 +117,12 @@ __all__ = [
 
 
 _BLOCK = 2048  # leaf-list items per join: bounds the text held at once
-_FORK_FLOATS = 2 ** 15  # floats from which a helper joins half the blocks: a fork costs ~3k reprs
+_FORK_FLOATS = 2 ** 14  # floats from which a helper joins half the blocks: ~9k floats break even
 
 _CHUNK = 2 ** 20  # characters per read of a file: bounds the text held at once
 _PAIR_RUN = 80_000  # characters of pairs or frames decoded at once: bounds the lists held
 _LOOKAHEAD = 2  # characters a token must leave before the window's end to be taken
+_CUT_ERROR = 16  # a json error this close to the window's end may be a cut token ("-Infinit")
 _FORK_BYTES = 2 ** 20  # file size from which a helper decodes every other run: ~0.75 MiB break even
 
 _WS = json.decoder.WHITESPACE.match
@@ -646,11 +649,18 @@ def _value(text: str, idx: int) -> tuple[Any, int]:
     """The JSON value at ``idx``.  When the window cannot hold it whole (it
     holds nothing there, or no closing bracket of an array or object), this
     raises before json's scanner runs, so that a long flat array such as a
-    grid is not decoded up to the edge and refused there."""
+    grid is not decoded up to the edge and refused there.  An error json
+    finds ``_CUT_ERROR`` characters or more before the window's end is
+    ``_Refused``, but for an unterminated string, placed at its start."""
     opening = text[idx:idx + 1]
     if not opening or opening in "[{" and text.find("]" if opening == "[" else "}", idx) < 0:
         raise ValueError(f"no whole value at {idx}")
-    return _DECODER.raw_decode(text, idx)
+    try:
+        return _DECODER.raw_decode(text, idx)
+    except json.JSONDecodeError as err:
+        if err.pos + _CUT_ERROR <= len(text) and not err.msg.startswith("Unterminated string"):
+            raise _Refused(err.msg) from None
+        raise
 
 
 def _after_item(text: str, idx: int, close: str) -> tuple[bool, int]:

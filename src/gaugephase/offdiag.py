@@ -30,9 +30,9 @@ an ingredient (a diagonal geometric phase, or the invariant itself) is
 undefined — which is precisely the regime the direct sigma products are
 for, and the verification report flags it rather than papering over it.
 
-Every factor here reads its gates (genericity, resolution)
-from the evolution's own ``tol`` and ``min_overlap``; none takes a
-tolerance.
+Every factor here, and the identity check, reads its gates (genericity,
+resolution, and the identity's pass gate ``tol_generic``) from the
+evolution's own ``tol`` and ``min_overlap``; none takes a tolerance.
 """
 
 from __future__ import annotations
@@ -63,8 +63,6 @@ __all__ = [
 VANISHING_OVERLAP = "vanishing_overlap"
 UNDEFINED_DIAGONAL = "undefined_diagonal_phase"
 VANISHING_INVARIANT = "vanishing_invariant"
-
-_IDENTITY_TOLERANCE = 1e-8  # default pass gate on identity residuals
 
 
 def _level_list(levels: Sequence[int], n: int) -> list[int]:
@@ -208,13 +206,13 @@ class OffDiagReport:
 
 def verify_offdiag_identity(evolution: FrameEvolution, *,
                             include_triples: bool = True,
-                            quadrature: str = "pancharatnam",
-                            tolerance: float = _IDENTITY_TOLERANCE) -> OffDiagReport:
+                            quadrature: str = "pancharatnam") -> OffDiagReport:
     """Compare direct sigma products against invariant reconstructions.
 
     Runs over all level pairs (and optionally all triples), recording
     residuals where both routes are defined and flagging the exceptional
-    index sets where they are not both defined.
+    index sets where they are not both defined.  The residuals pass at or
+    below the evolution's ``tol.tol_generic``, the report's ``tolerance``.
     """
     n = evolution.dim
     pair_gammas: dict[tuple[int, int], complex | Undefined] = {}
@@ -250,7 +248,7 @@ def verify_offdiag_identity(evolution: FrameEvolution, *,
     return OffDiagReport(
         n=n,
         quadrature=quadrature,
-        tolerance=tolerance,
+        tolerance=evolution.tol.tol_generic,
         pair_gammas=pair_gammas,
         multi_gammas=multi_gammas,
         reconstructed=reconstructed,

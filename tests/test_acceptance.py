@@ -204,7 +204,7 @@ def test_06_primitive_phase_rank():
         ranks = []
         for t in range(20):
             matrix = random_generic_unitary(n, 600 + 50 * n + t)
-            rank, _ = primitive_phase_rank(matrix, cutoff=1e-6)
+            rank, _ = primitive_phase_rank(matrix)
             ranks.append(rank)
         ok = ok and all(r == expected for r in ranks)
         results.append(f"n={n}: rank {sorted(set(ranks))} (expect {expected})")

@@ -1,6 +1,7 @@
 """Tests for state curves, frame evolutions, and the three phase functionals."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,20 @@ class TestStateCurveValidation:
     def test_states_must_be_unit(self):
         with pytest.raises(ValueError):
             StateCurve([0.0, 1.0], np.array([[1.0, 0.0], [2.0, 0.0]], dtype=complex))
+
+    @pytest.mark.parametrize("tol_norm", [1e-12, 1e-9])
+    @pytest.mark.parametrize("off", [2.0, 0.5])
+    def test_states_are_unit_to_tol_norm(self, tol_norm, off):
+        # The one unit-norm check, _unit_rows, refuses a state naming its norm.
+        norm = 1.0 + off * tol_norm
+        states = np.array([[1.0, 0.0], [norm, 0.0]], dtype=complex)
+        tol = Tolerances(tol_norm=tol_norm)
+        if off > 1.0:
+            message = f"vector norm {norm!r} deviates from 1 by more than {tol_norm:.3e}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                StateCurve([0.0, 1.0], states, tol=tol)
+        else:
+            assert StateCurve([0.0, 1.0], states, tol=tol).tol == tol
 
     def test_grid_and_states_must_agree(self):
         with pytest.raises(GridMismatchError):

@@ -208,7 +208,7 @@ class TestRandomSmoothPhases:
 
     def test_profiles_are_smooth(self):
         grid = np.linspace(0.0, 1.0, 400)
-        alpha = random_smooth_phases(grid, 6, amplitude=1.0, harmonics=3)
+        alpha = random_smooth_phases(grid, 6, amplitude=1.0)
         # Three harmonics over 400 points: successive increments stay tiny.
         assert np.abs(np.diff(alpha)).max() < 0.1
 

@@ -771,11 +771,13 @@ def test_a_refused_evolution_is_read_a_block_of_frames_at_a_time(tmp_path):
     ("{oops" + " " * 5 * 4096, "Expecting property name enclosed in double quotes: "
                                "line 1 column 2 (char 1)"),
     ('{"n": 1 ;' + " " * 5 * 4096, "Expecting ',' delimiter: line 1 column 9 (char 8)"),
-], ids=["byte_order_mark", "no_key", "no_comma"])
+    ('{"n": oops' + " " * 5 * 4096, "Expecting value: line 1 column 7 (char 6)"),
+    ('{"n": [1, 2 3]' + " " * 5 * 4096, "Expecting ',' delimiter: line 1 column 13 (char 12)"),
+], ids=["byte_order_mark", "no_key", "no_comma", "no_value", "no_comma_in_a_value"])
 def test_a_wrong_character_in_the_window_is_refused_at_once(text, message, tmp_path,
                                                             monkeypatch):
-    # _expect, _key and _after_item refuse a character the window holds
-    # without refilling it to the end of the file; json's message stays.
+    # _expect, _key, _after_item and _value refuse a character the window
+    # holds without refilling it to the end of the file; json's message stays.
     monkeypatch.setattr(io_module, "_CHUNK", 4096)
     path = str(tmp_path / "doc.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -1090,8 +1092,9 @@ def _tower_shaped(size) -> dict:
     """A decompose-shaped document of ``size`` floats: many short pair arrays,
     one block each, then a float list."""
     rng = np.random.default_rng(size)
-    vectors = [{"components": rng.standard_normal((m, 2)), "dim": m} for m in range(1, 181)]
-    return {"n": 181, "vectors": vectors, "moduli": rng.random(size - 181 * 180).tolist()}
+    n = math.isqrt(size)
+    vectors = [{"components": rng.standard_normal((m, 2)), "dim": m} for m in range(1, n)]
+    return {"n": n, "vectors": vectors, "moduli": rng.random(size - n * (n - 1)).tolist()}
 
 
 def _raise_oserror(*args):

@@ -158,6 +158,29 @@ EOF
 cmp fork_piped.json fork_file.json
 cmp fork_piped.json fork_stdlib.json
 
+# A matrix above the coset tower's fork size (n = 256), which decompose
+# peels and rebuilds in two processes: a forked helper takes the leading
+# columns.  Two runs of the console script give one report, and it is the
+# report cli.main makes with the fork size patched out, so that the tower
+# stays in one process.
+python - <<'EOF'
+from gaugephase import random_generic_unitary, save_matrix
+from gaugephase.canonical import _FORK_N
+save_matrix("matrix_tower.json", random_generic_unitary(256, seed=31).data)
+assert 256 >= _FORK_N
+EOF
+for run in 1 2; do
+  gaugephase decompose matrix_tower.json > "tower$run.json"
+done
+python - <<'EOF'
+from gaugephase import canonical
+from gaugephase.cli import main
+canonical._FORK_N = 10 ** 9
+assert main(["decompose", "matrix_tower.json", "-o", "tower_one_process.json"]) == 0
+EOF
+cmp tower1.json tower2.json
+cmp tower1.json tower_one_process.json
+
 # An evolution above the reader's fork size, and its compact copy, each
 # read by two processes: a forked helper decodes every other run of frames.
 # The load holds json.load's numbers bit for bit, and both files give the

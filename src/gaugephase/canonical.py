@@ -65,13 +65,34 @@ certificate of its remainder, and the error a loop over the members
 would raise first, non-genericity first within a member.  A non-generic
 member is peeled on by F(e_1), so it makes no warning and disturbs no
 other member.
+
+One matrix of ``_FORK_N`` (160) or more is peeled and rebuilt in two
+processes (``core._Helper``), since each step of a level acts on each
+column on its own.  In the whole peel (``_peel``), a forked helper owns
+the leading ``_PEEL_SPLIT`` (40%) of the columns: through each level whose
+last column is this process's, it applies F(zeta)^dagger to them with the
+level's unit column, which this process sends down a pipe, and at the
+end returns their remainder and the largest modulus of their peeled last
+rows.  This process keeps zeta, the genericity gate, the norms (a BLAS
+call, which a forked process must not make), the certificate and
+``_verdict``; it peels the other columns, then the last levels of the
+helper's remainder alone.  In the rebuild (``_rebuild``) a helper rebuilds
+the leading ``_REBUILD_SPLIT`` (37%) of the columns, the heaviest, and this
+process the rest; it then certifies the whole.  Each column goes through
+the calls it goes through in one process, so every bit and every error
+are the one-process tower's; where there is no fork, or the helper fails
+or dies, this process does its columns too.  Below the fork size, the
+peel and the rebuild of a single matrix each gain less than the fork
+costs (the break-even lies near n = 140), and ``split_coset`` and stacks
+of several matrices stay in one process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -85,6 +106,7 @@ from .core import (
     UnitaryMatrix,
     UnitVector,
     _certify_stack,
+    _Helper,
     _row_norms,
     principal_arg,
     reduce_phase,
@@ -99,6 +121,11 @@ __all__ = [
     "modulus_invariants",
     "phase_invariant_list",
 ]
+
+
+_FORK_N = 160  # size from which a helper peels or rebuilds leading columns: ~140 breaks even
+_PEEL_SPLIT = 0.4  # share of the columns the peel's helper takes
+_REBUILD_SPLIT = 0.37  # share of the columns the rebuild's helper takes
 
 
 # ---------------------------------------------------------------------------
@@ -224,22 +251,26 @@ def coset_representative(zeta: UnitVector, *,
 # Factor / defactor
 # ---------------------------------------------------------------------------
 
-def _split_arrays(a: np.ndarray, tol: Tolerances, edge: np.ndarray
+def _split_arrays(a: np.ndarray, tol: Tolerances, edge: np.ndarray,
+                  give: Callable[[np.ndarray], None] | None = None
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One peeling step on a stack of k m x m arrays, shape (k, m, m).
+    """One peeling step on a stack of k m x m arrays, shape (k, m, m), or on
+    their trailing w columns, shape (k, m, w), where a helper peels the rest.
 
     Returns (zeta, remainder, lead, norms, failed): the raw last columns
-    (k, m); the (k, m-1, m-1) top-left blocks of F(zeta)^dagger a;
+    (k, m); the (k, m-1, w-1) top-left blocks of F(zeta)^dagger a;
     |zeta_1| of each member; ||zeta|| of each member, (k, 1); and the
     indices of the members whose |zeta_1| is at or below the genericity
     gate.  Those members are peeled by F(e_1) instead, which keeps the
     stack finite and free of warnings; their remainder means nothing and
-    their norm is that of e_1.  ``edge`` (k, 2m-1) receives the peeled
-    last row and then the rest of the peeled last column, which together
-    must equal e_m (see :func:`_certificate`).
+    their norm is that of e_1.  ``give`` receives the unit columns before
+    they are applied.  ``edge`` (k, 2m-1) receives the peeled last row and
+    then the rest of the peeled last column, which together must equal e_m
+    (see :func:`_certificate`); a helper's m - w entries of the last row
+    are left at 0, as it returns their largest modulus itself.
     """
-    m = a.shape[-1]
-    zeta = a[:, :, m - 1].copy()
+    m, w = a.shape[1], a.shape[2]
+    zeta = a[:, :, w - 1].copy()
     lead = np.hypot(zeta.real[:, 0], zeta.imag[:, 0])  # abs() of each, bit for bit
     failed = (lead <= tol.tol_generic).nonzero()[0]
     unit = zeta
@@ -247,9 +278,14 @@ def _split_arrays(a: np.ndarray, tol: Tolerances, edge: np.ndarray
         unit = zeta.copy()
         unit[failed] = np.eye(1, m)
     norms = _row_norms(unit)
-    peeled = _coset_adjoint_apply(unit / norms, a)
-    np.concatenate((peeled[:, m - 1], peeled[:, : m - 1, m - 1]), axis=1, out=edge)
-    return zeta, peeled[:, : m - 1, : m - 1], lead, norms, failed
+    unit = unit / norms
+    if give is not None:
+        give(unit)
+    peeled = _coset_adjoint_apply(unit, a)
+    if w < m:
+        edge[:, : m - w] = 0.0
+    np.concatenate((peeled[:, m - 1], peeled[:, : m - 1, w - 1]), axis=1, out=edge[:, m - w:])
+    return zeta, peeled[:, : m - 1, : w - 1], lead, norms, failed
 
 
 def _certificate(edges: np.ndarray, corners: list[int]) -> np.ndarray:
@@ -284,31 +320,96 @@ def _peel(a: np.ndarray, tol: Tolerances, levels: int | None = None) -> _Peel:
     """Peel ``levels`` coset factors, all n - 1 by default, off every member
     of a (k, n, n) stack, one set of array calls per level.
 
+    The whole tower of one matrix (k = 1) of size ``_FORK_N`` or more is
+    peeled in two processes, as the module docstring says; where the
+    helper has gone, this process peels its columns from the units it fed.
+
     Raises nothing: :func:`_verdict` reads each member's every error.
     """
     k, n = a.shape[0], a.shape[-1]
     last = 1 if levels is None else n - levels
-    work = a
+    split = int(_PEEL_SPLIT * n) if (k, levels) == (1, None) and n >= _FORK_N else 0
+    helper = (_Helper.start(partial(_send_peeled_leading, a[0, :, :split]), fed=True)
+              if split > 1 else None)  # the loop meets m = split from split = 2 on
+    units: list[np.ndarray] = []
+
+    def give(unit: np.ndarray) -> None:
+        units.append(unit[0])
+        helper.give(unit.tobytes())
+
+    work = a if helper is None else a[:, :, split:]
     columns: list[np.ndarray] = []
     edges = np.empty((k, n * n - last * last), dtype=np.complex128)  # 2m - 1 per level m
     norms = np.empty((k, n - last))
     corners: list[int] = []
     failures: dict[int, tuple[int, float]] = {}
-    for m in range(n, last, -1):
-        start = n * n - m * m
-        zeta, work, lead, norm, failed = _split_arrays(
-            work, tol, edges[:, start:start + 2 * m - 1])
-        norms[:, n - m] = norm[:, 0]
-        if failed.size:
-            for i in failed.tolist():
-                failures.setdefault(i, (m, float(lead[i])))
-        columns.append(zeta)
-        corners.append(start + m - 1)
+    leading_worst = 0.0
+    try:
+        for m in range(n, last, -1):
+            if helper is not None and m == split:  # what is left is the helper's remainder
+                work, leading_worst = _leading_remainder(helper, a[0, :, :split], units)
+            start = n * n - m * m
+            zeta, work, lead, norm, failed = _split_arrays(
+                work, tol, edges[:, start:start + 2 * m - 1],
+                give if helper is not None and m > split else None)
+            norms[:, n - m] = norm[:, 0]
+            if failed.size:
+                for i in failed.tolist():
+                    failures.setdefault(i, (m, float(lead[i])))
+            columns.append(zeta)
+            corners.append(start + m - 1)
+    finally:
+        if helper is not None:
+            helper.end()
     worst = _certificate(edges, corners) if corners else np.zeros(k)
+    if helper is not None:
+        np.maximum(worst, leading_worst, out=worst)
     if levels is None:
         residual = work[:, 0, 0]
         np.maximum(worst, np.abs(np.hypot(residual.real, residual.imag) - 1.0), out=worst)
     return _Peel(columns, work, worst, norms, failures)
+
+
+def _peeled_leading(block: np.ndarray, units: Iterable[np.ndarray]) -> tuple[np.ndarray, float]:
+    """The leading c columns ``block`` (n, c) of a matrix peeled by the
+    levels m = n down to c + 1, whose unit columns ``units`` yields in
+    turn: the (c, c) remainder and the largest modulus of the peeled last
+    rows.  The same calls, column for column, as the whole peel's."""
+    n, c = block.shape
+    work = block[None]
+    rows = np.empty((n - c, c), dtype=np.complex128)
+    for i, unit in enumerate(units):
+        peeled = _coset_adjoint_apply(unit[None], work)
+        rows[i] = peeled[0, -1]
+        work = peeled[:, :-1]
+    return work[0], float(np.abs(rows).max())
+
+
+def _send_peeled_leading(block: np.ndarray, pipe: IO[bytes], feed: IO[bytes]) -> None:
+    """The peel's helper: :func:`_peeled_leading` of ``block`` with the
+    units read from ``feed``, its result sent down ``pipe``."""
+    def units() -> Iterator[np.ndarray]:
+        for _ in range(block.shape[0] - block.shape[1]):
+            message = _Helper.read(feed, 1)
+            if message is None:  # the parent has stopped: send nothing
+                raise EOFError
+            yield np.frombuffer(message[0], np.complex128)
+
+    remainder, worst = _peeled_leading(block, units())
+    _Helper.send(pipe, remainder.tobytes(), np.float64(worst).tobytes())
+
+
+def _leading_remainder(helper: _Helper, block: np.ndarray, units: list[np.ndarray]
+                       ) -> tuple[np.ndarray, float]:
+    """The helper's result for the leading columns ``block``, as a (1, c, c)
+    remainder and a modulus, or, where it has gone, the same made here."""
+    message = helper.received(2)
+    if message is None:
+        remainder, worst = _peeled_leading(block, units)
+        return remainder[None], worst
+    c = block.shape[1]
+    return (np.frombuffer(message[0], np.complex128).reshape(1, c, c),
+            float(np.frombuffer(message[1], np.float64)[0]))
 
 
 def _verdict(peel: _Peel, tol: Tolerances, levels: int | None = None) -> np.ndarray:
@@ -364,6 +465,9 @@ def _rebuild(columns: Sequence[np.ndarray], chi: np.ndarray, tol: Tolerances
     member that has one, as a loop of :func:`reconstruct` calls would:
     the members before one with a leading component at or below the
     genericity gate are rebuilt and certified before its error.
+
+    One matrix (k = 1) of size ``_FORK_N`` or more is rebuilt in two
+    processes, as the module docstring says.
     """
     k = len(chi)
     n = columns[0].shape[1] if columns else 1
@@ -371,17 +475,53 @@ def _rebuild(columns: Sequence[np.ndarray], chi: np.ndarray, tol: Tolerances
     margin = np.hypot(lead.real, lead.imag).min(axis=0, initial=np.inf)  # abs(), bit for bit
     generic = margin > tol.tol_generic
     stop = k if generic.all() else int(generic.argmin())
+    columns, chi = [zeta[:stop] for zeta in columns], chi[:stop]
     out = np.zeros((stop, n, n), dtype=np.complex128)
     out.reshape(stop, n * n)[:, :: n + 1] = 1.0
-    out[:, 0, 0] = np.exp(1j * chi[:stop])
-    for zeta in reversed(columns):
-        m = zeta.shape[1]
-        _coset_apply(zeta[:stop], out[:, :m, :m])
+    split = int(_REBUILD_SPLIT * n) if stop == 1 and n >= _FORK_N else 0
+    helper = _Helper.start(partial(_send_rebuilt_leading, columns, chi, split)) if split else None
+    if helper is None:
+        _rebuild_columns(columns, chi, out, 0)
+    else:
+        try:
+            _rebuild_columns(columns, chi, out[:, :, split:], split)
+            message = helper.received(1)
+        finally:
+            helper.end()
+        if message is None:
+            _rebuild_columns(columns, chi, out[:, :, :split], 0)
+        else:
+            out[:, :, :split] = np.frombuffer(message[0], np.complex128).reshape(1, n, split)
     deviations = _certify_stack(out, tol.tol_unitary)
     if stop < k:
         raise NonGenericVectorError(f"genericity margin {margin[stop]:.3e} "
                                     f"<= {tol.tol_generic:.3e}: coset factor undefined")
     return out, deviations
+
+
+def _rebuild_columns(columns: Sequence[np.ndarray], chi: np.ndarray, out: np.ndarray,
+                     lo: int) -> None:
+    """Columns ``lo`` on of each tower of a stack multiplied back together
+    in ``out``, which holds columns lo to lo + w - 1 of the identity,
+    shape (k, n, w).  Before F_m acts, the first m rows are zero beyond
+    column m, so F_m acts on the leading m x m block only, and on each of
+    its columns on its own."""
+    w = out.shape[2]
+    if lo == 0:
+        out[:, 0, 0] = np.exp(1j * chi)
+    for zeta in reversed(columns):
+        m = zeta.shape[1]
+        if m > lo:
+            _coset_apply(zeta, out[:, :m, : min(m - lo, w)])
+
+
+def _send_rebuilt_leading(columns: Sequence[np.ndarray], chi: np.ndarray, split: int,
+                          pipe: IO[bytes]) -> None:
+    """The rebuild's helper: the leading ``split`` columns of a tower of one
+    matrix, rebuilt and sent down ``pipe``."""
+    block = np.eye(columns[0].shape[1], split, dtype=np.complex128)[None]
+    _rebuild_columns(columns, chi, block, 0)
+    _Helper.send(pipe, block.tobytes())
 
 
 _STACK_ENTRIES = 1 << 14  # entries per stack: 256 kB per complex working array
@@ -464,7 +604,9 @@ def decompose(A: UnitaryMatrix, *,
     e^{i chi} within ``tol.tol_unitary`` (it is, for any certified
     input; a violation means the input's certificate lied).  Each peel
     is a prefix-sum product, so the whole factorization is O(n^3).  It
-    is the one-matrix case of the stacked tower.
+    is the one-matrix case of the stacked tower.  From n = ``_FORK_N`` on,
+    a forked helper peels the leading 40% of the columns while this
+    process peels the rest and makes every check, with the same result.
 
     Raises
     ------
@@ -488,7 +630,9 @@ def reconstruct(params: CanonicalParams, *,
     leading m x m block only: O(n^3) in all.  Like
     :func:`coset_representative`, raises NonGenericVectorError when a
     level's leading component is at or below ``tol.tol_generic``.  It is
-    the one-matrix case of the stacked tower.
+    the one-matrix case of the stacked tower.  From n = ``_FORK_N`` on, a
+    forked helper rebuilds the leading 37% of the columns while this
+    process rebuilds the rest and certifies the whole, with the same result.
     """
     columns = [v.data[None] for v in params.vectors]
     rebuilt, deviations = _rebuild(columns, np.array([params.chi]), tol)

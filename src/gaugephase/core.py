@@ -22,9 +22,13 @@ which store a copy without checking again.
 
 from __future__ import annotations
 
+import gc
 import math
+import os
+import signal
+import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -425,3 +429,145 @@ def inner_product(u: UnitVector | Sequence[complex] | np.ndarray,
             f"inner product needs equal-length vectors, got {ua.shape} and {va.shape}"
         )
     return complex(np.vdot(ua, va))
+
+
+# ---------------------------------------------------------------------------
+# Two processes
+# ---------------------------------------------------------------------------
+
+class _Helper:
+    """A forked process that does part of one job and sends each result
+    down a pipe, each part behind its length, while this process does the
+    rest and keeps every result.
+
+    It has three jobs.  The report writer's helper joins every other leaf
+    block and the file reader's decodes every other run (``io``): both
+    processes walk the same document, numbering its pieces alike
+    (``theirs``), up to the first piece whose result this process must make
+    itself; where that piece is the helper's, the helper stops there.  The
+    coset tower's helper (``canonical``) peels or rebuilds the leading
+    columns of one large matrix; the peel's is fed each level's unit
+    column down a second pipe (``give``).  Whatever the job, a helper calls
+    no BLAS and takes no lock another thread may hold, since a fork copies
+    only the thread that forks: it slices and sums arrays, decodes JSON,
+    joins float reprs and writes to its pipe.
+
+    Its work ends on every path, an exception included, by closing its
+    pipes and leaving by ``os._exit``: it flushes no inherited buffer and
+    never unwinds into its caller's ``finally``.  At the end of the pipe,
+    or at a piece that parts the two walks, this process stops reading
+    (``stop``) and does every piece from there on itself, so every result
+    and every error are the one-process job's.  Nothing the helper does
+    after the last piece read matters, so it is killed, not waited for,
+    and then reaped (``end``).
+    """
+
+    def __init__(self, pid: int, pipe: IO[bytes], feed: IO[bytes] | None):
+        self.pid, self.pipe, self.feed, self.count = pid, pipe, feed, 0
+
+    @classmethod
+    def start(cls, work: Callable[..., None], fed: bool = False) -> "_Helper | None":
+        """A helper running ``work(pipe)``, or ``work(pipe, feed)`` with a
+        pipe ``feed`` from this process where ``fed``; None where there is
+        no fork, or where a pipe or the fork fails: then the job stays in
+        this process.  So it does where SIGCHLD is ignored: children are
+        then reaped as they exit, and the helper's pid may be another
+        process's by the time it would be killed.  A fed helper is not
+        forked where SIGPIPE is at its default either: a feed to a helper
+        that has died would then kill this process."""
+        if not hasattr(os, "fork") or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
+            return None
+        if fed and signal.getsignal(signal.SIGPIPE) == signal.SIG_DFL:
+            return None
+        fds: list[int] = []  # result read and write ends, then the feed's
+        try:
+            for _ in range(1 + fed):
+                fds += os.pipe()
+            with warnings.catch_warnings():
+                # Python 3.12+ warns that a fork in a process with threads (an
+                # unpinned BLAS pool has one) may deadlock the child.  The
+                # helper calls no BLAS and takes no lock another thread may hold.
+                warnings.filterwarnings("ignore", "This process .*is multi-threaded",
+                                        DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            return None
+        if pid == 0:
+            try:  # the helper leaves by os._exit on every path: no flush, no unwinding
+                os.close(fds[0])
+                gc.disable()  # a collection would touch, and so copy, the parent's pages
+                with open(fds[1], "wb") as pipe:
+                    if fed:
+                        os.close(fds[3])
+                        with open(fds[2], "rb") as feed:
+                            work(pipe, feed)
+                    else:
+                        work(pipe)
+            finally:
+                os._exit(0)
+        os.close(fds[1])
+        if fed:
+            os.close(fds[2])
+        return cls(pid, open(fds[0], "rb"), open(fds[3], "wb") if fed else None)
+
+    @staticmethod
+    def send(pipe: IO[bytes], *parts: bytes) -> None:
+        """One piece's result, each part behind its length."""
+        for part in parts:
+            pipe.write(len(part).to_bytes(8, "little"))
+            pipe.write(part)
+        pipe.flush()
+
+    @staticmethod
+    def read(pipe: IO[bytes], parts: int) -> list[bytes] | None:
+        """The next piece of ``parts`` parts that ``send`` wrote; None at
+        the end of the pipe."""
+        result = []
+        for _ in range(parts):
+            head = pipe.read(8)
+            size = int.from_bytes(head, "little")
+            result.append(pipe.read(size) if len(head) == 8 else b"")
+            if len(head) < 8 or len(result[-1]) < size:
+                return None
+        return result
+
+    def give(self, *parts: bytes) -> None:
+        """Feed the helper one piece; where it has gone, stop reading."""
+        if self.feed is not None:
+            try:
+                self.send(self.feed, *parts)
+            except OSError:
+                self.stop()
+
+    def theirs(self) -> bool:
+        """Whether the next piece is the helper's: every other one, from the
+        second on, until this process stops reading."""
+        self.count += 1
+        return self.pipe is not None and self.count % 2 == 0
+
+    def received(self, parts: int) -> list[bytes] | None:
+        """The helper's next result of ``parts`` parts; None, and reading
+        stopped, at the end of the pipe or once reading has stopped."""
+        result = None if self.pipe is None else self.read(self.pipe, parts)
+        if result is None:
+            self.stop()
+        return result
+
+    def stop(self) -> None:
+        """Read no more and feed no more: every piece from here on is this
+        process's."""
+        for stream in (self.pipe, self.feed):
+            if stream is not None:
+                try:
+                    stream.close()
+                except OSError:  # a feed's buffered bytes that the helper never read
+                    pass
+        self.pipe = self.feed = None
+
+    def end(self) -> None:
+        """Close the pipes, then kill the helper and reap it."""
+        self.stop()
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)

@@ -92,8 +92,6 @@ import json
 import math
 import os
 import re
-import signal
-import warnings
 from contextlib import contextmanager
 from functools import partial
 from itertools import chain, count
@@ -102,7 +100,7 @@ from typing import Any, IO, Iterator, NamedTuple
 
 import numpy as np
 
-from .core import DimensionMismatchError
+from .core import DimensionMismatchError, _Helper
 
 __all__ = [
     "FileFormatError",
@@ -532,7 +530,7 @@ def _decoded_run(window: _Window, closers: int) -> tuple[_Run, bool]:
                 quoted, None), last
 
 
-def _received_run(window: _Window, closers: int, helper: "_Helper") -> _Run | None:
+def _received_run(window: _Window, closers: int, helper: _Helper) -> _Run | None:
     """The helper's next run, if it spans the run that ``_run``'s regex cuts
     at the window's index (the window then past it); else None, with the
     window where it was and the helper stopped."""
@@ -758,106 +756,6 @@ def _holds_floats(doc: Any, least: int) -> bool:
 class _HandOver(Exception):
     """Raised in a helper to end its work at a piece that the process which
     forked it must do itself, with every piece after it."""
-
-
-class _Helper:
-    """A forked process that does every other piece of one job, the writer's
-    leaf blocks or the reader's runs, and sends each piece's result down a
-    pipe, each part behind its length; this process does the other pieces,
-    reads the helper's in order and keeps every result.
-
-    Both processes walk the same document, numbering its pieces alike, up
-    to the first piece whose result this process must make itself: where
-    that piece is the helper's, the helper stops there.  Its work ends on
-    every path, an exception included, by closing the pipe and leaving by
-    ``os._exit``: it flushes no inherited buffer and never unwinds into its
-    caller's ``finally``.  At the end of the pipe, or at a piece of its own
-    that parts the walks, this process stops reading (``stop``) and does
-    every piece from there on, so every error is raised here, with the
-    one-process walk's type and text.  Nothing the helper does after the
-    last piece read matters, so it is killed, not waited for, and then
-    reaped (``end``).
-    """
-
-    def __init__(self, pid: int, pipe: IO[bytes]):
-        self.pid, self.pipe, self.count = pid, pipe, 0
-
-    @classmethod
-    def start(cls, work) -> "_Helper | None":
-        """A helper running ``work(pipe)``, or None where there is no fork,
-        or where the pipe or the fork fails: then the job stays in this
-        process.  So it does where SIGCHLD is ignored: children are then
-        reaped as they exit, and the helper's pid may be another process's
-        by the time it would be killed."""
-        if not hasattr(os, "fork") or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
-            return None
-        try:
-            read_end, write_end = os.pipe()
-        except OSError:
-            return None
-        try:
-            with warnings.catch_warnings():
-                # Python 3.12+ warns that a fork in a process with threads (an
-                # unpinned BLAS pool has one) may deadlock the child.  The
-                # helper calls no BLAS and takes no lock another thread may
-                # hold: it slices, decodes and converts JSON, joins float
-                # reprs, writes to its pipe and leaves by os._exit.
-                warnings.filterwarnings("ignore", "This process .*is multi-threaded",
-                                        DeprecationWarning)
-                pid = os.fork()
-        except OSError:
-            os.close(read_end)
-            os.close(write_end)
-            return None
-        if pid == 0:
-            try:  # the helper leaves by os._exit on every path: no flush, no unwinding
-                os.close(read_end)
-                gc.disable()  # a collection would touch, and so copy, the parent's pages
-                with open(write_end, "wb") as pipe:
-                    work(pipe)
-            finally:
-                os._exit(0)
-        os.close(write_end)
-        return cls(pid, open(read_end, "rb"))
-
-    @staticmethod
-    def send(pipe: IO[bytes], *parts: bytes) -> None:
-        """In the helper: one piece's result, each part behind its length."""
-        for part in parts:
-            pipe.write(len(part).to_bytes(8, "little"))
-            pipe.write(part)
-        pipe.flush()
-
-    def theirs(self) -> bool:
-        """Whether the next piece is the helper's: every other one, from the
-        second on, until this process stops reading."""
-        self.count += 1
-        return self.pipe is not None and self.count % 2 == 0
-
-    def received(self, parts: int) -> list[bytes] | None:
-        """The helper's next result of ``parts`` parts; None, and reading
-        stopped, at the end of the pipe."""
-        result = []
-        for _ in range(parts):
-            head = self.pipe.read(8)
-            size = int.from_bytes(head, "little")
-            result.append(self.pipe.read(size) if len(head) == 8 else b"")
-            if len(head) < 8 or len(result[-1]) < size:
-                self.stop()
-                return None
-        return result
-
-    def stop(self) -> None:
-        """Read no more: every piece from here on is this process's."""
-        if self.pipe is not None:
-            self.pipe.close()
-            self.pipe = None
-
-    def end(self) -> None:
-        """Close the pipe, then kill the helper and reap it."""
-        self.stop()
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
 
 
 def _joined(helper: _Helper, block, pairs: bool, inner: str) -> str | None:

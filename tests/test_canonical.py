@@ -1,6 +1,8 @@
 """Tests for the coset tower: representatives, peeling, round trips."""
 
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -22,8 +24,11 @@ from gaugephase import (
     random_generic_unitary,
     random_unit_vector,
     reconstruct,
+    save_matrix,
     split_coset,
 )
+from gaugephase import canonical
+from gaugephase.cli import main
 from gaugephase.canonical import (
     _STACK_ENTRIES,
     _checked_peel,
@@ -688,3 +693,219 @@ def test_tower_inputs_a_factor_two_from_a_gate(read, gate, refuses_above, refusa
     error, message = refusal
     with pytest.raises(error, match=message):
         read(refused)
+
+
+# ---------------------------------------------------------------------------
+# Two processes: a helper peels and rebuilds the leading columns
+# ---------------------------------------------------------------------------
+
+TWO_PROCESS_SIZES = [canonical._FORK_N - 1, canonical._FORK_N, 256]
+
+
+def _in_one_and_two_processes(monkeypatch, forks, n, call):
+    """``call()`` with the tower of size ``n`` in one process (the fork size
+    patched above n), then in two (patched to n); the results and the
+    forks each made."""
+    results, made = [], []
+    for fork_n in (n + 1, n):
+        monkeypatch.setattr(canonical, "_FORK_N", fork_n)
+        before = len(forks)
+        results.append(call())
+        made.append(len(forks) - before)
+    return results, made
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the type, text and fields of its error."""
+    try:
+        return call()
+    except ValueError as err:
+        return type(err), str(err), vars(err)
+
+
+def _tower_bits(params, rebuilt):
+    return ([_bits(v.data) for v in params.vectors], _bits(params.chi),
+            _bits(rebuilt.data), _bits(rebuilt.deviation))
+
+
+def _same_tower(one, two):
+    (vectors, chi, data, deviation), (vectors2, chi2, data2, deviation2) = one, two
+    assert len(vectors) == len(vectors2)
+    assert all(np.array_equal(u, v) for u, v in zip(vectors, vectors2))
+    assert chi == chi2 and deviation == deviation2
+    assert np.array_equal(data, data2)
+
+
+def _params_non_generic_at(n, level, seed):
+    """Parameters of size n whose dimension-``level`` vector has |zeta_1| = 1e-13."""
+    rng = np.random.default_rng(seed)
+    vectors = [random_unit_vector(m, rng, min_leading=0.2) for m in range(n, 1, -1)]
+    tail = random_unit_vector(level - 1, rng).data
+    vectors[n - level] = UnitVector(np.concatenate(([1e-13], tail)))
+    return CanonicalParams(vectors=tuple(vectors), chi=0.3)
+
+
+class TestTwoProcessTower:
+    """From the fork size on, a forked helper peels and rebuilds the leading
+    columns of one matrix; every bit and every error stay the one-process
+    tower's."""
+
+    @pytest.mark.parametrize("n", TWO_PROCESS_SIZES)
+    def test_decompose_and_reconstruct_are_the_one_process_bits(self, n, monkeypatch, forks):
+        a = random_generic_unitary(n, 7)
+
+        def tower():
+            params = decompose(a)
+            return _tower_bits(params, reconstruct(params))
+
+        (one, two), made = _in_one_and_two_processes(monkeypatch, forks, n, tower)
+        assert made == [0, 2]
+        _same_tower(one, two)
+        assert two[3].view(np.float64) <= 1e-12
+
+    @pytest.mark.parametrize("n", TWO_PROCESS_SIZES)
+    def test_a_haar_draw_is_the_one_process_draw(self, n, monkeypatch, forks):
+        (one, two), made = _in_one_and_two_processes(
+            monkeypatch, forks, n, lambda: _bits(random_generic_unitary(n, 11).data))
+        assert made[0] == 0 and made[1] >= 1  # one decompose per candidate
+        assert np.array_equal(one, two)
+
+    @pytest.mark.parametrize("n", TWO_PROCESS_SIZES)
+    def test_the_decompose_report_is_the_one_process_report(self, n, tmp_path, monkeypatch,
+                                                            forks):
+        path = str(tmp_path / "matrix.json")
+        save_matrix(path, random_generic_unitary(n, 13).data)
+
+        def report():
+            out = tmp_path / "report.json"
+            assert main(["decompose", path, "-o", str(out)]) == 0
+            return out.read_bytes()
+
+        (one, two), made = _in_one_and_two_processes(monkeypatch, forks, n, report)
+        assert made[1] - made[0] == 2  # the peel's helper and the rebuild's
+        assert one == two
+
+    @pytest.mark.parametrize("side", ["above", "below"])
+    def test_a_non_generic_level_raises_the_one_process_error(self, side, monkeypatch, forks):
+        # Above the split column the level is peeled while the helper holds
+        # the leading columns; below it, from the helper's remainder.
+        n = canonical._FORK_N
+        split = int(canonical._PEEL_SPLIT * n)
+        level = split + 10 if side == "above" else split - 10
+        bad = reconstruct(_params_non_generic_at(n, level, 51), tol=Tolerances(tol_generic=1e-14))
+        (one, two), made = _in_one_and_two_processes(
+            monkeypatch, forks, n, lambda: _outcome(lambda: decompose(bad)))
+        assert made == [0, 1]
+        assert one[0] is NonGenericMatrixError and one[2]["level"] == level
+        assert one == two
+
+    @pytest.mark.parametrize("columns", ["helper", "parent"])
+    def test_a_forged_certificate_raises_the_one_process_error(self, columns, monkeypatch,
+                                                               forks):
+        # Multiples of the last column added to others show only in the
+        # peeled last row of the top level: the helper returns the largest
+        # modulus of its columns' part, this process reads its own.
+        n = canonical._FORK_N
+        split = int(canonical._PEEL_SPLIT * n)
+        a = random_generic_unitary(n, 53).data
+        cut = slice(0, split) if columns == "helper" else slice(split, n - 1)
+        bad = a.copy()
+        bad[:, cut] += np.outer(a[:, n - 1], 3e-9 * np.exp(1j * np.arange(n)[cut]))
+        forged = UnitaryMatrix._certified(bad, 0.0)
+        (one, two), made = _in_one_and_two_processes(
+            monkeypatch, forks, n, lambda: _outcome(lambda: decompose(forged)))
+        assert made == [0, 1]
+        assert one[0] is NotUnitaryError and one[2]["deviation"] == pytest.approx(3e-9)
+        assert one == two
+
+    def test_split_coset_and_stacks_of_several_never_fork(self, forks):
+        n = canonical._FORK_N
+        a = random_generic_unitary(n, 17)
+        params = decompose(a)
+        before = len(forks)
+        split_coset(a)
+        _checked_peel(np.array([a.data, a.data]), Tolerances())
+        assert np.array_equal(_rebuilt([params, params])[1], reconstruct(params).data)
+        assert len(forks) == before + 1  # the reconstruct alone
+
+
+def _raise_oserror(*args):
+    raise OSError(24, "Too many open files")
+
+
+def _dying_in_the_helper(monkeypatch, name, calls):
+    """Have a forked helper leave by os._exit at its call number ``calls`` of
+    canonical's ``name``, partway through its columns."""
+    parent, real, made = os.getpid(), getattr(canonical, name), []
+
+    def dying(*args):
+        if os.getpid() != parent:
+            made.append(None)
+            if len(made) == calls:
+                os._exit(0)
+        return real(*args)
+
+    monkeypatch.setattr(canonical, name, dying)
+
+
+def _calls_here(monkeypatch, name):
+    """The calls of canonical's ``name`` made in this process, not a helper."""
+    parent, real, made = os.getpid(), getattr(canonical, name), []
+
+    def counted(*args):
+        if os.getpid() == parent:
+            made.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(canonical, name, counted)
+    return made
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+
+
+# (fault, helpers forked, leading blocks peeled here, column blocks rebuilt here)
+HELPER_FAULTS = {
+    "fork_refused": (0, 0, 1), "pipe_refused": (0, 0, 1), "feed_pipe_refused": (1, 0, 1),
+    "no_fork": (0, 0, 1), "sigchld_ignored": (0, 0, 1), "sigpipe_default": (1, 0, 1),
+    "helper_exits_at_once_in_the_peel": (2, 1, 1),
+    "helper_exits_partway_through_the_peel": (2, 1, 1),
+    "helper_exits_partway_through_the_rebuild": (2, 0, 2),
+}
+
+
+@pytest.mark.parametrize("fault", HELPER_FAULTS)
+def test_a_tower_without_its_helper_is_the_one_process_tower(fault, monkeypatch, forks,
+                                                             request):
+    n = canonical._FORK_N
+    a = random_generic_unitary(n, 19)
+    monkeypatch.setattr(canonical, "_FORK_N", n + 1)
+    params = decompose(a)
+    expected = _tower_bits(params, reconstruct(params))
+    monkeypatch.setattr(canonical, "_FORK_N", n)
+    if fault == "no_fork":
+        monkeypatch.delattr(os, "fork")
+    elif fault.startswith("sig"):  # SIGCHLD ignored; SIGPIPE at its default, as a feed
+        # to a helper that died would then kill this process: the peel stays here
+        number, handler = ((signal.SIGCHLD, signal.SIG_IGN) if fault == "sigchld_ignored"
+                           else (signal.SIGPIPE, signal.SIG_DFL))
+        previous = signal.signal(number, handler)
+        request.addfinalizer(lambda: signal.signal(number, previous))
+    elif fault == "feed_pipe_refused":  # the peel's second pipe, not the rebuild's
+        pipe, calls = os.pipe, []
+        monkeypatch.setattr(os, "pipe", lambda: _raise_oserror() if calls.append(None) or
+                            len(calls) == 2 else pipe())
+    elif fault.endswith("_refused"):
+        monkeypatch.setattr(os, fault.split("_")[0], _raise_oserror)
+    elif fault.endswith("the_peel"):
+        _dying_in_the_helper(monkeypatch, "_coset_adjoint_apply", 1 if "once" in fault else 40)
+    else:
+        _dying_in_the_helper(monkeypatch, "_coset_apply", 60)
+    peeled, rebuilt = (_calls_here(monkeypatch, name)
+                       for name in ("_peeled_leading", "_rebuild_columns"))
+    before, fds = len(forks), _open_fds()
+    params = decompose(a)
+    _same_tower(_tower_bits(params, reconstruct(params)), expected)
+    assert (len(forks) - before, len(peeled), len(rebuilt)) == HELPER_FAULTS[fault]
+    assert _open_fds() == fds

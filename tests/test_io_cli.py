@@ -1070,24 +1070,6 @@ def _with_nan_at(pairs, row) -> np.ndarray:
     return pairs
 
 
-@pytest.fixture()
-def forks(monkeypatch):
-    """The helpers ``dump_report`` and the readers fork; after the test, no
-    child of this process is left, reaped or not."""
-    made, fork = [], os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            made.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    yield made
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _tower_shaped(size) -> dict:
     """A decompose-shaped document of ``size`` floats: many short pair arrays,
     one block each, then a float list."""

@@ -28,6 +28,28 @@ for run in 1 2; do
 done
 cmp roundtrip1.json roundtrip2.json
 cmp counting1.json counting2.json
+# The gauge and offdiag suites build their evolutions on a worker thread.
+# Two runs of each give one report, and it is the report cli.main makes
+# where no thread can start, so that the worker's work runs in-line.
+for run in 1 2; do
+  gaugephase verify --suite gauge --n 12 --trials 200 --seed 5 > "gauge$run.json"
+  gaugephase verify --suite offdiag --n 6 --trials 4 --seed 5 > "offdiag_suite$run.json"
+done
+python - <<'EOF'
+import threading
+from gaugephase.cli import main
+def refuse(self):
+    raise RuntimeError("can't start new thread")
+threading.Thread.start = refuse
+for suite, n, trials, name in (("gauge", "12", "200", "gauge"),
+                               ("offdiag", "6", "4", "offdiag_suite")):
+    assert main(["verify", "--suite", suite, "--n", n, "--trials", trials, "--seed", "5",
+                 "-o", f"{name}_in_line.json"]) == 0
+EOF
+for report in gauge offdiag_suite; do
+  cmp "${report}1.json" "${report}2.json"
+  cmp "${report}1.json" "${report}_in_line.json"
+done
 status=0; gaugephase verify --suite counting --n 1 > /dev/null || status=$?
 test "$status" -eq 2
 status=0; gaugephase verify --suite roundtrip --n 1 --trials 0 > /dev/null || status=$?

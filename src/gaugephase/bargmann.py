@@ -118,6 +118,15 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _cycles(overlaps: np.ndarray, gate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The values, argument sums and genericity of the k rings whose cyclic
+    overlaps (v_i, v_{i+1}) are the rows of a (k, c) array: each value the
+    product of its row, each sum that of its row's arguments, and a ring
+    defined where every overlap passes the genericity gate."""
+    return (np.prod(overlaps, axis=1), np.angle(overlaps).sum(axis=1),
+            (np.abs(overlaps) > gate).all(axis=1))
+
+
 class _Rings(NamedTuple):
     """The invariants and reduction fans of k rings of c vertices, a row each.
 
@@ -151,9 +160,7 @@ def _rings(vs: np.ndarray, tol: Tolerances, mode: str | None = None) -> _Rings:
     k, c, _ = vs.shape
     gate = tol.tol_generic
     overlaps = _dots(vs, np.concatenate((vs[:, 1:], vs[:, :1]), axis=1))
-    values = np.prod(overlaps, axis=1)
-    defined = (np.abs(overlaps) > gate).all(axis=1)
-    phases = np.angle(overlaps).sum(axis=1)
+    values, phases, defined = _cycles(overlaps, gate)
     if mode is None or c <= 3:
         return _Rings(values, phases, overlaps, defined, np.zeros(k, dtype=bool),
                       overlaps[:, :1], values[:, None], defined)

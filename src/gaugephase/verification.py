@@ -5,13 +5,31 @@ returns a structured report; the CLI's ``verify`` command wraps these,
 and the acceptance tests drive them across their full parameter ranges.
 Every error gate is a field of the suite's ``Tolerances`` (see its
 docstring); only the exact counts and ``_SIGMA_SHIFT_FLOOR`` are fixed.
+
+The gauge and offdiag suites build their eigenframe evolutions on one
+worker thread (``_beside``) while this thread does the suite's other
+work.  In the gauge suite the worker builds the evolution and its gauge
+transform (seeds ``seed + 2`` and ``seed + 3``) while this thread draws
+the matrix, checks the invariants under gauge and the peeling law; in
+the offdiag suite it builds trial t + 1 while this thread builds trial t.
+A thread, not a forked helper: most of an evolution's time is LAPACK's
+``eigh``, which releases the GIL, and a forked helper may call no BLAS or
+LAPACK (``core._Helper``).  The worker's result is taken, and its error
+raised, where a sequential run would have built the evolution, and the
+worker is joined on every exit, so every report and the order of errors
+are the sequential run's; where no thread can start, the work runs
+in-line there.  No thread outlives a suite.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -41,6 +59,7 @@ from .core import (
     circular_distance,
     reduce_phase,
 )
+from .curves import FrameEvolution
 from .gauge import (
     _recursion_deviations,
     gauge_transform_evolution,
@@ -54,7 +73,7 @@ from .generators import (
     random_hermitian_path,
     random_smooth_phases,
 )
-from .offdiag import gamma_multi, sigma, verify_offdiag_identity
+from .offdiag import _cycle, _edges, _sigmas, verify_offdiag_identity
 
 __all__ = [
     "CheckResult",
@@ -70,6 +89,8 @@ __all__ = [
 ]
 
 _SIGMA_SHIFT_FLOOR = 1e-3  # a single sigma must move by more under a frame gauge
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -123,6 +144,45 @@ class SuiteReport:
             "checks": [c.as_dict() for c in self.checks],
             "pass": self.passed,
         }
+
+
+@contextmanager
+def _beside(work: Callable[[], _T]) -> Iterator[Callable[[], _T]]:
+    """Run ``work()`` on one worker thread while this thread does other work.
+
+    Yields a function that waits for the worker and returns its result,
+    or raises its error there, where a sequential run would have called
+    ``work()``.  The worker is joined on every exit, so it never outlives
+    the block; if the block raises first, that error propagates and the
+    worker's result is dropped.  Where no thread can start, the yielded
+    function is ``work`` itself, run in-line when called.
+    """
+    outcome: list = []
+
+    def run() -> None:
+        try:
+            outcome.append((work(), None))
+        except BaseException as err:  # handed to this thread by result()
+            outcome.append((None, err))
+
+    thread = threading.Thread(target=run, name="gaugephase-worker", daemon=True)
+    try:
+        thread.start()
+    except RuntimeError:
+        yield work
+        return
+
+    def result() -> _T:
+        thread.join()
+        value, error = outcome[0]
+        if error is not None:
+            raise error
+        return value
+
+    try:
+        yield result
+    finally:
+        thread.join()
 
 
 # ---------------------------------------------------------------------------
@@ -198,33 +258,36 @@ def run_gauge_suite(n: int, trials: int, seed: int, *,
     Modulus drifts pass at or below ``tol.tol_norm``, the other deviations
     at or below ``tol.tol_unitary``; a sigma must shift by more than
     ``_SIGMA_SHIFT_FLOOR``."""
-    rng = np.random.default_rng(seed)
-    matrix = random_generic_unitary(n, seed, tol=tol)
+    def frame_side():
+        evolution = frame_evolution_from_path(random_hermitian_path(n, seed + 2), 400, tol=tol)
+        alphas = random_smooth_phases(evolution.grid, seed + 3, columns=n, amplitude=1.2)
+        return evolution, gauge_transform_evolution(evolution, alphas)
 
-    invariance = verify_invariants_under_gauge(
-        matrix, trials=trials, seed=seed + 1, tol=tol)
+    with _beside(frame_side) as frames:
+        rng = np.random.default_rng(seed)
+        matrix = random_generic_unitary(n, seed, tol=tol)
 
-    gauges = rng.uniform(-np.pi, np.pi, (trials, 2, n))  # left, right per trial
-    dev_vec, dev_rest = _recursion_deviations(matrix, gauges[:, 0], gauges[:, 1], tol)
-    worst_vec = float(dev_vec.max(initial=0.0))
-    worst_rest = float(dev_rest.max(initial=0.0))
+        invariance = verify_invariants_under_gauge(
+            matrix, trials=trials, seed=seed + 1, tol=tol)
+
+        gauges = rng.uniform(-np.pi, np.pi, (trials, 2, n))  # left, right per trial
+        dev_vec, dev_rest = _recursion_deviations(matrix, gauges[:, 0], gauges[:, 1], tol)
+        worst_vec = float(dev_vec.max(initial=0.0))
+        worst_rest = float(dev_rest.max(initial=0.0))
+        evolution, transformed = frames()
 
     # Frame-evolution side: gamma invariant, sigma not.
-    evolution = frame_evolution_from_path(random_hermitian_path(n, seed + 2), 400, tol=tol)
-    alphas = random_smooth_phases(evolution.grid, seed + 3, columns=n, amplitude=1.2)
-    transformed = gauge_transform_evolution(evolution, alphas)
-
     pairs = list(combinations(range(1, n + 1), 2))
+    sets = [*pairs, tuple(range(1, min(n, 3) + 1))]
+    sigmas = [_sigmas(e, _edges(sets), quadrature) for e in (evolution, transformed)]
     gamma_dev = 0.0
-    for levels in [*pairs, tuple(range(1, min(n, 3) + 1))]:
-        before = gamma_multi(evolution, levels, quadrature=quadrature)
-        after = gamma_multi(transformed, levels, quadrature=quadrature)
+    for levels in sets:
+        before, after = (_cycle(table, levels) for table in sigmas)
         if not isinstance(before, Undefined) and not isinstance(after, Undefined):
             gamma_dev = max(gamma_dev, abs(after - before))
     sigma_shift = 0.0
-    for j, k in pairs:
-        before = sigma(evolution, j, k, quadrature=quadrature)
-        after = sigma(transformed, j, k, quadrature=quadrature)
+    for edge in pairs:
+        before, after = (table[edge] for table in sigmas)
         if not isinstance(before, Undefined) and not isinstance(after, Undefined):
             sigma_shift = max(sigma_shift, circular_distance(
                 math.atan2(after.imag, after.real), math.atan2(before.imag, before.real)))
@@ -342,9 +405,12 @@ def run_offdiag_suite(n: int, trials: int, seed: int, *,
     worst_residual = 0.0
     worst_modulus = 0.0
     compared = 0
-    for t in range(trials):
-        evolution = frame_evolution_from_path(random_hermitian_path(n, seed + 31 * t), 600,
-                                              tol=tol)
+
+    def build(t: int) -> FrameEvolution:
+        return frame_evolution_from_path(random_hermitian_path(n, seed + 31 * t), 600, tol=tol)
+
+    def tally(evolution: FrameEvolution) -> None:
+        nonlocal worst_residual, worst_modulus, compared
         report = verify_offdiag_identity(evolution, quadrature=quadrature)
         worst_residual = max(worst_residual, report.max_residual)
         compared += len(report.identity_residuals)
@@ -352,6 +418,15 @@ def run_offdiag_suite(n: int, trials: int, seed: int, *,
             for value in table.values():
                 if not isinstance(value, Undefined):
                     worst_modulus = max(worst_modulus, abs(abs(value) - 1.0))
+
+    # Two at a time: the worker builds trial t + 1 while this thread builds t.
+    for t in range(0, trials, 2):
+        if t + 1 == trials:
+            tally(build(t))
+            break
+        with _beside(partial(build, t + 1)) as later:
+            tally(build(t))
+            tally(later())
     checks = (
         CheckResult("max_identity_residual", worst_residual, tol.tol_generic),
         CheckResult("max_gamma_modulus_deviation", worst_modulus, tol.tol_norm),

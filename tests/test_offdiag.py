@@ -274,3 +274,101 @@ class TestOneUnderResolvedLevel:
         assert isinstance(sigma(coarse, 1, 2), complex)
         assert isinstance(sigma(coarse, 3, 4), complex)
         assert abs(abs(gamma_pair(coarse, 1, 2)) - 1.0) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The stacked identity against its one-set case
+# ---------------------------------------------------------------------------
+
+def _bits(value):
+    """A factor as comparable bits: a complex as its two uint64 words, an
+    Undefined as its reason."""
+    if isinstance(value, Undefined):
+        return value.reason
+    return np.array([value]).view(np.uint64).tolist()
+
+
+def _set_by_set(evolution, include_triples, quadrature):
+    """The direct and reconstructed gammas, the residuals and the exceptional
+    texts of verify_offdiag_identity, from gamma_multi and
+    gamma_via_invariants called one index set at a time."""
+    n = evolution.dim
+    sets = list(combinations(range(1, n + 1), 2))
+    if include_triples:
+        sets += list(combinations(range(1, n + 1), 3))
+    direct, recon, residuals, exceptional = {}, {}, {}, {}
+    for levels in sets:
+        d = direct[levels] = gamma_multi(evolution, levels, quadrature=quadrature)
+        r = recon[levels] = gamma_via_invariants(evolution, levels, quadrature=quadrature)
+        if not isinstance(d, Undefined) and not isinstance(r, Undefined):
+            residuals[levels] = circular_distance(math.atan2(d.imag, d.real),
+                                                  math.atan2(r.imag, r.real))
+        elif isinstance(d, Undefined) != isinstance(r, Undefined):
+            side = "reconstruction" if isinstance(r, Undefined) else "direct product"
+            exceptional[levels] = f"{side} undefined: {(r if isinstance(r, Undefined) else d).reason}"
+    return direct, recon, residuals, exceptional
+
+
+def _gauged_swap(n, j, k):
+    def make():
+        swap = engineered_swap_evolution(n, j, k, 301)
+        return gauge_transform_evolution(
+            swap, random_smooth_phases(swap.grid, 10 * n + j, columns=n, amplitude=1.5))
+    return make
+
+
+STACKED = {f"generic{n}": (lambda n=n: frame_evolution_from_path(
+    random_hermitian_path(n, 200 + n), 300 + 40 * n)) for n in range(3, 9)}
+STACKED.update({"gauged_swap5": _gauged_swap(5, 2, 4), "gauged_swap6": _gauged_swap(6, 1, 6)})
+
+
+@pytest.mark.parametrize("quadrature", ["pancharatnam", "trapezoid"])
+@pytest.mark.parametrize("include_triples", [True, False], ids=["triples", "pairs"])
+@pytest.mark.parametrize("make", STACKED.values(), ids=STACKED.keys())
+def test_the_stacked_identity_is_its_one_set_case_bit_for_bit(make, include_triples,
+                                                              quadrature):
+    evolution = make()
+    report = verify_offdiag_identity(evolution, include_triples=include_triples,
+                                     quadrature=quadrature)
+    direct, recon, residuals, exceptional = _set_by_set(evolution, include_triples, quadrature)
+    found = {**report.pair_gammas, **report.multi_gammas}
+    assert list(found) == list(recon) == list(report.reconstructed)
+    assert [_bits(v) for v in found.values()] == [_bits(v) for v in direct.values()]
+    assert [_bits(v) for v in report.reconstructed.values()] == [_bits(v) for v in recon.values()]
+    assert list(report.identity_residuals) == list(residuals)
+    assert (np.array(list(report.identity_residuals.values())).view(np.uint64).tolist()
+            == np.array(list(residuals.values())).view(np.uint64).tolist())
+    assert report.exceptional == exceptional
+    if "swap" in make.__qualname__:
+        # Both Undefined reasons of the reconstruction, and a direct one, occur.
+        reasons = {v for v in map(_bits, [*direct.values(), *recon.values()]) if isinstance(v, str)}
+        assert {"vanishing_overlap", "undefined_diagonal_phase"} <= reasons
+        assert exceptional
+
+
+def test_the_reconstruction_takes_its_own_endpoint_overlaps(generic4):
+    """Skew the level table's cross overlaps: the direct products move and
+    the identity fails, while the reconstruction, which dots the endpoint
+    frames itself, keeps its bits."""
+    table = generic4._table
+    skewed = table.overlap * np.where(np.eye(4, dtype=bool), 1.0, np.exp(0.5j))
+    tampered = FrameEvolution(generic4.grid, generic4.frames)
+    object.__setattr__(tampered, "_table", table._replace(overlap=skewed))
+    for levels in [(1, 2), (2, 4), (1, 3, 4)]:
+        assert _bits(gamma_via_invariants(tampered, levels)) == _bits(
+            gamma_via_invariants(generic4, levels))
+        assert abs(gamma_multi(tampered, levels) - gamma_multi(generic4, levels)) > 0.4
+    report = verify_offdiag_identity(tampered)
+    assert not report.passed and report.max_residual > 0.9
+
+
+@pytest.mark.parametrize("read", [gamma_multi, gamma_via_invariants])
+@pytest.mark.parametrize("levels, error, message", [
+    ((1,), ValueError, "need at least two levels, got [1]"),
+    ((1, 2, 1), ValueError, "duplicate level in [1, 2, 1]"),
+    ((1, 4), IndexError, "level 4 outside 1..3"),
+    ((0, 2), IndexError, "level 0 outside 1..3"),
+])
+def test_the_one_set_functions_keep_their_level_errors(swap3, read, levels, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        read(swap3, levels)

@@ -3,7 +3,8 @@
 # suite, the exit codes of refused input, and reports from matrix and
 # evolution files, each made twice (or from an LF and a CRLF copy of one
 # file) and compared byte for byte.  The tests call cli.main() in-process;
-# this script runs the console script itself.
+# this script runs the console script itself.  Under `taskset -c 0` it runs
+# the one-CPU path, where no helper is forked and no worker thread starts.
 #
 # Usage: scripts/check_cli.sh [work-directory]   (default: a new temporary one)
 set -euo pipefail
@@ -163,9 +164,9 @@ cmp matrix_windows_decompose.json matrix_windows_crlf_decompose.json
 # would double text in the piped copy.
 python - <<'EOF'
 from gaugephase import random_generic_unitary, save_matrix
-from gaugephase.io import _FORK_FLOATS
+from gaugephase.core import _Fork
 save_matrix("matrix_fork.json", random_generic_unitary(200, seed=23).data)
-assert 200 * 199 // 2 + 199 * 198 > _FORK_FLOATS
+assert 200 * 199 // 2 + 199 * 198 > _Fork.floats
 EOF
 gaugephase decompose matrix_fork.json | cat > fork_piped.json
 gaugephase decompose matrix_fork.json -o fork_file.json
@@ -187,17 +188,17 @@ cmp fork_piped.json fork_stdlib.json
 # stays in one process.
 python - <<'EOF'
 from gaugephase import random_generic_unitary, save_matrix
-from gaugephase.canonical import _FORK_N
+from gaugephase.core import _Fork
 save_matrix("matrix_tower.json", random_generic_unitary(256, seed=31).data)
-assert 256 >= _FORK_N
+assert 256 >= _Fork.n
 EOF
 for run in 1 2; do
   gaugephase decompose matrix_tower.json > "tower$run.json"
 done
 python - <<'EOF'
-from gaugephase import canonical
 from gaugephase.cli import main
-canonical._FORK_N = 10 ** 9
+from gaugephase.core import _Fork
+_Fork.n = 10 ** 9
 assert main(["decompose", "matrix_tower.json", "-o", "tower_one_process.json"]) == 0
 EOF
 cmp tower1.json tower2.json
@@ -215,6 +216,7 @@ import numpy as np
 from gaugephase import (frame_evolution_from_path, load_evolution, random_hermitian_path,
                         save_evolution)
 from gaugephase import io
+from gaugephase.core import _Fork
 fork = frame_evolution_from_path(random_hermitian_path(4, 29), 2500)
 save_evolution("fork_evolution.json", fork.grid, fork.frames)
 with open("fork_evolution.json", encoding="utf-8") as fh:
@@ -222,7 +224,7 @@ with open("fork_evolution.json", encoding="utf-8") as fh:
 with open("fork_compact.json", "w", encoding="utf-8") as fh:
     json.dump(doc, fh, separators=(",", ":"))
 for name in ("fork_evolution", "fork_compact"):
-    assert os.path.getsize(f"{name}.json") > io._FORK_BYTES
+    assert os.path.getsize(f"{name}.json") > _Fork.bytes
 grid, frames = load_evolution("fork_evolution.json")
 expected = np.array(doc["frames"], dtype=np.float64).reshape(frames.shape + (2,))
 assert np.array_equal(grid.view(np.uint64), np.array(doc["grid"]).view(np.uint64))

@@ -66,10 +66,10 @@ would raise first, non-genericity first within a member.  A non-generic
 member is peeled on by F(e_1), so it makes no warning and disturbs no
 other member.
 
-One matrix of ``_FORK_N`` (160) or more is peeled and rebuilt in two
+One large matrix (``core._Fork.n``) is peeled and rebuilt in two
 processes (``core._Helper``), since each step of a level acts on each
 column on its own.  In the whole peel (``_peel``), a forked helper owns
-the leading ``_PEEL_SPLIT`` (40%) of the columns: through each level whose
+the leading ``_Fork.peel`` share of the columns: through each level whose
 last column is this process's, it applies F(zeta)^dagger to them with the
 level's unit column, which this process sends down a pipe, and at the
 end returns their remainder and the largest modulus of their peeled last
@@ -77,14 +77,12 @@ rows.  This process keeps zeta, the genericity gate, the norms (a BLAS
 call, which a forked process must not make), the certificate and
 ``_verdict``; it peels the other columns, then the last levels of the
 helper's remainder alone.  In the rebuild (``_rebuild``) a helper rebuilds
-the leading ``_REBUILD_SPLIT`` (37%) of the columns, the heaviest, and this
+the leading ``_Fork.rebuild`` share of the columns, the heaviest, and this
 process the rest; it then certifies the whole.  Each column goes through
 the calls it goes through in one process, so every bit and every error
-are the one-process tower's; where there is no fork, or the helper fails
-or dies, this process does its columns too.  Below the fork size, the
-peel and the rebuild of a single matrix each gain less than the fork
-costs (the break-even lies near n = 140), and ``split_coset`` and stacks
-of several matrices stay in one process.
+are the one-process tower's; where no helper starts, or it fails or dies,
+this process does its columns too.  ``split_coset`` and stacks of several
+matrices stay in one process.
 """
 
 from __future__ import annotations
@@ -106,6 +104,7 @@ from .core import (
     UnitaryMatrix,
     UnitVector,
     _certify_stack,
+    _Fork,
     _Helper,
     _row_norms,
     principal_arg,
@@ -121,11 +120,6 @@ __all__ = [
     "modulus_invariants",
     "phase_invariant_list",
 ]
-
-
-_FORK_N = 160  # size from which a helper peels or rebuilds leading columns: ~140 breaks even
-_PEEL_SPLIT = 0.4  # share of the columns the peel's helper takes
-_REBUILD_SPLIT = 0.37  # share of the columns the rebuild's helper takes
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +314,7 @@ def _peel(a: np.ndarray, tol: Tolerances, levels: int | None = None) -> _Peel:
     """Peel ``levels`` coset factors, all n - 1 by default, off every member
     of a (k, n, n) stack, one set of array calls per level.
 
-    The whole tower of one matrix (k = 1) of size ``_FORK_N`` or more is
+    The whole tower of one matrix (k = 1) of size ``_Fork.n`` or more is
     peeled in two processes, as the module docstring says; where the
     helper has gone, this process peels its columns from the units it fed.
 
@@ -328,7 +322,7 @@ def _peel(a: np.ndarray, tol: Tolerances, levels: int | None = None) -> _Peel:
     """
     k, n = a.shape[0], a.shape[-1]
     last = 1 if levels is None else n - levels
-    split = int(_PEEL_SPLIT * n) if (k, levels) == (1, None) and n >= _FORK_N else 0
+    split = int(_Fork.peel * n) if (k, levels) == (1, None) and n >= _Fork.n else 0
     helper = (_Helper.start(partial(_send_peeled_leading, a[0, :, :split]), fed=True)
               if split > 1 else None)  # the loop meets m = split from split = 2 on
     units: list[np.ndarray] = []
@@ -466,7 +460,7 @@ def _rebuild(columns: Sequence[np.ndarray], chi: np.ndarray, tol: Tolerances
     the members before one with a leading component at or below the
     genericity gate are rebuilt and certified before its error.
 
-    One matrix (k = 1) of size ``_FORK_N`` or more is rebuilt in two
+    One matrix (k = 1) of size ``_Fork.n`` or more is rebuilt in two
     processes, as the module docstring says.
     """
     k = len(chi)
@@ -478,7 +472,7 @@ def _rebuild(columns: Sequence[np.ndarray], chi: np.ndarray, tol: Tolerances
     columns, chi = [zeta[:stop] for zeta in columns], chi[:stop]
     out = np.zeros((stop, n, n), dtype=np.complex128)
     out.reshape(stop, n * n)[:, :: n + 1] = 1.0
-    split = int(_REBUILD_SPLIT * n) if stop == 1 and n >= _FORK_N else 0
+    split = int(_Fork.rebuild * n) if stop == 1 and n >= _Fork.n else 0
     helper = _Helper.start(partial(_send_rebuilt_leading, columns, chi, split)) if split else None
     if helper is None:
         _rebuild_columns(columns, chi, out, 0)
@@ -604,9 +598,10 @@ def decompose(A: UnitaryMatrix, *,
     e^{i chi} within ``tol.tol_unitary`` (it is, for any certified
     input; a violation means the input's certificate lied).  Each peel
     is a prefix-sum product, so the whole factorization is O(n^3).  It
-    is the one-matrix case of the stacked tower.  From n = ``_FORK_N`` on,
-    a forked helper peels the leading 40% of the columns while this
-    process peels the rest and makes every check, with the same result.
+    is the one-matrix case of the stacked tower.  A large one
+    (``core._Fork``) has its leading columns peeled by a forked helper
+    while this process peels the rest and makes every check, with the
+    same result.
 
     Raises
     ------
@@ -630,9 +625,9 @@ def reconstruct(params: CanonicalParams, *,
     leading m x m block only: O(n^3) in all.  Like
     :func:`coset_representative`, raises NonGenericVectorError when a
     level's leading component is at or below ``tol.tol_generic``.  It is
-    the one-matrix case of the stacked tower.  From n = ``_FORK_N`` on, a
-    forked helper rebuilds the leading 37% of the columns while this
-    process rebuilds the rest and certifies the whole, with the same result.
+    the one-matrix case of the stacked tower.  A large one (``core._Fork``)
+    has its leading columns rebuilt by a forked helper while this process
+    rebuilds the rest and certifies the whole, with the same result.
     """
     columns = [v.data[None] for v in params.vectors]
     rebuilt, deviations = _rebuild(columns, np.array([params.chi]), tol)

@@ -27,8 +27,10 @@ import math
 import os
 import signal
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -71,6 +73,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 _TAU = 2.0 * math.pi
+_T = TypeVar("_T")
 
 
 class DimensionMismatchError(ValueError):
@@ -432,8 +435,64 @@ def inner_product(u: UnitVector | Sequence[complex] | np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Two processes
+# A second CPU: the forked helper and the worker thread
 # ---------------------------------------------------------------------------
+
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one and answers, else ``os.cpu_count()``, else 1.  A
+    cgroup CPU quota is not seen.  Below two, no job forks a helper or
+    starts a worker."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+class _Fork:
+    """Every size from which a job forks a helper (``_Helper``), and the
+    tower's splits, each from one process timed against two on a host of 2
+    vCPUs (Python 3.11.7, numpy 2.4.6, one BLAS thread), as medians of runs
+    alternating the order.  A fork, its pipe and its reaping cost about 2 ms.
+    """
+
+    # io.dump_report, floats in a document: a pair array into a StringIO,
+    # medians of 41, took 7.2 against 5.9 ms at 2^14 floats, 3.6 against 3.7 at 2^13.
+    floats = 2 ** 14
+    # io.load_matrix and load_evolution, bytes of a file: n = 8 evolutions,
+    # medians of 31-81, 6.1 against 6.6 ms at 0.70 MiB, 7.7/7.2 at 0.79, 9.9/8.6 at 1.07.
+    bytes = 2 ** 20
+    # canonical._peel and _rebuild, n of one matrix: medians of 15-41, peel 7.2
+    # against 7.3 and rebuild 6.5/6.7 ms at n = 128, 9.2/8.9 and 8.8/8.0 at 144.
+    n = 160
+    # The helpers' shares of the columns, at n = 256 and 512: peel 0.3/0.35/0.4/0.45
+    # took 33.0/30.9/29.9/29.1 and 239/227/221/230 ms, rebuild 0.32/0.35/0.37/0.4/0.43
+    # took 30.0/28.1/27.1/27.1/28.2 and 234/218/209/217/238 ms.
+    peel = 0.4
+    rebuild = 0.37
+
+
+@contextmanager
+def _on_worker(work: Callable[[], _T]) -> Iterator[Callable[[], _T]]:
+    """Run ``work()`` on one worker thread while this thread does other work.
+
+    Yields a function that waits for the worker and returns its result,
+    or raises its error there, where a sequential run would have called
+    ``work()``.  Leaving the block joins the worker, so it never outlives
+    the block; if the block raises first, that error propagates and the
+    worker's result is dropped.  Below two CPUs, or where no thread can
+    start, the yielded function is ``work`` itself, run in-line when called.
+    """
+    if _cpus() < 2:
+        yield work
+        return
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="gaugephase-worker") as pool:
+        try:
+            result = pool.submit(work).result
+        except RuntimeError:  # no thread can start
+            result = work
+        yield result
+
 
 class _Helper:
     """A forked process that does part of one job and sends each result
@@ -468,14 +527,17 @@ class _Helper:
     @classmethod
     def start(cls, work: Callable[..., None], fed: bool = False) -> "_Helper | None":
         """A helper running ``work(pipe)``, or ``work(pipe, feed)`` with a
-        pipe ``feed`` from this process where ``fed``; None where there is
-        no fork, or where a pipe or the fork fails: then the job stays in
-        this process.  So it does where SIGCHLD is ignored: children are
-        then reaped as they exit, and the helper's pid may be another
-        process's by the time it would be killed.  A fed helper is not
-        forked where SIGPIPE is at its default either: a feed to a helper
-        that has died would then kill this process."""
-        if not hasattr(os, "fork") or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
+        pipe ``feed`` from this process where ``fed``; None below two CPUs
+        (``_cpus``), where there is no ``os.fork`` or no ``os.pread`` (by
+        which the reader's helper reads), or where a pipe or the fork
+        fails: then the job stays in this process.  So it does where
+        SIGCHLD is ignored: children are then reaped as they exit, and the
+        helper's pid may be another process's by the time it would be
+        killed.  A fed helper is not forked where SIGPIPE is at its default
+        either: a feed to a helper that has died would then kill this
+        process."""
+        if (_cpus() < 2 or not (hasattr(os, "fork") and hasattr(os, "pread"))
+                or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN):
             return None
         if fed and signal.getsignal(signal.SIGPIPE) == signal.SIG_DFL:
             return None

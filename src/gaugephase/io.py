@@ -28,9 +28,9 @@ finite check, and a complex view of the same memory, which keeps every
 bit of both parts, signed zeros too) before the next run is decoded, so
 at most one run of pairs is alive at a time.
 
-Decoding holds the GIL, so a file of ``_FORK_BYTES`` or more is read by
-two processes, as the writer writes (``_Helper``).  One fork, at the start
-of the walk, makes a helper that reads the same open file through
+Decoding holds the GIL, so a large file (``core._Fork.bytes``) is read
+by two processes, as the writer writes (``_Helper``).  One fork, at the
+start of the walk, makes a helper that reads the same open file through
 ``os.pread``, under its own text wrapper, walks the same text with the
 same window, cuts every run by the same regex, and decodes and converts
 only the odd-numbered runs (``_RunSender``): down a pipe go each one's span
@@ -39,10 +39,7 @@ cuts the helper's runs by the regex alone, decodes the others, and takes a
 helper's run only where the spans agree.  The helper sends nothing for a
 run it cannot send whole (a '"', a defect, an array that closes there, an
 exception), and this process decodes every run from there on, so every
-array and every error are those of the one-process walk.  A fork and its
-reaping cost about as much as decoding 0.75 MiB of frames; a smaller file,
-and every file where there is no ``os.fork`` or ``os.pread``, is read in
-this process alone.
+array and every error are those of the one-process walk.
 
 The walk is the only reader of a JSON object, and it refuses nothing that
 ``json.loads`` reads as one.  Its runs are noted, not raised on
@@ -71,17 +68,13 @@ leaves or of [re, im] pairs from its flat floats, with no list per pair.
 Every array the package writes is such a float view (``pair_rows``, the
 savers' entries, grid and frames); a list of [re, im] lists from outside
 goes item by item.  Float repr (about 1 us a float) is most of a write and
-holds the GIL, so a document of ``_FORK_FLOATS`` floats or more (counted
-by one walk that stops there) is joined in two processes: one fork, a
-helper that walks the same document and joins every other leaf block into
-a pipe, and this process, which joins the rest, reads the helper's blocks
-in order and makes every write (``_Helper``).  A fork, its pipe and its
-reaping cost about 2 ms, some 4,000 float reprs: two processes write a pair
-array faster from 2^14 floats on (5.9 ms against 7.2 in one), not at 2^13
-(3.7 against 3.6 ms).  A smaller document, and every document where there
-is no fork, is written in this process alone.  A saver
-refuses what its reader refuses before it opens the file, so a refused
-save leaves no file, and a target as it was.
+holds the GIL, so a large document (``core._Fork.floats``, counted by one
+walk that stops there) is joined in two processes: one fork, a helper that
+walks the same document and joins every other leaf block into a pipe, and
+this process, which joins the rest, reads the helper's blocks in order and
+makes every write (``_Helper``).  A saver refuses what its reader refuses
+before it opens the file, so a refused save leaves no file, and a target
+as it was.
 """
 
 from __future__ import annotations
@@ -100,7 +93,7 @@ from typing import Any, IO, Iterator, NamedTuple
 
 import numpy as np
 
-from .core import DimensionMismatchError, _Helper
+from .core import DimensionMismatchError, _Fork, _Helper
 
 __all__ = [
     "FileFormatError",
@@ -115,13 +108,11 @@ __all__ = [
 
 
 _BLOCK = 2048  # leaf-list items per join: bounds the text held at once
-_FORK_FLOATS = 2 ** 14  # floats from which a helper joins half the blocks: ~9k floats break even
 
 _CHUNK = 2 ** 20  # characters per read of a file: bounds the text held at once
 _PAIR_RUN = 80_000  # characters of pairs or frames decoded at once: bounds the lists held
 _LOOKAHEAD = 2  # characters a token must leave before the window's end to be taken
 _CUT_ERROR = 16  # a json error this close to the window's end may be a cut token ("-Infinit")
-_FORK_BYTES = 2 ** 20  # file size from which a helper decodes every other run: ~0.75 MiB break even
 
 _WS = json.decoder.WHITESPACE.match
 _AFTER = re.compile(r"[ \t\n\r]*([,\]}])[ \t\n\r]*").match  # what follows a JSON item
@@ -275,14 +266,13 @@ def _loaded(path: str, blocks: str, read_blocks, checked) -> Any:
     """``checked(doc, path)`` of the document in ``path``, walked once with
     the array under its key ``blocks`` read by ``read_blocks``; text that is
     not a JSON object is parsed whole, for json's error or the non-object.
-    A file of ``_FORK_BYTES`` or more, where there is ``os.pread``, has
-    every other run of that array decoded by a forked helper
-    (``_send_odd_runs``)."""
+    A file of ``_Fork.bytes`` or more has every other run of that array
+    decoded by a forked helper (``_send_odd_runs``)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             fd = fh.fileno()
             helper = (_Helper.start(partial(_send_odd_runs, fd, blocks, read_blocks))
-                      if hasattr(os, "pread") and os.fstat(fd).st_size >= _FORK_BYTES else None)
+                      if os.fstat(fd).st_size >= _Fork.bytes else None)
             try:
                 doc = _walked_object(_Window(fh), blocks, partial(read_blocks, helper=helper))
             except _Nested as err:
@@ -721,11 +711,11 @@ def dump_report(doc: Any, stream: IO[str]) -> None:
     the exception types are those of ``json.dump(doc, stream,
     sort_keys=True, indent=2, allow_nan=False)`` followed by a newline,
     where an ndarray with at least one axis stands for its ``tolist()``.
-    A document of ``_FORK_FLOATS`` floats or more has every other leaf
+    A document of ``_Fork.floats`` floats or more has every other leaf
     block joined by a forked helper (``_Helper``); only this process writes
     to ``stream``."""
     helper = (_Helper.start(partial(_send_odd_blocks, doc))
-              if _holds_floats(doc, _FORK_FLOATS) else None)
+              if _holds_floats(doc, _Fork.floats) else None)
     try:
         _write_value(doc, stream.write, "\n", partial(_joined, helper) if helper else _leaf_block)
         stream.write("\n")

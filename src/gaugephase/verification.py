@@ -6,30 +6,21 @@ and the acceptance tests drive them across their full parameter ranges.
 Every error gate is a field of the suite's ``Tolerances`` (see its
 docstring); only the exact counts and ``_SIGMA_SHIFT_FLOOR`` are fixed.
 
-The gauge and offdiag suites build their eigenframe evolutions on one
-worker thread (``_beside``) while this thread does the suite's other
-work.  In the gauge suite the worker builds the evolution and its gauge
-transform (seeds ``seed + 2`` and ``seed + 3``) while this thread draws
-the matrix, checks the invariants under gauge and the peeling law; in
-the offdiag suite it builds trial t + 1 while this thread builds trial t.
-A thread, not a forked helper: most of an evolution's time is LAPACK's
-``eigh``, which releases the GIL, and a forked helper may call no BLAS or
-LAPACK (``core._Helper``).  The worker's result is taken, and its error
-raised, where a sequential run would have built the evolution, and the
-worker is joined on every exit, so every report and the order of errors
-are the sequential run's; where no thread can start, the work runs
-in-line there.  No thread outlives a suite.
+The gauge and offdiag suites build their eigenframe evolutions on the
+worker thread of ``core._on_worker`` (a thread, since LAPACK's ``eigh``
+releases the GIL and a forked helper may call no LAPACK): the gauge
+suite's evolution and gauge transform (seeds ``seed + 2``, ``seed + 3``)
+beside the matrix side, the offdiag suite's trial t + 1 beside trial t.
+Every report and the order of errors are the sequential run's; when a
+second CPU is taken is ``core``'s policy (README "Second CPU").
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -54,6 +45,7 @@ from .core import (
     Tolerances,
     Undefined,
     UnitaryMatrix,
+    _on_worker,
     _row_norms,
     _unit_rows,
     circular_distance,
@@ -89,8 +81,6 @@ __all__ = [
 ]
 
 _SIGMA_SHIFT_FLOOR = 1e-3  # a single sigma must move by more under a frame gauge
-
-_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -144,45 +134,6 @@ class SuiteReport:
             "checks": [c.as_dict() for c in self.checks],
             "pass": self.passed,
         }
-
-
-@contextmanager
-def _beside(work: Callable[[], _T]) -> Iterator[Callable[[], _T]]:
-    """Run ``work()`` on one worker thread while this thread does other work.
-
-    Yields a function that waits for the worker and returns its result,
-    or raises its error there, where a sequential run would have called
-    ``work()``.  The worker is joined on every exit, so it never outlives
-    the block; if the block raises first, that error propagates and the
-    worker's result is dropped.  Where no thread can start, the yielded
-    function is ``work`` itself, run in-line when called.
-    """
-    outcome: list = []
-
-    def run() -> None:
-        try:
-            outcome.append((work(), None))
-        except BaseException as err:  # handed to this thread by result()
-            outcome.append((None, err))
-
-    thread = threading.Thread(target=run, name="gaugephase-worker", daemon=True)
-    try:
-        thread.start()
-    except RuntimeError:
-        yield work
-        return
-
-    def result() -> _T:
-        thread.join()
-        value, error = outcome[0]
-        if error is not None:
-            raise error
-        return value
-
-    try:
-        yield result
-    finally:
-        thread.join()
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +214,7 @@ def run_gauge_suite(n: int, trials: int, seed: int, *,
         alphas = random_smooth_phases(evolution.grid, seed + 3, columns=n, amplitude=1.2)
         return evolution, gauge_transform_evolution(evolution, alphas)
 
-    with _beside(frame_side) as frames:
+    with _on_worker(frame_side) as frames:
         rng = np.random.default_rng(seed)
         matrix = random_generic_unitary(n, seed, tol=tol)
 
@@ -424,7 +375,7 @@ def run_offdiag_suite(n: int, trials: int, seed: int, *,
         if t + 1 == trials:
             tally(build(t))
             break
-        with _beside(partial(build, t + 1)) as later:
+        with _on_worker(partial(build, t + 1)) as later:
             tally(build(t))
             tally(later())
     checks = (

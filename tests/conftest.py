@@ -4,13 +4,16 @@ import os
 
 import pytest
 
+from gaugephase import core
+
 
 @pytest.fixture()
 def forks(monkeypatch):
     """The helpers that the report writer, the file readers and the coset
-    tower fork; after the test, no child of this process is left, reaped
-    or not."""
+    tower fork, as on a host of two CPUs; after the test, no child of this
+    process is left, reaped or not."""
     made, fork = [], os.fork
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
 
     def counted():
         pid = fork()

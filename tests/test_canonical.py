@@ -40,7 +40,7 @@ from gaugephase.canonical import (
     _row_norms,
     _stacks,
 )
-from gaugephase.core import _gram_deviation
+from gaugephase.core import _Fork, _gram_deviation
 
 from oracles import coset_by_orthogonality, peel_by_dense_product
 
@@ -699,7 +699,7 @@ def test_tower_inputs_a_factor_two_from_a_gate(read, gate, refuses_above, refusa
 # Two processes: a helper peels and rebuilds the leading columns
 # ---------------------------------------------------------------------------
 
-TWO_PROCESS_SIZES = [canonical._FORK_N - 1, canonical._FORK_N, 256]
+TWO_PROCESS_SIZES = [_Fork.n - 1, _Fork.n, 256]
 
 
 def _in_one_and_two_processes(monkeypatch, forks, n, call):
@@ -708,7 +708,7 @@ def _in_one_and_two_processes(monkeypatch, forks, n, call):
     forks each made."""
     results, made = [], []
     for fork_n in (n + 1, n):
-        monkeypatch.setattr(canonical, "_FORK_N", fork_n)
+        monkeypatch.setattr(_Fork, "n", fork_n)
         before = len(forks)
         results.append(call())
         made.append(len(forks) - before)
@@ -789,8 +789,8 @@ class TestTwoProcessTower:
     def test_a_non_generic_level_raises_the_one_process_error(self, side, monkeypatch, forks):
         # Above the split column the level is peeled while the helper holds
         # the leading columns; below it, from the helper's remainder.
-        n = canonical._FORK_N
-        split = int(canonical._PEEL_SPLIT * n)
+        n = _Fork.n
+        split = int(_Fork.peel * n)
         level = split + 10 if side == "above" else split - 10
         bad = reconstruct(_params_non_generic_at(n, level, 51), tol=Tolerances(tol_generic=1e-14))
         (one, two), made = _in_one_and_two_processes(
@@ -805,8 +805,8 @@ class TestTwoProcessTower:
         # Multiples of the last column added to others show only in the
         # peeled last row of the top level: the helper returns the largest
         # modulus of its columns' part, this process reads its own.
-        n = canonical._FORK_N
-        split = int(canonical._PEEL_SPLIT * n)
+        n = _Fork.n
+        split = int(_Fork.peel * n)
         a = random_generic_unitary(n, 53).data
         cut = slice(0, split) if columns == "helper" else slice(split, n - 1)
         bad = a.copy()
@@ -819,7 +819,7 @@ class TestTwoProcessTower:
         assert one == two
 
     def test_split_coset_and_stacks_of_several_never_fork(self, forks):
-        n = canonical._FORK_N
+        n = _Fork.n
         a = random_generic_unitary(n, 17)
         params = decompose(a)
         before = len(forks)
@@ -878,12 +878,12 @@ HELPER_FAULTS = {
 @pytest.mark.parametrize("fault", HELPER_FAULTS)
 def test_a_tower_without_its_helper_is_the_one_process_tower(fault, monkeypatch, forks,
                                                              request):
-    n = canonical._FORK_N
+    n = _Fork.n
     a = random_generic_unitary(n, 19)
-    monkeypatch.setattr(canonical, "_FORK_N", n + 1)
+    monkeypatch.setattr(_Fork, "n", n + 1)
     params = decompose(a)
     expected = _tower_bits(params, reconstruct(params))
-    monkeypatch.setattr(canonical, "_FORK_N", n)
+    monkeypatch.setattr(_Fork, "n", n)
     if fault == "no_fork":
         monkeypatch.delattr(os, "fork")
     elif fault.startswith("sig"):  # SIGCHLD ignored; SIGPIPE at its default, as a feed

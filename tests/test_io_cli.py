@@ -35,7 +35,8 @@ from gaugephase import (
 )
 from gaugephase.cli import main
 from gaugephase import io as io_module
-from gaugephase.io import _BLOCK, _FORK_FLOATS
+from gaugephase.core import _Fork
+from gaugephase.io import _BLOCK
 from gaugephase.verification import SUITES, run_suite
 from oracles import (evolution_by_loops, evolution_by_one_tree, matrix_by_loops,
                      matrix_by_one_tree)
@@ -866,7 +867,7 @@ def test_the_walk_gives_the_one_tree_readers_arrays_and_errors(fork_bytes, tmp_p
     # With the fork size lowered to 0, a helper decodes every other run of
     # every document.
     if fork_bytes is not None:
-        monkeypatch.setattr(io_module, "_FORK_BYTES", fork_bytes)
+        monkeypatch.setattr(_Fork, "bytes", fork_bytes)
     received = _received_runs(monkeypatch)
     rng = random.Random(17)
     layouts = ["plain", "compact", "keys_reordered", "extra_keys", "duplicate_frames", "crlf",
@@ -1019,7 +1020,7 @@ def _evolution_argv(command):
 
 @pytest.mark.parametrize("argv", [
     _decompose_argv(48),
-    _decompose_argv(200),  # 59,302 floats: past _FORK_FLOATS
+    _decompose_argv(200),  # 59,302 floats: past _Fork.floats
     _evolution_argv("phases"),
     _evolution_argv("offdiag"),
     *[lambda tmp, s=suite: ["verify", "--suite", s, "--n", "4", "--trials", "3"]
@@ -1044,10 +1045,10 @@ def test_cli_reports_are_byte_identical_to_json_dump(argv, tmp_path):
     ([1.0, np.float32(1.0)], TypeError),
     ({"x": 1 + 2j}, TypeError),
     ([[1.0, 2.0], [1j, 0.0]], TypeError),
-    ([0.5] * 7 + [float("nan")] + [0.5] * _FORK_FLOATS, ValueError),
-    ([0.5] * (_BLOCK + 7) + [float("nan")] + [0.5] * _FORK_FLOATS, ValueError),
-    ([0.5] * (2 * _BLOCK) + [1j] + [0.5] * _FORK_FLOATS, TypeError),
-    ([0.5] * (3 * _BLOCK) + [1j] + [0.5] * _FORK_FLOATS, TypeError),
+    ([0.5] * 7 + [float("nan")] + [0.5] * _Fork.floats, ValueError),
+    ([0.5] * (_BLOCK + 7) + [float("nan")] + [0.5] * _Fork.floats, ValueError),
+    ([0.5] * (2 * _BLOCK) + [1j] + [0.5] * _Fork.floats, TypeError),
+    ([0.5] * (3 * _BLOCK) + [1j] + [0.5] * _Fork.floats, TypeError),
 ], ids=["nan_in_floats", "inf_in_second_block", "minus_inf_in_pairs",
         "nan_in_pairs_second_block", "inf_value", "minus_inf_value", "float32_value",
         "float32_in_floats", "complex_value", "complex_in_pair",
@@ -1058,7 +1059,7 @@ def test_dump_report_raises_what_json_dump_raises(doc, error, forks):
         _json_dumped(doc)
     with pytest.raises(error, match=f"^{re.escape(str(raised.value))}$"):
         _dumped(doc)
-    assert len(forks) == (len(doc) >= _FORK_FLOATS)
+    assert len(forks) == (len(doc) >= _Fork.floats)
 
 
 def _random_array(shape, seed=0) -> np.ndarray:
@@ -1106,7 +1107,7 @@ def _fork_size_doc(kind, size) -> dict:
                                   "sigchld_ignored"])
 def test_a_document_about_the_fork_size_is_written_as_json_dumps_it(side, kind, fork, forks,
                                                                        monkeypatch, request):
-    size = _FORK_FLOATS - (side == "below")
+    size = _Fork.floats - (side == "below")
     doc = _fork_size_doc(kind, size)
     expected = _json_dumped(json.loads(json.dumps(doc, default=np.ndarray.tolist)))
     if fork == "no_fork":
@@ -1134,14 +1135,14 @@ class _FullAfter:
 @pytest.mark.parametrize("writes", [0, 1, 40, 400, 1500])  # of about 1,900
 def test_a_stream_that_fails_partway_fails_the_forked_dump(writes, forks):
     with pytest.raises(OSError, match="No space left on device"):
-        dump_report(_tower_shaped(2 * _FORK_FLOATS), _FullAfter(writes))
+        dump_report(_tower_shaped(2 * _Fork.floats), _FullAfter(writes))
     assert len(forks) == 1
 
 
 def test_the_helper_leaves_the_stream_and_its_buffer_alone(tmp_path, forks):
     # The helper inherits the file object with "head " in its buffer; it
     # must neither write nor flush it.
-    doc = _tower_shaped(2 * _FORK_FLOATS)
+    doc = _tower_shaped(2 * _Fork.floats)
     path = tmp_path / "report.json"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("head ")
@@ -1153,7 +1154,7 @@ def test_the_helper_leaves_the_stream_and_its_buffer_alone(tmp_path, forks):
 def test_a_forked_dump_beside_a_thread_and_under_warnings_as_errors(forks):
     # Python 3.12+ warns (DeprecationWarning) of a fork in a process with a
     # second thread; the writer does not let it reach the caller.
-    doc = _tower_shaped(2 * _FORK_FLOATS)
+    doc = _tower_shaped(2 * _Fork.floats)
     expected = _json_dumped(json.loads(json.dumps(doc, default=np.ndarray.tolist)))
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
@@ -1183,10 +1184,10 @@ def test_a_forked_dump_beside_a_thread_and_under_warnings_as_errors(forks):
     np.arange(12).reshape(3, 2, 2),
     np.arange(18.0).reshape(2, 3, 3) / 7.0,
     np.where(np.arange(8).reshape(2, 2, 2) == 5, np.nan, 0.25),
-    *(_random_array(shape, size) for size in (_FORK_FLOATS - 1, _FORK_FLOATS)
+    *(_random_array(shape, size) for size in (_Fork.floats - 1, _Fork.floats)
       for shape in ((size,), (size // 2, 2), (size // 128, 64, 2))),
-    _with_nan_at(_random_array((_FORK_FLOATS, 2)), 7),
-    _with_nan_at(_random_array((_FORK_FLOATS, 2)), _BLOCK + 7),
+    _with_nan_at(_random_array((_Fork.floats, 2)), 7),
+    _with_nan_at(_random_array((_Fork.floats, 2)), _BLOCK + 7),
 ], ids=["pairs", "floats", "triples", "integer_pairs", "float32_pairs", "empty", "nan_pair",
         "inf_pair", "frames_past_a_block", "integer_frames", "frames_of_triples", "nan_frame",
         *(f"{shape}_{side}_the_fork_size" for side in ("below", "at")
@@ -1200,7 +1201,7 @@ def test_an_ndarray_is_written_as_its_tolist(array, forks):
             _dumped({"a": array})
     else:
         _assert_same_text(_dumped({"a": array}), expected)
-    assert len(forks) == (array.size >= _FORK_FLOATS)
+    assert len(forks) == (array.size >= _Fork.floats)
 
 
 def _evolution_text(frames: list[str], grid: list[float], rest: list[str] = ()) -> str:
@@ -1222,7 +1223,7 @@ def large_frames(tmp_path_factory):
     """A compact n = 4 evolution of about 1.4 times the reader's fork size,
     as its frames' texts and its grid, and the first frame of each run
     after the first, as the reader cuts them."""
-    steps = io_module._FORK_BYTES // 500
+    steps = _Fork.bytes // 500
     frames = np.random.default_rng(5).standard_normal((steps, 16, 2)).tolist()
     texts = [json.dumps(frame, separators=(",", ":")) for frame in frames]
     grid = np.linspace(0.0, 1.0, steps).tolist()
@@ -1243,7 +1244,7 @@ def _loaded_or_error(load, path):
 def _one_process(load, path, monkeypatch):
     """``load(path)``, or its error text, read with no helper."""
     with monkeypatch.context() as patch:
-        patch.setattr(io_module, "_FORK_BYTES", math.inf)
+        patch.setattr(_Fork, "bytes", math.inf)
         return _loaded_or_error(load, path)
 
 
@@ -1290,7 +1291,7 @@ def test_a_defect_in_either_process_run_gets_the_one_process_result(
     else:
         text = _evolution_text(texts[:f] + [spoil(texts[f])] + texts[f + 1:], grid)
     path = _write_text(tmp_path, text)
-    assert os.path.getsize(path) > io_module._FORK_BYTES
+    assert os.path.getsize(path) > _Fork.bytes
     expected = _one_process(load_evolution, path, monkeypatch)
     received = _received_runs(monkeypatch)
     got = _loaded_or_error(load_evolution, path)
@@ -1318,7 +1319,7 @@ def test_a_large_file_is_read_by_a_helper_or_in_one_process_alike(fork, large_fr
     elif fork.endswith("_refused"):
         monkeypatch.setattr(os, fork.split("_")[0], _raise_oserror)
     elif fork != "fork":
-        monkeypatch.setattr(io_module, "_FORK_BYTES", size + (fork == "one_byte_below_the_size"))
+        monkeypatch.setattr(_Fork, "bytes", size + (fork == "one_byte_below_the_size"))
     received = _received_runs(monkeypatch)
     _assert_same_arrays(load_evolution(path), evolution_by_one_tree(path))
     helped = fork in ("fork", "at_the_size")

@@ -12,7 +12,6 @@ import pytest
 
 from gaugephase import (
     Undefined,
-    canonical,
     circular_distance,
     frame_evolution_from_path,
     gamma_multi,
@@ -22,7 +21,15 @@ from gaugephase import (
     sigma,
     verification,
 )
+from gaugephase import core
+from gaugephase.core import _Fork
 from gaugephase.verification import run_gauge_suite, run_offdiag_suite
+
+
+@pytest.fixture(autouse=True)
+def two_cpus(monkeypatch):
+    """The worker starts as on a host of two CPUs, whatever this one has."""
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
 
 
 class Planted(Exception):
@@ -195,7 +202,7 @@ def test_a_main_thread_fork_while_the_worker_is_in_eigh(forks, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", watched_eigh)
     monkeypatch.setattr(os, "fork", fork_in_eigh)
-    monkeypatch.setattr(canonical, "_FORK_N", 2)
+    monkeypatch.setattr(_Fork, "n", 2)
     report = _threads_after(run_gauge_suite, 12, 30, 3)
     assert report.as_dict() == expected
     assert forks and during and all(during)

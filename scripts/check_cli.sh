@@ -4,7 +4,8 @@
 # evolution files, each made twice (or from an LF and a CRLF copy of one
 # file) and compared byte for byte.  The tests call cli.main() in-process;
 # this script runs the console script itself.  Under `taskset -c 0` it runs
-# the one-CPU path, where no helper is forked and no worker thread starts.
+# the one-CPU path, where no helper process is forked and no worker thread
+# starts.
 #
 # Usage: scripts/check_cli.sh [work-directory]   (default: a new temporary one)
 set -euo pipefail
@@ -157,7 +158,7 @@ done
 cmp matrix_windows_decompose.json matrix_windows_crlf_decompose.json
 
 # A report of more floats than the writer's fork size (decompose at n = 200,
-# 59,302 floats), every other float block of which a forked helper joins:
+# 59,302 floats), every other float block of which the helper process joins:
 # the report through a pipe, the report written with -o, and the bytes the
 # standard library's json.dump writes for the same document are one text.
 # A helper that wrote to stdout, or flushed its copy of stdout's buffer,
@@ -182,7 +183,7 @@ cmp fork_piped.json fork_file.json
 cmp fork_piped.json fork_stdlib.json
 
 # A matrix above the coset tower's fork size (n = 256), which decompose
-# peels and rebuilds in two processes: a forked helper takes the leading
+# peels and rebuilds in two processes: the helper process takes the leading
 # columns.  Two runs of the console script give one report, and it is the
 # report cli.main makes with the fork size patched out, so that the tower
 # stays in one process.
@@ -204,8 +205,40 @@ EOF
 cmp tower1.json tower2.json
 cmp tower1.json tower_one_process.json
 
+# One process runs two decompose jobs of that matrix through cli.main: the
+# first forks the helper, which the second reuses.  Both reports are the
+# console script's, and once the process has exited no child it forked is
+# left (its atexit hook kills and reaps the helper).
+python - <<'EOF' > tower_children.txt
+import os
+from gaugephase.cli import main
+forked, fork = [], os.fork
+def counted():
+    pid = fork()
+    if pid:
+        forked.append(pid)
+    return pid
+os.fork = counted
+for run in (1, 2):
+    assert main(["decompose", "matrix_tower.json", "-o", f"tower_in_process{run}.json"]) == 0
+print(*forked)
+EOF
+cmp tower1.json tower_in_process1.json
+cmp tower1.json tower_in_process2.json
+python - $(cat tower_children.txt) <<'EOF'
+import os
+import sys
+for pid in map(int, sys.argv[1:]):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        continue
+    raise SystemExit(f"child {pid} outlived the process that forked it")
+EOF
+
 # An evolution above the reader's fork size, and its compact copy, each
-# read by two processes: a forked helper decodes every other run of frames.
+# read by two processes: the helper process decodes every other run of
+# frames.
 # The load holds json.load's numbers bit for bit, and both files give the
 # same reports.  A compact copy with a NaN in a frame of run 1, the
 # helper's first, is refused naming that frame.

@@ -67,30 +67,33 @@ member is peeled on by F(e_1), so it makes no warning and disturbs no
 other member.
 
 One large matrix (``core._Fork.n``) is peeled and rebuilt in two
-processes (``core._Helper``), since each step of a level acts on each
-column on its own.  In the whole peel (``_peel``), a forked helper owns
-the leading ``_Fork.peel`` share of the columns: through each level whose
-last column is this process's, it applies F(zeta)^dagger to them with the
-level's unit column, which this process sends down a pipe, and at the
-end returns their remainder and the largest modulus of their peeled last
-rows.  This process keeps zeta, the genericity gate, the norms (a BLAS
-call, which a forked process must not make), the certificate and
-``_verdict``; it peels the other columns, then the last levels of the
-helper's remainder alone.  In the rebuild (``_rebuild``) a helper rebuilds
+processes, with the process's one helper (``core._Helper``), since each
+step of a level acts on each column on its own.  In the whole peel
+(``_peel``), the helper is sent the leading ``_Fork.peel`` share of the
+columns: through each level whose last column is this process's, it
+applies F(zeta)^dagger to them with the level's unit column, which this
+process sends after them, and at the end returns their remainder and the
+largest modulus of their peeled last rows.  This process keeps zeta, the
+genericity gate, the norms (a BLAS call, which a forked process must not
+make), the certificate and ``_verdict``; it peels the other columns, then
+the last levels of the helper's remainder alone.  In the rebuild
+(``_rebuild``) the helper is sent the level columns and chi, and rebuilds
 the leading ``_Fork.rebuild`` share of the columns, the heaviest, and this
 process the rest; it then certifies the whole.  Each column goes through
 the calls it goes through in one process, so every bit and every error
-are the one-process tower's; where no helper starts, or it fails or dies,
-this process does its columns too.  ``split_coset`` and stacks of several
+are the one-process tower's; where no helper takes the task, or it fails
+or dies, this process does its columns too.  ``split_coset`` and stacks of several
 matrices stay in one process.
 """
 
 from __future__ import annotations
 
+import math
+import socket
+from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -323,22 +326,22 @@ def _peel(a: np.ndarray, tol: Tolerances, levels: int | None = None) -> _Peel:
     k, n = a.shape[0], a.shape[-1]
     last = 1 if levels is None else n - levels
     split = int(_Fork.peel * n) if (k, levels) == (1, None) and n >= _Fork.n else 0
-    helper = (_Helper.start(partial(_send_peeled_leading, a[0, :, :split]), fed=True)
-              if split > 1 else None)  # the loop meets m = split from split = 2 on
     units: list[np.ndarray] = []
 
     def give(unit: np.ndarray) -> None:
         units.append(unit[0])
         helper.give(unit.tobytes())
 
-    work = a if helper is None else a[:, :, split:]
     columns: list[np.ndarray] = []
     edges = np.empty((k, n * n - last * last), dtype=np.complex128)  # 2m - 1 per level m
     norms = np.empty((k, n - last))
     corners: list[int] = []
     failures: dict[int, tuple[int, float]] = {}
     leading_worst = 0.0
-    try:
+    # The loop meets m = split from split = 2 on.
+    with (_Helper.task(_send_peeled_leading, a[0, :, :split]) if split > 1
+          else nullcontext()) as helper:
+        work = a if helper is None else a[:, :, split:]
         for m in range(n, last, -1):
             if helper is not None and m == split:  # what is left is the helper's remainder
                 work, leading_worst = _leading_remainder(helper, a[0, :, :split], units)
@@ -352,9 +355,6 @@ def _peel(a: np.ndarray, tol: Tolerances, levels: int | None = None) -> _Peel:
                     failures.setdefault(i, (m, float(lead[i])))
             columns.append(zeta)
             corners.append(start + m - 1)
-    finally:
-        if helper is not None:
-            helper.end()
     worst = _certificate(edges, corners) if corners else np.zeros(k)
     if helper is not None:
         np.maximum(worst, leading_worst, out=worst)
@@ -379,18 +379,18 @@ def _peeled_leading(block: np.ndarray, units: Iterable[np.ndarray]) -> tuple[np.
     return work[0], float(np.abs(rows).max())
 
 
-def _send_peeled_leading(block: np.ndarray, pipe: IO[bytes], feed: IO[bytes]) -> None:
-    """The peel's helper: :func:`_peeled_leading` of ``block`` with the
-    units read from ``feed``, its result sent down ``pipe``."""
+def _send_peeled_leading(block: np.ndarray, channel: socket.socket) -> None:
+    """The peel's task: :func:`_peeled_leading` of ``block`` with the units
+    read from ``channel``, its result sent on ``channel``."""
     def units() -> Iterator[np.ndarray]:
         for _ in range(block.shape[0] - block.shape[1]):
-            message = _Helper.read(feed, 1)
-            if message is None:  # the parent has stopped: send nothing
+            message = _Helper.read(channel, 1)
+            if not message:  # the parent has gone: send nothing
                 raise EOFError
             yield np.frombuffer(message[0], np.complex128)
 
     remainder, worst = _peeled_leading(block, units())
-    _Helper.send(pipe, remainder.tobytes(), np.float64(worst).tobytes())
+    _Helper.send(channel, remainder.tobytes(), np.float64(worst).tobytes())
 
 
 def _leading_remainder(helper: _Helper, block: np.ndarray, units: list[np.ndarray]
@@ -473,19 +473,15 @@ def _rebuild(columns: Sequence[np.ndarray], chi: np.ndarray, tol: Tolerances
     out = np.zeros((stop, n, n), dtype=np.complex128)
     out.reshape(stop, n * n)[:, :: n + 1] = 1.0
     split = int(_Fork.rebuild * n) if stop == 1 and n >= _Fork.n else 0
-    helper = _Helper.start(partial(_send_rebuilt_leading, columns, chi, split)) if split else None
-    if helper is None:
-        _rebuild_columns(columns, chi, out, 0)
-    else:
-        try:
-            _rebuild_columns(columns, chi, out[:, :, split:], split)
-            message = helper.received(1)
-        finally:
-            helper.end()
-        if message is None:
-            _rebuild_columns(columns, chi, out[:, :, :split], 0)
-        else:
-            out[:, :, :split] = np.frombuffer(message[0], np.complex128).reshape(1, n, split)
+    with (_Helper.task(_send_rebuilt_leading, np.concatenate(columns, axis=1)[0], chi, split)
+          if split else nullcontext()) as helper:
+        lo = 0 if helper is None else split
+        _rebuild_columns(columns, chi, out[:, :, lo:], lo)
+        message = None if helper is None else helper.received(1)
+    if message is not None:
+        out[:, :, :split] = np.frombuffer(message[0], np.complex128).reshape(1, n, split)
+    elif lo:
+        _rebuild_columns(columns, chi, out[:, :, :split], 0)
     deviations = _certify_stack(out, tol.tol_unitary)
     if stop < k:
         raise NonGenericVectorError(f"genericity margin {margin[stop]:.3e} "
@@ -509,13 +505,17 @@ def _rebuild_columns(columns: Sequence[np.ndarray], chi: np.ndarray, out: np.nda
             _coset_apply(zeta, out[:, :m, : min(m - lo, w)])
 
 
-def _send_rebuilt_leading(columns: Sequence[np.ndarray], chi: np.ndarray, split: int,
-                          pipe: IO[bytes]) -> None:
-    """The rebuild's helper: the leading ``split`` columns of a tower of one
-    matrix, rebuilt and sent down ``pipe``."""
-    block = np.eye(columns[0].shape[1], split, dtype=np.complex128)[None]
+def _send_rebuilt_leading(flat: np.ndarray, chi: np.ndarray, split: int,
+                          channel: socket.socket) -> None:
+    """The rebuild's task: the leading ``split`` columns of a tower of one
+    matrix, rebuilt from its level columns ``flat``, one after the other
+    (one buffer to send, where a list would be one per level), and sent on
+    ``channel``."""
+    n = (math.isqrt(8 * len(flat) + 9) - 1) // 2  # len(flat) = n + ... + 2
+    columns = [zeta[None] for zeta in np.split(flat, np.cumsum(range(n, 2, -1)))]
+    block = np.eye(n, split, dtype=np.complex128)[None]
     _rebuild_columns(columns, chi, block, 0)
-    _Helper.send(pipe, block.tobytes())
+    _Helper.send(channel, block.tobytes())
 
 
 _STACK_ENTRIES = 1 << 14  # entries per stack: 256 kB per complex working array
@@ -599,7 +599,7 @@ def decompose(A: UnitaryMatrix, *,
     input; a violation means the input's certificate lied).  Each peel
     is a prefix-sum product, so the whole factorization is O(n^3).  It
     is the one-matrix case of the stacked tower.  A large one
-    (``core._Fork``) has its leading columns peeled by a forked helper
+    (``core._Fork``) has its leading columns peeled by the helper process
     while this process peels the rest and makes every check, with the
     same result.
 
@@ -626,7 +626,7 @@ def reconstruct(params: CanonicalParams, *,
     :func:`coset_representative`, raises NonGenericVectorError when a
     level's leading component is at or below ``tol.tol_generic``.  It is
     the one-matrix case of the stacked tower.  A large one (``core._Fork``)
-    has its leading columns rebuilt by a forked helper while this process
+    has its leading columns rebuilt by the helper process while this process
     rebuilds the rest and certifies the whole, with the same result.
     """
     columns = [v.data[None] for v in params.vectors]

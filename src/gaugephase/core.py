@@ -22,15 +22,19 @@ which store a copy without checking again.
 
 from __future__ import annotations
 
+import atexit
 import gc
 import math
 import os
+import pickle
 import signal
+import socket
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from typing import IO, Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -435,14 +439,14 @@ def inner_product(u: UnitVector | Sequence[complex] | np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# A second CPU: the forked helper and the worker thread
+# A second CPU: the helper process and the worker thread
 # ---------------------------------------------------------------------------
 
 def _cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the
     platform has one and answers, else ``os.cpu_count()``, else 1.  A
-    cgroup CPU quota is not seen.  Below two, no job forks a helper or
-    starts a worker."""
+    cgroup CPU quota is not seen.  Below two, no stage hands the helper a
+    task and no worker starts."""
     try:
         return len(os.sched_getaffinity(0))
     except (AttributeError, OSError):
@@ -450,10 +454,20 @@ def _cpus() -> int:
 
 
 class _Fork:
-    """Every size from which a job forks a helper (``_Helper``), and the
-    tower's splits, each from one process timed against two on a host of 2
-    vCPUs (Python 3.11.7, numpy 2.4.6, one BLAS thread), as medians of runs
-    alternating the order.  A fork, its pipe and its reaping cost about 2 ms.
+    """Every size from which a stage hands the helper (``_Helper``) a task,
+    and the tower's splits, each from one process timed against two on a
+    host of 2 vCPUs (Python 3.11.7, numpy 2.4.6, one BLAS thread), as
+    medians of runs alternating the order, with a helper forked per stage.
+
+    That fork cost the stage after it more than the fork itself: every heap
+    page the parent then wrote took a copy-on-write fault.  Run in one
+    process on the same host, each stage with a child forked just before it
+    took 968 to 3346 more minor faults and 6-17 ms more system time:
+    ``load_matrix`` (n = 256) 98 -> 110 ms, ``decompose`` 85 -> 103,
+    ``reconstruct`` 88 -> 103, ``dump_report`` of its report 235 -> 243,
+    ``load_evolution`` (19.5 MB) 396 -> 414.  With one child forked before
+    all five they took 102, 92, 91, 243 and 409 ms, with 0-602 faults, so
+    the helper is forked once per process and kept.  The sizes were kept.
     """
 
     # io.dump_report, floats in a document: a pair array into a StringIO,
@@ -494,57 +508,163 @@ def _on_worker(work: Callable[[], _T]) -> Iterator[Callable[[], _T]]:
         yield result
 
 
+
+
+class _HandOver(Exception):
+    """Raised in the helper to end its task at a piece that the process it
+    serves must do itself, with every piece after it."""
+
+
+_NOSIGNAL = getattr(socket, "MSG_NOSIGNAL", 0)  # a send to a helper gone raises, not SIGPIPE
+_END = (1 << 64) - 1  # the length that marks the end of the helper's task
+# Bytes below which an array goes inside a task's pickle, and a part goes in
+# one send with its length: a copy of it costs less than another system call.
+_IN_BAND = 1 << 16
+
+
+def _exactly(channel: socket.socket, size: int) -> bytearray | None:
+    """The next ``size`` bytes from ``channel``; None at its end."""
+    data = bytearray(size)
+    view, got = memoryview(data), 0
+    while got < size:
+        more = channel.recv_into(view[got:])
+        if not more:
+            return None
+        got += more
+    return data
+
+
+def _pooled() -> bool:
+    """Whether this process runs a thread that is not Python's, such as the
+    worker of a BLAS thread pool, where the platform lists its threads."""
+    try:
+        return len(os.listdir("/proc/self/task")) > threading.active_count()
+    except OSError:
+        return False
+
+
 class _Helper:
-    """A forked process that does part of one job and sends each result
-    down a pipe, each part behind its length, while this process does the
-    rest and keeps every result.
+    """This process's helper: one forked process, started at the first
+    two-process stage and kept, that does part of each stage handed to it
+    (a task) and sends each result back, while this process does the rest
+    and keeps every result.  One helper per process, reused, so that no
+    stage pays a fork's copy-on-write faults (``_Fork``).
 
-    It has three jobs.  The report writer's helper joins every other leaf
-    block and the file reader's decodes every other run (``io``): both
-    processes walk the same document, numbering its pieces alike
-    (``theirs``), up to the first piece whose result this process must make
-    itself; where that piece is the helper's, the helper stops there.  The
-    coset tower's helper (``canonical``) peels or rebuilds the leading
-    columns of one large matrix; the peel's is fed each level's unit
-    column down a second pipe (``give``).  Whatever the job, a helper calls
-    no BLAS and takes no lock another thread may hold, since a fork copies
-    only the thread that forks: it slices and sums arrays, decodes JSON,
-    joins float reprs and writes to its pipe.
+    A task goes over one ``AF_UNIX`` socket pair: a function of the package
+    and its arguments as a protocol-5 pickle, array buffers of ``_IN_BAND``
+    bytes or more sent after it from their own memory, and any open file as
+    a descriptor (``socket.send_fds``).  The helper calls ``work(*fds,
+    *args, channel)``, and ``work`` sends each result on the channel, each
+    part behind its length (``send``); the peel's task is fed its units on
+    the same channel (``give``).  After a task that returns or hands over
+    (``_HandOver``) the helper sends its end-of-task mark; any other error,
+    a task that will not unpickle included, ends the helper.
 
-    Its work ends on every path, an exception included, by closing its
-    pipes and leaving by ``os._exit``: it flushes no inherited buffer and
-    never unwinds into its caller's ``finally``.  At the end of the pipe,
-    or at a piece that parts the two walks, this process stops reading
-    (``stop``) and does every piece from there on itself, so every result
-    and every error are the one-process job's.  Nothing the helper does
-    after the last piece read matters, so it is killed, not waited for,
-    and then reaped (``end``).
+    The report writer's task joins every other leaf block and the file
+    reader's decodes every other run (``io``): both processes walk the same
+    document, numbering its pieces alike (``theirs``), up to the first
+    piece whose result this process must make itself; where that piece is
+    the helper's, the helper hands over there.  The coset tower's tasks
+    (``canonical``) peel or rebuild the leading columns of one large
+    matrix.  The helper calls no BLAS and takes no lock another thread may
+    hold, since a fork copies only the thread that forks; it runs with the
+    cyclic collector off (a collection would touch, and so copy, pages it
+    shares with this process), keeps no descriptor but its socket, and
+    leaves by ``os._exit``: at the end of its socket, so however this
+    process ends, after an error, or killed.
+
+    This process stops reading (``received``, ``stop``) at the end mark, at
+    the end of the socket, or at a piece that parts the two walks, and
+    does every piece from there on itself, so every result and every error
+    are the one-process stage's.  Where a stage ends short of the end mark,
+    by an error included, the helper is killed and reaped, and the next
+    stage forks a fresh one; so it is at exit (``quit``, an ``atexit``
+    hook).  A stage stays in one process below two CPUs (``_cpus``),
+    without ``os.fork``, ``os.pread`` (by which the reader's task reads) or
+    ``MSG_NOSIGNAL``, where SIGCHLD is ignored (children are then reaped as
+    they exit, so a pid to kill may be another process's), while another
+    thread's task holds the helper, or where the task will not pickle or
+    the socket pair, the fork or the send fails.  A child this process
+    forks forgets the helper (``os.register_at_fork``).
+
+    Where this process runs a thread that is not Python's (``_pooled``),
+    such as a worker of an unpinned BLAS pool, a stage kills a live helper
+    and forks a fresh one.  Such a worker spins for a while after each call,
+    on the CPU the helper needs, and OpenBLAS shuts its pool down before a
+    fork.  On 2 vCPUs with OpenBLAS's two threads, a warm ``decompose`` job
+    at n = 256 took 0.50 s with the helper always kept (the worker spinning
+    0.26 s of CPU), 0.42 s with a fork per stage, and 0.38-0.40 s so, with
+    2 forks a job.  With one BLAS thread, a process forks once.
     """
 
-    def __init__(self, pid: int, pipe: IO[bytes], feed: IO[bytes] | None):
-        self.pid, self.pipe, self.feed, self.count = pid, pipe, feed, 0
+    live: "_Helper | None" = None  # this process's helper, once forked
+    busy = threading.Lock()  # held by the thread whose task the helper has
+
+    def __init__(self, pid: int, channel: socket.socket):
+        self.pid, self.channel = pid, channel
+        self.lock = _Helper.busy  # as its task took it: a forked child takes a new one
+        self.count, self.reading, self.synced = 0, False, False
 
     @classmethod
-    def start(cls, work: Callable[..., None], fed: bool = False) -> "_Helper | None":
-        """A helper running ``work(pipe)``, or ``work(pipe, feed)`` with a
-        pipe ``feed`` from this process where ``fed``; None below two CPUs
-        (``_cpus``), where there is no ``os.fork`` or no ``os.pread`` (by
-        which the reader's helper reads), or where a pipe or the fork
-        fails: then the job stays in this process.  So it does where
-        SIGCHLD is ignored: children are then reaped as they exit, and the
-        helper's pid may be another process's by the time it would be
-        killed.  A fed helper is not forked where SIGPIPE is at its default
-        either: a feed to a helper that has died would then kill this
-        process."""
-        if (_cpus() < 2 or not (hasattr(os, "fork") and hasattr(os, "pread"))
-                or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN):
-            return None
-        if fed and signal.getsignal(signal.SIGPIPE) == signal.SIG_DFL:
-            return None
-        fds: list[int] = []  # result read and write ends, then the feed's
+    @contextmanager
+    def task(cls, work: Callable[..., None], *args, fds: Sequence[int] = ()
+             ) -> Iterator["_Helper | None"]:
+        """The helper, doing ``work(*fds, *args, channel)`` while the block
+        runs; None where the stage stays in one process.  Leaving the block
+        ends the task (``end``)."""
+        helper = cls.start(work, *args, fds=fds)
+        if helper is None:
+            yield None
+            return
+        done = False
         try:
-            for _ in range(1 + fed):
-                fds += os.pipe()
+            yield helper
+            done = True
+        finally:
+            helper.end(done)
+
+    @classmethod
+    def start(cls, work: Callable[..., None], *args, fds: Sequence[int] = ()
+              ) -> "_Helper | None":
+        """Hand the helper, forked here if there is none, the task of
+        ``task``; None where the stage stays in one process."""
+        if (_cpus() < 2 or not (hasattr(os, "fork") and hasattr(os, "pread") and _NOSIGNAL)
+                or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN
+                or not cls.busy.acquire(blocking=False)):
+            return None
+        lock, buffers = cls.busy, []
+        try:
+            task = pickle.dumps((work, args), 5, buffer_callback=lambda buffer: (
+                buffer.raw().nbytes < _IN_BAND or buffers.append(buffer.raw())))
+        except Exception:  # a task that will not pickle stays here
+            task = None
+        if task is not None and cls.live is not None and _pooled():
+            cls.live.kill()  # the fork of a fresh one stops a BLAS pool's workers
+        helper = None if task is None else cls.live or cls._fork()
+        try:
+            if helper is not None:  # the count of parts, the descriptors with it
+                head = (1 + len(buffers)).to_bytes(8, "little")
+                sent = socket.send_fds(helper.channel, [head], fds, _NOSIGNAL) if fds else 0
+                helper.channel.sendall(head[sent:], _NOSIGNAL)
+                helper.send(helper.channel, task, *buffers)
+        except OSError:  # the helper has gone
+            helper.kill()
+            helper = None
+        if helper is None:
+            lock.release()
+            return None
+        helper.lock, helper.count, helper.reading, helper.synced = lock, 0, True, False
+        return helper
+
+    @classmethod
+    def _fork(cls) -> "_Helper | None":
+        """A new helper, waiting for its first task; None where the socket
+        pair or the fork fails."""
+        try:
+            ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
+        except OSError:
+            return None
+        try:
             with warnings.catch_warnings():
                 # Python 3.12+ warns that a fork in a process with threads (an
                 # unpinned BLAS pool has one) may deadlock the child.  The
@@ -553,53 +673,54 @@ class _Helper:
                                         DeprecationWarning)
                 pid = os.fork()
         except OSError:
-            for fd in fds:
-                os.close(fd)
+            ours.close()
+            theirs.close()
             return None
         if pid == 0:
             try:  # the helper leaves by os._exit on every path: no flush, no unwinding
-                os.close(fds[0])
                 gc.disable()  # a collection would touch, and so copy, the parent's pages
-                with open(fds[1], "wb") as pipe:
-                    if fed:
-                        os.close(fds[3])
-                        with open(fds[2], "rb") as feed:
-                            work(pipe, feed)
-                    else:
-                        work(pipe)
+                fd = theirs.fileno()
+                os.closerange(3, fd)
+                os.closerange(fd + 1, os.sysconf("SC_OPEN_MAX"))
+                _serve(theirs)
             finally:
                 os._exit(0)
-        os.close(fds[1])
-        if fed:
-            os.close(fds[2])
-        return cls(pid, open(fds[0], "rb"), open(fds[3], "wb") if fed else None)
+        theirs.close()
+        cls.live = cls(pid, ours)
+        return cls.live
 
     @staticmethod
-    def send(pipe: IO[bytes], *parts: bytes) -> None:
+    def send(channel: socket.socket, *parts) -> None:
         """One piece's result, each part behind its length."""
         for part in parts:
-            pipe.write(len(part).to_bytes(8, "little"))
-            pipe.write(part)
-        pipe.flush()
+            head = len(part).to_bytes(8, "little")
+            if len(part) < _IN_BAND:
+                channel.sendall(head + part, _NOSIGNAL)
+            else:
+                channel.sendall(head, _NOSIGNAL)
+                channel.sendall(part, _NOSIGNAL)
 
     @staticmethod
-    def read(pipe: IO[bytes], parts: int) -> list[bytes] | None:
-        """The next piece of ``parts`` parts that ``send`` wrote; None at
-        the end of the pipe."""
+    def read(channel: socket.socket, parts: int) -> list[bytearray] | None:
+        """The next piece of ``parts`` parts that ``send`` wrote; [] at an
+        end-of-task mark, None at the end of the socket."""
         result = []
         for _ in range(parts):
-            head = pipe.read(8)
-            size = int.from_bytes(head, "little")
-            result.append(pipe.read(size) if len(head) == 8 else b"")
-            if len(head) < 8 or len(result[-1]) < size:
+            head = _exactly(channel, 8)
+            size = -1 if head is None else int.from_bytes(head, "little")
+            if size == _END:
+                return []
+            part = None if size < 0 else _exactly(channel, size)
+            if part is None:
                 return None
+            result.append(part)
         return result
 
     def give(self, *parts: bytes) -> None:
         """Feed the helper one piece; where it has gone, stop reading."""
-        if self.feed is not None:
+        if self.reading:
             try:
-                self.send(self.feed, *parts)
+                self.send(self.channel, *parts)
             except OSError:
                 self.stop()
 
@@ -607,29 +728,89 @@ class _Helper:
         """Whether the next piece is the helper's: every other one, from the
         second on, until this process stops reading."""
         self.count += 1
-        return self.pipe is not None and self.count % 2 == 0
+        return self.reading and self.count % 2 == 0
 
-    def received(self, parts: int) -> list[bytes] | None:
+    def received(self, parts: int) -> list[bytearray] | None:
         """The helper's next result of ``parts`` parts; None, and reading
-        stopped, at the end of the pipe or once reading has stopped."""
-        result = None if self.pipe is None else self.read(self.pipe, parts)
-        if result is None:
-            self.stop()
+        stopped, at its end mark, at the end of the socket, or once reading
+        has stopped."""
+        if not self.reading:
+            return None
+        result = self.read(self.channel, parts)
+        if not result:
+            self.synced, self.reading = result == [], False
+            return None
         return result
 
     def stop(self) -> None:
         """Read no more and feed no more: every piece from here on is this
-        process's."""
-        for stream in (self.pipe, self.feed):
-            if stream is not None:
-                try:
-                    stream.close()
-                except OSError:  # a feed's buffered bytes that the helper never read
-                    pass
-        self.pipe = self.feed = None
+        process's, and the helper, short of its end mark, is killed at the
+        end of the task."""
+        self.reading = False
 
-    def end(self) -> None:
-        """Close the pipes, then kill the helper and reap it."""
-        self.stop()
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
+    def end(self, done: bool) -> None:
+        """End the task.  Where the stage ran to its end still reading, the
+        helper's next message must be its end mark; short of that mark, the
+        helper is killed."""
+        try:
+            if done and self.reading:
+                self.synced, self.reading = self.read(self.channel, 1) == [], False
+        finally:
+            if not self.synced:
+                self.kill()
+            self.lock.release()
+
+    def kill(self) -> None:
+        """Forget the helper, close its socket, then kill it and reap it."""
+        if _Helper.live is self:
+            _Helper.live = None
+        self.reading = False
+        self.channel.close()
+        if self.pid is not None and signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN:
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+
+    @classmethod
+    def quit(cls) -> None:
+        """Kill and reap this process's helper, if it has one."""
+        if cls.live is not None:
+            cls.live.kill()
+
+    @classmethod
+    def forget(cls) -> None:
+        """In a child this process forks: the helper is not the child's.  The
+        child closes its copy of the socket and will fork its own."""
+        if cls.live is not None:
+            cls.live.pid = None
+            cls.live.channel.close()
+        cls.live, cls.busy = None, threading.Lock()
+
+
+def _serve(channel: socket.socket) -> None:
+    """The helper's loop: each task, then its end mark, until the end of
+    the socket.  An error other than a hand-over leaves the loop."""
+    while True:
+        head, fds, _, _ = socket.recv_fds(channel, 8, 4)
+        rest = _exactly(channel, 8 - len(head)) if head else None
+        if rest is None:
+            return
+        message = _Helper.read(channel, int.from_bytes(head + rest, "little"))
+        if not message:
+            return
+        try:
+            work, args = pickle.loads(message[0], buffers=message[1:])
+            del message  # the pickle's bytes, not needed while the task runs
+            try:
+                work(*fds, *args, channel)
+            except _HandOver:
+                pass
+        finally:
+            for fd in fds:
+                os.close(fd)
+        channel.sendall(_END.to_bytes(8, "little"))
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_Helper.forget)
+atexit.register(_Helper.quit)

@@ -84,7 +84,10 @@ def random_generic_unitary(n: int, seed: int, *,
     stratum is rejected and redrawn (the rejection is logged; at the
     default gate this is a measure-~1e-8 event, so in practice the first
     draw is returned).  Deterministic for fixed (n, seed) including any
-    rejections.  This is the one-seed case of a batched draw that peels
+    rejections, at a fixed BLAS thread count: the QR of a large n sums in
+    another order on another count of BLAS threads (OpenBLAS sizes its
+    pool from the CPUs a process may use), which can move the last bits
+    of the draw.  This is the one-seed case of a batched draw that peels
     a whole stack of candidates at once; each seed in a batch yields the
     matrix it yields here.  Alone, each candidate is judged by one
     :func:`~gaugephase.canonical.decompose` call.

@@ -29,12 +29,13 @@ bit of both parts, signed zeros too) before the next run is decoded, so
 at most one run of pairs is alive at a time.
 
 Decoding holds the GIL, so a large file (``core._Fork.bytes``) is read
-by two processes, as the writer writes (``_Helper``).  One fork, at the
-start of the walk, makes a helper that reads the same open file through
+by two processes, as the writer writes, with the process's one helper
+(``core._Helper``).  At the start of the walk the reader sends it the
+file's open descriptor, and the helper reads the same open file through
 ``os.pread``, under its own text wrapper, walks the same text with the
 same window, cuts every run by the same regex, and decodes and converts
-only the odd-numbered runs (``_RunSender``): down a pipe go each one's span
-in the text, its items' pair counts and its float64 bytes.  This process
+only the odd-numbered runs (``_RunSender``): back go each one's span in
+the text, its items' pair counts and its float64 bytes.  This process
 cuts the helper's runs by the regex alone, decodes the others, and takes a
 helper's run only where the spans agree.  The helper sends nothing for a
 run it cannot send whole (a '"', a defect, an array that closes there, an
@@ -53,7 +54,8 @@ grid, the frame count, then the first bad frame (for a matrix, the entries'
 first defect of the earliest kind).  A number written as a string, which
 numpy would convert, is refused last.  Only text that is not a JSON object
 is read again whole, for json's own error or for the value that is not an
-object; a character at fault that the window holds is refused without a
+object, but for a leading byte order mark, refused from the first window
+with json's own message; a character at fault that the window holds is refused without a
 refill (``_Refused``), and a member nested deeper than json's scanner
 recurses without a re-read (``_Nested``).  Readers run with the cyclic
 garbage collector paused (``_gc_paused``), since each [re, im] list would
@@ -69,10 +71,10 @@ Every array the package writes is such a float view (``pair_rows``, the
 savers' entries, grid and frames); a list of [re, im] lists from outside
 goes item by item.  Float repr (about 1 us a float) is most of a write and
 holds the GIL, so a large document (``core._Fork.floats``, counted by one
-walk that stops there) is joined in two processes: one fork, a helper that
-walks the same document and joins every other leaf block into a pipe, and
-this process, which joins the rest, reads the helper's blocks in order and
-makes every write (``_Helper``).  A saver refuses what its reader refuses
+walk that stops there) is joined in two processes: the helper
+(``core._Helper``), sent the document as a pickle, walks it and joins every
+other leaf block, and this process joins the rest, reads the helper's
+blocks in order and makes every write.  A saver refuses what its reader refuses
 before it opens the file, so a refused save leaves no file, and a target
 as it was.
 """
@@ -85,7 +87,8 @@ import json
 import math
 import os
 import re
-from contextlib import contextmanager
+import socket
+from contextlib import contextmanager, nullcontext
 from functools import partial
 from itertools import chain, count
 from json.encoder import encode_basestring_ascii
@@ -93,7 +96,7 @@ from typing import Any, IO, Iterator, NamedTuple
 
 import numpy as np
 
-from .core import DimensionMismatchError, _Fork, _Helper
+from .core import DimensionMismatchError, _Fork, _HandOver, _Helper
 
 __all__ = [
     "FileFormatError",
@@ -265,23 +268,25 @@ def load_evolution(path: str) -> tuple[np.ndarray, np.ndarray]:
 def _loaded(path: str, blocks: str, read_blocks, checked) -> Any:
     """``checked(doc, path)`` of the document in ``path``, walked once with
     the array under its key ``blocks`` read by ``read_blocks``; text that is
-    not a JSON object is parsed whole, for json's error or the non-object.
-    A file of ``_Fork.bytes`` or more has every other run of that array
-    decoded by a forked helper (``_send_odd_runs``)."""
+    not a JSON object is parsed whole, for json's error or the non-object,
+    but for a leading byte order mark, which json refuses at once.  A file
+    of ``_Fork.bytes`` or more has every other run of that array decoded by
+    the helper (``_send_odd_runs``)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             fd = fh.fileno()
-            helper = (_Helper.start(partial(_send_odd_runs, fd, blocks, read_blocks))
-                      if os.fstat(fd).st_size >= _Fork.bytes else None)
+            window = _Window(fh)
+            window.fill(1)  # the walk's first refill
+            if window.text.startswith("\ufeff"):
+                _parse_json(window.text[0], path)
             try:
-                doc = _walked_object(_Window(fh), blocks, partial(read_blocks, helper=helper))
+                with (_Helper.task(_send_odd_runs, blocks, read_blocks, fds=[fd])
+                      if os.fstat(fd).st_size >= _Fork.bytes else nullcontext()) as helper:
+                    doc = _walked_object(window, blocks, partial(read_blocks, helper=helper))
             except _Nested as err:
                 raise FileFormatError(f"{path!r} {err}: {_TOO_DEEP}") from err
             except ValueError:  # read again whole below, once the window is freed
-                doc = None
-            finally:
-                if helper is not None:
-                    helper.end()
+                doc = window = None
             if doc is None:
                 fh.seek(0)
                 doc = _parse_json(fh.read(), path)
@@ -290,13 +295,14 @@ def _loaded(path: str, blocks: str, read_blocks, checked) -> Any:
     return checked(doc, path)
 
 
-def _send_odd_runs(fd: int, blocks: str, read_blocks, out: IO[bytes]) -> None:
-    """The reader's helper: it walks the file open at ``fd`` as the reader
-    walks it, and sends the odd-numbered runs of its block arrays down
-    ``out``.  It reads from the file's start by ``os.pread``, which leaves
-    the offset of the open file, shared with the reader, alone; its text
-    wrapper decodes UTF-8 and newlines as the reader's does.  The path is
-    not opened again: a file put in its place since would be another."""
+def _send_odd_runs(fd: int, blocks: str, read_blocks, out: socket.socket) -> None:
+    """The reader's task: it walks the file open at ``fd``, the reader's
+    descriptor sent to the helper, as the reader walks it, and sends the
+    odd-numbered runs of its block arrays on ``out``.  It reads from the
+    file's start by ``os.pread``, which leaves the offset of the open file,
+    shared with the reader, alone; its text wrapper decodes UTF-8 and
+    newlines as the reader's does.  The path is not opened again: a file
+    put in its place since would be another."""
     text = io.TextIOWrapper(io.BufferedReader(_Pread(fd)), encoding="utf-8")
     _walked_object(_Window(text), blocks, partial(read_blocks, helper=_RunSender(out)))
 
@@ -550,13 +556,13 @@ class _RunSender:
     numbers them, each even-numbered run is cut by ``_run``'s regex alone,
     and each odd-numbered one is decoded and converted, and its span in the
     whole text, its items' pair counts and its flat floats are sent down
-    the pipe.  The helper sends nothing for a run that holds a '"', has a
+    the socket.  The helper sends nothing for a run that holds a '"', has a
     defect, has an item that is not a list of [re, im] lists, closes the
     array, or raises: it stops there (``_HandOver``), and the reader
     decodes that run and every run after it, so every error is raised in
     the reader, with its own text and in its own order."""
 
-    def __init__(self, out: IO[bytes]):
+    def __init__(self, out: socket.socket):
         self.out, self.numbers = out, count()
 
     def sent(self, window: _Window, closers: int) -> bool:
@@ -712,16 +718,12 @@ def dump_report(doc: Any, stream: IO[str]) -> None:
     sort_keys=True, indent=2, allow_nan=False)`` followed by a newline,
     where an ndarray with at least one axis stands for its ``tolist()``.
     A document of ``_Fork.floats`` floats or more has every other leaf
-    block joined by a forked helper (``_Helper``); only this process writes
-    to ``stream``."""
-    helper = (_Helper.start(partial(_send_odd_blocks, doc))
-              if _holds_floats(doc, _Fork.floats) else None)
-    try:
+    block joined by the helper (``_Helper``); only this process writes to
+    ``stream``."""
+    with (_Helper.task(_send_odd_blocks, doc) if _holds_floats(doc, _Fork.floats)
+          else nullcontext()) as helper:
         _write_value(doc, stream.write, "\n", partial(_joined, helper) if helper else _leaf_block)
         stream.write("\n")
-    finally:
-        if helper is not None:
-            helper.end()
 
 
 def _holds_floats(doc: Any, least: int) -> bool:
@@ -743,11 +745,6 @@ def _holds_floats(doc: Any, least: int) -> bool:
     return least <= 0
 
 
-class _HandOver(Exception):
-    """Raised in a helper to end its work at a piece that the process which
-    forked it must do itself, with every piece after it."""
-
-
 def _joined(helper: _Helper, block, pairs: bool, inner: str) -> str | None:
     """The text of the next leaf block of a document whose every other block
     ``helper`` joins: the helper's, or joined here.  A block of this
@@ -763,10 +760,11 @@ def _joined(helper: _Helper, block, pairs: bool, inner: str) -> str | None:
     return text
 
 
-def _send_odd_blocks(doc: Any, pipe: IO[bytes]) -> None:
-    """The writer's helper: it walks ``doc``, writing nothing of it, takes
-    each even-numbered leaf block as joined, and sends each odd-numbered
-    one's text down ``pipe``, up to the first that will not join."""
+def _send_odd_blocks(doc: Any, out: socket.socket) -> None:
+    """The writer's task: it walks ``doc``, the writer's document as the
+    helper unpickled it, writing nothing of it, takes each even-numbered
+    leaf block as joined, and sends each odd-numbered one's text on
+    ``out``, up to the first that will not join."""
     numbers = count()
 
     def leaf(block, pairs: bool, inner: str) -> str:
@@ -775,7 +773,7 @@ def _send_odd_blocks(doc: Any, pipe: IO[bytes]) -> None:
         text = _leaf_block(block, pairs, inner)
         if text is None:  # the parent joins every block from here on
             raise _HandOver
-        _Helper.send(pipe, text.encode("ascii"))
+        _Helper.send(out, text.encode("ascii"))
         return text
 
     _write_value(doc, len, "\n", leaf)  # len: a write that keeps nothing

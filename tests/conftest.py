@@ -7,21 +7,43 @@ import pytest
 from gaugephase import core
 
 
+class Helpers:
+    """What a test asked of this process's helper process: the helpers
+    forked (``made``, their pids) and the tasks handed to one (``tasks``,
+    the names of their functions), in order."""
+
+    def __init__(self):
+        self.made: list[int] = []
+        self.tasks: list[str] = []
+
+
 @pytest.fixture()
 def forks(monkeypatch):
-    """The helpers that the report writer, the file readers and the coset
-    tower fork, as on a host of two CPUs; after the test, no child of this
-    process is left, reaped or not."""
-    made, fork = [], os.fork
+    """The helper that the report writer, the file readers and the coset
+    tower hand their tasks to, as on a host of two CPUs with one BLAS
+    thread (no pool, so a live helper is kept), counted.  Any live helper is
+    ended before the test, so that its first task forks one, and again
+    after it; then no child of this process is left, reaped or not."""
+    core._Helper.quit()
+    counted, fork, start = Helpers(), os.fork, core._Helper.start
     monkeypatch.setattr(core, "_cpus", lambda: 2)
+    monkeypatch.setattr(core, "_pooled", lambda: False)
 
-    def counted():
+    def forked():
         pid = fork()
         if pid:
-            made.append(pid)
+            counted.made.append(pid)
         return pid
 
-    monkeypatch.setattr(os, "fork", counted)
-    yield made
+    def handed(work, *args, **kwargs):
+        helper = start(work, *args, **kwargs)
+        if helper is not None:
+            counted.tasks.append(work.__name__)
+        return helper
+
+    monkeypatch.setattr(os, "fork", forked)
+    monkeypatch.setattr(core._Helper, "start", handed)
+    yield counted
+    core._Helper.quit()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

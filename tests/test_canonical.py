@@ -3,6 +3,7 @@
 import math
 import os
 import signal
+import socket
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from gaugephase import (
     save_matrix,
     split_coset,
 )
-from gaugephase import canonical
+from gaugephase import canonical, core
 from gaugephase.cli import main
 from gaugephase.canonical import (
     _STACK_ENTRIES,
@@ -705,14 +706,14 @@ TWO_PROCESS_SIZES = [_Fork.n - 1, _Fork.n, 256]
 def _in_one_and_two_processes(monkeypatch, forks, n, call):
     """``call()`` with the tower of size ``n`` in one process (the fork size
     patched above n), then in two (patched to n); the results and the
-    forks each made."""
-    results, made = [], []
+    tasks each handed to the helper."""
+    results, handed = [], []
     for fork_n in (n + 1, n):
         monkeypatch.setattr(_Fork, "n", fork_n)
-        before = len(forks)
+        before = len(forks.tasks)
         results.append(call())
-        made.append(len(forks) - before)
-    return results, made
+        handed.append(len(forks.tasks) - before)
+    return results, handed
 
 
 def _outcome(call):
@@ -746,9 +747,9 @@ def _params_non_generic_at(n, level, seed):
 
 
 class TestTwoProcessTower:
-    """From the fork size on, a forked helper peels and rebuilds the leading
+    """From the fork size on, the helper peels and rebuilds the leading
     columns of one matrix; every bit and every error stay the one-process
-    tower's."""
+    tower's.  One helper, forked once, takes every task of a test."""
 
     @pytest.mark.parametrize("n", TWO_PROCESS_SIZES)
     def test_decompose_and_reconstruct_are_the_one_process_bits(self, n, monkeypatch, forks):
@@ -758,16 +759,18 @@ class TestTwoProcessTower:
             params = decompose(a)
             return _tower_bits(params, reconstruct(params))
 
-        (one, two), made = _in_one_and_two_processes(monkeypatch, forks, n, tower)
-        assert made == [0, 2]
+        (one, two), handed = _in_one_and_two_processes(monkeypatch, forks, n, tower)
+        assert handed == [0, 2]
+        assert len(forks.made) == 1
         _same_tower(one, two)
         assert two[3].view(np.float64) <= 1e-12
 
     @pytest.mark.parametrize("n", TWO_PROCESS_SIZES)
     def test_a_haar_draw_is_the_one_process_draw(self, n, monkeypatch, forks):
-        (one, two), made = _in_one_and_two_processes(
+        (one, two), handed = _in_one_and_two_processes(
             monkeypatch, forks, n, lambda: _bits(random_generic_unitary(n, 11).data))
-        assert made[0] == 0 and made[1] >= 1  # one decompose per candidate
+        assert handed[0] == 0 and handed[1] >= 1  # one decompose per candidate
+        assert len(forks.made) == 1
         assert np.array_equal(one, two)
 
     @pytest.mark.parametrize("n", TWO_PROCESS_SIZES)
@@ -781,8 +784,9 @@ class TestTwoProcessTower:
             assert main(["decompose", path, "-o", str(out)]) == 0
             return out.read_bytes()
 
-        (one, two), made = _in_one_and_two_processes(monkeypatch, forks, n, report)
-        assert made[1] - made[0] == 2  # the peel's helper and the rebuild's
+        (one, two), handed = _in_one_and_two_processes(monkeypatch, forks, n, report)
+        assert handed[1] - handed[0] == 2  # the peel's task and the rebuild's
+        assert len(forks.made) == 1
         assert one == two
 
     @pytest.mark.parametrize("side", ["above", "below"])
@@ -793,9 +797,10 @@ class TestTwoProcessTower:
         split = int(_Fork.peel * n)
         level = split + 10 if side == "above" else split - 10
         bad = reconstruct(_params_non_generic_at(n, level, 51), tol=Tolerances(tol_generic=1e-14))
-        (one, two), made = _in_one_and_two_processes(
+        (one, two), handed = _in_one_and_two_processes(
             monkeypatch, forks, n, lambda: _outcome(lambda: decompose(bad)))
-        assert made == [0, 1]
+        assert handed == [0, 1]
+        assert len(forks.made) == 1
         assert one[0] is NonGenericMatrixError and one[2]["level"] == level
         assert one == two
 
@@ -812,9 +817,10 @@ class TestTwoProcessTower:
         bad = a.copy()
         bad[:, cut] += np.outer(a[:, n - 1], 3e-9 * np.exp(1j * np.arange(n)[cut]))
         forged = UnitaryMatrix._certified(bad, 0.0)
-        (one, two), made = _in_one_and_two_processes(
+        (one, two), handed = _in_one_and_two_processes(
             monkeypatch, forks, n, lambda: _outcome(lambda: decompose(forged)))
-        assert made == [0, 1]
+        assert handed == [0, 1]
+        assert len(forks.made) == 1
         assert one[0] is NotUnitaryError and one[2]["deviation"] == pytest.approx(3e-9)
         assert one == two
 
@@ -822,11 +828,12 @@ class TestTwoProcessTower:
         n = _Fork.n
         a = random_generic_unitary(n, 17)
         params = decompose(a)
-        before = len(forks)
+        before = len(forks.tasks)
         split_coset(a)
         _checked_peel(np.array([a.data, a.data]), Tolerances())
         assert np.array_equal(_rebuilt([params, params])[1], reconstruct(params).data)
-        assert len(forks) == before + 1  # the reconstruct alone
+        assert len(forks.tasks) == before + 1  # the reconstruct alone
+        assert len(forks.made) == 1
 
 
 def _raise_oserror(*args):
@@ -834,8 +841,8 @@ def _raise_oserror(*args):
 
 
 def _dying_in_the_helper(monkeypatch, name, calls):
-    """Have a forked helper leave by os._exit at its call number ``calls`` of
-    canonical's ``name``, partway through its columns."""
+    """Have a helper forked from now on leave by os._exit at its call
+    number ``calls`` of canonical's ``name``, partway through its columns."""
     parent, real, made = os.getpid(), getattr(canonical, name), []
 
     def dying(*args):
@@ -862,16 +869,22 @@ def _calls_here(monkeypatch, name):
 
 
 def _open_fds():
-    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+    """The descriptors this process holds but a live helper's socket."""
+    if not os.path.isdir("/proc/self/fd"):
+        return 0
+    return len(os.listdir("/proc/self/fd")) - (core._Helper.live is not None)
 
 
-# (fault, helpers forked, leading blocks peeled here, column blocks rebuilt here)
+# (fault, tasks handed to the helper, helpers forked, leading blocks peeled
+# here, column blocks rebuilt here)
 HELPER_FAULTS = {
-    "fork_refused": (0, 0, 1), "pipe_refused": (0, 0, 1), "feed_pipe_refused": (1, 0, 1),
-    "no_fork": (0, 0, 1), "sigchld_ignored": (0, 0, 1), "sigpipe_default": (1, 0, 1),
-    "helper_exits_at_once_in_the_peel": (2, 1, 1),
-    "helper_exits_partway_through_the_peel": (2, 1, 1),
-    "helper_exits_partway_through_the_rebuild": (2, 0, 2),
+    "fork_refused": (0, 0, 0, 1), "socketpair_refused": (0, 0, 0, 1),
+    "helper_killed_before_the_peel": (1, 1, 0, 1),
+    "no_fork": (0, 0, 0, 1), "sigchld_ignored": (0, 0, 0, 1),
+    "sigpipe_default_and_the_helper_exits_at_once": (2, 2, 1, 1),
+    "helper_exits_at_once_in_the_peel": (2, 2, 1, 1),
+    "helper_exits_partway_through_the_peel": (2, 2, 1, 1),
+    "helper_exits_partway_through_the_rebuild": (2, 1, 0, 2),
 }
 
 
@@ -884,28 +897,33 @@ def test_a_tower_without_its_helper_is_the_one_process_tower(fault, monkeypatch,
     params = decompose(a)
     expected = _tower_bits(params, reconstruct(params))
     monkeypatch.setattr(_Fork, "n", n)
+    core._Helper.quit()  # the draw's, forked before the fault
     if fault == "no_fork":
         monkeypatch.delattr(os, "fork")
-    elif fault.startswith("sig"):  # SIGCHLD ignored; SIGPIPE at its default, as a feed
-        # to a helper that died would then kill this process: the peel stays here
-        number, handler = ((signal.SIGCHLD, signal.SIG_IGN) if fault == "sigchld_ignored"
-                           else (signal.SIGPIPE, signal.SIG_DFL))
-        previous = signal.signal(number, handler)
-        request.addfinalizer(lambda: signal.signal(number, previous))
-    elif fault == "feed_pipe_refused":  # the peel's second pipe, not the rebuild's
-        pipe, calls = os.pipe, []
-        monkeypatch.setattr(os, "pipe", lambda: _raise_oserror() if calls.append(None) or
-                            len(calls) == 2 else pipe())
-    elif fault.endswith("_refused"):
-        monkeypatch.setattr(os, fault.split("_")[0], _raise_oserror)
-    elif fault.endswith("the_peel"):
-        _dying_in_the_helper(monkeypatch, "_coset_adjoint_apply", 1 if "once" in fault else 40)
-    else:
+    elif fault == "sigchld_ignored":
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        request.addfinalizer(lambda: signal.signal(signal.SIGCHLD, previous))
+    elif fault == "socketpair_refused":
+        monkeypatch.setattr(socket, "socketpair", _raise_oserror)
+    elif fault == "fork_refused":
+        monkeypatch.setattr(os, "fork", _raise_oserror)
+    elif fault == "helper_killed_before_the_peel":  # a helper gone before its task is sent
+        decompose(a)
+        pid = core._Helper.live.pid
+        os.kill(pid, signal.SIGKILL)
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+    elif fault.endswith("the_rebuild"):
         _dying_in_the_helper(monkeypatch, "_coset_apply", 60)
+    else:  # a feed to a helper gone raises, where SIGPIPE at its default would kill
+        if fault.startswith("sigpipe"):
+            previous = signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+            request.addfinalizer(lambda: signal.signal(signal.SIGPIPE, previous))
+        _dying_in_the_helper(monkeypatch, "_coset_adjoint_apply", 40 if "partway" in fault else 1)
     peeled, rebuilt = (_calls_here(monkeypatch, name)
                        for name in ("_peeled_leading", "_rebuild_columns"))
-    before, fds = len(forks), _open_fds()
+    tasks, made, fds = len(forks.tasks), len(forks.made), _open_fds()
     params = decompose(a)
     _same_tower(_tower_bits(params, reconstruct(params)), expected)
-    assert (len(forks) - before, len(peeled), len(rebuilt)) == HELPER_FAULTS[fault]
+    assert (len(forks.tasks) - tasks, len(forks.made) - made, len(peeled),
+            len(rebuilt)) == HELPER_FAULTS[fault]
     assert _open_fds() == fds

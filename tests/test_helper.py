@@ -1,0 +1,250 @@
+"""The life of this process's helper process (``core._Helper``): forked at
+the first two-process stage and kept for the next, killed and forked
+again after a desync, never used below two CPUs, forgotten by a child
+this process forks, and gone when this process exits.  Every result is
+the one-process stage's."""
+
+import io as _stdio
+import json
+import os
+import signal
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from gaugephase import (
+    core,
+    decompose,
+    dump_report,
+    load_evolution,
+    load_matrix,
+    random_generic_unitary,
+    reconstruct,
+    save_evolution,
+    save_matrix,
+)
+from gaugephase import io as io_module
+from gaugephase.cli import main
+from gaugephase.core import _Fork
+from gaugephase.io import _BLOCK
+
+
+@pytest.fixture(scope="module")
+def large_files(tmp_path_factory):
+    """A matrix file of n = 256 and an evolution file of n = 8, each above
+    the reader's fork size."""
+    directory = tmp_path_factory.mktemp("helper")
+    matrix, evolution = str(directory / "m256.json"), str(directory / "evolution.json")
+    save_matrix(matrix, random_generic_unitary(256, 5).data)
+    rng = np.random.default_rng(5)
+    save_evolution(evolution, np.linspace(0.0, 1.0, 500),
+                   rng.standard_normal((500, 8, 8)) + 1j * rng.standard_normal((500, 8, 8)))
+    assert min(os.path.getsize(matrix), os.path.getsize(evolution)) >= _Fork.bytes
+    return matrix, evolution
+
+
+def _one_process(call):
+    """``call()`` with no stage handed to a helper."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_cpus", lambda: 1)
+        return call()
+
+
+def _tower(matrix: str):
+    """The coset tower of the matrix in ``matrix`` and its rebuild, as bits."""
+    params = decompose(core.UnitaryMatrix(load_matrix(matrix)))
+    rebuilt = reconstruct(params)
+    return ([v.data.view(np.uint64).tolist() for v in params.vectors],
+            np.float64(params.chi).view(np.uint64), rebuilt.data.view(np.uint64).tolist())
+
+
+def _gone(pid: int) -> bool:
+    """Whether no process has the pid ``pid``: it has exited and been reaped."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def _dumped(doc) -> str:
+    out = _stdio.StringIO()
+    dump_report(doc, out)
+    return out.getvalue()
+
+
+def _json_dumped(doc) -> str:
+    out = _stdio.StringIO()
+    json.dump(doc, out, sort_keys=True, indent=2, allow_nan=False)
+    return out.getvalue() + "\n"
+
+
+def test_the_stages_of_one_process_fork_one_helper(large_files, forks):
+    matrix, evolution = large_files
+    expected = _one_process(lambda: (_tower(matrix), _tower(matrix)))
+    assert (forks.tasks, forks.made) == ([], [])
+    assert _tower(matrix) == expected[0]
+    pid = core._Helper.live.pid
+    assert _tower(matrix) == expected[1]
+    assert forks.tasks == ["_send_odd_runs", "_send_peeled_leading", "_send_rebuilt_leading"] * 2
+    assert forks.made == [pid] and core._Helper.live.pid == pid
+
+
+def test_a_reader_span_mismatch_kills_the_helper_and_the_next_stage_forks_again(
+        large_files, monkeypatch, forks):
+    # The helper keeps the run length it was forked with; this process cuts
+    # its runs shorter, so the helper's first run spans other text.
+    matrix, evolution = large_files
+    expected = _one_process(lambda: load_evolution(evolution))
+    load_matrix(matrix)
+    first = core._Helper.live.pid
+    monkeypatch.setattr(io_module, "_PAIR_RUN", io_module._PAIR_RUN // 3)
+    got = load_evolution(evolution)
+    assert core._Helper.live is None and _gone(first)
+    assert all(np.array_equal(g.view(np.uint64), e.view(np.uint64))
+               for g, e in zip(got, expected))
+    load_matrix(matrix)
+    assert forks.made == [first, core._Helper.live.pid]
+    assert len(forks.tasks) == 3
+
+
+def _unjoined(at: int) -> dict:
+    """A document of more floats than the writer's fork size, with a block
+    that will not join at float ``at``: block 0 is this process's, block 1
+    the helper's."""
+    floats = np.random.default_rng(at).standard_normal(_Fork.floats + _BLOCK).tolist()
+    return {"a": floats[:at] + [[0.5, 0.25], 7] + floats[at + 2:]}
+
+
+def test_a_writer_handover_here_kills_the_helper_and_one_there_keeps_it(forks):
+    here, there = _unjoined(5), _unjoined(_BLOCK + 5)
+    # This process stops reading at its own block 0, short of the end mark.
+    assert _dumped(here) == _json_dumped(here)
+    assert core._Helper.live is None and _gone(forks.made[0])
+    # The helper hands over at its block 1 and sends its end mark.
+    assert _dumped(there) == _json_dumped(there)
+    second = core._Helper.live.pid
+    assert _dumped(there) == _json_dumped(there)
+    assert core._Helper.live.pid == second == forks.made[1]
+    assert (len(forks.tasks), len(forks.made)) == (3, 2)
+
+
+def test_an_error_in_a_stage_kills_the_helper(forks):
+    doc = {"a": np.random.default_rng(3).standard_normal(_Fork.floats).tolist(),
+           "b": [float("nan")]}
+    with pytest.raises(ValueError, match="Out of range float values"):
+        _dumped(doc)
+    assert core._Helper.live is None and _gone(forks.made[0])
+    assert len(forks.tasks) == 1
+
+
+def test_a_task_that_will_not_pickle_stays_in_this_process(forks):
+    floats = np.random.default_rng(4).standard_normal(_Fork.floats).tolist()
+    with pytest.raises(TypeError, match="Object of type function is not JSON serializable"):
+        _dumped({"a": floats, "b": lambda: None})
+    assert (forks.tasks, forks.made) == ([], [])
+
+
+def test_one_cpu_leaves_a_live_helper_unused(large_files, monkeypatch, forks):
+    matrix, _ = large_files
+    expected = _tower(matrix)
+    live = core._Helper.live
+    monkeypatch.setattr(core, "_cpus", lambda: 1)
+    assert _tower(matrix) == expected
+    assert core._Helper.live is live and not _gone(live.pid)
+    assert (len(forks.tasks), len(forks.made)) == (3, 1)
+
+
+def test_a_helper_leaves_at_the_end_of_its_socket(large_files, forks):
+    load_matrix(large_files[0])
+    live = core._Helper.live
+    core._Helper.live = None
+    live.channel.close()
+    assert os.waitpid(live.pid, 0) == (live.pid, 0)
+
+
+def test_a_child_forked_later_never_writes_to_the_helpers_socket(forks):
+    doc = {"a": np.random.default_rng(6).standard_normal((_Fork.floats, 2))}
+    expected = _dumped(doc)
+    live = core._Helper.live
+    fd = live.channel.fileno()
+    child = os.fork()
+    if child == 0:  # the child leaves by os._exit, its status the verdict
+        status = 1
+        try:
+            forgotten = core._Helper.live is None
+            try:
+                os.fstat(fd)
+            except OSError:
+                closed = True
+            else:
+                closed = False
+            same = _dumped(doc) == expected  # by a helper of the child's own
+            core._Helper.quit()
+            status = 0 if forgotten and closed and same else 2
+        finally:
+            os._exit(status)
+    assert os.waitpid(child, 0)[1] == 0
+    # The helper was not disturbed: its next task is in step.
+    assert _dumped(doc) == expected
+    assert core._Helper.live is live
+    assert (len(forks.tasks), forks.made) == (2, [live.pid, child])
+
+
+def test_a_process_that_exits_leaves_no_helper(large_files, tmp_path):
+    matrix, _ = large_files
+    outputs = [str(tmp_path / f"report{i}.json") for i in range(2)]
+    script = (
+        "import sys\n"
+        "from gaugephase import core\n"
+        "from gaugephase.cli import main\n"
+        "core._cpus = lambda: 2\n"
+        f"for out in {outputs!r}:\n"
+        f"    assert main(['decompose', {matrix!r}, '-o', out]) == 0\n"
+        "print(core._Helper.live.pid)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert _gone(int(done.stdout))
+    one = str(tmp_path / "one_process.json")
+    assert _one_process(lambda: main(["decompose", matrix, "-o", one])) == 0
+    reports = [open(path, "rb").read() for path in (*outputs, one)]
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_sigchld_ignored_leaves_a_live_helper_unused(large_files, forks, request):
+    matrix, _ = large_files
+    expected = _tower(matrix)
+    live = core._Helper.live
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    request.addfinalizer(lambda: signal.signal(signal.SIGCHLD, previous))
+    assert _tower(matrix) == expected
+    signal.signal(signal.SIGCHLD, previous)
+    assert core._Helper.live is live
+    assert (len(forks.tasks), len(forks.made)) == (3, 1)
+
+
+def test_a_thread_pool_beside_python_has_each_stage_fork_afresh(large_files, monkeypatch,
+                                                                 forks):
+    # Where a thread that is not Python's runs (an unpinned BLAS pool's
+    # worker), a stage kills a live helper and forks a fresh one, as the fork
+    # shuts such a pool down.
+    matrix, _ = large_files
+    expected = _one_process(lambda: _tower(matrix))
+    monkeypatch.setattr(core, "_pooled", lambda: True)
+    assert _tower(matrix) == expected
+    assert len(forks.tasks) == len(forks.made) == 3
+    assert core._Helper.live.pid == forks.made[-1]
+    assert all(_gone(pid) for pid in forks.made[:-1])
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no list of threads")
+def test_pooled_counts_the_threads_that_are_not_pythons(monkeypatch):
+    monkeypatch.setattr(core.threading, "active_count", lambda: len(os.listdir("/proc/self/task")))
+    assert not core._pooled()
+    monkeypatch.setattr(core.threading, "active_count", lambda: 1)
+    assert core._pooled() == (len(os.listdir("/proc/self/task")) > 1)

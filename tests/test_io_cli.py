@@ -7,7 +7,9 @@ import math
 import os
 import random
 import re
+import shutil
 import signal
+import socket
 import stat
 import threading
 import tracemalloc
@@ -735,6 +737,35 @@ def test_matrix_files_are_read_and_written_a_run_of_pairs_at_a_time(tmp_path):
     assert load_peak < 3 * matrix.nbytes + 4 * io_module._CHUNK
 
 
+def test_a_byte_order_mark_is_refused_from_the_window(tmp_path, capsys, forks):
+    # json refuses a leading BOM at once, so the reader does too, from its
+    # first window: no helper task and no second read of the whole text.
+    rng = np.random.default_rng(8)
+    frames = rng.standard_normal((4200, 8, 8)) + 1j * rng.standard_normal((4200, 8, 8))
+    plain, path = str(tmp_path / "plain.json"), str(tmp_path / "bom.json")
+    save_evolution(plain, np.linspace(0.0, 1.0, len(frames)), frames)
+    with open(plain, "rb") as source, open(path, "wb") as target:
+        target.write("\ufeff".encode("utf-8"))
+        shutil.copyfileobj(source, target)
+    assert os.path.getsize(path) > 19.5e6
+    saved = list(forks.tasks)
+    expected = (f"{path!r} is not valid JSON: "
+                "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)")
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileFormatError) as refused:
+            load_evolution(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == expected
+    assert peak < 8 * 2 ** 20
+    assert main(["offdiag", path]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {expected}\n")
+    assert forks.tasks == saved == ["_send_odd_blocks"]  # the save's task alone
+
+
 def test_a_refused_evolution_is_read_a_block_of_frames_at_a_time(tmp_path):
     # The shape and load bound of the test above, for files refused by
     # their grammar: a bad last frame, and 'n' = 0 after the frames.  Such a
@@ -864,8 +895,8 @@ def test_the_walk_gives_the_one_tree_readers_arrays_and_errors(fork_bytes, tmp_p
     # through windows and runs of every size: the walk gives the one-tree
     # reader's arrays bit for bit, or its error text, except that a number
     # written as a string is refused.  A JSON object is never parsed whole.
-    # With the fork size lowered to 0, a helper decodes every other run of
-    # every document.
+    # With the fork size lowered to 0, the helper decodes every other run of
+    # every document but one with a byte order mark, refused before a task.
     if fork_bytes is not None:
         monkeypatch.setattr(_Fork, "bytes", fork_bytes)
     received = _received_runs(monkeypatch)
@@ -874,6 +905,7 @@ def test_the_walk_gives_the_one_tree_readers_arrays_and_errors(fork_bytes, tmp_p
                "wide_whitespace"]
     path = str(tmp_path / "doc.json")
     parse_json = io_module._parse_json
+    boms = 0
     for case in range(600):
         kind = ("matrix", "evolution")[case % 2]
         n = rng.choice([1, 2, 3, 5])
@@ -882,6 +914,7 @@ def test_the_walk_gives_the_one_tree_readers_arrays_and_errors(fork_bytes, tmp_p
         roll = rng.randrange(20)
         if roll == 0:  # text that is not a JSON object
             text = rng.choice(["\ufeff" + text, text[:rng.randrange(len(text))], f"[{text}]"])
+            boms += text.startswith("\ufeff")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         try:
@@ -910,7 +943,9 @@ def test_the_walk_gives_the_one_tree_readers_arrays_and_errors(fork_bytes, tmp_p
                                 expected if kind == "evolution" else [expected]):
             assert ours.shape == theirs.shape, where
             assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64)), where
-    assert len(forks) == (0 if fork_bytes is None else 600)
+    assert len(forks.tasks) == (0 if fork_bytes is None else 600 - boms)
+    # The helper outlives most tasks: only a desync or an error forks again.
+    assert 2 * len(forks.made) < len(forks.tasks) if fork_bytes is not None else not forks.made
     # Runs taken from the helper, and runs it left to the reader.
     assert all(received.values()) if fork_bytes is not None else not any(received.values())
 
@@ -1059,7 +1094,7 @@ def test_dump_report_raises_what_json_dump_raises(doc, error, forks):
         _json_dumped(doc)
     with pytest.raises(error, match=f"^{re.escape(str(raised.value))}$"):
         _dumped(doc)
-    assert len(forks) == (len(doc) >= _Fork.floats)
+    assert len(forks.tasks) == len(forks.made) == (len(doc) >= _Fork.floats)
 
 
 def _random_array(shape, seed=0) -> np.ndarray:
@@ -1084,6 +1119,12 @@ def _raise_oserror(*args):
     raise OSError(24, "Too many open files")
 
 
+def _refuse(monkeypatch, refused: str) -> None:
+    """Have ``os.fork`` or ``socket.socketpair`` refuse, as ``refused`` names."""
+    call = refused.removesuffix("_refused")
+    monkeypatch.setattr(socket if call == "socketpair" else os, call, _raise_oserror)
+
+
 def _ignore_sigchld(request) -> None:
     """Have children reaped as they exit, until the end of the test: then a
     helper's pid may be reused before it is killed, so none is forked."""
@@ -1103,7 +1144,7 @@ def _fork_size_doc(kind, size) -> dict:
 
 @pytest.mark.parametrize("side", ["below", "at"])
 @pytest.mark.parametrize("kind", ["floats", "tower", "unjoined_here", "unjoined_in_the_helper"])
-@pytest.mark.parametrize("fork", ["fork", "fork_refused", "pipe_refused", "no_fork",
+@pytest.mark.parametrize("fork", ["fork", "fork_refused", "socketpair_refused", "no_fork",
                                   "sigchld_ignored"])
 def test_a_document_about_the_fork_size_is_written_as_json_dumps_it(side, kind, fork, forks,
                                                                        monkeypatch, request):
@@ -1115,9 +1156,9 @@ def test_a_document_about_the_fork_size_is_written_as_json_dumps_it(side, kind, 
     elif fork == "sigchld_ignored":
         _ignore_sigchld(request)
     elif fork != "fork":
-        monkeypatch.setattr(os, fork.split("_")[0], _raise_oserror)
+        _refuse(monkeypatch, fork)
     _assert_same_text(_dumped(doc), expected)
-    assert len(forks) == (side == "at" and fork == "fork")
+    assert len(forks.tasks) == len(forks.made) == (side == "at" and fork == "fork")
 
 
 class _FullAfter:
@@ -1136,7 +1177,7 @@ class _FullAfter:
 def test_a_stream_that_fails_partway_fails_the_forked_dump(writes, forks):
     with pytest.raises(OSError, match="No space left on device"):
         dump_report(_tower_shaped(2 * _Fork.floats), _FullAfter(writes))
-    assert len(forks) == 1
+    assert len(forks.tasks) == len(forks.made) == 1
 
 
 def test_the_helper_leaves_the_stream_and_its_buffer_alone(tmp_path, forks):
@@ -1148,7 +1189,7 @@ def test_the_helper_leaves_the_stream_and_its_buffer_alone(tmp_path, forks):
         fh.write("head ")
         dump_report(doc, fh)
     _assert_same_text(path.read_text(encoding="utf-8"), "head " + _dumped(doc))
-    assert len(forks) == 2
+    assert (len(forks.tasks), len(forks.made)) == (2, 1)
 
 
 def test_a_forked_dump_beside_a_thread_and_under_warnings_as_errors(forks):
@@ -1168,7 +1209,7 @@ def test_a_forked_dump_beside_a_thread_and_under_warnings_as_errors(forks):
         thread.join(timeout=10)
     assert not thread.is_alive()
     _assert_same_text(text, expected)
-    assert len(forks) == 1
+    assert len(forks.tasks) == len(forks.made) == 1
 
 
 @pytest.mark.parametrize("array", [
@@ -1201,7 +1242,7 @@ def test_an_ndarray_is_written_as_its_tolist(array, forks):
             _dumped({"a": array})
     else:
         _assert_same_text(_dumped({"a": array}), expected)
-    assert len(forks) == (array.size >= _Fork.floats)
+    assert len(forks.tasks) == len(forks.made) == (array.size >= _Fork.floats)
 
 
 def _evolution_text(frames: list[str], grid: list[float], rest: list[str] = ()) -> str:
@@ -1295,7 +1336,7 @@ def test_a_defect_in_either_process_run_gets_the_one_process_result(
     expected = _one_process(load_evolution, path, monkeypatch)
     received = _received_runs(monkeypatch)
     got = _loaded_or_error(load_evolution, path)
-    assert len(forks) == 1
+    assert len(forks.tasks) == len(forks.made) == 1
     assert (received["taken"] > 0) == (side == "reader" or defect == "one_pair_short")
     if spoil is None:
         _assert_same_arrays(got, expected)
@@ -1305,8 +1346,9 @@ def test_a_defect_in_either_process_run_gets_the_one_process_result(
         assert message.format(f=f) in got
 
 
-@pytest.mark.parametrize("fork", ["fork", "fork_refused", "pipe_refused", "no_fork", "no_pread",
-                                  "sigchld_ignored", "one_byte_below_the_size", "at_the_size"])
+@pytest.mark.parametrize("fork", ["fork", "fork_refused", "socketpair_refused", "no_fork",
+                                  "no_pread", "sigchld_ignored", "one_byte_below_the_size",
+                                  "at_the_size"])
 def test_a_large_file_is_read_by_a_helper_or_in_one_process_alike(fork, large_frames, tmp_path,
                                                                    monkeypatch, forks, request):
     texts, grid, _ = large_frames
@@ -1317,13 +1359,13 @@ def test_a_large_file_is_read_by_a_helper_or_in_one_process_alike(fork, large_fr
     elif fork == "sigchld_ignored":
         _ignore_sigchld(request)
     elif fork.endswith("_refused"):
-        monkeypatch.setattr(os, fork.split("_")[0], _raise_oserror)
+        _refuse(monkeypatch, fork)
     elif fork != "fork":
         monkeypatch.setattr(_Fork, "bytes", size + (fork == "one_byte_below_the_size"))
     received = _received_runs(monkeypatch)
     _assert_same_arrays(load_evolution(path), evolution_by_one_tree(path))
     helped = fork in ("fork", "at_the_size")
-    assert len(forks) == helped
+    assert len(forks.tasks) == len(forks.made) == helped
     assert (received["taken"] > 0) == helped
 
 

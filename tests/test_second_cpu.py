@@ -67,13 +67,17 @@ def test_one_cpu_forks_no_helper_and_starts_no_thread(large_files, tmp_path, mon
     monkeypatch.setattr(threading.Thread, "start", counted)
     before = threading.active_count()
     two = _reports(tmp_path, *large_files)
-    assert forks and starts  # the forks fixture pins two CPUs
+    assert forks.tasks and starts  # the forks fixture pins two CPUs
+    assert len(forks.made) == 1
     assert threading.active_count() == before
-    forks.clear()
+    forks.tasks.clear()
     starts.clear()
     monkeypatch.setattr(core, "_cpus", lambda: 1)
+    live = core._Helper.live
     one = _reports(tmp_path, *large_files)
-    assert (len(forks), starts, threading.active_count()) == (0, [], before)
+    assert (len(forks.tasks), len(forks.made), starts,
+            threading.active_count()) == (0, 1, [], before)
+    assert core._Helper.live is live  # the helper forked on two CPUs, kept but not used
     assert one == two
 
 

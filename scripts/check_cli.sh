@@ -2,10 +2,10 @@
 # End-to-end checks of the installed `gaugephase` entry point: every verify
 # suite, the exit codes of refused input, and reports from matrix and
 # evolution files, each made twice (or from an LF and a CRLF copy of one
-# file) and compared byte for byte.  The tests call cli.main() in-process;
-# this script runs the console script itself.  Under `taskset -c 0` it runs
-# the one-CPU path, where no helper process is forked and no worker thread
-# starts.
+# file, or in one block and in several) and compared byte for byte.  The
+# tests call cli.main() in-process; this script runs the console script
+# itself.  Under `taskset -c 0` it runs the one-CPU path, where no helper
+# process is forked and no worker thread starts.
 #
 # Usage: scripts/check_cli.sh [work-directory]   (default: a new temporary one)
 set -euo pipefail
@@ -284,6 +284,36 @@ for file in fork_evolution fork_compact; do
 done
 cmp fork_evolution_phases.json fork_compact_phases.json
 cmp fork_evolution_offdiag.json fork_compact_offdiag.json
+
+# An evolution of two blocks and one frame (core._blocks): the generator,
+# the certificate and the level table each run over three blocks.  Two runs
+# of the console script give one report of each kind, and it is the report
+# cli.main makes with the block size patched up to the whole evolution.
+python - <<'EOF'
+from gaugephase import frame_evolution_from_path, random_hermitian_path, save_evolution
+from gaugephase.core import _STACK_ENTRIES
+blocks = frame_evolution_from_path(random_hermitian_path(8, 21), 2 * _STACK_ENTRIES // 64 + 1)
+save_evolution("blocks.json", blocks.grid, blocks.frames)
+EOF
+for run in 1 2; do
+  for quadrature in pancharatnam trapezoid; do
+    gaugephase phases blocks.json --quadrature "$quadrature" > "blocks_phases_${quadrature}$run.json"
+  done
+  gaugephase offdiag blocks.json > "blocks_offdiag$run.json"
+done
+python - <<'EOF'
+from gaugephase import core
+from gaugephase.cli import main
+core._STACK_ENTRIES = 1 << 40
+for quadrature in ("pancharatnam", "trapezoid"):
+    assert main(["phases", "blocks.json", "--quadrature", quadrature,
+                 "-o", f"blocks_phases_{quadrature}_one_block.json"]) == 0
+assert main(["offdiag", "blocks.json", "-o", "blocks_offdiag_one_block.json"]) == 0
+EOF
+for report in blocks_phases_pancharatnam blocks_phases_trapezoid blocks_offdiag; do
+  cmp "${report}1.json" "${report}2.json"
+  cmp "${report}1.json" "${report}_one_block.json"
+done
 
 # Refused files, read once: a bad last frame after many windows of text,
 # 'n' = 0 after a matrix's entries, a leading byte order mark, an

@@ -48,8 +48,8 @@ off the same per-level (k, m) column arrays.  ``decompose``,
 ``phase_invariant_list`` call these kernels themselves on a stack of one
 (k = 1) and wrap what they return in objects.
 
-Callers with many matrices of one size cut them with ``_stacks`` into
-stacks of at most ``_STACK_ENTRIES`` matrix entries.  The roundtrip
+Callers with many matrices of one size cut them with ``core._stacks``
+into stacks of at most ``core._STACK_ENTRIES`` matrix entries.  The roundtrip
 check (``verification.run_roundtrip_suite``), the gauge-invariance check
 (``gauge.verify_invariants_under_gauge``) and the gauge suite's peeling
 law (``gauge._recursion_deviations``) hand over arrays and compare the
@@ -92,8 +92,7 @@ import math
 import socket
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -516,19 +515,6 @@ def _send_rebuilt_leading(flat: np.ndarray, chi: np.ndarray, split: int,
     block = np.eye(n, split, dtype=np.complex128)[None]
     _rebuild_columns(columns, chi, block, 0)
     _Helper.send(channel, block.tobytes())
-
-
-_STACK_ENTRIES = 1 << 14  # entries per stack: 256 kB per complex working array
-
-T = TypeVar("T")
-
-
-def _stacks(items: Iterable[T], dim: Callable[[T], int]) -> Iterator[list[T]]:
-    """Consecutive lists of ``items``, each of at most ``_STACK_ENTRIES``
-    matrix entries (one item at least); ``dim`` gives an item's size n."""
-    it = iter(items)
-    for first in it:
-        yield [first, *islice(it, max(1, _STACK_ENTRIES // dim(first) ** 2) - 1)]
 
 
 def _params(columns: Sequence[np.ndarray], chi: np.ndarray) -> list[CanonicalParams]:

@@ -151,8 +151,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_phases(args: argparse.Namespace) -> int:
     grid, frames = io.load_evolution(args.input)
-    evolution = FrameEvolution(grid, frames, min_overlap=args.min_overlap,
-                               tol=_tolerances(args))
+    evolution = FrameEvolution._adopted(grid, frames, min_overlap=args.min_overlap,
+                                        tol=_tolerances(args))
     reports = frame_phase_bundle(evolution, quadrature=args.quadrature)
     overlap = endpoint_overlap_matrix(evolution)
     levels = []
@@ -177,7 +177,7 @@ def cmd_phases(args: argparse.Namespace) -> int:
 
 def cmd_offdiag(args: argparse.Namespace) -> int:
     grid, frames = io.load_evolution(args.input)
-    evolution = FrameEvolution(grid, frames, tol=_tolerances(args))
+    evolution = FrameEvolution._adopted(grid, frames, tol=_tolerances(args))
     report = verify_offdiag_identity(evolution, include_triples=not args.no_triples,
                                      quadrature=args.quadrature)
 

@@ -18,6 +18,11 @@ stack of matrices built at once (rebuilt towers, gauge transforms, Haar
 draws).  Such a stack is wrapped member by member with the private
 constructors ``UnitaryMatrix._certified`` and ``UnitVector._certified``,
 which store a copy without checking again.
+
+One size bounds every working array: ``_STACK_ENTRIES`` entries.  Many
+matrices of one size are cut into stacks of at most that many
+(``_stacks``), and every per-frame kernel on an evolution runs over blocks
+of at most that many (``_blocks``), writing into the one result array.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, TypeVar
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -217,22 +223,69 @@ def circular_distance(a: float, b: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Working arrays: stacks of matrices and blocks of an evolution
+# ---------------------------------------------------------------------------
+
+# Entries per stack (``_stacks``) and per block (``_blocks``): 256 kB per
+# complex working array.  Once one such array has been freed, glibc's mmap
+# threshold lies above that size, and it serves the next from its heap, not
+# from a fresh mapping that each job faults in again.  On a host of 2 vCPUs
+# (Python 3.11.7, numpy 2.4.6, one BLAS thread), at 2^12/2^13/2^14/2^15/2^16
+# entries against one block:
+# FrameEvolution(grid, frames), medians of 41 at n = 8, N = 4000, took
+# 9.7/6.9/6.5/6.7/7.7 against 14.6 ms, medians of 11 at n = 16, N = 10^4,
+# 77/71/71/72/77 against 154 ms; frame_evolution_from_path, medians of 7,
+# 67/64/63/64/65 against 84 ms and 685/644/639/651/718 against 781 ms.
+_STACK_ENTRIES = 1 << 14
+
+
+def _stacks(items: Iterable[_T], dim: Callable[[_T], int]) -> Iterator[list[_T]]:
+    """Consecutive lists of ``items``, each of at most ``_STACK_ENTRIES``
+    matrix entries (one item at least); ``dim`` gives an item's size n."""
+    it = iter(items)
+    for first in it:
+        yield [first, *islice(it, max(1, _STACK_ENTRIES // dim(first) ** 2) - 1)]
+
+
+def _blocks(count: int, entries: int) -> Iterator[slice]:
+    """Consecutive slices of ``range(count)``, the members of a stack of
+    ``count`` members of ``entries`` entries each, each slice of at most
+    ``_STACK_ENTRIES`` entries (one member at least)."""
+    step = max(1, _STACK_ENTRIES // max(1, entries))
+    return (slice(start, min(start + step, count)) for start in range(0, count, step))
+
+
+# ---------------------------------------------------------------------------
 # Validated containers
 # ---------------------------------------------------------------------------
 
 def _as_complex_array(values, *, what: str) -> np.ndarray:
+    """``values`` as a complex array (itself if it is one), checked finite a
+    block of its leading axis at a time."""
     arr = np.asarray(values, dtype=np.complex128)
-    if not (np.isfinite(arr.real).all() and np.isfinite(arr.imag).all()):
-        raise ValueError(f"{what} contains non-finite entries")
+    stack = arr.reshape(1, -1) if arr.ndim == 0 else arr
+    for part in _blocks(len(stack), stack.size // max(1, len(stack))):
+        if not np.isfinite(stack[part]).all():
+            raise ValueError(f"{what} contains non-finite entries")
     return arr
 
 
-def _gram_deviations(columns: np.ndarray) -> np.ndarray:
-    """max |C^dagger C - I| over the last two axes, for each member of a
-    stack of C: the orthonormality certificate of the columns of C, one
-    batched product for the whole stack."""
+def _gram_block(columns: np.ndarray) -> np.ndarray:
+    """:func:`_gram_deviations` of one block, in one batched product."""
     gram = columns.conj().swapaxes(-1, -2) @ columns
     return np.abs(gram - np.eye(columns.shape[-1])).max(axis=(-2, -1))
+
+
+def _gram_deviations(columns: np.ndarray) -> np.ndarray:
+    """max |C^dagger C - I| over the last two axes, for one C or each member
+    of a (k, m, p) stack of C: the orthonormality certificate of the
+    columns of C, one batched product a block (``_blocks``) at a time."""
+    if columns.ndim == 2:
+        return _gram_block(columns)
+    deviations = np.empty(len(columns))
+    for part in _blocks(len(columns), columns.shape[-2] * columns.shape[-1]):
+        deviations[part] = _gram_block(columns[part])
+    return deviations
 
 
 def _gram_deviation(columns: np.ndarray) -> float:

@@ -52,6 +52,7 @@ from .core import (
     UnitaryMatrix,
     UnitVector,
     _as_complex_array,
+    _blocks,
     _check_indices,
     _gram_deviation,
     _unit_rows,
@@ -157,12 +158,16 @@ class _LevelTable(NamedTuple):
 
 
 def _level_table(frames: np.ndarray, tol: Tolerances, min_overlap: float) -> _LevelTable:
-    """The level table of the columns of an (N, n, n) frame stack."""
+    """The level table of the columns of an (N, n, k) frame stack, its
+    successive overlaps taken a block (``_blocks``) at a time."""
     if not 0.0 <= min_overlap < 1.0:
         raise ValueError(f"min_overlap must lie in [0, 1), got {min_overlap}")
     # Row j: level j+1's successive overlaps, contiguous to sum pairwise.
-    overlaps = np.ascontiguousarray(
-        np.einsum("tij,tij->jt", frames[:-1].conj(), frames[1:]))
+    steps = len(frames) - 1
+    overlaps = np.empty((frames.shape[-1], steps), dtype=np.complex128)
+    for part in _blocks(steps, frames[0].size):
+        overlaps[:, part] = np.einsum("tij,tij->jt", frames[part].conj(),
+                                      frames[part.start + 1:part.stop + 1])
     return _LevelTable(
         overlap=frames[0].conj().T @ frames[-1],
         dynamical={"pancharatnam": np.angle(overlaps).sum(axis=-1),
@@ -179,7 +184,7 @@ class _Sampled:
     __slots__ = ("_grid", "_data", "_table")
 
     def _store(self, grid: np.ndarray, data: np.ndarray, table: _LevelTable) -> None:
-        data = data.copy()
+        """Keep ``data``, an array no one else holds, read-only."""
         data.setflags(write=False)
         object.__setattr__(self, "_grid", grid)
         object.__setattr__(self, "_data", data)
@@ -243,7 +248,7 @@ class StateCurve(_Sampled):
         _unit_rows(arr, tol.tol_norm)
         table = _level_table(arr[:, :, None], tol, min_overlap)
         table.check(1)
-        self._store(g, arr, table)
+        self._store(g, arr.copy(), table)
 
     @property
     def states(self) -> np.ndarray:
@@ -262,7 +267,9 @@ class FrameEvolution(_Sampled):
     off-diagonal machinery works with.  Every per-level phase reads the
     evolution's level table instead of building C_j.  Construction
     certifies unitarity at ``tol.tol_unitary``; the resolution guard is
-    enforced per level, when that level's phase is read.
+    enforced per level, when that level's phase is read.  The evolution
+    keeps a copy of ``frames``; every check of it runs a block
+    (``core._blocks``) at a time, so it makes no other array of their size.
     """
 
     __slots__ = ()
@@ -270,8 +277,24 @@ class FrameEvolution(_Sampled):
     def __init__(self, grid, frames, *, min_overlap: float = _MIN_OVERLAP,
                  tol: Tolerances = DEFAULT_TOLERANCES):
         g = _check_grid(grid)
-        if not isinstance(frames, np.ndarray):
+        if isinstance(frames, np.ndarray):
+            frames = np.array(frames, dtype=np.complex128, order="C")  # the evolution's own copy
+        else:
             frames = np.stack([f.data if isinstance(f, UnitaryMatrix) else f for f in frames])
+        self._admit(g, frames, min_overlap, tol)
+
+    @classmethod
+    def _adopted(cls, grid, frames: np.ndarray, *, min_overlap: float = _MIN_OVERLAP,
+                 tol: Tolerances = DEFAULT_TOLERANCES) -> "FrameEvolution":
+        """An evolution that keeps ``frames``, an array the package has just
+        built and holds nowhere else, as it is: every check of the public
+        constructor, without its copy."""
+        self = object.__new__(cls)
+        self._admit(_check_grid(grid), frames, min_overlap, tol)
+        return self
+
+    def _admit(self, g: np.ndarray, frames, min_overlap: float, tol: Tolerances) -> None:
+        """Check ``frames`` on the checked grid ``g``, then keep them."""
         arr = _as_complex_array(frames, what="frames")
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise DimensionMismatchError(f"frames must be (N, n, n), got shape {arr.shape}")

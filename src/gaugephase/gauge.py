@@ -30,14 +30,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bargmann import _delta4, delta4_grid
-from .canonical import _checked_peel, _modulus_arrays, _phase_arrays, _stacks, split_coset
+from .canonical import _checked_peel, _modulus_arrays, _phase_arrays, split_coset
 from .core import (
     DEFAULT_TOLERANCES,
     DimensionMismatchError,
     GridMismatchError,
     Tolerances,
     UnitaryMatrix,
+    _blocks,
     _certify_stack,
+    _stacks,
 )
 from .curves import FrameEvolution, StateCurve
 
@@ -110,13 +112,18 @@ def gauge_transform_curve(curve: StateCurve, alpha) -> StateCurve:
 def gauge_transform_evolution(evolution: FrameEvolution, alphas) -> FrameEvolution:
     """Per-level local phases: column j of frame i gains e^{i alphas[i, j-1]}.
 
-    The result keeps the evolution's ``tol`` and ``min_overlap``.
+    The result keeps the evolution's ``tol`` and ``min_overlap``.  The
+    frames are rephased a block (``core._blocks``) at a time into the one
+    array the result keeps.
     """
     a = _as_phase_array(alphas, (evolution.num_points, evolution.dim), "alphas",
                         GridMismatchError)
-    frames = evolution.frames * np.exp(1j * a)[:, None, :]
-    return FrameEvolution(evolution.grid, frames, min_overlap=evolution.min_overlap,
-                          tol=evolution.tol)
+    source = evolution.frames
+    frames = np.empty(source.shape, dtype=np.complex128)
+    for part in _blocks(len(frames), frames[0].size):
+        np.multiply(source[part], np.exp(1j * a[part])[:, None, :], out=frames[part])
+    return FrameEvolution._adopted(evolution.grid, frames, min_overlap=evolution.min_overlap,
+                                   tol=evolution.tol)
 
 
 # ---------------------------------------------------------------------------

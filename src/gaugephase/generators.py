@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .canonical import _judge, _stacks
+from .canonical import _judge
 from .core import (
     DEFAULT_TOLERANCES,
     DegenerateSpectrumError,
@@ -23,9 +23,11 @@ from .core import (
     UnitaryMatrix,
     UnitVector,
     _as_complex_array,
+    _blocks,
     _certify_stack,
     _check_indices,
     _row_norms,
+    _stacks,
 )
 from .curves import FrameEvolution
 
@@ -323,12 +325,13 @@ def frame_evolution_from_path(path: HermitianPath, steps: int, *,
                               tol: Tolerances = DEFAULT_TOLERANCES) -> FrameEvolution:
     """Eigenframes of H(s) on a uniform grid, phase-aligned point to point.
 
-    The whole grid is sampled as one (steps, n, n) stack and diagonalized
-    by one ``eigh`` call (ascending eigenvalues).  Each column of each
-    successive frame is rephased so its overlap with the previous
-    frame's column is real and positive, producing smooth basis curves:
-    the phase of column j at point i is the cumulative product of the
-    conjugated unit overlaps up to i, renormalized to modulus 1 so no
+    The grid is sampled a block (``core._blocks``) at a time, each block
+    one (k, n, n) stack diagonalized by one ``eigh`` call (ascending
+    eigenvalues) into the one array the evolution keeps.  Each column of
+    each successive frame is then rephased there so its overlap with the
+    previous frame's column is real and positive, producing smooth basis
+    curves: the phase of column j at point i is the cumulative product of
+    the conjugated unit overlaps up to i, renormalized to modulus 1 so no
     modulus drift builds up over the grid.
 
     Raises
@@ -345,26 +348,38 @@ def frame_evolution_from_path(path: HermitianPath, steps: int, *,
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
     grid = np.linspace(path.domain[0], path.domain[1], steps)
-    w, v = np.linalg.eigh(path.sample(grid))
-    gaps = np.diff(w, axis=1).min(axis=1, initial=np.inf)  # a 1 x 1 path has no gap
-    overlaps = np.einsum("tij,tij->tj", v[:-1].conj(), v[1:])
-    moduli = np.abs(overlaps)
-    resolution = np.concatenate(([np.inf], moduli.min(axis=1)))
-    degenerate = ~(gaps > min_gap)
-    failed = degenerate | ~(resolution > 0.5)
-    if failed.any():
-        i = int(failed.argmax())
-        s = float(grid[i])
-        if degenerate[i]:
-            raise DegenerateSpectrumError(s, float(gaps[i]))
-        raise ValueError(
-            f"eigenframe continuation under-resolved near s = {s!r} "
-            f"(column overlap {float(resolution[i]):.3f}); increase steps"
-        )
-    phases = np.ones((steps, path.dim), dtype=np.complex128)
-    np.cumprod((overlaps / moduli).conj(), axis=0, out=phases[1:])
+    n = path.dim
+    frames = np.empty((steps, n, n), dtype=np.complex128)  # the eigenframes, then rephased
+    phases = np.ones((steps, n), dtype=np.complex128)  # the unit overlaps, then their products
+    for part in _blocks(steps, n * n):
+        w, frames[part] = np.linalg.eigh(path.sample(grid[part]))
+        gaps = np.diff(w, axis=1).min(axis=1, initial=np.inf)  # a 1 x 1 path has no gap
+        first = max(part.start, 1)
+        overlaps = np.einsum("tij,tij->tj", frames[first - 1:part.stop - 1].conj(),
+                             frames[first:part.stop])
+        moduli = np.abs(overlaps)
+        resolution = moduli.min(axis=1, initial=np.inf)
+        if part.start == 0:
+            resolution = np.concatenate(([np.inf], resolution))
+        degenerate = ~(gaps > min_gap)
+        failed = degenerate | ~(resolution > 0.5)
+        if failed.any():
+            i = int(failed.argmax())
+            s = float(grid[part][i])
+            if degenerate[i]:
+                raise DegenerateSpectrumError(s, float(gaps[i]))
+            raise ValueError(
+                f"eigenframe continuation under-resolved near s = {s!r} "
+                f"(column overlap {float(resolution[i]):.3f}); increase steps"
+            )
+        phases[first:part.stop] = (overlaps / moduli).conj()
+    # One product along the whole grid: numpy multiplies a chain of one
+    # step in another loop, which rounds differently.
+    np.cumprod(phases[1:], axis=0, out=phases[1:])
     phases /= np.abs(phases)
-    return FrameEvolution(grid, v * phases[:, None, :], tol=tol)
+    for part in _blocks(steps, n * n):
+        frames[part] *= phases[part, None, :]
+    return FrameEvolution._adopted(grid, frames, tol=tol)
 
 
 def engineered_swap_evolution(n: int, j: int, k: int, steps: int) -> FrameEvolution:
@@ -390,4 +405,4 @@ def engineered_swap_evolution(n: int, j: int, k: int, steps: int) -> FrameEvolut
     frames[:, k - 1, j - 1] = s
     frames[:, j - 1, k - 1] = -s
     frames[:, k - 1, k - 1] = c
-    return FrameEvolution(grid, frames)
+    return FrameEvolution._adopted(grid, frames)

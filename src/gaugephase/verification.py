@@ -35,7 +35,6 @@ from .canonical import (
     _checked_peel,
     _params,
     _rebuild,
-    _stacks,
     modulus_invariants,
     phase_invariant_list,
 )
@@ -47,6 +46,7 @@ from .core import (
     UnitaryMatrix,
     _on_worker,
     _row_norms,
+    _stacks,
     _unit_rows,
     circular_distance,
     reduce_phase,

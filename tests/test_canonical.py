@@ -31,7 +31,6 @@ from gaugephase import (
 from gaugephase import canonical, core
 from gaugephase.cli import main
 from gaugephase.canonical import (
-    _STACK_ENTRIES,
     _checked_peel,
     _modulus_arrays,
     _params,
@@ -39,9 +38,8 @@ from gaugephase.canonical import (
     _phase_arrays,
     _rebuild,
     _row_norms,
-    _stacks,
 )
-from gaugephase.core import _Fork, _gram_deviation
+from gaugephase.core import _STACK_ENTRIES, _Fork, _gram_deviation, _stacks
 
 from oracles import coset_by_orthogonality, peel_by_dense_product
 

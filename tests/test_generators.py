@@ -24,7 +24,7 @@ from gaugephase import (
     random_unit_vector,
 )
 from gaugephase import canonical
-from gaugephase.canonical import _stacks
+from gaugephase.core import _stacks
 from gaugephase.generators import _generic_unitary_stacks, _haar_unitaries
 
 from oracles import eigenframes_by_loops, peel_by_dense_product

@@ -19,10 +19,14 @@ for suite in counting roundtrip gauge reduction offdiag; do
 done
 gaugephase verify --suite roundtrip --n 4 --trials 0 > /dev/null
 gaugephase verify --suite gauge --n 4 --trials 0 > /dev/null
-for run in 1 2; do
-  gaugephase verify --suite reduction --n 12 --trials 200 --seed 5 > "reduction$run.json"
+# The reduction suite at n = 2 (no rectangles), n = 3 (rings of four and
+# six vertices) and n = 12 (two stacks of draws).
+for n in 2 3 12; do
+  for run in 1 2; do
+    gaugephase verify --suite reduction --n "$n" --trials 200 --seed 5 > "reduction_n$n-$run.json"
+  done
+  cmp "reduction_n$n-1.json" "reduction_n$n-2.json"
 done
-cmp reduction1.json reduction2.json
 # The roundtrip and counting suites read the towers the Haar draws hand over.
 for run in 1 2; do
   gaugephase verify --suite roundtrip --n 32 --trials 40 --seed 5 > "roundtrip$run.json"
@@ -56,6 +60,12 @@ status=0; gaugephase verify --suite counting --n 1 > /dev/null || status=$?
 test "$status" -eq 2
 status=0; gaugephase verify --suite roundtrip --n 1 --trials 0 > /dev/null || status=$?
 test "$status" -eq 2
+# A negative seed is refused by every suite before anything is drawn.
+for suite in counting roundtrip gauge reduction offdiag; do
+  status=0; gaugephase verify --suite "$suite" --seed -1 > "seed_$suite.out" 2> /dev/null || status=$?
+  test "$status" -eq 2
+  test ! -s "seed_$suite.out"
+done
 printf '{oops' > broken.json
 status=0; gaugephase decompose broken.json || status=$?
 test "$status" -eq 2

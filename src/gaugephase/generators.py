@@ -98,6 +98,39 @@ def random_generic_unitary(n: int, seed: int, *,
     return UnitaryMatrix._certified(drawn.matrices[0], drawn.deviations[0])
 
 
+class _Certified(NamedTuple):
+    """A stack of k first Haar draws, one per seed: the seeds, their
+    generators (each left just after its draw), the (k, n, n) matrices and
+    their (k,) unitarity certificates."""
+
+    seeds: list
+    rngs: list[np.random.Generator]
+    matrices: np.ndarray
+    deviations: np.ndarray
+
+
+def _certified_unitary_stacks(n: int, seeds: Iterable, tol: Tolerances) -> Iterator[_Certified]:
+    """The first Haar draw of each seed, certified unitary and not judged,
+    a stack of at most ``_STACK_ENTRIES`` matrix entries at a time.
+
+    Every seed has its own generator; a stack is drawn by one stacked QR
+    (:func:`_haar_unitaries`) and certified at once by ``_certify_stack``,
+    which raises what ``UnitaryMatrix`` raises for the first member that
+    fails.  Nothing here peels: each matrix is plain Haar, not conditioned
+    on canonical genericity, and it is the matrix
+    :func:`random_generic_unitary` returns for its seed unless that draw
+    is rejected as non-generic (at the default gate a measure-~1e-8
+    event).  This is the first step of :func:`_generic_unitary_stacks`.
+    """
+    seeds = list(seeds)
+    if seeds and n < 2:
+        raise DimensionMismatchError(f"need n >= 2, got {n}")
+    for stack in _stacks(seeds, lambda seed: n):
+        rngs = [np.random.default_rng(seed) for seed in stack]
+        matrices = _haar_unitaries(n, rngs)
+        yield _Certified(stack, rngs, matrices, _certify_stack(matrices, tol.tol_unitary))
+
+
 class _Draws(NamedTuple):
     """A stack of k Haar draws and their towers: the (k, n, n) matrices,
     their (k,) certificates, and the level columns (a (k, m) array per
@@ -115,27 +148,23 @@ def _generic_unitary_stacks(n: int, seeds: Iterable, tol: Tolerances) -> Iterato
     """:func:`random_generic_unitary` for each seed, with its tower, a stack
     of at most ``_STACK_ENTRIES`` matrix entries at a time.
 
-    Every seed has its own generator.  The pending candidates of a stack
-    are drawn, certified and judged at once by
+    Each stack's first draws come from :func:`_certified_unitary_stacks`.
+    The pending candidates of a stack are judged at once by
     :func:`~gaugephase.canonical._judge`, whose peel of the accepted ones
     is their tower, so no draw is peeled again.  Only the rejected ones
-    are redrawn, each from its own generator, so each seed yields exactly
-    the matrix and tower, after exactly the logged rejections, that it
-    does alone; each member's slice comes from the round that accepted it.
+    are redrawn, each from its own generator, and certified as a stack,
+    so each seed yields exactly the matrix and tower, after exactly the
+    logged rejections, that it does alone; each member's slice comes from
+    the round that accepted it.
     """
-    seeds = list(seeds)
-    if seeds and n < 2:
-        raise DimensionMismatchError(f"need n >= 2, got {n}")
-    for stack in _stacks(seeds, lambda seed: n):
-        rngs = [np.random.default_rng(seed) for seed in stack]
-        k = len(stack)
-        drawn = _Draws(np.empty((k, n, n), dtype=np.complex128), np.empty(k),
+    for first in _certified_unitary_stacks(n, seeds, tol):
+        k = len(first.seeds)
+        drawn = _Draws(first.matrices, first.deviations,
                        [np.empty((k, m), dtype=np.complex128) for m in range(n, 1, -1)],
                        np.empty(k))
         pending = list(range(k))
-        while pending:
-            candidates = _haar_unitaries(n, [rngs[j] for j in pending])
-            certificates = _certify_stack(candidates, tol.tol_unitary)
+        candidates, certificates = first.matrices, first.deviations
+        while True:
             errors, columns, chi = _judge(candidates, certificates, tol)
             accepted = [c for c, err in enumerate(errors) if err is None]
             kept = [pending[c] for c in accepted]
@@ -148,9 +177,13 @@ def _generic_unitary_stacks(n: int, seeds: Iterable, tol: Tolerances) -> Iterato
                 if err is not None:
                     logger.debug(
                         "rejected non-generic draw at n=%d seed=%s (level %d, |zeta_1|=%.3e)",
-                        n, stack[j], err.level, err.magnitude,
+                        n, first.seeds[j], err.level, err.magnitude,
                     )
             pending = [j for j, err in zip(pending, errors) if err is not None]
+            if not pending:
+                break
+            candidates = _haar_unitaries(n, [first.rngs[j] for j in pending])
+            certificates = _certify_stack(candidates, tol.tol_unitary)
         yield drawn
 
 

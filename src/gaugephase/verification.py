@@ -29,7 +29,6 @@ from .bargmann import (
     _delta4_at,
     _rings,
     independent_primitive_set,
-    reduce_to_adjacent,
 )
 from .canonical import (
     _checked_peel,
@@ -58,6 +57,7 @@ from .gauge import (
     verify_invariants_under_gauge,
 )
 from .generators import (
+    _certified_unitary_stacks,
     _generic_unitary_stacks,
     _random_unit_rows,
     frame_evolution_from_path,
@@ -264,15 +264,16 @@ def run_gauge_suite(n: int, trials: int, seed: int, *,
 # reduction
 # ---------------------------------------------------------------------------
 
-def _worst_fan_residual(rings: list[np.ndarray], tol: Tolerances) -> float:
+def _worst_fan_residual(stacks: list[np.ndarray], tol: Tolerances) -> float:
     """The largest circular distance between a ring's invariant argument
-    and the sum of its fan's block arguments, over the rings that
-    :func:`bargmann_invariant` and :func:`reduce_general_bargmann` (auto
-    mode) accept.  Rings of one vertex count are admitted and reduced as
-    one stack."""
+    and the sum of its fan's block arguments, over the rings of a list of
+    (k, c, n) stacks that :func:`bargmann_invariant` and
+    :func:`reduce_general_bargmann` (auto mode) accept.  The rings of one
+    vertex count c, from every stack in order, are admitted and reduced
+    as one stack, the counts in ascending order."""
     worst = 0.0
-    for count in sorted({len(ring) for ring in rings}):
-        stack = np.array([ring for ring in rings if len(ring) == count])
+    for count in sorted({rings.shape[1] for rings in stacks}):
+        stack = np.concatenate([rings for rings in stacks if rings.shape[1] == count])
         _unit_rows(stack.reshape(-1, stack.shape[-1]), tol.tol_norm)
         fans = _rings(stack, tol, "auto")
         ok = fans.fanned
@@ -292,34 +293,51 @@ def run_reduction_suite(n: int, trials: int, seed: int, *,
     The rings and matrices are drawn and reduced as arrays, a stack at a
     time, with the values and gates of the object API; a ring on which
     that API raises (an astronomically unlikely orthogonal draw) is
-    skipped.  The four residuals pass at or below ``tol.tol_unitary``.
+    skipped.  The 3 x ``trials`` matrices are first Haar draws, certified
+    unitary but not judged for canonical genericity
+    (:func:`~gaugephase.generators._certified_unitary_stacks`): the suite
+    reads no level column, and a draw that ``random_generic_unitary``
+    would reject and redraw is a measure-~1e-8 event.  Each stack's quad
+    rings are gathered by one fancy index per ring size, and each
+    rectangle of primitive blocks is one row-major slice of the stack's
+    Delta4 grid.  The four residuals pass at or below ``tol.tol_unitary``.
     """
     rng = np.random.default_rng(seed)
     gate = 10.0 * tol.tol_generic
 
     worst_triangle = _worst_fan_residual(
-        [_random_unit_rows(n, int(rng.integers(4, 7)), rng) for _ in range(trials)], tol)
+        [_random_unit_rows(n, int(rng.integers(4, 7)), rng)[None] for _ in range(trials)], tol)
 
     quads = []
-    firsts = _generic_unitary_stacks(n, range(seed + 7919, seed + 7919 + trials), tol)
-    seconds = _generic_unitary_stacks(n, range(seed + 104729, seed + 104729 + trials), tol)
+    firsts = _certified_unitary_stacks(n, range(seed + 7919, seed + 7919 + trials), tol)
+    seconds = _certified_unitary_stacks(n, range(seed + 104729, seed + 104729 + trials), tol)
     for first, second in zip(firsts, seconds):
-        for psis, phis in zip(first.matrices.swapaxes(1, 2), second.matrices.swapaxes(1, 2)):
+        # pairs[t, 0, j] is psi_j, column j of first draw t; pairs[t, 1, k] is phi_k.
+        pairs = np.stack((first.matrices.swapaxes(1, 2), second.matrices.swapaxes(1, 2)), axis=1)
+        picks: dict[int, tuple[list, list]] = {}  # ell: the members, their ring columns
+        for t in range(len(pairs)):
             ell = int(rng.integers(2, min(n, 3) + 1))
             psi_idx = rng.permutation(n)[:ell]
             phi_idx = rng.permutation(n)[:ell]
-            quads.append(np.stack((psis[psi_idx], phis[phi_idx]), axis=1).reshape(2 * ell, n))
+            members, columns = picks.setdefault(ell, ([], []))
+            members.append(t)
+            columns.append((psi_idx, phi_idx))
+        for ell, (members, columns) in picks.items():
+            sides = np.arange(2 * ell) % 2  # the ring runs psi, phi, psi, phi, ...
+            ring_columns = np.array(columns).swapaxes(1, 2).reshape(len(members), 2 * ell)
+            quads.append(pairs[np.array(members)[:, None], sides, ring_columns])
     worst_quad = _worst_fan_residual(quads, tol)
 
     worst_split = 0.0
     worst_rectangle = 0.0
     seeds = range(seed + 15485863, seed + 15485863 + trials)
-    for drawn in _generic_unitary_stacks(n, seeds if n >= 3 else (), tol):
+    for drawn in _certified_unitary_stacks(n, seeds if n >= 3 else (), tol):
         for a, grid in zip(drawn.matrices, _delta4(drawn.matrices)):
             j, l = sorted(rng.choice(n, size=2, replace=False) + 1)
             k, m = sorted(rng.choice(n, size=2, replace=False) + 1)
             whole = _delta4_at(a, j, l, k, m)
             if abs(whole) > gate:
+                angle = np.angle(whole)
                 # The row split (j, l-1 | l-1, l), then the column split (k, m-1 | m-1, m).
                 for span, x, y in ((l - j, (j, l - 1, k, m), (l - 1, l, k, m)),
                                    (m - k, (j, l, k, m - 1), (j, l, m - 1, m))):
@@ -327,12 +345,12 @@ def run_reduction_suite(n: int, trials: int, seed: int, *,
                         x, y = _delta4_at(a, *x), _delta4_at(a, *y)
                         if min(abs(x), abs(y)) > gate:
                             worst_split = max(worst_split, circular_distance(
-                                np.angle(whole), np.angle(x) + np.angle(y)))
-                blocks = reduce_to_adjacent(int(j), int(l), int(k), int(m))
-                values = [grid[r - 1, c - 1] for r, c in blocks]
-                if min(abs(v) for v in values) > gate:
+                                angle, np.angle(x) + np.angle(y)))
+                # The blocks of reduce_to_adjacent(j, l, k, m), in its row-major order.
+                values = grid[j - 1:l - 1, k - 1:m - 1]
+                if np.abs(values).min() > gate:
                     worst_rectangle = max(worst_rectangle, circular_distance(
-                        np.angle(whole), float(np.sum(np.angle(values)))))
+                        angle, float(np.sum(np.angle(values)))))
 
     checks = (
         CheckResult("max_triangle_fan_residual", worst_triangle, tol.tol_unitary),
@@ -401,12 +419,16 @@ def run_suite(suite: str, n: int, trials: int, seed: int, *,
     """Dispatch a named suite with uniform arguments.
 
     Every suite draws matrices or paths of size n, so n < 2 is rejected
-    here, as a negative ``trials`` is, before any suite runs.
+    here, as a negative ``trials`` or ``seed`` is, before any suite runs:
+    numpy's generators take no negative seed, and a suite that offsets
+    its seeds upward would take some.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if n < 2:
         raise DimensionMismatchError(f"need n >= 2, got {n}")
     if suite in ("gauge", "offdiag"):

@@ -25,7 +25,11 @@ from gaugephase import (
 )
 from gaugephase import canonical
 from gaugephase.core import _stacks
-from gaugephase.generators import _generic_unitary_stacks, _haar_unitaries
+from gaugephase.generators import (
+    _certified_unitary_stacks,
+    _generic_unitary_stacks,
+    _haar_unitaries,
+)
 
 from oracles import eigenframes_by_loops, peel_by_dense_product
 
@@ -168,6 +172,26 @@ class TestRandomGenericUnitary:
             q, r = np.linalg.qr(z)
             d = np.diagonal(r)
             assert np.array_equal(drawn, q * (d / np.abs(d)).conj())
+
+    @pytest.mark.parametrize("n", [2, 3, 12, 64])
+    def test_the_certified_step_draws_the_matrices_of_the_judged_draw(self, n):
+        # 150 seeds: two stacks at n = 12, 38 of one matrix at n = 64.
+        seeds = range(900, 1050)
+        certified = list(_certified_unitary_stacks(n, seeds, Tolerances()))
+        judged = list(_generic_unitary_stacks(n, seeds, Tolerances()))
+        assert [stack.seeds for stack in certified] == [
+            list(stack) for stack in _stacks(seeds, lambda seed: n)]
+        assert len(certified) == len(judged)
+        for first, drawn in zip(certified, judged):
+            assert first.matrices.tobytes() == drawn.matrices.tobytes()
+            assert first.deviations.tobytes() == drawn.deviations.tobytes()
+
+    def test_the_certified_step_refuses_what_the_judged_draw_refuses(self):
+        assert list(_certified_unitary_stacks(1, [], Tolerances())) == []
+        with pytest.raises(DimensionMismatchError):
+            list(_certified_unitary_stacks(1, [0], Tolerances()))
+        with pytest.raises(NotUnitaryError):
+            list(_certified_unitary_stacks(4, [0, 1], Tolerances(tol_unitary=1e-300)))
 
     def test_an_empty_batch_draws_nothing_at_any_size(self):
         assert list(_generic_unitary_stacks(1, [], Tolerances())) == []

@@ -1631,6 +1631,8 @@ def _bool_n_file(tmp_path, key) -> str:
      "under-resolved"),
     *[(lambda tmp, swap, suite=suite: ["verify", "--suite", suite, "--trials", "-3"],
        "trials must be >= 0, got -3") for suite in sorted(SUITES)],
+    *[(lambda tmp, swap, suite=suite: ["verify", "--suite", suite, "--seed", "-1"],
+       "seed must be >= 0, got -1") for suite in sorted(SUITES)],
     *[(lambda tmp, swap, command=command, key=key: [command, _bool_n_file(tmp, key)],
        "'n' must be a positive integer, got True")
       for command, key in [("decompose", "entries"), ("phases", "frames"), ("offdiag", "frames")]],
@@ -1640,6 +1642,7 @@ def _bool_n_file(tmp_path, key) -> str:
 ], ids=["phases_under_resolved", "offdiag_under_resolved", "non_increasing_grid",
         "zero_tol_generic", "verify_n_1", "near_orthogonal_step_at_min_overlap_0",
         *[f"verify_negative_trials_{suite}" for suite in sorted(SUITES)],
+        *[f"verify_negative_seed_{suite}" for suite in sorted(SUITES)],
         "decompose_bool_n", "phases_bool_n", "offdiag_bool_n",
         "decompose_deep_entries", "phases_deep_frames", "offdiag_deep_document"])
 def test_invalid_input_exits_two(argv, message, tmp_path, swap_file, capsys):

@@ -33,7 +33,7 @@ from gaugephase import (
     verify_gauge_recursion,
     verify_invariants_under_gauge,
 )
-from gaugephase import verification
+from gaugephase import canonical, core, generators, verification
 from gaugephase.cli import main
 from gaugephase.gauge import _recursion_deviations
 from gaugephase.verification import run_gauge_suite, run_reduction_suite, run_roundtrip_suite
@@ -241,6 +241,35 @@ def test_reduction_suite_is_a_loop_of_object_calls(n, trials, seed, monkeypatch)
     report = run_reduction_suite(n, trials, seed)
     assert [c.measured for c in report.checks] == expected
     assert report.passed
+
+
+def test_reduction_suite_peels_no_draw(monkeypatch):
+    # The suite reads no level column, so its certified draws go to no
+    # judge; the judged draw of the same seeds, the control, peels.
+    calls = {"judge": 0, "peel": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(canonical, "_peel", counted("peel", canonical._peel))
+    judge = counted("judge", canonical._judge)
+    for module in (canonical, generators):
+        monkeypatch.setattr(module, "_judge", judge)
+    run_reduction_suite(12, 200, 3)
+    assert calls == {"judge": 0, "peel": 0}
+    list(generators._generic_unitary_stacks(12, range(3 + 7919, 3 + 7919 + 200), Tolerances()))
+    assert calls["judge"] == 2 and calls["peel"] > 0
+
+
+@pytest.mark.parametrize("n, trials, seed", [(3, 40, 2), (12, 200, 3)])
+def test_reduction_reports_do_not_depend_on_the_stack_size(n, trials, seed, monkeypatch):
+    expected = run_reduction_suite(n, trials, seed).as_dict()
+    for entries in (1 << 8, 1 << 16):
+        monkeypatch.setattr(core, "_STACK_ENTRIES", entries)
+        assert run_reduction_suite(n, trials, seed).as_dict() == expected
 
 
 @pytest.mark.parametrize("suite, trial_checks", [

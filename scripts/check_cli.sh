@@ -5,7 +5,7 @@
 # file, or in one block and in several) and compared byte for byte.  The
 # tests call cli.main() in-process; this script runs the console script
 # itself.  Under `taskset -c 0` it runs the one-CPU path, where no helper
-# process is forked and no worker thread starts.
+# process is forked.
 #
 # Usage: scripts/check_cli.sh [work-directory]   (default: a new temporary one)
 set -euo pipefail
@@ -27,34 +27,30 @@ for n in 2 3 12; do
   done
   cmp "reduction_n$n-1.json" "reduction_n$n-2.json"
 done
-# The roundtrip and counting suites read the towers the Haar draws hand over.
-for run in 1 2; do
-  gaugephase verify --suite roundtrip --n 32 --trials 40 --seed 5 > "roundtrip$run.json"
-  gaugephase verify --suite counting --n 24 --seed 5 > "counting$run.json"
+# Every suite at the benchmark's size hands a share of its work to the
+# helper process.  Two runs of each give one report, and it is the report
+# cli.main makes with one CPU counted, where every suite runs in one process.
+bench_suites="gauge:12:200 reduction:12:200 roundtrip:32:40 counting:24:1 offdiag:6:4"
+for setting in $bench_suites; do
+  IFS=: read -r suite n trials <<< "$setting"
+  for run in 1 2; do
+    gaugephase verify --suite "$suite" --n "$n" --trials "$trials" --seed 5 > "${suite}_suite$run.json"
+  done
 done
-cmp roundtrip1.json roundtrip2.json
-cmp counting1.json counting2.json
-# The gauge and offdiag suites build their evolutions on a worker thread.
-# Two runs of each give one report, and it is the report cli.main makes
-# where no thread can start, so that the worker's work runs in-line.
-for run in 1 2; do
-  gaugephase verify --suite gauge --n 12 --trials 200 --seed 5 > "gauge$run.json"
-  gaugephase verify --suite offdiag --n 6 --trials 4 --seed 5 > "offdiag_suite$run.json"
-done
-python - <<'EOF'
-import threading
+python - $bench_suites <<'EOF'
+import sys
+from gaugephase import core
 from gaugephase.cli import main
-def refuse(self):
-    raise RuntimeError("can't start new thread")
-threading.Thread.start = refuse
-for suite, n, trials, name in (("gauge", "12", "200", "gauge"),
-                               ("offdiag", "6", "4", "offdiag_suite")):
+core._cpus = lambda: 1
+for setting in sys.argv[1:]:
+    suite, n, trials = setting.split(":")
     assert main(["verify", "--suite", suite, "--n", n, "--trials", trials, "--seed", "5",
-                 "-o", f"{name}_in_line.json"]) == 0
+                 "-o", f"{suite}_suite_in_line.json"]) == 0
 EOF
-for report in gauge offdiag_suite; do
-  cmp "${report}1.json" "${report}2.json"
-  cmp "${report}1.json" "${report}_in_line.json"
+for setting in $bench_suites; do
+  suite="${setting%%:*}"
+  cmp "${suite}_suite1.json" "${suite}_suite2.json"
+  cmp "${suite}_suite1.json" "${suite}_suite_in_line.json"
 done
 status=0; gaugephase verify --suite counting --n 1 > /dev/null || status=$?
 test "$status" -eq 2

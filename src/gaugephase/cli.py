@@ -269,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", choices=sorted(SUITES), required=True)
     p_ver.add_argument("--n", type=int, default=4, help="dimension (default %(default)s)")
     p_ver.add_argument("--trials", type=int, default=100,
-                       help="seeded trials (default %(default)s)")
+                       help="seeded trials (default %(default)s); counting draws once "
+                            "per dimension and only echoes this in its report")
     p_ver.add_argument("--seed", type=int, default=0, help="base seed (default %(default)s)")
     p_ver.add_argument("--quadrature", choices=QUADRATURES, default="pancharatnam")
     common(p_ver)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import atexit
 import gc
+import logging
 import math
 import os
 import pickle
@@ -36,8 +37,7 @@ import signal
 import socket
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -497,14 +497,14 @@ def inner_product(u: UnitVector | Sequence[complex] | np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# A second CPU: the helper process and the worker thread
+# A second CPU: the helper process
 # ---------------------------------------------------------------------------
 
 def _cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the
     platform has one and answers, else ``os.cpu_count()``, else 1.  A
     cgroup CPU quota is not seen.  Below two, no stage hands the helper a
-    task and no worker starts."""
+    task."""
     try:
         return len(os.sched_getaffinity(0))
     except (AttributeError, OSError):
@@ -542,30 +542,14 @@ class _Fork:
     # took 30.0/28.1/27.1/27.1/28.2 and 234/218/209/217/238 ms.
     peel = 0.4
     rebuild = 0.37
-
-
-@contextmanager
-def _on_worker(work: Callable[[], _T]) -> Iterator[Callable[[], _T]]:
-    """Run ``work()`` on one worker thread while this thread does other work.
-
-    Yields a function that waits for the worker and returns its result,
-    or raises its error there, where a sequential run would have called
-    ``work()``.  Leaving the block joins the worker, so it never outlives
-    the block; if the block raises first, that error propagates and the
-    worker's result is dropped.  Below two CPUs, or where no thread can
-    start, the yielded function is ``work`` itself, run in-line when called.
-    """
-    if _cpus() < 2:
-        yield work
-        return
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="gaugephase-worker") as pool:
-        try:
-            result = pool.submit(work).result
-        except RuntimeError:  # no thread can start
-            result = work
-        yield result
-
-
+    # verification's suites, n^3 summed over the matrices drawn and the frames
+    # built by a suite's smaller share.  A first job in a fresh process, its
+    # fork included, medians of 10 pairs, took 1.23-1.47 of the one-process
+    # time at 8640-38400 (offdiag n = 4 x 3 trials, roundtrip 12 x 40, gauge
+    # and reduction 6 x 40), 1.01 at 71504 (counting n = 24), 0.97 at 259200
+    # (offdiag 6 x 4); with a kept helper, medians of 15, roundtrip 4 x 3 took
+    # 0.80 and the benchmark's five suites 0.55-0.71.
+    suite = 2 ** 16
 
 
 class _HandOver(Exception):
@@ -581,11 +565,15 @@ _IN_BAND = 1 << 16
 
 
 def _exactly(channel: socket.socket, size: int) -> bytearray | None:
-    """The next ``size`` bytes from ``channel``; None at its end."""
+    """The next ``size`` bytes from ``channel``; None at its end, or where the
+    peer died with bytes it had not read."""
     data = bytearray(size)
     view, got = memoryview(data), 0
     while got < size:
-        more = channel.recv_into(view[got:])
+        try:
+            more = channel.recv_into(view[got:])
+        except ConnectionResetError:
+            return None
         if not more:
             return None
         got += more
@@ -599,6 +587,15 @@ def _pooled() -> bool:
         return len(os.listdir("/proc/self/task")) > threading.active_count()
     except OSError:
         return False
+
+
+def _alone() -> bool:
+    """Whether this process runs no thread but this one, Python's or not.
+    Read just after a fork, it says whether the child may call BLAS and
+    LAPACK: a thread still running ran through the fork and may hold their
+    locks, while a BLAS pool that its own fork handler stops (OpenBLAS's)
+    is gone by then."""
+    return threading.active_count() == 1 and not _pooled()
 
 
 class _Helper:
@@ -624,12 +621,21 @@ class _Helper:
     piece whose result this process must make itself; where that piece is
     the helper's, the helper hands over there.  The coset tower's tasks
     (``canonical``) peel or rebuild the leading columns of one large
-    matrix.  The helper calls no BLAS and takes no lock another thread may
-    hold, since a fork copies only the thread that forks; it runs with the
-    cyclic collector off (a collection would touch, and so copy, pages it
-    shares with this process), keeps no descriptor but its socket, and
-    leaves by ``os._exit``: at the end of its socket, so however this
-    process ends, after an error, or killed.
+    matrix.  Those tasks call no BLAS and take no lock another thread may
+    hold, since a fork copies only the thread that forks, so any helper may
+    take them.  A verify suite's share (``_on_helper``) calls BLAS and
+    LAPACK (QR, the Gram certificate, ``eigh``), so it goes only to a
+    helper that no thread but this one ran through the fork of, Python's or
+    not (``_alone`` read just after it, noted as ``alone``), and only while
+    this process runs no other Python thread: a live helper that is not
+    ``alone`` is killed and a fresh one forked.  An OpenBLAS pool stops at
+    the fork, so such a helper is ``alone``; where a fresh helper is not
+    (a pool that runs through a fork, such as an OpenMP one), no share
+    leaves this process again (``crowded``).  No stage the helper runs
+    hands a task on.  It runs with the cyclic collector off (a collection
+    would touch, and so copy, pages it shares with this process), keeps no
+    descriptor but its socket, and leaves by ``os._exit``: at the end of
+    its socket, so however this process ends, after an error, or killed.
 
     This process stops reading (``received``, ``stop``) at the end mark, at
     the end of the socket, or at a piece that parts the two walks, and
@@ -652,25 +658,28 @@ class _Helper:
     fork.  On 2 vCPUs with OpenBLAS's two threads, a warm ``decompose`` job
     at n = 256 took 0.50 s with the helper always kept (the worker spinning
     0.26 s of CPU), 0.42 s with a fork per stage, and 0.38-0.40 s so, with
-    2 forks a job.  With one BLAS thread, a process forks once.
+    2 forks a job.  With one BLAS thread, a process forks once.  The verify
+    suites' small matrices do not start the pool again, so under it too a
+    process that runs only suites forks once.
     """
 
     live: "_Helper | None" = None  # this process's helper, once forked
+    crowded = False  # a thread not Python's ran through a fork: shares stay here
     busy = threading.Lock()  # held by the thread whose task the helper has
 
-    def __init__(self, pid: int, channel: socket.socket):
-        self.pid, self.channel = pid, channel
+    def __init__(self, pid: int, channel: socket.socket, alone: bool):
+        self.pid, self.channel, self.alone = pid, channel, alone
         self.lock = _Helper.busy  # as its task took it: a forked child takes a new one
         self.count, self.reading, self.synced = 0, False, False
 
     @classmethod
     @contextmanager
-    def task(cls, work: Callable[..., None], *args, fds: Sequence[int] = ()
-             ) -> Iterator["_Helper | None"]:
+    def task(cls, work: Callable[..., None], *args, fds: Sequence[int] = (),
+             lapack: bool = False) -> Iterator["_Helper | None"]:
         """The helper, doing ``work(*fds, *args, channel)`` while the block
-        runs; None where the stage stays in one process.  Leaving the block
-        ends the task (``end``)."""
-        helper = cls.start(work, *args, fds=fds)
+        runs; None where the stage stays in one process (``start``).
+        Leaving the block ends the task (``end``)."""
+        helper = cls.start(work, *args, fds=fds, lapack=lapack)
         if helper is None:
             yield None
             return
@@ -682,12 +691,16 @@ class _Helper:
             helper.end(done)
 
     @classmethod
-    def start(cls, work: Callable[..., None], *args, fds: Sequence[int] = ()
-              ) -> "_Helper | None":
+    def start(cls, work: Callable[..., None], *args, fds: Sequence[int] = (),
+              lapack: bool = False) -> "_Helper | None":
         """Hand the helper, forked here if there is none, the task of
-        ``task``; None where the stage stays in one process."""
+        ``task``; None where the stage stays in one process.  A task that
+        calls BLAS or LAPACK (``lapack``) goes only to a helper that is
+        ``alone``, and only while this process runs no other Python
+        thread."""
         if (_cpus() < 2 or not (hasattr(os, "fork") and hasattr(os, "pread") and _NOSIGNAL)
                 or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN
+                or (lapack and (cls.crowded or threading.active_count() > 1))
                 or not cls.busy.acquire(blocking=False)):
             return None
         lock, buffers = cls.busy, []
@@ -696,9 +709,12 @@ class _Helper:
                 buffer.raw().nbytes < _IN_BAND or buffers.append(buffer.raw())))
         except Exception:  # a task that will not pickle stays here
             task = None
-        if task is not None and cls.live is not None and _pooled():
+        if task is not None and cls.live is not None and (
+                _pooled() or lapack and not cls.live.alone):
             cls.live.kill()  # the fork of a fresh one stops a BLAS pool's workers
         helper = None if task is None else cls.live or cls._fork()
+        if lapack and helper is not None and not helper.alone:
+            cls.crowded, helper = True, None  # the fresh helper stays for other tasks
         try:
             if helper is not None:  # the count of parts, the descriptors with it
                 head = (1 + len(buffers)).to_bytes(8, "little")
@@ -725,8 +741,9 @@ class _Helper:
         try:
             with warnings.catch_warnings():
                 # Python 3.12+ warns that a fork in a process with threads (an
-                # unpinned BLAS pool has one) may deadlock the child.  The
-                # helper calls no BLAS and takes no lock another thread may hold.
+                # unpinned BLAS pool has one) may deadlock the child.  A helper
+                # that a thread ran through the fork of is not ``alone``: its
+                # tasks call no BLAS and take no lock another thread may hold.
                 warnings.filterwarnings("ignore", "This process .*is multi-threaded",
                                         DeprecationWarning)
                 pid = os.fork()
@@ -737,6 +754,7 @@ class _Helper:
         if pid == 0:
             try:  # the helper leaves by os._exit on every path: no flush, no unwinding
                 gc.disable()  # a collection would touch, and so copy, the parent's pages
+                cls.busy.acquire()  # no stage the helper runs hands a task on
                 fd = theirs.fileno()
                 os.closerange(3, fd)
                 os.closerange(fd + 1, os.sysconf("SC_OPEN_MAX"))
@@ -744,7 +762,7 @@ class _Helper:
             finally:
                 os._exit(0)
         theirs.close()
-        cls.live = cls(pid, ours)
+        cls.live = cls(pid, ours, _alone())
         return cls.live
 
     @staticmethod
@@ -867,6 +885,51 @@ def _serve(channel: socket.socket) -> None:
             for fd in fds:
                 os.close(fd)
         channel.sendall(_END.to_bytes(8, "little"))
+
+
+# The package's one logger: a rejected Haar draw's debug record.
+_logger = logging.getLogger("gaugephase.generators")
+
+
+def _send_result(work: Callable[..., _T], *args) -> None:
+    """The helper's side of ``_on_helper``: ``work(*args)``, sent back as a
+    pickle; where it raises, or its result will not pickle, a hand-over."""
+    *args, channel = args
+    try:
+        result = pickle.dumps(work(*args), 5)
+    except Exception as err:
+        raise _HandOver from err
+    _Helper.send(channel, result)
+
+
+@contextmanager
+def _on_helper(cubes: int, work: Callable[..., _T], *args) -> Iterator[Callable[[], _T]]:
+    """Run ``work(*args)``, which may call BLAS and LAPACK, in the helper
+    while this process does other work, where it weighs ``_Fork.suite`` or
+    more ``cubes`` (n^3 for each n x n matrix it draws and each frame it
+    builds).
+
+    Yields a function that returns ``work(*args)``, or raises its error,
+    where a sequential run would have called it; call it once, in the
+    block.  ``work`` is a function of the package, and its arguments and
+    result go over the socket as pickles.  Where it weighs less, where the
+    package's logger would pass on a debug record (the helper keeps no
+    descriptor for a handler to write to), where no helper takes the task
+    (``_Helper.start``: below two CPUs, where this process runs another
+    Python thread, ...), or where the helper ends short of a result
+    (``work`` raised in it, or it was killed), the yielded function runs
+    ``work(*args)`` in-line, so every result, record and error are the
+    sequential run's.  If the block raises first, that error propagates
+    and the helper is killed.
+    """
+    handed = cubes >= _Fork.suite and not _logger.isEnabledFor(logging.DEBUG)
+    with (_Helper.task(_send_result, work, *args, lapack=True) if handed
+          else nullcontext()) as helper:
+        def result() -> _T:
+            parts = None if helper is None else helper.received(1)
+            return work(*args) if parts is None else pickle.loads(parts[0])
+
+        yield result
 
 
 if hasattr(os, "register_at_fork"):

@@ -6,20 +6,23 @@ and the acceptance tests drive them across their full parameter ranges.
 Every error gate is a field of the suite's ``Tolerances`` (see its
 docstring); only the exact counts and ``_SIGMA_SHIFT_FLOOR`` are fixed.
 
-The gauge and offdiag suites build their eigenframe evolutions on the
-worker thread of ``core._on_worker`` (a thread, since LAPACK's ``eigh``
-releases the GIL and a forked helper may call no LAPACK): the gauge
-suite's evolution and gauge transform (seeds ``seed + 2``, ``seed + 3``)
-beside the matrix side, the offdiag suite's trial t + 1 beside trial t.
-Every report and the order of errors are the sequential run's; when a
-second CPU is taken is ``core``'s policy (README "Second CPU").
+Each suite keeps a leading share of its work and hands the trailing
+share to the process's helper (``core._on_helper``), which may call BLAS
+and LAPACK where no other thread ran through its fork: ``roundtrip`` the
+later half of its seeds, ``counting`` its dimensions above two thirds of
+n, ``reduction`` its split and rectangle checks (after this process has
+drawn every value of the shared generator), ``offdiag`` the later half of
+its trials, ``gauge`` its whole frame side.  A share's values and error
+come back where the sequential run would have made them, so every report
+and the order of errors are the sequential run's.  Whether a second
+process is taken is ``core``'s policy alone (``_on_helper``, README
+"Second CPU"), from the weight each suite gives its trailing share.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -43,14 +46,13 @@ from .core import (
     Tolerances,
     Undefined,
     UnitaryMatrix,
-    _on_worker,
+    _on_helper,
     _row_norms,
     _stacks,
     _unit_rows,
     circular_distance,
     reduce_phase,
 )
-from .curves import FrameEvolution
 from .gauge import (
     _recursion_deviations,
     gauge_transform_evolution,
@@ -140,13 +142,10 @@ class SuiteReport:
 # counting
 # ---------------------------------------------------------------------------
 
-def run_counting_suite(n: int = 10, trials: int = 1, seed: int = 0, *,
-                       tol: Tolerances = DEFAULT_TOLERANCES) -> SuiteReport:
-    """Structural counts for 2 <= dim <= n: invariant list lengths and the
-    real-parameter tally of the canonical factorization, read off the
-    tower each Haar draw hands over."""
+def _counting_checks(dims: range, seed: int, tol: Tolerances) -> list[CheckResult]:
+    """The counting suite's checks for each dimension in ``dims``."""
     checks = []
-    for dim in range(2, n + 1):
+    for dim in dims:
         (drawn,) = _generic_unitary_stacks(dim, [seed + dim], tol)
         (params,) = _params(drawn.columns, drawn.chi)
         moduli = len(modulus_invariants(params))
@@ -164,12 +163,42 @@ def run_counting_suite(n: int = 10, trials: int = 1, seed: int = 0, *,
         checks.append(CheckResult(
             name=f"parameter_count_n{dim}",
             measured=abs(params.parameter_count - dim * dim), threshold=0.0))
+    return checks
+
+
+def run_counting_suite(n: int = 10, trials: int = 1, seed: int = 0, *,
+                       tol: Tolerances = DEFAULT_TOLERANCES) -> SuiteReport:
+    """Structural counts for 2 <= dim <= n: invariant list lengths and the
+    real-parameter tally of the canonical factorization, read off the
+    tower each Haar draw hands over.  One draw per dimension: ``trials``
+    is echoed in the report and drives nothing.  The higher dimensions,
+    about half the work, are a share for the helper."""
+    split = max(2, 2 * n // 3)  # dim costs about 5 + dim units: those above 2n/3 take half
+    later = range(split + 1, n + 1)
+    with _on_helper(sum(dim ** 3 for dim in later), _counting_checks, later, seed, tol) as higher:
+        checks = _counting_checks(range(2, split + 1), seed, tol)
+        checks += higher()
     return SuiteReport("counting", n, trials, seed, tuple(checks))
 
 
 # ---------------------------------------------------------------------------
 # roundtrip
 # ---------------------------------------------------------------------------
+
+def _roundtrip_worst(n: int, seeds: range, tol: Tolerances) -> tuple[float, float]:
+    """The roundtrip suite's two deviations over the draws of ``seeds``."""
+    worst_matrix = 0.0
+    worst_params = 0.0
+    for drawn in _generic_unitary_stacks(n, seeds, tol):
+        rebuilt, _ = _rebuild(drawn.columns, drawn.chi, tol)
+        again, chi_again = _checked_peel(rebuilt, tol)
+        worst_matrix = max(worst_matrix, float(np.abs(rebuilt - drawn.matrices).max()))
+        for before, after in zip(drawn.chi.tolist(), chi_again.tolist()):
+            worst_params = max(worst_params, abs(math.remainder(after - before, 2.0 * math.pi)))
+        for u, v in zip(again.columns, drawn.columns):
+            worst_params = max(worst_params, float(np.abs(u - v).max()))
+    return worst_matrix, worst_params
+
 
 def run_roundtrip_suite(n: int, trials: int, seed: int, *,
                         tol: Tolerances = DEFAULT_TOLERANCES) -> SuiteReport:
@@ -178,18 +207,14 @@ def run_roundtrip_suite(n: int, trials: int, seed: int, *,
     The draws come with their towers, checked as ``decompose`` checks
     them; each stack is rebuilt and peeled again as arrays, with every
     check ``reconstruct`` and ``decompose`` make of each matrix.  Both
-    deviations pass at or below ``tol.tol_unitary``.
+    deviations pass at or below ``tol.tol_unitary``.  The later half of
+    the seeds is a share for the helper.
     """
-    worst_matrix = 0.0
-    worst_params = 0.0
-    for drawn in _generic_unitary_stacks(n, range(seed, seed + trials), tol):
-        rebuilt, _ = _rebuild(drawn.columns, drawn.chi, tol)
-        again, chi_again = _checked_peel(rebuilt, tol)
-        worst_matrix = max(worst_matrix, float(np.abs(rebuilt - drawn.matrices).max()))
-        for before, after in zip(drawn.chi.tolist(), chi_again.tolist()):
-            worst_params = max(worst_params, abs(math.remainder(after - before, 2.0 * math.pi)))
-        for u, v in zip(again.columns, drawn.columns):
-            worst_params = max(worst_params, float(np.abs(u - v).max()))
+    kept = trials - trials // 2
+    later = range(seed + kept, seed + trials)
+    with _on_helper(n ** 3 * len(later), _roundtrip_worst, n, later, tol) as second:
+        worst = _roundtrip_worst(n, range(seed, seed + kept), tol)
+        worst_matrix, worst_params = map(max, worst, second())
     checks = (
         CheckResult("max_roundtrip_deviation", worst_matrix, tol.tol_unitary),
         CheckResult("max_parameter_uniqueness_deviation", worst_params, tol.tol_unitary),
@@ -201,33 +226,12 @@ def run_roundtrip_suite(n: int, trials: int, seed: int, *,
 # gauge
 # ---------------------------------------------------------------------------
 
-def run_gauge_suite(n: int, trials: int, seed: int, *,
-                    quadrature: str = "pancharatnam",
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> SuiteReport:
-    """Invariance of the invariants, the peeling transformation law, and
-    the (non-)invariance of the off-diagonal factors under frame gauges.
-    Modulus drifts pass at or below ``tol.tol_norm``, the other deviations
-    at or below ``tol.tol_unitary``; a sigma must shift by more than
-    ``_SIGMA_SHIFT_FLOOR``."""
-    def frame_side():
-        evolution = frame_evolution_from_path(random_hermitian_path(n, seed + 2), 400, tol=tol)
-        alphas = random_smooth_phases(evolution.grid, seed + 3, columns=n, amplitude=1.2)
-        return evolution, gauge_transform_evolution(evolution, alphas)
-
-    with _on_worker(frame_side) as frames:
-        rng = np.random.default_rng(seed)
-        matrix = random_generic_unitary(n, seed, tol=tol)
-
-        invariance = verify_invariants_under_gauge(
-            matrix, trials=trials, seed=seed + 1, tol=tol)
-
-        gauges = rng.uniform(-np.pi, np.pi, (trials, 2, n))  # left, right per trial
-        dev_vec, dev_rest = _recursion_deviations(matrix, gauges[:, 0], gauges[:, 1], tol)
-        worst_vec = float(dev_vec.max(initial=0.0))
-        worst_rest = float(dev_rest.max(initial=0.0))
-        evolution, transformed = frames()
-
-    # Frame-evolution side: gamma invariant, sigma not.
+def _frame_drifts(n: int, seed: int, quadrature: str, tol: Tolerances) -> tuple[float, float]:
+    """The gauge suite's frame side: the largest drift of gamma, and of
+    sigma, under a frame gauge of a seeded eigenframe evolution."""
+    evolution = frame_evolution_from_path(random_hermitian_path(n, seed + 2), 400, tol=tol)
+    alphas = random_smooth_phases(evolution.grid, seed + 3, columns=n, amplitude=1.2)
+    transformed = gauge_transform_evolution(evolution, alphas)
     pairs = list(combinations(range(1, n + 1), 2))
     sets = [*pairs, tuple(range(1, min(n, 3) + 1))]
     sigmas = [_sigmas(e, _edges(sets), quadrature) for e in (evolution, transformed)]
@@ -242,6 +246,29 @@ def run_gauge_suite(n: int, trials: int, seed: int, *,
         if not isinstance(before, Undefined) and not isinstance(after, Undefined):
             sigma_shift = max(sigma_shift, circular_distance(
                 math.atan2(after.imag, after.real), math.atan2(before.imag, before.real)))
+    return gamma_dev, sigma_shift
+
+
+def run_gauge_suite(n: int, trials: int, seed: int, *,
+                    quadrature: str = "pancharatnam",
+                    tol: Tolerances = DEFAULT_TOLERANCES) -> SuiteReport:
+    """Invariance of the invariants, the peeling transformation law, and
+    the (non-)invariance of the off-diagonal factors under frame gauges.
+    Modulus drifts pass at or below ``tol.tol_norm``, the other deviations
+    at or below ``tol.tol_unitary``; a sigma must shift by more than
+    ``_SIGMA_SHIFT_FLOOR``.  The frame side is a share for the helper."""
+    with _on_helper(n ** 3 * min(trials, 400), _frame_drifts, n, seed, quadrature, tol) as frames:
+        rng = np.random.default_rng(seed)
+        matrix = random_generic_unitary(n, seed, tol=tol)
+
+        invariance = verify_invariants_under_gauge(
+            matrix, trials=trials, seed=seed + 1, tol=tol)
+
+        gauges = rng.uniform(-np.pi, np.pi, (trials, 2, n))  # left, right per trial
+        dev_vec, dev_rest = _recursion_deviations(matrix, gauges[:, 0], gauges[:, 1], tol)
+        worst_vec = float(dev_vec.max(initial=0.0))
+        worst_rest = float(dev_rest.max(initial=0.0))
+        gamma_dev, sigma_shift = frames()
 
     checks = (
         CheckResult("max_entry_modulus_drift",
@@ -285,56 +312,16 @@ def _worst_fan_residual(stacks: list[np.ndarray], tol: Tolerances) -> float:
     return worst
 
 
-def run_reduction_suite(n: int, trials: int, seed: int, *,
-                        tol: Tolerances = DEFAULT_TOLERANCES) -> SuiteReport:
-    """Fan reductions for vector and interleaved invariants, and the
-    four-index recursions down to primitive blocks.
-
-    The rings and matrices are drawn and reduced as arrays, a stack at a
-    time, with the values and gates of the object API; a ring on which
-    that API raises (an astronomically unlikely orthogonal draw) is
-    skipped.  The 3 x ``trials`` matrices are first Haar draws, certified
-    unitary but not judged for canonical genericity
-    (:func:`~gaugephase.generators._certified_unitary_stacks`): the suite
-    reads no level column, and a draw that ``random_generic_unitary``
-    would reject and redraw is a measure-~1e-8 event.  Each stack's quad
-    rings are gathered by one fancy index per ring size, and each
-    rectangle of primitive blocks is one row-major slice of the stack's
-    Delta4 grid.  The four residuals pass at or below ``tol.tol_unitary``.
-    """
-    rng = np.random.default_rng(seed)
+def _rectangle_worst(n: int, seeds: range, corners: list[list[int]], tol: Tolerances
+                     ) -> tuple[float, float]:
+    """The reduction suite's split and rectangle residuals over the draws of
+    ``seeds``, draw t at the corners (j, l, k, m) of ``corners[t]``."""
     gate = 10.0 * tol.tol_generic
-
-    worst_triangle = _worst_fan_residual(
-        [_random_unit_rows(n, int(rng.integers(4, 7)), rng)[None] for _ in range(trials)], tol)
-
-    quads = []
-    firsts = _certified_unitary_stacks(n, range(seed + 7919, seed + 7919 + trials), tol)
-    seconds = _certified_unitary_stacks(n, range(seed + 104729, seed + 104729 + trials), tol)
-    for first, second in zip(firsts, seconds):
-        # pairs[t, 0, j] is psi_j, column j of first draw t; pairs[t, 1, k] is phi_k.
-        pairs = np.stack((first.matrices.swapaxes(1, 2), second.matrices.swapaxes(1, 2)), axis=1)
-        picks: dict[int, tuple[list, list]] = {}  # ell: the members, their ring columns
-        for t in range(len(pairs)):
-            ell = int(rng.integers(2, min(n, 3) + 1))
-            psi_idx = rng.permutation(n)[:ell]
-            phi_idx = rng.permutation(n)[:ell]
-            members, columns = picks.setdefault(ell, ([], []))
-            members.append(t)
-            columns.append((psi_idx, phi_idx))
-        for ell, (members, columns) in picks.items():
-            sides = np.arange(2 * ell) % 2  # the ring runs psi, phi, psi, phi, ...
-            ring_columns = np.array(columns).swapaxes(1, 2).reshape(len(members), 2 * ell)
-            quads.append(pairs[np.array(members)[:, None], sides, ring_columns])
-    worst_quad = _worst_fan_residual(quads, tol)
-
     worst_split = 0.0
     worst_rectangle = 0.0
-    seeds = range(seed + 15485863, seed + 15485863 + trials)
-    for drawn in _certified_unitary_stacks(n, seeds if n >= 3 else (), tol):
-        for a, grid in zip(drawn.matrices, _delta4(drawn.matrices)):
-            j, l = sorted(rng.choice(n, size=2, replace=False) + 1)
-            k, m = sorted(rng.choice(n, size=2, replace=False) + 1)
+    corners = iter(corners)
+    for drawn in _certified_unitary_stacks(n, seeds, tol):
+        for a, grid, (j, l, k, m) in zip(drawn.matrices, _delta4(drawn.matrices), corners):
             whole = _delta4_at(a, j, l, k, m)
             if abs(whole) > gate:
                 angle = np.angle(whole)
@@ -351,6 +338,65 @@ def run_reduction_suite(n: int, trials: int, seed: int, *,
                 if np.abs(values).min() > gate:
                     worst_rectangle = max(worst_rectangle, circular_distance(
                         angle, float(np.sum(np.angle(values)))))
+    return worst_split, worst_rectangle
+
+
+def run_reduction_suite(n: int, trials: int, seed: int, *,
+                        tol: Tolerances = DEFAULT_TOLERANCES) -> SuiteReport:
+    """Fan reductions for vector and interleaved invariants, and the
+    four-index recursions down to primitive blocks.
+
+    The rings and matrices are drawn and reduced as arrays, a stack at a
+    time, with the values and gates of the object API; a ring on which
+    that API raises (an astronomically unlikely orthogonal draw) is
+    skipped.  The 3 x ``trials`` matrices are first Haar draws, certified
+    unitary but not judged for canonical genericity
+    (:func:`~gaugephase.generators._certified_unitary_stacks`): the suite
+    reads no level column, and a draw that ``random_generic_unitary``
+    would reject and redraw is a measure-~1e-8 event.  Each stack's quad
+    rings are gathered by one fancy index per ring size, and each
+    rectangle of primitive blocks is one row-major slice of the stack's
+    Delta4 grid.  The four residuals pass at or below ``tol.tol_unitary``.
+
+    Every value of the suite's shared generator is drawn first, in the
+    order of a loop that reduces each ring as it draws it: the triangle
+    rings, each trial's quad ring picks, each recursion's corners.  The
+    split and rectangle checks are then a share for the helper.
+    """
+    rng = np.random.default_rng(seed)
+    triangles = [_random_unit_rows(n, int(rng.integers(4, 7)), rng)[None] for _ in range(trials)]
+    picks = []  # ell, then the psi and the phi columns of each trial's quad ring
+    for _ in range(trials):
+        ell = int(rng.integers(2, min(n, 3) + 1))
+        picks.append((ell, rng.permutation(n)[:ell], rng.permutation(n)[:ell]))
+    seeds = range(seed + 15485863, seed + 15485863 + trials) if n >= 3 else range(0)
+    corners = np.array([[*sorted(rng.choice(n, size=2, replace=False) + 1),
+                         *sorted(rng.choice(n, size=2, replace=False) + 1)] for _ in seeds],
+                       dtype=int).tolist()
+
+    with _on_helper(n ** 3 * len(seeds), _rectangle_worst, n, seeds, corners, tol) as rectangles:
+        worst_triangle = _worst_fan_residual(triangles, tol)
+
+        quads = []
+        firsts = _certified_unitary_stacks(n, range(seed + 7919, seed + 7919 + trials), tol)
+        seconds = _certified_unitary_stacks(n, range(seed + 104729, seed + 104729 + trials), tol)
+        picked = iter(picks)
+        for first, second in zip(firsts, seconds):
+            # pairs[t, 0, j] is psi_j, column j of first draw t; pairs[t, 1, k] is phi_k.
+            pairs = np.stack((first.matrices.swapaxes(1, 2), second.matrices.swapaxes(1, 2)),
+                             axis=1)
+            groups: dict[int, tuple[list, list]] = {}  # ell: the members, their ring columns
+            for t in range(len(pairs)):
+                ell, psi_idx, phi_idx = next(picked)
+                members, columns = groups.setdefault(ell, ([], []))
+                members.append(t)
+                columns.append((psi_idx, phi_idx))
+            for ell, (members, columns) in groups.items():
+                sides = np.arange(2 * ell) % 2  # the ring runs psi, phi, psi, phi, ...
+                ring_columns = np.array(columns).swapaxes(1, 2).reshape(len(members), 2 * ell)
+                quads.append(pairs[np.array(members)[:, None], sides, ring_columns])
+        worst_quad = _worst_fan_residual(quads, tol)
+        worst_split, worst_rectangle = rectangles()
 
     checks = (
         CheckResult("max_triangle_fan_residual", worst_triangle, tol.tol_unitary),
@@ -365,21 +411,16 @@ def run_reduction_suite(n: int, trials: int, seed: int, *,
 # offdiag
 # ---------------------------------------------------------------------------
 
-def run_offdiag_suite(n: int, trials: int, seed: int, *,
-                      quadrature: str = "pancharatnam",
-                      tol: Tolerances = DEFAULT_TOLERANCES) -> SuiteReport:
-    """Direct-vs-reconstructed gamma agreement on generic seeded
-    evolutions of 600 points, plus unit-modulus bookkeeping: residuals pass
-    at or below ``tol.tol_generic``, |gamma| within ``tol.tol_norm`` of 1."""
+def _offdiag_worst(n: int, trials: range, seed: int, quadrature: str, tol: Tolerances
+                   ) -> tuple[float, float, int]:
+    """The offdiag suite's largest identity residual, largest distance of
+    |gamma| from 1, and count of compared index sets, over ``trials``."""
     worst_residual = 0.0
     worst_modulus = 0.0
     compared = 0
-
-    def build(t: int) -> FrameEvolution:
-        return frame_evolution_from_path(random_hermitian_path(n, seed + 31 * t), 600, tol=tol)
-
-    def tally(evolution: FrameEvolution) -> None:
-        nonlocal worst_residual, worst_modulus, compared
+    for t in trials:
+        evolution = frame_evolution_from_path(random_hermitian_path(n, seed + 31 * t), 600,
+                                              tol=tol)
         report = verify_offdiag_identity(evolution, quadrature=quadrature)
         worst_residual = max(worst_residual, report.max_residual)
         compared += len(report.identity_residuals)
@@ -387,15 +428,24 @@ def run_offdiag_suite(n: int, trials: int, seed: int, *,
             for value in table.values():
                 if not isinstance(value, Undefined):
                     worst_modulus = max(worst_modulus, abs(abs(value) - 1.0))
+    return worst_residual, worst_modulus, compared
 
-    # Two at a time: the worker builds trial t + 1 while this thread builds t.
-    for t in range(0, trials, 2):
-        if t + 1 == trials:
-            tally(build(t))
-            break
-        with _on_worker(partial(build, t + 1)) as later:
-            tally(build(t))
-            tally(later())
+
+def run_offdiag_suite(n: int, trials: int, seed: int, *,
+                      quadrature: str = "pancharatnam",
+                      tol: Tolerances = DEFAULT_TOLERANCES) -> SuiteReport:
+    """Direct-vs-reconstructed gamma agreement on generic seeded
+    evolutions of 600 points, plus unit-modulus bookkeeping: residuals pass
+    at or below ``tol.tol_generic``, |gamma| within ``tol.tol_norm`` of 1.
+    The later half of the trials is a share for the helper."""
+    kept = trials - trials // 2
+    later = range(kept, trials)
+    with _on_helper(600 * n ** 3 * len(later), _offdiag_worst, n, later, seed, quadrature,
+                 tol) as second:
+        first = _offdiag_worst(n, range(kept), seed, quadrature, tol)
+        rest = second()
+    worst_residual, worst_modulus = max(first[0], rest[0]), max(first[1], rest[1])
+    compared = first[2] + rest[2]
     checks = (
         CheckResult("max_identity_residual", worst_residual, tol.tol_generic),
         CheckResult("max_gamma_modulus_deviation", worst_modulus, tol.tol_norm),

@@ -17,17 +17,29 @@ class Helpers:
         self.tasks: list[str] = []
 
 
+@pytest.fixture(autouse=True)
+def own_helper():
+    """No helper outlives a test.  One kept from an earlier test would run
+    the package code of the moment it was forked, not this test's patches,
+    and one forked under this test's patches would keep them for the next."""
+    core._Helper.quit()
+    yield
+    core._Helper.quit()
+
+
 @pytest.fixture()
 def forks(monkeypatch):
-    """The helper that the report writer, the file readers and the coset
-    tower hand their tasks to, as on a host of two CPUs with one BLAS
-    thread (no pool, so a live helper is kept), counted.  Any live helper is
-    ended before the test, so that its first task forks one, and again
-    after it; then no child of this process is left, reaped or not."""
+    """The helper that the report writer, the file readers, the coset tower
+    and the verify suites hand their tasks to, as on a host of two CPUs
+    with one BLAS thread (no pool, so a live helper is kept), counted.  Any
+    live helper is ended before the test, so that its first task forks
+    one, and again after it; then no child of this process is left, reaped
+    or not."""
     core._Helper.quit()
     counted, fork, start = Helpers(), os.fork, core._Helper.start
     monkeypatch.setattr(core, "_cpus", lambda: 2)
     monkeypatch.setattr(core, "_pooled", lambda: False)
+    monkeypatch.setattr(core._Helper, "crowded", False)
 
     def forked():
         pid = fork()

@@ -1,6 +1,6 @@
-"""One concurrency policy in ``core``: below two CPUs no job forks a helper
-or starts a worker thread, and every report is the one made on two; and
-how ``core._cpus`` counts the CPUs."""
+"""One concurrency policy in ``core``: below two CPUs no job forks a helper,
+no job starts a thread on any count, and every report is the one made on
+two; and how ``core._cpus`` counts the CPUs."""
 
 import io as _stdio
 import os
@@ -67,8 +67,8 @@ def test_one_cpu_forks_no_helper_and_starts_no_thread(large_files, tmp_path, mon
     monkeypatch.setattr(threading.Thread, "start", counted)
     before = threading.active_count()
     two = _reports(tmp_path, *large_files)
-    assert forks.tasks and starts  # the forks fixture pins two CPUs
-    assert len(forks.made) == 1
+    assert forks.tasks[-2:] == ["_send_result"] * 2  # the forks fixture pins two CPUs
+    assert len(forks.made) == 1 and starts == []
     assert threading.active_count() == before
     forks.tasks.clear()
     starts.clear()

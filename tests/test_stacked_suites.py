@@ -83,6 +83,7 @@ def test_counting_suite_is_a_loop_of_object_calls(n, seed, monkeypatch):
         return modulus_invariants(params)
 
     monkeypatch.setattr(verification, "modulus_invariants", recorded)
+    monkeypatch.setattr(core, "_cpus", lambda: 1)  # every share here, where calls are recorded
     report = verification.run_counting_suite(n, 1, seed)
     assert [(c.name, c.measured) for c in report.checks] == expected
     assert report.passed
@@ -258,6 +259,7 @@ def test_reduction_suite_peels_no_draw(monkeypatch):
     judge = counted("judge", canonical._judge)
     for module in (canonical, generators):
         monkeypatch.setattr(module, "_judge", judge)
+    monkeypatch.setattr(core, "_cpus", lambda: 1)  # every share here, where calls are counted
     run_reduction_suite(12, 200, 3)
     assert calls == {"judge": 0, "peel": 0}
     list(generators._generic_unitary_stacks(12, range(3 + 7919, 3 + 7919 + 200), Tolerances()))

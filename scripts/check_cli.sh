@@ -290,6 +290,23 @@ for file in fork_evolution fork_compact; do
 done
 cmp fork_evolution_phases.json fork_compact_phases.json
 cmp fork_evolution_offdiag.json fork_compact_offdiag.json
+# The two-process reports above are the reports cli.main makes with one CPU
+# counted, where each file is read and each report written in one process.
+python - <<'EOF'
+from gaugephase import core
+from gaugephase.cli import main
+core._cpus = lambda: 1
+assert main(["decompose", "matrix_fork.json", "-o", "fork_one_cpu.json"]) == 0
+for name in ("fork_evolution", "fork_compact"):
+    for command in ("phases", "offdiag"):
+        assert main([command, f"{name}.json", "-o", f"{name}_{command}_one_cpu.json"]) == 0
+EOF
+cmp fork_piped.json fork_one_cpu.json
+for file in fork_evolution fork_compact; do
+  for command in phases offdiag; do
+    cmp "${file}_${command}.json" "${file}_${command}_one_cpu.json"
+  done
+done
 
 # An evolution of two blocks and one frame (core._blocks): the generator,
 # the certificate and the level table each run over three blocks.  Two runs

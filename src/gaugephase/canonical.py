@@ -77,8 +77,9 @@ largest modulus of their peeled last rows.  This process keeps zeta, the
 genericity gate, the norms (a BLAS call, which a forked process must not
 make), the certificate and ``_verdict``; it peels the other columns, then
 the last levels of the helper's remainder alone.  In the rebuild
-(``_rebuild``) the helper is sent the level columns and chi, and rebuilds
-the leading ``_Fork.rebuild`` share of the columns, the heaviest, and this
+(``_rebuild``) the helper is called on the level columns and chi
+(``_rebuilt_leading``, through ``core._send_result``) and rebuilds the
+leading ``_Fork.rebuild`` share of the columns, the heaviest, and this
 process the rest; it then certifies the whole.  Each column goes through
 the calls it goes through in one process, so every bit and every error
 are the one-process tower's; where no helper takes the task, or it fails
@@ -88,7 +89,7 @@ matrices stay in one process.
 
 from __future__ import annotations
 
-import math
+import pickle
 import socket
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -109,6 +110,7 @@ from .core import (
     _Fork,
     _Helper,
     _row_norms,
+    _send_result,
     principal_arg,
     reduce_phase,
 )
@@ -472,15 +474,14 @@ def _rebuild(columns: Sequence[np.ndarray], chi: np.ndarray, tol: Tolerances
     out = np.zeros((stop, n, n), dtype=np.complex128)
     out.reshape(stop, n * n)[:, :: n + 1] = 1.0
     split = int(_Fork.rebuild * n) if stop == 1 and n >= _Fork.n else 0
-    with (_Helper.task(_send_rebuilt_leading, np.concatenate(columns, axis=1)[0], chi, split)
+    with (_Helper.task(_send_result, _rebuilt_leading, columns, chi, split)
           if split else nullcontext()) as helper:
         lo = 0 if helper is None else split
         _rebuild_columns(columns, chi, out[:, :, lo:], lo)
         message = None if helper is None else helper.received(1)
-    if message is not None:
-        out[:, :, :split] = np.frombuffer(message[0], np.complex128).reshape(1, n, split)
-    elif lo:
-        _rebuild_columns(columns, chi, out[:, :, :split], 0)
+    if lo:
+        out[:, :, :split] = (_rebuilt_leading(columns, chi, split) if message is None
+                             else pickle.loads(message[0]))
     deviations = _certify_stack(out, tol.tol_unitary)
     if stop < k:
         raise NonGenericVectorError(f"genericity margin {margin[stop]:.3e} "
@@ -504,17 +505,12 @@ def _rebuild_columns(columns: Sequence[np.ndarray], chi: np.ndarray, out: np.nda
             _coset_apply(zeta, out[:, :m, : min(m - lo, w)])
 
 
-def _send_rebuilt_leading(flat: np.ndarray, chi: np.ndarray, split: int,
-                          channel: socket.socket) -> None:
-    """The rebuild's task: the leading ``split`` columns of a tower of one
-    matrix, rebuilt from its level columns ``flat``, one after the other
-    (one buffer to send, where a list would be one per level), and sent on
-    ``channel``."""
-    n = (math.isqrt(8 * len(flat) + 9) - 1) // 2  # len(flat) = n + ... + 2
-    columns = [zeta[None] for zeta in np.split(flat, np.cumsum(range(n, 2, -1)))]
-    block = np.eye(n, split, dtype=np.complex128)[None]
+def _rebuilt_leading(columns: Sequence[np.ndarray], chi: np.ndarray, split: int) -> np.ndarray:
+    """The leading ``split`` columns, (1, n, split), of the rebuilt tower of
+    one matrix, as the whole rebuild makes them: the helper's task."""
+    block = np.eye(columns[0].shape[1], split, dtype=np.complex128)[None]
     _rebuild_columns(columns, chi, block, 0)
-    _Helper.send(channel, block.tobytes())
+    return block
 
 
 def _params(columns: Sequence[np.ndarray], chi: np.ndarray) -> list[CanonicalParams]:

@@ -33,13 +33,16 @@ import logging
 import math
 import os
 import pickle
+import select
 import signal
 import socket
 import threading
+import time
 import warnings
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from itertools import islice
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -500,15 +503,42 @@ def inner_product(u: UnitVector | Sequence[complex] | np.ndarray,
 # A second CPU: the helper process
 # ---------------------------------------------------------------------------
 
+_CGROUPS = "/proc/self/cgroup"  # this process's cgroup in each hierarchy
+_CGROUP_ROOT = "/sys/fs/cgroup"  # where the hierarchies are mounted
+
+
 def _cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the
-    platform has one and answers, else ``os.cpu_count()``, else 1.  A
-    cgroup CPU quota is not seen.  Below two, no stage hands the helper a
-    task."""
+    platform has one and answers, else ``os.cpu_count()``, else 1, and no
+    more than its cgroup's CPU quota allows (``_quota``).  Below two, no
+    stage hands the helper a task."""
     try:
-        return len(os.sched_getaffinity(0))
+        count = len(os.sched_getaffinity(0))
     except (AttributeError, OSError):
-        return os.cpu_count() or 1
+        count = os.cpu_count() or 1
+    return min(count, _quota())
+
+
+def _quota() -> float:
+    """The CPUs of this process's cgroup CPU quota, rounded up: cgroup v2's
+    ``cpu.max``, or v1's ``cpu.cfs_quota_us`` over ``cpu.cfs_period_us``, in
+    the cgroup ``_CGROUPS`` names; infinite where none is set or readable."""
+    bound = math.inf
+    with suppress(OSError):
+        for line in Path(_CGROUPS).read_text().splitlines():
+            with suppress(OSError, ValueError):
+                _, controllers, path = line.split(":", 2)
+                where = Path(_CGROUP_ROOT, controllers, path.lstrip("/"))
+                if not controllers:  # cgroup v2
+                    quota, period = (where / "cpu.max").read_text().split()
+                elif "cpu" in controllers.split(","):
+                    quota, period = ((where / name).read_text().strip()
+                                     for name in ("cpu.cfs_quota_us", "cpu.cfs_period_us"))
+                else:
+                    continue
+                if quota not in ("max", "-1"):
+                    bound = min(bound, -(-int(quota) // int(period)))
+    return bound
 
 
 class _Fork:
@@ -553,15 +583,26 @@ class _Fork:
 
 
 class _HandOver(Exception):
-    """Raised in the helper to end its task at a piece that the process it
-    serves must do itself, with every piece after it."""
+    """Raised in the helper to end a task whose result its parent makes."""
 
 
 _NOSIGNAL = getattr(socket, "MSG_NOSIGNAL", 0)  # a send to a helper gone raises, not SIGPIPE
-_END = (1 << 64) - 1  # the length that marks the end of the helper's task
+_END = (1 << 64) - 1  # the length that marks the end of a task, or of a feed
 # Bytes below which an array goes inside a task's pickle, and a part goes in
 # one send with its length: a copy of it costs less than another system call.
 _IN_BAND = 1 << 16
+# Seconds a process polls its socket before it sleeps: on a virtual CPU a
+# wake-up took about 0.1 ms, the join of a hundred floats.
+_SPIN = 0.002
+
+
+def _ready(channel: socket.socket, seconds: float) -> bool:
+    """Whether ``channel`` has bytes, or its end, within ``seconds`` of polling."""
+    end = time.perf_counter() + seconds
+    while not select.select([channel], [], [], 0)[0]:
+        if time.perf_counter() >= end:
+            return False
+    return True
 
 
 def _exactly(channel: socket.socket, size: int) -> bytearray | None:
@@ -600,67 +641,37 @@ def _alone() -> bool:
 
 class _Helper:
     """This process's helper: one forked process, started at the first
-    two-process stage and kept, that does part of each stage handed to it
-    (a task) and sends each result back, while this process does the rest
-    and keeps every result.  One helper per process, reused, so that no
-    stage pays a fork's copy-on-write faults (``_Fork``).
+    two-process stage and kept (``_Fork``), that does part of each stage.
 
-    A task goes over one ``AF_UNIX`` socket pair: a function of the package
-    and its arguments as a protocol-5 pickle, array buffers of ``_IN_BAND``
-    bytes or more sent after it from their own memory, and any open file as
-    a descriptor (``socket.send_fds``).  The helper calls ``work(*fds,
-    *args, channel)``, and ``work`` sends each result on the channel, each
-    part behind its length (``send``); the peel's task is fed its units on
-    the same channel (``give``).  After a task that returns or hands over
-    (``_HandOver``) the helper sends its end-of-task mark; any other error,
-    a task that will not unpickle included, ends the helper.
+    A task is a protocol-5 pickle of a package function and its arguments
+    over one ``AF_UNIX`` socket pair; the helper runs ``work(*args,
+    channel)``, which sends each result part behind its length (``send``).
+    A call (``_send_result``: a suite's share, the rebuild's columns) sends
+    back one pickled result.  A fed task answers the pieces this process
+    feeds it from its own walk (``give``, ``_fed``): the peel's units, the
+    writer's leaf blocks, the reader's runs of text.  No task is sent a
+    document, a file or a descriptor.  After a task that returns or hands
+    over (``_HandOver``) the helper sends its end mark; any other error
+    ends it.  It runs with the cyclic collector off, keeps no descriptor
+    but its socket, and leaves by ``os._exit`` at the socket's end.
 
-    The report writer's task joins every other leaf block and the file
-    reader's decodes every other run (``io``): both processes walk the same
-    document, numbering its pieces alike (``theirs``), up to the first
-    piece whose result this process must make itself; where that piece is
-    the helper's, the helper hands over there.  The coset tower's tasks
-    (``canonical``) peel or rebuild the leading columns of one large
-    matrix.  Those tasks call no BLAS and take no lock another thread may
-    hold, since a fork copies only the thread that forks, so any helper may
-    take them.  A verify suite's share (``_on_helper``) calls BLAS and
-    LAPACK (QR, the Gram certificate, ``eigh``), so it goes only to a
-    helper that no thread but this one ran through the fork of, Python's or
-    not (``_alone`` read just after it, noted as ``alone``), and only while
-    this process runs no other Python thread: a live helper that is not
-    ``alone`` is killed and a fresh one forked.  An OpenBLAS pool stops at
-    the fork, so such a helper is ``alone``; where a fresh helper is not
-    (a pool that runs through a fork, such as an OpenMP one), no share
-    leaves this process again (``crowded``).  No stage the helper runs
-    hands a task on.  It runs with the cyclic collector off (a collection
-    would touch, and so copy, pages it shares with this process), keeps no
-    descriptor but its socket, and leaves by ``os._exit``: at the end of
-    its socket, so however this process ends, after an error, or killed.
+    The tower's, the writer's and the reader's tasks call no BLAS, so any
+    helper takes them.  A suite's share (``lapack``) goes only to a helper
+    that no other thread ran through the fork of (``alone``), while this
+    process runs no other Python thread; else a fresh one is forked, and
+    where it is not alone either no share leaves again (``crowded``).
+    Where a thread not Python's runs (``_pooled``: an unpinned BLAS pool,
+    which OpenBLAS stops at a fork), each stage forks a fresh helper.
 
-    This process stops reading (``received``, ``stop``) at the end mark, at
-    the end of the socket, or at a piece that parts the two walks, and
-    does every piece from there on itself, so every result and every error
-    are the one-process stage's.  Where a stage ends short of the end mark,
-    by an error included, the helper is killed and reaped, and the next
-    stage forks a fresh one; so it is at exit (``quit``, an ``atexit``
-    hook).  A stage stays in one process below two CPUs (``_cpus``),
-    without ``os.fork``, ``os.pread`` (by which the reader's task reads) or
-    ``MSG_NOSIGNAL``, where SIGCHLD is ignored (children are then reaped as
-    they exit, so a pid to kill may be another process's), while another
-    thread's task holds the helper, or where the task will not pickle or
-    the socket pair, the fork or the send fails.  A child this process
-    forks forgets the helper (``os.register_at_fork``).
-
-    Where this process runs a thread that is not Python's (``_pooled``),
-    such as a worker of an unpinned BLAS pool, a stage kills a live helper
-    and forks a fresh one.  Such a worker spins for a while after each call,
-    on the CPU the helper needs, and OpenBLAS shuts its pool down before a
-    fork.  On 2 vCPUs with OpenBLAS's two threads, a warm ``decompose`` job
-    at n = 256 took 0.50 s with the helper always kept (the worker spinning
-    0.26 s of CPU), 0.42 s with a fork per stage, and 0.38-0.40 s so, with
-    2 forks a job.  With one BLAS thread, a process forks once.  The verify
-    suites' small matrices do not start the pool again, so under it too a
-    process that runs only suites forks once.
+    This process does every piece itself from the helper's end mark or the
+    socket's end on (``received``), so every result and error are the
+    one-process stage's, and ends a feed with its end mark (``finish``).  A
+    stage that ends short of the end mark, by an error too, kills and reaps
+    the helper, as exit does (``quit``).  A stage stays in one process below
+    two CPUs (``_cpus``), without ``os.fork`` or ``MSG_NOSIGNAL``, where
+    SIGCHLD is ignored, while another thread's task holds the helper, or
+    where the socket pair, the fork or the send fails.  A child this
+    process forks forgets the helper.
     """
 
     live: "_Helper | None" = None  # this process's helper, once forked
@@ -669,17 +680,19 @@ class _Helper:
 
     def __init__(self, pid: int, channel: socket.socket, alone: bool):
         self.pid, self.channel, self.alone = pid, channel, alone
+        # The bytes of a piece fed while another is unanswered: its send never waits.
+        self.room = channel.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF) // 2
         self.lock = _Helper.busy  # as its task took it: a forked child takes a new one
-        self.count, self.reading, self.synced = 0, False, False
+        self.reading, self.synced, self.fed = False, False, False
 
     @classmethod
     @contextmanager
-    def task(cls, work: Callable[..., None], *args, fds: Sequence[int] = (),
+    def task(cls, work: Callable[..., None], *args,
              lapack: bool = False) -> Iterator["_Helper | None"]:
-        """The helper, doing ``work(*fds, *args, channel)`` while the block
-        runs; None where the stage stays in one process (``start``).
-        Leaving the block ends the task (``end``)."""
-        helper = cls.start(work, *args, fds=fds, lapack=lapack)
+        """The helper, doing ``work(*args, channel)`` while the block runs;
+        None where the stage stays in one process (``start``).  Leaving the
+        block ends the task (``end``)."""
+        helper = cls.start(work, *args, lapack=lapack)
         if helper is None:
             yield None
             return
@@ -691,43 +704,39 @@ class _Helper:
             helper.end(done)
 
     @classmethod
-    def start(cls, work: Callable[..., None], *args, fds: Sequence[int] = (),
-              lapack: bool = False) -> "_Helper | None":
+    def start(cls, work: Callable[..., None], *args, lapack: bool = False) -> "_Helper | None":
         """Hand the helper, forked here if there is none, the task of
         ``task``; None where the stage stays in one process.  A task that
         calls BLAS or LAPACK (``lapack``) goes only to a helper that is
         ``alone``, and only while this process runs no other Python
         thread."""
-        if (_cpus() < 2 or not (hasattr(os, "fork") and hasattr(os, "pread") and _NOSIGNAL)
+        if (_cpus() < 2 or not (hasattr(os, "fork") and _NOSIGNAL)
                 or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN
                 or (lapack and (cls.crowded or threading.active_count() > 1))
                 or not cls.busy.acquire(blocking=False)):
             return None
-        lock, buffers = cls.busy, []
+        lock, buffers, helper = cls.busy, [], None
         try:
             task = pickle.dumps((work, args), 5, buffer_callback=lambda buffer: (
                 buffer.raw().nbytes < _IN_BAND or buffers.append(buffer.raw())))
-        except Exception:  # a task that will not pickle stays here
-            task = None
-        if task is not None and cls.live is not None and (
-                _pooled() or lapack and not cls.live.alone):
-            cls.live.kill()  # the fork of a fresh one stops a BLAS pool's workers
-        helper = None if task is None else cls.live or cls._fork()
-        if lapack and helper is not None and not helper.alone:
-            cls.crowded, helper = True, None  # the fresh helper stays for other tasks
-        try:
-            if helper is not None:  # the count of parts, the descriptors with it
-                head = (1 + len(buffers)).to_bytes(8, "little")
-                sent = socket.send_fds(helper.channel, [head], fds, _NOSIGNAL) if fds else 0
-                helper.channel.sendall(head[sent:], _NOSIGNAL)
+            if cls.live is not None and (_pooled() or lapack and not cls.live.alone):
+                cls.live.kill()  # the fork of a fresh one stops a BLAS pool's workers
+            helper = cls.live or cls._fork()
+            if lapack and helper is not None and not helper.alone:
+                cls.crowded, helper = True, None  # the fresh helper stays for other tasks
+            if helper is not None:  # the count of parts, then the parts
+                helper.channel.sendall((1 + len(buffers)).to_bytes(8, "little"), _NOSIGNAL)
                 helper.send(helper.channel, task, *buffers)
         except OSError:  # the helper has gone
-            helper.kill()
+            if helper is not None:
+                helper.kill()
             helper = None
-        if helper is None:
-            lock.release()
-            return None
-        helper.lock, helper.count, helper.reading, helper.synced = lock, 0, True, False
+        finally:
+            if helper is None:
+                lock.release()
+        if helper is not None:
+            helper.lock, helper.reading, helper.synced = lock, True, False
+            helper.fed = work is _fed
         return helper
 
     @classmethod
@@ -778,8 +787,9 @@ class _Helper:
 
     @staticmethod
     def read(channel: socket.socket, parts: int) -> list[bytearray] | None:
-        """The next piece of ``parts`` parts that ``send`` wrote; [] at an
-        end-of-task mark, None at the end of the socket."""
+        """The next piece of ``parts`` parts that ``send`` wrote, polled for
+        ``_SPIN`` seconds before a sleep; [] at an end mark, None at the end."""
+        _ready(channel, _SPIN)
         result = []
         for _ in range(parts):
             head = _exactly(channel, 8)
@@ -798,13 +808,11 @@ class _Helper:
             try:
                 self.send(self.channel, *parts)
             except OSError:
-                self.stop()
+                self.reading = False
 
-    def theirs(self) -> bool:
-        """Whether the next piece is the helper's: every other one, from the
-        second on, until this process stops reading."""
-        self.count += 1
-        return self.reading and self.count % 2 == 0
+    def answered(self) -> bool:
+        """Whether the helper's next message, or its socket's end, has come."""
+        return _ready(self.channel, 0)
 
     def received(self, parts: int) -> list[bytearray] | None:
         """The helper's next result of ``parts`` parts; None, and reading
@@ -818,19 +826,22 @@ class _Helper:
             return None
         return result
 
-    def stop(self) -> None:
-        """Read no more and feed no more: every piece from here on is this
-        process's, and the helper, short of its end mark, is killed at the
-        end of the task."""
-        self.reading = False
+    def finish(self) -> None:
+        """Read no more, a fed task first told that no piece follows: the
+        helper's next message must be its end mark, else it is killed."""
+        if self.reading:
+            self.reading = False
+            with suppress(OSError):
+                if self.fed:
+                    self.channel.sendall(_END.to_bytes(8, "little"), _NOSIGNAL)
+                self.synced = self.read(self.channel, 1) == []
 
     def end(self, done: bool) -> None:
-        """End the task.  Where the stage ran to its end still reading, the
-        helper's next message must be its end mark; short of that mark, the
-        helper is killed."""
+        """End the task: where the stage ran to its end still reading, with
+        ``finish``; short of the helper's end mark, the helper is killed."""
         try:
-            if done and self.reading:
-                self.synced, self.reading = self.read(self.channel, 1) == [], False
+            if done:
+                self.finish()
         finally:
             if not self.synced:
                 self.kill()
@@ -867,24 +878,29 @@ def _serve(channel: socket.socket) -> None:
     """The helper's loop: each task, then its end mark, until the end of
     the socket.  An error other than a hand-over leaves the loop."""
     while True:
-        head, fds, _, _ = socket.recv_fds(channel, 8, 4)
-        rest = _exactly(channel, 8 - len(head)) if head else None
-        if rest is None:
-            return
-        message = _Helper.read(channel, int.from_bytes(head + rest, "little"))
+        head = _exactly(channel, 8)
+        message = None if head is None else _Helper.read(channel, int.from_bytes(head, "little"))
         if not message:
             return
+        work, args = pickle.loads(message[0], buffers=message[1:])
+        del message  # the pickle's bytes, not needed while the task runs
         try:
-            work, args = pickle.loads(message[0], buffers=message[1:])
-            del message  # the pickle's bytes, not needed while the task runs
-            try:
-                work(*fds, *args, channel)
-            except _HandOver:
-                pass
-        finally:
-            for fd in fds:
-                os.close(fd)
+            work(*args, channel)
+        except _HandOver:
+            pass
         channel.sendall(_END.to_bytes(8, "little"))
+
+
+def _fed(work: Callable[..., bytes | None], *args) -> None:
+    """The helper's side of a fed task: ``work(piece, *args)`` of each piece
+    fed on the channel, the last argument, sent back until the feed's end
+    mark; empty where ``work`` refuses (None) or raises."""
+    *args, channel = args
+    while piece := _Helper.read(channel, 1):
+        answer = None
+        with suppress(Exception):
+            answer = work(piece[0], *args)
+        _Helper.send(channel, answer or b"")
 
 
 # The package's one logger: a rejected Haar draw's debug record.

@@ -29,18 +29,10 @@ bit of both parts, signed zeros too) before the next run is decoded, so
 at most one run of pairs is alive at a time.
 
 Decoding holds the GIL, so a large file (``core._Fork.bytes``) is read
-by two processes, as the writer writes, with the process's one helper
-(``core._Helper``).  At the start of the walk the reader sends it the
-file's open descriptor, and the helper reads the same open file through
-``os.pread``, under its own text wrapper, walks the same text with the
-same window, cuts every run by the same regex, and decodes and converts
-only the odd-numbered runs (``_RunSender``): back go each one's span in
-the text, its items' pair counts and its float64 bytes.  This process
-cuts the helper's runs by the regex alone, decodes the others, and takes a
-helper's run only where the spans agree.  The helper sends nothing for a
-run it cannot send whole (a '"', a defect, an array that closes there, an
-exception), and this process decodes every run from there on, so every
-array and every error are those of the one-process walk.
+by two processes: the reader feeds its helper (``core._Helper``) the text
+of every other run, which the helper decodes or refuses (``_runs``), and
+decodes every run itself from the first it does not take, so every array
+and every error are those of the one-process walk.
 
 The walk is the only reader of a JSON object, and it refuses nothing that
 ``json.loads`` reads as one.  Its runs are noted, not raised on
@@ -55,11 +47,12 @@ first defect of the earliest kind).  A number written as a string, which
 numpy would convert, is refused last.  Only text that is not a JSON object
 is read again whole, for json's own error or for the value that is not an
 object, but for a leading byte order mark, refused from the first window
-with json's own message; a character at fault that the window holds is refused without a
-refill (``_Refused``), and a member nested deeper than json's scanner
-recurses without a re-read (``_Nested``).  Readers run with the cyclic
-garbage collector paused (``_gc_paused``), since each [re, im] list would
-count towards its next pass over objects that cannot form a cycle.
+with json's own message; a character at fault that the window holds is
+refused without a refill (``_Refused``), and a member nested deeper than
+json's scanner recurses without a re-read (``_Nested``).  Readers run with
+the cyclic garbage collector paused (``_gc_paused``), since each [re, im]
+list would count towards its next pass over objects that cannot form a
+cycle.
 
 The writer is not ``json.dump``, which with an indent runs its pure-Python
 encoder and makes one write per token.  ``dump_report`` writes the same
@@ -71,32 +64,29 @@ Every array the package writes is such a float view (``pair_rows``, the
 savers' entries, grid and frames); a list of [re, im] lists from outside
 goes item by item.  Float repr (about 1 us a float) is most of a write and
 holds the GIL, so a large document (``core._Fork.floats``, counted by one
-walk that stops there) is joined in two processes: the helper
-(``core._Helper``), sent the document as a pickle, walks it and joins every
-other leaf block, and this process joins the rest, reads the helper's
-blocks in order and makes every write.  A saver refuses what its reader refuses
-before it opens the file, so a refused save leaves no file, and a target
-as it was.
+walk that stops there) is joined in two processes: this process walks it,
+feeds the helper leaf blocks to join while it joins the next (``_Writer``)
+and makes every write.  A saver refuses what its reader refuses before it
+opens the file, so a refused save leaves no file, and a target as it was.
 """
 
 from __future__ import annotations
 
 import gc
-import io
 import json
 import math
 import os
+import pickle
 import re
-import socket
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from functools import partial
-from itertools import chain, count
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, IO, Iterator, NamedTuple
 
 import numpy as np
 
-from .core import DimensionMismatchError, _Fork, _HandOver, _Helper
+from .core import DimensionMismatchError, _fed, _Fork, _Helper
 
 __all__ = [
     "FileFormatError",
@@ -111,6 +101,9 @@ __all__ = [
 
 
 _BLOCK = 2048  # leaf-list items per join: bounds the text held at once
+# Floats below which a leaf block is joined here, not fed to the helper: a
+# round trip of the socket costs about the join of that many.
+_FEED = 128
 
 _CHUNK = 2 ** 20  # characters per read of a file: bounds the text held at once
 _PAIR_RUN = 80_000  # characters of pairs or frames decoded at once: bounds the lists held
@@ -246,7 +239,7 @@ def load_matrix(path: str) -> np.ndarray:
     Grammar errors raise FileFormatError; whether the matrix is actually
     unitary is the caller's check, at the caller's tolerance.
     """
-    return _loaded(path, "entries", _pair_runs, _matrix)
+    return _loaded(path, "entries", 1, _pair_runs, _matrix)
 
 
 def save_matrix(path: str, matrix: np.ndarray) -> None:
@@ -261,27 +254,26 @@ def save_matrix(path: str, matrix: np.ndarray) -> None:
 
 def load_evolution(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Parse an evolution file into (grid, frames) raw arrays."""
-    return _loaded(path, "frames", _frame_runs, _evolution)
+    return _loaded(path, "frames", 2, _frame_runs, _evolution)
 
 
 @_gc_paused()
-def _loaded(path: str, blocks: str, read_blocks, checked) -> Any:
+def _loaded(path: str, blocks: str, closers: int, read_blocks, checked) -> Any:
     """``checked(doc, path)`` of the document in ``path``, walked once with
-    the array under its key ``blocks`` read by ``read_blocks``; text that is
-    not a JSON object is parsed whole, for json's error or the non-object,
-    but for a leading byte order mark, which json refuses at once.  A file
-    of ``_Fork.bytes`` or more has every other run of that array decoded by
-    the helper (``_send_odd_runs``)."""
+    the array under its key ``blocks`` (members ending at ``closers`` ']')
+    read by ``read_blocks``, with the helper from ``_Fork.bytes`` on; text
+    that is not a JSON object is parsed whole, for json's error or the
+    non-object, but for a leading byte order mark, refused at once."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            fd = fh.fileno()
             window = _Window(fh)
             window.fill(1)  # the walk's first refill
             if window.text.startswith("\ufeff"):
                 _parse_json(window.text[0], path)
             try:
-                with (_Helper.task(_send_odd_runs, blocks, read_blocks, fds=[fd])
-                      if os.fstat(fd).st_size >= _Fork.bytes else nullcontext()) as helper:
+                with (_Helper.task(_fed, _decoded_piece, closers)
+                      if os.fstat(fh.fileno()).st_size >= _Fork.bytes
+                      else nullcontext()) as helper:
                     doc = _walked_object(window, blocks, partial(read_blocks, helper=helper))
             except _Nested as err:
                 raise FileFormatError(f"{path!r} {err}: {_TOO_DEEP}") from err
@@ -293,35 +285,6 @@ def _loaded(path: str, blocks: str, read_blocks, checked) -> Any:
     except OSError as err:
         raise FileFormatError(f"cannot read {path!r}: {err}") from err
     return checked(doc, path)
-
-
-def _send_odd_runs(fd: int, blocks: str, read_blocks, out: socket.socket) -> None:
-    """The reader's task: it walks the file open at ``fd``, the reader's
-    descriptor sent to the helper, as the reader walks it, and sends the
-    odd-numbered runs of its block arrays on ``out``.  It reads from the
-    file's start by ``os.pread``, which leaves the offset of the open file,
-    shared with the reader, alone; its text wrapper decodes UTF-8 and
-    newlines as the reader's does.  The path is not opened again: a file
-    put in its place since would be another."""
-    text = io.TextIOWrapper(io.BufferedReader(_Pread(fd)), encoding="utf-8")
-    _walked_object(_Window(text), blocks, partial(read_blocks, helper=_RunSender(out)))
-
-
-class _Pread(io.RawIOBase):
-    """An open file read from its start by ``os.pread``."""
-
-    def __init__(self, fd: int):
-        super().__init__()
-        self.fd, self.offset = fd, 0
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        data = os.pread(self.fd, len(buffer), self.offset)
-        buffer[:len(data)] = data
-        self.offset += len(data)
-        return len(data)
 
 
 def _matrix(doc: Any, path: str) -> np.ndarray:
@@ -451,7 +414,7 @@ class _Run(NamedTuple):
     flat: np.ndarray | None
 
 
-def _pair_runs(window: _Window, helper=None) -> _Items:
+def _pair_runs(window: _Window, helper: _Helper | None = None) -> _Items:
     """The JSON array of [re, im] pairs in ``window`` as one item, converted
     a run at a time before the next run is decoded."""
     entries = _Items([0])
@@ -463,7 +426,7 @@ def _pair_runs(window: _Window, helper=None) -> _Items:
     return entries
 
 
-def _frame_runs(window: _Window, helper=None) -> _Items:
+def _frame_runs(window: _Window, helper: _Helper | None = None) -> _Items:
     """The JSON array of frames in ``window``, one item each, converted a
     run at a time before the next run is decoded; after the first bad
     frame, frames are only counted."""
@@ -490,93 +453,78 @@ def _textual(value: Any) -> bool:
     return False
 
 
-def _runs(window: _Window, closers: int, helper=None) -> Iterator[_Run]:
+def _runs(window: _Window, closers: int, helper: _Helper | None = None) -> Iterator[_Run]:
     """The members of the JSON array in ``window`` a run at a time, as
-    ``_run`` reads them.  Before each run the window is refilled if it
-    holds fewer than two runs' length of text.
-
-    With a ``_Helper``, the runs are numbered from 0 and each odd-numbered
-    one is the helper's: this process cuts it by ``_run``'s regex alone,
-    and takes the helper's arrays for it if the helper sent a run of the
-    same span.  Otherwise, and for every run after, it decodes the run
-    itself.  In the helper (a ``_RunSender``) this yields nothing.
-    """
-    last = window.take(_opening, "[")
+    ``_run`` reads them, the window refilled to two runs' length before each
+    of this process's.  With a ``_Helper``, the run after each is fed to it
+    ahead (``_feed``) and its answer taken where this process's run ended
+    where that run starts; elsewhere this process decodes every run."""
+    last, fed, cuts = window.take(_opening, "["), [], {}
     while not last:
         if len(window.text) - window.idx < 2 * _PAIR_RUN and not window.eof:
             window.fill(2 * _PAIR_RUN)
-        if isinstance(helper, _RunSender):
-            last = helper.sent(window, closers)
+        while helper and helper.reading and len(fed) < 2 and _feed(window, closers, helper, fed,
+                                                                  cuts):
+            pass
+        members, last, quoted = window.take(_run, closers, cuts.pop(window.at(), None))
+        yield _as_run(members, quoted, closers)
+        if not fed:
             continue
-        run = (_received_run(window, closers, helper)
-               if helper is not None and helper.theirs() else None)
-        if run is None:
-            run, last = _decoded_run(window, closers)
-        yield run
+        answer = helper.received(1) if not last and window.at() == fed[0][0] else None
+        if answer and answer[0]:
+            window.idx = fed.pop(0)[1] - window.dropped
+            k = int.from_bytes(answer[0][:8], "little")
+            yield _Run(None, np.frombuffer(answer[0], np.int64, k, 8).tolist(), False,
+                       np.frombuffer(answer[0], np.complex128, offset=8 * (k + 1)))
+            continue
+        for _ in fed[answer is not None:]:  # the answers still to come, read and left
+            helper.received(1)
+        fed.clear()
+        helper.finish()
 
 
-def _decoded_run(window: _Window, closers: int) -> tuple[_Run, bool]:
-    """The next run of the array in ``window``, decoded by ``_run``, and
-    whether the array closed there."""
-    members, last, quoted = window.take(_run, closers)
+def _feed(window: _Window, closers: int, helper: _Helper, fed: list, cuts: dict) -> bool:
+    """Feed the helper the run after this process's next one (at the end of
+    the last fed run, or at the window's index): its span goes on ``fed``,
+    and the cut of this process's run on ``cuts``.  False where that run
+    ends the array, lies not in the window, or will not fit ``room``."""
+    text, at = window.text, fed[-1][1] if fed else window.at()
+    ours = cuts[at] = _regex_cut(text, at - window.dropped, closers)
+    try:
+        last, start = (True, 0) if ours is None else _after_item(text, ours.end(), "]")
+        theirs = None if last else _regex_cut(text, start, closers)
+        last, end = (True, 0) if theirs is None else _after_item(text, theirs.end(), "]")
+    except ValueError:
+        return False
+    piece = b"" if last or not (window.eof or end + _LOOKAHEAD < len(text)) else (
+        text[start:end].encode("utf-8"))
+    if not piece or fed and len(piece) > helper.room:
+        return False
+    helper.give(piece)
+    fed.append((window.dropped + start, window.dropped + end))
+    return True
+
+
+def _as_run(members: list, quoted: bool, closers: int) -> _Run:
+    """A run of members ``_run`` decoded, its items counted."""
     if not members:  # a ',' before the array's ']'
         raise ValueError("trailing ',' in an array")
     items = [members] if closers == 1 else members
-    return _Run(items, [len(item) if type(item) is list else -1 for item in items],
-                quoted, None), last
+    return _Run(items, [len(item) if type(item) is list else -1 for item in items], quoted, None)
 
 
-def _received_run(window: _Window, closers: int, helper: _Helper) -> _Run | None:
-    """The helper's next run, if it spans the run that ``_run``'s regex cuts
-    at the window's index (the window then past it); else None, with the
-    window where it was and the helper stopped."""
-    start, message = window.at(), helper.received(3)
-    if message is None:
+def _decoded_piece(piece: bytearray, closers: int) -> bytes | None:
+    """The helper's answer to a run of text (``_fed``): its item count, pair
+    counts and float64 bytes; None where the text does not decode as one run
+    to its end, holds a '"', closes the array or has a defect."""
+    text = piece.decode("utf-8")
+    (members, last, quoted), end = _run(text, 0, closers)
+    if last or quoted or end != len(text):
         return None
-    span, counts, flat = message
-    try:
-        last = window.take(_cut, closers)
-    except ValueError:
-        last = True
-    if not last and span == _span(start, window.at()):
-        return _Run(None, np.frombuffer(counts, np.int64).tolist(), False,
-                    np.frombuffer(flat, np.complex128))
-    window.idx = start - window.dropped
-    helper.stop()
-    return None
-
-
-def _span(start: int, end: int) -> bytes:
-    """A run's span in the whole text, as the helper sends it."""
-    return start.to_bytes(8, "little") + end.to_bytes(8, "little")
-
-
-class _RunSender:
-    """The reader's helper's side of ``_runs``.  Numbered as the reader
-    numbers them, each even-numbered run is cut by ``_run``'s regex alone,
-    and each odd-numbered one is decoded and converted, and its span in the
-    whole text, its items' pair counts and its flat floats are sent down
-    the socket.  The helper sends nothing for a run that holds a '"', has a
-    defect, has an item that is not a list of [re, im] lists, closes the
-    array, or raises: it stops there (``_HandOver``), and the reader
-    decodes that run and every run after it, so every error is raised in
-    the reader, with its own text and in its own order."""
-
-    def __init__(self, out: socket.socket):
-        self.out, self.numbers = out, count()
-
-    def sent(self, window: _Window, closers: int) -> bool:
-        """Cut or send the next run; whether the array closed after it."""
-        start = window.at()
-        if next(self.numbers) % 2 == 0:
-            return window.take(_cut, closers)
-        run, last = _decoded_run(window, closers)
-        flat, defect = _converted(run.items)
-        if last or run.quoted or defect is not None:
-            raise _HandOver
-        _Helper.send(self.out, _span(start, window.at()),
-                     np.array(run.counts, np.int64).tobytes(), flat.tobytes())
-        return False
+    run = _as_run(members, quoted, closers)
+    flat, defect = _converted(run.items)
+    counts = np.array([len(run.counts), *run.counts], np.int64)
+    return None if defect else counts.tobytes() + flat.tobytes()
 
 
 def _regex_cut(text: str, idx: int, closers: int) -> re.Match | None:
@@ -587,23 +535,16 @@ def _regex_cut(text: str, idx: int, closers: int) -> re.Match | None:
     return last_end(text, idx, idx + _PAIR_RUN) or next_end(text, idx)
 
 
-def _cut(text: str, idx: int, closers: int) -> tuple[bool, int]:
-    """The run at ``idx`` as ``_run`` reads it when it decodes as its regex
-    cuts it, not decoded: whether the array closed after it, and the index
-    past it and past the ',' that follows."""
-    cut = _regex_cut(text, idx, closers)
-    if cut is None:
-        raise ValueError(f"no end of a member at {idx}")
-    return _after_item(text, cut.end(), "]")
-
-
-def _run(text: str, idx: int, closers: int) -> tuple[tuple[list, bool, bool], int]:
+def _run(text: str, idx: int, closers: int, cut: re.Match | None = None
+         ) -> tuple[tuple[list, bool, bool], int]:
     """The members at ``idx`` up to the last that ends within ``_PAIR_RUN``
     characters (or up to the first that ends beyond), decoded as one array,
     whether the array closed there, and whether their text holds a '"';
     then the index past it, or past the ',' that follows the run.  A
-    member ends at ``closers`` ']'."""
-    cut = _regex_cut(text, idx, closers)
+    member ends at ``closers`` ']'.  ``cut``, the regex's cut at ``idx``,
+    is taken where it was made on this ``text``."""
+    if cut is None or cut.string is not text:
+        cut = _regex_cut(text, idx, closers)
     if cut is not None:
         run = "[" + text[idx:cut.end()] + "]"
         try:
@@ -718,11 +659,17 @@ def dump_report(doc: Any, stream: IO[str]) -> None:
     sort_keys=True, indent=2, allow_nan=False)`` followed by a newline,
     where an ndarray with at least one axis stands for its ``tolist()``.
     A document of ``_Fork.floats`` floats or more has every other leaf
-    block joined by the helper (``_Helper``); only this process writes to
+    block joined by the helper (``_Writer``); only this process writes to
     ``stream``."""
-    with (_Helper.task(_send_odd_blocks, doc) if _holds_floats(doc, _Fork.floats)
+    with (_Helper.task(_fed, _joined_piece) if _holds_floats(doc, _Fork.floats)
           else nullcontext()) as helper:
-        _write_value(doc, stream.write, "\n", partial(_joined, helper) if helper else _leaf_block)
+        writer = _Writer(stream.write, helper)
+        try:
+            _write_value(doc, writer.write, "\n", writer.leaf)
+        except Exception:
+            writer.settle(every=True)  # an error in a fed block comes first
+            raise
+        writer.settle(every=True)
         stream.write("\n")
 
 
@@ -745,38 +692,76 @@ def _holds_floats(doc: Any, least: int) -> bool:
     return least <= 0
 
 
-def _joined(helper: _Helper, block, pairs: bool, inner: str) -> str | None:
-    """The text of the next leaf block of a document whose every other block
-    ``helper`` joins: the helper's, or joined here.  A block of this
-    process's that will not join parts the two walks (the helper takes it
-    as joined, this process goes into it item by item), so from there on
-    every block is joined here."""
-    message = helper.received(1) if helper.theirs() else None
-    if message is not None:
-        return message[0].decode("ascii")
-    text = _leaf_block(block, pairs, inner)
-    if text is None:
-        helper.stop()
-    return text
+class _Writer:
+    """``dump_report``'s writes and leaf blocks.  With a ``_Helper``, leaf
+    blocks of ``_FEED`` floats or more are fed to it, two at most (the
+    second within the socket's ``room``), while this process joins the
+    blocks after them; the writes after a fed block wait in ``queue`` until
+    its text is back (``settle``).  A block the helper refuses is joined
+    here, or goes item by item, and the helper is fed no more."""
 
+    def __init__(self, write, helper: _Helper | None):
+        self.out, self.helper, self.feeding = write, helper, helper is not None
+        self.queue, self.fed, self.ahead = [], 0, 0  # fed blocks and the writes after them
 
-def _send_odd_blocks(doc: Any, out: socket.socket) -> None:
-    """The writer's task: it walks ``doc``, the writer's document as the
-    helper unpickled it, writing nothing of it, takes each even-numbered
-    leaf block as joined, and sends each odd-numbered one's text on
-    ``out``, up to the first that will not join."""
-    numbers = count()
+    def write(self, text: str) -> None:
+        if not self.queue:
+            self.out(text)
+            return
+        self.queue.append(text)
+        if len(self.queue) > _BLOCK:
+            self.settle()
 
-    def leaf(block, pairs: bool, inner: str) -> str:
-        if next(numbers) % 2 == 0:
-            return ""
+    def leaf(self, block, pairs: bool, inner: str) -> bool:
+        """Write a leaf block, or feed it to the helper; False where it will
+        not join here, and goes item by item."""
+        size = block.size if isinstance(block, np.ndarray) else len(block)
+        if self.fed and (self.ahead > 2 * _BLOCK or self.helper.answered()):
+            self.settle()
+        if self.feeding and self.fed < 2 and size >= _FEED and self.helper.reading:
+            piece = None
+            with suppress(Exception):  # a member that will not pickle: joined here
+                piece = pickle.dumps((block, pairs, inner), 5)
+            if piece is not None and (not self.fed or len(piece) <= self.helper.room):
+                self.helper.give(piece)
+                self.queue.append((block, pairs, inner))
+                self.fed += 1
+                return True
         text = _leaf_block(block, pairs, inner)
-        if text is None:  # the parent joins every block from here on
-            raise _HandOver
-        _Helper.send(out, text.encode("ascii"))
-        return text
+        if text is None:
+            self.settle(every=True)
+            return False
+        self.write(text)
+        self.ahead += size
+        return True
 
-    _write_value(doc, len, "\n", leaf)  # len: a write that keeps nothing
+    def settle(self, every: bool = False) -> None:
+        """Write the first fed block, the helper's text or joined here, then
+        the writes queued after it; with ``every``, each fed block so."""
+        while self.fed:
+            (block, pairs, inner), *rest = self.queue
+            cut = next((i for i, item in enumerate(rest) if type(item) is tuple), len(rest))
+            self.queue, self.fed, self.ahead = [], 0, 0
+            answer = self.helper.received(1)
+            self.feeding = self.feeding and bool(answer and answer[0])
+            text = answer[0].decode("ascii") if answer and answer[0] else _leaf_block(
+                block, pairs, inner)
+            if text is None:
+                _write_items(block, self.write, inner, self.leaf)
+            else:
+                self.out(text)
+            for text in rest[:cut]:
+                self.out(text)
+            self.queue, self.fed = rest[cut:], int(cut < len(rest))
+            if not every:
+                return
+
+
+def _joined_piece(piece: bytearray) -> bytes | None:
+    """The helper's answer to a leaf block it is fed (``_fed``) with
+    ``pairs`` and ``inner``: its text, or None where it will not join."""
+    text = _leaf_block(*pickle.loads(piece))
+    return None if text is None else text.encode("ascii")
 
 
 def _scalar(value: Any) -> str:
@@ -797,7 +782,7 @@ def _scalar(value: Any) -> str:
 
 def _write_value(value: Any, write, newline: str, leaf) -> None:
     """``newline`` is a line break plus the indentation ``value`` starts at;
-    ``leaf(block, pairs, inner)`` joins a leaf block, or gives None."""
+    ``leaf(block, pairs, inner)`` writes a leaf block, or returns False."""
     inner = newline + "  "
     if isinstance(value, dict):
         write("{")
@@ -812,19 +797,21 @@ def _write_value(value: Any, write, newline: str, leaf) -> None:
             block = value[start:start + _BLOCK]
             write("," + inner if start else inner)
             pairs = _leaf_kind(block)
-            text = None if pairs is None else leaf(block, pairs, inner)
-            if text is not None:
-                write(text)
-                continue
-            # An array of three or more axes goes on a row at a time, as arrays.
-            if isinstance(block, np.ndarray) and block.ndim < 3:
-                block = block.tolist()
-            for i, item in enumerate(block):
-                write("," + inner if i else "")
-                _write_value(item, write, inner, leaf)
+            if pairs is None or not leaf(block, pairs, inner):
+                _write_items(block, write, inner, leaf)
         write((newline if len(value) else "") + "]")
     else:
         write(_scalar(value))
+
+
+def _write_items(block, write, inner: str, leaf) -> None:
+    """A block of a list or array written item by item: an array of three
+    or more axes a row at a time, as arrays."""
+    if isinstance(block, np.ndarray) and block.ndim < 3:
+        block = block.tolist()
+    for i, item in enumerate(block):
+        write("," + inner if i else "")
+        _write_value(item, write, inner, leaf)
 
 
 def _leaf_kind(block) -> bool | None:

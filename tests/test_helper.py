@@ -29,6 +29,7 @@ from gaugephase import io as io_module
 from gaugephase.cli import main
 from gaugephase.core import _Fork
 from gaugephase.io import _BLOCK
+from test_io_cli import _received_runs
 
 
 @pytest.fixture(scope="module")
@@ -88,47 +89,54 @@ def test_the_stages_of_one_process_fork_one_helper(large_files, forks):
     assert _tower(matrix) == expected[0]
     pid = core._Helper.live.pid
     assert _tower(matrix) == expected[1]
-    assert forks.tasks == ["_send_odd_runs", "_send_peeled_leading", "_send_rebuilt_leading"] * 2
+    assert forks.tasks == ["_decoded_piece", "_send_peeled_leading", "_send_result"] * 2
     assert forks.made == [pid] and core._Helper.live.pid == pid
 
 
-def test_a_reader_span_mismatch_kills_the_helper_and_the_next_stage_forks_again(
-        large_files, monkeypatch, forks):
-    # The helper keeps the run length it was forked with; this process cuts
-    # its runs shorter, so the helper's first run spans other text.
+@pytest.mark.parametrize("ratio", [1 / 3, 3])
+def test_a_helper_forked_with_another_run_length_is_kept(ratio, large_files, monkeypatch,
+                                                         forks):
+    # The reader alone cuts the runs.  The helper keeps the run length it
+    # was forked with and decodes each run it is fed with it: a longer one
+    # cuts each fed run where the reader did, a shorter one cuts the first
+    # short and refuses it, and the reader decodes every run from there on.
     matrix, evolution = large_files
     expected = _one_process(lambda: load_evolution(evolution))
     load_matrix(matrix)
     first = core._Helper.live.pid
-    monkeypatch.setattr(io_module, "_PAIR_RUN", io_module._PAIR_RUN // 3)
+    monkeypatch.setattr(io_module, "_PAIR_RUN", int(io_module._PAIR_RUN * ratio))
+    received = _received_runs(monkeypatch)
     got = load_evolution(evolution)
-    assert core._Helper.live is None and _gone(first)
     assert all(np.array_equal(g.view(np.uint64), e.view(np.uint64))
                for g, e in zip(got, expected))
+    if ratio < 1:
+        assert received["taken"] > 0 and received["left"] == 0
+    else:
+        assert received["taken"] == 0 and received["left"] >= 1
     load_matrix(matrix)
-    assert forks.made == [first, core._Helper.live.pid]
+    assert forks.made == [first] == [core._Helper.live.pid]
     assert len(forks.tasks) == 3
 
 
 def _unjoined(at: int) -> dict:
     """A document of more floats than the writer's fork size, with a block
-    that will not join at float ``at``: block 0 is this process's, block 1
-    the helper's."""
+    that will not join at float ``at``: block 0 is always fed to the
+    helper."""
     floats = np.random.default_rng(at).standard_normal(_Fork.floats + _BLOCK).tolist()
     return {"a": floats[:at] + [[0.5, 0.25], 7] + floats[at + 2:]}
 
 
-def test_a_writer_handover_here_kills_the_helper_and_one_there_keeps_it(forks):
-    here, there = _unjoined(5), _unjoined(_BLOCK + 5)
-    # This process stops reading at its own block 0, short of the end mark.
+def test_a_block_that_will_not_join_here_or_there_keeps_the_helper(forks):
+    there, here = _unjoined(5), _unjoined(_BLOCK + 5)
+    # The helper refuses block 0, which goes item by item here, and sends
+    # its end mark.
+    assert _dumped(there) == _json_dumped(there)
+    first = core._Helper.live.pid
+    # Block 1, joined here or fed, goes item by item here.
     assert _dumped(here) == _json_dumped(here)
-    assert core._Helper.live is None and _gone(forks.made[0])
-    # The helper hands over at its block 1 and sends its end mark.
     assert _dumped(there) == _json_dumped(there)
-    second = core._Helper.live.pid
-    assert _dumped(there) == _json_dumped(there)
-    assert core._Helper.live.pid == second == forks.made[1]
-    assert (len(forks.tasks), len(forks.made)) == (3, 2)
+    assert core._Helper.live.pid == first and forks.made == [first]
+    assert len(forks.tasks) == 3
 
 
 def test_an_error_in_a_stage_kills_the_helper(forks):
@@ -140,11 +148,17 @@ def test_an_error_in_a_stage_kills_the_helper(forks):
     assert len(forks.tasks) == 1
 
 
-def test_a_task_that_will_not_pickle_stays_in_this_process(forks):
+@pytest.mark.parametrize("at", ["key", "helper_block"])
+def test_a_member_that_will_not_pickle_raises_jsons_type_error(at, forks):
+    # The document is never pickled: the writer forks for it.  With the
+    # function in block 0, which the helper is always fed, that block will
+    # not pickle and is joined here.
     floats = np.random.default_rng(4).standard_normal(_Fork.floats).tolist()
-    with pytest.raises(TypeError, match="Object of type function is not JSON serializable"):
-        _dumped({"a": floats, "b": lambda: None})
-    assert (forks.tasks, forks.made) == ([], [])
+    doc = ({"a": floats, "b": lambda: None} if at == "key"
+           else {"a": floats[:5] + [lambda: None] + floats[5:]})
+    with pytest.raises(TypeError, match="^Object of type function is not JSON serializable$"):
+        _dumped(doc)
+    assert forks.tasks == ["_joined_piece"] and len(forks.made) == 1
 
 
 def test_one_cpu_leaves_a_live_helper_unused(large_files, monkeypatch, forks):

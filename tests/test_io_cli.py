@@ -36,6 +36,7 @@ from gaugephase import (
     save_matrix,
 )
 from gaugephase.cli import main
+from gaugephase import core
 from gaugephase import io as io_module
 from gaugephase.core import _Fork
 from gaugephase.io import _BLOCK
@@ -237,16 +238,25 @@ def _first_run_ends_with(monkeypatch, path: str, frame: int, beyond: int = 0) ->
 
 
 def _received_runs(monkeypatch) -> dict[str, int]:
-    """How many of the helper's runs the reader takes and leaves from now on."""
+    """How many of the runs fed to the helper the reader takes its answer
+    for, and how many it decodes itself, from now on."""
     received = {"taken": 0, "left": 0}
-    receive = io_module._received_run
+    feed, runs = io_module._feed, io_module._runs
 
-    def counted(*args):
-        run = receive(*args)
-        received["left" if run is None else "taken"] += 1
-        return run
+    def fed(*args):
+        done = feed(*args)
+        received["left"] += done
+        return done
 
-    monkeypatch.setattr(io_module, "_received_run", counted)
+    def counted(window, closers, helper=None):
+        for run in runs(window, closers, helper):
+            if run.flat is not None:
+                received["taken"] += 1
+                received["left"] -= 1
+            yield run
+
+    monkeypatch.setattr(io_module, "_feed", fed)
+    monkeypatch.setattr(io_module, "_runs", counted)
     return received
 
 
@@ -763,7 +773,7 @@ def test_a_byte_order_mark_is_refused_from_the_window(tmp_path, capsys, forks):
     assert main(["offdiag", path]) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: {expected}\n")
-    assert forks.tasks == saved == ["_send_odd_blocks"]  # the save's task alone
+    assert forks.tasks == saved == ["_joined_piece"]  # the save's task alone
 
 
 def test_a_refused_evolution_is_read_a_block_of_frames_at_a_time(tmp_path):
@@ -1364,7 +1374,8 @@ def test_a_large_file_is_read_by_a_helper_or_in_one_process_alike(fork, large_fr
         monkeypatch.setattr(_Fork, "bytes", size + (fork == "one_byte_below_the_size"))
     received = _received_runs(monkeypatch)
     _assert_same_arrays(load_evolution(path), evolution_by_one_tree(path))
-    helped = fork in ("fork", "at_the_size")
+    # The helper reads no file, so a platform without os.pread reads in two processes.
+    helped = fork in ("fork", "no_pread", "at_the_size")
     assert len(forks.tasks) == len(forks.made) == helped
     assert (received["taken"] > 0) == helped
 
@@ -1392,6 +1403,134 @@ def test_a_file_replaced_after_it_is_opened_is_read_as_opened(large_frames, tmp_
     _assert_same_arrays(load_evolution(path), expected)
     assert received["taken"] > 0
     assert not np.array_equal(load_evolution(path)[1], expected[1])  # the path holds the other
+
+
+@pytest.mark.parametrize("member", ["a],[b", [0.5]], ids=["in_a_string", "nested"])
+@pytest.mark.parametrize("at", range(4, 10))
+def test_a_false_bracket_gets_the_one_process_error(at, member, tmp_path, monkeypatch, forks):
+    # Runs of one or two pairs: the regex cuts a run at the false ']' where
+    # it is the last within _PAIR_RUN characters, in this process's run
+    # (whose decode then ends short of the cut) or in the helper's (which
+    # refuses it).  The helper decodes every other run of the rest.
+    monkeypatch.setattr(_Fork, "bytes", 0)
+    monkeypatch.setattr(io_module, "_PAIR_RUN", 30)
+    entries = [[0.5, 0.25]] * 16
+    entries[at] = [member, 0.5]
+    path = str(tmp_path / "m.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"n": 4, "entries": entries}, fh, separators=(",", ":"))
+    expected = _one_process(load_matrix, path, monkeypatch)
+    received = _received_runs(monkeypatch)
+    assert _loaded_or_error(load_matrix, path) == expected
+    assert f"{path!r} entries: malformed pairs: " in expected
+    assert sum(received.values()) > 0 and forks.tasks == ["_decoded_piece"]
+
+
+def _written_or_error(doc) -> tuple[str, str | None]:
+    """What ``dump_report`` writes of ``doc`` into a StringIO, and the type
+    and text of its error, if it raises."""
+    out = _stdio.StringIO()
+    try:
+        dump_report(doc, out)
+    except (TypeError, ValueError) as err:
+        return out.getvalue(), f"{type(err).__name__}: {err}"
+    return out.getvalue(), None
+
+
+def _written_in_one_process(doc, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_cpus", lambda: 1)
+        return _written_or_error(doc)
+
+
+REFUSED_MEMBERS = {"nan": math.nan, "minus_inf": -math.inf, "int": 7, "complex": 1j,
+                   "str": "x", "none": None, "pair": [0.5, 0.25]}
+
+
+@pytest.mark.parametrize("kind, member", [
+    *(("list", name) for name in REFUSED_MEMBERS), ("pairs", "nan"), ("pairs", "minus_inf")])
+def test_a_block_the_helper_refuses_is_written_here_as_one_process_writes_it(
+        kind, member, forks, monkeypatch):
+    # The member sits in block 0, which the helper is always fed.  The
+    # helper refuses it; this process joins it or goes item by item, and
+    # feeds no more.
+    member = REFUSED_MEMBERS[member]
+    if kind == "list":
+        floats = np.random.default_rng(9).standard_normal(2 * _Fork.floats).tolist()
+        floats[5] = member
+        doc = {"a": floats, "b": "after"}
+    else:
+        pairs = np.random.default_rng(9).standard_normal((_Fork.floats, 2))
+        pairs[5, 1] = member
+        doc = {"a": pairs, "b": "after"}
+    expected = _written_in_one_process(doc, monkeypatch)
+    refusals = []
+    received = core._Helper.received
+
+    def counted(helper, parts):
+        answer = received(helper, parts)
+        refusals.append(answer is not None and not answer[0])
+        return answer
+
+    monkeypatch.setattr(core._Helper, "received", counted)
+    assert _written_or_error(doc) == expected
+    assert refusals.count(True) == 1
+    # The helper answers on until the feed ends, so it is kept but for an error.
+    assert (core._Helper.live is None) == (expected[1] is not None) and len(forks.made) == 1
+
+
+# A defect in "a", a block that the helper is always fed, and then one in
+# "b" or in a block of "b": the earlier error is raised, and the stream
+# holds what one process wrote.  "c" takes the document past the fork size.
+PENDING_ERRORS = {
+    "nan_then_function": (math.nan, lambda: None, "ValueError: Out of range float"),
+    "complex_then_nan": (1j, math.nan, "TypeError: Object of type complex"),
+    "clean_then_function": (None, lambda: None, "TypeError: Object of type function"),
+    "clean_then_nan": (None, [math.nan], "ValueError: Out of range float"),
+    "nan_then_complex_block": (math.nan, [0.5] * 9 + [1j], "ValueError: Out of range float"),
+}
+
+
+@pytest.mark.parametrize("case", list(PENDING_ERRORS))
+def test_an_error_met_while_a_helper_block_is_pending_comes_in_one_process_order(
+        case, forks, monkeypatch):
+    first, second, error = PENDING_ERRORS[case]
+    floats = np.random.default_rng(11).standard_normal(_BLOCK).tolist()
+    if first is not None:
+        floats[_BLOCK - 3] = first
+    doc = {"a": floats, "b": second, "c": np.ones(_Fork.floats)}
+    expected = _written_in_one_process(doc, monkeypatch)
+    assert expected[1].startswith(error)
+    assert _written_or_error(doc) == expected
+    assert forks.tasks == ["_joined_piece"]
+
+
+def test_no_fed_message_is_larger_than_a_block_or_a_run(large_frames, tmp_path, monkeypatch,
+                                                        forks):
+    # No task is sent a document, a file or a descriptor: the writer's and
+    # the reader's tasks are a few bytes, and each piece fed after them is
+    # one leaf block (at most _BLOCK pairs of floats) or one run of text
+    # (at most _PAIR_RUN characters), with a small header.
+    sent = []
+    send = core._Helper.send
+
+    def recorded(channel, *parts):
+        sent.append(max(map(len, parts)))
+        send(channel, *parts)
+
+    monkeypatch.setattr(core._Helper, "send", staticmethod(recorded))
+    texts, grid, _ = large_frames
+    path = _write_text(tmp_path, _evolution_text(texts, grid))
+    _assert_same_arrays(load_evolution(path), evolution_by_one_tree(path))
+    task, *runs = sent
+    sent.clear()
+    doc = {"pairs": _random_array((3 * _Fork.floats, 2)), **_tower_shaped(2 * _Fork.floats)}
+    _assert_same_text(_dumped(doc), _json_dumped(
+        json.loads(json.dumps(doc, default=np.ndarray.tolist))))
+    assert forks.tasks == ["_decoded_piece", "_joined_piece"]
+    assert max(task, sent[0]) < 256
+    assert len(runs) > 4 and max(runs) <= io_module._PAIR_RUN + 64
+    assert len(sent) > 10 and max(sent[1:]) <= 2 * 8 * _BLOCK + 256
 
 
 @pytest.fixture()

@@ -3,6 +3,7 @@ no job starts a thread on any count, and every report is the one made on
 two; and how ``core._cpus`` counts the CPUs."""
 
 import io as _stdio
+import math
 import os
 import threading
 
@@ -18,6 +19,8 @@ from gaugephase import (
 from gaugephase.cli import main
 from gaugephase.core import _Fork
 from gaugephase.io import dump_report, load_evolution, load_matrix, save_evolution, save_matrix
+
+COUNTED_CPUS = core._cpus
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +98,8 @@ def _raise_oserror(*args):
 ], ids=["affinity_of_one", "affinity_of_three", "no_affinity", "affinity_refused",
         "no_affinity_and_no_count", "affinity_refused_and_no_count"])
 def test_cpus_reads_the_affinity_else_the_cpu_count_else_one(affinity, cpu_count, expected,
-                                                              monkeypatch):
+                                                              tmp_path, monkeypatch):
+    monkeypatch.setattr(core, "_CGROUPS", str(tmp_path / "no_cgroup"))  # no quota to read
     if affinity is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
@@ -103,3 +107,57 @@ def test_cpus_reads_the_affinity_else_the_cpu_count_else_one(affinity, cpu_count
     monkeypatch.setattr(os, "cpu_count", cpu_count)
     assert core._cpus() == expected
 
+
+
+def _cgroup(tmp_path, monkeypatch, listing: str, files: dict[str, str]) -> None:
+    """A process cgroup listing and cgroup files under a cgroup root in
+    ``tmp_path``, which ``core._quota`` reads."""
+    root = tmp_path / "cgroup"
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    (tmp_path / "listing").write_text(listing)
+    monkeypatch.setattr(core, "_CGROUPS", str(tmp_path / "listing"))
+    monkeypatch.setattr(core, "_CGROUP_ROOT", str(root))
+
+
+V1 = "4:memory:/job\n3:cpu,cpuacct:/job\n0::/\n"
+
+
+@pytest.mark.parametrize("listing, files, expected", [
+    ("0::/job\n", {"job/cpu.max": "max 100000\n"}, math.inf),
+    ("0::/job\n", {"job/cpu.max": "150000 100000\n"}, 2),
+    ("0::/job\n", {"job/cpu.max": "50000 100000\n"}, 1),
+    ("0::/\n", {"cpu.max": "200000 100000\n"}, 2),
+    (V1, {"cpu,cpuacct/job/cpu.cfs_quota_us": "-1\n",
+          "cpu,cpuacct/job/cpu.cfs_period_us": "100000\n"}, math.inf),
+    (V1, {"cpu,cpuacct/job/cpu.cfs_quota_us": "250000\n",
+          "cpu,cpuacct/job/cpu.cfs_period_us": "100000\n"}, 3),
+    (V1, {"cpu,cpuacct/job/cpu.cfs_quota_us": "100000\n"}, math.inf),
+    (V1, {"cpu,cpuacct/job/cpu.cfs_quota_us": "x\n",
+          "cpu,cpuacct/job/cpu.cfs_period_us": "100000\n"}, math.inf),
+    ("1:cpu:/\n0::/\n", {"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"},
+     math.inf),
+    ("0::/job\n", {}, math.inf),
+], ids=["v2_max", "v2_one_and_a_half", "v2_half", "v2_root", "v1_unset", "v1_two_and_a_half",
+        "v1_no_period", "v1_unreadable_quota", "v1_root_unset", "v2_no_file"])
+def test_quota_reads_the_cgroup_cpu_quota(listing, files, expected, tmp_path, monkeypatch):
+    _cgroup(tmp_path, monkeypatch, listing, files)
+    assert core._quota() == expected
+
+
+def test_no_cgroup_listing_is_no_quota(tmp_path, monkeypatch):
+    monkeypatch.setattr(core, "_CGROUPS", str(tmp_path / "missing"))
+    assert core._quota() == math.inf
+
+
+def test_a_quota_of_one_cpu_forks_no_helper(large_files, tmp_path, monkeypatch, forks):
+    two = _reports(tmp_path, *large_files)
+    live = core._Helper.live
+    forks.tasks.clear()
+    monkeypatch.setattr(core, "_cpus", COUNTED_CPUS)  # not the forks fixture's two
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    _cgroup(tmp_path, monkeypatch, "0::/job\n", {"job/cpu.max": "100000 100000\n"})
+    assert core._cpus() == 1
+    assert _reports(tmp_path, *large_files) == two
+    assert forks.tasks == [] and core._Helper.live is live

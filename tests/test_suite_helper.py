@@ -314,7 +314,7 @@ def test_a_pool_that_runs_through_the_fork_keeps_every_suite_here(tmp_path, monk
     # under any pool.
     doc = {"a": np.random.default_rng(1).standard_normal(_Fork.floats).tolist()}
     dump_report(doc, _stdio.StringIO())
-    assert forks.tasks == ["_send_odd_blocks"] and len(forks.made) == 2
+    assert forks.tasks == ["_joined_piece"] and len(forks.made) == 2
 
 
 def test_a_pool_that_stops_at_the_fork_hands_each_suite_a_share(tmp_path, monkeypatch, forks):
@@ -373,7 +373,7 @@ def test_a_helper_forked_beside_a_thread_is_replaced_for_a_suite(tmp_path, forks
     assert first is not None and not first.alone
     expected = _one_process(_verify_all, tmp_path, BENCH[:1])
     assert _verify_all(tmp_path, BENCH[:1]) == expected
-    assert forks.tasks == ["_send_odd_blocks", "_send_result"]
+    assert forks.tasks == ["_joined_piece", "_send_result"]
     assert forks.made == [first.pid, core._Helper.live.pid] and _gone(first.pid)
     assert core._Helper.live.alone
 

@@ -69,30 +69,30 @@ other member.
 One large matrix (``core._Fork.n``) is peeled and rebuilt in two
 processes, with the process's one helper (``core._Helper``), since each
 step of a level acts on each column on its own.  In the whole peel
-(``_peel``), the helper is sent the leading ``_Fork.peel`` share of the
-columns: through each level whose last column is this process's, it
-applies F(zeta)^dagger to them with the level's unit column, which this
-process sends after them, and at the end returns their remainder and the
-largest modulus of their peeled last rows.  This process keeps zeta, the
-genericity gate, the norms (a BLAS call, which a forked process must not
-make), the certificate and ``_verdict``; it peels the other columns, then
-the last levels of the helper's remainder alone.  In the rebuild
-(``_rebuild``) the helper is called on the level columns and chi
-(``_rebuilt_leading``, through ``core._send_result``) and rebuilds the
-leading ``_Fork.rebuild`` share of the columns, the heaviest, and this
-process the rest; it then certifies the whole.  Each column goes through
-the calls it goes through in one process, so every bit and every error
-are the one-process tower's; where no helper takes the task, or it fails
-or dies, this process does its columns too.  ``split_coset`` and stacks of several
-matrices stay in one process.
+(``_peel``), the helper's task (``_send_peeled_leading``) holds the
+leading ``_Fork.peel`` share of the columns: through each level whose last
+column is this process's, it applies F(zeta)^dagger to them with the
+level's unit column, which this process feeds it, and then answers with
+their remainder and the largest modulus of their peeled last rows.  This
+process keeps zeta, the genericity gate, the norms (a BLAS call, which a
+forked process must not make), the certificate and ``_verdict``; it peels
+the other columns, then the last levels of the helper's remainder alone.
+In the rebuild (``_rebuild``) the helper is called (``core._call``) on the
+level columns and chi to rebuild the leading ``_Fork.rebuild`` share of
+the columns, the heaviest (``_rebuilt_leading``), and this process the
+rest; it then certifies the whole.  Each column goes through the calls it
+goes through in one process, so every bit and every error are the
+one-process tower's; where no helper takes the task, or it answers empty
+or dies, this process does its columns too.  ``split_coset`` and stacks of
+several matrices stay in one process.
 """
 
 from __future__ import annotations
 
 import pickle
-import socket
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -106,11 +106,11 @@ from .core import (
     Tolerances,
     UnitaryMatrix,
     UnitVector,
+    _call,
     _certify_stack,
     _Fork,
     _Helper,
     _row_norms,
-    _send_result,
     principal_arg,
     reduce_phase,
 )
@@ -372,7 +372,7 @@ def _peeled_leading(block: np.ndarray, units: Iterable[np.ndarray]) -> tuple[np.
     rows.  The same calls, column for column, as the whole peel's."""
     n, c = block.shape
     work = block[None]
-    rows = np.empty((n - c, c), dtype=np.complex128)
+    rows = np.zeros((n - c, c), dtype=np.complex128)
     for i, unit in enumerate(units):
         peeled = _coset_adjoint_apply(unit[None], work)
         rows[i] = peeled[0, -1]
@@ -380,31 +380,27 @@ def _peeled_leading(block: np.ndarray, units: Iterable[np.ndarray]) -> tuple[np.
     return work[0], float(np.abs(rows).max())
 
 
-def _send_peeled_leading(block: np.ndarray, channel: socket.socket) -> None:
-    """The peel's task: :func:`_peeled_leading` of ``block`` with the units
-    read from ``channel``, its result sent on ``channel``."""
-    def units() -> Iterator[np.ndarray]:
-        for _ in range(block.shape[0] - block.shape[1]):
-            message = _Helper.read(channel, 1)
-            if not message:  # the parent has gone: send nothing
-                raise EOFError
-            yield np.frombuffer(message[0], np.complex128)
-
-    remainder, worst = _peeled_leading(block, units())
-    _Helper.send(channel, remainder.tobytes(), np.float64(worst).tobytes())
+def _send_peeled_leading(block: np.ndarray, pieces: Iterable[bytes]) -> Iterator[bytes]:
+    """The peel's task: :func:`_peeled_leading` of ``block`` (n, c) with the
+    n - c units fed as ``pieces``, answered as the remainder's bytes and the
+    modulus's; empty where the feed ends short of n - c units."""
+    n, c = block.shape
+    units = (np.frombuffer(piece, np.complex128) for piece in islice(pieces, n - c))
+    remainder, worst = _peeled_leading(block, units)
+    yield remainder.tobytes() + np.float64(worst).tobytes() if remainder.shape == (c, c) else b""
 
 
 def _leading_remainder(helper: _Helper, block: np.ndarray, units: list[np.ndarray]
                        ) -> tuple[np.ndarray, float]:
-    """The helper's result for the leading columns ``block``, as a (1, c, c)
-    remainder and a modulus, or, where it has gone, the same made here."""
-    message = helper.received(2)
-    if message is None:
+    """The helper's answer for the leading columns ``block``, as a (1, c, c)
+    remainder and a modulus, or, where it made none, the same made here."""
+    answer = helper.answer()
+    if not answer:
         remainder, worst = _peeled_leading(block, units)
         return remainder[None], worst
     c = block.shape[1]
-    return (np.frombuffer(message[0], np.complex128).reshape(1, c, c),
-            float(np.frombuffer(message[1], np.float64)[0]))
+    return (np.frombuffer(answer, np.complex128, c * c).reshape(1, c, c),
+            float(np.frombuffer(answer, np.float64, 1, 16 * c * c)[0]))
 
 
 def _verdict(peel: _Peel, tol: Tolerances, levels: int | None = None) -> np.ndarray:
@@ -474,14 +470,14 @@ def _rebuild(columns: Sequence[np.ndarray], chi: np.ndarray, tol: Tolerances
     out = np.zeros((stop, n, n), dtype=np.complex128)
     out.reshape(stop, n * n)[:, :: n + 1] = 1.0
     split = int(_Fork.rebuild * n) if stop == 1 and n >= _Fork.n else 0
-    with (_Helper.task(_send_result, _rebuilt_leading, columns, chi, split)
+    with (_Helper.task(_call, _rebuilt_leading, columns, chi, split)
           if split else nullcontext()) as helper:
         lo = 0 if helper is None else split
         _rebuild_columns(columns, chi, out[:, :, lo:], lo)
-        message = None if helper is None else helper.received(1)
+        answer = None if helper is None else helper.answer()
     if lo:
-        out[:, :, :split] = (_rebuilt_leading(columns, chi, split) if message is None
-                             else pickle.loads(message[0]))
+        out[:, :, :split] = (pickle.loads(answer) if answer
+                             else _rebuilt_leading(columns, chi, split))
     deviations = _certify_stack(out, tol.tol_unitary)
     if stop < k:
         raise NonGenericVectorError(f"genericity margin {margin[stop]:.3e} "

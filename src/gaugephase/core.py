@@ -41,6 +41,7 @@ import time
 import warnings
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -582,15 +583,11 @@ class _Fork:
     suite = 2 ** 16
 
 
-class _HandOver(Exception):
-    """Raised in the helper to end a task whose result its parent makes."""
-
-
 _NOSIGNAL = getattr(socket, "MSG_NOSIGNAL", 0)  # a send to a helper gone raises, not SIGPIPE
 _END = (1 << 64) - 1  # the length that marks the end of a task, or of a feed
-# Bytes below which an array goes inside a task's pickle, and a part goes in
-# one send with its length: a copy of it costs less than another system call.
-_IN_BAND = 1 << 16
+# Bytes below which a message goes in one send with its length: a copy of it
+# costs less than another system call.
+_ONE_SEND = 1 << 16
 # Seconds a process polls its socket before it sleeps: on a virtual CPU a
 # wake-up took about 0.1 ms, the join of a hundred floats.
 _SPIN = 0.002
@@ -605,18 +602,18 @@ def _ready(channel: socket.socket, seconds: float) -> bool:
     return True
 
 
-def _exactly(channel: socket.socket, size: int) -> bytearray | None:
-    """The next ``size`` bytes from ``channel``; None at its end, or where the
-    peer died with bytes it had not read."""
+def _exactly(channel: socket.socket, size: int) -> bytearray:
+    """The next ``size`` bytes from ``channel``.  Raises EOFError at its end,
+    or where the peer died with bytes it had not read."""
     data = bytearray(size)
     view, got = memoryview(data), 0
     while got < size:
         try:
             more = channel.recv_into(view[got:])
-        except ConnectionResetError:
-            return None
+        except ConnectionResetError as err:
+            raise EOFError from err
         if not more:
-            return None
+            raise EOFError
         got += more
     return data
 
@@ -643,17 +640,19 @@ class _Helper:
     """This process's helper: one forked process, started at the first
     two-process stage and kept (``_Fork``), that does part of each stage.
 
-    A task is a protocol-5 pickle of a package function and its arguments
-    over one ``AF_UNIX`` socket pair; the helper runs ``work(*args,
-    channel)``, which sends each result part behind its length (``send``).
-    A call (``_send_result``: a suite's share, the rebuild's columns) sends
-    back one pickled result.  A fed task answers the pieces this process
-    feeds it from its own walk (``give``, ``_fed``): the peel's units, the
-    writer's leaf blocks, the reader's runs of text.  No task is sent a
-    document, a file or a descriptor.  After a task that returns or hands
-    over (``_HandOver``) the helper sends its end mark; any other error
-    ends it.  It runs with the cyclic collector off, keeps no descriptor
-    but its socket, and leaves by ``os._exit`` at the socket's end.
+    Every message on its one ``AF_UNIX`` socket pair is one byte string
+    behind its length (``send``, ``read``), or the end mark.  A task is a
+    protocol-5 pickle of a package function and its arguments: the helper
+    sends each answer of ``work(*args, pieces)``, a generator over the
+    pieces this process feeds it (``give``) up to the feed's end mark, reads
+    on to that end mark and sends its own (``_serve``).  ``_each_piece``
+    answers each piece (the writer's leaf blocks, the reader's runs of
+    text), ``_call`` once, with a pickled result (a suite's share, the
+    rebuild's columns), and the peel's task once its units are in.  An empty
+    answer is one the helper did not make.  No task is sent a document, a
+    file or a descriptor; an error a task does not answer ends the helper.
+    It runs with the cyclic collector off, keeps no descriptor but its
+    socket, and leaves by ``os._exit`` at the socket's end.
 
     The tower's, the writer's and the reader's tasks call no BLAS, so any
     helper takes them.  A suite's share (``lapack``) goes only to a helper
@@ -663,15 +662,17 @@ class _Helper:
     Where a thread not Python's runs (``_pooled``: an unpinned BLAS pool,
     which OpenBLAS stops at a fork), each stage forks a fresh helper.
 
-    This process does every piece itself from the helper's end mark or the
-    socket's end on (``received``), so every result and error are the
-    one-process stage's, and ends a feed with its end mark (``finish``).  A
-    stage that ends short of the end mark, by an error too, kills and reaps
-    the helper, as exit does (``quit``).  A stage stays in one process below
-    two CPUs (``_cpus``), without ``os.fork`` or ``MSG_NOSIGNAL``, where
-    SIGCHLD is ignored, while another thread's task holds the helper, or
-    where the socket pair, the fork or the send fails.  A child this
-    process forks forgets the helper.
+    This process takes one answer at a time (``received``), does the piece
+    of an empty answer itself, and every piece from the helper's end mark
+    or the socket's end on, so every result and error are the one-process
+    stage's.  It ends every task with its end mark (``finish``), a call as
+    soon as its one answer is in (``answer``).  A stage that ends short of
+    the helper's end mark, by an error too, kills and reaps the helper, as
+    exit does (``quit``).  A stage stays in one process below two CPUs
+    (``_cpus``), without ``os.fork`` or ``MSG_NOSIGNAL``, where SIGCHLD is
+    ignored, while another thread's task holds the helper, or where the
+    socket pair, the fork or the send fails.  A child this process forks
+    forgets the helper.
     """
 
     live: "_Helper | None" = None  # this process's helper, once forked
@@ -683,13 +684,13 @@ class _Helper:
         # The bytes of a piece fed while another is unanswered: its send never waits.
         self.room = channel.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF) // 2
         self.lock = _Helper.busy  # as its task took it: a forked child takes a new one
-        self.reading, self.synced, self.fed = False, False, False
+        self.reading, self.synced = False, False
 
     @classmethod
     @contextmanager
-    def task(cls, work: Callable[..., None], *args,
+    def task(cls, work: Callable[..., Iterator[bytes]], *args,
              lapack: bool = False) -> Iterator["_Helper | None"]:
-        """The helper, doing ``work(*args, channel)`` while the block runs;
+        """The helper, doing ``work(*args, pieces)`` while the block runs;
         None where the stage stays in one process (``start``).  Leaving the
         block ends the task (``end``)."""
         helper = cls.start(work, *args, lapack=lapack)
@@ -704,29 +705,28 @@ class _Helper:
             helper.end(done)
 
     @classmethod
-    def start(cls, work: Callable[..., None], *args, lapack: bool = False) -> "_Helper | None":
-        """Hand the helper, forked here if there is none, the task of
-        ``task``; None where the stage stays in one process.  A task that
-        calls BLAS or LAPACK (``lapack``) goes only to a helper that is
-        ``alone``, and only while this process runs no other Python
+    def start(cls, work: Callable[..., Iterator[bytes]], *args,
+              lapack: bool = False) -> "_Helper | None":
+        """Hand the helper, forked here if there is none, the task
+        ``work(*args, pieces)``; None where the stage stays in one process.
+        A task that calls BLAS or LAPACK (``lapack``) goes only to a helper
+        that is ``alone``, and only while this process runs no other Python
         thread."""
         if (_cpus() < 2 or not (hasattr(os, "fork") and _NOSIGNAL)
                 or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN
                 or (lapack and (cls.crowded or threading.active_count() > 1))
                 or not cls.busy.acquire(blocking=False)):
             return None
-        lock, buffers, helper = cls.busy, [], None
+        lock, helper = cls.busy, None
         try:
-            task = pickle.dumps((work, args), 5, buffer_callback=lambda buffer: (
-                buffer.raw().nbytes < _IN_BAND or buffers.append(buffer.raw())))
+            task = pickle.dumps((work, args), 5)
             if cls.live is not None and (_pooled() or lapack and not cls.live.alone):
                 cls.live.kill()  # the fork of a fresh one stops a BLAS pool's workers
             helper = cls.live or cls._fork()
             if lapack and helper is not None and not helper.alone:
                 cls.crowded, helper = True, None  # the fresh helper stays for other tasks
-            if helper is not None:  # the count of parts, then the parts
-                helper.channel.sendall((1 + len(buffers)).to_bytes(8, "little"), _NOSIGNAL)
-                helper.send(helper.channel, task, *buffers)
+            if helper is not None:
+                helper.send(helper.channel, task)
         except OSError:  # the helper has gone
             if helper is not None:
                 helper.kill()
@@ -736,7 +736,6 @@ class _Helper:
                 lock.release()
         if helper is not None:
             helper.lock, helper.reading, helper.synced = lock, True, False
-            helper.fed = work is _fed
         return helper
 
     @classmethod
@@ -775,38 +774,28 @@ class _Helper:
         return cls.live
 
     @staticmethod
-    def send(channel: socket.socket, *parts) -> None:
-        """One piece's result, each part behind its length."""
-        for part in parts:
-            head = len(part).to_bytes(8, "little")
-            if len(part) < _IN_BAND:
-                channel.sendall(head + part, _NOSIGNAL)
-            else:
-                channel.sendall(head, _NOSIGNAL)
-                channel.sendall(part, _NOSIGNAL)
+    def send(channel: socket.socket, message: bytes) -> None:
+        """One message, behind its length."""
+        head = len(message).to_bytes(8, "little")
+        if len(message) < _ONE_SEND:
+            channel.sendall(head + message, _NOSIGNAL)
+        else:
+            channel.sendall(head, _NOSIGNAL)
+            channel.sendall(message, _NOSIGNAL)
 
     @staticmethod
-    def read(channel: socket.socket, parts: int) -> list[bytearray] | None:
-        """The next piece of ``parts`` parts that ``send`` wrote, polled for
-        ``_SPIN`` seconds before a sleep; [] at an end mark, None at the end."""
+    def read(channel: socket.socket) -> bytearray | None:
+        """The next message that ``send`` wrote, polled for ``_SPIN`` seconds
+        before a sleep; None at an end mark.  Raises EOFError at the end."""
         _ready(channel, _SPIN)
-        result = []
-        for _ in range(parts):
-            head = _exactly(channel, 8)
-            size = -1 if head is None else int.from_bytes(head, "little")
-            if size == _END:
-                return []
-            part = None if size < 0 else _exactly(channel, size)
-            if part is None:
-                return None
-            result.append(part)
-        return result
+        size = int.from_bytes(_exactly(channel, 8), "little")
+        return None if size == _END else _exactly(channel, size)
 
-    def give(self, *parts: bytes) -> None:
+    def give(self, piece: bytes) -> None:
         """Feed the helper one piece; where it has gone, stop reading."""
         if self.reading:
             try:
-                self.send(self.channel, *parts)
+                self.send(self.channel, piece)
             except OSError:
                 self.reading = False
 
@@ -814,27 +803,33 @@ class _Helper:
         """Whether the helper's next message, or its socket's end, has come."""
         return _ready(self.channel, 0)
 
-    def received(self, parts: int) -> list[bytearray] | None:
-        """The helper's next result of ``parts`` parts; None, and reading
-        stopped, at its end mark, at the end of the socket, or once reading
-        has stopped."""
-        if not self.reading:
-            return None
-        result = self.read(self.channel, parts)
-        if not result:
-            self.synced, self.reading = result == [], False
-            return None
-        return result
+    def received(self) -> bytearray | None:
+        """The helper's next answer, empty where it made none; None, and
+        reading stopped, at its end mark, at the end of the socket, or once
+        reading has stopped."""
+        if self.reading:
+            with suppress(EOFError):
+                answer = self.read(self.channel)
+                if answer is not None:
+                    return answer
+                self.synced = True
+            self.reading = False
+        return None
+
+    def answer(self) -> bytearray | None:
+        """A task's one answer (``received``), the task then ended (``finish``)."""
+        answer = self.received()
+        self.finish()
+        return answer
 
     def finish(self) -> None:
-        """Read no more, a fed task first told that no piece follows: the
+        """Read no more, the task first told that no piece follows: the
         helper's next message must be its end mark, else it is killed."""
         if self.reading:
             self.reading = False
-            with suppress(OSError):
-                if self.fed:
-                    self.channel.sendall(_END.to_bytes(8, "little"), _NOSIGNAL)
-                self.synced = self.read(self.channel, 1) == []
+            with suppress(OSError, EOFError):
+                self.channel.sendall(_END.to_bytes(8, "little"), _NOSIGNAL)
+                self.synced = self.read(self.channel) is None
 
     def end(self, done: bool) -> None:
         """End the task: where the stage ran to its end still reading, with
@@ -875,47 +870,46 @@ class _Helper:
 
 
 def _serve(channel: socket.socket) -> None:
-    """The helper's loop: each task, then its end mark, until the end of
-    the socket.  An error other than a hand-over leaves the loop."""
+    """The helper's loop, to the end of the socket: each task's answers,
+    each sent as it is made, then, from the feed's end mark, its own.  An
+    error a task raises leaves the loop."""
+    read = partial(_Helper.read, channel)
     while True:
-        head = _exactly(channel, 8)
-        message = None if head is None else _Helper.read(channel, int.from_bytes(head, "little"))
-        if not message:
-            return
-        work, args = pickle.loads(message[0], buffers=message[1:])
-        del message  # the pickle's bytes, not needed while the task runs
         try:
-            work(*args, channel)
-        except _HandOver:
+            work, args = pickle.loads(read())
+        except EOFError:
+            return
+        pieces = iter(read, None)
+        for answer in work(*args, pieces):
+            _Helper.send(channel, answer)
+        for _ in pieces:  # read on to the feed's end mark
             pass
         channel.sendall(_END.to_bytes(8, "little"))
 
 
-def _fed(work: Callable[..., bytes | None], *args) -> None:
-    """The helper's side of a fed task: ``work(piece, *args)`` of each piece
-    fed on the channel, the last argument, sent back until the feed's end
-    mark; empty where ``work`` refuses (None) or raises."""
-    *args, channel = args
-    while piece := _Helper.read(channel, 1):
+def _each_piece(work: Callable[..., bytes | None], *args) -> Iterator[bytes]:
+    """A task that answers each piece fed to it (the last argument) with
+    ``work(piece, *args)``; empty where ``work`` refuses (None) or raises."""
+    *args, pieces = args
+    for piece in pieces:
         answer = None
         with suppress(Exception):
-            answer = work(piece[0], *args)
-        _Helper.send(channel, answer or b"")
+            answer = work(piece, *args)
+        yield answer or b""
+
+
+def _call(work: Callable[..., _T], *args) -> Iterator[bytes]:
+    """A task that answers once: ``work(*args)``, the pieces (the last
+    argument) left out, as a pickle; empty where it raises or its result
+    will not pickle."""
+    answer = b""
+    with suppress(Exception):
+        answer = pickle.dumps(work(*args[:-1]), 5)
+    yield answer
 
 
 # The package's one logger: a rejected Haar draw's debug record.
 _logger = logging.getLogger("gaugephase.generators")
-
-
-def _send_result(work: Callable[..., _T], *args) -> None:
-    """The helper's side of ``_on_helper``: ``work(*args)``, sent back as a
-    pickle; where it raises, or its result will not pickle, a hand-over."""
-    *args, channel = args
-    try:
-        result = pickle.dumps(work(*args), 5)
-    except Exception as err:
-        raise _HandOver from err
-    _Helper.send(channel, result)
 
 
 @contextmanager
@@ -928,22 +922,22 @@ def _on_helper(cubes: int, work: Callable[..., _T], *args) -> Iterator[Callable[
     Yields a function that returns ``work(*args)``, or raises its error,
     where a sequential run would have called it; call it once, in the
     block.  ``work`` is a function of the package, and its arguments and
-    result go over the socket as pickles.  Where it weighs less, where the
-    package's logger would pass on a debug record (the helper keeps no
-    descriptor for a handler to write to), where no helper takes the task
-    (``_Helper.start``: below two CPUs, where this process runs another
-    Python thread, ...), or where the helper ends short of a result
-    (``work`` raised in it, or it was killed), the yielded function runs
-    ``work(*args)`` in-line, so every result, record and error are the
-    sequential run's.  If the block raises first, that error propagates
-    and the helper is killed.
+    result go over the socket as pickles (``_call``).  Where it weighs
+    less, where the package's logger would pass on a debug record (the
+    helper keeps no descriptor for a handler to write to), where no helper
+    takes the task (``_Helper.start``: below two CPUs, where this process
+    runs another Python thread, ...), or where the helper's answer is empty
+    (``work`` raised in it) or does not come (it was killed), the yielded
+    function runs ``work(*args)`` in-line, so every result, record and
+    error are the sequential run's.  If the block raises first, that error
+    propagates and the helper is killed.
     """
     handed = cubes >= _Fork.suite and not _logger.isEnabledFor(logging.DEBUG)
-    with (_Helper.task(_send_result, work, *args, lapack=True) if handed
+    with (_Helper.task(_call, work, *args, lapack=True) if handed
           else nullcontext()) as helper:
         def result() -> _T:
-            parts = None if helper is None else helper.received(1)
-            return work(*args) if parts is None else pickle.loads(parts[0])
+            answer = None if helper is None else helper.answer()
+            return pickle.loads(answer) if answer else work(*args)
 
         yield result
 

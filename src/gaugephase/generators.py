@@ -1,8 +1,10 @@
 """Seeded sources of test data: Haar unitaries, eigenframes, swap evolutions.
 
-Everything here is deterministic given its seed (numpy's default_rng),
-which is what makes the verification suites and the CLI reports
-reproducible byte-for-byte.
+Everything here is deterministic given its seed (numpy's default_rng) at
+a fixed BLAS thread count, which is what makes the verification suites
+and the CLI reports reproducible byte-for-byte.  A Haar draw takes a QR,
+whose sums at large n follow the thread count of the BLAS (OpenBLAS sizes
+its pool from the CPUs the process may use), so its last bits do too.
 """
 
 from __future__ import annotations

@@ -86,7 +86,7 @@ from typing import Any, IO, Iterator, NamedTuple
 
 import numpy as np
 
-from .core import DimensionMismatchError, _fed, _Fork, _Helper
+from .core import DimensionMismatchError, _each_piece, _Fork, _Helper
 
 __all__ = [
     "FileFormatError",
@@ -271,7 +271,7 @@ def _loaded(path: str, blocks: str, closers: int, read_blocks, checked) -> Any:
             if window.text.startswith("\ufeff"):
                 _parse_json(window.text[0], path)
             try:
-                with (_Helper.task(_fed, _decoded_piece, closers)
+                with (_Helper.task(_each_piece, _decoded_piece, closers)
                       if os.fstat(fh.fileno()).st_size >= _Fork.bytes
                       else nullcontext()) as helper:
                     doc = _walked_object(window, blocks, partial(read_blocks, helper=helper))
@@ -470,15 +470,15 @@ def _runs(window: _Window, closers: int, helper: _Helper | None = None) -> Itera
         yield _as_run(members, quoted, closers)
         if not fed:
             continue
-        answer = helper.received(1) if not last and window.at() == fed[0][0] else None
-        if answer and answer[0]:
+        answer = helper.received() if not last and window.at() == fed[0][0] else None
+        if answer:
             window.idx = fed.pop(0)[1] - window.dropped
-            k = int.from_bytes(answer[0][:8], "little")
-            yield _Run(None, np.frombuffer(answer[0], np.int64, k, 8).tolist(), False,
-                       np.frombuffer(answer[0], np.complex128, offset=8 * (k + 1)))
+            k = int.from_bytes(answer[:8], "little")
+            yield _Run(None, np.frombuffer(answer, np.int64, k, 8).tolist(), False,
+                       np.frombuffer(answer, np.complex128, offset=8 * (k + 1)))
             continue
         for _ in fed[answer is not None:]:  # the answers still to come, read and left
-            helper.received(1)
+            helper.received()
         fed.clear()
         helper.finish()
 
@@ -514,9 +514,10 @@ def _as_run(members: list, quoted: bool, closers: int) -> _Run:
 
 
 def _decoded_piece(piece: bytearray, closers: int) -> bytes | None:
-    """The helper's answer to a run of text (``_fed``): its item count, pair
-    counts and float64 bytes; None where the text does not decode as one run
-    to its end, holds a '"', closes the array or has a defect."""
+    """The helper's answer to a run of text (``_each_piece``): its item
+    count, pair counts and float64 bytes; None where the text does not
+    decode as one run to its end, holds a '"', closes the array or has a
+    defect."""
     text = piece.decode("utf-8")
     (members, last, quoted), end = _run(text, 0, closers)
     if last or quoted or end != len(text):
@@ -661,7 +662,7 @@ def dump_report(doc: Any, stream: IO[str]) -> None:
     A document of ``_Fork.floats`` floats or more has every other leaf
     block joined by the helper (``_Writer``); only this process writes to
     ``stream``."""
-    with (_Helper.task(_fed, _joined_piece) if _holds_floats(doc, _Fork.floats)
+    with (_Helper.task(_each_piece, _joined_piece) if _holds_floats(doc, _Fork.floats)
           else nullcontext()) as helper:
         writer = _Writer(stream.write, helper)
         try:
@@ -742,10 +743,9 @@ class _Writer:
             (block, pairs, inner), *rest = self.queue
             cut = next((i for i, item in enumerate(rest) if type(item) is tuple), len(rest))
             self.queue, self.fed, self.ahead = [], 0, 0
-            answer = self.helper.received(1)
-            self.feeding = self.feeding and bool(answer and answer[0])
-            text = answer[0].decode("ascii") if answer and answer[0] else _leaf_block(
-                block, pairs, inner)
+            answer = self.helper.received()
+            self.feeding = self.feeding and bool(answer)
+            text = answer.decode("ascii") if answer else _leaf_block(block, pairs, inner)
             if text is None:
                 _write_items(block, self.write, inner, self.leaf)
             else:
@@ -758,7 +758,7 @@ class _Writer:
 
 
 def _joined_piece(piece: bytearray) -> bytes | None:
-    """The helper's answer to a leaf block it is fed (``_fed``) with
+    """The helper's answer to a leaf block it is fed (``_each_piece``) with
     ``pairs`` and ``inner``: its text, or None where it will not join."""
     text = _leaf_block(*pickle.loads(piece))
     return None if text is None else text.encode("ascii")

@@ -10,8 +10,9 @@ from gaugephase import core
 class Helpers:
     """What a test asked of this process's helper process: the helpers
     forked (``made``, their pids) and the tasks handed to one (``tasks``,
-    the names of their functions, a fed task's (``core._fed``) by the
-    function that answers its pieces), in order."""
+    each named by the function that does its work: a call's (``core._call``)
+    and a per-piece task's (``core._each_piece``) by the function they
+    run), in order."""
 
     def __init__(self):
         self.made: list[int] = []
@@ -51,7 +52,8 @@ def forks(monkeypatch):
     def handed(work, *args, **kwargs):
         helper = start(work, *args, **kwargs)
         if helper is not None:
-            counted.tasks.append((args[0] if work is core._fed else work).__name__)
+            counted.tasks.append(
+                (args[0] if work in (core._call, core._each_piece) else work).__name__)
         return helper
 
     monkeypatch.setattr(os, "fork", forked)

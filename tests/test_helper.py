@@ -10,6 +10,7 @@ import os
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,7 +90,7 @@ def test_the_stages_of_one_process_fork_one_helper(large_files, forks):
     assert _tower(matrix) == expected[0]
     pid = core._Helper.live.pid
     assert _tower(matrix) == expected[1]
-    assert forks.tasks == ["_decoded_piece", "_send_peeled_leading", "_send_result"] * 2
+    assert forks.tasks == ["_decoded_piece", "_send_peeled_leading", "_rebuilt_leading"] * 2
     assert forks.made == [pid] and core._Helper.live.pid == pid
 
 
@@ -226,7 +227,7 @@ def test_a_process_that_exits_leaves_no_helper(large_files, tmp_path):
     assert _gone(int(done.stdout))
     one = str(tmp_path / "one_process.json")
     assert _one_process(lambda: main(["decompose", matrix, "-o", one])) == 0
-    reports = [open(path, "rb").read() for path in (*outputs, one)]
+    reports = [Path(path).read_bytes() for path in (*outputs, one)]
     assert reports[0] == reports[1] == reports[2]
 
 

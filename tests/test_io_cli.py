@@ -15,6 +15,7 @@ import threading
 import tracemalloc
 import warnings
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,14 +131,14 @@ class TestFileGrammar:
         save_matrix(first, matrix)
         loaded = load_matrix(first)
         save_matrix(second, loaded)
-        assert open(first, "rb").read() == open(second, "rb").read()
+        assert Path(first).read_bytes() == Path(second).read_bytes()
         assert np.array_equal(np.signbit(loaded.view(np.float64)), np.signbit(parts.reshape(2, 4)))
         frames = np.stack([matrix, matrix[::-1]])
         first, second = str(tmp_path / "e1.json"), str(tmp_path / "e2.json")
         save_evolution(first, np.array([0.0, 1.0]), frames)
         grid, loaded = load_evolution(first)
         save_evolution(second, grid, loaded)
-        assert open(first, "rb").read() == open(second, "rb").read()
+        assert Path(first).read_bytes() == Path(second).read_bytes()
         assert np.array_equal(np.signbit(loaded.view(np.float64)),
                               np.signbit(frames.view(np.float64)))
 
@@ -1467,9 +1468,9 @@ def test_a_block_the_helper_refuses_is_written_here_as_one_process_writes_it(
     refusals = []
     received = core._Helper.received
 
-    def counted(helper, parts):
-        answer = received(helper, parts)
-        refusals.append(answer is not None and not answer[0])
+    def counted(helper):
+        answer = received(helper)
+        refusals.append(answer is not None and not answer)
         return answer
 
     monkeypatch.setattr(core._Helper, "received", counted)
@@ -1514,9 +1515,9 @@ def test_no_fed_message_is_larger_than_a_block_or_a_run(large_frames, tmp_path, 
     sent = []
     send = core._Helper.send
 
-    def recorded(channel, *parts):
-        sent.append(max(map(len, parts)))
-        send(channel, *parts)
+    def recorded(channel, message):
+        sent.append(len(message))
+        send(channel, message)
 
     monkeypatch.setattr(core._Helper, "send", staticmethod(recorded))
     texts, grid, _ = large_frames

@@ -70,7 +70,8 @@ def test_one_cpu_forks_no_helper_and_starts_no_thread(large_files, tmp_path, mon
     monkeypatch.setattr(threading.Thread, "start", counted)
     before = threading.active_count()
     two = _reports(tmp_path, *large_files)
-    assert forks.tasks[-2:] == ["_send_result"] * 2  # the forks fixture pins two CPUs
+    # The gauge and offdiag suites' shares: the forks fixture pins two CPUs.
+    assert forks.tasks[-2:] == ["_frame_drifts", "_offdiag_worst"]
     assert len(forks.made) == 1 and starts == []
     assert threading.active_count() == before
     forks.tasks.clear()

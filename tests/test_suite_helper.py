@@ -43,6 +43,11 @@ from gaugephase.verification import (
 # The verify workload of the benchmark: every share is past _Fork.suite.
 BENCH = [("gauge", 12, 200), ("reduction", 12, 200), ("roundtrip", 32, 40),
          ("counting", 24, 1), ("offdiag", 6, 4)]
+# The function that does each suite's share in the helper.
+SHARES = {"gauge": "_frame_drifts", "reduction": "_rectangle_worst",
+          "roundtrip": "_roundtrip_worst", "counting": "_counting_checks",
+          "offdiag": "_offdiag_worst"}
+BENCH_SHARES = [SHARES[suite] for suite, _, _ in BENCH]
 
 
 class Planted(Exception):
@@ -120,7 +125,7 @@ def test_a_report_is_the_one_process_report(suite, n, trials, seed, quadrature, 
     assert (forks.tasks, forks.made) == ([], [])
     monkeypatch.setattr(_Fork, "suite", 0)
     assert _report(suite, n, trials, seed, quadrature) == expected
-    assert forks.tasks == ["_send_result"] and core._Helper.live.pid == forks.made[0]
+    assert forks.tasks == [SHARES[suite]] and core._Helper.live.pid == forks.made[0]
     for entries in (1 << 8, 1 << 16):
         monkeypatch.setattr(core, "_STACK_ENTRIES", entries)
         core._Helper.quit()  # a fresh helper, forked with the stacks of this size
@@ -206,7 +211,7 @@ def test_an_error_in_either_share_is_the_one_process_error(suite, plants, kept, 
     expected = _one_process(_raised, run_suite, suite, n, trials, 1)
     monkeypatch.setattr(_Fork, "suite", 0)
     assert _raised(run_suite, suite, n, trials, 1) == expected
-    assert forks.tasks == ["_send_result"]
+    assert forks.tasks == [SHARES[suite]]
     # The helper that ran its share to an error is kept; one whose share was
     # still in hand when this process raised is killed.
     assert (core._Helper.live is None) == kept
@@ -226,7 +231,7 @@ def test_the_frame_side_raises_only_after_the_matrix_side_has_run(monkeypatch, f
     monkeypatch.setattr(_Fork, "suite", 0)
     _plant(monkeypatch, "frame_evolution_from_path", lambda *args: "frames")
     assert _raised(run_gauge_suite, 4, 3, 2) == "frame_evolution_from_path: frames"
-    assert peeled == [os.getpid()] and forks.tasks == ["_send_result"]
+    assert peeled == [os.getpid()] and forks.tasks == ["_frame_drifts"]
 
 
 @pytest.mark.parametrize("trials, failing",
@@ -250,7 +255,7 @@ def test_offdiag_suite_raises_trial_errors_in_trial_order(trials, failing, monke
     identities.clear()
     monkeypatch.setattr(_Fork, "suite", 0)
     assert _raised(run_offdiag_suite, n, trials, seed) == expected
-    assert forks.tasks == ["_send_result"]
+    assert forks.tasks == ["_offdiag_worst"]
     # Trial t's identity has run, here, before trial t + 1's error is raised.
     assert identities == ran
 
@@ -271,7 +276,7 @@ def test_one_fork_per_process_and_one_task_per_suite(tmp_path, forks):
     assert [code for code, _ in expected] == [0] * len(BENCH)
     assert _verify_all(tmp_path) == expected
     assert _verify_all(tmp_path) == expected
-    assert forks.tasks == ["_send_result"] * 2 * len(BENCH)
+    assert forks.tasks == BENCH_SHARES * 2
     assert forks.made == [core._Helper.live.pid]
 
 
@@ -323,7 +328,7 @@ def test_a_pool_that_stops_at_the_fork_hands_each_suite_a_share(tmp_path, monkey
     expected = _one_process(_verify_all, tmp_path)
     monkeypatch.setattr(core, "_pooled", lambda: not forks.made)
     assert _verify_all(tmp_path) == expected
-    assert forks.tasks == ["_send_result"] * len(BENCH)
+    assert forks.tasks == BENCH_SHARES
     assert forks.made == [core._Helper.live.pid] and core._Helper.live.alone
 
 
@@ -373,7 +378,7 @@ def test_a_helper_forked_beside_a_thread_is_replaced_for_a_suite(tmp_path, forks
     assert first is not None and not first.alone
     expected = _one_process(_verify_all, tmp_path, BENCH[:1])
     assert _verify_all(tmp_path, BENCH[:1]) == expected
-    assert forks.tasks == ["_joined_piece", "_send_result"]
+    assert forks.tasks == ["_joined_piece", "_frame_drifts"]
     assert forks.made == [first.pid, core._Helper.live.pid] and _gone(first.pid)
     assert core._Helper.live.alone
 
@@ -400,7 +405,7 @@ def test_a_debug_logger_keeps_every_share_here(tmp_path, monkeypatch, forks, cap
     assert (forks.tasks, forks.made) == ([], [])
     assert not logger.isEnabledFor(logging.DEBUG)
     assert run_roundtrip_suite(4, 12, 0, tol=tol).as_dict() == expected
-    assert forks.tasks == ["_send_result"]
+    assert forks.tasks == ["_roundtrip_worst"]
     assert "Logging error" not in capfd.readouterr().err
 
 

@@ -284,6 +284,23 @@ parts[bad] = "NaN" + parts[bad][parts[bad].index(","):]
 open("fork_nan.json", "w").write("]],[[".join(parts))
 open("fork_nan_frame.txt", "w").write(f"fork_nan.json' frame {bad}: non-finite entries")
 EOF
+# The file the two processes wrote is the file a save in one process
+# writes, and the bytes the standard library's json.dump writes for the
+# same nested lists.
+python - <<'EOF'
+import json
+from gaugephase import core, load_evolution, save_evolution
+grid, frames = load_evolution("fork_evolution.json")
+doc = {"frames": [[[z.real, z.imag] for z in frame.reshape(-1).tolist()] for frame in frames],
+       "grid": grid.tolist(), "n": frames.shape[1]}
+with open("fork_evolution_stdlib.json", "w", encoding="utf-8") as fh:
+    json.dump(doc, fh, sort_keys=True, indent=2)
+    fh.write("\n")
+core._cpus = lambda: 1
+save_evolution("fork_evolution_one_cpu.json", grid, frames)
+EOF
+cmp fork_evolution.json fork_evolution_stdlib.json
+cmp fork_evolution.json fork_evolution_one_cpu.json
 for file in fork_evolution fork_compact; do
   gaugephase phases "$file.json" > "${file}_phases.json"
   gaugephase offdiag "$file.json" > "${file}_offdiag.json"

@@ -10,7 +10,8 @@ shortest-round-trip floats) to stdout or --output:
 
 Exit codes: 0 success, 1 verification failure, 2 unreadable, malformed or
 otherwise invalid input (e.g. an under-resolved evolution), 3 input not
-unitary at tolerance, 4 non-generic input (factorization undefined).
+unitary at tolerance, 4 non-generic input (factorization undefined),
+141 stdout's reader went away mid-report (128 + SIGPIPE; no traceback).
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE = 2
 EXIT_NOT_UNITARY = 3
 EXIT_NON_GENERIC = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
+
+
+class _StdoutGone(Exception):
+    """stdout's reader went away while a report was written to it."""
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
@@ -65,9 +71,19 @@ def _emit(doc: dict, args: argparse.Namespace) -> None:
     report goes to a new file beside the target (``_beside``), which
     replaces the target only once the report is complete, so a failed
     report leaves the target as it was; elsewhere it is written straight
-    through, as to stdout."""
+    through, as to stdout.  Where stdout's reader has gone, stdout is
+    pointed at the null device, so that the flush at exit stays quiet,
+    and ``_StdoutGone`` is raised; a helper the write had is killed by
+    then, as at any stage that ends short."""
     if not args.output:
-        io.dump_report(doc, sys.stdout)
+        try:
+            io.dump_report(doc, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise _StdoutGone from None
         return
     target = os.path.realpath(args.output)
     beside = _beside(target)
@@ -284,6 +300,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _StdoutGone:
+        return EXIT_BROKEN_PIPE
     except ValueError as err:  # FileFormatError and the package's input errors
         print(f"error: {err}", file=sys.stderr)
         if isinstance(err, NotUnitaryError):

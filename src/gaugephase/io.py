@@ -57,17 +57,20 @@ cycle.
 The writer is not ``json.dump``, which with an indent runs its pure-Python
 encoder and makes one write per token.  ``dump_report`` writes the same
 bytes, but joins each list of floats in bounded blocks, so no document is
-ever held whole as one string.  It writes an ndarray as its ``tolist()``:
-one of three or more axes a row at a time, as arrays, and a float array of
-leaves or of [re, im] pairs from its flat floats, with no list per pair.
-Every array the package writes is such a float view (``pair_rows``, the
-savers' entries, grid and frames); a list of [re, im] lists from outside
-goes item by item.  Float repr (about 1 us a float) is most of a write and
-holds the GIL, so a large document (``core._Fork.floats``, counted by one
-walk that stops there) is joined in two processes: this process walks it,
-feeds the helper leaf blocks to join while it joins the next (``_Writer``)
-and makes every write.  A saver refuses what its reader refuses before it
-opens the file, so a refused save leaves no file, and a target as it was.
+ever held whole as one string.  It writes an ndarray as its ``tolist()``,
+from its flat floats, with no list per pair: a float array of leaves or of
+[re, im] pairs a block at a time, one of [re, im] pair rows (an evolution's
+frames) a run of whole rows at a time, each run one string with its row
+brackets, and any other array of three or more axes a row at a time, as
+arrays.  Every array the package writes is such a float view
+(``pair_rows``, the savers' entries, grid and frames); a list of [re, im]
+lists from outside goes item by item.  Float repr (about 1 us a float) is
+most of a write and holds the GIL, so a large document
+(``core._Fork.floats``, counted by one walk that stops there) is joined in
+two processes: this process walks it, feeds the helper leaf blocks and
+runs to join while it joins the next (``_Writer``) and makes every write.
+A saver refuses what its reader refuses before it opens the file, so a
+refused save leaves no file, and a target as it was.
 """
 
 from __future__ import annotations
@@ -100,9 +103,12 @@ __all__ = [
 ]
 
 
-_BLOCK = 2048  # leaf-list items per join: bounds the text held at once
-# Floats below which a leaf block is joined here, not fed to the helper: a
-# round trip of the socket costs about the join of that many.
+# Leaf-list items per join, and the floats of a run of pair rows (at least
+# one row): bounds the text held at once.
+_BLOCK = 2048
+# Floats below which a leaf block or a run of pair rows is joined here, not
+# fed to the helper: a round trip of the socket costs about the join of that
+# many.
 _FEED = 128
 
 _CHUNK = 2 ** 20  # characters per read of a file: bounds the text held at once
@@ -695,15 +701,18 @@ def _holds_floats(doc: Any, least: int) -> bool:
 
 class _Writer:
     """``dump_report``'s writes and leaf blocks.  With a ``_Helper``, leaf
-    blocks of ``_FEED`` floats or more are fed to it, two at most (the
-    second within the socket's ``room``), while this process joins the
-    blocks after them; the writes after a fed block wait in ``queue`` until
-    its text is back (``settle``).  A block the helper refuses is joined
-    here, or goes item by item, and the helper is fed no more."""
+    blocks (runs of pair rows too) of ``_FEED`` floats or more are fed to
+    it, two at most (the second within the socket's ``room``), while this
+    process joins the blocks after them; the writes after a fed block wait
+    in ``queue`` until its text is back (``settle``), and the floats joined
+    behind the fed blocks (``ahead``) stay about ``2 * _BLOCK`` at most.  A
+    block the helper refuses is joined here, or goes item by item, and the
+    helper is fed no more."""
 
     def __init__(self, write, helper: _Helper | None):
         self.out, self.helper, self.feeding = write, helper, helper is not None
-        self.queue, self.fed, self.ahead = [], 0, 0  # fed blocks and the writes after them
+        # Fed blocks, each with the floats joined before it, and the writes after them.
+        self.queue, self.fed, self.ahead = [], 0, 0
 
     def write(self, text: str) -> None:
         if not self.queue:
@@ -713,7 +722,7 @@ class _Writer:
         if len(self.queue) > _BLOCK:
             self.settle()
 
-    def leaf(self, block, pairs: bool, inner: str) -> bool:
+    def leaf(self, block, kind: int, inner: str) -> bool:
         """Write a leaf block, or feed it to the helper; False where it will
         not join here, and goes item by item."""
         size = block.size if isinstance(block, np.ndarray) else len(block)
@@ -722,13 +731,13 @@ class _Writer:
         if self.feeding and self.fed < 2 and size >= _FEED and self.helper.reading:
             piece = None
             with suppress(Exception):  # a member that will not pickle: joined here
-                piece = pickle.dumps((block, pairs, inner), 5)
+                piece = pickle.dumps((block, kind, inner), 5)
             if piece is not None and (not self.fed or len(piece) <= self.helper.room):
                 self.helper.give(piece)
-                self.queue.append((block, pairs, inner))
+                self.queue.append((block, kind, inner, self.ahead))
                 self.fed += 1
                 return True
-        text = _leaf_block(block, pairs, inner)
+        text = _leaf_block(block, kind, inner)
         if text is None:
             self.settle(every=True)
             return False
@@ -740,12 +749,12 @@ class _Writer:
         """Write the first fed block, the helper's text or joined here, then
         the writes queued after it; with ``every``, each fed block so."""
         while self.fed:
-            (block, pairs, inner), *rest = self.queue
+            (block, kind, inner, _), *rest = self.queue
             cut = next((i for i, item in enumerate(rest) if type(item) is tuple), len(rest))
-            self.queue, self.fed, self.ahead = [], 0, 0
+            self.queue, self.fed, ahead = [], 0, self.ahead
             answer = self.helper.received()
             self.feeding = self.feeding and bool(answer)
-            text = answer.decode("ascii") if answer else _leaf_block(block, pairs, inner)
+            text = answer.decode("ascii") if answer else _leaf_block(block, kind, inner)
             if text is None:
                 _write_items(block, self.write, inner, self.leaf)
             else:
@@ -753,13 +762,14 @@ class _Writer:
             for text in rest[:cut]:
                 self.out(text)
             self.queue, self.fed = rest[cut:], int(cut < len(rest))
+            self.ahead = ahead - rest[cut][3] if self.fed else 0  # those behind the next
             if not every:
                 return
 
 
 def _joined_piece(piece: bytearray) -> bytes | None:
     """The helper's answer to a leaf block it is fed (``_each_piece``) with
-    ``pairs`` and ``inner``: its text, or None where it will not join."""
+    ``kind`` and ``inner``: its text, or None where it will not join."""
     text = _leaf_block(*pickle.loads(piece))
     return None if text is None else text.encode("ascii")
 
@@ -782,7 +792,10 @@ def _scalar(value: Any) -> str:
 
 def _write_value(value: Any, write, newline: str, leaf) -> None:
     """``newline`` is a line break plus the indentation ``value`` starts at;
-    ``leaf(block, pairs, inner)`` writes a leaf block, or returns False."""
+    ``leaf(block, kind, inner)`` writes a leaf block, or returns False.  A
+    list goes ``_BLOCK`` items at a time, and so does an array, but for an
+    array of [re, im] pair rows, which goes a run of whole rows at a time,
+    as many as fit in ``_BLOCK`` floats and at least one."""
     inner = newline + "  "
     if isinstance(value, dict):
         write("{")
@@ -793,11 +806,13 @@ def _write_value(value: Any, write, newline: str, leaf) -> None:
         write((newline if value else "") + "}")
     elif isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim):
         write("[")
-        for start in range(0, len(value), _BLOCK):
-            block = value[start:start + _BLOCK]
+        rows = isinstance(value, np.ndarray) and _leaf_kind(value) == 2
+        step = max(1, _BLOCK // math.prod(value.shape[1:])) if rows else _BLOCK
+        for start in range(0, len(value), step):
+            block = value[start:start + step]
             write("," + inner if start else inner)
-            pairs = _leaf_kind(block)
-            if pairs is None or not leaf(block, pairs, inner):
+            kind = _leaf_kind(block)
+            if kind is None or not leaf(block, kind, inner):
                 _write_items(block, write, inner, leaf)
         write((newline if len(value) else "") + "]")
     else:
@@ -806,7 +821,8 @@ def _write_value(value: Any, write, newline: str, leaf) -> None:
 
 def _write_items(block, write, inner: str, leaf) -> None:
     """A block of a list or array written item by item: an array of three
-    or more axes a row at a time, as arrays."""
+    or more axes, a run of pair rows that will not join too, a row at a
+    time, as arrays."""
     if isinstance(block, np.ndarray) and block.ndim < 3:
         block = block.tolist()
     for i, item in enumerate(block):
@@ -814,33 +830,39 @@ def _write_items(block, write, inner: str, leaf) -> None:
         _write_value(item, write, inner, leaf)
 
 
-def _leaf_kind(block) -> bool | None:
-    """Whether a leaf block holds [re, im] pairs: a float64 ndarray of pairs
-    (True) or of leaves, or a list that starts with a float (False); None
-    for any other block, which goes item by item."""
+def _leaf_kind(block) -> int | None:
+    """The brackets within each item of a leaf block: a float64 ndarray of
+    leaves (0), of [re, im] pairs (1) or of rows of one or more pairs (2),
+    or a list that starts with a float (0); None for any other block,
+    which goes item by item."""
     if isinstance(block, np.ndarray):
-        return {(): False, (2,): True}.get(block.shape[1:]) if block.dtype == np.float64 else None
-    return False if type(block[0]) is float else None
+        shape = block.shape[1:]
+        leafy = shape[-1:] in ((), (2,)) and len(shape) < 3 and all(shape)
+        return len(shape) if leafy and block.dtype == np.float64 else None
+    return 0 if type(block[0]) is float else None
 
 
-def _leaf_block(block, pairs: bool, inner: str) -> str | None:
-    """A leaf block as one join, else None.  An array is joined from its
-    flat ``tolist()``, with no list per pair.
+def _leaf_block(block, kind: int, inner: str) -> str | None:
+    """A leaf block of ``_leaf_kind`` ``kind`` as one string, else None.  An
+    array's floats, all of type float in its flat ``tolist()``, fill one
+    template of its brackets and separators, with no list per pair and no
+    string per float alive at once; a list's floats are joined.
 
     A member that is not a float, or a non-finite float (the only repr
     with an "n"), gives None, so that the item-by-item path raises json's
     error for it.
     """
     try:
-        floats = block.ravel().tolist() if isinstance(block, np.ndarray) else block
-        if pairs:  # open, re, within, im, between, ..., im, close: one join
-            parts = ["[" + inner + "  "] + [None, "," + inner + "  ", None,
-                                           inner + "]," + inner + "[" + inner + "  "] * len(block)
-            parts[1::2] = map(float.__repr__, floats)
-            parts[-1] = inner + "]"
-            text = "".join(parts)
+        if isinstance(block, np.ndarray):
+            item = "%r"
+            if kind:
+                pair, row = inner + "  " * kind, inner + "  " * (kind - 1)  # a float's, a pair's
+                item = "[" + pair + "%r," + pair + "%r" + row + "]"
+            if kind == 2:
+                item = "[" + row + ("," + row).join([item] * block.shape[1]) + inner + "]"
+            text = ("," + inner).join([item] * len(block)) % tuple(block.ravel().tolist())
         else:
-            text = ("," + inner).join(map(float.__repr__, floats))
+            text = ("," + inner).join(map(float.__repr__, block))
     except TypeError:  # a member that is not a float
         return None
     return None if "n" in text else text

@@ -231,6 +231,43 @@ def test_a_process_that_exits_leaves_no_helper(large_files, tmp_path):
     assert reports[0] == reports[1] == reports[2]
 
 
+def test_a_stdout_whose_reader_has_gone_exits_141_and_leaves_no_helper(large_files, tmp_path):
+    # stdout is a pipe whose reading end is closed before the child writes,
+    # so the report's first write to it fails.  The report goes through the
+    # helper (n = 256: the tower and the writer), which is killed and reaped
+    # before the child exits 128 + SIGPIPE, with no traceback.
+    matrix, _ = large_files
+    forked = tmp_path / "forked.txt"
+    script = (
+        "import os\n"
+        "import sys\n"
+        "from gaugephase import core\n"
+        "from gaugephase.cli import main\n"
+        "core._cpus = lambda: 2\n"
+        "fork = os.fork\n"
+        "def counted():\n"
+        "    pid = fork()\n"
+        "    if pid:\n"
+        f"        with open({str(forked)!r}, 'a') as fh:\n"
+        "            print(pid, file=fh)\n"
+        "    return pid\n"
+        "os.fork = counted\n"
+        f"sys.exit(main(['decompose', {matrix!r}]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-c", script], env=env, stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert done.returncode == 141, done.stderr
+    assert "Traceback" not in done.stderr
+    pids = [int(pid) for pid in forked.read_text().split()]
+    assert pids and all(_gone(pid) for pid in pids)
+
+
 def test_sigchld_ignored_leaves_a_live_helper_unused(large_files, forks, request):
     matrix, _ = large_files
     expected = _tower(matrix)

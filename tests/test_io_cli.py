@@ -536,10 +536,12 @@ def test_evolution_files_are_read_and_written_a_block_of_frames_at_a_time(tmp_pa
     # frames.nbytes) breaks either bound.  Reading holds a window of text of
     # about one _CHUNK, one run of frames at a time, and the frames twice
     # (the runs and their concatenation); the file is 9.45 MB, so holding
-    # its text whole breaks the load bound too.  Writing goes a frame at a
-    # time from the frames' float view, and holds the text of one frame and
-    # of the grid: a list of floats per frame block, as the writer once
-    # made, breaks the save bound.
+    # its text whole breaks the load bound too.  Writing goes a run of
+    # frames at a time (16 here, _BLOCK floats) from the frames' float view,
+    # and holds the text of a few runs: those joined here while the
+    # helper's are out, and an answer of the helper's.  A list of floats
+    # per frame block breaks the save bound, as does a queue behind the
+    # helper's runs that grows past about 2 * _BLOCK floats.
     rng = np.random.default_rng(8)
     frames = rng.standard_normal((2000, 8, 8)) + 1j * rng.standard_normal((2000, 8, 8))
     path = str(tmp_path / "evolution.json")
@@ -556,6 +558,29 @@ def test_evolution_files_are_read_and_written_a_block_of_frames_at_a_time(tmp_pa
     assert np.array_equal(loaded, frames)
     assert save_peak < frames.nbytes / 4
     assert load_peak < 3 * frames.nbytes + 4 * io_module._CHUNK
+
+
+def test_an_evolution_is_fed_to_the_helper_a_run_of_frames_at_a_time(tmp_path, forks,
+                                                                     monkeypatch):
+    # n = 8, N = 4000, the benchmark's evolutions: a frame is 128 floats, so
+    # a run of _BLOCK floats holds 16 frames, and the 250 runs and the grid's
+    # two blocks are split between the helper and this process: far fewer
+    # pieces than one a frame.
+    given = []
+    give = core._Helper.give
+
+    def counted(helper, piece):
+        given.append(len(piece))
+        give(helper, piece)
+
+    monkeypatch.setattr(core._Helper, "give", counted)
+    rng = np.random.default_rng(33)
+    frames = rng.standard_normal((4000, 8, 8)) + 1j * rng.standard_normal((4000, 8, 8))
+    path = str(tmp_path / "evolution.json")
+    save_evolution(path, np.linspace(0.0, 1.0, len(frames)), frames)
+    assert forks.tasks == ["_joined_piece"]
+    assert 0 < len(given) <= 250
+    assert np.array_equal(load_evolution(path)[1], frames)
 
 
 def _spoiled(array: np.ndarray, value) -> np.ndarray:
@@ -988,6 +1013,7 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2e-308, 1e-300, 1e-5, 0.1, 1e16, -1e16, 1.79
 def test_dump_report_matches_json_dump_on_random_trees():
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
+    from hypothesis.extra import numpy as hnp
 
     floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
     pairs = st.lists(floats, min_size=2, max_size=2)
@@ -1003,11 +1029,30 @@ def test_dump_report_matches_json_dump_on_random_trees():
         ps[where % len(ps)][slot] = member
         return ps
 
+    # Float arrays of two to four axes, some of [re, im] pairs, and arrays
+    # of pair rows one run of rows long, one row short of it or one row
+    # past it (a run is as many rows as fit in _BLOCK floats, at least
+    # one), some with a float that is not finite.
+    shapes = hnp.array_shapes(min_dims=2, max_dims=4, min_side=0, max_side=4)
+    arrays = hnp.arrays(np.float64, shapes | shapes.map(lambda s: (*s[:-1], 2)),
+                        elements=floats)
+
+    def pair_row_run(m, extra, seed, bad):
+        rows = _random_array((max(1, _BLOCK // (2 * m)) + extra, m, 2), seed)
+        if bad is not None and rows.size:
+            rows.reshape(-1)[bad[0] % rows.size] = bad[1]
+        return rows
+
+    widths = st.sampled_from([1, 2, 16, 64, 1024, 1025]) | st.integers(1, 40)
+    runs = st.builds(pair_row_run, widths, st.integers(-1, 1), st.integers(0, 2**32 - 1),
+                     st.none() | st.tuples(st.integers(0, 10**6),
+                                           st.sampled_from([math.nan, math.inf, -math.inf])))
     scalars = (st.text() | st.integers(-2**80, 2**80) | st.booleans() | st.none() | floats)
     leaves = (scalars | st.lists(floats, max_size=6) | st.lists(pairs, max_size=6)
               | tiled | tiled_pairs
               | st.builds(with_odd_pair, tiled_pairs, st.integers(0, 10**6), odd_member,
-                          st.integers(0, 1)))
+                          st.integers(0, 1))
+              | arrays | runs)
     trees = st.recursive(
         leaves,
         lambda children: (st.lists(children, max_size=4)
@@ -1018,7 +1063,13 @@ def test_dump_report_matches_json_dump_on_random_trees():
     @settings(max_examples=150, deadline=None)
     @given(trees)
     def check(doc):
-        _assert_same_text(_dumped(doc), _json_dumped(doc))
+        try:
+            expected = _json_dumped(json.loads(json.dumps(doc, default=np.ndarray.tolist)))
+        except ValueError as err:  # a float that is not finite
+            with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                _dumped(doc)
+        else:
+            _assert_same_text(_dumped(doc), expected)
 
     check()
 
@@ -1146,6 +1197,9 @@ def _ignore_sigchld(request) -> None:
 def _fork_size_doc(kind, size) -> dict:
     if kind == "tower":
         return _tower_shaped(size)
+    if kind == "evolution":  # n = 4: 500 frames of 16 pairs, 8 runs of rows
+        frames = _random_array((500, 16, 2), size)
+        return {"n": 4, "grid": _random_array(size - frames.size).tolist(), "frames": frames}
     floats = _random_array(size).tolist()
     # A block that will not join, of this process or of the helper, then a
     # block within it and more blocks after it.
@@ -1154,7 +1208,8 @@ def _fork_size_doc(kind, size) -> dict:
 
 
 @pytest.mark.parametrize("side", ["below", "at"])
-@pytest.mark.parametrize("kind", ["floats", "tower", "unjoined_here", "unjoined_in_the_helper"])
+@pytest.mark.parametrize("kind", ["floats", "tower", "evolution", "unjoined_here",
+                                  "unjoined_in_the_helper"])
 @pytest.mark.parametrize("fork", ["fork", "fork_refused", "socketpair_refused", "no_fork",
                                   "sigchld_ignored"])
 def test_a_document_about_the_fork_size_is_written_as_json_dumps_it(side, kind, fork, forks,

@@ -858,8 +858,8 @@ def _leaf_block(block, kind: int, inner: str) -> str | None:
             if kind:
                 pair, row = inner + "  " * kind, inner + "  " * (kind - 1)  # a float's, a pair's
                 item = "[" + pair + "%r," + pair + "%r" + row + "]"
-            if kind == 2:
-                item = "[" + row + ("," + row).join([item] * block.shape[1]) + inner + "]"
+                if kind == 2:
+                    item = "[" + row + ("," + row).join([item] * block.shape[1]) + inner + "]"
             text = ("," + inner).join([item] * len(block)) % tuple(block.ravel().tolist())
         else:
             text = ("," + inner).join(map(float.__repr__, block))

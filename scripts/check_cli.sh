@@ -188,6 +188,25 @@ EOF
 cmp fork_piped.json fork_file.json
 cmp fork_piped.json fork_stdlib.json
 
+# A report written with -o to a FIFO whose reader takes 10 bytes and goes
+# away, at n = 64 (written in this process alone) and at n = 200 (through
+# the helper on two CPUs); either report outgrows the pipe's buffer.  The
+# console script exits 141, 128 + SIGPIPE, with nothing on stderr.
+python - <<'EOF'
+from gaugephase import random_generic_unitary, save_matrix
+save_matrix("matrix_fifo.json", random_generic_unitary(64, seed=37).data)
+EOF
+mkfifo report.fifo
+for matrix in matrix_fifo matrix_fork; do
+  timeout 120 head -c 10 report.fifo > fifo_head.txt &
+  reader=$!
+  status=0; gaugephase decompose "$matrix.json" -o report.fifo 2> fifo.err || status=$?
+  wait "$reader"
+  test "$status" -eq 141
+  test ! -s fifo.err
+  test "$(wc -c < fifo_head.txt)" -eq 10
+done
+
 # A matrix above the coset tower's fork size (n = 256), which decompose
 # peels and rebuilds in two processes: the helper process takes the leading
 # columns.  Two runs of the console script give one report, and it is the

@@ -11,12 +11,18 @@ shortest-round-trip floats) to stdout or --output:
 Exit codes: 0 success, 1 verification failure, 2 unreadable, malformed or
 otherwise invalid input (e.g. an under-resolved evolution), 3 input not
 unitary at tolerance, 4 non-generic input (factorization undefined),
-141 stdout's reader went away mid-report (128 + SIGPIPE; no traceback).
+141 the report's reader went away mid-report, on stdout or on an --output
+pipe such as a FIFO (128 + SIGPIPE; no traceback).
+
+The argument parser is built once per process, by the first ``main``
+call, and parses every later call's arguments into a new namespace;
+``build_parser`` builds a new one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import stat
 import sys
@@ -50,8 +56,8 @@ EXIT_NON_GENERIC = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 
-class _StdoutGone(Exception):
-    """stdout's reader went away while a report was written to it."""
+class _ReaderGone(Exception):
+    """The reader of the pipe a report was written to went away."""
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
@@ -71,10 +77,10 @@ def _emit(doc: dict, args: argparse.Namespace) -> None:
     report goes to a new file beside the target (``_beside``), which
     replaces the target only once the report is complete, so a failed
     report leaves the target as it was; elsewhere it is written straight
-    through, as to stdout.  Where stdout's reader has gone, stdout is
-    pointed at the null device, so that the flush at exit stays quiet,
-    and ``_StdoutGone`` is raised; a helper the write had is killed by
-    then, as at any stage that ends short."""
+    through, as to stdout.  Where the reader has gone, ``_ReaderGone`` is
+    raised, stdout first pointed at the null device when it was the
+    target, so that the flush at exit stays quiet; a helper the write had
+    is killed by then, as at any stage that ends short."""
     if not args.output:
         try:
             io.dump_report(doc, sys.stdout)
@@ -83,13 +89,16 @@ def _emit(doc: dict, args: argparse.Namespace) -> None:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-            raise _StdoutGone from None
+            raise _ReaderGone from None
         return
     target = os.path.realpath(args.output)
     beside = _beside(target)
     if beside is None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            io.dump_report(doc, fh)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                io.dump_report(doc, fh)
+        except BrokenPipeError:
+            raise _ReaderGone from None
         return
     fd, temporary = beside
     try:
@@ -295,12 +304,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser: parsing changes no state of it, so one serves
+    every call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except _StdoutGone:
+    except _ReaderGone:
         return EXIT_BROKEN_PIPE
     except ValueError as err:  # FileFormatError and the package's input errors
         print(f"error: {err}", file=sys.stderr)

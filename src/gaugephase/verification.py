@@ -61,7 +61,7 @@ from .gauge import (
 from .generators import (
     _certified_unitary_stacks,
     _generic_unitary_stacks,
-    _random_unit_rows,
+    _unit_normals,
     frame_evolution_from_path,
     random_generic_unitary,
     random_hermitian_path,
@@ -312,6 +312,20 @@ def _worst_fan_residual(stacks: list[np.ndarray], tol: Tolerances) -> float:
     return worst
 
 
+def _triangle_rings(n: int, trials: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """The reduction suite's triangle rings, one (1, c, n) stack per trial:
+    its vertex count c in 4..6, then its c unit vertices, drawn from ``rng``
+    as ``_random_unit_rows`` draws them.  The rows of every ring are
+    normalized as one stack, each to the bits it has alone."""
+    counts, normals = [], [np.empty((0, 2, n))]
+    for _ in range(trials):
+        counts.append(int(rng.integers(4, 7)))
+        normals.append(rng.standard_normal((counts[-1], 2, n)))
+    rows = _unit_normals(np.concatenate(normals))
+    ends = np.cumsum(counts, dtype=int).tolist()
+    return [rows[end - count:end][None] for count, end in zip(counts, ends)]
+
+
 def _rectangle_worst(n: int, seeds: range, corners: list[list[int]], tol: Tolerances
                      ) -> tuple[float, float]:
     """The reduction suite's split and rectangle residuals over the draws of
@@ -364,7 +378,7 @@ def run_reduction_suite(n: int, trials: int, seed: int, *,
     split and rectangle checks are then a share for the helper.
     """
     rng = np.random.default_rng(seed)
-    triangles = [_random_unit_rows(n, int(rng.integers(4, 7)), rng)[None] for _ in range(trials)]
+    triangles = _triangle_rings(n, trials, rng)
     picks = []  # ell, then the psi and the phi columns of each trial's quad ring
     for _ in range(trials):
         ell = int(rng.integers(2, min(n, 3) + 1))

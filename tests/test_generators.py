@@ -25,10 +25,14 @@ from gaugephase import (
 )
 from gaugephase import canonical
 from gaugephase.core import _stacks
+from gaugephase import generators
 from gaugephase.generators import (
+    _HASHED_SEEDS,
     _certified_unitary_stacks,
     _generic_unitary_stacks,
     _haar_unitaries,
+    _seed_states,
+    _seeded,
 )
 
 from oracles import eigenframes_by_loops, peel_by_dense_product
@@ -479,3 +483,75 @@ class TestEngineeredSwap:
         overlaps = np.einsum("tij,tij->tj", f[:-1].conj(), f[1:])
         assert float(np.abs(overlaps.imag).max()) == 0.0
         assert float(overlaps.real.min()) > 0.99
+
+
+# The edges of the words a seed is hashed as: one word, two, three, five.
+EDGE_SEEDS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 128 - 1]
+
+
+def _same_streams(seeds) -> None:
+    """Each of ``_seeded(seeds)`` is ``default_rng(seed)``: the same state,
+    and the same first normals bit for bit."""
+    for seed, rng in zip(seeds, _seeded(list(seeds)), strict=True):
+        alone = np.random.default_rng(seed)
+        assert rng.bit_generator.state == alone.bit_generator.state, seed
+        assert rng.standard_normal(7).tobytes() == alone.standard_normal(7).tobytes(), seed
+
+
+class TestSeeded:
+    """A stack's generators, its seeds hashed as one array from
+    ``_HASHED_SEEDS`` seeds on: each is the stream of ``default_rng(seed)``.
+    This is the guard that numpy's SeedSequence still hashes as the copy
+    in ``generators`` does."""
+
+    def test_hashed_stacks_are_the_streams_of_default_rng(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import example, given, settings, strategies as st
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.lists(st.integers(0, 2 ** 128 - 1), min_size=1, max_size=150))
+        @example(EDGE_SEEDS)
+        @example(EDGE_SEEDS * 7)
+        def check(seeds):
+            words = _seed_states(seeds)
+            for seed, hashed in zip(seeds, words, strict=True):
+                assert hashed.tobytes() == np.random.SeedSequence(seed).generate_state(
+                    4, np.uint64).tobytes(), seed
+            _same_streams(seeds)
+            _same_streams(seeds + EDGE_SEEDS + list(range(_HASHED_SEEDS)))
+
+        check()
+
+    def test_the_smallest_hashed_stack_hashes_and_the_one_below_does_not(self, monkeypatch):
+        hashed = []
+        real = generators._seed_states
+        monkeypatch.setattr(generators, "_seed_states",
+                            lambda seeds: hashed.append(len(seeds)) or real(seeds))
+        _same_streams(range(_HASHED_SEEDS - 1))
+        _same_streams(range(_HASHED_SEEDS))
+        assert hashed == [_HASHED_SEEDS]
+
+    @pytest.mark.parametrize("odd", [-1, 2 ** 128, np.int64(7), np.uint64(2 ** 64 - 1), True,
+                                     1.5, "7"], ids=repr)
+    def test_a_seed_the_hash_does_not_take_goes_through_default_rng(self, odd):
+        seeds = [*range(20), odd, *range(20, 40)]
+        try:
+            np.random.default_rng(odd)
+        except Exception as err:
+            with pytest.raises(type(err)) as raised:
+                _seeded(seeds)
+            assert str(raised.value) == str(err)
+        else:
+            _same_streams(seeds)
+
+    @pytest.mark.parametrize("odd, error", [((1.5, -1), TypeError), ((-1, 1.5), ValueError)])
+    def test_the_first_seed_default_rng_refuses_raises(self, odd, error):
+        with pytest.raises(error):
+            _seeded([*range(40), *odd])
+
+    def test_a_hashed_stack_draws_the_matrices_of_one_generator_each(self):
+        seeds = list(range(15485863, 15485863 + 2 * _HASHED_SEEDS))
+        stacks = list(_certified_unitary_stacks(5, seeds, Tolerances()))
+        assert len(stacks) == 1
+        alone = _haar_unitaries(5, [np.random.default_rng(seed) for seed in seeds])
+        assert stacks[0].matrices.tobytes() == alone.tobytes()

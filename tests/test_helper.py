@@ -231,12 +231,11 @@ def test_a_process_that_exits_leaves_no_helper(large_files, tmp_path):
     assert reports[0] == reports[1] == reports[2]
 
 
-def test_a_stdout_whose_reader_has_gone_exits_141_and_leaves_no_helper(large_files, tmp_path):
-    # stdout is a pipe whose reading end is closed before the child writes,
-    # so the report's first write to it fails.  The report goes through the
-    # helper (n = 256: the tower and the writer), which is killed and reaped
-    # before the child exits 128 + SIGPIPE, with no traceback.
-    matrix, _ = large_files
+def _decompose_into_a_closed_pipe(matrix: str, tmp_path, *output: str):
+    """Run ``decompose matrix`` with ``output`` in a child whose stdout is a
+    pipe whose reading end is closed before the child writes, so the
+    report's first write to it fails; the child's status, its stderr and
+    the pids of the processes it forked."""
     forked = tmp_path / "forked.txt"
     script = (
         "import os\n"
@@ -252,7 +251,7 @@ def test_a_stdout_whose_reader_has_gone_exits_141_and_leaves_no_helper(large_fil
         "            print(pid, file=fh)\n"
         "    return pid\n"
         "os.fork = counted\n"
-        f"sys.exit(main(['decompose', {matrix!r}]))\n"
+        f"sys.exit(main(['decompose', {matrix!r}, *{list(output)!r}]))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     read, write = os.pipe()
@@ -262,9 +261,29 @@ def test_a_stdout_whose_reader_has_gone_exits_141_and_leaves_no_helper(large_fil
                               stderr=subprocess.PIPE, text=True, timeout=120)
     finally:
         os.close(write)
-    assert done.returncode == 141, done.stderr
-    assert "Traceback" not in done.stderr
-    pids = [int(pid) for pid in forked.read_text().split()]
+    return done.returncode, done.stderr, [int(pid) for pid in forked.read_text().split()]
+
+
+def test_a_stdout_whose_reader_has_gone_exits_141_and_leaves_no_helper(large_files, tmp_path):
+    # The report goes through the helper (n = 256: the tower and the
+    # writer), which is killed and reaped before the child exits 128 +
+    # SIGPIPE, with no traceback.
+    matrix, _ = large_files
+    status, stderr, pids = _decompose_into_a_closed_pipe(matrix, tmp_path)
+    assert status == 141, stderr
+    assert "Traceback" not in stderr
+    assert pids and all(_gone(pid) for pid in pids)
+
+
+def test_an_output_pipe_whose_reader_has_gone_exits_141_and_leaves_no_helper(large_files,
+                                                                              tmp_path):
+    # -o /dev/stdout is no regular file, so the report is written straight
+    # through to a new descriptor of the pipe, as to a FIFO: it ends as a
+    # broken stdout does, with nothing on stderr.
+    matrix, _ = large_files
+    status, stderr, pids = _decompose_into_a_closed_pipe(matrix, tmp_path, "-o", "/dev/stdout")
+    assert status == 141, stderr
+    assert stderr == ""
     assert pids and all(_gone(pid) for pid in pids)
 
 

@@ -36,6 +36,7 @@ from gaugephase import (
     save_evolution,
     save_matrix,
 )
+from gaugephase import cli
 from gaugephase.cli import main
 from gaugephase import core
 from gaugephase import io as io_module
@@ -1772,6 +1773,58 @@ class TestCliOffdiag:
             {"levels": [1, 2],
              "reason": "reconstruction undefined: undefined_diagonal_phase"}
         ]
+
+
+class TestCliParser:
+    """One parser per process: the first ``main`` call builds it, and every
+    call parses its arguments into a new namespace."""
+
+    def test_main_builds_the_parser_once(self, swap_file, matrix_file, monkeypatch, capsys):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        assert main(["offdiag", swap_file, "--no-triples"]) == 0
+        assert main(["decompose", matrix_file[0]]) == 0
+        assert main(["verify", "--suite", "counting", "--n", "3"]) == 0
+        assert main(["phases", swap_file]) == 0
+        assert built == [1]
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_no_option_carries_over_to_the_next_call(self, swap_file, capsys):
+        def report(*argv):
+            assert main(list(argv)) in (0, 1)
+            return json.loads(capsys.readouterr().out)
+
+        assert report("offdiag", swap_file, "--no-triples")["gamma_triples"] == []
+        triples = report("offdiag", swap_file)["gamma_triples"]
+        assert [row["levels"] for row in triples] == [[1, 2, 3]]
+        tuned = report("verify", "--suite", "roundtrip", "--n", "3", "--trials", "2",
+                       "--seed", "4", "--tol-unitary", "1e-9")
+        assert (tuned["n"], tuned["trials"], tuned["seed"]) == (3, 2, 4)
+        assert {check["threshold"] for check in tuned["checks"]} == {1e-9}
+        plain = report("verify", "--suite", "roundtrip")
+        assert (plain["n"], plain["trials"], plain["seed"]) == (4, 100, 0)
+        assert {check["threshold"] for check in plain["checks"]} == {1e-10}
+
+    @pytest.mark.parametrize("argv, status", [
+        (["--help"], 0),
+        (["verify", "--help"], 0),
+        (["verify", "--suite", "nope"], 2),
+        (["verify", "--suite", "counting", "--n", "three"], 2),
+        (["offdiag"], 2),
+    ])
+    def test_a_call_that_exits_in_the_parser_leaves_the_next_call_working(
+            self, argv, status, swap_file, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == status
+        capsys.readouterr()
+        assert main(["verify", "--suite", "counting", "--n", "3"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["suite"], doc["n"], doc["trials"], doc["seed"]) == ("counting", 3, 100, 0)
+        assert main(["offdiag", swap_file]) == 0
+        assert json.loads(capsys.readouterr().out)["gamma_triples"] != []
 
 
 def _under_resolved_file(tmp_path) -> str:

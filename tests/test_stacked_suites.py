@@ -228,15 +228,16 @@ def _reduction_by_objects(n: int, trials: int, seed: int) -> tuple[list, int]:
 @pytest.mark.parametrize("n, trials, seed", [
     (2, 20, 0), (3, 30, 1), (3, 25, 8), (5, 40, 2), (5, 30, 9), (12, 200, 3), (12, 0, 4)])
 def test_reduction_suite_is_a_loop_of_object_calls(n, trials, seed, monkeypatch):
-    draws = verification._random_unit_rows
-    counts = []
+    rings = verification._triangle_rings
 
-    def draw(n, count, rng):
-        counts.append(count)
-        ring = draws(n, count, rng)
-        return _anchorless(ring) if counts.count(5) == 1 and counts[-1] == 5 else ring
+    def planted(n, trials, rng):
+        drawn = rings(n, trials, rng)
+        fives = [t for t, ring in enumerate(drawn) if ring.shape[1] == 5]
+        if fives:
+            drawn[fives[0]] = _anchorless(drawn[fives[0]][0])[None]
+        return drawn
 
-    monkeypatch.setattr(verification, "_random_unit_rows", draw)
+    monkeypatch.setattr(verification, "_triangle_rings", planted)
     expected, refused = _reduction_by_objects(n, trials, seed)
     assert refused == (1 if trials else 0)
     report = run_reduction_suite(n, trials, seed)

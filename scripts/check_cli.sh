@@ -262,11 +262,14 @@ for pid in map(int, sys.argv[1:]):
 EOF
 
 # An evolution above the reader's fork size, and its compact copy, each
-# read by two processes: the helper process decodes every other run of
-# frames.
+# read by two processes: the helper process is fed the next run of frames
+# whenever it owes fewer than two, and the reading process decodes the
+# others, ahead of the runs owed.
 # The load holds json.load's numbers bit for bit, and both files give the
-# same reports.  A compact copy with a NaN in a frame of run 1, the
-# helper's first, is refused naming that frame.
+# same reports.  Two compact copies, one with a NaN in a frame of run 0,
+# the first fed to the helper, and one with a NaN in a frame of run 2,
+# which the reading process decodes while the helper owes runs 0 and 1,
+# are each refused naming that frame.
 python - <<'EOF'
 import json
 import os
@@ -296,12 +299,13 @@ def counted(window, closers, helper=None):
         yield run
 io._runs = counted
 load_evolution("fork_compact.json")
-bad = lengths[0] + lengths[1] // 2
 text = open("fork_compact.json").read()
-parts = text.split("]],[[")
-parts[bad] = "NaN" + parts[bad][parts[bad].index(","):]
-open("fork_nan.json", "w").write("]],[[".join(parts))
-open("fork_nan_frame.txt", "w").write(f"fork_nan.json' frame {bad}: non-finite entries")
+for name, bad in (("fork_nan", lengths[0] // 2),
+                  ("fork_nan_ahead", lengths[0] + lengths[1] + lengths[2] // 2)):
+    parts = text.split("]],[[")
+    parts[bad] = "NaN" + parts[bad][parts[bad].index(","):]
+    open(f"{name}.json", "w").write("]],[[".join(parts))
+    open(f"{name}_frame.txt", "w").write(f"{name}.json' frame {bad}: non-finite entries")
 EOF
 # The file the two processes wrote is the file a save in one process
 # writes, and the bytes the standard library's json.dump writes for the
@@ -413,4 +417,5 @@ refused "bom.json' is not valid JSON: Unexpected UTF-8 BOM" gaugephase phases bo
 refused "quoted.json' frame 0: a number is written as a string" gaugephase phases quoted.json
 refused "deep.json' frames: nested deeper than json's decoder recurses" gaugephase phases deep.json
 refused "$(cat fork_nan_frame.txt)" gaugephase offdiag fork_nan.json
+refused "$(cat fork_nan_ahead_frame.txt)" gaugephase offdiag fork_nan_ahead.json
 echo "check_cli: all checks passed"

@@ -29,10 +29,13 @@ bit of both parts, signed zeros too) before the next run is decoded, so
 at most one run of pairs is alive at a time.
 
 Decoding holds the GIL, so a large file (``core._Fork.bytes``) is read
-by two processes: the reader feeds its helper (``core._Helper``) the text
-of every other run, which the helper decodes or refuses (``_runs``), and
-decodes every run itself from the first it does not take, so every array
-and every error are those of the one-process walk.
+by two processes, which share the runs by demand (``_runs``): the reader
+feeds its helper (``core._Helper``) the text of the next run whenever the
+helper owes fewer than two, to decode or refuse, and else decodes that run
+itself, ahead of the runs owed, holding it, or the error it met, until
+the runs before it are in.  Where the helper refuses a run, the reader
+goes back to that run's start and decodes every run from there itself, so
+every array and every error are those of the one-process walk.
 
 The walk is the only reader of a JSON object, and it refuses nothing that
 ``json.loads`` reads as one.  Its runs are noted, not raised on
@@ -81,6 +84,7 @@ import math
 import os
 import pickle
 import re
+from collections import deque
 from contextlib import contextmanager, nullcontext, suppress
 from functools import partial
 from itertools import chain
@@ -195,21 +199,16 @@ class _Items:
     def __init__(self, counts: list[int]):
         self.arrays, self.counts, self.defect, self.quoted = [], counts, None, None
 
-    def add(self, first: int, block: list | None, flat: np.ndarray | None = None) -> None:
-        """Convert ``block``, the items from ``first`` on (or a run of the item
-        ``first``), as one flat array, unless the defect noted outranks any
-        it may hold; a block that fails is judged again item by item.  A
-        ``flat`` array is the block as the reader's helper converted it."""
-        if self.defect is not None and (self.defect[0] < first or self.defect[1] == 0):
-            return
-        flat, defect = (flat, None) if flat is not None else _converted(block)
-        if defect is None:
-            self.arrays.append(flat)
-        elif len(block) > 1:
-            for item, pairs in enumerate(block, first):
-                self.add(item, [pairs])
-        elif self.defect is None or (first, defect[0]) < self.defect[:2]:
-            self.defect = (first, *defect)
+    def add(self, first: int, run: _Run) -> None:
+        """Note a run of the items from ``first`` on (or of the item
+        ``first``): its flat entries, or its defect where that outranks the
+        one noted."""
+        if run.defect is not None:
+            defect = (first + run.defect[0], *run.defect[1:])
+            if self.defect is None or defect[:2] < self.defect[:2]:
+                self.defect = defect
+        elif self.defect is None:
+            self.arrays.append(run.flat)
 
     def checked(self, count: int, name) -> np.ndarray:
         """The flat complex entries, if each item holds ``count`` pairs and
@@ -346,33 +345,40 @@ class _Window:
     ends within ``_LOOKAHEAD`` characters of the window's end, may be cut
     by the edge, so before the end of the file it is read again after a
     refill that drops the consumed text and at least doubles what is left.
+    Text from the offset ``keep`` on, where it is set, is not dropped.
     Two characters of lookahead are what json's number scanner needs: on
     "1.5e+" it would stop at "1.5" where "1.5e+7" goes on.  A wrong
     character the window holds with that lookahead (``_Refused``) is no
     cut token, and is refused at once, before any refill.
     """
 
-    __slots__ = ("fh", "text", "idx", "eof", "dropped")
+    __slots__ = ("fh", "text", "idx", "eof", "dropped", "keep")
 
     def __init__(self, fh: IO[str]):
         self.fh, self.text, self.idx, self.eof, self.dropped = fh, "", 0, False, 0
+        self.keep: int | None = None
 
     def at(self) -> int:
         """The offset of ``text[idx]`` in the whole text."""
         return self.dropped + self.idx
 
     def fill(self, size: int) -> None:
-        """Drop the consumed text and read on until ``size`` characters
-        are left or the file ends."""
-        self.dropped += self.idx
-        pieces = [self.text[self.idx:]]
-        left = len(pieces[0])
-        while left < size and not self.eof:
-            piece = self.fh.read(_CHUNK)
-            pieces.append(piece)
-            left += len(piece)
-            self.eof = not piece
-        self.text, self.idx = "".join(pieces), 0
+        """Drop the consumed text, but from ``keep`` on, then read on until
+        ``size`` characters are left past the index or the file ends.  The
+        dropped text is freed before the reads, and where a read raises the
+        window still holds the text it kept and read."""
+        cut = self.idx if self.keep is None else min(self.idx, self.keep - self.dropped)
+        self.dropped, self.idx = self.dropped + cut, self.idx - cut
+        pieces, self.text = [self.text[cut:]], ""
+        left = len(pieces[0]) - self.idx
+        try:
+            while left < size and not self.eof:
+                piece = self.fh.read(_CHUNK)
+                pieces.append(piece)
+                left += len(piece)
+                self.eof = not piece
+        finally:
+            self.text = "".join(pieces)
 
     def take(self, read, *args) -> Any:
         """The value of ``read(text, idx, *args) -> (value, end)``, past it."""
@@ -409,40 +415,40 @@ def _walked_object(window: _Window, blocks: str, read_blocks) -> dict:
 
 
 class _Run(NamedTuple):
-    """A run of a block array: its items (a run of pairs is one item, a run
-    of frames one per frame), each item's pair count (-1: not a list),
-    whether its text holds a '"', and, for a run the reader's helper
-    converted, its flat complex entries in place of the items."""
+    """A run of a block array, converted: each item's pair count (-1: not a
+    list; a run of pairs is one item, a run of frames one per frame), the
+    first item that holds a string or an object where its text holds a '"'
+    (else None), and its flat complex entries, or else its first defect as
+    (item, kind, detail), the kinds those of ``_pairs_to_complex``."""
 
-    items: list | None
     counts: list[int]
-    quoted: bool
+    quoted: int | None
     flat: np.ndarray | None
+    defect: tuple[int, int, str] | None
 
 
 def _pair_runs(window: _Window, helper: _Helper | None = None) -> _Items:
-    """The JSON array of [re, im] pairs in ``window`` as one item, converted
-    a run at a time before the next run is decoded."""
+    """The JSON array of [re, im] pairs in ``window`` as one item, noted a
+    run at a time."""
     entries = _Items([0])
     for run in _runs(window, 1, helper):
-        if run.quoted:
+        if run.quoted is not None:
             entries.quoted = 0
         entries.counts[0] += run.counts[0]
-        entries.add(0, run.items, run.flat)
+        entries.add(0, run)
     return entries
 
 
 def _frame_runs(window: _Window, helper: _Helper | None = None) -> _Items:
-    """The JSON array of frames in ``window``, one item each, converted a
-    run at a time before the next run is decoded; after the first bad
-    frame, frames are only counted."""
+    """The JSON array of frames in ``window``, one item each, noted a run
+    at a time; after the first bad frame, frames are only counted."""
     frames = _Items([])
     for run in _runs(window, 2, helper):
         first = len(frames.counts)
-        if run.quoted and frames.quoted is None:
-            frames.quoted = first + next(i for i, frame in enumerate(run.items) if _textual(frame))
+        if run.quoted is not None and frames.quoted is None:
+            frames.quoted = first + run.quoted
         frames.counts += run.counts
-        frames.add(first, run.items, run.flat)
+        frames.add(first, run)
     return frames
 
 
@@ -459,64 +465,105 @@ def _textual(value: Any) -> bool:
     return False
 
 
+# Runs this process decodes past the oldest run its helper owes, at most,
+# before it waits for that run's answer; each keeps up to ``_PAIR_RUN``
+# more characters of text in the window.  Over the benchmark's 19.5 MB
+# evolution (n = 8, N = 4000, 259 runs) on a host of 2 vCPUs, in three
+# rounds of 15 loads a value, the reader waited for answers a median of
+# 53-137 ms a load at 2 runs, 4.5-14 ms at 4, and 2.5-4.1 ms at 6, 8 and
+# 12, while the loads (137-283 ms) varied more with the host than with
+# the value.
+_AHEAD = 6
+
+
 def _runs(window: _Window, closers: int, helper: _Helper | None = None) -> Iterator[_Run]:
-    """The members of the JSON array in ``window`` a run at a time, as
-    ``_run`` reads them, the window refilled to two runs' length before each
-    of this process's.  With a ``_Helper``, the run after each is fed to it
-    ahead (``_feed``) and its answer taken where this process's run ended
-    where that run starts; elsewhere this process decodes every run."""
-    last, fed, cuts = window.take(_opening, "["), [], {}
-    while not last:
+    """The members of the JSON array in ``window`` a run at a time, in text
+    order, each as ``_run`` reads and ``_as_run`` converts it, the window
+    refilled to two runs' length before each.  With a ``_Helper``, the next
+    run goes to it whenever it owes fewer than two (``_fed``); else this
+    process decodes it, and holds it, or the error it meets, behind the
+    runs owed before it, ``_AHEAD`` runs at most, the window keeping the
+    text from the oldest one's start.  Where the helper leaves a run
+    unanswered, the walk goes back to that run's start, drops the runs
+    decoded past it, and decodes every run from there itself, so every run
+    and every error are those of the one-process walk."""
+    last, owed, behind = window.take(_opening, "["), 0, deque()
+    while True:
+        while behind and type(behind[0]) is not int:  # decoded here, and due
+            run = behind.popleft()
+            if isinstance(run, BaseException):
+                raise run
+            yield run
+        window.keep = behind[0] if behind else None  # a fed run's start
+        ended = last or behind and isinstance(behind[-1], BaseException)
+        if not behind and ended:
+            return
+        if behind and (ended or len(behind) > _AHEAD or helper.answered()):
+            start = behind.popleft()
+            answer, owed = helper.received(), owed - 1
+            if answer:
+                yield _answered(answer)
+                continue
+            for _ in range(owed):  # the answers still to come, read and left
+                helper.received()
+            helper.finish()
+            behind.clear()
+            window.idx, last, owed = start - window.dropped, False, 0
+            continue
         if len(window.text) - window.idx < 2 * _PAIR_RUN and not window.eof:
             window.fill(2 * _PAIR_RUN)
-        while helper and helper.reading and len(fed) < 2 and _feed(window, closers, helper, fed,
-                                                                  cuts):
-            pass
-        members, last, quoted = window.take(_run, closers, cuts.pop(window.at(), None))
-        yield _as_run(members, quoted, closers)
-        if not fed:
+        end = None
+        if helper and helper.reading and owed < 2:
+            end = _fed(window, closers, helper, owed > 0)
+        if end is not None:
+            behind.append(window.at())
+            window.idx, owed = end - window.dropped, owed + 1
             continue
-        answer = helper.received() if not last and window.at() == fed[0][0] else None
-        if answer:
-            window.idx = fed.pop(0)[1] - window.dropped
-            k = int.from_bytes(answer[:8], "little")
-            yield _Run(None, np.frombuffer(answer, np.int64, k, 8).tolist(), False,
-                       np.frombuffer(answer, np.complex128, offset=8 * (k + 1)))
-            continue
-        for _ in fed[answer is not None:]:  # the answers still to come, read and left
-            helper.received()
-        fed.clear()
-        helper.finish()
+        try:
+            members, last, quoted = window.take(_run, closers)
+            behind.append(_as_run(members, quoted, closers))
+        except (ValueError, RecursionError) as err:  # RecursionError: nested too deep
+            behind.append(err)
 
 
-def _feed(window: _Window, closers: int, helper: _Helper, fed: list, cuts: dict) -> bool:
-    """Feed the helper the run after this process's next one (at the end of
-    the last fed run, or at the window's index): its span goes on ``fed``,
-    and the cut of this process's run on ``cuts``.  False where that run
-    ends the array, lies not in the window, or will not fit ``room``."""
-    text, at = window.text, fed[-1][1] if fed else window.at()
-    ours = cuts[at] = _regex_cut(text, at - window.dropped, closers)
-    try:
-        last, start = (True, 0) if ours is None else _after_item(text, ours.end(), "]")
-        theirs = None if last else _regex_cut(text, start, closers)
-        last, end = (True, 0) if theirs is None else _after_item(text, theirs.end(), "]")
-    except ValueError:
-        return False
-    piece = b"" if last or not (window.eof or end + _LOOKAHEAD < len(text)) else (
-        text[start:end].encode("utf-8"))
-    if not piece or fed and len(piece) > helper.room:
-        return False
+def _fed(window: _Window, closers: int, helper: _Helper, second: bool) -> int | None:
+    """Feed the helper the run at the window's index where the window holds
+    it and the ',' after it, and another member opens there ('['), so that
+    a cut past the array's end is never fed; a ``second`` run owed must fit
+    ``room``.  The offset past the run and that ',', else None."""
+    text, idx = window.text, window.idx
+    cut = _regex_cut(text, idx, closers)
+    after = cut and _AFTER(text, cut.end())
+    if not (after and after[1] == "," and text.startswith("[", after.end())):
+        return None
+    piece = text[idx:after.end()].encode("utf-8")
+    if second and len(piece) > helper.room:
+        return None
     helper.give(piece)
-    fed.append((window.dropped + start, window.dropped + end))
-    return True
+    return window.dropped + after.end()
+
+
+def _answered(answer: bytearray) -> _Run:
+    """The run of a helper's answer (``_decoded_piece``)."""
+    k = int.from_bytes(answer[:8], "little")
+    return _Run(np.frombuffer(answer, np.int64, k, 8).tolist(), None,
+                np.frombuffer(answer, np.complex128, offset=8 * (k + 1)), None)
 
 
 def _as_run(members: list, quoted: bool, closers: int) -> _Run:
-    """A run of members ``_run`` decoded, its items counted."""
+    """A run of members ``_run`` decoded, counted and converted as one flat
+    array; a run that fails is judged again item by item, for its first
+    item's defect."""
     if not members:  # a ',' before the array's ']'
         raise ValueError("trailing ',' in an array")
     items = [members] if closers == 1 else members
-    return _Run(items, [len(item) if type(item) is list else -1 for item in items], quoted, None)
+    counts = [len(item) if type(item) is list else -1 for item in items]
+    textual = next(i for i, item in enumerate(items) if _textual(item)) if quoted else None
+    flat, defect = _converted(items)
+    if defect is not None:
+        defect = (0, *defect) if len(items) == 1 else next(
+            (i, *found) for i, item in enumerate(items) if (found := _converted([item])[1]))
+    return _Run(counts, textual, flat, defect)
 
 
 def _decoded_piece(piece: bytearray, closers: int) -> bytes | None:
@@ -529,9 +576,8 @@ def _decoded_piece(piece: bytearray, closers: int) -> bytes | None:
     if last or quoted or end != len(text):
         return None
     run = _as_run(members, quoted, closers)
-    flat, defect = _converted(run.items)
     counts = np.array([len(run.counts), *run.counts], np.int64)
-    return None if defect else counts.tobytes() + flat.tobytes()
+    return None if run.defect else counts.tobytes() + run.flat.tobytes()
 
 
 def _regex_cut(text: str, idx: int, closers: int) -> re.Match | None:
@@ -542,16 +588,13 @@ def _regex_cut(text: str, idx: int, closers: int) -> re.Match | None:
     return last_end(text, idx, idx + _PAIR_RUN) or next_end(text, idx)
 
 
-def _run(text: str, idx: int, closers: int, cut: re.Match | None = None
-         ) -> tuple[tuple[list, bool, bool], int]:
+def _run(text: str, idx: int, closers: int) -> tuple[tuple[list, bool, bool], int]:
     """The members at ``idx`` up to the last that ends within ``_PAIR_RUN``
     characters (or up to the first that ends beyond), decoded as one array,
     whether the array closed there, and whether their text holds a '"';
     then the index past it, or past the ',' that follows the run.  A
-    member ends at ``closers`` ']'.  ``cut``, the regex's cut at ``idx``,
-    is taken where it was made on this ``text``."""
-    if cut is None or cut.string is not text:
-        cut = _regex_cut(text, idx, closers)
+    member ends at ``closers`` ']'."""
+    cut = _regex_cut(text, idx, closers)
     if cut is not None:
         run = "[" + text[idx:cut.end()] + "]"
         try:
@@ -749,22 +792,29 @@ class _Writer:
         """Write the first fed block, the helper's text or joined here, then
         the writes queued after it; with ``every``, each fed block so."""
         while self.fed:
-            (block, kind, inner, _), *rest = self.queue
-            cut = next((i for i, item in enumerate(rest) if type(item) is tuple), len(rest))
-            self.queue, self.fed, ahead = [], 0, self.ahead
-            answer = self.helper.received()
-            self.feeding = self.feeding and bool(answer)
-            text = answer.decode("ascii") if answer else _leaf_block(block, kind, inner)
-            if text is None:
-                _write_items(block, self.write, inner, self.leaf)
-            else:
-                self.out(text)
-            for text in rest[:cut]:
-                self.out(text)
-            self.queue, self.fed = rest[cut:], int(cut < len(rest))
-            self.ahead = ahead - rest[cut][3] if self.fed else 0  # those behind the next
+            self._settle_first()
             if not every:
                 return
+
+    def _settle_first(self) -> None:
+        """``settle`` of one fed block.  The helper's bytes are dropped once
+        decoded, and no text written stays bound past the call, so an
+        answer is held as text and as the stream's bytes at most."""
+        (block, kind, inner, _), *rest = self.queue
+        cut = next((i for i, item in enumerate(rest) if type(item) is tuple), len(rest))
+        self.queue, self.fed, ahead = [], 0, self.ahead
+        answer = self.helper.received()
+        self.feeding = self.feeding and bool(answer)
+        text = answer.decode("ascii") if answer else _leaf_block(block, kind, inner)
+        answer = None
+        if text is None:
+            _write_items(block, self.write, inner, self.leaf)
+        else:
+            self.out(text)
+        for text in rest[:cut]:
+            self.out(text)
+        self.queue, self.fed = rest[cut:], int(cut < len(rest))
+        self.ahead = ahead - rest[cut][3] if self.fed else 0  # those behind the next
 
 
 def _joined_piece(piece: bytearray) -> bytes | None:

@@ -30,7 +30,7 @@ from gaugephase import io as io_module
 from gaugephase.cli import main
 from gaugephase.core import _Fork
 from gaugephase.io import _BLOCK
-from test_io_cli import _received_runs
+from test_io_cli import _late_decoded_piece, _received_runs, _run_lengths
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +117,29 @@ def test_a_helper_forked_with_another_run_length_is_kept(ratio, large_files, mon
     load_matrix(matrix)
     assert forks.made == [first] == [core._Helper.live.pid]
     assert len(forks.tasks) == 3
+
+
+def test_a_slow_helper_is_given_fewer_runs_and_kept(large_files, monkeypatch, forks):
+    # The reader decodes on ahead of the runs the helper owes and takes each
+    # answer as it comes, so a helper slowed before its fork answers fewer
+    # than half the runs.  The arrays are the one-process read's, and the
+    # same helper serves the next load.
+    _, evolution = large_files
+    expected = _one_process(lambda: load_evolution(evolution))
+    with monkeypatch.context() as patch:
+        patch.setattr(io_module, "_decoded_piece", _late_decoded_piece)
+        received = _received_runs(patch)
+        lengths = _run_lengths(patch)
+        got = load_evolution(evolution)
+    assert all(np.array_equal(g.view(np.uint64), e.view(np.uint64))
+               for g, e in zip(got, expected))
+    assert 0 < received["taken"] and 2 * received["taken"] < len(lengths)
+    first = core._Helper.live.pid
+    got = load_evolution(evolution)
+    assert all(np.array_equal(g.view(np.uint64), e.view(np.uint64))
+               for g, e in zip(got, expected))
+    assert forks.made == [first] == [core._Helper.live.pid]
+    assert forks.tasks == ["_late_decoded_piece", "_decoded_piece"]
 
 
 def _unjoined(at: int) -> dict:

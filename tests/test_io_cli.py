@@ -12,6 +12,7 @@ import signal
 import socket
 import stat
 import threading
+import time
 import tracemalloc
 import warnings
 from itertools import chain
@@ -243,22 +244,20 @@ def _received_runs(monkeypatch) -> dict[str, int]:
     """How many of the runs fed to the helper the reader takes its answer
     for, and how many it decodes itself, from now on."""
     received = {"taken": 0, "left": 0}
-    feed, runs = io_module._feed, io_module._runs
+    fed, answered = io_module._fed, io_module._answered
 
-    def fed(*args):
-        done = feed(*args)
-        received["left"] += done
-        return done
+    def counted_fed(*args):
+        end = fed(*args)
+        received["left"] += end is not None
+        return end
 
-    def counted(window, closers, helper=None):
-        for run in runs(window, closers, helper):
-            if run.flat is not None:
-                received["taken"] += 1
-                received["left"] -= 1
-            yield run
+    def counted_answer(answer):
+        received["taken"] += 1
+        received["left"] -= 1
+        return answered(answer)
 
-    monkeypatch.setattr(io_module, "_feed", fed)
-    monkeypatch.setattr(io_module, "_runs", counted)
+    monkeypatch.setattr(io_module, "_fed", counted_fed)
+    monkeypatch.setattr(io_module, "_answered", counted_answer)
     return received
 
 
@@ -932,8 +931,8 @@ def test_the_walk_gives_the_one_tree_readers_arrays_and_errors(fork_bytes, tmp_p
     # through windows and runs of every size: the walk gives the one-tree
     # reader's arrays bit for bit, or its error text, except that a number
     # written as a string is refused.  A JSON object is never parsed whole.
-    # With the fork size lowered to 0, the helper decodes every other run of
-    # every document but one with a byte order mark, refused before a task.
+    # With the fork size lowered to 0, the helper is fed runs of every
+    # document but one with a byte order mark, refused before a task.
     if fork_bytes is not None:
         monkeypatch.setattr(_Fork, "bytes", fork_bytes)
     received = _received_runs(monkeypatch)
@@ -1384,15 +1383,16 @@ RUN_DEFECTS = {
 @pytest.mark.parametrize("defect", list(RUN_DEFECTS))
 def test_a_defect_in_either_process_run_gets_the_one_process_result(
         defect, side, large_frames, tmp_path, monkeypatch, forks):
-    # The defect is in run 1, the helper's first, or in run 2, the reader's
-    # second, of a file above the fork size.  Where the helper meets it,
-    # the reader takes none of the helper's runs; else it takes run 1.  A
-    # short frame is no defect to the helper: it sends the frame's pair
-    # count, which the reader judges.
+    # The defect is in run 0, the helper's first, or in run 2, which the
+    # reader decodes while the helper owes runs 0 and 1, of a file above
+    # the fork size.  Where the helper meets it, the reader takes none of
+    # the helper's runs; else it takes runs 0 and 1.  A short frame is no
+    # defect to the helper: it sends the frame's pair count, which the
+    # reader judges.
     texts, grid, run_starts = large_frames
     spoil, message, into = RUN_DEFECTS[defect]
-    run = 1 if side == "helper" else 2
-    f = run_starts[run - 1] + into
+    run = 0 if side == "helper" else 2
+    f = [0, *run_starts][run] + into
     assert f + 3 < run_starts[run]
     if spoil is None:
         text = _evolution_text(texts[:f + 1], grid[:f + 1], texts[f + 1:])
@@ -1411,6 +1411,72 @@ def test_a_defect_in_either_process_run_gets_the_one_process_result(
     else:
         assert got == expected
         assert message.format(f=f) in got
+
+
+_DECODED_PIECE = io_module._decoded_piece
+
+
+def _late_decoded_piece(piece, closers):
+    """``_decoded_piece`` 50 ms late: a helper far slower than the reader,
+    which decodes the runs after the two the helper owes first.  A function
+    of a module, so that it pickles as the reader's task."""
+    time.sleep(0.05)
+    return _DECODED_PIECE(piece, closers)
+
+
+# A defect put in a frame's text, and the text of the error it gives.
+AHEAD_DEFECTS = {
+    "nan": (lambda t: "[[NaN" + t[t.index(","):], "frame {f}: non-finite entries"),
+    "quoted": (lambda t: '[["0.5"' + t[t.index(","):],
+               "frame {f}: a number is written as a string"),
+    "syntax": (lambda t: "[[0.5 0.5" + t[t.index(","):], "is not valid JSON: "),
+    "deep": (lambda t: "[" * 100_000 + "0.5" + "]" * 100_000,
+             "frames: nested deeper than json's decoder recurses"),
+}
+
+
+@pytest.mark.parametrize("owed, ahead, named", [
+    ("nan", "nan", "owed"), ("nan", "quoted", "owed"), ("quoted", "quoted", "owed"),
+    ("nan", "syntax", "ahead"), ("syntax", "deep", "owed")])
+def test_a_run_decoded_ahead_of_a_refused_run_gets_the_one_process_error(
+        owed, ahead, named, large_frames, tmp_path, monkeypatch, forks):
+    # The helper, slowed, owes runs 0 and 1 while the reader decodes the
+    # runs after them and meets a defect, a syntax error or nesting too
+    # deep (which starts a run of its own) a few frames into run 2.  The
+    # helper refuses run 0, for a defect of its own: the reader goes back
+    # to run 0, and the error is the one-process read's, for the frame of
+    # run 0 but where json refuses the later text.
+    texts, grid, run_starts = large_frames
+    spoiled = list(texts)
+    frames = {"owed": 3, "ahead": run_starts[1] + 3}
+    for side, defect in (("owed", owed), ("ahead", ahead)):
+        spoiled[frames[side]] = AHEAD_DEFECTS[defect][0](texts[frames[side]])
+    path = _write_text(tmp_path, _evolution_text(spoiled, grid))
+    expected = _one_process(load_evolution, path, monkeypatch)
+    monkeypatch.setattr(io_module, "_decoded_piece", _late_decoded_piece)
+    received = _received_runs(monkeypatch)
+    got = _loaded_or_error(load_evolution, path)
+    assert got == expected
+    defect = owed if named == "owed" else ahead
+    assert AHEAD_DEFECTS[defect][1].format(f=frames[named]) in got
+    assert received["taken"] == 0 and received["left"] >= 1
+    assert forks.tasks == ["_late_decoded_piece"]
+
+
+def test_frames_longer_than_the_sockets_room_are_read_in_two_processes(tmp_path, monkeypatch,
+                                                                       forks):
+    # n = 64: each frame's text is a run of its own, longer than the room a
+    # second run owed must fit, so the helper owes one run at a time, and
+    # each is sent whole while the helper reads it.
+    rng = np.random.default_rng(64)
+    frames = rng.standard_normal((16, 64, 64)) + 1j * rng.standard_normal((16, 64, 64))
+    path = str(tmp_path / "wide.json")
+    save_evolution(path, np.linspace(0.0, 1.0, len(frames)), frames)
+    received = _received_runs(monkeypatch)
+    assert np.array_equal(load_evolution(path)[1].view(np.uint64), frames.view(np.uint64))
+    assert os.path.getsize(path) // len(frames) > core._Helper.live.room
+    assert received["taken"] > 0
+    assert forks.tasks == ["_joined_piece", "_decoded_piece"] and len(forks.made) == 1
 
 
 @pytest.mark.parametrize("fork", ["fork", "fork_refused", "socketpair_refused", "no_fork",
@@ -1466,9 +1532,9 @@ def test_a_file_replaced_after_it_is_opened_is_read_as_opened(large_frames, tmp_
 @pytest.mark.parametrize("at", range(4, 10))
 def test_a_false_bracket_gets_the_one_process_error(at, member, tmp_path, monkeypatch, forks):
     # Runs of one or two pairs: the regex cuts a run at the false ']' where
-    # it is the last within _PAIR_RUN characters, in this process's run
-    # (whose decode then ends short of the cut) or in the helper's (which
-    # refuses it).  The helper decodes every other run of the rest.
+    # it is the last within _PAIR_RUN characters, in a run this process
+    # decodes (which then ends short of the cut) or in one fed to the helper
+    # (which refuses it).  The two share the runs before it by demand.
     monkeypatch.setattr(_Fork, "bytes", 0)
     monkeypatch.setattr(io_module, "_PAIR_RUN", 30)
     entries = [[0.5, 0.25]] * 16
